@@ -5,15 +5,15 @@ from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
                      EmptyPlateError, InfeasibleError, ParseError,
                      SigmaDominationError, SolverDivergence, UnsupportedKernel,
                      WrongScenarioError, ZeroSeparationError)
-from .model import (Condenser, DiscreteMeasure, GreenVariant, KernelSpec, Node,
-                    NodeSet, Plate, PlateSpec, SignedMeasure, VectorMeasure,
-                    build_condenser, resultant, semimetric_distance)
+from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
+                    PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
+                    resultant, semimetric_distance)
 from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
                      equilibrium_measure, gauss_functional, mutual_energy,
                      potential, riesz_eval, vector_potential)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project, green_energy_identity_check,
-                       green_kernel_eval, mass_conservation_probe)
+                       mass_conservation_probe)
 from .gauss_solver import (Constraint, ProblemSpec, SolveResult,
                            lift_green_to_riesz, project_capped_simplex,
                            solve_green_reduced, solve_riesz,

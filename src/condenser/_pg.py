@@ -105,37 +105,43 @@ class PGResult:
     matvecs: int = 0
 
 
-def block_constants_and_kkt(W, w, caps, slices, totals, free_margin_rel):
-    """Per-plate multiplier estimate c_j and the normalized KKT violation.
+def plate_constant_and_kkt(W, w, caps, total, free_margin_rel):
+    """Multiplier estimate c of one plate and its normalized KKT violations.
 
-    W is the weighted potential at every node (half the gradient of q).
-    c_j: median of W over strictly free nodes; with no free nodes, the
+    W is the weighted potential at the plate's nodes (half the gradient of q).
+    c: median of W over strictly free nodes; with no free nodes, the
     midpoint between max W over carried and min W over below-cap nodes.
+    Returns (c, lower, upper): max(c - W) over below-cap nodes and
+    max(W - c) over carried nodes, each floored at 0 and divided by
+    max(1, |c|).
     """
+    margin = free_margin_rel * total
+    carried = w > margin
+    below = w < caps - margin
+    free = carried & below
+    if np.any(free):
+        c = float(np.median(W[free]))
+    else:
+        hi = float(W[carried].max()) if np.any(carried) else 0.0
+        lo = float(W[below].min()) if np.any(below) else hi
+        c = 0.5 * (hi + lo)
+    scale = max(1.0, abs(c))
+    lower = max(0.0, float((c - W[below]).max())) / scale \
+        if np.any(below) else 0.0
+    upper = max(0.0, float((W[carried] - c).max())) / scale \
+        if np.any(carried) else 0.0
+    return c, lower, upper
+
+
+def block_constants_and_kkt(W, w, caps, slices, totals, free_margin_rel):
+    """Per-plate multiplier estimates c_j and the largest normalized KKT
+    violation over all plates (see plate_constant_and_kkt)."""
     consts = np.zeros(len(slices))
     viol = 0.0
     for j, sl in enumerate(slices):
-        Wj = W[sl]
-        wj = w[sl]
-        cj = caps[sl]
-        margin = free_margin_rel * totals[j]
-        carried = wj > margin
-        below = wj < cj - margin
-        free = carried & below
-        if np.any(free):
-            c = float(np.median(Wj[free]))
-        else:
-            hi = float(Wj[carried].max()) if np.any(carried) else 0.0
-            lo = float(Wj[below].min()) if np.any(below) else hi
-            c = 0.5 * (hi + lo)
-        consts[j] = c
-        scale = max(1.0, abs(c))
-        v = 0.0
-        if np.any(below):
-            v = max(v, float((c - Wj[below]).max()))
-        if np.any(carried):
-            v = max(v, float((Wj[carried] - c).max()))
-        viol = max(viol, v / scale)
+        consts[j], lower, upper = plate_constant_and_kkt(
+            W[sl], w[sl], caps[sl], totals[j], free_margin_rel)
+        viol = max(viol, lower, upper)
     return consts, viol
 
 

@@ -19,8 +19,9 @@ from scipy.optimize import nnls
 
 from . import kernel as kernelmod
 from .errors import UnsupportedKernel
-from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
-from .model import DiscreteMeasure, GreenVariant, NodeSet
+from .kernel import (KernelSpec, assemble_matrix, mutual_energy, potential,
+                     riesz_eval)
+from .model import DiscreteMeasure, NodeSet
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # unconstrained sweep columns more negative than this (relative to the column
@@ -45,38 +46,21 @@ class GreenContext:
 
     Holds the exterior kernel matrix and its Cholesky factor, memoizes swept
     point masses, and exposes the Green kernel (Riesz kernel minus the swept
-    point-mass potential) as matrices and potentials.  Registering the context
-    makes ``KernelSpec`` instances with the matching Green variant usable in
-    kernel-module operations.
+    point-mass potential) as matrices, potentials and energies.
     """
 
     def __init__(self, exterior: NodeSet, kernel: KernelSpec,
-                 domain_id: Optional[str] = None,
                  tolerances: Tolerances = DEFAULT_TOLERANCES):
-        if not kernel.is_riesz:
-            raise UnsupportedKernel("GreenContext needs the base Riesz kernel")
         if len(exterior) == 0:
             raise ValueError("exterior node set must be nonempty")
         self.exterior = exterior
         self.riesz = kernel
         self.tolerances = tolerances
-        self.domain_id = domain_id
         self._kee = assemble_matrix(exterior, kernel).entries
         self._chol = cho_factor(self._kee, lower=True)
         self._lower = np.tril(self._chol[0])
         self._pattern_cache: dict = {}
         self._point_sweeps: dict = {}
-        if domain_id is not None:
-            kernelmod.register_green_domain(domain_id, self)
-
-    # -- kernel spec -------------------------------------------------------
-    @property
-    def kernel_spec(self) -> KernelSpec:
-        if self.domain_id is None:
-            raise UnsupportedKernel("anonymous GreenContext has no kernel spec")
-        return KernelSpec(self.riesz.n, self.riesz.alpha,
-                          GreenVariant(self.domain_id),
-                          self.riesz.self_energy_rule)
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -198,7 +182,7 @@ class GreenContext:
         m = self._kee.shape[0]
         scale = float(np.abs(b).max()) + 1e-300
         mask = cho_solve(self._chol, b) > 0.0
-        seen = set()
+        seen = []
         for _ in range(60):
             if not mask.any():
                 grad = -b
@@ -217,10 +201,9 @@ class GreenContext:
             new_mask = mask.copy()
             new_mask[idx[neg]] = False
             new_mask[viol] = True
-            key = new_mask.tobytes()
-            if key in seen:
+            if any(np.array_equal(new_mask, prev) for prev in seen):
                 break
-            seen.add(key)
+            seen.append(new_mask)
             mask = new_mask
         y = solve_triangular(self._lower, b, lower=True)
         theta, _ = nnls(self._lower.T, y)
@@ -291,7 +274,7 @@ class GreenContext:
         rho = cell_radius if cell_radius is not None else _default_probe_radius(self)
         theta = self.point_sweep(y, rho)
         swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
-        kxy = float(np.linalg.norm(x - y) ** (self.riesz.alpha - self.riesz.n))
+        kxy = riesz_eval(x, y, self.riesz)
         return kxy - float(potential(swept, x[None, :], self.riesz)[0])
 
 
@@ -356,14 +339,6 @@ def balayage_oracle_halfspace(y, plane_nodes: NodeSet, kernel: KernelSpec,
     dist = np.linalg.norm(pos - y, axis=1)
     density = 2.0 * h / (omega * dist ** n)
     return DiscreteMeasure(plane_nodes, density * plane_nodes.quad_weights)
-
-
-def green_kernel_eval(x, y, domain: GreenContext, kernel: KernelSpec) -> float:
-    """Pointwise Green kernel g(x, y) = kappa(x, y) - kappa(x, swept eps_y);
-    +inf on the diagonal.  Swept point masses are memoized per source."""
-    if not kernel.is_riesz and not isinstance(kernel.variant, GreenVariant):
-        raise UnsupportedKernel("green_kernel_eval needs a Riesz base kernel")
-    return domain.green_eval(x, y)
 
 
 def green_energy_identity_check(mu: DiscreteMeasure, domain: GreenContext,

@@ -291,10 +291,8 @@ def _solver_section(rep: ReportBuilder, result: SolveResult, spec: ProblemSpec,
     rep.add(f"{prefix}.kkt_residual", result.kkt_residual)
     rep.add(f"{prefix}.constants", result.constants)
     rep.add(f"{prefix}.seed", result.seed if result.seed is not None else -1)
-    for i, a in enumerate(spec.totals):
-        got = result.solution.components[i].total_mass if \
-            i < len(result.solution.components) else float("nan")
-        rep.add(f"{prefix}.plate{i}.mass", got)
+    for i, comp in enumerate(result.solution.components):
+        rep.add(f"{prefix}.plate{i}.mass", comp.total_mass)
     if result.lift_mass_defect is not None:
         rep.add(f"{prefix}.lift_mass_defect", result.lift_mass_defect)
     if result.balayage_residual is not None:

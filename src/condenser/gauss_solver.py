@@ -11,10 +11,11 @@ import numpy as np
 
 from ._pg import minimize_quadratic, project_capped_simplex  # noqa: F401  (re-export)
 from .balayage import GreenContext, balayage_project
-from .errors import (AlignmentError, DuplicateNodeError, InfeasibleError,
-                     SigmaDominationError)
-from .kernel import ExternalField, KernelSpec, gauss_functional, _riesz_block
-from .model import Condenser, DiscreteMeasure, NodeSet, VectorMeasure
+from .errors import AlignmentError, InfeasibleError, SigmaDominationError
+from .kernel import (ExternalField, KernelSpec, gauss_functional, _riesz_block,
+                     _require_distinct)
+from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
+                    merge_by_position)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -131,15 +132,12 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
     N = int(offsets[-1])
     K = np.empty((N, N))
     for i, a in enumerate(nodesets):
+        _require_distinct(a.positions, f"plate node set {i}")
         for j, b in enumerate(nodesets):
             if j < i:
                 continue
             blk = _riesz_block(a.positions, b.positions, kernel,
                                rho_q=b.cell_radii)
-            if i == j:
-                off = ~np.eye(sizes[i], dtype=bool)
-                if sizes[i] > 1 and np.any(~np.isfinite(blk[off])):
-                    raise DuplicateNodeError(f"plate node set {i} has duplicates")
             K[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
             if j > i:
                 K[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
@@ -209,11 +207,10 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
     tol = spec.tolerances
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
     nodesets = [p.nodes for p in plates]
-    merged = _merge_positive(nodesets)
+    merged, idx = _merge_positive(nodesets)
     G, asym = green.green_matrix(merged)
     sizes = [len(ns) for ns in nodesets]
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    idx = _merge_index(nodesets, merged)
     A = G[np.ix_(idx, idx)]
     slices = [slice(int(offsets[i]), int(offsets[i + 1]))
               for i in range(len(sizes))]
@@ -243,28 +240,15 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
                        iterations=res.iterations, seed=seed)
 
 
-def _merge_positive(nodesets: Sequence[NodeSet]) -> NodeSet:
-    """Union of positive-plate nodes with exact duplicates merged."""
-    seen: dict = {}
-    pos, qw, cr = [], [], []
-    for ns in nodesets:
-        for k in range(len(ns)):
-            key = ns.positions[k].tobytes()
-            if key not in seen:
-                seen[key] = len(pos)
-                pos.append(ns.positions[k])
-                qw.append(ns.quad_weights[k])
-                cr.append(ns.cell_radii[k])
-    return NodeSet(np.array(pos), np.array(qw), np.array(cr))
-
-
-def _merge_index(nodesets: Sequence[NodeSet], merged: NodeSet) -> np.ndarray:
-    lookup = {merged.positions[k].tobytes(): k for k in range(len(merged))}
-    idx = []
-    for ns in nodesets:
-        for k in range(len(ns)):
-            idx.append(lookup[ns.positions[k].tobytes()])
-    return np.array(idx, dtype=int)
+def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:
+    """Union of positive-plate nodes with exact duplicates merged, and the
+    merged index of every plate node, plates concatenated in order."""
+    pos = np.vstack([ns.positions for ns in nodesets])
+    first, inverse = merge_by_position(pos)
+    merged = NodeSet(pos[first],
+                     np.concatenate([ns.quad_weights for ns in nodesets])[first],
+                     np.concatenate([ns.cell_radii for ns in nodesets])[first])
+    return merged, inverse
 
 
 def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
@@ -281,12 +265,9 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
         raise AlignmentError(
             "green context exterior must be the negative plate's node set")
     comps = list(green_result.solution.components)
-    merged = _merge_positive([c.nodes for c in comps])
-    weights = np.zeros(len(merged))
-    lookup = {merged.positions[k].tobytes(): k for k in range(len(merged))}
-    for c in comps:
-        for k in range(len(c.nodes)):
-            weights[lookup[c.nodes.positions[k].tobytes()]] += c.weights[k]
+    merged, idx = _merge_positive([c.nodes for c in comps])
+    weights = np.bincount(idx, np.concatenate([c.weights for c in comps]),
+                          len(merged))
     total_pos = DiscreteMeasure(merged, weights)
     bres = balayage_project(total_pos, green, spec.kernel, spec.tolerances)
     comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights,
@@ -311,15 +292,12 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
     """Balayage of the total positive cap onto the negative plate's nodes;
     the reference measure for sigma-variant domination checks."""
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
-    merged = _merge_positive([p.nodes for p in plates])
-    weights = np.zeros(len(merged))
-    lookup = {merged.positions[k].tobytes(): k for k in range(len(merged))}
-    for i, p in zip(spec.i_plus, plates):
-        cap = spec.constraint.cap_array(i, len(p.nodes))
-        if np.any(np.isinf(cap)):
-            raise ValueError("sigma variant needs finite positive-plate caps")
-        for k in range(len(p.nodes)):
-            weights[lookup[p.nodes.positions[k].tobytes()]] += cap[k]
+    caps = [spec.constraint.cap_array(i, len(p.nodes))
+            for i, p in zip(spec.i_plus, plates)]
+    if any(np.any(np.isinf(cap)) for cap in caps):
+        raise ValueError("sigma variant needs finite positive-plate caps")
+    merged, idx = _merge_positive([p.nodes for p in plates])
+    weights = np.bincount(idx, np.concatenate(caps), len(merged))
     res = balayage_project(DiscreteMeasure(merged, weights), green, spec.kernel,
                            spec.tolerances)
     return res.swept.weights

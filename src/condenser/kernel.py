@@ -10,26 +10,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._pg import minimize_quadratic
-from .errors import DuplicateNodeError, SolverDivergence, UnsupportedKernel
-from .model import (DiscreteMeasure, GreenVariant, KernelSpec, NodeSet,
-                    SignedMeasure, VectorMeasure)
+from .errors import DuplicateNodeError, SolverDivergence
+from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
+                    VectorMeasure, merge_by_position, row_blocks,
+                    squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-# Registry of Green domains; balayage.GreenContext registers itself here so
-# that Green-variant kernels can be assembled without a module cycle.
-_GREEN_DOMAINS: dict = {}
-
-
-def register_green_domain(domain_id: str, ctx) -> None:
-    _GREEN_DOMAINS[domain_id] = ctx
-
-
-def green_domain(domain_id: str):
-    try:
-        return _GREEN_DOMAINS[domain_id]
-    except KeyError:
-        raise UnsupportedKernel(
-            f"Green domain {domain_id!r} is not registered") from None
 
 
 @dataclass(frozen=True)
@@ -48,8 +33,6 @@ class KernelMatrix:
 
 def riesz_eval(x, y, kernel: KernelSpec) -> float:
     """Riesz kernel |x-y|^(alpha-n); +inf on the diagonal."""
-    if not kernel.is_riesz:
-        raise UnsupportedKernel("riesz_eval requires the Riesz variant")
     d = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
     if d == 0.0:
         return math.inf
@@ -60,49 +43,34 @@ def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
                  rho_q: Optional[np.ndarray] = None) -> np.ndarray:
     """Kernel values between two point arrays.  Exactly coinciding pairs get
     the self-energy value of the second array's cell (or +inf without radii)."""
-    diff = P[:, None, :] - Q[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    expo = 0.5 * (kernel.alpha - kernel.n)
+    K = squared_distances(P, Q)
+    hits = K == 0.0
     with np.errstate(divide="ignore"):
-        K = d2 ** expo
-    hits = d2 == 0.0
+        np.power(K, 0.5 * (kernel.alpha - kernel.n), out=K)
     if np.any(hits):
         if rho_q is None:
             K[hits] = math.inf
         else:
-            se = np.broadcast_to(kernel.self_energy(rho_q), (P.shape[0], Q.shape[0]))
+            se = np.broadcast_to(kernel.self_energy(rho_q), K.shape)
             K[hits] = se[hits]
     return K
 
 
+def _require_distinct(positions: np.ndarray, what: str) -> None:
+    """Raise DuplicateNodeError if two rows of ``positions`` coincide."""
+    if merge_by_position(positions)[0].size != positions.shape[0]:
+        raise DuplicateNodeError(f"coinciding nodes in {what}")
+
+
 def assemble_matrix(nodes: NodeSet, kernel: KernelSpec,
                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> KernelMatrix:
-    """Dense kernel matrix on pairwise-distinct nodes.
-
-    Riesz: off-diagonal by riesz_eval, diagonal per the self-energy rule.
-    Green: Schur-complement construction supplied by the registered domain,
-    symmetrized with the asymmetry recorded.
-    """
-    m = len(nodes)
-    if isinstance(kernel.variant, GreenVariant):
-        ctx = green_domain(kernel.variant.domain_id)
-        entries, asym = ctx.green_matrix(nodes)
-        rule = {"rule": kernel.self_energy_rule, "variant": "green",
-                "asymmetry": asym}
-        return KernelMatrix(entries=entries, diagonal_rule=rule, kernel=kernel)
-    P = nodes.positions
-    diff = P[:, None, :] - P[None, :, :]
-    d2 = np.einsum("ijk,ijk->ij", diff, diff)
-    off = ~np.eye(m, dtype=bool)
-    if np.any(d2[off] == 0.0):
-        raise DuplicateNodeError("coinciding nodes in matrix assembly")
-    expo = 0.5 * (kernel.alpha - kernel.n)
-    with np.errstate(divide="ignore"):
-        K = d2 ** expo
-    diag = kernel.self_energy(nodes.cell_radii)
-    K[np.diag_indices(m)] = diag
-    rule = {"rule": kernel.self_energy_rule, "variant": "riesz",
-            "diagonal": np.asarray(diag, dtype=float)}
+    """Dense kernel matrix on pairwise-distinct nodes: off-diagonal entries
+    |x-y|^(alpha-n), diagonal per the self-energy rule."""
+    _require_distinct(nodes.positions, "matrix assembly")
+    K = _riesz_block(nodes.positions, nodes.positions, kernel,
+                     rho_q=nodes.cell_radii)
+    rule = {"rule": kernel.self_energy_rule,
+            "diagonal": kernel.self_energy(nodes.cell_radii)}
     return KernelMatrix(entries=K, diagonal_rule=rule, kernel=kernel)
 
 
@@ -119,17 +87,12 @@ def potential(mu, points, kernel: KernelSpec) -> np.ndarray:
     """kappa(x, mu) at each query point; a query coinciding with an atom uses
     the self-energy rule for that atom's contribution."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if isinstance(kernel.variant, GreenVariant):
-        ctx = green_domain(kernel.variant.domain_id)
-        return ctx.green_potential(mu, pts)
     pos, w, rho = _atoms_of(mu)
     if pos.shape[0] == 0:
         return np.zeros(pts.shape[0])
     out = np.empty(pts.shape[0])
-    step = max(1, int(4e6) // max(1, pos.shape[0]))
-    for s in range(0, pts.shape[0], step):
-        K = _riesz_block(pts[s:s + step], pos, kernel, rho_q=rho)
-        out[s:s + step] = K @ w
+    for rows in row_blocks(pts, pos):
+        out[rows] = _riesz_block(pts[rows], pos, kernel, rho_q=rho) @ w
     return out
 
 
@@ -144,18 +107,14 @@ def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
             for sj, cj in zip(nu.signs, nu.components):
                 total += si * sj * mutual_energy(ci, cj, kernel)
         return total
-    if isinstance(kernel.variant, GreenVariant):
-        ctx = green_domain(kernel.variant.domain_id)
-        return ctx.green_mutual_energy(mu, nu)
     pa, wa, _ = _atoms_of(mu)
     pb, wb, rb = _atoms_of(nu)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
         return 0.0
     total = 0.0
-    step = max(1, int(4e6) // max(1, pb.shape[0]))
-    for s in range(0, pa.shape[0], step):
-        K = _riesz_block(pa[s:s + step], pb, kernel, rho_q=rb)
-        total += float(wa[s:s + step] @ K @ wb)
+    for rows in row_blocks(pa, pb):
+        K = _riesz_block(pa[rows], pb, kernel, rho_q=rb)
+        total += float(wa[rows] @ K @ wb)
     return total
 
 
@@ -216,12 +175,10 @@ class ExternalField:
                     raise ValueError("field values misaligned with plate nodes")
                 out.append(v)
             return out
-        base = kernel if kernel.is_riesz else KernelSpec(
-            kernel.n, kernel.alpha, "riesz", kernel.self_energy_rule)
         out = []
         for ns, s in zip(nodesets, signs):
-            vals = potential(self.zeta, ns.positions, base) \
-                - potential(self.zeta_swept, ns.positions, base)
+            vals = potential(self.zeta, ns.positions, kernel) \
+                - potential(self.zeta_swept, ns.positions, kernel)
             out.append(s * vals)
         return out
 

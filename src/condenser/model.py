@@ -8,10 +8,11 @@ allowed to shrink with resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
 
@@ -31,19 +32,14 @@ VOLUME_CELL_RADIUS_FACTOR = 0.49  # x cell spacing
 # effective cells are trimmed so rho_i <= NEIGHBOR_TRIM * (nearest-neighbor
 # distance); any pair then satisfies rho_i + rho_j < d_ij
 NEIGHBOR_TRIM = 0.49
-
-
-@dataclass(frozen=True)
-class GreenVariant:
-    """Green-kernel marker; ``domain_id`` must be registered before use."""
-
-    domain_id: str
+# row blocks of pairwise arrays hold at most this many entries (32 MB of
+# float64), which bounds the memory of every blocked distance or kernel reader
+BLOCK_ENTRIES = 4_000_000
 
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel selector: Riesz |x-y|^(alpha-n) on R^n, or the Green kernel on a
-    registered domain.
+    """Riesz kernel |x-y|^(alpha-n) on R^n.
 
     ``self_energy_rule`` fixes the kernel-matrix diagonal: ``cell_ball`` uses
     the analytic mean of the kernel over a ball of radius cell_radius;
@@ -52,7 +48,6 @@ class KernelSpec:
 
     n: int
     alpha: float
-    variant: "str | GreenVariant" = "riesz"
     self_energy_rule: str = "cell_ball"
 
     def __post_init__(self):
@@ -60,14 +55,8 @@ class KernelSpec:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if isinstance(self.variant, str) and self.variant != "riesz":
-            raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.self_energy_rule not in ("cell_ball", "excluded"):
             raise ValueError(f"unknown self-energy rule {self.self_energy_rule!r}")
-
-    @property
-    def is_riesz(self) -> bool:
-        return self.variant == "riesz"
 
     def self_energy(self, cell_radius: np.ndarray | float) -> np.ndarray | float:
         """Diagonal value per the self-energy rule.
@@ -81,24 +70,10 @@ class KernelSpec:
         return (self.n / self.alpha) * rho ** (self.alpha - self.n)
 
 
-@dataclass(frozen=True)
-class Node:
-    """Single discretization node: position, local quadrature weight, and the
-    effective cell half-width used by the self-energy rule."""
-
-    position: tuple
-    quad_weight: float
-    cell_radius: float
-
-    def __post_init__(self):
-        if not self.quad_weight > 0:
-            raise ValueError("quad_weight must be > 0")
-        if not self.cell_radius > 0:
-            raise ValueError("cell_radius must be > 0")
-
-
 class NodeSet:
-    """Columnar storage for a list of nodes (positions, weights, cell radii).
+    """Columnar storage for discretization nodes: positions, local quadrature
+    weights (> 0), and the effective cell half-widths (> 0) used by the
+    self-energy rule.
 
     ``layer_index`` records which construction layer/shell a node came from
     (0 = boundary layer); support diagnostics group by it.
@@ -127,19 +102,6 @@ class NodeSet:
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
-
-    def node(self, i: int) -> Node:
-        return Node(tuple(self.positions[i]), float(self.quad_weights[i]),
-                    float(self.cell_radii[i]))
-
-    @property
-    def nodes(self) -> list:
-        return [self.node(i) for i in range(len(self))]
-
-    @classmethod
-    def from_nodes(cls, nodes: Sequence[Node]) -> "NodeSet":
-        pos = np.array([n.position for n in nodes], dtype=float)
-        return cls(pos, [n.quad_weight for n in nodes], [n.cell_radius for n in nodes])
 
     def subset(self, idx) -> "NodeSet":
         return NodeSet(self.positions[idx], self.quad_weights[idx],
@@ -227,41 +189,71 @@ class Condenser:
         return self.plates[i]
 
 
+def squared_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """|p - q|^2 for every row p of P and q of Q; coinciding points give
+    exactly zero.  Every pairwise distance in the package comes from here."""
+    return cdist(P, Q, "sqeuclidean")
+
+
+def row_blocks(P: np.ndarray, Q: np.ndarray):
+    """Slices of P's rows such that each block against all of Q holds at most
+    BLOCK_ENTRIES pairs; blocked readers of pairwise arrays iterate these."""
+    step = max(1, BLOCK_ENTRIES // max(1, Q.shape[0]))
+    return [slice(start, start + step) for start in range(0, P.shape[0], step)]
+
+
 def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum pairwise distance between two point clouds, blocked to bound memory."""
-    best = np.inf
-    step = max(1, int(2e7) // max(1, b.shape[0]))
-    for start in range(0, a.shape[0], step):
-        blk = a[start:start + step]
-        d2 = np.sum((blk[:, None, :] - b[None, :, :]) ** 2, axis=-1)
-        best = min(best, float(d2.min()))
+    """Minimum pairwise distance between two point clouds."""
+    best = min(float(squared_distances(a[rows], b).min())
+               for rows in row_blocks(a, b))
     return math.sqrt(max(best, 0.0))
 
 
-def _nearest_neighbor_distances(pos: np.ndarray, other: Optional[np.ndarray] = None
-                                ) -> np.ndarray:
-    """Per-point distance to the nearest distinct point (zero distances are
-    ignored: shared nodes of equally signed plates are the same cell)."""
-    m = pos.shape[0]
-    ref = pos if other is None else other
-    out = np.full(m, np.inf)
-    step = max(1, int(2e7) // max(1, ref.shape[0]))
-    for start in range(0, m, step):
-        blk = pos[start:start + step]
-        d2 = np.sum((blk[:, None, :] - ref[None, :, :]) ** 2, axis=-1)
+def _nearest_neighbor_distances(pos: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per-point distance to the nearest distinct point of ``ref`` (zero
+    distances are ignored: shared nodes of equally signed plates are the same
+    cell)."""
+    out = np.full(pos.shape[0], np.inf)
+    for rows in row_blocks(pos, ref):
+        d2 = squared_distances(pos[rows], ref)
         d2[d2 == 0.0] = np.inf
-        out[start:start + step] = np.sqrt(d2.min(axis=1))
+        out[rows] = np.sqrt(d2.min(axis=1))
     return out
 
 
-def trim_cell_radii(nodes: NodeSet, beta: float = NEIGHBOR_TRIM) -> NodeSet:
-    """Cap cell radii at beta x nearest-neighbor distance so effective cells
+def trim_cell_radii(nodes: NodeSet, reference: Optional[np.ndarray] = None
+                    ) -> NodeSet:
+    """Cap cell radii at NEIGHBOR_TRIM x the distance to the nearest distinct
+    point of ``reference`` (default: the node set itself), so effective cells
     stay pairwise disjoint."""
-    if len(nodes) < 2:
-        return nodes
-    dnn = _nearest_neighbor_distances(nodes.positions)
-    capped = np.minimum(nodes.cell_radii, beta * dnn)
+    ref = nodes.positions if reference is None else reference
+    dnn = _nearest_neighbor_distances(nodes.positions, ref)
+    capped = np.minimum(nodes.cell_radii, NEIGHBOR_TRIM * dnn)
     return NodeSet(nodes.positions, nodes.quad_weights, capped, nodes.layer_index)
+
+
+def trim_across_plates(plates: Sequence[Plate]) -> list:
+    """Trim every plate's cells against the nodes of all plates, so joint
+    kernel matrices stay positive definite; coincident nodes (shared by
+    equally signed plates) are the same cell."""
+    all_pos = np.vstack([p.nodes.positions for p in plates])
+    return [replace(p, nodes=trim_cell_radii(p.nodes, all_pos)) for p in plates]
+
+
+def merge_by_position(positions: np.ndarray) -> tuple:
+    """Merge rows with exactly equal positions.
+
+    Returns ``(first, inverse)``: the index of each distinct position's first
+    occurrence, in order of first occurrence, and for every row the index of
+    its distinct position.  Sum per-row weights with
+    ``np.bincount(inverse, weights, len(first))``.
+    """
+    _, first, inverse = np.unique(positions, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return first[order], rank[inverse.reshape(-1)]
 
 
 @dataclass(frozen=True)
@@ -337,7 +329,6 @@ class SignedMeasure:
     positions: np.ndarray
     weights: np.ndarray
     cell_radii: np.ndarray
-    provenance: tuple = ()
 
     def __post_init__(self):
         object.__setattr__(self, "positions",
@@ -362,39 +353,27 @@ def resultant(mu: VectorMeasure, condenser: Condenser) -> SignedMeasure:
         raise AlignmentError(
             f"measure has {len(mu.components)} components, condenser has "
             f"{len(condenser.plates)} plates")
-    index: dict = {}
-    positions = []
-    weights = []
-    radii = []
-    provenance = []
-    for plate, comp, sign in zip(condenser.plates, mu.components, condenser.signs):
+    for plate, comp in zip(condenser.plates, mu.components):
         if len(comp.weights) != len(plate.nodes):
             raise AlignmentError(f"component for plate {plate.id} misaligned")
-        pos = comp.nodes.positions
-        for k in range(len(comp.weights)):
-            w = sign * comp.weights[k]
-            if w == 0.0:
-                continue
-            key = pos[k].tobytes()
-            j = index.get(key)
-            if j is None:
-                index[key] = len(positions)
-                positions.append(pos[k])
-                weights.append(w)
-                radii.append(comp.nodes.cell_radii[k])
-            else:
-                weights[j] += w
-        provenance.append(plate.id)
-    if not positions:
-        dim = condenser.dim
-        return SignedMeasure(np.zeros((0, dim)), np.zeros(0), np.zeros(0),
-                             tuple(provenance))
-    positions = np.array(positions)
-    weights = np.array(weights)
-    radii = np.array(radii)
-    keep = weights != 0.0
-    return SignedMeasure(positions[keep], weights[keep], radii[keep],
-                         tuple(provenance))
+    comps = mu.components
+    return _merged_signed(
+        np.vstack([c.nodes.positions for c in comps]),
+        np.concatenate([s * c.weights for s, c in zip(condenser.signs, comps)]),
+        np.concatenate([c.nodes.cell_radii for c in comps]))
+
+
+def _merged_signed(positions, weights, radii) -> SignedMeasure:
+    """Signed measure of the nonzero atoms merged by position, with merged
+    atoms of zero total weight dropped; a merged atom keeps the cell radius
+    of its first nonzero atom."""
+    nz = weights != 0.0
+    positions, weights, radii = positions[nz], weights[nz], radii[nz]
+    first, inverse = merge_by_position(positions)
+    merged = np.bincount(inverse, weights, first.size)
+    keep = merged != 0.0
+    return SignedMeasure(positions[first][keep], merged[keep],
+                         radii[first][keep])
 
 
 def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
@@ -410,32 +389,14 @@ def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
         raise AlignmentError("measures live on different condensers")
     rmu = resultant(mu, condenser)
     rnu = resultant(nu, condenser)
-    index: dict = {}
-    positions = []
-    radii = []
-    delta = []
-    for sm, s in ((rmu, 1.0), (rnu, -1.0)):
-        for k in range(len(sm)):
-            key = sm.positions[k].tobytes()
-            j = index.get(key)
-            if j is None:
-                index[key] = len(positions)
-                positions.append(sm.positions[k])
-                radii.append(sm.cell_radii[k])
-                delta.append(s * sm.weights[k])
-            else:
-                delta[j] += s * sm.weights[k]
-    if not positions:
+    delta = _merged_signed(np.vstack([rmu.positions, rnu.positions]),
+                           np.concatenate([rmu.weights, -rnu.weights]),
+                           np.concatenate([rmu.cell_radii, rnu.cell_radii]))
+    if len(delta) == 0:
         return 0.0
-    positions = np.array(positions)
-    radii = np.array(radii)
-    delta = np.array(delta)
-    keep = delta != 0.0
-    if not np.any(keep):
-        return 0.0
-    nodes = NodeSet(positions[keep], np.ones(int(keep.sum())), radii[keep])
+    nodes = NodeSet(delta.positions, np.ones(len(delta)), delta.cell_radii)
     km = _kernel.assemble_matrix(nodes, kernel)
-    d = delta[keep]
+    d = delta.weights
     return math.sqrt(max(float(d @ km.entries @ d), 0.0))
 
 
@@ -707,16 +668,4 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
             raise EmptyPlateError(f"plate {i} ({spec.tag}) produced no nodes")
         plates.append(Plate(id=i, sign=spec.sign, nodes=nodes,
                             geometry_tag=spec.tag, params=params, truncation=trunc))
-    # trim effective cells across plates so joint kernel matrices stay PD;
-    # coincident nodes (shared by equally signed plates) are the same cell
-    all_pos = np.vstack([p.nodes.positions for p in plates])
-    trimmed = []
-    for p in plates:
-        dnn = _nearest_neighbor_distances(p.nodes.positions, all_pos)
-        capped = np.minimum(p.nodes.cell_radii, NEIGHBOR_TRIM * dnn)
-        ns = NodeSet(p.nodes.positions, p.nodes.quad_weights, capped,
-                     p.nodes.layer_index)
-        trimmed.append(Plate(id=p.id, sign=p.sign, nodes=ns,
-                             geometry_tag=p.geometry_tag, params=p.params,
-                             truncation=p.truncation))
-    return Condenser(tuple(trimmed))
+    return Condenser(tuple(trim_across_plates(plates)))

@@ -12,17 +12,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .balayage import GreenContext
 from .gauss_solver import Constraint, ProblemSpec
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (Condenser, NodeSet, Plate, _concat_nodesets,
+from .model import (Condenser, Plate, _concat_nodesets,
                     ball_complement_nodes, ball_volume_nodes, disk_nodes,
-                    half_space_nodes, trim_cell_radii,
-                    _nearest_neighbor_distances, NEIGHBOR_TRIM)
+                    graded_plane_nodes, half_space_nodes, trim_across_plates,
+                    trim_cell_radii)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -35,25 +34,9 @@ class BuiltScenario:
     meta: dict
 
 
-def _cross_trim(plates):
-    """Apply the cross-plate cell trim used by build_condenser."""
-    all_pos = np.vstack([p.nodes.positions for p in plates])
-    out = []
-    for p in plates:
-        dnn = _nearest_neighbor_distances(p.nodes.positions, all_pos)
-        capped = np.minimum(p.nodes.cell_radii, NEIGHBOR_TRIM * dnn)
-        ns = NodeSet(p.nodes.positions, p.nodes.quad_weights, capped,
-                     p.nodes.layer_index)
-        out.append(Plate(id=p.id, sign=p.sign, nodes=ns,
-                         geometry_tag=p.geometry_tag, params=p.params,
-                         truncation=p.truncation))
-    return out
-
-
 def example_one(resolution: float = 0.18, radius: float = 1.0,
                 alpha: float = 1.5, q: float = 1.5, truncation: float = 16.0,
-                tolerances: Tolerances = DEFAULT_TOLERANCES,
-                domain_id: Optional[str] = None) -> BuiltScenario:
+                tolerances: Tolerances = DEFAULT_TOLERANCES) -> BuiltScenario:
     """Solid ball against its complement with a scaled-equilibrium cap."""
     kernel = KernelSpec(3, alpha)
     ball = ball_volume_nodes((0.0, 0.0, 0.0), radius, resolution)
@@ -66,7 +49,7 @@ def example_one(resolution: float = 0.18, radius: float = 1.0,
               params={"center": (0.0, 0.0, 0.0), "radius": radius},
               truncation=truncation),
     ]
-    plates = _cross_trim(plates)
+    plates = trim_across_plates(plates)
     condenser = Condenser(tuple(plates))
     # cap: q x the grid equilibrium measure of the ball (mass 1)
     lam, _ = equilibrium_measure(plates[0].nodes, kernel, 1.0,
@@ -75,8 +58,7 @@ def example_one(resolution: float = 0.18, radius: float = 1.0,
     spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
                        field=ExternalField.zero(), constraint=caps,
                        kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel, domain_id=domain_id,
-                         tolerances=tolerances)
+    green = GreenContext(plates[1].nodes, kernel, tolerances=tolerances)
     meta = {"resolution": resolution, "radius": radius, "alpha": alpha,
             "q": q, "truncation": truncation,
             "nodes_positive": len(plates[0].nodes),
@@ -102,7 +84,7 @@ def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
               params={"center": (0.0, 0.0, 0.0), "radius": radius},
               truncation=truncation),
     ]
-    plates = _cross_trim(plates)
+    plates = trim_across_plates(plates)
     condenser = Condenser(tuple(plates))
     lam, _ = equilibrium_measure(plates[0].nodes, kernel, 1.0,
                                  tolerances=tolerances)
@@ -120,8 +102,7 @@ def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
 def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
                 plane_inner: float = 0.08, truncation: float = 48.0,
                 plane_growth: float = 1.3,
-                tolerances: Tolerances = DEFAULT_TOLERANCES,
-                domain_id: Optional[str] = None) -> BuiltScenario:
+                tolerances: Tolerances = DEFAULT_TOLERANCES) -> BuiltScenario:
     """Stacked disks in the half-space against the grounded boundary.
 
     The negative plate carries boundary-plane cells only: for the Newtonian
@@ -150,14 +131,13 @@ def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
               params={"axis": 0, "level": 0.0, "side": -1},
               truncation=truncation),
     ]
-    plates = _cross_trim(plates)
+    plates = trim_across_plates(plates)
     condenser = Condenser(tuple(plates))
     caps = Constraint((cap1, None))
     spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
                        field=ExternalField.zero(), constraint=caps,
                        kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel, domain_id=domain_id,
-                         tolerances=tolerances)
+    green = GreenContext(plates[1].nodes, kernel, tolerances=tolerances)
     cap_total = float(sum(1.0 / (k * k) for k in range(1, disk_count + 1)))
     meta = {"disk_count": disk_count, "nodes_per_disk": nodes_per_disk,
             "plane_inner": plane_inner, "truncation": truncation,
@@ -167,25 +147,12 @@ def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
                          cap_total=cap_total, meta=meta)
 
 
-def halfspace_green_context(inner: float = 0.06, truncation: float = 24.0,
-                            growth: float = 1.3,
-                            tolerances: Tolerances = DEFAULT_TOLERANCES,
-                            backing: bool = False) -> GreenContext:
-    """Green context for the half-space x1 > 0 (sweeps, probes)."""
-    kernel = KernelSpec(3, 2.0)
-    exterior = half_space_nodes(0.0, -1, truncation, inner, axis=0,
-                                growth=growth, backing=backing)
-    return GreenContext(exterior, kernel, tolerances=tolerances)
-
-
 def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,
                         truncation: float = 30.0, growth: float = 1.3,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> GreenContext:
     """Half-space boundary for the exhaustion sweeps: a uniform cell layout
     out to ``flat_radius`` (sources sit at height ~1 above it), graded rings
     beyond."""
-    from .model import disk_nodes, graded_plane_nodes
-
     kernel = KernelSpec(3, 2.0)
     count = max(16, int(round(math.pi * flat_radius ** 2 / cell ** 2)))
     core = disk_nodes((0.0, 0.0, 0.0), flat_radius, count, axis=0, layer=0)

@@ -11,8 +11,6 @@ from dataclasses import dataclass, replace
 
 @dataclass(frozen=True)
 class Tolerances:
-    # relative tolerance for algebraic identities (isometry, sign expansions)
-    identity_rel: float = 1e-10
     # absolute tolerance for variational/KKT residuals, normalized by max(|c_j|, 1)
     kkt: float = 1e-6
     # absolute tolerance for potential-level checks (zone/support/balayage match),
@@ -24,8 +22,6 @@ class Tolerances:
     patience: int = 20
     # iteration budget for projected-gradient solves
     max_iters: int = 50_000
-    # per-plate feasibility slack for totals after projection
-    feasibility: float = 1e-10
     # margin (relative to plate total) classifying a node as strictly free
     free_margin_rel: float = 1e-8
     # per-node mass floor (relative to uniform share) for support presence

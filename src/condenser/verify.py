@@ -10,41 +10,29 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from ._pg import plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
-from .kernel import (KernelSpec, assemble_matrix, equilibrium_measure,
-                     potential, vector_potential)
+from .kernel import (KernelMatrix, KernelSpec, assemble_matrix,
+                     equilibrium_measure, potential, vector_potential)
 from .model import (DiscreteMeasure, NodeSet, VectorMeasure, disk_nodes,
-                    resultant, semimetric_distance)
+                    resultant, row_blocks, semimetric_distance,
+                    squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
-def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec,
-                        kernel: Optional[KernelSpec] = None) -> list:
+def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
     """W^{lambda,i} at every node of every component, recomputed from the
     measure itself (independent of solver internals)."""
-    kernel = kernel or spec.kernel
     nodesets = [c.nodes for c in solution.components]
-    fvals = spec.field.plate_values(nodesets, solution.signs, kernel)
+    fvals = spec.field.plate_values(nodesets, solution.signs, spec.kernel)
     out = []
     for i, comp in enumerate(solution.components):
-        W = vector_potential(solution, i, comp.nodes.positions, kernel)
+        W = vector_potential(solution, i, comp.nodes.positions, spec.kernel)
         f = np.where(np.isposinf(fvals[i]), 0.0, fvals[i])
         out.append(W + f)
     return out
-
-
-def _plate_constant(W, w, caps, total, free_margin_rel):
-    margin = free_margin_rel * total
-    carried = w > margin
-    below = w < caps - margin
-    free = carried & below
-    if np.any(free):
-        return float(np.median(W[free])), carried, below
-    hi = float(W[carried].max()) if np.any(carried) else 0.0
-    lo = float(W[below].min()) if np.any(below) else hi
-    return 0.5 * (hi + lo), carried, below
 
 
 @dataclass
@@ -76,7 +64,6 @@ class KKTReport:
 
 
 def kkt_report(result: SolveResult, spec: ProblemSpec,
-               kernel: Optional[KernelSpec] = None,
                zero_sample: int = 128, seed: int = 0) -> KKTReport:
     """First-order conditions at the solution, read at the nodes.
 
@@ -88,9 +75,8 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
     stationarity residuals carry the KKT tolerance.
     """
     tol = spec.tolerances
-    kernel = kernel or spec.kernel
     sol = result.solution
-    W = weighted_potentials(sol, spec, kernel)
+    W = weighted_potentials(sol, spec)
     n_comp = len(sol.components)
     has_p = n_comp == len(spec.condenser.plates)
     n_pos = n_comp - 1 if has_p else n_comp
@@ -101,14 +87,8 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
     for j in range(n_pos):
         comp = sol.components[j]
         caps = spec.constraint.cap_array(j, len(comp.nodes))
-        c, carried, below = _plate_constant(W[j], comp.weights, caps,
-                                            spec.totals[j], tol.free_margin_rel)
-        consts[j] = c
-        scale = max(1.0, abs(c))
-        lower[j] = max(0.0, float((c - W[j][below]).max())) / scale \
-            if np.any(below) else 0.0
-        upper[j] = max(0.0, float((W[j][carried] - c).max())) / scale \
-            if np.any(carried) else 0.0
+        consts[j], lower[j], upper[j] = plate_constant_and_kkt(
+            W[j], comp.weights, caps, spec.totals[j], tol.free_margin_rel)
 
     plate_p_const = 0.0
     plate_p_stat = 0.0
@@ -118,16 +98,9 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
         p = len(spec.condenser.plates) - 1
         comp = sol.components[p]
         caps = spec.constraint.cap_array(p, len(comp.nodes))
-        c_p, carried, below = _plate_constant(W[p], comp.weights, caps,
-                                              spec.totals[p], tol.free_margin_rel)
-        plate_p_const = c_p
-        scale = max(1.0, abs(c_p))
-        v = 0.0
-        if np.any(below):
-            v = max(v, float((c_p - W[p][below]).max()))
-        if np.any(carried):
-            v = max(v, float((W[p][carried] - c_p).max()))
-        plate_p_stat = v / scale
+        plate_p_const, p_lower, p_upper = plate_constant_and_kkt(
+            W[p], comp.weights, caps, spec.totals[p], tol.free_margin_rel)
+        plate_p_stat = max(p_lower, p_upper)
         # zero-potential law on the negative plate, outside the boundary zone
         plate = spec.condenser.plates[p]
         margin = tol.free_margin_rel * spec.totals[p]
@@ -324,11 +297,9 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
 
 def _exclude_near_atoms(pts, all_pos, all_rad, factor):
     keep = np.ones(pts.shape[0], dtype=bool)
-    step = max(1, int(2e7) // max(1, all_pos.shape[0]))
-    for s in range(0, pts.shape[0], step):
-        d2 = np.sum((pts[s:s + step, None, :] - all_pos[None, :, :]) ** 2, axis=-1)
-        lim = (factor * all_rad[None, :]) ** 2
-        keep[s:s + step] = ~np.any(d2 < lim, axis=1)
+    lim = (factor * all_rad[None, :]) ** 2
+    for rows in row_blocks(pts, all_pos):
+        keep[rows] = ~np.any(squared_distances(pts[rows], all_pos) < lim, axis=1)
     return keep
 
 
@@ -456,11 +427,10 @@ def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
             ctr[axis] = height
             nodes = disk_nodes(ctr, float(ell), nodes_per_stage, axis=axis)
             gk = green.green_matrix(nodes)[0]
-            km = assemble_matrix(nodes, kernel)
             lam, _ = equilibrium_measure(
                 nodes, kernel, 1.0, tolerances=tolerances,
-                matrix=type(km)(entries=gk, diagonal_rule={"variant": "green"},
-                                kernel=kernel))
+                matrix=KernelMatrix(entries=gk, diagonal_rule={"rule": "green"},
+                                    kernel=kernel))
             energy = float(lam.weights @ gk @ lam.weights)
             rows.append({"stage": int(ell), "energy": energy,
                          "green_capacity": 1.0 / energy})

@@ -5,9 +5,10 @@ import pytest
 
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project, green_energy_identity_check,
-                                green_kernel_eval, mass_conservation_probe)
+                                mass_conservation_probe)
 from condenser.errors import UnsupportedKernel
-from condenser.kernel import assemble_matrix, mutual_energy, potential
+from condenser.kernel import (KernelMatrix, equilibrium_measure, mutual_energy,
+                              potential)
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              ball_complement_nodes, ball_volume_nodes,
                              graded_plane_nodes, sphere_surface_nodes)
@@ -152,13 +153,13 @@ class TestGreenKernel:
     def test_bounds(self, ball_ctx):
         x = np.array([0.3, 0.1, 0.0])
         y = np.array([-0.2, 0.4, 0.1])
-        g = green_kernel_eval(x, y, ball_ctx, K2)
+        g = ball_ctx.green_eval(x, y)
         kappa = 1.0 / np.linalg.norm(x - y)
         assert 0.0 < g < kappa
 
     def test_diagonal_infinite(self, ball_ctx):
         x = np.array([0.3, 0.1, 0.0])
-        assert green_kernel_eval(x, x, ball_ctx, K2) == math.inf
+        assert ball_ctx.green_eval(x, x) == math.inf
 
     def test_halfspace_reflection_formula(self):
         plane = graded_plane_nodes((0, 0, 0), 0.06, 80.0, axis=0, growth=1.15)
@@ -167,7 +168,7 @@ class TestGreenKernel:
         y = np.array([0.7, 0.1, -0.2])
         ystar = y.copy()
         ystar[0] = -y[0]
-        got = green_kernel_eval(x, y, ctx, K2)
+        got = ctx.green_eval(x, y)
         ref = 1.0 / np.linalg.norm(x - y) - 1.0 / np.linalg.norm(x - ystar)
         assert abs(got - ref) / abs(ref) < 0.01
 
@@ -179,25 +180,24 @@ class TestGreenKernel:
         assert np.allclose(G, G.T)
         assert np.linalg.eigvalsh(G)[0] > 0
 
-    def test_registered_domain_usable_via_kernel_spec(self, newton):
-        # a registered Green variant flows through the generic kernel ops
+    def test_green_matrix_drives_equilibrium_and_energy(self, newton):
+        # the Green matrix feeds the generic equilibrium solve, and the
+        # whole-measure Green energy agrees with its minimum
         ext = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
-        ctx = GreenContext(ext, newton, domain_id="unit-ball-test")
-        gspec = ctx.kernel_spec
+        ctx = GreenContext(ext, newton)
         rng = np.random.default_rng(6)
         mu = random_ball_sources(rng, 15)
-        km = assemble_matrix(mu.nodes, gspec)
         direct, _ = ctx.green_matrix(mu.nodes)
-        assert np.allclose(km.entries, direct)
-        from condenser.kernel import equilibrium_measure
-        lam, cap = equilibrium_measure(mu.nodes, gspec, 1.0)
+        km = KernelMatrix(entries=direct, diagonal_rule={"rule": "green"},
+                          kernel=newton)
+        lam, cap = equilibrium_measure(mu.nodes, newton, 1.0, matrix=km)
         assert cap > 0
         assert float(lam.weights @ direct @ lam.weights) == \
             pytest.approx(1.0 / cap, rel=1e-10)
-        # the generic dispatch sweeps the whole measure; under cone clipping
-        # it differs from the per-atom matrix at the residual level only
-        assert mutual_energy(lam, lam, gspec) == pytest.approx(1.0 / cap,
-                                                               rel=1e-6)
+        # the energy sweeps the whole measure; under cone clipping it
+        # differs from the per-atom matrix at the residual level only
+        assert ctx.green_mutual_energy(lam, lam) == pytest.approx(1.0 / cap,
+                                                                  rel=1e-6)
 
 
 class TestEnergyIdentities:

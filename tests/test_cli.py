@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import yaml
 
 from condenser.cli import main
@@ -37,6 +38,16 @@ def read_report(out_dir):
     return dict(ln.split(" = ", 1) for ln in lines)
 
 
+def assert_numerics_finite_or_inf(rep):
+    """Report contract: every numeric value is finite or the token inf."""
+    for key, val in rep.items():
+        try:
+            num = float(val)
+        except ValueError:
+            continue
+        assert math.isfinite(num) or val in ("inf", "-inf"), (key, val)
+
+
 class TestSolveCommand:
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -58,12 +69,7 @@ class TestSolveCommand:
         cfg = write_config(tmp_path, BALL_CONFIG)
         out = str(tmp_path / "out")
         assert main(["--out-dir", out, "solve", cfg]) == 0
-        for key, val in read_report(out).items():
-            try:
-                num = float(val)
-            except ValueError:
-                continue
-            assert math.isfinite(num) or val in ("inf", "-inf"), (key, val)
+        assert_numerics_finite_or_inf(read_report(out))
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -103,6 +109,23 @@ class TestErrorPaths:
         rc = main(["--out-dir", str(tmp_path / "o"), "solve", path])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ERROR")
+
+    def test_repeated_plate_node_exit_5(self, tmp_path, monkeypatch, capsys):
+        from condenser import model
+        layout = model.ball_volume_nodes
+
+        def with_repeated_node(*args, **kwargs):
+            ns = layout(*args, **kwargs)
+            return ns.subset(np.r_[np.arange(len(ns)), 0])
+
+        monkeypatch.setattr(model, "ball_volume_nodes", with_repeated_node)
+        cfg = dict(BALL_CONFIG)
+        cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o")
+        assert main(["--out-dir", out, "solve", path]) == 5
+        assert capsys.readouterr().err.startswith("ERROR DuplicateNode")
+        assert not os.path.exists(os.path.join(out, "report.txt"))
 
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
@@ -195,6 +218,7 @@ class TestVerifyCommand:
         assert rep["zone.pass"] == "True"
         assert "equivalence.energy_gap_rel" in rep
         assert rep["scenario"] == "ball-test"
+        assert_numerics_finite_or_inf(rep)
 
 
 class TestSolveGreen:
@@ -205,6 +229,7 @@ class TestSolveGreen:
         rep = read_report(out)
         assert rep["green.converged"] == "True"
         assert float(rep["lifted.lift_mass_defect"]) < 0.05
+        assert_numerics_finite_or_inf(rep)
 
 
 class TestStackedDisks:
@@ -241,6 +266,7 @@ class TestExamples:
         assert rep["zone.pass"] == "True"
         assert float(rep["zone.c1"]) > 0
         assert rep["support.pass"] == "True"
+        assert_numerics_finite_or_inf(rep)
 
     def test_example_ex2_end_to_end(self, tmp_path):
         out = str(tmp_path / "out")
@@ -251,6 +277,7 @@ class TestExamples:
         assert rep["zone.pass"] == "True"
         assert float(rep["zone.c1"]) > 0
         assert float(rep["equivalence.energy_gap_rel"]) < 1e-3
+        assert_numerics_finite_or_inf(rep)
 
     def test_console_entry_point(self):
         proc = subprocess.run(

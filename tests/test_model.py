@@ -5,8 +5,8 @@ import pytest
 
 from condenser.errors import AlignmentError, EmptyPlateError, ZeroSeparationError
 from condenser.kernel import assemble_matrix
-from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, Node,
-                             NodeSet, Plate, PlateSpec, VectorMeasure,
+from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
+                             KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              build_condenser, resultant, semimetric_distance,
                              sphere_surface_nodes)
 
@@ -77,6 +77,18 @@ class TestBuildCondenser:
         for h, e in zip(ladder, errs):
             assert e < 0.5 * h
 
+    def test_one_node_plate_trimmed_against_other_plates(self):
+        one = NodeSet([[0.0, 0.0, 0.0]], [1.0], [0.5])
+        other = NodeSet([[0.4, 0.0, 0.0], [2.0, 0.0, 0.0]], np.ones(2),
+                        np.full(2, 0.5))
+        cond = build_condenser(
+            [PlateSpec(tag="explicit_cloud", sign=+1, cloud=one),
+             PlateSpec(tag="explicit_cloud", sign=-1, cloud=other)],
+            resolution=0.2)
+        assert cond.plates[0].nodes.cell_radii[0] == NEIGHBOR_TRIM * 0.4
+        assert np.array_equal(cond.plates[1].nodes.cell_radii,
+                              [NEIGHBOR_TRIM * 0.4, 0.5])
+
     def test_truncation_recorded(self):
         cond = build_condenser(
             [PlateSpec(tag="ball", sign=+1, radius=1.0),
@@ -89,9 +101,9 @@ class TestBuildCondenser:
 class TestNodeValidation:
     def test_node_requires_positive_weight(self):
         with pytest.raises(ValueError):
-            Node((0.0, 0.0, 0.0), 0.0, 0.1)
+            NodeSet([[0.0, 0.0, 0.0]], [0.0], [0.1])
         with pytest.raises(ValueError):
-            Node((0.0, 0.0, 0.0), 1.0, -0.1)
+            NodeSet([[0.0, 0.0, 0.0]], [1.0], [-0.1])
 
     def test_measure_weights_nonnegative(self):
         ns = NodeSet([[0, 0, 0]], [1.0], [0.1])

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from condenser.balayage import GreenContext
-from condenser.errors import InfeasibleError, SigmaDominationError
+from condenser.errors import (DuplicateNodeError, InfeasibleError,
+                              SigmaDominationError)
 from condenser.gauss_solver import (Constraint, ProblemSpec,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     project_capped_simplex, solve_green_reduced,
@@ -234,6 +235,25 @@ class TestSolveRiesz:
         res = solve_riesz(spec)
         assert np.all(res.solution.components[0].weights[:3] == 0.0)
         assert math.isfinite(res.energy)
+
+    def test_repeated_node_in_one_plate_rejected(self):
+        # a node shared by two equally signed plates is one cell; a node
+        # repeated inside one plate would make the joint matrix singular
+        shared = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.05))
+        neg = NodeSet([[4, 0, 0], [4, 1, 0]], np.ones(2), np.full(2, 0.05))
+        cond = Condenser((Plate(id=0, sign=+1, nodes=shared),
+                          Plate(id=1, sign=+1, nodes=shared),
+                          Plate(id=2, sign=-1, nodes=neg)))
+        spec = ProblemSpec(cond, (0.5, 0.5, 1.0), ExternalField.zero(),
+                           Constraint.unbounded(3), K2)
+        assert solve_riesz(spec).converged
+        repeated = shared.subset([0, 1, 1])
+        cond = Condenser((Plate(id=0, sign=+1, nodes=repeated),
+                          Plate(id=1, sign=-1, nodes=neg)))
+        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+                           Constraint.unbounded(2), K2)
+        with pytest.raises(DuplicateNodeError):
+            solve_riesz(spec)
 
     def test_max_iters_flagged_not_raised(self):
         cond = small_condenser(seed=9)
