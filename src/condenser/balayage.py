@@ -5,6 +5,11 @@ The sweep of a measure is the minimizer of ||mu - theta||_alpha over
 nonnegative measures theta on the exterior node set: a convex QP in the
 energy inner product.  The potential-match identity then holds on the
 exterior nodes up to the recorded residual instead of being imposed.
+
+Every sweep takes one path: an unconstrained Cholesky solve against the
+exterior kernel matrix, then, for each column that dips below zero, block
+principal pivoting on the nonnegative cone (``GreenContext._cone_project``),
+with Lawson-Hanson NNLS as the fallback if the pivoting cycles.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from .errors import UnsupportedKernel
 from .kernel import (KernelSpec, assemble_matrix, mutual_energy, potential,
                      riesz_eval)
 from .model import DiscreteMeasure, NodeSet
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
@@ -44,23 +48,19 @@ class BalayageResult:
 class GreenContext:
     """Balayage machinery for a domain D given a discretized complement.
 
-    Holds the exterior kernel matrix and its Cholesky factor, memoizes swept
-    point masses, and exposes the Green kernel (Riesz kernel minus the swept
-    point-mass potential) as matrices, potentials and energies.
+    Holds the exterior kernel matrix and its Cholesky factor, and exposes the
+    Green kernel (Riesz kernel minus the swept point-mass potential) as
+    matrices, potentials and energies.
     """
 
-    def __init__(self, exterior: NodeSet, kernel: KernelSpec,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES):
+    def __init__(self, exterior: NodeSet, kernel: KernelSpec):
         if len(exterior) == 0:
             raise ValueError("exterior node set must be nonempty")
         self.exterior = exterior
         self.riesz = kernel
-        self.tolerances = tolerances
         self._kee = assemble_matrix(exterior, kernel).entries
         self._chol = cho_factor(self._kee, lower=True)
-        self._lower = np.tril(self._chol[0])
         self._pattern_cache: dict = {}
-        self._point_sweeps: dict = {}
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -69,98 +69,23 @@ class GreenContext:
         return kernelmod._riesz_block(self.exterior.positions, nodes.positions,
                                       self.riesz, rho_q=nodes.cell_radii)
 
+    def _sweep(self, B: np.ndarray):
+        """Cone projections of the columns of B (exterior potentials): one
+        unconstrained Cholesky solve, then ``_cone_project`` for every column
+        that dips below zero.  Returns theta and the clipped-column count."""
+        theta = cho_solve(self._chol, B)
+        col_max = np.maximum(theta.max(axis=0), 1e-300)
+        bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
+        for k in bad:
+            theta[:, k] = self._cone_project(B[:, k])
+        return theta, int(bad.size)
+
     def sweep_columns(self, nodes: NodeSet):
         """Swept unit point masses for every node: columns of Theta solve
         min ||eps_y - theta||_alpha over theta >= 0 on the exterior nodes."""
         B = self._cross_matrix(nodes)
-        theta = cho_solve(self._chol, B)
-        col_max = np.maximum(theta.max(axis=0), 1e-300)
-        bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
-        if bad.size:
-            theta[:, bad] = self._cone_project_batch(B[:, bad])
-        return B, theta, int(bad.size)
-
-    def _cone_project_batch(self, B: np.ndarray) -> np.ndarray:
-        """Cone projection of many columns at once.
-
-        Columns share most of their active pattern, so each is solved as a
-        consensus-pattern solve plus a small bordered update for its few
-        extra active nodes; columns that still violate the KKT conditions
-        fall back to per-column pivoting.
-        """
-        m, ncol = B.shape
-        theta_unc = cho_solve(self._chol, B)
-        pos_unc = theta_unc > 0.0
-        mask = np.all(pos_unc, axis=1)  # consensus: positive in every column
-        out = np.zeros_like(B)
-        if not mask.any():
-            for k in range(ncol):
-                out[:, k] = self._cone_project(B[:, k])
-            return out
-        # shrink the consensus until the restricted solve is positive there
-        # for every column; keeps per-column updates low rank
-        for _ in range(6):
-            idx, fac = self._pattern_solver(mask)
-            theta_p = cho_solve(fac, B[idx])
-            dust = 1e-13 * np.maximum(theta_p.max(axis=0), 1e-300)
-            neg_any = np.any(theta_p < -dust[None, :], axis=1)
-            if not neg_any.any():
-                break
-            mask = mask.copy()
-            mask[idx[neg_any]] = False
-            if not mask.any():
-                for k in range(ncol):
-                    out[:, k] = self._cone_project(B[:, k])
-                return out
-        extras_union = np.flatnonzero(~mask & np.any(pos_unc, axis=1))
-        X = cho_solve(fac, self._kee[np.ix_(idx, extras_union)]) \
-            if extras_union.size else np.zeros((idx.size, 0))
-        upos = {int(e): t for t, e in enumerate(extras_union)}
-        scale = np.maximum(np.abs(B).max(axis=0), 1e-300)
-        todo = []
-        for k in range(ncol):
-            dust = 1e-13 * max(float(theta_p[:, k].max()), 1e-300)
-            if theta_p[:, k].min() < -dust:
-                todo.append(k)
-                continue
-            # per-column active set = consensus plus its own few extras;
-            # solved as a bordered update against the cached factorization
-            ext = np.flatnonzero(pos_unc[:, k] & ~mask)
-            if ext.size == 0:
-                theta_k = np.maximum(theta_p[:, k], 0.0)
-                grad = self._kee[:, idx] @ theta_k - B[:, k]
-                if (~mask).any() and grad[~mask].min() < -1e-10 * scale[k]:
-                    todo.append(k)
-                else:
-                    out[idx, k] = theta_k
-                continue
-            cols = [upos[int(e)] for e in ext]
-            Xe = X[:, cols]
-            C = self._kee[np.ix_(ext, ext)] - self._kee[np.ix_(ext, idx)] @ Xe
-            rhs = B[ext, k] - self._kee[np.ix_(ext, idx)] @ theta_p[:, k]
-            try:
-                te = np.linalg.solve(C, rhs)
-            except np.linalg.LinAlgError:
-                todo.append(k)
-                continue
-            tp = theta_p[:, k] - Xe @ te
-            dust = 1e-13 * max(float(tp.max()), float(te.max()), 1e-300)
-            if te.min() < -dust or tp.min() < -dust:
-                todo.append(k)
-                continue
-            grad = self._kee[:, idx] @ tp + self._kee[:, ext] @ te - B[:, k]
-            act = mask.copy()
-            act[ext] = True
-            if (~act).any() and grad[~act].min() < -1e-10 * scale[k]:
-                todo.append(k)
-                continue
-            theta_k = np.zeros(m)
-            theta_k[idx] = np.maximum(tp, 0.0)
-            theta_k[ext] = np.maximum(te, 0.0)
-            out[:, k] = theta_k
-        for k in todo:
-            out[:, k] = self._cone_project(B[:, k])
-        return out
+        theta, clipped = self._sweep(B)
+        return B, theta, clipped
 
     def _pattern_solver(self, mask: np.ndarray):
         """Cholesky solve restricted to an active pattern, cached per pattern;
@@ -177,8 +102,11 @@ class GreenContext:
 
     def _cone_project(self, b: np.ndarray) -> np.ndarray:
         """min theta' K theta - 2 b' theta over theta >= 0 by block principal
-        pivoting, warm-started from the clipped unconstrained solution;
-        falls back to Lawson-Hanson NNLS if the pivoting cycles."""
+        pivoting (Judice & Pires 1994): start from the positive set of the
+        unconstrained solution, solve on the free set with a per-pattern
+        cached factor, drop negative entries and free nodes whose gradient
+        is negative, until the KKT conditions hold.  If the pivoting cycles,
+        Lawson-Hanson NNLS on the Cholesky factor solves the same QP."""
         m = self._kee.shape[0]
         scale = float(np.abs(b).max()) + 1e-300
         mask = cho_solve(self._chol, b) > 0.0
@@ -205,41 +133,27 @@ class GreenContext:
                 break
             seen.append(new_mask)
             mask = new_mask
-        y = solve_triangular(self._lower, b, lower=True)
-        theta, _ = nnls(self._lower.T, y)
+        lower = np.tril(self._chol[0])
+        y = solve_triangular(lower, b, lower=True)
+        theta, _ = nnls(lower.T, y)
         return theta
+
+    def _potential_and_sweep(self, mu: DiscreteMeasure):
+        """kappa(., mu) on the exterior nodes and the swept weights of mu."""
+        b = self._cross_matrix(mu.nodes) @ mu.weights
+        theta, _ = self._sweep(b[:, None])
+        return b, theta[:, 0]
 
     def sweep_weights(self, mu: DiscreteMeasure) -> np.ndarray:
         """Swept weights of a whole measure (single projection solve)."""
-        B = self._cross_matrix(mu.nodes)
-        b = B @ mu.weights
-        theta = cho_solve(self._chol, b)
-        if -theta.min() > _NEG_REL_TOL * max(theta.max(), 1e-300):
-            theta = self._cone_project(b)
-        return theta
-
-    def point_sweep(self, position, cell_radius: float) -> np.ndarray:
-        key = np.asarray(position, dtype=float).tobytes()
-        got = self._point_sweeps.get(key)
-        if got is None:
-            src = NodeSet(np.atleast_2d(np.asarray(position, dtype=float)),
-                          [1.0], [cell_radius])
-            _, theta, _ = self.sweep_columns(src)
-            got = theta[:, 0]
-            self._point_sweeps[key] = got
-        return got
+        return self._potential_and_sweep(mu)[1]
 
     # -- Green kernel ------------------------------------------------------
     def green_matrix(self, nodes: NodeSet):
         """Green kernel matrix on interior nodes: the Schur-style form
-        K_DD - sym(Theta' K_ED), symmetrized with the asymmetry recorded.
-        The swept unit masses are memoized for pointwise reuse."""
+        K_DD - sym(Theta' K_ED), symmetrized with the asymmetry recorded."""
         kdd = assemble_matrix(nodes, self.riesz).entries
         B, theta, clipped = self.sweep_columns(nodes)
-        if len(self._point_sweeps) < 8192:
-            for k in range(len(nodes)):
-                key = nodes.positions[k].tobytes()
-                self._point_sweeps.setdefault(key, theta[:, k])
         cross = theta.T @ B
         asym = float(np.abs(cross - cross.T).max())
         scale = max(float(np.abs(kdd).max()), 1e-300)
@@ -257,13 +171,11 @@ class GreenContext:
 
     def green_mutual_energy(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """g(mu, nu) = kappa(mu, nu) - sym[kappa(mu', nu)]."""
-        tmu = self.sweep_weights(mu)
-        tnu = self.sweep_weights(nu)
-        bmu = self._cross_matrix(mu.nodes)
-        bnu = self._cross_matrix(nu.nodes)
+        pmu, tmu = self._potential_and_sweep(mu)
+        pnu, tnu = self._potential_and_sweep(nu)
         direct = mutual_energy(mu, nu, self.riesz)
-        c1 = float(tmu @ (bnu @ nu.weights))
-        c2 = float(tnu @ (bmu @ mu.weights))
+        c1 = float(tmu @ pnu)
+        c2 = float(tnu @ pmu)
         return direct - 0.5 * (c1 + c2)
 
     def green_eval(self, x, y, cell_radius: Optional[float] = None) -> float:
@@ -272,8 +184,8 @@ class GreenContext:
         if np.array_equal(x, y):
             return math.inf
         rho = cell_radius if cell_radius is not None else _default_probe_radius(self)
-        theta = self.point_sweep(y, rho)
-        swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
+        _, theta, _ = self.sweep_columns(NodeSet(y[None, :], [1.0], [rho]))
+        swept = DiscreteMeasure(self.exterior, np.maximum(theta[:, 0], 0.0))
         kxy = riesz_eval(x, y, self.riesz)
         return kxy - float(potential(swept, x[None, :], self.riesz)[0])
 
@@ -282,22 +194,20 @@ def _default_probe_radius(ctx: GreenContext) -> float:
     return float(np.min(ctx.exterior.cell_radii))
 
 
-def balayage_project(mu: DiscreteMeasure, exterior, kernel: KernelSpec,
-                     tolerances: Tolerances = DEFAULT_TOLERANCES) -> BalayageResult:
+def balayage_project(mu: DiscreteMeasure, exterior,
+                     kernel: KernelSpec) -> BalayageResult:
     """Sweep mu onto the exterior node set: the energy-norm projection onto
     the cone of nonnegative measures carried by it.
 
     ``exterior`` is a NodeSet or an existing GreenContext (reused factors).
     """
     ctx = exterior if isinstance(exterior, GreenContext) else \
-        GreenContext(exterior, kernel, tolerances=tolerances)
-    theta = ctx.sweep_weights(mu)
+        GreenContext(exterior, kernel)
+    pot_mu, theta = ctx._potential_and_sweep(mu)   # pot_mu = kappa(., mu)
     clipped = int(np.sum(theta <= 0.0))
     theta = np.maximum(theta, 0.0)
     swept = DiscreteMeasure(ctx.exterior, theta)
 
-    B = ctx._cross_matrix(mu.nodes)
-    pot_mu = B @ mu.weights                    # kappa(., mu) on exterior nodes
     pot_sw = ctx._kee @ theta                  # kappa(., mu') on exterior nodes
     scale = max(float(np.abs(pot_mu).max()), 1e-300)
     residual = float(np.abs(pot_sw - pot_mu).max()) / scale

@@ -198,7 +198,7 @@ def build_scenario(cfg: dict, args) -> Scenario:
                            constraint=constraint, kernel=kernel, tolerances=tol)
     except (ValueError,) as exc:
         raise ParseError(str(exc)) from None
-    green = GreenContext(condenser.plates[-1].nodes, kernel, tolerances=tol)
+    green = GreenContext(condenser.plates[-1].nodes, kernel)
     meta = {"resolution": resolution, "truncation": truncation}
     return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
                     green=green, meta=meta, tolerances=tol)
@@ -290,7 +290,8 @@ def _solver_section(rep: ReportBuilder, result: SolveResult, spec: ProblemSpec,
     rep.add(f"{prefix}.iterations", result.iterations)
     rep.add(f"{prefix}.kkt_residual", result.kkt_residual)
     rep.add(f"{prefix}.constants", result.constants)
-    rep.add(f"{prefix}.seed", result.seed if result.seed is not None else -1)
+    if result.seed is not None:
+        rep.add(f"{prefix}.seed", result.seed)
     for i, comp in enumerate(result.solution.components):
         rep.add(f"{prefix}.plate{i}.mass", comp.total_mass)
     if result.lift_mass_defect is not None:
@@ -305,7 +306,8 @@ def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict,
     rep.add("config.kernel.n", spec.kernel.n)
     rep.add("config.kernel.alpha", spec.kernel.alpha)
     rep.add("config.totals", spec.totals)
-    rep.add("config.seed", seed if seed is not None else -1)
+    if seed is not None:
+        rep.add("config.seed", seed)
     for key, val in sorted(meta.items()):
         rep.add(f"config.{key}", val)
     for i, p in enumerate(spec.condenser.plates):
@@ -359,7 +361,7 @@ def _verify_sections(rep: ReportBuilder, result, spec, green, lift=None,
         eq = equivalence_check(result, lift, spec, green_result=green_result)
         rep.section("equivalence")
         for key, val in eq.items():
-            rep.add(f"equivalence.{key}", val if val is not None else -1.0)
+            rep.add(f"equivalence.{key}", val)
     return krep
 
 
@@ -368,12 +370,7 @@ def _verify_sections(rep: ReportBuilder, result, spec, green, lift=None,
 # ---------------------------------------------------------------------------
 
 def _built_in(name: str, args):
-    tolov = {}
-    if args.tol_kkt is not None:
-        tolov["kkt"] = args.tol_kkt
-    if args.max_iters is not None:
-        tolov["max_iters"] = args.max_iters
-    tol = DEFAULT_TOLERANCES.with_(**tolov)
+    tol = _tolerances_from({}, args)
     if name == "ex1":
         kw = {"tolerances": tol}
         if args.resolution:
@@ -430,7 +427,7 @@ def cmd_solve_green(args) -> dict:
 def cmd_balayage(args) -> dict:
     cfg = load_config(args.config)
     kernel = _kernel_from(cfg)
-    tol = _tolerances_from(cfg, args)
+    _tolerances_from(cfg, args)  # rejects unknown tolerance keys
     resolution = float(args.resolution or cfg.get("resolution", 0.2))
     truncation = float(args.truncation or cfg.get("truncation", 16.0))
     specs = _plate_specs_from(cfg, resolution, truncation, kernel.alpha)
@@ -446,7 +443,7 @@ def cmd_balayage(args) -> dict:
     radius = float(src.get("cell_radius", resolution / 4.0))
     mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
                                  np.full(len(wts), radius)), wts)
-    res = balayage_project(mu, exterior, kernel, tol)
+    res = balayage_project(mu, exterior, kernel)
     rep = ReportBuilder("balayage")
     rep.section("balayage")
     rep.add("balayage.mass_ratio", res.mass_ratio)
@@ -528,8 +525,7 @@ def cmd_sweep(args) -> dict:
     ctx = scenarios.sweep_plane_context(
         flat_radius=float(cfg.get("flat_radius", 8.0)),
         cell=float(cfg.get("cell", 0.33)),
-        truncation=float(args.truncation or cfg.get("truncation", 30.0)),
-        tolerances=tol)
+        truncation=float(args.truncation or cfg.get("truncation", 30.0)))
     zeta = None
     if mode == "capped":
         zn = disk_nodes((1.0, 0.0, 0.0), 0.5, 80, axis=0)

@@ -183,10 +183,12 @@ def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
     nodesets = [p.nodes for p in plates]
     K, slices = joint_kernel_matrix(nodesets, spec.kernel)
     s = np.concatenate([np.full(len(p.nodes), float(p.sign)) for p in plates])
-    A = K * np.outer(s, s)
+    # fold the plate signs into K in place (exact: every factor is +-1)
+    K *= s[:, None]
+    K *= s[None, :]
     caps, b = _frozen_caps_and_field(spec)
     res = minimize_quadratic(
-        A, b, slices, list(spec.totals), caps,
+        K, b, slices, list(spec.totals), caps,
         tol_kkt=tol.kkt, tol_obj=tol.obj_rel, patience=tol.patience,
         max_iters=tol.max_iters, free_margin_rel=tol.free_margin_rel, seed=seed)
     weights = [res.w[sl] for sl in slices]
@@ -269,7 +271,7 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
     weights = np.bincount(idx, np.concatenate([c.weights for c in comps]),
                           len(merged))
     total_pos = DiscreteMeasure(merged, weights)
-    bres = balayage_project(total_pos, green, spec.kernel, spec.tolerances)
+    bres = balayage_project(total_pos, green, spec.kernel)
     comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights,
                                           plate_id=plate_p.id)]
     solution = VectorMeasure(tuple(comps_full), spec.condenser.signs)
@@ -298,8 +300,7 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
         raise ValueError("sigma variant needs finite positive-plate caps")
     merged, idx = _merge_positive([p.nodes for p in plates])
     weights = np.bincount(idx, np.concatenate(caps), len(merged))
-    res = balayage_project(DiscreteMeasure(merged, weights), green, spec.kernel,
-                           spec.tolerances)
+    res = balayage_project(DiscreteMeasure(merged, weights), green, spec.kernel)
     return res.swept.weights
 
 

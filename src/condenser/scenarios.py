@@ -58,7 +58,7 @@ def example_one(resolution: float = 0.18, radius: float = 1.0,
     spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
                        field=ExternalField.zero(), constraint=caps,
                        kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel, tolerances=tolerances)
+    green = GreenContext(plates[1].nodes, kernel)
     meta = {"resolution": resolution, "radius": radius, "alpha": alpha,
             "q": q, "truncation": truncation,
             "nodes_positive": len(plates[0].nodes),
@@ -92,7 +92,7 @@ def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
     spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
                        field=ExternalField.zero(), constraint=caps,
                        kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel, tolerances=tolerances)
+    green = GreenContext(plates[1].nodes, kernel)
     meta = {"resolution": resolution, "inner": inner, "radius": radius,
             "alpha": alpha, "q": q, "truncation": truncation}
     return BuiltScenario(name="ball-in-ball", spec=spec, green=green,
@@ -137,7 +137,7 @@ def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
     spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
                        field=ExternalField.zero(), constraint=caps,
                        kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel, tolerances=tolerances)
+    green = GreenContext(plates[1].nodes, kernel)
     cap_total = float(sum(1.0 / (k * k) for k in range(1, disk_count + 1)))
     meta = {"disk_count": disk_count, "nodes_per_disk": nodes_per_disk,
             "plane_inner": plane_inner, "truncation": truncation,
@@ -148,8 +148,8 @@ def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
 
 
 def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,
-                        truncation: float = 30.0, growth: float = 1.3,
-                        tolerances: Tolerances = DEFAULT_TOLERANCES) -> GreenContext:
+                        truncation: float = 30.0,
+                        growth: float = 1.3) -> GreenContext:
     """Half-space boundary for the exhaustion sweeps: a uniform cell layout
     out to ``flat_radius`` (sources sit at height ~1 above it), graded rings
     beyond."""
@@ -159,4 +159,4 @@ def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,
     tail = graded_plane_nodes((0.0, 0.0, 0.0), cell, truncation, axis=0,
                               growth=growth, layer=1, start=flat_radius)
     exterior = trim_cell_radii(_concat_nodesets([core, tail]))
-    return GreenContext(exterior, kernel, tolerances=tolerances)
+    return GreenContext(exterior, kernel)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve, solve_triangular
+from scipy.optimize import nnls
 
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project, green_energy_identity_check,
@@ -223,6 +225,39 @@ class TestEnergyIdentities:
             g2 = ball_ctx.green_mutual_energy(mu, mu)
             r2 = mutual_energy(mu, mu, K2)
             assert g2 <= r2 + 1e-12 * r2
+
+
+class TestClippedSweeps:
+    def test_clipped_columns_solve_the_cone_qp(self):
+        # Newtonian sweeps of atoms near the sphere onto a coarse complement
+        # go negative unconstrained, so every column takes the cone projection
+        ext = ball_complement_nodes((0, 0, 0), 1.0, 3.0, 0.35)
+        ctx = GreenContext(ext, K2)
+        rng = np.random.default_rng(8)
+        dirs = rng.normal(size=(6, 3))
+        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+        src = NodeSet(dirs * rng.uniform(0.8, 0.95, (6, 1)), np.ones(6),
+                      np.full(6, 0.04))
+        B, theta, clipped = ctx.sweep_columns(src)
+        unconstrained = cho_solve(ctx._chol, B)
+        neg = unconstrained.min(axis=0) < \
+            -1e-12 * np.maximum(unconstrained.max(axis=0), 1e-300)
+        assert clipped > 0
+        assert clipped == int(neg.sum())
+        lower = np.tril(ctx._chol[0])
+        for k in np.flatnonzero(neg):
+            b, th = B[:, k], theta[:, k]
+            # the same QP as nonnegative least squares on the Cholesky factor
+            ref, _ = nnls(lower.T, solve_triangular(lower, b, lower=True))
+            assert np.abs(th - ref).max() <= 1e-10 * np.abs(ref).max()
+            # cone KKT: theta >= 0, gradient >= 0 on the zero set, ~0 off it
+            grad = ctx._kee @ th - b
+            scale = np.abs(b).max()
+            zero = th == 0.0
+            assert th.min() >= 0.0
+            assert zero.any()
+            assert grad[zero].min() >= -1e-10 * scale
+            assert np.abs(grad[~zero]).max() <= 1e-10 * scale
 
 
 class TestMassConservation:

@@ -48,6 +48,12 @@ def assert_numerics_finite_or_inf(rep):
         assert math.isfinite(num) or val in ("inf", "-inf"), (key, val)
 
 
+def assert_no_seed_sentinels(rep):
+    """An unseeded run prints no seed key and no -1.0 placeholder."""
+    assert not [key for key in rep if key.endswith(".seed")]
+    assert "-1.0" not in rep.values()
+
+
 class TestSolveCommand:
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -267,6 +273,7 @@ class TestExamples:
         assert float(rep["zone.c1"]) > 0
         assert rep["support.pass"] == "True"
         assert_numerics_finite_or_inf(rep)
+        assert_no_seed_sentinels(rep)
 
     def test_example_ex2_end_to_end(self, tmp_path):
         out = str(tmp_path / "out")
@@ -278,6 +285,17 @@ class TestExamples:
         assert float(rep["zone.c1"]) > 0
         assert float(rep["equivalence.energy_gap_rel"]) < 1e-3
         assert_numerics_finite_or_inf(rep)
+        assert_no_seed_sentinels(rep)
+
+    def test_seeded_example_prints_its_seed(self, tmp_path):
+        out = str(tmp_path / "out")
+        rc = main(["--out-dir", out, "--seed", "5", "--resolution", "0.3",
+                   "--truncation", "12", "example", "ex2"])
+        assert rc == 0
+        rep = read_report(out)
+        for key in ("config.seed", "solver.seed", "green.seed"):
+            assert rep[key] == "5"
+        assert "-1.0" not in rep.values()
 
     def test_console_entry_point(self):
         proc = subprocess.run(
