@@ -77,7 +77,7 @@ class GreenContext:
         col_max = np.maximum(theta.max(axis=0), 1e-300)
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
         for k in bad:
-            theta[:, k] = self._cone_project(B[:, k])
+            theta[:, k] = self._cone_project(B[:, k], theta[:, k])
         return theta, int(bad.size)
 
     def sweep_columns(self, nodes: NodeSet):
@@ -100,16 +100,17 @@ class GreenContext:
                 self._pattern_cache[key] = got
         return got
 
-    def _cone_project(self, b: np.ndarray) -> np.ndarray:
+    def _cone_project(self, b: np.ndarray, free: np.ndarray) -> np.ndarray:
         """min theta' K theta - 2 b' theta over theta >= 0 by block principal
-        pivoting (Judice & Pires 1994): start from the positive set of the
-        unconstrained solution, solve on the free set with a per-pattern
-        cached factor, drop negative entries and free nodes whose gradient
-        is negative, until the KKT conditions hold.  If the pivoting cycles,
-        Lawson-Hanson NNLS on the Cholesky factor solves the same QP."""
+        pivoting (Judice & Pires 1994): start from the positive set of
+        ``free``, the unconstrained solution K^-1 b, solve on the free set
+        with a per-pattern cached factor, drop negative entries and free
+        nodes whose gradient is negative, until the KKT conditions hold.  If
+        the pivoting cycles, Lawson-Hanson NNLS on the Cholesky factor solves
+        the same QP."""
         m = self._kee.shape[0]
         scale = float(np.abs(b).max()) + 1e-300
-        mask = cho_solve(self._chol, b) > 0.0
+        mask = free > 0.0
         seen = []
         for _ in range(60):
             if not mask.any():
@@ -120,11 +121,11 @@ class GreenContext:
             idx, fac = self._pattern_solver(mask)
             theta_s = cho_solve(fac, b[idx])
             neg = theta_s < 0.0
-            grad = self._kee[:, idx] @ np.maximum(theta_s, 0.0) - b
+            theta = np.zeros(m)
+            theta[idx] = np.maximum(theta_s, 0.0)
+            grad = self._kee @ theta - b
             viol = (~mask) & (grad < -1e-10 * scale)
             if not neg.any() and not viol.any():
-                theta = np.zeros(m)
-                theta[idx] = theta_s
                 return theta
             new_mask = mask.copy()
             new_mask[idx[neg]] = False

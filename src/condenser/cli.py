@@ -1,5 +1,6 @@
-"""Command-line front end: scenario ingestion, built-in examples, solve and
-verification pipelines, and report/CSV emission.
+"""Command-line front end: subcommands, solve and verification pipelines,
+and report/CSV emission.  Scenarios come from ``scenarios.build_scenario``:
+a config file, or a built-in example's config for ``example``.
 
 Exit codes: 0 success, 2 parse error, 3 infeasible, 4 non-converged,
 5 internal error.  On any failure partial outputs are removed and a single
@@ -15,49 +16,28 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 import yaml
 
 from . import scenarios
-from .balayage import GreenContext, balayage_project
+from .balayage import balayage_project
 from .errors import (CondenserError, InfeasibleError, NonConvergedError,
                      ParseError, SigmaDominationError, SolverDivergence)
-from .gauss_solver import (Constraint, ProblemSpec, SolveResult,
-                           lift_green_to_riesz, solve_green_reduced,
-                           solve_riesz)
-from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (Condenser, DiscreteMeasure, NodeSet, PlateSpec,
-                    build_condenser, ball_volume_nodes, disk_nodes,
-                    sphere_surface_nodes)
-from .tolerances import DEFAULT_TOLERANCES, Tolerances
+from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
+                           solve_green_reduced, solve_riesz)
+from .kernel import KernelSpec, equilibrium_measure
+from .model import (DiscreteMeasure, NodeSet, build_condenser,
+                    ball_volume_nodes, disk_nodes, sphere_surface_nodes)
+from .scenarios import (Scenario, _kernel_from, _optional_mapping,
+                        _plate_specs_from, _require, _tolerances_from,
+                        build_scenario)
+from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope)
 
 REPORT_SCHEMA = 1
-
-
-@dataclass
-class Scenario:
-    """Fully validated scenario: everything a pipeline needs to run."""
-
-    name: str
-    spec: ProblemSpec
-    green: GreenContext
-    meta: dict
-    tolerances: Tolerances
-
-
-def _require(cfg: dict, key: str, kind=None):
-    if key not in cfg:
-        raise ParseError(f"missing config key {key!r}")
-    val = cfg[key]
-    if kind is not None and not isinstance(val, kind):
-        raise ParseError(f"config key {key!r} has wrong type "
-                         f"{type(val).__name__}")
-    return val
 
 
 def load_config(path: str) -> dict:
@@ -73,135 +53,19 @@ def load_config(path: str) -> dict:
     return cfg
 
 
-def _tolerances_from(cfg: dict, args) -> Tolerances:
-    tol = DEFAULT_TOLERANCES
-    overrides = dict(cfg.get("tolerances", {}) or {})
-    if args.tol_kkt is not None:
-        overrides["kkt"] = args.tol_kkt
-    if args.max_iters is not None:
-        overrides["max_iters"] = args.max_iters
-    known = set(Tolerances.__dataclass_fields__)
-    bad = set(overrides) - known
-    if bad:
-        raise ParseError(f"unknown tolerance keys {sorted(bad)}")
-    return tol.with_(**overrides)
-
-
-def _kernel_from(cfg: dict) -> KernelSpec:
-    kc = _require(cfg, "kernel", dict)
-    try:
-        return KernelSpec(int(kc.get("n", 3)), float(_require(kc, "alpha")))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"invalid kernel spec: {exc}") from None
-
-
-def _plate_specs_from(cfg: dict, resolution: float, truncation: float,
-                      alpha: float):
-    specs = []
-    for i, pc in enumerate(_require(cfg, "plates", list)):
-        if not isinstance(pc, dict):
-            raise ParseError(f"plate {i} must be a mapping")
-        tag = _require(pc, "geometry", str)
-        sign = int(_require(pc, "sign"))
-        # Newtonian sweeps are carried by the boundary, so half-space plates
-        # default to the boundary layer alone at alpha = 2
-        backing = bool(pc.get("backing", alpha < 2.0))
-        try:
-            specs.append(PlateSpec(
-                tag=tag, sign=sign,
-                center=tuple(pc.get("center", (0.0, 0.0, 0.0))),
-                radius=float(pc.get("radius", 0.0)),
-                axis=int(pc.get("axis", 0)),
-                level=float(pc.get("level", 0.0)),
-                side=int(pc.get("side", -1)),
-                truncation=float(pc.get("truncation", truncation))
-                if tag in ("ball_complement", "half_space") else None,
-                resolution_scale=float(pc.get("resolution_scale", 1.0)),
-                stack_count=int(pc.get("stack_count", 0)),
-                backing=backing))
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"plate {i}: {exc}") from None
-    return specs
-
-
-def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
-                     tol: Tolerances) -> Constraint:
-    entries = _require(cfg, "constraint", list)
-    if len(entries) != len(condenser.plates):
-        raise ParseError("one constraint entry per plate required")
-    caps = []
-    for i, (ent, plate) in enumerate(zip(entries, condenser.plates)):
-        if not isinstance(ent, dict):
-            raise ParseError(f"constraint {i} must be a mapping")
-        mode = _require(ent, "mode", str)
-        if mode == "unbounded":
-            caps.append(None)
-        elif mode == "explicit":
-            w = np.asarray(_require(ent, "weights", list), dtype=float)
-            caps.append(w)
-        elif mode == "scaled_capacitary":
-            q = float(_require(ent, "q"))
-            lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
-                                         tolerances=tol)
-            caps.append(q * lam.weights)
-        elif mode == "stacked_disks":
-            count = int(_require(ent, "disk_count"))
-            layers = plate.nodes.layer_index
-            cap = np.zeros(len(plate.nodes))
-            for k in range(1, count + 1):
-                sel = np.flatnonzero(layers == k - 1)
-                if sel.size == 0:
-                    raise ParseError(f"plate {i} lacks disk layer {k - 1}")
-                lam, _ = equilibrium_measure(plate.nodes.subset(sel), kernel,
-                                             1.0, tolerances=tol)
-                cap[sel] = lam.weights / (k * k)
-            caps.append(cap)
-        else:
-            raise ParseError(f"unknown constraint mode {mode!r}")
-    return Constraint(tuple(caps))
-
-
-def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
-    fc = cfg.get("field", {"case": "zero"}) or {"case": "zero"}
-    case = fc.get("case", "zero")
-    if case == "zero":
-        return ExternalField.zero()
-    if case == "node_values":
-        vals = _require(fc, "values", list)
-        if len(vals) != len(condenser.plates):
-            raise ParseError("one field value array per plate required")
-        arrays = []
-        for v, p in zip(vals, condenser.plates):
-            arr = np.asarray([math.inf if x == "inf" else float(x)
-                              for x in v], dtype=float)
-            if arr.shape != (len(p.nodes),):
-                raise ParseError("field values misaligned with plate nodes")
-            arrays.append(arr)
-        return ExternalField.case1(arrays, condenser.signs)
-    raise ParseError(f"unsupported field case {case!r} in configs")
-
-
-def build_scenario(cfg: dict, args) -> Scenario:
-    """Validated Scenario from a parsed config."""
-    tol = _tolerances_from(cfg, args)
-    kernel = _kernel_from(cfg)
-    resolution = float(args.resolution or cfg.get("resolution", 0.2))
-    truncation = float(args.truncation or cfg.get("truncation", 16.0))
-    condenser = build_condenser(
-        _plate_specs_from(cfg, resolution, truncation, kernel.alpha),
-        resolution)
-    totals = tuple(float(a) for a in _require(cfg, "totals", list))
-    constraint = _constraint_from(cfg, condenser, kernel, tol)
-    fieldspec = _field_from(cfg, condenser)
-    try:
-        spec = ProblemSpec(condenser=condenser, totals=totals, field=fieldspec,
-                           constraint=constraint, kernel=kernel, tolerances=tol)
-    except (ValueError,) as exc:
-        raise ParseError(str(exc)) from None
-    green = GreenContext(condenser.plates[-1].nodes, kernel)
-    meta = {"resolution": resolution, "truncation": truncation}
-    return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
-                    green=green, meta=meta, tolerances=tol)
+def _with_flags(cfg: dict, args) -> dict:
+    """The config with the global flags merged in: a nonzero --resolution
+    or --truncation replaces the top-level value, --tol-kkt and --max-iters
+    override the tolerance block."""
+    cfg = {**cfg, **{key: val for key, val in (
+        ("resolution", args.resolution), ("truncation", args.truncation))
+        if val}}
+    tol = {key: val for key, val in (("kkt", args.tol_kkt),
+                                     ("max_iters", args.max_iters))
+           if val is not None}
+    if tol:
+        cfg["tolerances"] = {**_optional_mapping(cfg, "tolerances"), **tol}
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +185,8 @@ def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict,
         rep.add(f"tolerances.{name}", getattr(spec.tolerances, name))
 
 
-def _verify_sections(rep: ReportBuilder, result, spec, green, lift=None,
-                     green_result=None, zone_seed=3):
+def _verify_sections(rep: ReportBuilder, result, spec, green, lift,
+                     green_result, zone_seed=3):
     krep = kkt_report(result, spec)
     rep.section("kkt")
     rep.add("kkt.constants", krep.constants)
@@ -357,46 +221,27 @@ def _verify_sections(rep: ReportBuilder, result, spec, green, lift=None,
         rep.add("support.layer_masses", srep.layer_masses)
         rep.add("support.empty_layers", len(srep.empty_layers))
     rep.add("support.pass", srep.passed)
-    if lift is not None:
-        eq = equivalence_check(result, lift, spec, green_result=green_result)
-        rep.section("equivalence")
-        for key, val in eq.items():
-            rep.add(f"equivalence.{key}", val)
-    return krep
+    eq = equivalence_check(result, lift, spec, green_result=green_result)
+    rep.section("equivalence")
+    for key, val in eq.items():
+        rep.add(f"equivalence.{key}", val)
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _built_in(name: str, args):
-    tol = _tolerances_from({}, args)
-    if name == "ex1":
-        kw = {"tolerances": tol}
-        if args.resolution:
-            kw["resolution"] = args.resolution
-        if args.truncation:
-            kw["truncation"] = args.truncation
-        built = scenarios.example_one(**kw)
-    elif name == "ex2":
-        kw = {"tolerances": tol}
-        if args.truncation:
-            kw["truncation"] = args.truncation
-        if args.resolution:
-            kw["plane_inner"] = args.resolution
-        built = scenarios.example_two(**kw)
-    else:
-        raise ParseError(f"unknown built-in example {name!r}; use ex1 or ex2")
-    return built
-
-
-def cmd_solve(args) -> dict:
-    sc = build_scenario(load_config(args.config), args)
-    spec = sc.spec
-    result = solve_riesz(spec, seed=args.seed)
+def _converged(result: SolveResult) -> SolveResult:
     if not result.converged:
         raise NonConvergedError(
             f"solver stalled at KKT residual {result.kkt_residual:.3e}")
+    return result
+
+
+def cmd_solve(args) -> dict:
+    sc = build_scenario(_with_flags(load_config(args.config), args))
+    spec = sc.spec
+    result = _converged(solve_riesz(spec, seed=args.seed))
     rep = ReportBuilder(sc.name)
     _config_section(rep, spec, sc.meta, args.seed)
     _solver_section(rep, result, spec)
@@ -409,12 +254,9 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_solve_green(args) -> dict:
-    sc = build_scenario(load_config(args.config), args)
+    sc = build_scenario(_with_flags(load_config(args.config), args))
     spec, green = sc.spec, sc.green
-    result = solve_green_reduced(spec, green, seed=args.seed)
-    if not result.converged:
-        raise NonConvergedError(
-            f"solver stalled at KKT residual {result.kkt_residual:.3e}")
+    result = _converged(solve_green_reduced(spec, green, seed=args.seed))
     lift = lift_green_to_riesz(result, spec, green)
     rep = ReportBuilder(sc.name)
     _config_section(rep, spec, sc.meta, args.seed)
@@ -425,12 +267,12 @@ def cmd_solve_green(args) -> dict:
 
 
 def cmd_balayage(args) -> dict:
-    cfg = load_config(args.config)
+    cfg = _with_flags(load_config(args.config), args)
     kernel = _kernel_from(cfg)
-    _tolerances_from(cfg, args)  # rejects unknown tolerance keys
-    resolution = float(args.resolution or cfg.get("resolution", 0.2))
-    truncation = float(args.truncation or cfg.get("truncation", 16.0))
-    specs = _plate_specs_from(cfg, resolution, truncation, kernel.alpha)
+    _tolerances_from(cfg)  # rejects unknown tolerance keys
+    resolution = float(cfg.get("resolution", 0.2))
+    truncation = float(cfg.get("truncation", 16.0))
+    specs = _plate_specs_from(cfg, truncation, kernel.alpha)
     if len(specs) != 1 or specs[0].sign != -1:
         raise ParseError("balayage config needs exactly one negative plate")
     cond = build_condenser(specs, resolution)
@@ -458,10 +300,10 @@ def cmd_balayage(args) -> dict:
 
 
 def cmd_capacity(args) -> dict:
-    cfg = load_config(args.config)
+    cfg = _with_flags(load_config(args.config), args)
     kernel = _kernel_from(cfg)
-    tol = _tolerances_from(cfg, args)
-    resolution = float(args.resolution or cfg.get("resolution", 0.1))
+    tol = _tolerances_from(cfg)
+    resolution = float(cfg.get("resolution", 0.1))
     gc = _require(cfg, "conductor", dict)
     tag = _require(gc, "geometry", str)
     center = tuple(gc.get("center", (0.0, 0.0, 0.0)))
@@ -490,42 +332,37 @@ def cmd_capacity(args) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    sc = build_scenario(load_config(args.config), args)
-    return _pipeline(sc.spec, sc.green, sc.meta, args.seed, name=sc.name)
+    """Solve, reduce, lift and check a config file or, for ``example``, a
+    built-in config."""
+    cfg = scenarios.EXAMPLES[args.example_name]() \
+        if args.command == "example" else load_config(args.config)
+    return _pipeline(build_scenario(_with_flags(cfg, args)), args.seed)
 
 
-def cmd_example(args) -> dict:
-    built = _built_in(args.example_name, args)
-    return _pipeline(built.spec, built.green, built.meta, args.seed,
-                     name=built.name)
-
-
-def _pipeline(spec, green, meta, seed, name) -> dict:
-    result = solve_riesz(spec, seed=seed)
-    if not result.converged:
-        raise NonConvergedError(
-            f"solver stalled at KKT residual {result.kkt_residual:.3e}")
+def _pipeline(sc: Scenario, seed: Optional[int]) -> dict:
+    spec, green = sc.spec, sc.green
+    result = _converged(solve_riesz(spec, seed=seed))
     gres = solve_green_reduced(spec, green, seed=seed)
     lift = lift_green_to_riesz(gres, spec, green)
-    rep = ReportBuilder(name)
-    _config_section(rep, spec, meta, seed)
+    rep = ReportBuilder(sc.name)
+    _config_section(rep, spec, sc.meta, seed)
     _solver_section(rep, result, spec)
     _solver_section(rep, gres, spec, prefix="green")
-    _verify_sections(rep, result, spec, green, lift=lift, green_result=gres)
+    _verify_sections(rep, result, spec, green, lift, gres)
     return {"report.txt": rep.text(), "atoms.csv": _atoms_csv(spec, result),
             "trace.csv": _trace_csv(result)}
 
 
 def cmd_sweep(args) -> dict:
-    cfg = load_config(args.config)
-    tol = _tolerances_from(cfg, args)
+    cfg = _with_flags(load_config(args.config), args)
+    tol = _tolerances_from(cfg)
     mode = cfg.get("mode", "uncapped")
     stages = [int(s) for s in cfg.get("stages", [1, 2, 3, 4, 5, 6])]
     kernel = KernelSpec(3, 2.0)
     ctx = scenarios.sweep_plane_context(
         flat_radius=float(cfg.get("flat_radius", 8.0)),
         cell=float(cfg.get("cell", 0.33)),
-        truncation=float(args.truncation or cfg.get("truncation", 30.0)))
+        truncation=float(cfg.get("truncation", 30.0)))
     zeta = None
     if mode == "capped":
         zn = disk_nodes((1.0, 0.0, 0.0), 0.5, 80, axis=0)
@@ -567,7 +404,7 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("config")
     spx = sub.add_parser("example")
-    spx.add_argument("example_name", choices=["ex1", "ex2"])
+    spx.add_argument("example_name", choices=sorted(scenarios.EXAMPLES))
     args = parser.parse_args(argv)
 
     handlers = {
@@ -577,7 +414,7 @@ def main(argv=None) -> int:
         "capacity": cmd_capacity,
         "verify": cmd_verify,
         "sweep": cmd_sweep,
-        "example": cmd_example,
+        "example": cmd_verify,
     }
     try:
         files = handlers[args.command](args)

@@ -470,6 +470,14 @@ def disk_nodes(center, radius, count, axis=0, *, layer=0, phase=0.0):
     return NodeSet(pts, w, rho_c, np.full(count, layer, dtype=int))
 
 
+def untrimmed_surface_cells(nodes: NodeSet) -> NodeSet:
+    """Flat surface cells (``disk_nodes``, ``graded_plane_nodes``) with the
+    calibrated radius of their own area, undoing any nearest-neighbor trim."""
+    return NodeSet(nodes.positions, nodes.quad_weights,
+                   SURFACE_CELL_RADIUS_FACTOR * np.sqrt(nodes.quad_weights),
+                   nodes.layer_index)
+
+
 def _geometric_edges(start: float, stop: float, growth: float) -> np.ndarray:
     """Geometric partition of [start, stop]; a trailing fragment shorter than
     half a full step is merged into the previous interval instead of forming
@@ -590,7 +598,9 @@ class PlateSpec:
 
     ``stack_count`` > 0 on a disk plate builds the stacked family: disk k of
     radius k x radius at axis offset 1/k from the disk center, k = 1..count,
-    one layer per disk.
+    one layer per disk.  ``count`` fixes the nodes per disk (every disk of a
+    stack), replacing the count derived from the resolution.  ``growth`` is
+    the ring/shell growth factor of an unbounded plate's graded layout.
     """
 
     tag: str
@@ -604,6 +614,7 @@ class PlateSpec:
     resolution_scale: float = 1.0
     growth: Optional[float] = None
     stack_count: int = 0
+    count: Optional[int] = None
     backing: bool = True
     cloud: Optional[NodeSet] = None
 
@@ -612,6 +623,12 @@ class PlateSpec:
             raise ValueError(f"unknown geometry tag {self.tag!r}")
         if self.stack_count and self.tag != "disk":
             raise ValueError("stack_count applies to disk plates only")
+        if self.count is not None and (self.tag != "disk" or self.count < 1):
+            raise ValueError("count (>= 1) applies to disk plates only")
+        if self.growth is not None and not (
+                self.tag in ("ball_complement", "half_space")
+                and self.growth > 1.0):
+            raise ValueError("growth (> 1) applies to unbounded plates only")
 
 
 def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Condenser:
@@ -650,12 +667,14 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
                     ctr = np.asarray(spec.center, dtype=float).copy()
                     ctr[spec.axis] += 1.0 / k
                     rk = k * spec.radius
-                    count = max(12, int(round(math.pi * rk ** 2 / res ** 2)))
+                    count = spec.count or \
+                        max(12, int(round(math.pi * rk ** 2 / res ** 2)))
                     parts.append(disk_nodes(ctr, rk, count, axis=spec.axis,
                                             layer=k - 1))
                 nodes = trim_cell_radii(_concat_nodesets(parts))
             else:
-                count = max(1, int(round(math.pi * spec.radius ** 2 / res ** 2)))
+                count = spec.count or \
+                    max(1, int(round(math.pi * spec.radius ** 2 / res ** 2)))
                 nodes = disk_nodes(spec.center, spec.radius, count,
                                    axis=spec.axis)
             trunc = None

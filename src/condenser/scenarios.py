@@ -1,12 +1,6 @@
-"""Built-in scenarios: the two worked examples and their default resolutions.
-
-Example one: positive plate = solid ball D, negative plate = its complement,
-cap = q x (discrete equilibrium measure of the ball), alpha < 2.
-
-Example two: positive plate = a stack of disks of radius k at height 1/k,
-negative plate = the closed half-space x1 <= 0, cap = sum k^-2 lambda_k with
-lambda_k the disk equilibrium measures, alpha = 2.
-"""
+"""Scenarios: ``build_scenario`` turns a config mapping (the schema of
+``scenarios/annotated_example.yaml``) into a validated problem, and the
+built-in examples are config mappings for it."""
 
 from __future__ import annotations
 
@@ -16,135 +10,244 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import GreenContext
+from .errors import ParseError
 from .gauss_solver import Constraint, ProblemSpec
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (Condenser, Plate, _concat_nodesets,
-                    ball_complement_nodes, ball_volume_nodes, disk_nodes,
-                    graded_plane_nodes, half_space_nodes, trim_across_plates,
-                    trim_cell_radii)
+from .model import (Condenser, PlateSpec, _concat_nodesets, build_condenser,
+                    disk_nodes, graded_plane_nodes, trim_cell_radii,
+                    untrimmed_surface_cells)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass
-class BuiltScenario:
+class Scenario:
+    """Fully validated scenario: everything a pipeline needs to run."""
+
     name: str
     spec: ProblemSpec
     green: GreenContext
-    cap_total: float
     meta: dict
 
 
-def example_one(resolution: float = 0.18, radius: float = 1.0,
-                alpha: float = 1.5, q: float = 1.5, truncation: float = 16.0,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> BuiltScenario:
-    """Solid ball against its complement with a scaled-equilibrium cap."""
-    kernel = KernelSpec(3, alpha)
-    ball = ball_volume_nodes((0.0, 0.0, 0.0), radius, resolution)
-    exterior = ball_complement_nodes((0.0, 0.0, 0.0), radius, truncation,
-                                     resolution)
-    plates = [
-        Plate(id=0, sign=+1, nodes=ball, geometry_tag="ball",
-              params={"center": (0.0, 0.0, 0.0), "radius": radius}),
-        Plate(id=1, sign=-1, nodes=exterior, geometry_tag="ball_complement",
-              params={"center": (0.0, 0.0, 0.0), "radius": radius},
-              truncation=truncation),
-    ]
-    plates = trim_across_plates(plates)
-    condenser = Condenser(tuple(plates))
-    # cap: q x the grid equilibrium measure of the ball (mass 1)
-    lam, _ = equilibrium_measure(plates[0].nodes, kernel, 1.0,
-                                 tolerances=tolerances)
-    caps = Constraint((q * lam.weights, None))
-    spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
-                       field=ExternalField.zero(), constraint=caps,
-                       kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel)
-    meta = {"resolution": resolution, "radius": radius, "alpha": alpha,
-            "q": q, "truncation": truncation,
-            "nodes_positive": len(plates[0].nodes),
-            "nodes_negative": len(plates[1].nodes)}
-    return BuiltScenario(name="ex1", spec=spec, green=green,
-                         cap_total=float(q), meta=meta)
+def _require(cfg: dict, key: str, kind=None):
+    if key not in cfg:
+        raise ParseError(f"missing config key {key!r}")
+    val = cfg[key]
+    if kind is not None and not isinstance(val, kind):
+        raise ParseError(f"config key {key!r} has wrong type "
+                         f"{type(val).__name__}")
+    return val
+
+
+def _optional_mapping(cfg: dict, key: str) -> dict:
+    val = cfg.get(key) or {}
+    if not isinstance(val, dict):
+        raise ParseError(f"config key {key!r} must be a mapping")
+    return val
+
+
+def _tolerances_from(cfg: dict) -> Tolerances:
+    overrides = _optional_mapping(cfg, "tolerances")
+    bad = set(overrides) - set(Tolerances.__dataclass_fields__)
+    if bad:
+        raise ParseError(f"unknown tolerance keys {sorted(bad)}")
+    return DEFAULT_TOLERANCES.with_(**overrides)
+
+
+def _kernel_from(cfg: dict) -> KernelSpec:
+    kc = _require(cfg, "kernel", dict)
+    try:
+        return KernelSpec(int(kc.get("n", 3)), float(_require(kc, "alpha")))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"invalid kernel spec: {exc}") from None
+
+
+# plate keys and their types; an absent key takes the PlateSpec default
+_PLATE_KEYS = {"center": tuple, "radius": float, "axis": int, "level": float,
+               "side": int, "truncation": float, "resolution_scale": float,
+               "growth": float, "stack_count": int, "count": int,
+               "backing": bool}
+
+
+def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
+    specs = []
+    for i, pc in enumerate(_require(cfg, "plates", list)):
+        if not isinstance(pc, dict):
+            raise ParseError(f"plate {i} must be a mapping")
+        tag = _require(pc, "geometry", str)
+        try:
+            kw = {key: kind(pc[key]) for key, kind in _PLATE_KEYS.items()
+                  if key in pc}
+            if tag in ("ball_complement", "half_space"):
+                kw.setdefault("truncation", truncation)
+            # Newtonian sweeps are carried by the boundary, so half-space
+            # plates default to the boundary layer alone at alpha = 2
+            kw.setdefault("backing", alpha < 2.0)
+            specs.append(PlateSpec(tag=tag, sign=int(_require(pc, "sign")),
+                                   **kw))
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"plate {i}: {exc}") from None
+    return specs
+
+
+def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
+                     tol: Tolerances) -> Constraint:
+    entries = _require(cfg, "constraint", list)
+    if len(entries) != len(condenser.plates):
+        raise ParseError("one constraint entry per plate required")
+    caps = []
+    for i, (ent, plate) in enumerate(zip(entries, condenser.plates)):
+        if not isinstance(ent, dict):
+            raise ParseError(f"constraint {i} must be a mapping")
+        mode = _require(ent, "mode", str)
+        if mode == "unbounded":
+            caps.append(None)
+        elif mode == "explicit":
+            w = np.asarray(_require(ent, "weights", list), dtype=float)
+            caps.append(w)
+        elif mode == "scaled_capacitary":
+            q = float(_require(ent, "q"))
+            lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
+                                         tolerances=tol)
+            caps.append(q * lam.weights)
+        elif mode == "stacked_disks":
+            if plate.geometry_tag != "disk":
+                raise ParseError(f"constraint {i}: stacked_disks needs a disk "
+                                 f"plate, not {plate.geometry_tag!r}")
+            count = int(_require(ent, "disk_count"))
+            layers = plate.nodes.layer_index
+            cap = np.zeros(len(plate.nodes))
+            for k in range(1, count + 1):
+                sel = np.flatnonzero(layers == k - 1)
+                if sel.size == 0:
+                    raise ParseError(f"plate {i} lacks disk layer {k - 1}")
+                # lambda_k is the equilibrium measure of disk k alone, on its
+                # own cells, untrimmed against the other disks and plates
+                disk = untrimmed_surface_cells(plate.nodes.subset(sel))
+                lam, _ = equilibrium_measure(disk, kernel, 1.0,
+                                             tolerances=tol)
+                cap[sel] = lam.weights / (k * k)
+            caps.append(cap)
+        else:
+            raise ParseError(f"unknown constraint mode {mode!r}")
+    return Constraint(tuple(caps))
+
+
+def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
+    fc = _optional_mapping(cfg, "field")
+    case = fc.get("case", "zero")
+    if case == "zero":
+        return ExternalField.zero()
+    if case == "node_values":
+        vals = _require(fc, "values", list)
+        if len(vals) != len(condenser.plates):
+            raise ParseError("one field value array per plate required")
+        arrays = []
+        for v, p in zip(vals, condenser.plates):
+            arr = np.asarray([math.inf if x == "inf" else float(x)
+                              for x in v], dtype=float)
+            if arr.shape != (len(p.nodes),):
+                raise ParseError("field values misaligned with plate nodes")
+            arrays.append(arr)
+        return ExternalField.case1(arrays, condenser.signs)
+    raise ParseError(f"unsupported field case {case!r} in configs")
+
+
+def build_scenario(cfg: dict) -> Scenario:
+    """Validated Scenario from a parsed config mapping."""
+    tol = _tolerances_from(cfg)
+    kernel = _kernel_from(cfg)
+    resolution = float(cfg.get("resolution", 0.2))
+    truncation = float(cfg.get("truncation", 16.0))
+    condenser = build_condenser(
+        _plate_specs_from(cfg, truncation, kernel.alpha), resolution)
+    totals = tuple(float(a) for a in _require(cfg, "totals", list))
+    constraint = _constraint_from(cfg, condenser, kernel, tol)
+    fieldspec = _field_from(cfg, condenser)
+    try:
+        spec = ProblemSpec(condenser=condenser, totals=totals, field=fieldspec,
+                           constraint=constraint, kernel=kernel, tolerances=tol)
+    except (ValueError,) as exc:
+        raise ParseError(str(exc)) from None
+    green = GreenContext(condenser.plates[-1].nodes, kernel)
+    meta = {"resolution": resolution, "truncation": truncation}
+    return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
+                    green=green, meta=meta)
+
+
+# ---------------------------------------------------------------------------
+# built-in examples: config mappings for build_scenario
+# ---------------------------------------------------------------------------
+
+def _ball_config(name, alpha, inner, radius, resolution, q,
+                 truncation) -> dict:
+    """A ball of radius ``inner`` capped by q x its equilibrium measure,
+    against the complement of the concentric ball of radius ``radius``."""
+    return {
+        "name": name, "kernel": {"n": 3, "alpha": alpha},
+        "resolution": resolution, "truncation": truncation,
+        "plates": [{"geometry": "ball", "sign": 1, "radius": inner},
+                   {"geometry": "ball_complement", "sign": -1,
+                    "radius": radius}],
+        "totals": [1.0, 1.0],
+        "constraint": [{"mode": "scaled_capacitary", "q": q},
+                       {"mode": "unbounded"}],
+    }
+
+
+def ex1_config(resolution: float = 0.18, radius: float = 1.0,
+               alpha: float = 1.5, q: float = 1.5,
+               truncation: float = 16.0) -> dict:
+    """Example one: positive plate = solid ball D, negative plate = its
+    complement, cap = q x (discrete equilibrium measure of the ball),
+    alpha < 2."""
+    return _ball_config("ex1", alpha, radius, radius, resolution, q,
+                        truncation)
+
+
+def ex2_config(disk_count: int = 4, nodes_per_disk: int = 240,
+               plane_inner: float = 0.08, truncation: float = 48.0,
+               plane_growth: float = 1.3) -> dict:
+    """Example two: positive plate = a stack of disks of radius k at height
+    1/k, ``nodes_per_disk`` nodes each; negative plate = the boundary plane
+    of the half-space x1 <= 0 (for the Newtonian order the swept measure is
+    supported by the boundary), ``plane_inner`` its inner cell size and the
+    resolution; cap = sum k^-2 lambda_k with lambda_k the disk equilibrium
+    measures; alpha = 2."""
+    return {
+        "name": "ex2", "kernel": {"n": 3, "alpha": 2.0},
+        "resolution": plane_inner, "truncation": truncation,
+        "plates": [{"geometry": "disk", "sign": 1, "radius": 1.0,
+                    "stack_count": disk_count, "count": nodes_per_disk},
+                   {"geometry": "half_space", "sign": -1,
+                    "growth": plane_growth, "backing": False}],
+        "totals": [1.0, 1.0],
+        "constraint": [{"mode": "stacked_disks", "disk_count": disk_count},
+                       {"mode": "unbounded"}],
+    }
+
+
+# the built-ins of `condenser example`: name -> config with default sizes
+EXAMPLES = {"ex1": ex1_config, "ex2": ex2_config}
+
+
+def example_one(**kwargs) -> Scenario:
+    """Example one; keyword arguments as for ``ex1_config``."""
+    return build_scenario(ex1_config(**kwargs))
+
+
+def example_two(**kwargs) -> Scenario:
+    """Example two; keyword arguments as for ``ex2_config``."""
+    return build_scenario(ex2_config(**kwargs))
 
 
 def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
                  resolution: float = 0.16, q: float = 1.5,
-                 truncation: float = 16.0,
-                 tolerances: Tolerances = DEFAULT_TOLERANCES) -> BuiltScenario:
+                 truncation: float = 16.0) -> Scenario:
     """A strictly interior ball against the complement of a larger ball;
     the clean instance for support-structure checks (no touching plates)."""
-    kernel = KernelSpec(3, alpha)
-    ball = ball_volume_nodes((0.0, 0.0, 0.0), inner, resolution)
-    exterior = ball_complement_nodes((0.0, 0.0, 0.0), radius, truncation,
-                                     resolution)
-    plates = [
-        Plate(id=0, sign=+1, nodes=ball, geometry_tag="ball",
-              params={"center": (0.0, 0.0, 0.0), "radius": inner}),
-        Plate(id=1, sign=-1, nodes=exterior, geometry_tag="ball_complement",
-              params={"center": (0.0, 0.0, 0.0), "radius": radius},
-              truncation=truncation),
-    ]
-    plates = trim_across_plates(plates)
-    condenser = Condenser(tuple(plates))
-    lam, _ = equilibrium_measure(plates[0].nodes, kernel, 1.0,
-                                 tolerances=tolerances)
-    caps = Constraint((q * lam.weights, None))
-    spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
-                       field=ExternalField.zero(), constraint=caps,
-                       kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel)
-    meta = {"resolution": resolution, "inner": inner, "radius": radius,
-            "alpha": alpha, "q": q, "truncation": truncation}
-    return BuiltScenario(name="ball-in-ball", spec=spec, green=green,
-                         cap_total=float(q), meta=meta)
-
-
-def example_two(disk_count: int = 4, nodes_per_disk: int = 240,
-                plane_inner: float = 0.08, truncation: float = 48.0,
-                plane_growth: float = 1.3,
-                tolerances: Tolerances = DEFAULT_TOLERANCES) -> BuiltScenario:
-    """Stacked disks in the half-space against the grounded boundary.
-
-    The negative plate carries boundary-plane cells only: for the Newtonian
-    order the swept measure is supported by the boundary, and a plane-only
-    carrier keeps every sweep interior-positive.
-    """
-    kernel = KernelSpec(3, 2.0)
-    parts = []
-    cap_chunks = []
-    for k in range(1, disk_count + 1):
-        ctr = np.array([1.0 / k, 0.0, 0.0])
-        dn = disk_nodes(ctr, float(k), nodes_per_disk, axis=0, layer=k - 1)
-        lam_k, _ = equilibrium_measure(dn, kernel, 1.0, tolerances=tolerances)
-        parts.append(dn)
-        cap_chunks.append(lam_k.weights / (k * k))
-    stack = _concat_nodesets(parts)
-    stack = trim_cell_radii(stack)
-    cap1 = np.concatenate(cap_chunks)
-    exterior = half_space_nodes(0.0, -1, truncation, plane_inner, axis=0,
-                                growth=plane_growth, backing=False)
-    plates = [
-        Plate(id=0, sign=+1, nodes=stack, geometry_tag="disk",
-              params={"center": (0.0, 0.0, 0.0), "radius": float(disk_count),
-                      "axis": 0}),
-        Plate(id=1, sign=-1, nodes=exterior, geometry_tag="half_space",
-              params={"axis": 0, "level": 0.0, "side": -1},
-              truncation=truncation),
-    ]
-    plates = trim_across_plates(plates)
-    condenser = Condenser(tuple(plates))
-    caps = Constraint((cap1, None))
-    spec = ProblemSpec(condenser=condenser, totals=(1.0, 1.0),
-                       field=ExternalField.zero(), constraint=caps,
-                       kernel=kernel, tolerances=tolerances)
-    green = GreenContext(plates[1].nodes, kernel)
-    cap_total = float(sum(1.0 / (k * k) for k in range(1, disk_count + 1)))
-    meta = {"disk_count": disk_count, "nodes_per_disk": nodes_per_disk,
-            "plane_inner": plane_inner, "truncation": truncation,
-            "alpha": 2.0, "nodes_positive": len(plates[0].nodes),
-            "nodes_negative": len(plates[1].nodes)}
-    return BuiltScenario(name="ex2", spec=spec, green=green,
-                         cap_total=cap_total, meta=meta)
+    return build_scenario(_ball_config("ball-in-ball", alpha, inner, radius,
+                                       resolution, q, truncation))
 
 
 def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,

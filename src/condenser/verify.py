@@ -257,8 +257,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     # (iii) global upper bound at nodes and at far probes
     far, excluded_f = _far_probes(plate_p, n_probes, rng, all_pos, all_rad,
                                   tol.probe_exclusion_factor)
-    pot_all_nodes = [potential(lam, p.nodes.positions, spec.kernel)
-                     for p in spec.condenser.plates]
+    pot_all_nodes = [pot_nodes,
+                     potential(lam, plate_p.nodes.positions, spec.kernel)]
     over = max(float((pn - c1).max()) for pn in pot_all_nodes)
     if far.shape[0]:
         over = max(over, float((potential(lam, far, spec.kernel) - c1).max()))

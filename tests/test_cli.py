@@ -133,6 +133,27 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("ERROR DuplicateNode")
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
+    def test_field_not_a_mapping_exit_2(self, tmp_path, capsys):
+        cfg = dict(BALL_CONFIG, field="zero")
+        path = write_config(tmp_path, cfg)
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
+    def test_tolerances_not_a_mapping_exit_2(self, tmp_path, capsys):
+        cfg = dict(BALL_CONFIG, tolerances=[1, 2])
+        path = write_config(tmp_path, cfg)
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
+    def test_stacked_disk_caps_need_a_disk_plate_exit_2(self, tmp_path,
+                                                         capsys):
+        cfg = dict(BALL_CONFIG)
+        cfg["constraint"] = [{"mode": "scaled_capacitary", "q": 1.5},
+                             {"mode": "stacked_disks", "disk_count": 2}]
+        path = write_config(tmp_path, cfg)
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]

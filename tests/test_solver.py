@@ -135,6 +135,13 @@ class TestSolveRiesz:
         assert res.energy == pytest.approx(expect, rel=1e-12)
         assert res.solution.components[0].weights[0] == pytest.approx(1.0)
 
+    def test_energy_is_the_gauss_functional(self, ex1, ex1_riesz):
+        # the reported energy is the solver objective; the functional,
+        # re-assembled from the solution, stays the reference
+        ref = gauss_functional(ex1_riesz.solution, ex1.spec.field,
+                               ex1.spec.kernel)
+        assert ex1_riesz.energy == pytest.approx(ref, rel=1e-12)
+
     def test_matches_fixed_step_reference(self):
         # independent reference: plain projected gradient, fixed 1/L step,
         # mass stacked on the first node initially
