@@ -28,11 +28,10 @@ from .errors import (CondenserError, InfeasibleError, NonConvergedError,
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import KernelSpec, equilibrium_measure
-from .model import (DiscreteMeasure, NodeSet, build_condenser,
-                    ball_volume_nodes, disk_nodes, sphere_surface_nodes)
-from .scenarios import (Scenario, _kernel_from, _optional_mapping,
-                        _plate_specs_from, _require, _tolerances_from,
-                        build_scenario)
+from .model import (NodeSet, ball_volume_nodes, disk_nodes,
+                    sphere_surface_nodes)
+from .scenarios import (Scenario, build_scenario, kernel_from,
+                        optional_mapping, require, tolerances_from)
 from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope)
@@ -64,7 +63,7 @@ def _with_flags(cfg: dict, args) -> dict:
                                      ("max_iters", args.max_iters))
            if val is not None}
     if tol:
-        cfg["tolerances"] = {**_optional_mapping(cfg, "tolerances"), **tol}
+        cfg["tolerances"] = {**optional_mapping(cfg, "tolerances"), **tol}
     return cfg
 
 
@@ -267,24 +266,8 @@ def cmd_solve_green(args) -> dict:
 
 
 def cmd_balayage(args) -> dict:
-    cfg = _with_flags(load_config(args.config), args)
-    kernel = _kernel_from(cfg)
-    _tolerances_from(cfg)  # rejects unknown tolerance keys
-    resolution = float(cfg.get("resolution", 0.2))
-    truncation = float(cfg.get("truncation", 16.0))
-    specs = _plate_specs_from(cfg, truncation, kernel.alpha)
-    if len(specs) != 1 or specs[0].sign != -1:
-        raise ParseError("balayage config needs exactly one negative plate")
-    cond = build_condenser(specs, resolution)
-    exterior = cond.plates[0].nodes
-    src = _require(cfg, "source", dict)
-    pos = np.asarray(_require(src, "positions", list), dtype=float)
-    wts = np.asarray(_require(src, "weights", list), dtype=float)
-    if pos.ndim != 2 or pos.shape[0] != wts.shape[0]:
-        raise ParseError("source positions/weights misaligned")
-    radius = float(src.get("cell_radius", resolution / 4.0))
-    mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
-                                 np.full(len(wts), radius)), wts)
+    mu, exterior, kernel, truncation = scenarios.build_balayage(
+        _with_flags(load_config(args.config), args))
     res = balayage_project(mu, exterior, kernel)
     rep = ReportBuilder("balayage")
     rep.section("balayage")
@@ -301,11 +284,11 @@ def cmd_balayage(args) -> dict:
 
 def cmd_capacity(args) -> dict:
     cfg = _with_flags(load_config(args.config), args)
-    kernel = _kernel_from(cfg)
-    tol = _tolerances_from(cfg)
+    kernel = kernel_from(cfg)
+    tol = tolerances_from(cfg)
     resolution = float(cfg.get("resolution", 0.1))
-    gc = _require(cfg, "conductor", dict)
-    tag = _require(gc, "geometry", str)
+    gc = require(cfg, "conductor", dict)
+    tag = require(gc, "geometry", str)
     center = tuple(gc.get("center", (0.0, 0.0, 0.0)))
     radius = float(gc.get("radius", 1.0))
     if tag == "sphere":
@@ -355,7 +338,7 @@ def _pipeline(sc: Scenario, seed: Optional[int]) -> dict:
 
 def cmd_sweep(args) -> dict:
     cfg = _with_flags(load_config(args.config), args)
-    tol = _tolerances_from(cfg)
+    tol = tolerances_from(cfg)
     mode = cfg.get("mode", "uncapped")
     stages = [int(s) for s in cfg.get("stages", [1, 2, 3, 4, 5, 6])]
     kernel = KernelSpec(3, 2.0)

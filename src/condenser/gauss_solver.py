@@ -193,8 +193,12 @@ def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
         max_iters=tol.max_iters, free_margin_rel=tol.free_margin_rel, seed=seed)
     weights = [res.w[sl] for sl in slices]
     solution = VectorMeasure.from_weights(spec.condenser, weights)
-    # the objective w'Aw + 2b'w is the Gauss functional of the solution
-    return SolveResult(solution=solution, energy=res.objective,
+    # the objective w'Aw + 2b'w is the Gauss functional of the solution when
+    # the field vanishes on the negative plates, as zero and Case I fields
+    # do; a Case II field vanishes there only up to the discrete sweep
+    energy = res.objective if spec.field.case != "case2" else \
+        gauss_functional(solution, spec.field, spec.kernel)
+    return SolveResult(solution=solution, energy=energy,
                        constants=res.constants[:-1], trace=res.trace,
                        active_at_cap=res.active_at_cap,
                        active_at_zero=res.active_at_zero,

@@ -555,7 +555,7 @@ def ball_complement_nodes(center, radius, truncation, resolution, *, growth=1.35
 
 
 def half_space_nodes(level, side, truncation, resolution, axis=0, *,
-                     growth=1.45, depth_growth=2.2, backing=True):
+                     growth=1.3, depth_growth=2.2, backing=True):
     """Half-space plate {x_axis*side >= level*side}: boundary-plane layer plus
     graded volume layers going into the half-space."""
     center = np.zeros(3)
@@ -599,8 +599,7 @@ class PlateSpec:
     ``stack_count`` > 0 on a disk plate builds the stacked family: disk k of
     radius k x radius at axis offset 1/k from the disk center, k = 1..count,
     one layer per disk.  ``count`` fixes the nodes per disk (every disk of a
-    stack), replacing the count derived from the resolution.  ``growth`` is
-    the ring/shell growth factor of an unbounded plate's graded layout.
+    stack), replacing the count derived from the resolution.
     """
 
     tag: str
@@ -612,7 +611,6 @@ class PlateSpec:
     side: int = -1
     truncation: Optional[float] = None
     resolution_scale: float = 1.0
-    growth: Optional[float] = None
     stack_count: int = 0
     count: Optional[int] = None
     backing: bool = True
@@ -625,10 +623,6 @@ class PlateSpec:
             raise ValueError("stack_count applies to disk plates only")
         if self.count is not None and (self.tag != "disk" or self.count < 1):
             raise ValueError("count (>= 1) applies to disk plates only")
-        if self.growth is not None and not (
-                self.tag in ("ball_complement", "half_space")
-                and self.growth > 1.0):
-            raise ValueError("growth (> 1) applies to unbounded plates only")
 
 
 def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Condenser:
@@ -650,15 +644,14 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
         elif spec.tag == "ball_complement":
             if spec.truncation is None:
                 raise ValueError("ball_complement plate needs a truncation radius")
-            nodes = ball_complement_nodes(spec.center, spec.radius, spec.truncation,
-                                          res, growth=spec.growth or 1.35)
+            nodes = ball_complement_nodes(spec.center, spec.radius,
+                                          spec.truncation, res)
             trunc = spec.truncation
         elif spec.tag == "half_space":
             if spec.truncation is None:
                 raise ValueError("half_space plate needs a truncation radius")
             nodes = half_space_nodes(spec.level, spec.side, spec.truncation, res,
-                                     axis=spec.axis, growth=spec.growth or 1.45,
-                                     backing=spec.backing)
+                                     axis=spec.axis, backing=spec.backing)
             trunc = spec.truncation
         elif spec.tag == "disk":
             if spec.stack_count > 0:

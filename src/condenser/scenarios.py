@@ -13,8 +13,9 @@ from .balayage import GreenContext
 from .errors import ParseError
 from .gauss_solver import Constraint, ProblemSpec
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (Condenser, PlateSpec, _concat_nodesets, build_condenser,
-                    disk_nodes, graded_plane_nodes, trim_cell_radii,
+from .model import (Condenser, DiscreteMeasure, NodeSet, PlateSpec,
+                    _concat_nodesets, build_condenser, disk_nodes,
+                    graded_plane_nodes, trim_cell_radii,
                     untrimmed_surface_cells)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -29,7 +30,7 @@ class Scenario:
     meta: dict
 
 
-def _require(cfg: dict, key: str, kind=None):
+def require(cfg: dict, key: str, kind=None):
     if key not in cfg:
         raise ParseError(f"missing config key {key!r}")
     val = cfg[key]
@@ -39,25 +40,25 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
-def _optional_mapping(cfg: dict, key: str) -> dict:
+def optional_mapping(cfg: dict, key: str) -> dict:
     val = cfg.get(key) or {}
     if not isinstance(val, dict):
         raise ParseError(f"config key {key!r} must be a mapping")
     return val
 
 
-def _tolerances_from(cfg: dict) -> Tolerances:
-    overrides = _optional_mapping(cfg, "tolerances")
+def tolerances_from(cfg: dict) -> Tolerances:
+    overrides = optional_mapping(cfg, "tolerances")
     bad = set(overrides) - set(Tolerances.__dataclass_fields__)
     if bad:
         raise ParseError(f"unknown tolerance keys {sorted(bad)}")
     return DEFAULT_TOLERANCES.with_(**overrides)
 
 
-def _kernel_from(cfg: dict) -> KernelSpec:
-    kc = _require(cfg, "kernel", dict)
+def kernel_from(cfg: dict) -> KernelSpec:
+    kc = require(cfg, "kernel", dict)
     try:
-        return KernelSpec(int(kc.get("n", 3)), float(_require(kc, "alpha")))
+        return KernelSpec(int(kc.get("n", 3)), float(require(kc, "alpha")))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid kernel spec: {exc}") from None
 
@@ -65,16 +66,15 @@ def _kernel_from(cfg: dict) -> KernelSpec:
 # plate keys and their types; an absent key takes the PlateSpec default
 _PLATE_KEYS = {"center": tuple, "radius": float, "axis": int, "level": float,
                "side": int, "truncation": float, "resolution_scale": float,
-               "growth": float, "stack_count": int, "count": int,
-               "backing": bool}
+               "stack_count": int, "count": int, "backing": bool}
 
 
 def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
     specs = []
-    for i, pc in enumerate(_require(cfg, "plates", list)):
+    for i, pc in enumerate(require(cfg, "plates", list)):
         if not isinstance(pc, dict):
             raise ParseError(f"plate {i} must be a mapping")
-        tag = _require(pc, "geometry", str)
+        tag = require(pc, "geometry", str)
         try:
             kw = {key: kind(pc[key]) for key, kind in _PLATE_KEYS.items()
                   if key in pc}
@@ -83,7 +83,7 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
             # Newtonian sweeps are carried by the boundary, so half-space
             # plates default to the boundary layer alone at alpha = 2
             kw.setdefault("backing", alpha < 2.0)
-            specs.append(PlateSpec(tag=tag, sign=int(_require(pc, "sign")),
+            specs.append(PlateSpec(tag=tag, sign=int(require(pc, "sign")),
                                    **kw))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"plate {i}: {exc}") from None
@@ -92,21 +92,21 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
 
 def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                      tol: Tolerances) -> Constraint:
-    entries = _require(cfg, "constraint", list)
+    entries = require(cfg, "constraint", list)
     if len(entries) != len(condenser.plates):
         raise ParseError("one constraint entry per plate required")
     caps = []
     for i, (ent, plate) in enumerate(zip(entries, condenser.plates)):
         if not isinstance(ent, dict):
             raise ParseError(f"constraint {i} must be a mapping")
-        mode = _require(ent, "mode", str)
+        mode = require(ent, "mode", str)
         if mode == "unbounded":
             caps.append(None)
         elif mode == "explicit":
-            w = np.asarray(_require(ent, "weights", list), dtype=float)
+            w = np.asarray(require(ent, "weights", list), dtype=float)
             caps.append(w)
         elif mode == "scaled_capacitary":
-            q = float(_require(ent, "q"))
+            q = float(require(ent, "q"))
             lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
                                          tolerances=tol)
             caps.append(q * lam.weights)
@@ -114,13 +114,10 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
             if plate.geometry_tag != "disk":
                 raise ParseError(f"constraint {i}: stacked_disks needs a disk "
                                  f"plate, not {plate.geometry_tag!r}")
-            count = int(_require(ent, "disk_count"))
             layers = plate.nodes.layer_index
             cap = np.zeros(len(plate.nodes))
-            for k in range(1, count + 1):
+            for k in range(1, int(layers.max()) + 2):
                 sel = np.flatnonzero(layers == k - 1)
-                if sel.size == 0:
-                    raise ParseError(f"plate {i} lacks disk layer {k - 1}")
                 # lambda_k is the equilibrium measure of disk k alone, on its
                 # own cells, untrimmed against the other disks and plates
                 disk = untrimmed_surface_cells(plate.nodes.subset(sel))
@@ -134,12 +131,12 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
 
 
 def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
-    fc = _optional_mapping(cfg, "field")
+    fc = optional_mapping(cfg, "field")
     case = fc.get("case", "zero")
     if case == "zero":
         return ExternalField.zero()
     if case == "node_values":
-        vals = _require(fc, "values", list)
+        vals = require(fc, "values", list)
         if len(vals) != len(condenser.plates):
             raise ParseError("one field value array per plate required")
         arrays = []
@@ -153,15 +150,23 @@ def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
     raise ParseError(f"unsupported field case {case!r} in configs")
 
 
+def _condenser_from(cfg: dict):
+    """Kernel, tolerances, condenser and top-level sizes of a config: the
+    part that problem and balayage configs share."""
+    tol = tolerances_from(cfg)
+    kernel = kernel_from(cfg)
+    sizes = {"resolution": float(cfg.get("resolution", 0.2)),
+             "truncation": float(cfg.get("truncation", 16.0))}
+    condenser = build_condenser(
+        _plate_specs_from(cfg, sizes["truncation"], kernel.alpha),
+        sizes["resolution"])
+    return kernel, tol, condenser, sizes
+
+
 def build_scenario(cfg: dict) -> Scenario:
     """Validated Scenario from a parsed config mapping."""
-    tol = _tolerances_from(cfg)
-    kernel = _kernel_from(cfg)
-    resolution = float(cfg.get("resolution", 0.2))
-    truncation = float(cfg.get("truncation", 16.0))
-    condenser = build_condenser(
-        _plate_specs_from(cfg, truncation, kernel.alpha), resolution)
-    totals = tuple(float(a) for a in _require(cfg, "totals", list))
+    kernel, tol, condenser, sizes = _condenser_from(cfg)
+    totals = tuple(float(a) for a in require(cfg, "totals", list))
     constraint = _constraint_from(cfg, condenser, kernel, tol)
     fieldspec = _field_from(cfg, condenser)
     try:
@@ -170,9 +175,25 @@ def build_scenario(cfg: dict) -> Scenario:
     except (ValueError,) as exc:
         raise ParseError(str(exc)) from None
     green = GreenContext(condenser.plates[-1].nodes, kernel)
-    meta = {"resolution": resolution, "truncation": truncation}
     return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
-                    green=green, meta=meta)
+                    green=green, meta=sizes)
+
+
+def build_balayage(cfg: dict):
+    """Source measure, exterior nodes, kernel and truncation radius of a
+    balayage config: one negative plate and a ``source`` block."""
+    kernel, _, condenser, sizes = _condenser_from(cfg)
+    if len(condenser.plates) != 1 or condenser.plates[0].sign != -1:
+        raise ParseError("balayage config needs exactly one negative plate")
+    src = require(cfg, "source", dict)
+    pos = np.asarray(require(src, "positions", list), dtype=float)
+    wts = np.asarray(require(src, "weights", list), dtype=float)
+    if pos.ndim != 2 or pos.shape[0] != wts.shape[0]:
+        raise ParseError("source positions/weights misaligned")
+    radius = float(src.get("cell_radius", sizes["resolution"] / 4.0))
+    mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
+                                 np.full(len(wts), radius)), wts)
+    return mu, condenser.plates[0].nodes, kernel, sizes["truncation"]
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +227,7 @@ def ex1_config(resolution: float = 0.18, radius: float = 1.0,
 
 
 def ex2_config(disk_count: int = 4, nodes_per_disk: int = 240,
-               plane_inner: float = 0.08, truncation: float = 48.0,
-               plane_growth: float = 1.3) -> dict:
+               plane_inner: float = 0.08, truncation: float = 48.0) -> dict:
     """Example two: positive plate = a stack of disks of radius k at height
     1/k, ``nodes_per_disk`` nodes each; negative plate = the boundary plane
     of the half-space x1 <= 0 (for the Newtonian order the swept measure is
@@ -220,10 +240,9 @@ def ex2_config(disk_count: int = 4, nodes_per_disk: int = 240,
         "plates": [{"geometry": "disk", "sign": 1, "radius": 1.0,
                     "stack_count": disk_count, "count": nodes_per_disk},
                    {"geometry": "half_space", "sign": -1,
-                    "growth": plane_growth, "backing": False}],
+                    "backing": False}],
         "totals": [1.0, 1.0],
-        "constraint": [{"mode": "stacked_disks", "disk_count": disk_count},
-                       {"mode": "unbounded"}],
+        "constraint": [{"mode": "stacked_disks"}, {"mode": "unbounded"}],
     }
 
 

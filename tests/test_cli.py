@@ -149,7 +149,7 @@ class TestErrorPaths:
                                                          capsys):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "scaled_capacitary", "q": 1.5},
-                             {"mode": "stacked_disks", "disk_count": 2}]
+                             {"mode": "stacked_disks"}]
         path = write_config(tmp_path, cfg)
         assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
@@ -272,7 +272,7 @@ class TestStackedDisks:
                  "level": 0.0, "side": -1},
             ],
             "totals": [1.0, 1.0],
-            "constraint": [{"mode": "stacked_disks", "disk_count": 2},
+            "constraint": [{"mode": "stacked_disks"},
                            {"mode": "unbounded"}],
         }
         path = write_config(tmp_path, cfg)

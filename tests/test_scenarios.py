@@ -10,7 +10,7 @@ import yaml
 from condenser.cli import main
 from condenser.errors import ParseError
 from condenser.kernel import KernelSpec, equilibrium_measure
-from condenser.model import disk_nodes, half_space_nodes
+from condenser.model import disk_nodes
 from condenser.scenarios import (EXAMPLES, build_scenario, example_two,
                                  ex2_config)
 
@@ -53,31 +53,20 @@ def test_stacked_disk_caps_use_each_disk_alone():
                                    rtol=1e-12, atol=0.0)
 
 
-def test_count_and_growth_are_honoured():
-    cfg = ex2_config(disk_count=2, nodes_per_disk=30, plane_inner=0.4,
-                     truncation=10.0, plane_growth=1.7)
-    sc = build_scenario(cfg)
-    disks, plane = sc.spec.condenser.plates
+def test_count_is_honoured():
+    # every disk of the stack gets `count` nodes, whatever its area
+    sc = build_scenario(ex2_config(disk_count=2, nodes_per_disk=30,
+                                   plane_inner=0.4, truncation=10.0))
+    disks = sc.spec.condenser.plates[0]
     assert np.bincount(disks.nodes.layer_index).tolist() == [30, 30]
-    graded = [len(half_space_nodes(0.0, -1, 10.0, 0.4, axis=0, growth=g,
-                                   backing=False)) for g in (1.7, 1.45)]
-    assert graded[0] != graded[1]
-    assert len(plane.nodes) == graded[0]
 
 
 @pytest.mark.parametrize("plate", [
-    {"geometry": "ball", "sign": 1, "radius": 1.0, "growth": 1.3},
     {"geometry": "ball", "sign": 1, "radius": 1.0, "count": 30},
     {"geometry": "disk", "sign": 1, "radius": 1.0, "count": 0},
 ])
-def test_plate_keys_on_the_wrong_geometry_are_rejected(plate):
+def test_count_off_a_disk_or_below_one_is_rejected(plate):
     cfg = ex2_config()
     cfg["plates"] = [plate, cfg["plates"][1]]
-    with pytest.raises(ParseError):
-        build_scenario(cfg)
-
-
-def test_growth_must_exceed_one():
-    cfg = ex2_config(plane_growth=1.0)
     with pytest.raises(ParseError):
         build_scenario(cfg)

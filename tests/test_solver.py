@@ -142,6 +142,25 @@ class TestSolveRiesz:
                                ex1.spec.kernel)
         assert ex1_riesz.energy == pytest.approx(ref, rel=1e-12)
 
+    def test_case2_energy_is_the_gauss_functional(self):
+        # the Newtonian sweep clips, so the swept field is not zero on the
+        # exterior (~1e-2 here) and the solve's objective, which drops it,
+        # is off by ~1e-9 relative
+        ball = ball_volume_nodes((0, 0, 0), 0.62, 0.3)
+        exterior = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
+        cond = Condenser((Plate(id=0, sign=1, nodes=ball),
+                          Plate(id=1, sign=-1, nodes=exterior)))
+        rng = np.random.default_rng(11)
+        zeta = DiscreteMeasure(ball, rng.random(len(ball)) * 0.3)
+        theta = GreenContext(exterior, K2).sweep_weights(zeta)
+        field = ExternalField.case2(
+            zeta, DiscreteMeasure(exterior, np.maximum(theta, 0.0)))
+        spec = ProblemSpec(cond, (1.0, 1.0), field, Constraint.unbounded(2),
+                           K2)
+        res = solve_riesz(spec)
+        ref = gauss_functional(res.solution, field, K2)
+        assert res.energy == pytest.approx(ref, rel=1e-12)
+
     def test_matches_fixed_step_reference(self):
         # independent reference: plain projected gradient, fixed 1/L step,
         # mass stacked on the first node initially
