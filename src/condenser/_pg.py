@@ -18,6 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InfeasibleError
+from .tolerances import Tolerances
+
+# projected BB steps taken from each accepted iterate before the acceptance test
+BURST = 48
 
 
 def project_capped_simplex(w, caps, total):
@@ -100,8 +104,6 @@ class PGResult:
     kkt_residual: float
     constants: np.ndarray          # per-plate multiplier estimates c_j
     trace: np.ndarray              # columns: iter, objective, step, kkt_residual
-    active_at_cap: list
-    active_at_zero: list
     matvecs: int = 0
 
 
@@ -145,13 +147,13 @@ def block_constants_and_kkt(W, w, caps, slices, totals, free_margin_rel):
     return consts, viol
 
 
-def minimize_quadratic(A, b, slices, totals, caps, *, tol_kkt=1e-6,
-                       tol_obj=1e-10, patience=20, max_iters=50_000,
-                       free_margin_rel=1e-8, seed=None, record_trace=True,
-                       burst=48):
+def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
+                       seed=None):
     """Projected-gradient/BB minimization of w'Aw + 2b'w over per-plate capped
-    simplexes.  Deterministic for a fixed seed.  Trace rows are accepted
-    iterates; their objective column is non-increasing."""
+    simplexes, stopped by the ``kkt``, ``obj_rel``, ``patience``,
+    ``max_iters`` and ``free_margin_rel`` entries of ``tol``.  Deterministic
+    for a fixed seed.  Trace rows are accepted iterates; their objective
+    column is non-increasing."""
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -195,20 +197,19 @@ def minimize_quadratic(A, b, slices, totals, caps, *, tol_kkt=1e-6,
     a_lo, a_hi = 1e-14 / diag_max, 1e14 / diag_max
 
     consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals,
-                                          free_margin_rel)
-    trace = [(0, q, 0.0, kkt)] if record_trace else []
+                                          tol.free_margin_rel)
+    trace = [(0, q, 0.0, kkt)]
     hist = [q]
-    converged = kkt < tol_kkt
+    converged = kkt < tol.kkt
     outer = 0
     use_bb1 = True
-    while not converged and outer < max_iters:
+    while not converged and outer < tol.max_iters:
         outer += 1
         # --- free BB burst from the current accepted iterate ---------------
         bw, bz, bq = w, z, q
         cw, cz, cq, cg = w, z, q, g
-        best_inner_kkt = kkt
         step_used = alpha
-        for _ in range(burst):
+        for _ in range(BURST):
             wt = project(cw - alpha * cg)
             qt, zt = q_of(wt)
             s = wt - cw
@@ -218,9 +219,7 @@ def minimize_quadratic(A, b, slices, totals, caps, *, tol_kkt=1e-6,
             if cq < bq:
                 bw, bz, bq = cw, cz, cq
             _, ikkt = block_constants_and_kkt(cg / 2.0, cw, caps, slices,
-                                              totals, free_margin_rel)
-            if ikkt < best_inner_kkt:
-                best_inner_kkt = ikkt
+                                              totals, tol.free_margin_rel)
             ss = float(s @ s)
             sy = float(s @ y)
             yy = float(y @ y)
@@ -228,7 +227,7 @@ def minimize_quadratic(A, b, slices, totals, caps, *, tol_kkt=1e-6,
                 anew = ss / sy if use_bb1 else sy / yy
                 use_bb1 = not use_bb1
                 alpha = min(max(anew, a_lo), a_hi)
-            if ikkt < tol_kkt and cq <= q:
+            if ikkt < tol.kkt and cq <= q:
                 bw, bz, bq = cw, cz, cq
                 break
             if cq > q + 10.0 * (abs(q) + 1.0):
@@ -254,22 +253,15 @@ def minimize_quadratic(A, b, slices, totals, caps, *, tol_kkt=1e-6,
                 step_used = lam * acons
             alpha = acons
         consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals,
-                                              free_margin_rel)
+                                              tol.free_margin_rel)
         hist.append(q)
-        if record_trace:
-            trace.append((outer, q, step_used, kkt))
-        if kkt < tol_kkt:
-            window = min(patience, len(hist) - 1)
-            if window == 0 or hist[-1 - window] - q <= tol_obj * max(1.0, abs(q)):
+        trace.append((outer, q, step_used, kkt))
+        if kkt < tol.kkt:
+            window = min(tol.patience, len(hist) - 1)
+            if window == 0 or \
+                    hist[-1 - window] - q <= tol.obj_rel * max(1.0, abs(q)):
                 converged = True
 
-    at_cap, at_zero = [], []
-    for j, sl in enumerate(slices):
-        margin = free_margin_rel * totals[j]
-        at_cap.append(np.flatnonzero(w[sl] >= caps[sl] - margin))
-        at_zero.append(np.flatnonzero(w[sl] <= margin))
-    tr = np.array(trace) if trace else np.zeros((0, 4))
     return PGResult(w=w, objective=q, converged=converged, iterations=outer,
-                    kkt_residual=kkt, constants=consts, trace=tr,
-                    active_at_cap=at_cap, active_at_zero=at_zero,
+                    kkt_residual=kkt, constants=consts, trace=np.array(trace),
                     matvecs=matvecs)

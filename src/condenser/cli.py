@@ -31,7 +31,8 @@ from .kernel import KernelSpec, equilibrium_measure
 from .model import (NodeSet, ball_volume_nodes, disk_nodes,
                     sphere_surface_nodes)
 from .scenarios import (Scenario, build_scenario, kernel_from,
-                        optional_mapping, require, tolerances_from)
+                        optional_mapping, positive_size, require,
+                        tolerances_from)
 from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope)
@@ -53,12 +54,12 @@ def load_config(path: str) -> dict:
 
 
 def _with_flags(cfg: dict, args) -> dict:
-    """The config with the global flags merged in: a nonzero --resolution
-    or --truncation replaces the top-level value, --tol-kkt and --max-iters
-    override the tolerance block."""
+    """The config with the global flags merged in: --resolution and
+    --truncation replace the top-level values, --tol-kkt and --max-iters
+    override the tolerance block; flags not given leave the config as is."""
     cfg = {**cfg, **{key: val for key, val in (
         ("resolution", args.resolution), ("truncation", args.truncation))
-        if val}}
+        if val is not None}}
     tol = {key: val for key, val in (("kkt", args.tol_kkt),
                                      ("max_iters", args.max_iters))
            if val is not None}
@@ -286,11 +287,11 @@ def cmd_capacity(args) -> dict:
     cfg = _with_flags(load_config(args.config), args)
     kernel = kernel_from(cfg)
     tol = tolerances_from(cfg)
-    resolution = float(cfg.get("resolution", 0.1))
+    resolution = positive_size(cfg, "resolution", 0.1)
     gc = require(cfg, "conductor", dict)
     tag = require(gc, "geometry", str)
     center = tuple(gc.get("center", (0.0, 0.0, 0.0)))
-    radius = float(gc.get("radius", 1.0))
+    radius = positive_size(gc, "radius", 1.0)
     if tag == "sphere":
         count = max(12, int(round(4 * math.pi * radius ** 2 / resolution ** 2)))
         nodes = sphere_surface_nodes(center, radius, count)
@@ -343,9 +344,9 @@ def cmd_sweep(args) -> dict:
     stages = [int(s) for s in cfg.get("stages", [1, 2, 3, 4, 5, 6])]
     kernel = KernelSpec(3, 2.0)
     ctx = scenarios.sweep_plane_context(
-        flat_radius=float(cfg.get("flat_radius", 8.0)),
-        cell=float(cfg.get("cell", 0.33)),
-        truncation=float(cfg.get("truncation", 30.0)))
+        flat_radius=positive_size(cfg, "flat_radius", 8.0),
+        cell=positive_size(cfg, "cell", 0.33),
+        truncation=positive_size(cfg, "truncation", 30.0))
     zeta = None
     if mode == "capped":
         zn = disk_nodes((1.0, 0.0, 0.0), 0.5, 80, axis=0)

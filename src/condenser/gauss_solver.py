@@ -4,11 +4,12 @@ between them, and the sigma variant with an explicit negative-plate cap."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._pg import PGResult
 from ._pg import minimize_quadratic, project_capped_simplex  # noqa: F401  (re-export)
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
@@ -108,8 +109,6 @@ class SolveResult:
     energy: float
     constants: np.ndarray
     trace: np.ndarray
-    active_at_cap: list
-    active_at_zero: list
     converged: bool
     kkt_residual: float
     iterations: int
@@ -117,8 +116,11 @@ class SolveResult:
     lift_mass_defect: Optional[float] = None
     balayage_residual: Optional[float] = None
 
-    def component_weights(self) -> list:
-        return [c.weights for c in self.solution.components]
+
+def _block_slices(sizes: Sequence[int]) -> list:
+    """Slices of consecutive blocks of the given sizes."""
+    ends = np.cumsum(sizes, dtype=int)
+    return [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
 
 
 def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
@@ -127,123 +129,94 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
     Coinciding nodes across different sets (shared by equally signed plates)
     contribute their self-energy; duplicates inside one set are rejected.
     """
-    sizes = [len(ns) for ns in nodesets]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    N = int(offsets[-1])
+    slices = _block_slices([len(ns) for ns in nodesets])
+    N = slices[-1].stop
     K = np.empty((N, N))
     for i, a in enumerate(nodesets):
         _require_distinct(a.positions, f"plate node set {i}")
-        for j, b in enumerate(nodesets):
-            if j < i:
-                continue
-            blk = _riesz_block(a.positions, b.positions, kernel,
-                               rho_q=b.cell_radii)
-            K[offsets[i]:offsets[i + 1], offsets[j]:offsets[j + 1]] = blk
+        for j in range(i, len(nodesets)):
+            blk = _riesz_block(a.positions, nodesets[j].positions, kernel,
+                               rho_q=nodesets[j].cell_radii)
+            K[slices[i], slices[j]] = blk
             if j > i:
-                K[offsets[j]:offsets[j + 1], offsets[i]:offsets[i + 1]] = blk.T
-    slices = [slice(int(offsets[i]), int(offsets[i + 1]))
-              for i in range(len(sizes))]
+                K[slices[j], slices[i]] = blk.T
     return K, slices
 
 
-def _frozen_caps_and_field(spec: ProblemSpec):
-    """Per-node caps and linear field term with +inf-field nodes frozen to
-    zero weight; feasibility is re-checked after freezing."""
+def _positive_caps_and_field(spec: ProblemSpec):
+    """Caps and linear field term of the positive plates, concatenated in
+    plate order.  The field is evaluated on every plate; nodes where it is
+    +inf are frozen to zero weight, and each plate's caps must still exceed
+    its mass after freezing."""
     plates = spec.condenser.plates
-    nodesets = [p.nodes for p in plates]
-    signs = [p.sign for p in plates]
-    fvals = spec.field.plate_values(nodesets, signs, spec.kernel)
+    fvals = spec.field.plate_values([p.nodes for p in plates],
+                                    spec.condenser.signs, spec.kernel)
     caps, bvals = [], []
-    for i, p in enumerate(plates):
-        c = spec.constraint.cap_array(i, len(p.nodes)).copy()
-        f = np.asarray(fvals[i], dtype=float).copy()
-        if p.sign > 0:
-            frozen = np.isposinf(f)
-            if np.any(frozen):
-                c[frozen] = 0.0
-                f[frozen] = 0.0
-            finite_total = c.sum()
-            if finite_total <= spec.totals[i]:
-                raise InfeasibleError(
-                    f"plate {i}: caps after freezing infinite-field nodes sum "
-                    f"to {finite_total:.6g} <= mass {spec.totals[i]:.6g}")
-        else:
-            # no field acts on the negative plate (f_p = 0 nearly everywhere)
-            f = np.zeros_like(f)
+    for i in spec.i_plus:
+        c = spec.constraint.cap_array(i, len(plates[i].nodes)).copy()
+        frozen = np.isposinf(fvals[i])
+        c[frozen] = 0.0
+        if c.sum() <= spec.totals[i]:
+            raise InfeasibleError(
+                f"plate {i}: caps after freezing infinite-field nodes sum "
+                f"to {c.sum():.6g} <= mass {spec.totals[i]:.6g}")
         caps.append(c)
-        bvals.append(f)
+        bvals.append(np.where(frozen, 0.0, fvals[i]))
     return np.concatenate(caps), np.concatenate(bvals)
+
+
+def _solve_result(res: PGResult, solution: VectorMeasure, energy: float,
+                  constants: np.ndarray, seed: Optional[int]) -> SolveResult:
+    """SolveResult of a solution built from the solver output ``res``."""
+    return SolveResult(solution=solution, energy=energy, constants=constants,
+                       trace=res.trace, converged=res.converged,
+                       kkt_residual=res.kkt_residual,
+                       iterations=res.iterations, seed=seed)
 
 
 def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
     """Minimize the Gauss functional over capped vector measures with the
     prescribed per-plate masses (full Riesz formulation on R^n)."""
-    tol = spec.tolerances
     plates = spec.condenser.plates
-    nodesets = [p.nodes for p in plates]
-    K, slices = joint_kernel_matrix(nodesets, spec.kernel)
+    K, slices = joint_kernel_matrix([p.nodes for p in plates], spec.kernel)
     s = np.concatenate([np.full(len(p.nodes), float(p.sign)) for p in plates])
     # fold the plate signs into K in place (exact: every factor is +-1)
     K *= s[:, None]
     K *= s[None, :]
-    caps, b = _frozen_caps_and_field(spec)
-    res = minimize_quadratic(
-        K, b, slices, list(spec.totals), caps,
-        tol_kkt=tol.kkt, tol_obj=tol.obj_rel, patience=tol.patience,
-        max_iters=tol.max_iters, free_margin_rel=tol.free_margin_rel, seed=seed)
-    weights = [res.w[sl] for sl in slices]
-    solution = VectorMeasure.from_weights(spec.condenser, weights)
+    caps, b = _positive_caps_and_field(spec)
+    # no field acts on the negative plate (f_p = 0 nearly everywhere)
+    m = len(plates[spec.p_index].nodes)
+    caps = np.concatenate([caps, spec.constraint.cap_array(spec.p_index, m)])
+    b = np.concatenate([b, np.zeros(m)])
+    res = minimize_quadratic(K, b, slices, spec.totals, caps, spec.tolerances,
+                             seed=seed)
+    solution = VectorMeasure.from_weights(spec.condenser,
+                                          [res.w[sl] for sl in slices])
     # the objective w'Aw + 2b'w is the Gauss functional of the solution when
     # the field vanishes on the negative plates, as zero and Case I fields
     # do; a Case II field vanishes there only up to the discrete sweep
     energy = res.objective if spec.field.case != "case2" else \
         gauss_functional(solution, spec.field, spec.kernel)
-    return SolveResult(solution=solution, energy=energy,
-                       constants=res.constants[:-1], trace=res.trace,
-                       active_at_cap=res.active_at_cap,
-                       active_at_zero=res.active_at_zero,
-                       converged=res.converged, kkt_residual=res.kkt_residual,
-                       iterations=res.iterations, seed=seed)
+    return _solve_result(res, solution, energy, res.constants[:-1], seed)
 
 
 def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
                         seed: Optional[int] = None) -> SolveResult:
     """Minimize the reduced Green-kernel functional over the positive plates
     only; same convergence contract as the full solve."""
-    tol = spec.tolerances
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
     nodesets = [p.nodes for p in plates]
     merged, idx = _merge_positive(nodesets)
-    G, asym = green.green_matrix(merged)
-    sizes = [len(ns) for ns in nodesets]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    A = G[np.ix_(idx, idx)]
-    slices = [slice(int(offsets[i]), int(offsets[i + 1]))
-              for i in range(len(sizes))]
-    fvals = spec.field.plate_values(nodesets, [1] * len(plates), spec.kernel)
-    caps = np.concatenate([
-        spec.constraint.cap_array(i, len(p.nodes)).copy()
-        for i, p in zip(spec.i_plus, plates)])
-    b = np.concatenate([np.where(np.isposinf(f), 0.0, f) for f in fvals])
-    frozen = np.concatenate([np.isposinf(f) for f in fvals])
-    caps[frozen] = 0.0
-    totals = [spec.totals[i] for i in spec.i_plus]
-    for j, sl in enumerate(slices):
-        if caps[sl].sum() <= totals[j]:
-            raise InfeasibleError(f"positive plate {j}: infeasible after freeze")
-    res = minimize_quadratic(
-        A, b, slices, totals, caps,
-        tol_kkt=tol.kkt, tol_obj=tol.obj_rel, patience=tol.patience,
-        max_iters=tol.max_iters, free_margin_rel=tol.free_margin_rel, seed=seed)
+    G, _ = green.green_matrix(merged)
+    slices = _block_slices([len(ns) for ns in nodesets])
+    caps, b = _positive_caps_and_field(spec)
+    res = minimize_quadratic(G[np.ix_(idx, idx)], b, slices,
+                             [spec.totals[i] for i in spec.i_plus], caps,
+                             spec.tolerances, seed=seed)
     comps = [DiscreteMeasure(p.nodes, res.w[sl], plate_id=p.id)
              for p, sl in zip(plates, slices)]
     solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
-    return SolveResult(solution=solution, energy=res.objective,
-                       constants=res.constants, trace=res.trace,
-                       active_at_cap=res.active_at_cap,
-                       active_at_zero=res.active_at_zero,
-                       converged=res.converged, kkt_residual=res.kkt_residual,
-                       iterations=res.iterations, seed=seed)
+    return _solve_result(res, solution, res.objective, res.constants, seed)
 
 
 def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:
@@ -281,17 +254,9 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
     solution = VectorMeasure(tuple(comps_full), spec.condenser.signs)
     energy = gauss_functional(solution, spec.field, spec.kernel)
     defect = abs(bres.swept.total_mass - spec.totals[spec.p_index])
-    return SolveResult(solution=solution, energy=energy,
-                       constants=green_result.constants,
-                       trace=green_result.trace,
-                       active_at_cap=green_result.active_at_cap,
-                       active_at_zero=green_result.active_at_zero,
-                       converged=green_result.converged,
-                       kkt_residual=green_result.kkt_residual,
-                       iterations=green_result.iterations,
-                       seed=green_result.seed,
-                       lift_mass_defect=defect,
-                       balayage_residual=bres.potential_residual)
+    return replace(green_result, solution=solution, energy=energy,
+                   lift_mass_defect=defect,
+                   balayage_residual=bres.potential_residual)
 
 
 def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:

@@ -214,11 +214,8 @@ def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
         raise ValueError("total mass must be > 0")
     km = matrix if matrix is not None else assemble_matrix(nodes, kernel)
     m = km.size
-    res = minimize_quadratic(
-        km.entries, None, [slice(0, m)], [total], np.full(m, np.inf),
-        tol_kkt=tolerances.kkt, tol_obj=tolerances.obj_rel,
-        patience=tolerances.patience, max_iters=tolerances.max_iters,
-        free_margin_rel=tolerances.free_margin_rel, record_trace=False)
+    res = minimize_quadratic(km.entries, None, [slice(0, m)], [total],
+                             np.full(m, np.inf), tolerances)
     if not res.converged:
         raise SolverDivergence(
             f"equilibrium solve stalled at KKT residual {res.kkt_residual:.3e}")

@@ -174,10 +174,6 @@ class Condenser:
         return tuple(i for i, p in enumerate(self.plates) if p.sign > 0)
 
     @property
-    def i_minus(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.plates) if p.sign < 0)
-
-    @property
     def signs(self) -> tuple:
         return tuple(p.sign for p in self.plates)
 
@@ -275,9 +271,6 @@ class DiscreteMeasure:
     @property
     def total_mass(self) -> float:
         return float(self.weights.sum())
-
-    def scaled(self, factor: float) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.nodes, self.weights * factor, self.plate_id)
 
 
 @dataclass(frozen=True)
@@ -383,7 +376,7 @@ def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
     Computed on the merged atom set of the two resultants; equals the
     sign-matrix expansion over components up to floating error.
     """
-    from . import kernel as _kernel  # deferred: kernel module builds matrices
+    from . import kernel as _kernel  # deferred: kernel imports this module
 
     if not mu.aligned_with(nu):
         raise AlignmentError("measures live on different condensers")
@@ -392,12 +385,7 @@ def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
     delta = _merged_signed(np.vstack([rmu.positions, rnu.positions]),
                            np.concatenate([rmu.weights, -rnu.weights]),
                            np.concatenate([rmu.cell_radii, rnu.cell_radii]))
-    if len(delta) == 0:
-        return 0.0
-    nodes = NodeSet(delta.positions, np.ones(len(delta)), delta.cell_radii)
-    km = _kernel.assemble_matrix(nodes, kernel)
-    d = delta.weights
-    return math.sqrt(max(float(d @ km.entries @ d), 0.0))
+    return math.sqrt(max(_kernel.mutual_energy(delta, delta, kernel), 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -422,13 +410,12 @@ def ball_volume_nodes(center, radius, h, n=3, layer=0):
     return NodeSet(pts, w, rho, np.full(m, layer, dtype=int))
 
 
-def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0, thickness=None):
+def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0):
     """Equal-area spiral-lattice layout on a sphere in R^3.
 
     One node per equal-height latitude slice (area exactly 4*pi*r^2/count),
     longitudes advanced by the golden angle: locally near-isotropic cells
-    without band artifacts.  With ``thickness`` given, weights become volumes
-    (area x thickness) and cell radii switch to the volume calibration.
+    without band artifacts.
     """
     if count < 1 or radius <= 0:
         return NodeSet(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
@@ -441,12 +428,8 @@ def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0, thickness
     pts = pts * radius + center
     m = pts.shape[0]
     area = 4.0 * math.pi * radius ** 2 / count
-    if thickness is None:
-        w = np.full(m, area)
-        rho_c = np.full(m, SURFACE_CELL_RADIUS_FACTOR * math.sqrt(area))
-    else:
-        w = np.full(m, area * thickness)
-        rho_c = np.full(m, VOLUME_CELL_RADIUS_FACTOR * min(math.sqrt(area), thickness))
+    w = np.full(m, area)
+    rho_c = np.full(m, SURFACE_CELL_RADIUS_FACTOR * math.sqrt(area))
     return NodeSet(pts, w, rho_c, np.full(m, layer, dtype=int))
 
 

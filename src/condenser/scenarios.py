@@ -47,6 +47,18 @@ def optional_mapping(cfg: dict, key: str) -> dict:
     return val
 
 
+def positive_size(cfg: dict, key: str, default: float) -> float:
+    """The config's ``key`` as a float, ``default`` when absent; it must be
+    a number greater than zero."""
+    try:
+        val = float(cfg.get(key, default))
+    except (ValueError, TypeError):
+        raise ParseError(f"config key {key!r} must be a number") from None
+    if not val > 0.0:
+        raise ParseError(f"config key {key!r} must be > 0, got {val}")
+    return val
+
+
 def tolerances_from(cfg: dict) -> Tolerances:
     overrides = optional_mapping(cfg, "tolerances")
     bad = set(overrides) - set(Tolerances.__dataclass_fields__)
@@ -75,6 +87,9 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
         if not isinstance(pc, dict):
             raise ParseError(f"plate {i} must be a mapping")
         tag = require(pc, "geometry", str)
+        bad = set(pc) - set(_PLATE_KEYS) - {"geometry", "sign"}
+        if bad:
+            raise ParseError(f"plate {i}: unknown plate keys {sorted(bad)}")
         try:
             kw = {key: kind(pc[key]) for key, kind in _PLATE_KEYS.items()
                   if key in pc}
@@ -155,8 +170,8 @@ def _condenser_from(cfg: dict):
     part that problem and balayage configs share."""
     tol = tolerances_from(cfg)
     kernel = kernel_from(cfg)
-    sizes = {"resolution": float(cfg.get("resolution", 0.2)),
-             "truncation": float(cfg.get("truncation", 16.0))}
+    sizes = {"resolution": positive_size(cfg, "resolution", 0.2),
+             "truncation": positive_size(cfg, "truncation", 16.0)}
     condenser = build_condenser(
         _plate_specs_from(cfg, sizes["truncation"], kernel.alpha),
         sizes["resolution"])

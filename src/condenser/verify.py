@@ -14,11 +14,10 @@ from ._pg import plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
-from .kernel import (KernelMatrix, KernelSpec, assemble_matrix,
-                     equilibrium_measure, potential, vector_potential)
-from .model import (DiscreteMeasure, NodeSet, VectorMeasure, disk_nodes,
-                    resultant, row_blocks, semimetric_distance,
-                    squared_distances)
+from .kernel import (KernelMatrix, KernelSpec, equilibrium_measure,
+                     mutual_energy, potential, vector_potential)
+from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
+                    row_blocks, semimetric_distance, squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -224,19 +223,17 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
                           checks={"identity": False, "level": False,
                                   "bound": False, "support": False})
     lam = resultant(sol, spec.condenser)
-    rep = kkt_report(result, spec)
-    c1 = float(rep.constants[0])
-    norm = max(1.0, abs(c1))
-
     plate1 = spec.condenser.plates[0]
     plate_p = spec.condenser.plates[1]
     caps = spec.constraint.cap_array(0, len(plate1.nodes))
     w1 = sol.components[0].weights
-    margin = tol.free_margin_rel * spec.totals[0]
+    pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
+    c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0],
+                                      tol.free_margin_rel)
+    norm = max(1.0, abs(c1))
 
     # (ii) potential at the constant on cap-slack nodes
-    below = w1 < caps - margin
-    pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
+    below = w1 < caps - tol.free_margin_rel * spec.totals[0]
     level_res = float(np.abs(pot_nodes[below] - c1).max()) / norm \
         if np.any(below) else 0.0
 
@@ -390,9 +387,7 @@ def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
     dist = semimetric_distance(riesz_result.solution, lifted_result.solution,
                                spec.condenser, spec.kernel)
     r = resultant(riesz_result.solution, spec.condenser)
-    km = assemble_matrix(NodeSet(r.positions, np.ones(len(r)), r.cell_radii),
-                         spec.kernel)
-    scale = math.sqrt(max(float(r.weights @ km.entries @ r.weights), 1e-300))
+    scale = math.sqrt(max(mutual_energy(r, r, spec.kernel), 1e-300))
     return {
         "energy_gap_rel": gap,
         "lift_energy_gap_rel": lift_gap,

@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 import yaml
 
 from condenser.cli import main
@@ -154,6 +155,38 @@ class TestErrorPaths:
         assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
 
+    def test_unknown_plate_key_exit_2(self, tmp_path, capsys):
+        cfg = dict(BALL_CONFIG)
+        cfg["plates"] = [BALL_CONFIG["plates"][0],
+                         dict(BALL_CONFIG["plates"][1], grwoth=0.5)]
+        path = write_config(tmp_path, cfg)
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR Parse") and "grwoth" in err
+
+    @pytest.mark.parametrize("key", ["resolution", "truncation"])
+    def test_nonpositive_size_in_config_exit_2(self, tmp_path, capsys, key):
+        path = write_config(tmp_path, dict(BALL_CONFIG, **{key: 0}))
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
+    @pytest.mark.parametrize("flag", ["--resolution", "--truncation"])
+    def test_zero_size_flag_exit_2(self, tmp_path, capsys, flag):
+        path = write_config(tmp_path, BALL_CONFIG)
+        rc = main(["--out-dir", str(tmp_path / "o"), flag, "0", "solve", path])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
+    @pytest.mark.parametrize("command, cfg", [
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0},
+                      "conductor": {"geometry": "sphere", "radius": 0}}),
+        ("sweep", {"mode": "uncapped", "stages": [1, 2], "cell": 0}),
+    ], ids=["capacity", "sweep"])
+    def test_zero_layout_size_exit_2(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        assert main(["--out-dir", str(tmp_path / "o"), command, path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
@@ -165,35 +198,53 @@ class TestErrorPaths:
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
 
+def node_value_config():
+    """Toy ball/complement config whose field is given per node, with an
+    "inf" (frozen) first node of the ball."""
+    cfg = {
+        "kernel": {"n": 3, "alpha": 2.0},
+        "resolution": 0.5,
+        "truncation": 6.0,
+        "plates": [
+            {"geometry": "ball", "sign": 1, "radius": 1.0},
+            {"geometry": "ball_complement", "sign": -1, "radius": 1.0},
+        ],
+        "totals": [1.0, 1.0],
+        "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}],
+    }
+    from condenser.model import ball_volume_nodes
+    n0 = len(ball_volume_nodes((0, 0, 0), 1.0, 0.5))
+    vals = [0.0] * n0
+    vals[0] = "inf"
+    # negative-plate values must be zero; count its nodes via a dry build
+    from condenser.model import ball_complement_nodes
+    n1 = len(ball_complement_nodes((0, 0, 0), 1.0, 6.0, 0.5))
+    cfg["field"] = {"case": "node_values", "values": [vals, [0.0] * n1]}
+    return cfg
+
+
+def first_atom_weight(out_dir):
+    with open(os.path.join(out_dir, "atoms.csv")) as fh:
+        fh.readline()
+        return float(fh.readline().split(",")[4])
+
+
 class TestNodeValueField:
     def test_infinite_entries_freeze_nodes(self, tmp_path):
         # field values given per node; "inf" freezes a node to zero weight
-        cfg = {
-            "kernel": {"n": 3, "alpha": 2.0},
-            "resolution": 0.5,
-            "truncation": 6.0,
-            "plates": [
-                {"geometry": "ball", "sign": 1, "radius": 1.0},
-                {"geometry": "ball_complement", "sign": -1, "radius": 1.0},
-            ],
-            "totals": [1.0, 1.0],
-            "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}],
-        }
-        from condenser.model import ball_volume_nodes
-        n0 = len(ball_volume_nodes((0, 0, 0), 1.0, 0.5))
-        vals = [0.0] * n0
-        vals[0] = "inf"
-        # negative-plate values must be zero; count its nodes via a dry build
-        from condenser.model import ball_complement_nodes
-        n1 = len(ball_complement_nodes((0, 0, 0), 1.0, 6.0, 0.5))
-        cfg["field"] = {"case": "node_values", "values": [vals, [0.0] * n1]}
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, node_value_config())
         out = str(tmp_path / "out")
         assert main(["--out-dir", out, "solve", path]) == 0
-        with open(os.path.join(out, "atoms.csv")) as fh:
-            fh.readline()
-            first = fh.readline().split(",")
-        assert float(first[4]) == 0.0  # frozen node carries no weight
+        assert first_atom_weight(out) == 0.0  # frozen node carries no weight
+
+    @pytest.mark.parametrize("command", ["solve-green", "verify"])
+    def test_reduced_and_verify_pipelines_freeze_nodes(self, tmp_path,
+                                                       command):
+        path = write_config(tmp_path, node_value_config())
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, command, path]) == 0
+        assert first_atom_weight(out) == 0.0
+        assert_numerics_finite_or_inf(read_report(out))
 
 
 class TestCapacity:

@@ -72,8 +72,7 @@ class TestKKTReport:
             spec.condenser, [w, res.solution.components[1].weights])
         perturbed = type(res)(
             solution=bad, energy=res.energy, constants=res.constants,
-            trace=res.trace, active_at_cap=res.active_at_cap,
-            active_at_zero=res.active_at_zero, converged=True,
+            trace=res.trace, converged=True,
             kkt_residual=res.kkt_residual, iterations=res.iterations)
         rep = kkt_report(perturbed, spec)
         assert not rep.kkt_pass
@@ -143,7 +142,6 @@ class TestZoneChecks:
         from condenser.gauss_solver import SolveResult
         fake = SolveResult(solution=zero, energy=0.0,
                            constants=np.zeros(1), trace=np.zeros((0, 4)),
-                           active_at_cap=[], active_at_zero=[],
                            converged=False, kkt_residual=1.0, iterations=0)
         rep = scalar_zone_checks(fake, ex1.spec, ex1.green)
         assert not rep.overall_pass
