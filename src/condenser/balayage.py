@@ -161,14 +161,11 @@ class GreenContext:
         G = kdd - 0.5 * (cross + cross.T)
         return G, asym / scale
 
-    def green_potential(self, mu, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        if isinstance(mu, DiscreteMeasure):
-            theta = self.sweep_weights(mu)
-        else:
-            raise UnsupportedKernel("green potentials support DiscreteMeasure")
-        swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
-        return potential(mu, pts, self.riesz) - potential(swept, pts, self.riesz)
+    def green_potential(self, mu: DiscreteMeasure, points) -> np.ndarray:
+        swept = DiscreteMeasure(self.exterior,
+                                np.maximum(self.sweep_weights(mu), 0.0))
+        return potential(mu, points, self.riesz) - \
+            potential(swept, points, self.riesz)
 
     def green_mutual_energy(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
         """g(mu, nu) = kappa(mu, nu) - sym[kappa(mu', nu)]."""
@@ -179,31 +176,22 @@ class GreenContext:
         c2 = float(tnu @ pmu)
         return direct - 0.5 * (c1 + c2)
 
-    def green_eval(self, x, y, cell_radius: Optional[float] = None) -> float:
+    def green_eval(self, x, y) -> float:
+        """g(x, y); the unit mass at y gets the smallest exterior cell radius."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if np.array_equal(x, y):
             return math.inf
-        rho = cell_radius if cell_radius is not None else _default_probe_radius(self)
+        rho = float(np.min(self.exterior.cell_radii))
         _, theta, _ = self.sweep_columns(NodeSet(y[None, :], [1.0], [rho]))
         swept = DiscreteMeasure(self.exterior, np.maximum(theta[:, 0], 0.0))
         kxy = riesz_eval(x, y, self.riesz)
         return kxy - float(potential(swept, x[None, :], self.riesz)[0])
 
 
-def _default_probe_radius(ctx: GreenContext) -> float:
-    return float(np.min(ctx.exterior.cell_radii))
-
-
-def balayage_project(mu: DiscreteMeasure, exterior,
-                     kernel: KernelSpec) -> BalayageResult:
-    """Sweep mu onto the exterior node set: the energy-norm projection onto
-    the cone of nonnegative measures carried by it.
-
-    ``exterior`` is a NodeSet or an existing GreenContext (reused factors).
-    """
-    ctx = exterior if isinstance(exterior, GreenContext) else \
-        GreenContext(exterior, kernel)
+def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
+    """Sweep mu onto the context's exterior node set: the energy-norm
+    projection onto the cone of nonnegative measures carried by it."""
     pot_mu, theta = ctx._potential_and_sweep(mu)   # pot_mu = kappa(., mu)
     clipped = int(np.sum(theta <= 0.0))
     theta = np.maximum(theta, 0.0)
@@ -252,15 +240,14 @@ def balayage_oracle_halfspace(y, plane_nodes: NodeSet, kernel: KernelSpec,
     return DiscreteMeasure(plane_nodes, density * plane_nodes.quad_weights)
 
 
-def green_energy_identity_check(mu: DiscreteMeasure, domain: GreenContext,
-                                kernel: KernelSpec) -> dict:
+def green_energy_identity_check(mu: DiscreteMeasure, ctx: GreenContext) -> dict:
     """Evaluate ||mu||_g^2, ||mu - mu'||_alpha^2 and ||mu||_alpha^2 - ||mu'||_alpha^2
     independently and report their pairwise relative deviations."""
-    res = balayage_project(mu, domain, kernel)
-    green_sq = domain.green_mutual_energy(mu, mu)
+    res = balayage_project(mu, ctx)
+    green_sq = ctx.green_mutual_energy(mu, mu)
     gap_sq = res.projection_gap ** 2
-    e_mu = mutual_energy(mu, mu, domain.riesz)
-    e_sw = mutual_energy(res.swept, res.swept, domain.riesz)
+    e_mu = mutual_energy(mu, mu, ctx.riesz)
+    e_sw = mutual_energy(res.swept, res.swept, ctx.riesz)
     diff_sq = e_mu - e_sw
     vals = np.array([green_sq, gap_sq, diff_sq])
     scale = max(float(np.abs(vals).max()), 1e-300)
@@ -279,21 +266,20 @@ def green_energy_identity_check(mu: DiscreteMeasure, domain: GreenContext,
     }
 
 
-def mass_conservation_probe(exterior_factory: Callable[[float], NodeSet],
-                            sources: DiscreteMeasure, radii: Sequence[float],
-                            kernel: KernelSpec) -> list:
-    """Sweep the sources onto exteriors truncated at each radius and tabulate
-    the mass ratios.  Non-thin complements drive the ratio toward one."""
+def mass_conservation_probe(context_factory: Callable[[float], GreenContext],
+                            sources: DiscreteMeasure,
+                            radii: Sequence[float]) -> list:
+    """Sweep the sources onto the contexts of exteriors truncated at each
+    radius and tabulate the mass ratios.  Non-thin complements drive the
+    ratio toward one."""
     table = []
     for r in radii:
-        exterior = exterior_factory(float(r))
-        res = balayage_project(sources, exterior, kernel)
-        count = len(exterior.exterior) if isinstance(exterior, GreenContext) \
-            else len(exterior)
+        ctx = context_factory(float(r))
+        res = balayage_project(sources, ctx)
         table.append({
             "truncation": float(r),
             "mass_ratio": res.mass_ratio,
             "potential_residual": res.potential_residual,
-            "exterior_nodes": count,
+            "exterior_nodes": len(ctx.exterior),
         })
     return table

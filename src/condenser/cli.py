@@ -22,20 +22,20 @@ import numpy as np
 import yaml
 
 from . import scenarios
-from .balayage import balayage_project
+from .balayage import GreenContext, balayage_project
 from .errors import (CondenserError, InfeasibleError, NonConvergedError,
                      ParseError, SigmaDominationError, SolverDivergence)
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import KernelSpec, equilibrium_measure
-from .model import (NodeSet, ball_volume_nodes, disk_nodes,
-                    sphere_surface_nodes)
+from .model import ball_volume_nodes, disk_nodes, sphere_surface_nodes
 from .scenarios import (Scenario, build_scenario, kernel_from,
                         optional_mapping, positive_size, require,
                         tolerances_from)
 from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
-                     equivalence_check, unsolvability_sweep, loglog_slope)
+                     equivalence_check, unsolvability_sweep, loglog_slope,
+                     zone_checks_apply)
 
 REPORT_SCHEMA = 1
 
@@ -103,40 +103,38 @@ class ReportBuilder:
         return "\n".join(self.lines) + "\n"
 
 
-def _atoms_csv(spec: ProblemSpec, result: Optional[SolveResult]) -> str:
-    dim = spec.condenser.dim
+def _csv(header, rows) -> str:
+    """CSV text: the header line, then one line per row, cells through
+    ``_fmt``."""
     buf = io.StringIO()
     wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["plate"] + [f"x{i + 1}" for i in range(dim)] + ["weight", "cap"])
-    for i, plate in enumerate(spec.condenser.plates):
-        caps = spec.constraint.cap_array(i, len(plate.nodes))
-        w = result.solution.components[i].weights if result is not None \
-            else np.zeros(len(plate.nodes))
-        for k in range(len(plate.nodes)):
-            row = [i] + [_fmt(float(x)) for x in plate.nodes.positions[k]]
-            row += [_fmt(float(w[k])), _fmt(float(caps[k]))]
-            wr.writerow(row)
+    wr.writerow(header)
+    wr.writerows([_fmt(v) for v in row] for row in rows)
     return buf.getvalue()
 
 
-def _measure_csv(nodes: NodeSet, weights: np.ndarray) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    dim = nodes.dim
-    wr.writerow(["plate"] + [f"x{i + 1}" for i in range(dim)] + ["weight", "cap"])
-    for k in range(len(nodes)):
-        wr.writerow([0] + [_fmt(float(x)) for x in nodes.positions[k]] +
-                    [_fmt(float(weights[k])), "inf"])
-    return buf.getvalue()
+def _atoms_csv(measures, caps) -> str:
+    """atoms.csv of one measure per plate, in plate order, and each plate's
+    cap weights (None: uncapped)."""
+    dim = measures[0].nodes.dim
+    header = ["plate"] + [f"x{i + 1}" for i in range(dim)] + ["weight", "cap"]
+    rows = []
+    for i, (mu, cap) in enumerate(zip(measures, caps)):
+        cap = np.full(len(mu.weights), np.inf) if cap is None else cap
+        rows += ([i, *map(float, x), float(w), float(c)]
+                 for x, w, c in zip(mu.nodes.positions, mu.weights, cap))
+    return _csv(header, rows)
 
 
-def _trace_csv(result: SolveResult) -> str:
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(["iter", "objective", "step", "kkt_residual"])
-    for row in result.trace:
-        wr.writerow([int(row[0])] + [_fmt(float(x)) for x in row[1:]])
-    return buf.getvalue()
+def _solve_files(rep: ReportBuilder, spec: ProblemSpec, atoms: SolveResult,
+                 trace: SolveResult) -> dict:
+    """The report, the atoms of ``atoms`` and the iterates of ``trace``."""
+    return {"report.txt": rep.text(),
+            "atoms.csv": _atoms_csv(atoms.solution.components,
+                                    spec.constraint.caps),
+            "trace.csv": _csv(["iter", "objective", "step", "kkt_residual"],
+                              ([int(row[0]), *map(float, row[1:])]
+                               for row in trace.trace))}
 
 
 def _emit(out_dir: str, files: dict):
@@ -146,14 +144,12 @@ def _emit(out_dir: str, files: dict):
             fh.write(content)
 
 
-def _solver_section(rep: ReportBuilder, result: SolveResult, spec: ProblemSpec,
+def _solver_section(rep: ReportBuilder, result: SolveResult,
                     prefix: str = "solver"):
     rep.section(prefix)
-    rep.add(f"{prefix}.energy", result.energy)
-    rep.add(f"{prefix}.converged", result.converged)
-    rep.add(f"{prefix}.iterations", result.iterations)
-    rep.add(f"{prefix}.kkt_residual", result.kkt_residual)
-    rep.add(f"{prefix}.constants", result.constants)
+    for name in ("energy", "converged", "iterations", "kkt_residual",
+                 "constants"):
+        rep.add(f"{prefix}.{name}", getattr(result, name))
     if result.seed is not None:
         rep.add(f"{prefix}.seed", result.seed)
     for i, comp in enumerate(result.solution.components):
@@ -186,29 +182,22 @@ def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict,
 
 
 def _verify_sections(rep: ReportBuilder, result, spec, green, lift,
-                     green_result, zone_seed=3):
+                     green_result):
     krep = kkt_report(result, spec)
     rep.section("kkt")
-    rep.add("kkt.constants", krep.constants)
-    rep.add("kkt.lower_violation", krep.lower_violation)
-    rep.add("kkt.upper_violation", krep.upper_violation)
-    rep.add("kkt.plate_p_stationarity", krep.plate_p_stationarity)
-    rep.add("kkt.plate_p_level", krep.plate_p_level)
-    rep.add("kkt.plate_p_excluded", krep.plate_p_excluded)
-    rep.add("kkt.tol_kkt", krep.tol_kkt)
-    rep.add("kkt.tol_potential", krep.tol_potential)
+    for name in ("constants", "lower_violation", "upper_violation",
+                 "plate_p_stationarity", "plate_p_level", "plate_p_excluded",
+                 "tol_kkt", "tol_potential"):
+        rep.add(f"kkt.{name}", getattr(krep, name))
     rep.add("kkt.pass", krep.overall_pass)
-    if len(spec.condenser.plates) == 2 and spec.field.case == "zero" \
-            and spec.totals[0] == 1.0:
-        zrep = scalar_zone_checks(result, spec, green, seed=zone_seed)
+    if zone_checks_apply(spec):
+        # every run draws the same probes
+        zrep = scalar_zone_checks(result, spec, green, seed=3)
         rep.section("zone")
-        rep.add("zone.c1", zrep.c1)
-        rep.add("zone.identity_residual", zrep.identity_residual)
-        rep.add("zone.level_residual", zrep.level_residual)
-        rep.add("zone.bound_residual", zrep.bound_residual)
-        rep.add("zone.support_failures", zrep.support_failures)
-        rep.add("zone.probes_used", zrep.probes_used)
-        rep.add("zone.probes_excluded", zrep.probes_excluded)
+        for name in ("c1", "identity_residual", "level_residual",
+                     "bound_residual", "support_failures", "probes_used",
+                     "probes_excluded"):
+            rep.add(f"zone.{name}", getattr(zrep, name))
         rep.add("zone.tolerance", zrep.tol)
         for name, ok in zrep.checks.items():
             rep.add(f"zone.check.{name}", ok)
@@ -244,13 +233,12 @@ def cmd_solve(args) -> dict:
     result = _converged(solve_riesz(spec, seed=args.seed))
     rep = ReportBuilder(sc.name)
     _config_section(rep, spec, sc.meta, args.seed)
-    _solver_section(rep, result, spec)
+    _solver_section(rep, result)
     kkt = kkt_report(result, spec)
     rep.section("kkt")
     rep.add("kkt.pass", kkt.overall_pass)
     rep.add("kkt.max_violation", kkt.max_violation)
-    return {"report.txt": rep.text(), "atoms.csv": _atoms_csv(spec, result),
-            "trace.csv": _trace_csv(result)}
+    return _solve_files(rep, spec, result, result)
 
 
 def cmd_solve_green(args) -> dict:
@@ -260,27 +248,24 @@ def cmd_solve_green(args) -> dict:
     lift = lift_green_to_riesz(result, spec, green)
     rep = ReportBuilder(sc.name)
     _config_section(rep, spec, sc.meta, args.seed)
-    _solver_section(rep, result, spec, prefix="green")
-    _solver_section(rep, lift, spec, prefix="lifted")
-    return {"report.txt": rep.text(), "atoms.csv": _atoms_csv(spec, lift),
-            "trace.csv": _trace_csv(result)}
+    _solver_section(rep, result, prefix="green")
+    _solver_section(rep, lift, prefix="lifted")
+    return _solve_files(rep, spec, lift, result)
 
 
 def cmd_balayage(args) -> dict:
     mu, exterior, kernel, truncation = scenarios.build_balayage(
         _with_flags(load_config(args.config), args))
-    res = balayage_project(mu, exterior, kernel)
+    res = balayage_project(mu, GreenContext(exterior, kernel))
     rep = ReportBuilder("balayage")
     rep.section("balayage")
-    rep.add("balayage.mass_ratio", res.mass_ratio)
-    rep.add("balayage.potential_residual", res.potential_residual)
-    rep.add("balayage.projection_gap", res.projection_gap)
-    rep.add("balayage.orthogonality", res.orthogonality)
-    rep.add("balayage.clipped_nodes", res.clipped_nodes)
+    for name in ("mass_ratio", "potential_residual", "projection_gap",
+                 "orthogonality", "clipped_nodes"):
+        rep.add(f"balayage.{name}", getattr(res, name))
     rep.add("balayage.truncation", truncation)
     rep.add("balayage.exterior_nodes", len(exterior))
     return {"report.txt": rep.text(),
-            "atoms.csv": _measure_csv(exterior, res.swept.weights)}
+            "atoms.csv": _atoms_csv([res.swept], [None])}
 
 
 def cmd_capacity(args) -> dict:
@@ -302,7 +287,7 @@ def cmd_capacity(args) -> dict:
         nodes = disk_nodes(center, radius, count, axis=int(gc.get("axis", 0)))
     else:
         raise ParseError(f"unsupported conductor geometry {tag!r}")
-    total = float(gc.get("total", 1.0))
+    total = positive_size(gc, "total", 1.0)
     lam, cap = equilibrium_measure(nodes, kernel, total, tolerances=tol)
     rep = ReportBuilder("capacity")
     rep.section("capacity")
@@ -312,7 +297,7 @@ def cmd_capacity(args) -> dict:
     rep.add("capacity.energy", total * total / cap)
     rep.add("capacity.value", cap)
     return {"report.txt": rep.text(),
-            "atoms.csv": _measure_csv(nodes, lam.weights)}
+            "atoms.csv": _atoms_csv([lam], [None])}
 
 
 def cmd_verify(args) -> dict:
@@ -330,18 +315,22 @@ def _pipeline(sc: Scenario, seed: Optional[int]) -> dict:
     lift = lift_green_to_riesz(gres, spec, green)
     rep = ReportBuilder(sc.name)
     _config_section(rep, spec, sc.meta, seed)
-    _solver_section(rep, result, spec)
-    _solver_section(rep, gres, spec, prefix="green")
+    _solver_section(rep, result)
+    _solver_section(rep, gres, prefix="green")
     _verify_sections(rep, result, spec, green, lift, gres)
-    return {"report.txt": rep.text(), "atoms.csv": _atoms_csv(spec, result),
-            "trace.csv": _trace_csv(result)}
+    return _solve_files(rep, spec, result, result)
 
 
 def cmd_sweep(args) -> dict:
     cfg = _with_flags(load_config(args.config), args)
     tol = tolerances_from(cfg)
     mode = cfg.get("mode", "uncapped")
-    stages = [int(s) for s in cfg.get("stages", [1, 2, 3, 4, 5, 6])]
+    if mode not in ("uncapped", "capped"):
+        raise ParseError(f"sweep mode {mode!r} is not uncapped or capped")
+    stages = cfg.get("stages", [1, 2, 3, 4, 5, 6])
+    if not (isinstance(stages, list) and stages and all(
+            type(s) is int and s >= 1 for s in stages)):
+        raise ParseError("sweep stages must be a non-empty list of ints >= 1")
     kernel = KernelSpec(3, 2.0)
     ctx = scenarios.sweep_plane_context(
         flat_radius=positive_size(cfg, "flat_radius", 8.0),
@@ -363,12 +352,9 @@ def cmd_sweep(args) -> dict:
     rep.add("sweep.strictly_decreasing",
             all(vals[i + 1] < vals[i] for i in range(len(vals) - 1)))
     rep.add("sweep.loglog_slope", loglog_slope(stages, vals))
-    buf = io.StringIO()
-    wr = csv.writer(buf, lineterminator="\n")
-    wr.writerow(sorted(rows[0].keys()))
-    for row in rows:
-        wr.writerow([_fmt(row[k]) for k in sorted(row.keys())])
-    return {"report.txt": rep.text(), "stages.csv": buf.getvalue()}
+    keys = sorted(rows[0])
+    return {"report.txt": rep.text(),
+            "stages.csv": _csv(keys, ([row[k] for k in keys] for row in rows))}
 
 
 def main(argv=None) -> int:

@@ -213,7 +213,7 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
     res = minimize_quadratic(G[np.ix_(idx, idx)], b, slices,
                              [spec.totals[i] for i in spec.i_plus], caps,
                              spec.tolerances, seed=seed)
-    comps = [DiscreteMeasure(p.nodes, res.w[sl], plate_id=p.id)
+    comps = [DiscreteMeasure(p.nodes, res.w[sl])
              for p, sl in zip(plates, slices)]
     solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
     return _solve_result(res, solution, res.objective, res.constants, seed)
@@ -248,9 +248,8 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
     weights = np.bincount(idx, np.concatenate([c.weights for c in comps]),
                           len(merged))
     total_pos = DiscreteMeasure(merged, weights)
-    bres = balayage_project(total_pos, green, spec.kernel)
-    comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights,
-                                          plate_id=plate_p.id)]
+    bres = balayage_project(total_pos, green)
+    comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights)]
     solution = VectorMeasure(tuple(comps_full), spec.condenser.signs)
     energy = gauss_functional(solution, spec.field, spec.kernel)
     defect = abs(bres.swept.total_mass - spec.totals[spec.p_index])
@@ -269,7 +268,7 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
         raise ValueError("sigma variant needs finite positive-plate caps")
     merged, idx = _merge_positive([p.nodes for p in plates])
     weights = np.bincount(idx, np.concatenate(caps), len(merged))
-    res = balayage_project(DiscreteMeasure(merged, weights), green, spec.kernel)
+    res = balayage_project(DiscreteMeasure(merged, weights), green)
     return res.swept.weights
 
 

@@ -20,11 +20,9 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 @dataclass(frozen=True)
 class KernelMatrix:
     """Dense symmetric kernel matrix over a node set, diagonal set by the
-    self-energy rule (recorded in ``diagonal_rule``)."""
+    kernel's self-energy rule."""
 
     entries: np.ndarray
-    diagonal_rule: dict
-    kernel: KernelSpec
 
     @property
     def size(self) -> int:
@@ -62,16 +60,12 @@ def _require_distinct(positions: np.ndarray, what: str) -> None:
         raise DuplicateNodeError(f"coinciding nodes in {what}")
 
 
-def assemble_matrix(nodes: NodeSet, kernel: KernelSpec,
-                    tolerances: Tolerances = DEFAULT_TOLERANCES) -> KernelMatrix:
+def assemble_matrix(nodes: NodeSet, kernel: KernelSpec) -> KernelMatrix:
     """Dense kernel matrix on pairwise-distinct nodes: off-diagonal entries
     |x-y|^(alpha-n), diagonal per the self-energy rule."""
     _require_distinct(nodes.positions, "matrix assembly")
-    K = _riesz_block(nodes.positions, nodes.positions, kernel,
-                     rho_q=nodes.cell_radii)
-    rule = {"rule": kernel.self_energy_rule,
-            "diagonal": kernel.self_energy(nodes.cell_radii)}
-    return KernelMatrix(entries=K, diagonal_rule=rule, kernel=kernel)
+    return KernelMatrix(_riesz_block(nodes.positions, nodes.positions, kernel,
+                                     rho_q=nodes.cell_radii))
 
 
 def _atoms_of(mu) -> tuple:
@@ -203,18 +197,19 @@ def gauss_functional(mu: VectorMeasure, field: ExternalField,
 
 def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
                         tolerances: Tolerances = DEFAULT_TOLERANCES,
-                        matrix: Optional[KernelMatrix] = None):
+                        matrix: Optional[np.ndarray] = None):
     """Minimizer of kappa(mu, mu) over nonnegative weights of fixed total mass,
-    and the capacity total^2 / kappa(lambda, lambda).
+    and the capacity total^2 / kappa(lambda, lambda).  ``matrix`` replaces
+    the Riesz kernel matrix of the nodes (a Green matrix, say).
 
     The minimizing potential is constant on the carried nodes up to the
     solver's KKT tolerance.
     """
     if total <= 0:
         raise ValueError("total mass must be > 0")
-    km = matrix if matrix is not None else assemble_matrix(nodes, kernel)
-    m = km.size
-    res = minimize_quadratic(km.entries, None, [slice(0, m)], [total],
+    A = matrix if matrix is not None else assemble_matrix(nodes, kernel).entries
+    m = A.shape[0]
+    res = minimize_quadratic(A, None, [slice(0, m)], [total],
                              np.full(m, np.inf), tolerances)
     if not res.converged:
         raise SolverDivergence(

@@ -35,6 +35,10 @@ NEIGHBOR_TRIM = 0.49
 # row blocks of pairwise arrays hold at most this many entries (32 MB of
 # float64), which bounds the memory of every blocked distance or kernel reader
 BLOCK_ENTRIES = 4_000_000
+# geometric growth of the graded layouts of unbounded plates
+SHELL_GROWTH = 1.35  # ball-complement shell edges
+RING_GROWTH = 1.3    # half-space ring edges
+DEPTH_GROWTH = 2.2   # half-space layer depths
 
 
 @dataclass(frozen=True)
@@ -170,19 +174,12 @@ class Condenser:
                     "a positive node coincides with a negative node")
 
     @property
-    def i_plus(self) -> tuple:
-        return tuple(i for i, p in enumerate(self.plates) if p.sign > 0)
-
-    @property
     def signs(self) -> tuple:
         return tuple(p.sign for p in self.plates)
 
     @property
     def dim(self) -> int:
         return self.plates[0].nodes.dim
-
-    def plate(self, i: int) -> Plate:
-        return self.plates[i]
 
 
 def squared_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
@@ -258,7 +255,6 @@ class DiscreteMeasure:
 
     nodes: NodeSet
     weights: np.ndarray
-    plate_id: Optional[int] = None
 
     def __post_init__(self):
         w = np.ascontiguousarray(self.weights, dtype=float)
@@ -291,19 +287,14 @@ class VectorMeasure:
         if len(weights) != len(condenser.plates):
             raise AlignmentError(
                 f"expected {len(condenser.plates)} components, got {len(weights)}")
-        comps = []
-        for plate, w in zip(condenser.plates, weights):
-            comps.append(DiscreteMeasure(plate.nodes, np.asarray(w, dtype=float),
-                                         plate_id=plate.id))
+        comps = [DiscreteMeasure(plate.nodes, np.asarray(w, dtype=float))
+                 for plate, w in zip(condenser.plates, weights)]
         return cls(tuple(comps), condenser.signs)
 
     @classmethod
     def zero(cls, condenser: Condenser) -> "VectorMeasure":
         return cls.from_weights(
             condenser, [np.zeros(len(p.nodes)) for p in condenser.plates])
-
-    def component(self, i: int) -> DiscreteMeasure:
-        return self.components[i]
 
     def aligned_with(self, other: "VectorMeasure") -> bool:
         if len(self.components) != len(other.components) or self.signs != other.signs:
@@ -392,22 +383,23 @@ def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
 # Geometry layouts
 # ---------------------------------------------------------------------------
 
-def ball_volume_nodes(center, radius, h, n=3, layer=0):
-    """Cubic grid of spacing h restricted to the open ball; cell weight h^n."""
+def ball_volume_nodes(center, radius, h):
+    """Cubic grid of spacing h restricted to the open ball in R^3; cell
+    weight h^3."""
     center = np.asarray(center, dtype=float)
     if radius <= 0 or h <= 0:
-        return NodeSet(np.zeros((0, n)), np.zeros(0), np.zeros(0))
+        return NodeSet(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
     k = int(math.floor(radius / h + 0.5))
-    axes = [h * (np.arange(-k, k + 1)) for _ in range(n)]
-    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    axes = [h * (np.arange(-k, k + 1)) for _ in range(3)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
     keep = np.linalg.norm(grid, axis=1) < radius
     pts = grid[keep] + center
     m = pts.shape[0]
     if m == 0:
-        return NodeSet(np.zeros((0, n)), np.zeros(0), np.zeros(0))
-    w = np.full(m, h ** n)
+        return NodeSet(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    w = np.full(m, h ** 3)
     rho = np.full(m, VOLUME_CELL_RADIUS_FACTOR * h)
-    return NodeSet(pts, w, rho, np.full(m, layer, dtype=int))
+    return NodeSet(pts, w, rho)
 
 
 def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0):
@@ -433,7 +425,7 @@ def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0):
     return NodeSet(pts, w, rho_c, np.full(m, layer, dtype=int))
 
 
-def disk_nodes(center, radius, count, axis=0, *, layer=0, phase=0.0):
+def disk_nodes(center, radius, count, axis=0, *, layer=0):
     """Equal-area spiral (sunflower) layout on a flat disk in R^3, normal to
     ``axis``: node i at radius r*sqrt((i+1/2)/count), golden-angle longitude."""
     if count < 1 or radius <= 0:
@@ -441,7 +433,7 @@ def disk_nodes(center, radius, count, axis=0, *, layer=0, phase=0.0):
     center = np.asarray(center, dtype=float)
     i = np.arange(count)
     rr = radius * np.sqrt((i + 0.5) / count)
-    ang = phase + i * math.pi * (3.0 - math.sqrt(5.0))
+    ang = i * math.pi * (3.0 - math.sqrt(5.0))
     u, v = [a for a in range(3) if a != axis]
     pts = np.zeros((count, 3))
     pts[:, u] = rr * np.cos(ang)
@@ -514,13 +506,13 @@ def graded_plane_nodes(center, inner, outer, axis=0, *, growth=1.45, layer=0,
                    np.full(m, layer, dtype=int))
 
 
-def ball_complement_nodes(center, radius, truncation, resolution, *, growth=1.35):
-    """Boundary sphere layer plus radially graded volume shells out to the
-    truncation radius."""
+def ball_complement_nodes(center, radius, truncation, resolution):
+    """Boundary sphere layer plus volume shells out to the truncation radius,
+    their edges growing by SHELL_GROWTH."""
     center = np.asarray(center, dtype=float)
     n_surf = max(12, int(round(4.0 * math.pi * radius ** 2 / resolution ** 2)))
     parts = [sphere_surface_nodes(center, radius, n_surf, layer=0)]
-    edges = _geometric_edges(radius, truncation, growth)
+    edges = _geometric_edges(radius, truncation, SHELL_GROWTH)
     for j in range(len(edges) - 1):
         r0, r1 = edges[j], edges[j + 1]
         rm = 0.5 * (r0 + r1)
@@ -538,15 +530,17 @@ def ball_complement_nodes(center, radius, truncation, resolution, *, growth=1.35
 
 
 def half_space_nodes(level, side, truncation, resolution, axis=0, *,
-                     growth=1.3, depth_growth=2.2, backing=True):
+                     backing=True):
     """Half-space plate {x_axis*side >= level*side}: boundary-plane layer plus
-    graded volume layers going into the half-space."""
+    volume layers going into the half-space, rings graded by RING_GROWTH and
+    depths by DEPTH_GROWTH."""
     center = np.zeros(3)
     center[axis] = level
     parts = [graded_plane_nodes(center, resolution, truncation, axis=axis,
-                                growth=growth, layer=0)]
+                                growth=RING_GROWTH, layer=0)]
     if backing:
-        edges = _geometric_edges(float(resolution), truncation / 2.0, depth_growth)
+        edges = _geometric_edges(float(resolution), truncation / 2.0,
+                                 DEPTH_GROWTH)
         for j in range(len(edges) - 1):
             d0, d1 = edges[j], edges[j + 1]
             dm = 0.5 * (d0 + d1)
@@ -554,7 +548,8 @@ def half_space_nodes(level, side, truncation, resolution, axis=0, *,
             c = np.zeros(3)
             c[axis] = level + side * dm
             sheet = graded_plane_nodes(c, max(resolution, t), truncation,
-                                       axis=axis, growth=growth, layer=j + 1)
+                                       axis=axis, growth=RING_GROWTH,
+                                       layer=j + 1)
             w = sheet.quad_weights * t
             rho = VOLUME_CELL_RADIUS_FACTOR * np.minimum(np.sqrt(sheet.quad_weights), t)
             parts.append(NodeSet(sheet.positions, w, rho, sheet.layer_index))
@@ -593,7 +588,6 @@ class PlateSpec:
     level: float = 0.0
     side: int = -1
     truncation: Optional[float] = None
-    resolution_scale: float = 1.0
     stack_count: int = 0
     count: Optional[int] = None
     backing: bool = True
@@ -602,6 +596,8 @@ class PlateSpec:
     def __post_init__(self):
         if self.tag not in GEOMETRY_TAGS:
             raise ValueError(f"unknown geometry tag {self.tag!r}")
+        if self.sign not in (+1, -1):
+            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if self.stack_count and self.tag != "disk":
             raise ValueError("stack_count applies to disk plates only")
         if self.count is not None and (self.tag != "disk" or self.count < 1):
@@ -618,23 +614,23 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
     """
     plates = []
     for i, spec in enumerate(plate_specs):
-        res = resolution * spec.resolution_scale
         params = {"center": spec.center, "radius": spec.radius,
                   "axis": spec.axis, "level": spec.level, "side": spec.side}
         if spec.tag == "ball":
-            nodes = ball_volume_nodes(spec.center, spec.radius, res)
+            nodes = ball_volume_nodes(spec.center, spec.radius, resolution)
             trunc = None
         elif spec.tag == "ball_complement":
             if spec.truncation is None:
                 raise ValueError("ball_complement plate needs a truncation radius")
             nodes = ball_complement_nodes(spec.center, spec.radius,
-                                          spec.truncation, res)
+                                          spec.truncation, resolution)
             trunc = spec.truncation
         elif spec.tag == "half_space":
             if spec.truncation is None:
                 raise ValueError("half_space plate needs a truncation radius")
-            nodes = half_space_nodes(spec.level, spec.side, spec.truncation, res,
-                                     axis=spec.axis, backing=spec.backing)
+            nodes = half_space_nodes(spec.level, spec.side, spec.truncation,
+                                     resolution, axis=spec.axis,
+                                     backing=spec.backing)
             trunc = spec.truncation
         elif spec.tag == "disk":
             if spec.stack_count > 0:
@@ -644,13 +640,13 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
                     ctr[spec.axis] += 1.0 / k
                     rk = k * spec.radius
                     count = spec.count or \
-                        max(12, int(round(math.pi * rk ** 2 / res ** 2)))
+                        max(12, int(round(math.pi * rk ** 2 / resolution ** 2)))
                     parts.append(disk_nodes(ctr, rk, count, axis=spec.axis,
                                             layer=k - 1))
                 nodes = trim_cell_radii(_concat_nodesets(parts))
             else:
-                count = spec.count or \
-                    max(1, int(round(math.pi * spec.radius ** 2 / res ** 2)))
+                count = spec.count or max(1, int(round(
+                    math.pi * spec.radius ** 2 / resolution ** 2)))
                 nodes = disk_nodes(spec.center, spec.radius, count,
                                    axis=spec.axis)
             trunc = None

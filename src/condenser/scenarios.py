@@ -10,11 +10,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .balayage import GreenContext
-from .errors import ParseError
+from .errors import AlignmentError, ParseError
 from .gauss_solver import Constraint, ProblemSpec
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (Condenser, DiscreteMeasure, NodeSet, PlateSpec,
-                    _concat_nodesets, build_condenser, disk_nodes,
+from .model import (RING_GROWTH, Condenser, DiscreteMeasure, NodeSet,
+                    PlateSpec, _concat_nodesets, build_condenser, disk_nodes,
                     graded_plane_nodes, trim_cell_radii,
                     untrimmed_surface_cells)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -77,8 +77,8 @@ def kernel_from(cfg: dict) -> KernelSpec:
 
 # plate keys and their types; an absent key takes the PlateSpec default
 _PLATE_KEYS = {"center": tuple, "radius": float, "axis": int, "level": float,
-               "side": int, "truncation": float, "resolution_scale": float,
-               "stack_count": int, "count": int, "backing": bool}
+               "side": int, "truncation": float, "stack_count": int,
+               "count": int, "backing": bool}
 
 
 def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
@@ -121,7 +121,10 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
             w = np.asarray(require(ent, "weights", list), dtype=float)
             caps.append(w)
         elif mode == "scaled_capacitary":
-            q = float(require(ent, "q"))
+            try:
+                q = float(require(ent, "q"))
+            except (ValueError, TypeError):
+                raise ParseError(f"constraint {i}: non-numeric q") from None
             lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
                                          tolerances=tol)
             caps.append(q * lam.weights)
@@ -187,7 +190,7 @@ def build_scenario(cfg: dict) -> Scenario:
     try:
         spec = ProblemSpec(condenser=condenser, totals=totals, field=fieldspec,
                            constraint=constraint, kernel=kernel, tolerances=tol)
-    except (ValueError,) as exc:
+    except (ValueError, AlignmentError) as exc:
         raise ParseError(str(exc)) from None
     green = GreenContext(condenser.plates[-1].nodes, kernel)
     return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
@@ -205,6 +208,11 @@ def build_balayage(cfg: dict):
     wts = np.asarray(require(src, "weights", list), dtype=float)
     if pos.ndim != 2 or pos.shape[0] != wts.shape[0]:
         raise ParseError("source positions/weights misaligned")
+    if pos.shape[1] != condenser.dim:
+        raise ParseError(f"source positions must have {condenser.dim} "
+                         f"coordinates, got {pos.shape[1]}")
+    if not (np.all(np.isfinite(wts)) and np.all(wts >= 0)):
+        raise ParseError("source weights must be finite and >= 0")
     radius = float(src.get("cell_radius", sizes["resolution"] / 4.0))
     mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
                                  np.full(len(wts), radius)), wts)
@@ -285,15 +293,14 @@ def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
 
 
 def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,
-                        truncation: float = 30.0,
-                        growth: float = 1.3) -> GreenContext:
+                        truncation: float = 30.0) -> GreenContext:
     """Half-space boundary for the exhaustion sweeps: a uniform cell layout
-    out to ``flat_radius`` (sources sit at height ~1 above it), graded rings
-    beyond."""
+    out to ``flat_radius`` (sources sit at height ~1 above it), rings graded
+    like a half-space plate's beyond."""
     kernel = KernelSpec(3, 2.0)
     count = max(16, int(round(math.pi * flat_radius ** 2 / cell ** 2)))
     core = disk_nodes((0.0, 0.0, 0.0), flat_radius, count, axis=0, layer=0)
     tail = graded_plane_nodes((0.0, 0.0, 0.0), cell, truncation, axis=0,
-                              growth=growth, layer=1, start=flat_radius)
+                              growth=RING_GROWTH, layer=1, start=flat_radius)
     exterior = trim_cell_radii(_concat_nodesets([core, tail]))
     return GreenContext(exterior, kernel)

@@ -14,11 +14,14 @@ from ._pg import plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
-from .kernel import (KernelMatrix, KernelSpec, equilibrium_measure,
-                     mutual_energy, potential, vector_potential)
+from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
+                     potential, vector_potential)
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
                     row_blocks, semimetric_distance, squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
+
+ZONE_PROBES = 300         # zone-check probes inside D and across space, each
+TRANSFER_FRACTION = 1e-3  # mass of one mass-transfer trial / the plate's mass
 
 
 def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
@@ -39,7 +42,6 @@ class KKTReport:
     constants: np.ndarray          # c_j per positive plate
     lower_violation: np.ndarray    # max(c_j - W) over below-cap nodes, normalized
     upper_violation: np.ndarray    # max(W - c_j) over carried nodes, normalized
-    plate_p_constant: float
     plate_p_stationarity: float    # same two-sided residual on the negative plate
     plate_p_level: float           # max |W^{lambda,p}|, normalized (zero-potential law)
     plate_p_excluded: int          # nodes inside the boundary exclusion zone
@@ -76,63 +78,53 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
     tol = spec.tolerances
     sol = result.solution
     W = weighted_potentials(sol, spec)
-    n_comp = len(sol.components)
-    has_p = n_comp == len(spec.condenser.plates)
-    n_pos = n_comp - 1 if has_p else n_comp
+    p = spec.p_index
 
-    consts = np.zeros(n_pos)
-    lower = np.zeros(n_pos)
-    upper = np.zeros(n_pos)
-    for j in range(n_pos):
+    consts = np.zeros(p)
+    lower = np.zeros(p)
+    upper = np.zeros(p)
+    for j in range(p):
         comp = sol.components[j]
         caps = spec.constraint.cap_array(j, len(comp.nodes))
         consts[j], lower[j], upper[j] = plate_constant_and_kkt(
             W[j], comp.weights, caps, spec.totals[j], tol.free_margin_rel)
 
-    plate_p_const = 0.0
-    plate_p_stat = 0.0
-    plate_p_level = 0.0
+    comp = sol.components[p]
+    caps = spec.constraint.cap_array(p, len(comp.nodes))
+    _, p_lower, p_upper = plate_constant_and_kkt(
+        W[p], comp.weights, caps, spec.totals[p], tol.free_margin_rel)
+    plate_p_stat = max(p_lower, p_upper)
+    # zero-potential law on the negative plate, outside the boundary zone
+    plate = spec.condenser.plates[p]
+    margin = tol.free_margin_rel * spec.totals[p]
+    pick = comp.weights > margin
+    zeros = np.flatnonzero(~pick)
+    if zeros.size:
+        rng = np.random.default_rng(seed)
+        take = rng.choice(zeros, size=min(zero_sample, zeros.size),
+                          replace=False)
+        pick[take] = True
     excluded = 0
-    if has_p:
-        p = len(spec.condenser.plates) - 1
-        comp = sol.components[p]
-        caps = spec.constraint.cap_array(p, len(comp.nodes))
-        plate_p_const, p_lower, p_upper = plate_constant_and_kkt(
-            W[p], comp.weights, caps, spec.totals[p], tol.free_margin_rel)
-        plate_p_stat = max(p_lower, p_upper)
-        # zero-potential law on the negative plate, outside the boundary zone
-        plate = spec.condenser.plates[p]
-        margin = tol.free_margin_rel * spec.totals[p]
-        pick = comp.weights > margin
-        zeros = np.flatnonzero(~pick)
-        if zeros.size:
-            rng = np.random.default_rng(seed)
-            take = rng.choice(zeros, size=min(zero_sample, zeros.size),
-                              replace=False)
-            pick = pick.copy()
-            pick[take] = True
-        bdist = plate.boundary_distance(plate.nodes.positions)
-        if bdist is not None:
-            inside = bdist < plate.nodes.cell_radii
-            excluded = int(np.sum(pick & inside))
-            pick = pick & ~inside
-        norm = max(1.0, float(np.abs(consts).max()) if n_pos else 1.0)
-        plate_p_level = float(np.abs(W[p][pick]).max()) / norm if np.any(pick) else 0.0
+    bdist = plate.boundary_distance(plate.nodes.positions)
+    if bdist is not None:
+        inside = bdist < plate.nodes.cell_radii
+        excluded = int(np.sum(pick & inside))
+        pick = pick & ~inside
+    norm = max(1.0, float(np.abs(consts).max()))
+    plate_p_level = float(np.abs(W[p][pick]).max()) / norm \
+        if np.any(pick) else 0.0
 
-    kkt_violations = [plate_p_stat] + [lower[j] for j in range(n_pos)] + \
-        [upper[j] for j in range(n_pos)]
-    kkt_pass = max(kkt_violations) <= tol.kkt
+    kkt_pass = max(plate_p_stat, lower.max(), upper.max()) <= tol.kkt
     plate_p_pass = plate_p_level <= tol.potential
     return KKTReport(constants=consts, lower_violation=lower,
-                     upper_violation=upper, plate_p_constant=plate_p_const,
-                     plate_p_stationarity=plate_p_stat,
+                     upper_violation=upper, plate_p_stationarity=plate_p_stat,
                      plate_p_level=plate_p_level, plate_p_excluded=excluded,
                      tol_kkt=tol.kkt, tol_potential=tol.potential,
                      kkt_pass=kkt_pass, plate_p_pass=plate_p_pass)
 
 
 def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
-                        seed: int = 0, fraction: float = 1e-3) -> dict:
+                        seed: int = 0) -> dict:
     """Random feasible single-pair mass transfers on the positive plates;
     at a minimizer no transfer may decrease the functional beyond first-order
     tolerance (delta G >= -tol * transferred mass)."""
@@ -157,7 +149,7 @@ def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
         if a == b:
             continue
         delta = min(comp.weights[a], caps[b] - comp.weights[b],
-                    fraction * spec.totals[j])
+                    TRANSFER_FRACTION * spec.totals[j])
         if delta <= 0:
             continue
         nodes = comp.nodes
@@ -186,8 +178,6 @@ class ZoneReport:
     level_residual: float          # kappa(.,lambda) vs c1 at cap-slack nodes
     bound_residual: float          # (kappa(.,lambda) - c1)+ over the probe grid
     support_failures: int          # xi-carried nodes with no lambda+ mass (alpha<2)
-    off_support_margin: float      # min(c1 - kappa) over probes off the cap support
-    off_support_probes: int
     probes_used: int
     probes_excluded: int
     tol: float
@@ -198,17 +188,22 @@ class ZoneReport:
         return all(self.checks.values())
 
 
+def zone_checks_apply(spec: ProblemSpec) -> bool:
+    """Whether the scalar zone checks apply: one positive plate, unit
+    masses and no field."""
+    return len(spec.condenser.plates) == 2 and spec.field.case == "zero" \
+        and spec.totals[0] == 1.0
+
+
 def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
-                       green: GreenContext, n_probes: int = 300,
-                       seed: int = 0) -> ZoneReport:
+                       green: GreenContext, seed: int = 0) -> ZoneReport:
     """Scalar-case structure checks (one positive plate, unit masses, no
     field): the Riesz potential of the signed solution equals the Green
     potential of its positive part inside the domain, sits at the constant
     c1 where the cap is slack, stays below c1 everywhere, and (for alpha < 2
     with a solid complement) the solution charges every cap-carried node.
     """
-    if len(spec.condenser.plates) != 2 or spec.field.case != "zero" \
-            or abs(spec.totals[0] - 1.0) > 0:
+    if not zone_checks_apply(spec):
         raise WrongScenarioError(
             "zone checks need one positive plate, unit masses and no field")
     tol = spec.tolerances
@@ -217,7 +212,6 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
         return ZoneReport(c1=0.0, identity_residual=math.inf,
                           level_residual=math.inf, bound_residual=math.inf,
                           support_failures=len(sol.components[0].weights),
-                          off_support_margin=-math.inf, off_support_probes=0,
                           probes_used=0, probes_excluded=0,
                           tol=tol.potential,
                           checks={"identity": False, "level": False,
@@ -241,7 +235,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     rng = np.random.default_rng(seed)
     all_pos = np.vstack([p.nodes.positions for p in spec.condenser.plates])
     all_rad = np.concatenate([p.nodes.cell_radii for p in spec.condenser.plates])
-    interior, excluded_i = _domain_probes(plate_p, n_probes, rng, all_pos,
+    interior, excluded_i = _domain_probes(plate_p, ZONE_PROBES, rng, all_pos,
                                           all_rad, tol.probe_exclusion_factor)
     # (i) Riesz potential of lambda vs Green potential of lambda+ inside D
     if interior.shape[0]:
@@ -252,8 +246,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
         ident_res = math.inf
 
     # (iii) global upper bound at nodes and at far probes
-    far, excluded_f = _far_probes(plate_p, n_probes, rng, all_pos, all_rad,
-                                  tol.probe_exclusion_factor)
+    far, excluded_f = _far_probes(plate_p, ZONE_PROBES, rng, all_pos,
+                                  all_rad, tol.probe_exclusion_factor)
     pot_all_nodes = [pot_nodes,
                      potential(lam, plate_p.nodes.positions, spec.kernel)]
     over = max(float((pn - c1).max()) for pn in pot_all_nodes)
@@ -285,8 +279,6 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     return ZoneReport(c1=c1, identity_residual=ident_res,
                       level_residual=level_res, bound_residual=bound_res,
                       support_failures=supp_failures,
-                      off_support_margin=off_margin,
-                      off_support_probes=off_used,
                       probes_used=int(interior.shape[0] + far.shape[0]),
                       probes_excluded=excluded_i + excluded_f,
                       tol=tol.potential, checks=checks)
@@ -400,7 +392,6 @@ def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
 
 def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
                         kernel: KernelSpec, *, nodes_per_stage: int = 220,
-                        height: float = 1.0,
                         zeta: Optional[DiscreteMeasure] = None,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
     """Exhaustion sweeps behind the short-circuit results.
@@ -414,18 +405,14 @@ def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
     same growing disks; the stage infimum is bounded by
     ||xi_l||_g^2 + 2 ||zeta||_g ||xi_l||_g, which decreases toward zero.
     """
-    axis = 0
+    center = (1.0, 0.0, 0.0)  # stage disks: normal to x1, at height 1
     rows = []
     if mode == "uncapped":
         for ell in stages:
-            ctr = np.zeros(3)
-            ctr[axis] = height
-            nodes = disk_nodes(ctr, float(ell), nodes_per_stage, axis=axis)
+            nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
             gk = green.green_matrix(nodes)[0]
-            lam, _ = equilibrium_measure(
-                nodes, kernel, 1.0, tolerances=tolerances,
-                matrix=KernelMatrix(entries=gk, diagonal_rule={"rule": "green"},
-                                    kernel=kernel))
+            lam, _ = equilibrium_measure(nodes, kernel, 1.0,
+                                         tolerances=tolerances, matrix=gk)
             energy = float(lam.weights @ gk @ lam.weights)
             rows.append({"stage": int(ell), "energy": energy,
                          "green_capacity": 1.0 / energy})
@@ -434,9 +421,7 @@ def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
             raise ValueError("capped sweep needs the field measure zeta")
         zeta_g = math.sqrt(max(green.green_mutual_energy(zeta, zeta), 0.0))
         for ell in stages:
-            ctr = np.zeros(3)
-            ctr[axis] = height
-            nodes = disk_nodes(ctr, float(ell), nodes_per_stage, axis=axis)
+            nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
             xi, _ = equilibrium_measure(nodes, kernel, 1.0, tolerances=tolerances)
             xi_g = math.sqrt(max(green.green_mutual_energy(xi, xi), 0.0))
             cross = green.green_mutual_energy(zeta, xi)

@@ -109,7 +109,7 @@ def test_criterion_03_balayage_oracles(ball_ctx):
     start = time.perf_counter()
     mu = DiscreteMeasure(NodeSet([[0.0, 0.0, 0.0]], [1.0], [0.05]),
                          np.array([1.0]))
-    res = balayage_project(mu, ball_ctx, K2)
+    res = balayage_project(mu, ball_ctx)
     ext = ball_ctx.exterior
     first = ext.layer_index == 0
     oracle = np.where(first, ext.quad_weights / (4.0 * math.pi), 0.0)
@@ -127,7 +127,7 @@ def test_criterion_03_balayage_oracles(ball_ctx):
                                growth=1.18)
     ctx = GreenContext(plane, K2)
     mu2 = DiscreteMeasure(NodeSet([y], [1.0], [0.05]), np.array([1.0]))
-    res2 = balayage_project(mu2, ctx, K2)
+    res2 = balayage_project(mu2, ctx)
     poisson = balayage_oracle_halfspace(y, plane, K2)
     tv_half = 0.5 * np.abs(res2.swept.weights - poisson.weights).sum()
     t_half = time.perf_counter() - start
@@ -148,7 +148,7 @@ def test_criterion_04_energy_identities(ball_ctx):
         mu = DiscreteMeasure(NodeSet(pts, np.ones(count),
                                      np.full(count, 0.03)),
                              rng.random(count) + 0.1)
-        rep = green_energy_identity_check(mu, ball_ctx, K2)
+        rep = green_energy_identity_check(mu, ball_ctx)
         tol = max(1e-6, 3.0 * rep["potential_residual"])
         worst = max(worst, rep["max_deviation"])
         worst_tol = max(worst_tol, tol)

@@ -9,8 +9,7 @@ from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project, green_energy_identity_check,
                                 mass_conservation_probe)
 from condenser.errors import UnsupportedKernel
-from condenser.kernel import (KernelMatrix, equilibrium_measure, mutual_energy,
-                              potential)
+from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              ball_complement_nodes, ball_volume_nodes,
                              graded_plane_nodes, sphere_surface_nodes)
@@ -47,14 +46,14 @@ class TestProjection:
         w = np.zeros(len(ext))
         w[[3, 50, 200]] = (0.5, 1.0, 0.25)
         mu = DiscreteMeasure(ext, w)
-        res = balayage_project(mu, ball_ctx, K2)
+        res = balayage_project(mu, ball_ctx)
         assert np.allclose(res.swept.weights, w, atol=1e-10)
         assert res.projection_gap < 1e-6
         assert res.mass_ratio == pytest.approx(1.0, abs=1e-12)
 
     def test_central_atom_matches_uniform_sphere(self, ball_ctx):
         mu = point_measure([[0.0, 0.0, 0.0]], [1.0])
-        res = balayage_project(mu, ball_ctx, K2)
+        res = balayage_project(mu, ball_ctx)
         ext = ball_ctx.exterior
         first = ext.layer_index == 0
         oracle = np.where(first, ext.quad_weights / (4.0 * math.pi), 0.0)
@@ -65,7 +64,7 @@ class TestProjection:
     def test_halfspace_matches_poisson_oracle(self, plane_ctx):
         y = np.array([0.7, 0.1, -0.2])
         mu = point_measure([y], [1.0])
-        res = balayage_project(mu, plane_ctx, K2)
+        res = balayage_project(mu, plane_ctx)
         oracle = balayage_oracle_halfspace(y, plane_ctx.exterior, K2)
         tv = 0.5 * np.abs(res.swept.weights - oracle.weights).sum()
         assert tv < 0.02
@@ -73,7 +72,7 @@ class TestProjection:
     def test_projection_optimality_against_random_feasible(self, ball_ctx):
         rng = np.random.default_rng(0)
         mu = random_ball_sources(rng, 10)
-        res = balayage_project(mu, ball_ctx, K2)
+        res = balayage_project(mu, ball_ctx)
         base = res.projection_gap
         kee = ball_ctx._kee
         B = ball_ctx._cross_matrix(mu.nodes)
@@ -98,9 +97,9 @@ class TestProjection:
         a = point_measure([[0.3, 0.0, 0.0]], [1.0])
         b = point_measure([[0.0, -0.4, 0.2]], [1.0])
         both = point_measure([[0.3, 0.0, 0.0], [0.0, -0.4, 0.2]], [0.7, 1.4])
-        ra = balayage_project(a, ctx, K15)
-        rb = balayage_project(b, ctx, K15)
-        rab = balayage_project(both, ctx, K15)
+        ra = balayage_project(a, ctx)
+        rb = balayage_project(b, ctx)
+        rab = balayage_project(both, ctx)
         combo = 0.7 * ra.swept.weights + 1.4 * rb.swept.weights
         scale = np.abs(rab.swept.weights).max()
         assert np.abs(rab.swept.weights - combo).max() < 1e-8 * scale
@@ -108,7 +107,7 @@ class TestProjection:
     def test_orthogonality(self, ball_ctx):
         rng = np.random.default_rng(1)
         mu = random_ball_sources(rng, 8)
-        res = balayage_project(mu, ball_ctx, K2)
+        res = balayage_project(mu, ball_ctx)
         scale = res.projection_gap ** 2 + mutual_energy(mu, mu, K2)
         assert abs(res.orthogonality) < 1e-9 * scale
 
@@ -190,9 +189,7 @@ class TestGreenKernel:
         rng = np.random.default_rng(6)
         mu = random_ball_sources(rng, 15)
         direct, _ = ctx.green_matrix(mu.nodes)
-        km = KernelMatrix(entries=direct, diagonal_rule={"rule": "green"},
-                          kernel=newton)
-        lam, cap = equilibrium_measure(mu.nodes, newton, 1.0, matrix=km)
+        lam, cap = equilibrium_measure(mu.nodes, newton, 1.0, matrix=direct)
         assert cap > 0
         assert float(lam.weights @ direct @ lam.weights) == \
             pytest.approx(1.0 / cap, rel=1e-10)
@@ -205,7 +202,7 @@ class TestGreenKernel:
 class TestEnergyIdentities:
     def test_zero_measure(self, ball_ctx):
         mu = point_measure([[0.2, 0.0, 0.0]], [0.0])
-        rep = green_energy_identity_check(mu, ball_ctx, K2)
+        rep = green_energy_identity_check(mu, ball_ctx)
         assert rep["green_energy"] == pytest.approx(0.0, abs=1e-300)
         assert rep["projection_gap_sq"] == pytest.approx(0.0, abs=1e-300)
         assert rep["norm_difference"] == pytest.approx(0.0, abs=1e-300)
@@ -214,7 +211,7 @@ class TestEnergyIdentities:
         rng = np.random.default_rng(4)
         for _ in range(5):
             mu = random_ball_sources(rng, 12)
-            rep = green_energy_identity_check(mu, ball_ctx, K2)
+            rep = green_energy_identity_check(mu, ball_ctx)
             tol = max(1e-6, 3.0 * rep["potential_residual"])
             assert rep["max_deviation"] <= tol
 
@@ -265,9 +262,10 @@ class TestMassConservation:
         sources = point_measure([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]], [0.6, 0.4])
 
         def factory(radius):
-            return ball_complement_nodes((0, 0, 0), 1.0, radius, 0.25)
+            return GreenContext(
+                ball_complement_nodes((0, 0, 0), 1.0, radius, 0.25), K15)
 
-        table = mass_conservation_probe(factory, sources, [2, 4, 8, 16], K15)
+        table = mass_conservation_probe(factory, sources, [2, 4, 8, 16])
         ratios = [row["mass_ratio"] for row in table]
         assert all(ratios[i] < ratios[i + 1] for i in range(len(ratios) - 1))
         assert ratios[-1] > 0.95
@@ -279,13 +277,13 @@ class TestMassConservation:
         ball = ball_volume_nodes((0, 0, 0), 1.0, 0.22)
         surf = sphere_surface_nodes((0, 0, 0), 1.0, 300, layer=1)
         from condenser.model import _concat_nodesets, trim_cell_radii
-        target = trim_cell_radii(_concat_nodesets([ball, surf]))
+        ctx = GreenContext(trim_cell_radii(_concat_nodesets([ball, surf])), K2)
         sources = point_measure([[3.0, 0.0, 0.0]], [1.0])
 
         def factory(radius):
-            return target  # compact target does not grow with truncation
+            return ctx  # compact target does not grow with truncation
 
-        table = mass_conservation_probe(factory, sources, [2, 4, 8], K2)
+        table = mass_conservation_probe(factory, sources, [2, 4, 8])
         ratios = [row["mass_ratio"] for row in table]
         assert all(r < 0.95 for r in ratios)
         assert max(ratios) - min(ratios) < 1e-12
@@ -302,5 +300,5 @@ class TestMassConservation:
         def factory(radius):
             return ball_ctx
 
-        table = mass_conservation_probe(factory, mu, [16], K2)
+        table = mass_conservation_probe(factory, mu, [16])
         assert table[0]["mass_ratio"] == pytest.approx(1.0, abs=1e-9)

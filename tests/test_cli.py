@@ -25,6 +25,16 @@ BALL_CONFIG = {
     "field": {"case": "zero"},
 }
 
+BALAYAGE_CONFIG = {
+    "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.25, "truncation": 8.0,
+    "plates": [{"geometry": "ball_complement", "sign": -1,
+                "center": [0, 0, 0], "radius": 1.0}],
+    "source": {"positions": [[0.0, 0.0, 0.0]], "weights": [1.0]},
+}
+
+# a small exhaustion-sweep boundary
+SWEEP_SIZES = {"flat_radius": 2.0, "cell": 0.5, "truncation": 6.0}
+
 
 def write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
@@ -187,6 +197,41 @@ class TestErrorPaths:
         assert main(["--out-dir", str(tmp_path / "o"), command, path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("solve", dict(BALL_CONFIG, plates=[
+            dict(BALL_CONFIG["plates"][0], sign=2), BALL_CONFIG["plates"][1]])),
+        ("solve", dict(BALL_CONFIG, constraint=[
+            {"mode": "scaled_capacitary", "q": "abc"}, {"mode": "unbounded"}])),
+        ("solve", dict(BALL_CONFIG, plates=[
+            dict(BALL_CONFIG["plates"][0], resolution_scale=1.0),
+            BALL_CONFIG["plates"][1]])),
+        ("solve", dict(BALL_CONFIG, totals=[1.0])),
+        ("solve", dict(BALL_CONFIG, constraint=[
+            {"mode": "explicit", "weights": [1.0, 1.0]},
+            {"mode": "unbounded"}])),
+        ("balayage", dict(BALAYAGE_CONFIG, source={
+            "positions": [[0.0, 0.0, 0.0]], "weights": [-1.0]})),
+        ("balayage", dict(BALAYAGE_CONFIG, source={
+            "positions": [[0.0, 0.0]], "weights": [1.0]})),
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0},
+                      "conductor": {"geometry": "sphere", "radius": 1.0,
+                                    "total": 0}}),
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[])),
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[0, 1])),
+        ("sweep", dict(SWEEP_SIZES, mode="foo", stages=[1, 2])),
+    ], ids=["plate-sign", "constraint-q", "resolution-scale-key",
+            "totals-per-plate",
+            "explicit-cap-length", "source-weight", "source-dimension",
+            "capacity-total", "sweep-no-stages", "sweep-stage-zero",
+            "sweep-mode"])
+    def test_invalid_config_value_exit_2(self, tmp_path, capsys, command,
+                                         cfg):
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o")
+        assert main(["--out-dir", out, command, path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
@@ -261,12 +306,7 @@ class TestCapacity:
 
 class TestBalayage:
     def test_balayage_report_and_atoms(self, tmp_path):
-        cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.25,
-               "truncation": 8.0,
-               "plates": [{"geometry": "ball_complement", "sign": -1,
-                           "center": [0, 0, 0], "radius": 1.0}],
-               "source": {"positions": [[0.0, 0.0, 0.0]], "weights": [1.0]}}
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, BALAYAGE_CONFIG)
         out = str(tmp_path / "out")
         assert main(["--out-dir", out, "balayage", path]) == 0
         rep = read_report(out)
@@ -297,6 +337,17 @@ class TestVerifyCommand:
         assert "equivalence.energy_gap_rel" in rep
         assert rep["scenario"] == "ball-test"
         assert_numerics_finite_or_inf(rep)
+
+    def test_annotated_example_stays_runnable(self, tmp_path):
+        # the documented config, at a coarse size
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "scenarios", "annotated_example.yaml")
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, "--resolution", "0.4",
+                     "--truncation", "4", "verify", path]) == 0
+        rep = read_report(out)
+        for key in ("kkt.pass", "zone.pass", "support.pass"):
+            assert rep[key] == "True", key
 
 
 class TestSolveGreen:
