@@ -14,10 +14,9 @@ from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project, green_energy_identity_check,
                        mass_conservation_probe)
-from .gauss_solver import (Constraint, ProblemSpec, SolveResult,
-                           lift_green_to_riesz, project_capped_simplex,
-                           solve_green_reduced, solve_riesz,
-                           solve_sigma_variant)
+from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
+                           project_capped_simplex, solve_green_reduced,
+                           solve_riesz, solve_sigma_variant)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

@@ -28,7 +28,7 @@ from .errors import (CondenserError, InfeasibleError, NonConvergedError,
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import KernelSpec, equilibrium_measure
-from .model import ball_volume_nodes, disk_nodes, sphere_surface_nodes
+from .model import PlateSpec, disk_nodes, plate_nodes, sphere_surface_nodes
 from .scenarios import (Scenario, build_scenario, kernel_from,
                         optional_mapping, positive_size, require,
                         tolerances_from)
@@ -131,7 +131,7 @@ def _solve_files(rep: ReportBuilder, spec: ProblemSpec, atoms: SolveResult,
     """The report, the atoms of ``atoms`` and the iterates of ``trace``."""
     return {"report.txt": rep.text(),
             "atoms.csv": _atoms_csv(atoms.solution.components,
-                                    spec.constraint.caps),
+                                    spec.constraint),
             "trace.csv": _csv(["iter", "objective", "step", "kkt_residual"],
                               ([int(row[0]), *map(float, row[1:])]
                                for row in trace.trace))}
@@ -171,11 +171,11 @@ def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict,
     for key, val in sorted(meta.items()):
         rep.add(f"config.{key}", val)
     for i, p in enumerate(spec.condenser.plates):
-        rep.add(f"config.plate{i}.geometry", p.geometry_tag)
+        rep.add(f"config.plate{i}.geometry", p.spec.tag)
         rep.add(f"config.plate{i}.sign", p.sign)
         rep.add(f"config.plate{i}.nodes", len(p.nodes))
-        if p.truncation is not None:
-            rep.add(f"config.plate{i}.truncation", p.truncation)
+        if p.spec.truncation is not None:
+            rep.add(f"config.plate{i}.truncation", p.spec.truncation)
     rep.section("tolerances")
     for name in Tolerances.__dataclass_fields__:
         rep.add(f"tolerances.{name}", getattr(spec.tolerances, name))
@@ -275,18 +275,22 @@ def cmd_capacity(args) -> dict:
     resolution = positive_size(cfg, "resolution", 0.1)
     gc = require(cfg, "conductor", dict)
     tag = require(gc, "geometry", str)
-    center = tuple(gc.get("center", (0.0, 0.0, 0.0)))
-    radius = positive_size(gc, "radius", 1.0)
-    if tag == "sphere":
-        count = max(12, int(round(4 * math.pi * radius ** 2 / resolution ** 2)))
-        nodes = sphere_surface_nodes(center, radius, count)
-    elif tag == "ball":
-        nodes = ball_volume_nodes(center, radius, resolution)
-    elif tag == "disk":
-        count = max(12, int(round(math.pi * radius ** 2 / resolution ** 2)))
-        nodes = disk_nodes(center, radius, count, axis=int(gc.get("axis", 0)))
-    else:
+    if tag not in ("sphere", "ball", "disk"):
         raise ParseError(f"unsupported conductor geometry {tag!r}")
+    try:
+        # a sphere conductor is the boundary of the ball it describes
+        spec = PlateSpec("disk" if tag == "disk" else "ball", +1,
+                         center=tuple(gc.get("center", (0.0, 0.0, 0.0))),
+                         radius=positive_size(gc, "radius", 1.0),
+                         axis=int(gc.get("axis", 0)))
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"conductor: {exc}") from None
+    if tag == "sphere":
+        count = max(12, int(round(
+            4 * math.pi * spec.radius ** 2 / resolution ** 2)))
+        nodes = sphere_surface_nodes(spec.center, spec.radius, count)
+    else:
+        nodes = plate_nodes(spec, resolution)
     total = positive_size(gc, "total", 1.0)
     lam, cap = equilibrium_measure(nodes, kernel, total, tolerances=tol)
     rep = ReportBuilder("capacity")

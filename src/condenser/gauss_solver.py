@@ -21,58 +21,33 @@ from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
 @dataclass(frozen=True)
-class Constraint:
-    """Per-plate cap weights; ``None`` marks an unconstrained plate (xi = inf).
-
-    Capped plates must satisfy sum(caps) > total strictly (constraint
-    definition); the check happens in ProblemSpec where totals are known.
-    """
-
-    caps: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "caps", tuple(
-            None if c is None else np.asarray(c, dtype=float) for c in self.caps))
-        for c in self.caps:
-            if c is not None and (np.any(c < 0) or not np.all(np.isfinite(c))):
-                raise ValueError("cap weights must be finite and >= 0")
-
-    @classmethod
-    def unbounded(cls, n_plates: int) -> "Constraint":
-        return cls(tuple(None for _ in range(n_plates)))
-
-    def cap_array(self, i: int, size: int) -> np.ndarray:
-        c = self.caps[i]
-        if c is None:
-            return np.full(size, np.inf)
-        if c.shape != (size,):
-            raise AlignmentError(f"cap for plate {i} misaligned with its nodes")
-        return c
-
-
-@dataclass(frozen=True)
 class ProblemSpec:
     """Full problem statement: condenser, prescribed masses, field, caps.
 
     The unique negative plate is the last one; its mass equals the sum of the
-    positive masses (enforced here).
+    positive masses (enforced here).  ``constraint`` holds one entry per
+    plate: its cap weights, one per node, finite and >= 0 with a total above
+    the plate's mass, or None for an uncapped plate (xi = inf).
     """
 
     condenser: Condenser
     totals: tuple
     field: ExternalField
-    constraint: Constraint
+    constraint: tuple
     kernel: KernelSpec
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
         object.__setattr__(self, "totals", tuple(float(a) for a in self.totals))
+        object.__setattr__(self, "constraint", tuple(
+            None if c is None else np.asarray(c, dtype=float)
+            for c in self.constraint))
         plates = self.condenser.plates
         if len(self.totals) != len(plates):
             raise AlignmentError("one total per plate required")
         if any(a <= 0 for a in self.totals):
             raise ValueError("prescribed masses must be > 0")
-        if len(self.constraint.caps) != len(plates):
+        if len(self.constraint) != len(plates):
             raise AlignmentError("one cap entry per plate required")
         signs = [p.sign for p in plates]
         if signs[-1] != -1 or any(s != +1 for s in signs[:-1]):
@@ -83,16 +58,24 @@ class ProblemSpec:
             raise ValueError(
                 f"negative-plate mass {self.totals[-1]} must equal the sum of "
                 f"positive masses {a_pos}")
-        for i, p in enumerate(plates):
-            c = self.constraint.caps[i]
+        for i, (p, c) in enumerate(zip(plates, self.constraint)):
             if c is None:
                 continue
             if c.shape != (len(p.nodes),):
                 raise AlignmentError(f"cap for plate {i} misaligned")
+            if np.any(c < 0) or not np.all(np.isfinite(c)):
+                raise ValueError(f"plate {i}: cap weights must be finite "
+                                 f"and >= 0")
             if c.sum() <= self.totals[i]:
                 raise InfeasibleError(
                     f"plate {i}: cap total {c.sum():.6g} must strictly exceed "
                     f"the prescribed mass {self.totals[i]:.6g}")
+
+    def cap_array(self, i: int) -> np.ndarray:
+        """Cap weights of plate i, +inf at every node of an uncapped plate."""
+        c = self.constraint[i]
+        return np.full(len(self.condenser.plates[i].nodes), np.inf) \
+            if c is None else c
 
     @property
     def i_plus(self) -> tuple:
@@ -153,7 +136,7 @@ def _positive_caps_and_field(spec: ProblemSpec):
                                     spec.condenser.signs, spec.kernel)
     caps, bvals = [], []
     for i in spec.i_plus:
-        c = spec.constraint.cap_array(i, len(plates[i].nodes)).copy()
+        c = spec.cap_array(i).copy()
         frozen = np.isposinf(fvals[i])
         c[frozen] = 0.0
         if c.sum() <= spec.totals[i]:
@@ -186,7 +169,7 @@ def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
     caps, b = _positive_caps_and_field(spec)
     # no field acts on the negative plate (f_p = 0 nearly everywhere)
     m = len(plates[spec.p_index].nodes)
-    caps = np.concatenate([caps, spec.constraint.cap_array(spec.p_index, m)])
+    caps = np.concatenate([caps, spec.cap_array(spec.p_index)])
     b = np.concatenate([b, np.zeros(m)])
     res = minimize_quadratic(K, b, slices, spec.totals, caps, spec.tolerances,
                              seed=seed)
@@ -262,8 +245,7 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
     """Balayage of the total positive cap onto the negative plate's nodes;
     the reference measure for sigma-variant domination checks."""
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
-    caps = [spec.constraint.cap_array(i, len(p.nodes))
-            for i, p in zip(spec.i_plus, plates)]
+    caps = [spec.cap_array(i) for i in spec.i_plus]
     if any(np.any(np.isinf(cap)) for cap in caps):
         raise ValueError("sigma variant needs finite positive-plate caps")
     merged, idx = _merge_positive([p.nodes for p in plates])
@@ -279,7 +261,7 @@ def solve_sigma_variant(spec: ProblemSpec, green: GreenContext,
     Requires sigma^p to dominate, node by node, the sweep of the total
     positive cap onto the negative plate (checked by computing that sweep).
     """
-    sigma_p = spec.constraint.caps[spec.p_index]
+    sigma_p = spec.constraint[spec.p_index]
     if sigma_p is None:
         raise ValueError("sigma variant needs an explicit negative-plate cap")
     swept = swept_positive_caps(spec, green)

@@ -31,10 +31,9 @@ class KernelMatrix:
 
 def riesz_eval(x, y, kernel: KernelSpec) -> float:
     """Riesz kernel |x-y|^(alpha-n); +inf on the diagonal."""
-    d = float(np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float)))
-    if d == 0.0:
-        return math.inf
-    return d ** (kernel.alpha - kernel.n)
+    return float(_riesz_block(np.atleast_2d(np.asarray(x, dtype=float)),
+                              np.atleast_2d(np.asarray(y, dtype=float)),
+                              kernel)[0, 0])
 
 
 def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,

@@ -8,7 +8,7 @@ allowed to shrink with resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -16,7 +16,9 @@ from scipy.spatial.distance import cdist
 
 from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
 
-GEOMETRY_TAGS = ("ball", "ball_complement", "half_space", "disk", "explicit_cloud")
+GEOMETRY_TAGS = ("ball", "ball_complement", "half_space", "disk")
+# geometries laid out only out to a truncation radius
+UNBOUNDED_TAGS = ("ball_complement", "half_space")
 
 # Cell-radius calibration.  The CellBall diagonal rule evaluates the mean of
 # the kernel over a ball of radius cell_radius, so cell_radius sets each
@@ -43,33 +45,21 @@ DEPTH_GROWTH = 2.2   # half-space layer depths
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Riesz kernel |x-y|^(alpha-n) on R^n.
-
-    ``self_energy_rule`` fixes the kernel-matrix diagonal: ``cell_ball`` uses
-    the analytic mean of the kernel over a ball of radius cell_radius;
-    ``excluded`` drops self-interaction entirely (algebraic tests only).
-    """
+    """Riesz kernel |x-y|^(alpha-n) on R^n.  The kernel-matrix diagonal is
+    the analytic mean of the kernel over a ball of radius cell_radius."""
 
     n: int
     alpha: float
-    self_energy_rule: str = "cell_ball"
 
     def __post_init__(self):
         if self.n < 3:
             raise ValueError(f"dimension must be >= 3, got {self.n}")
         if not (0.0 < self.alpha <= 2.0):
             raise ValueError(f"alpha must lie in (0, 2], got {self.alpha}")
-        if self.self_energy_rule not in ("cell_ball", "excluded"):
-            raise ValueError(f"unknown self-energy rule {self.self_energy_rule!r}")
 
     def self_energy(self, cell_radius: np.ndarray | float) -> np.ndarray | float:
-        """Diagonal value per the self-energy rule.
-
-        CellBall: mean of |x|^(alpha-n) over a ball of radius rho is
-        (n/alpha) * rho^(alpha-n), finite for alpha > 0.
-        """
-        if self.self_energy_rule == "excluded":
-            return np.zeros_like(np.asarray(cell_radius, dtype=float))
+        """Diagonal value: the mean of |x|^(alpha-n) over a ball of radius
+        rho is (n/alpha) * rho^(alpha-n), finite for alpha > 0."""
         rho = np.asarray(cell_radius, dtype=float)
         return (self.n / self.alpha) * rho ** (self.alpha - self.n)
 
@@ -114,40 +104,19 @@ class NodeSet:
 
 @dataclass(frozen=True)
 class Plate:
-    """One signed plate of a condenser."""
+    """One signed plate of a condenser; ``spec`` is the description it was
+    laid out from, None for a bare node cloud."""
 
     id: int
     sign: int
     nodes: NodeSet
-    geometry_tag: str = "explicit_cloud"
-    params: dict = field(default_factory=dict)
-    truncation: Optional[float] = None
+    spec: Optional[PlateSpec] = None
 
     def __post_init__(self):
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
-        if self.geometry_tag not in GEOMETRY_TAGS:
-            raise ValueError(f"unknown geometry tag {self.geometry_tag!r}")
         if len(self.nodes) == 0:
             raise EmptyPlateError(f"plate {self.id} has no nodes")
-
-    def boundary_distance(self, positions: np.ndarray) -> Optional[np.ndarray]:
-        """Distance to the plate's geometric boundary surface, where defined.
-
-        For ``ball``/``ball_complement`` the boundary is the sphere, for
-        ``half_space`` the bounding hyperplane.  Returns None for geometries
-        without a canonical boundary (clouds, disks).
-        """
-        pos = np.asarray(positions, dtype=float)
-        if self.geometry_tag in ("ball", "ball_complement"):
-            center = np.asarray(self.params["center"], dtype=float)
-            r = float(self.params["radius"])
-            return np.abs(np.linalg.norm(pos - center, axis=-1) - r)
-        if self.geometry_tag == "half_space":
-            axis = int(self.params.get("axis", 0))
-            level = float(self.params.get("level", 0.0))
-            return np.abs(pos[..., axis] - level)
-        return None
 
 
 @dataclass(frozen=True)
@@ -572,8 +541,10 @@ def _concat_nodesets(parts: Iterable[NodeSet]) -> NodeSet:
 
 @dataclass(frozen=True)
 class PlateSpec:
-    """Geometric description of one plate, consumed by :func:`build_condenser`.
+    """Geometric description of one plate, laid out by :func:`plate_nodes`.
 
+    Unbounded plates (ball complements, half-spaces) need a ``truncation``
+    radius beyond their ``radius``, and other plates take none.
     ``stack_count`` > 0 on a disk plate builds the stacked family: disk k of
     radius k x radius at axis offset 1/k from the disk center, k = 1..count,
     one layer per disk.  ``count`` fixes the nodes per disk (every disk of a
@@ -591,72 +562,77 @@ class PlateSpec:
     stack_count: int = 0
     count: Optional[int] = None
     backing: bool = True
-    cloud: Optional[NodeSet] = None
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
         if self.tag not in GEOMETRY_TAGS:
             raise ValueError(f"unknown geometry tag {self.tag!r}")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
+        if len(self.center) != 3:
+            raise ValueError(f"center must have 3 coordinates, got {self.center}")
+        if self.tag != "half_space" and not self.radius > 0:
+            raise ValueError(f"{self.tag} radius must be > 0, got {self.radius}")
+        if self.axis not in (0, 1, 2):
+            raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
+        if self.side not in (+1, -1):
+            raise ValueError(f"side must be +1 or -1, got {self.side}")
+        if (self.truncation is not None) != (self.tag in UNBOUNDED_TAGS):
+            raise ValueError("truncation applies to, and is required on, "
+                             "ball_complement and half_space plates only")
+        if self.truncation is not None and \
+                not self.truncation > max(self.radius, 0.0):
+            raise ValueError(f"truncation {self.truncation} must exceed the "
+                             f"radius {self.radius}")
         if self.stack_count and self.tag != "disk":
             raise ValueError("stack_count applies to disk plates only")
         if self.count is not None and (self.tag != "disk" or self.count < 1):
             raise ValueError("count (>= 1) applies to disk plates only")
 
+    def boundary_distance(self, positions: np.ndarray) -> Optional[np.ndarray]:
+        """Distance to the plate's boundary surface: the sphere of a ball or
+        ball complement, the bounding hyperplane of a half-space; None for a
+        disk."""
+        pos = np.asarray(positions, dtype=float)
+        if self.tag in ("ball", "ball_complement"):
+            return np.abs(np.linalg.norm(pos - np.asarray(self.center), axis=-1)
+                          - self.radius)
+        if self.tag == "half_space":
+            return np.abs(pos[..., self.axis] - self.level)
+        return None
+
+
+def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
+    """The nodes of one plate laid out at the given resolution."""
+    if spec.tag == "ball":
+        return ball_volume_nodes(spec.center, spec.radius, resolution)
+    if spec.tag == "ball_complement":
+        return ball_complement_nodes(spec.center, spec.radius, spec.truncation,
+                                     resolution)
+    if spec.tag == "half_space":
+        return half_space_nodes(spec.level, spec.side, spec.truncation,
+                                resolution, axis=spec.axis, backing=spec.backing)
+    if spec.stack_count > 0:
+        parts = []
+        for k in range(1, spec.stack_count + 1):
+            ctr = np.asarray(spec.center, dtype=float)
+            ctr[spec.axis] += 1.0 / k
+            rk = k * spec.radius
+            count = spec.count or \
+                max(12, int(round(math.pi * rk ** 2 / resolution ** 2)))
+            parts.append(disk_nodes(ctr, rk, count, axis=spec.axis,
+                                    layer=k - 1))
+        return trim_cell_radii(_concat_nodesets(parts))
+    count = spec.count or max(1, int(round(
+        math.pi * spec.radius ** 2 / resolution ** 2)))
+    return disk_nodes(spec.center, spec.radius, count, axis=spec.axis)
+
 
 def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Condenser:
-    """Discretize the plates at the given resolution and assemble a condenser.
-
-    Unbounded plates (ball complements, half-spaces) require a truncation
-    radius, which is recorded on the plate.  Raises EmptyPlateError for a
-    degenerate plate and ZeroSeparationError if a positive node coincides
-    with a negative one.
-    """
-    plates = []
-    for i, spec in enumerate(plate_specs):
-        params = {"center": spec.center, "radius": spec.radius,
-                  "axis": spec.axis, "level": spec.level, "side": spec.side}
-        if spec.tag == "ball":
-            nodes = ball_volume_nodes(spec.center, spec.radius, resolution)
-            trunc = None
-        elif spec.tag == "ball_complement":
-            if spec.truncation is None:
-                raise ValueError("ball_complement plate needs a truncation radius")
-            nodes = ball_complement_nodes(spec.center, spec.radius,
-                                          spec.truncation, resolution)
-            trunc = spec.truncation
-        elif spec.tag == "half_space":
-            if spec.truncation is None:
-                raise ValueError("half_space plate needs a truncation radius")
-            nodes = half_space_nodes(spec.level, spec.side, spec.truncation,
-                                     resolution, axis=spec.axis,
-                                     backing=spec.backing)
-            trunc = spec.truncation
-        elif spec.tag == "disk":
-            if spec.stack_count > 0:
-                parts = []
-                for k in range(1, spec.stack_count + 1):
-                    ctr = np.asarray(spec.center, dtype=float).copy()
-                    ctr[spec.axis] += 1.0 / k
-                    rk = k * spec.radius
-                    count = spec.count or \
-                        max(12, int(round(math.pi * rk ** 2 / resolution ** 2)))
-                    parts.append(disk_nodes(ctr, rk, count, axis=spec.axis,
-                                            layer=k - 1))
-                nodes = trim_cell_radii(_concat_nodesets(parts))
-            else:
-                count = spec.count or max(1, int(round(
-                    math.pi * spec.radius ** 2 / resolution ** 2)))
-                nodes = disk_nodes(spec.center, spec.radius, count,
-                                   axis=spec.axis)
-            trunc = None
-        else:  # explicit_cloud
-            if spec.cloud is None:
-                raise ValueError("explicit_cloud plate needs nodes")
-            nodes = spec.cloud
-            trunc = None
-        if len(nodes) == 0:
-            raise EmptyPlateError(f"plate {i} ({spec.tag}) produced no nodes")
-        plates.append(Plate(id=i, sign=spec.sign, nodes=nodes,
-                            geometry_tag=spec.tag, params=params, truncation=trunc))
+    """Lay out the plates at the given resolution and assemble a condenser,
+    cells trimmed across plates.  Raises EmptyPlateError for a plate without
+    nodes and ZeroSeparationError if a positive node coincides with a
+    negative one."""
+    plates = [Plate(id=i, sign=spec.sign, nodes=plate_nodes(spec, resolution),
+                    spec=spec) for i, spec in enumerate(plate_specs)]
     return Condenser(tuple(trim_across_plates(plates)))

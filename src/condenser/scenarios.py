@@ -11,11 +11,11 @@ import numpy as np
 
 from .balayage import GreenContext
 from .errors import AlignmentError, ParseError
-from .gauss_solver import Constraint, ProblemSpec
+from .gauss_solver import ProblemSpec
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
-from .model import (RING_GROWTH, Condenser, DiscreteMeasure, NodeSet,
-                    PlateSpec, _concat_nodesets, build_condenser, disk_nodes,
-                    graded_plane_nodes, trim_cell_radii,
+from .model import (RING_GROWTH, UNBOUNDED_TAGS, Condenser, DiscreteMeasure,
+                    NodeSet, PlateSpec, _concat_nodesets, build_condenser,
+                    disk_nodes, graded_plane_nodes, trim_cell_radii,
                     untrimmed_surface_cells)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -70,9 +70,13 @@ def tolerances_from(cfg: dict) -> Tolerances:
 def kernel_from(cfg: dict) -> KernelSpec:
     kc = require(cfg, "kernel", dict)
     try:
-        return KernelSpec(int(kc.get("n", 3)), float(require(kc, "alpha")))
+        kernel = KernelSpec(int(kc.get("n", 3)), float(require(kc, "alpha")))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid kernel spec: {exc}") from None
+    if kernel.n != 3:
+        raise ParseError(f"kernel n must be 3, the dimension every config "
+                         f"geometry is laid out in, got {kernel.n}")
+    return kernel
 
 
 # plate keys and their types; an absent key takes the PlateSpec default
@@ -93,7 +97,7 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
         try:
             kw = {key: kind(pc[key]) for key, kind in _PLATE_KEYS.items()
                   if key in pc}
-            if tag in ("ball_complement", "half_space"):
+            if tag in UNBOUNDED_TAGS:
                 kw.setdefault("truncation", truncation)
             # Newtonian sweeps are carried by the boundary, so half-space
             # plates default to the boundary layer alone at alpha = 2
@@ -106,7 +110,7 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
 
 
 def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
-                     tol: Tolerances) -> Constraint:
+                     tol: Tolerances) -> tuple:
     entries = require(cfg, "constraint", list)
     if len(entries) != len(condenser.plates):
         raise ParseError("one constraint entry per plate required")
@@ -118,8 +122,7 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
         if mode == "unbounded":
             caps.append(None)
         elif mode == "explicit":
-            w = np.asarray(require(ent, "weights", list), dtype=float)
-            caps.append(w)
+            caps.append(require(ent, "weights", list))
         elif mode == "scaled_capacitary":
             try:
                 q = float(require(ent, "q"))
@@ -129,9 +132,9 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                                          tolerances=tol)
             caps.append(q * lam.weights)
         elif mode == "stacked_disks":
-            if plate.geometry_tag != "disk":
+            if plate.spec.tag != "disk":
                 raise ParseError(f"constraint {i}: stacked_disks needs a disk "
-                                 f"plate, not {plate.geometry_tag!r}")
+                                 f"plate, not {plate.spec.tag!r}")
             layers = plate.nodes.layer_index
             cap = np.zeros(len(plate.nodes))
             for k in range(1, int(layers.max()) + 2):
@@ -145,7 +148,7 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
             caps.append(cap)
         else:
             raise ParseError(f"unknown constraint mode {mode!r}")
-    return Constraint(tuple(caps))
+    return tuple(caps)
 
 
 def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
@@ -184,13 +187,13 @@ def _condenser_from(cfg: dict):
 def build_scenario(cfg: dict) -> Scenario:
     """Validated Scenario from a parsed config mapping."""
     kernel, tol, condenser, sizes = _condenser_from(cfg)
-    totals = tuple(float(a) for a in require(cfg, "totals", list))
+    totals = require(cfg, "totals", list)
     constraint = _constraint_from(cfg, condenser, kernel, tol)
     fieldspec = _field_from(cfg, condenser)
     try:
         spec = ProblemSpec(condenser=condenser, totals=totals, field=fieldspec,
                            constraint=constraint, kernel=kernel, tolerances=tol)
-    except (ValueError, AlignmentError) as exc:
+    except (ValueError, TypeError, AlignmentError) as exc:
         raise ParseError(str(exc)) from None
     green = GreenContext(condenser.plates[-1].nodes, kernel)
     return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,

@@ -15,7 +15,7 @@ from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
 from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
-                     potential, vector_potential)
+                     potential, vector_potential, _riesz_block)
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
                     row_blocks, semimetric_distance, squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -85,12 +85,12 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
     upper = np.zeros(p)
     for j in range(p):
         comp = sol.components[j]
-        caps = spec.constraint.cap_array(j, len(comp.nodes))
+        caps = spec.cap_array(j)
         consts[j], lower[j], upper[j] = plate_constant_and_kkt(
             W[j], comp.weights, caps, spec.totals[j], tol.free_margin_rel)
 
     comp = sol.components[p]
-    caps = spec.constraint.cap_array(p, len(comp.nodes))
+    caps = spec.cap_array(p)
     _, p_lower, p_upper = plate_constant_and_kkt(
         W[p], comp.weights, caps, spec.totals[p], tol.free_margin_rel)
     plate_p_stat = max(p_lower, p_upper)
@@ -105,7 +105,8 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
                           replace=False)
         pick[take] = True
     excluded = 0
-    bdist = plate.boundary_distance(plate.nodes.positions)
+    bdist = None if plate.spec is None else \
+        plate.spec.boundary_distance(plate.nodes.positions)
     if bdist is not None:
         inside = bdist < plate.nodes.cell_radii
         excluded = int(np.sum(pick & inside))
@@ -138,7 +139,7 @@ def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
     for _ in range(count):
         j = int(rng.integers(0, p)) if p > 1 else 0
         comp = sol.components[j]
-        caps = spec.constraint.cap_array(j, len(comp.nodes))
+        caps = spec.cap_array(j)
         margin = tol.free_margin_rel * spec.totals[j]
         donors = np.flatnonzero(comp.weights > margin)
         receivers = np.flatnonzero(comp.weights < caps - margin)
@@ -152,13 +153,11 @@ def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
                     TRANSFER_FRACTION * spec.totals[j])
         if delta <= 0:
             continue
-        nodes = comp.nodes
-        kaa = spec.kernel.self_energy(nodes.cell_radii[a])
-        kbb = spec.kernel.self_energy(nodes.cell_radii[b])
-        d = float(np.linalg.norm(nodes.positions[a] - nodes.positions[b]))
-        kab = d ** (spec.kernel.alpha - spec.kernel.n) if d > 0 else kaa
+        pair = [a, b]
+        k = _riesz_block(comp.nodes.positions[pair], comp.nodes.positions[pair],
+                         spec.kernel, rho_q=comp.nodes.cell_radii[pair])
         dG = 2.0 * delta * (W[j][b] - W[j][a]) + \
-            delta * delta * (kaa + kbb - 2.0 * kab)
+            delta * delta * (k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
         trials.append(dG / delta)
         worst = min(worst, dG / delta)
     scale = max(1.0, float(np.abs(result.constants).max())
@@ -219,7 +218,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     lam = resultant(sol, spec.condenser)
     plate1 = spec.condenser.plates[0]
     plate_p = spec.condenser.plates[1]
-    caps = spec.constraint.cap_array(0, len(plate1.nodes))
+    caps = spec.cap_array(0)
     w1 = sol.components[0].weights
     pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
     c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0],
@@ -294,23 +293,22 @@ def _exclude_near_atoms(pts, all_pos, all_rad, factor):
 
 def _domain_probes(plate_p, n, rng, all_pos, all_rad, factor):
     """Random probes inside D (the complement of the negative plate)."""
-    if plate_p.geometry_tag == "ball_complement":
-        c = np.asarray(plate_p.params["center"], dtype=float)
-        r = float(plate_p.params["radius"])
+    spec = plate_p.spec
+    tag = None if spec is None else spec.tag
+    if tag == "ball_complement":
         u = rng.random(4 * n)
         dirs = rng.normal(size=(4 * n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        pts = c + dirs * (0.95 * r * u[:, None] ** (1.0 / 3.0))
-    elif plate_p.geometry_tag == "half_space":
-        axis = int(plate_p.params.get("axis", 0))
-        level = float(plate_p.params.get("level", 0.0))
-        side = int(plate_p.params.get("side", -1))
+        pts = np.asarray(spec.center) + \
+            dirs * (0.95 * spec.radius * u[:, None] ** (1.0 / 3.0))
+    elif tag == "half_space":
         span = max(1.0, float(np.abs(all_pos).max()) / 4.0)
         pts = rng.uniform(-span, span, size=(4 * n, 3))
-        pts[:, axis] = level - side * (0.05 + rng.random(4 * n) * span)
+        pts[:, spec.axis] = spec.level - \
+            spec.side * (0.05 + rng.random(4 * n) * span)
     else:
         raise WrongScenarioError(
-            f"no probe generator for domain geometry {plate_p.geometry_tag!r}")
+            f"no probe generator for domain geometry {tag!r}")
     keep = _exclude_near_atoms(pts, all_pos, all_rad, factor)
     return pts[keep][:n], int(np.sum(~keep))
 
@@ -346,7 +344,8 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
     total = comp.total_mass
     floor = spec.tolerances.supp_floor_rel * spec.totals[p] / max(len(comp.nodes), 1)
     if spec.kernel.alpha == 2.0:
-        bdist = plate.boundary_distance(plate.nodes.positions)
+        bdist = None if plate.spec is None else \
+            plate.spec.boundary_distance(plate.nodes.positions)
         if bdist is None:
             frac = 1.0 if len(plate.nodes) == 1 else 0.0
         else:

@@ -10,7 +10,7 @@ import pytest
 
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project, green_energy_identity_check)
-from condenser.gauss_solver import (Constraint, ProblemSpec, solve_riesz,
+from condenser.gauss_solver import (ProblemSpec, solve_riesz,
                                     solve_sigma_variant, swept_positive_caps)
 from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
                               mutual_energy)
@@ -219,7 +219,7 @@ def test_criterion_09_sigma_variant(ex1, ex1_riesz):
     spec_sigma = ProblemSpec(
         condenser=ex1.spec.condenser, totals=ex1.spec.totals,
         field=ex1.spec.field,
-        constraint=Constraint((ex1.spec.constraint.caps[0], swept)),
+        constraint=(ex1.spec.constraint[0], swept),
         kernel=ex1.spec.kernel, tolerances=ex1.spec.tolerances)
     res = solve_sigma_variant(spec_sigma, ex1.green)
     assert res.converged

@@ -25,6 +25,9 @@ BALL_CONFIG = {
     "field": {"case": "zero"},
 }
 
+# the ball config at toy sizes
+TOY_BALL = dict(BALL_CONFIG, resolution=0.5, truncation=3.0)
+
 BALAYAGE_CONFIG = {
     "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.25, "truncation": 8.0,
     "plates": [{"geometry": "ball_complement", "sign": -1,
@@ -232,6 +235,50 @@ class TestErrorPaths:
         assert capsys.readouterr().err.startswith("ERROR Parse")
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("solve", dict(TOY_BALL, plates=[
+            dict(TOY_BALL["plates"][0], axis=7), TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, plates=[
+            dict(TOY_BALL["plates"][0], center=[0, 0]),
+            TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, plates=[
+            TOY_BALL["plates"][0], dict(TOY_BALL["plates"][1], side=3)])),
+        ("solve", dict(TOY_BALL, plates=[
+            {"geometry": "explicit_cloud", "sign": 1},
+            TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, plates=[
+            TOY_BALL["plates"][0],
+            dict(TOY_BALL["plates"][1], truncation=-1.0)])),
+        ("solve", dict(TOY_BALL, plates=[
+            TOY_BALL["plates"][0],
+            dict(TOY_BALL["plates"][1], truncation=0.5)])),
+        ("solve", dict(TOY_BALL, plates=[
+            dict(TOY_BALL["plates"][0], radius=-1.0),
+            TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, plates=[
+            dict(TOY_BALL["plates"][0], truncation=3.0),
+            TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "scaled_capacitary", "q": -1.0}, {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, totals=["a", 1.0])),
+        ("solve", dict(TOY_BALL, kernel={"n": 4, "alpha": 1.5})),
+        ("capacity", {"kernel": {"n": 4, "alpha": 2.0}, "resolution": 0.3,
+                      "conductor": {"geometry": "sphere", "radius": 1.0}}),
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+                      "conductor": {"geometry": "sphere", "radius": 1.0,
+                                    "center": [0, 0]}}),
+    ], ids=["plate-axis", "plate-center-2d", "plate-side", "explicit-cloud",
+            "negative-truncation", "truncation-inside-radius",
+            "negative-radius", "truncation-on-ball", "negative-q",
+            "non-numeric-total", "kernel-n4", "capacity-n4",
+            "capacity-center-2d"])
+    def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "o")
+        assert main(["--out-dir", out, command, path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
@@ -302,6 +349,32 @@ class TestCapacity:
         assert main(["--out-dir", out, "capacity", path]) == 0
         rep = read_report(out)
         assert abs(float(rep["capacity.value"]) - 1.0) < 0.02
+
+
+    def test_ball_capacity_near_its_radius(self, tmp_path):
+        # Newtonian capacity of a solid ball is that of its sphere; the
+        # volume nodes sit strictly inside it, so a coarse grid reads low
+        cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.15,
+               "conductor": {"geometry": "ball", "radius": 1.0}}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, "capacity", path]) == 0
+        rep = read_report(out)
+        assert rep["capacity.geometry"] == "ball"
+        assert abs(float(rep["capacity.value"]) - 1.0) < 0.06
+
+    def test_disk_capacity_within_three_percent(self, tmp_path):
+        # Newtonian capacity of a flat disk of radius a is 2a/pi; its nodes
+        # follow the disk-plate count pi a^2 / resolution^2
+        cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.15,
+               "conductor": {"geometry": "disk", "radius": 1.0, "axis": 2}}
+        path = write_config(tmp_path, cfg)
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, "capacity", path]) == 0
+        rep = read_report(out)
+        assert rep["capacity.nodes"] == str(round(math.pi / 0.15 ** 2))
+        exact = 2.0 / math.pi
+        assert abs(float(rep["capacity.value"]) - exact) / exact < 0.03
 
 
 class TestBalayage:

@@ -74,14 +74,6 @@ class TestAssemble:
         exact = kern.self_energy(rho)
         assert abs(val - exact) / exact < 1e-9
 
-    def test_excluded_rule_single_node(self):
-        ns = NodeSet([[0, 0, 0]], [1.0], [0.1])
-        kex = KernelSpec(3, 2.0, self_energy_rule="excluded")
-        km = assemble_matrix(ns, kex)
-        assert km.entries[0, 0] == 0.0
-        mu = DiscreteMeasure(ns, np.array([1.0]))
-        assert mutual_energy(mu, mu, kex) == 0.0
-
     def test_symmetry(self):
         rng = np.random.default_rng(5)
         ns = jittered_cloud(rng, 40, 3)
@@ -249,14 +241,16 @@ class TestGaussFunctional:
         assert gauss_functional(mu, ExternalField.zero(), K2) == 0.0
 
     def test_opposite_atoms_excluded_rule(self):
+        # two unit atoms of cell radius 0.1: each cell-ball diagonal is
+        # (3/2)/0.1, and the opposite signs subtract the cross term twice
         d = 0.8
-        kex = KernelSpec(3, 2.0, self_energy_rule="excluded")
         pos = NodeSet([[0, 0, 0]], [1.0], [0.1])
         neg = NodeSet([[d, 0, 0]], [1.0], [0.1])
         cond = Condenser((plate_from(pos, 0, +1), plate_from(neg, 1, -1)))
         mu = VectorMeasure.from_weights(cond, [np.array([1.0]), np.array([1.0])])
-        got = gauss_functional(mu, ExternalField.zero(), kex)
-        assert got == pytest.approx(-2.0 / d, rel=1e-14)
+        got = gauss_functional(mu, ExternalField.zero(), K2)
+        assert got == pytest.approx(2.0 * 1.5 / 0.1 - 2.0 / d, rel=1e-14)
+        assert got == pytest.approx(27.5, rel=1e-14)
 
     def test_case1_rejects_field_on_negative_plate(self):
         with pytest.raises(ValueError):

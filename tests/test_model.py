@@ -8,7 +8,7 @@ from condenser.kernel import assemble_matrix
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              build_condenser, resultant, semimetric_distance,
-                             sphere_surface_nodes)
+                             sphere_surface_nodes, trim_across_plates)
 
 K2 = KernelSpec(3, 2.0)
 
@@ -40,9 +40,12 @@ class TestBuildCondenser:
         assert abs(vol - exact) / exact < 0.02
 
     def test_zero_radius_is_empty(self):
+        with pytest.raises(ValueError):
+            PlateSpec(tag="ball", sign=+1, radius=0.0)
+
+    def test_plate_without_nodes_rejected(self):
         with pytest.raises(EmptyPlateError):
-            build_condenser([PlateSpec(tag="ball", sign=+1, radius=0.0)],
-                            resolution=0.2)
+            Plate(id=0, sign=+1, nodes=NodeSet(np.zeros((0, 3)), [], []))
 
     def test_touching_closures_are_allowed(self):
         # exterior boundary layer sits exactly on the sphere; interior grid
@@ -81,10 +84,8 @@ class TestBuildCondenser:
         one = NodeSet([[0.0, 0.0, 0.0]], [1.0], [0.5])
         other = NodeSet([[0.4, 0.0, 0.0], [2.0, 0.0, 0.0]], np.ones(2),
                         np.full(2, 0.5))
-        cond = build_condenser(
-            [PlateSpec(tag="explicit_cloud", sign=+1, cloud=one),
-             PlateSpec(tag="explicit_cloud", sign=-1, cloud=other)],
-            resolution=0.2)
+        cond = Condenser(trim_across_plates(
+            [Plate(id=0, sign=+1, nodes=one), Plate(id=1, sign=-1, nodes=other)]))
         assert cond.plates[0].nodes.cell_radii[0] == NEIGHBOR_TRIM * 0.4
         assert np.array_equal(cond.plates[1].nodes.cell_radii,
                               [NEIGHBOR_TRIM * 0.4, 0.5])
@@ -94,8 +95,41 @@ class TestBuildCondenser:
             [PlateSpec(tag="ball", sign=+1, radius=1.0),
              PlateSpec(tag="half_space", sign=-1, level=-2.0, side=-1,
                        truncation=6.0)], resolution=0.3)
-        assert cond.plates[1].truncation == 6.0
-        assert cond.plates[0].truncation is None
+        assert cond.plates[1].spec.truncation == 6.0
+        assert cond.plates[0].spec.truncation is None
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(tag="ball", radius=-1.0),
+        dict(tag="disk", radius=0.0),
+        dict(tag="ball_complement", radius=1.0),
+        dict(tag="half_space"),
+        dict(tag="ball", radius=1.0, truncation=3.0),
+        dict(tag="ball_complement", radius=1.0, truncation=0.5),
+        dict(tag="ball_complement", radius=1.0, truncation=-1.0),
+        dict(tag="half_space", truncation=0.0),
+        dict(tag="ball", radius=1.0, axis=7),
+        dict(tag="half_space", truncation=6.0, side=3),
+        dict(tag="ball", radius=1.0, center=(0.0, 0.0)),
+        dict(tag="explicit_cloud"),
+    ], ids=["negative-radius", "zero-disk-radius", "complement-no-truncation",
+            "half-space-no-truncation", "bounded-truncation",
+            "truncation-inside-radius", "negative-truncation",
+            "zero-half-space-truncation", "axis", "side", "center-2d",
+            "unknown-tag"])
+    def test_plate_spec_rejects(self, kwargs):
+        with pytest.raises(ValueError):
+            PlateSpec(sign=-1, **kwargs)
+
+    def test_boundary_distance(self):
+        ball = PlateSpec(tag="ball", sign=+1, center=(1.0, 0.0, 0.0), radius=2.0)
+        plane = PlateSpec(tag="half_space", sign=-1, axis=2, level=-1.0,
+                          truncation=6.0)
+        disk = PlateSpec(tag="disk", sign=+1, radius=1.0)
+        pts = np.array([[1.0, 0.0, 0.0], [4.0, 0.0, 0.5]])
+        assert np.allclose(ball.boundary_distance(pts),
+                           [2.0, math.sqrt(9.25) - 2.0])
+        assert np.array_equal(plane.boundary_distance(pts), [1.0, 1.5])
+        assert disk.boundary_distance(pts) is None
 
 
 class TestNodeValidation:

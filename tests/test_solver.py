@@ -6,7 +6,7 @@ import pytest
 from condenser.balayage import GreenContext
 from condenser.errors import (DuplicateNodeError, InfeasibleError,
                               SigmaDominationError)
-from condenser.gauss_solver import (Constraint, ProblemSpec,
+from condenser.gauss_solver import (ProblemSpec,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     project_capped_simplex, solve_green_reduced,
                                     solve_riesz, solve_sigma_variant,
@@ -14,9 +14,10 @@ from condenser.gauss_solver import (Constraint, ProblemSpec,
 from condenser.kernel import (ExternalField, equilibrium_measure,
                               gauss_functional, mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
-                             Plate, VectorMeasure, ball_complement_nodes,
-                             ball_volume_nodes, semimetric_distance,
-                             sphere_surface_nodes)
+                             Plate, PlateSpec, VectorMeasure,
+                             ball_complement_nodes, ball_volume_nodes,
+                             semimetric_distance, sphere_surface_nodes,
+                             trim_across_plates)
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import weighted_potentials
 
@@ -128,7 +129,7 @@ class TestSolveRiesz:
         cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
                           Plate(id=1, sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K2)
+                           (None, None), K2)
         res = solve_riesz(spec)
         k11 = K2.self_energy(0.1)
         expect = k11 + k11 - 2.0 * 1.0
@@ -155,7 +156,7 @@ class TestSolveRiesz:
         theta = GreenContext(exterior, K2).sweep_weights(zeta)
         field = ExternalField.case2(
             zeta, DiscreteMeasure(exterior, np.maximum(theta, 0.0)))
-        spec = ProblemSpec(cond, (1.0, 1.0), field, Constraint.unbounded(2),
+        spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None),
                            K2)
         res = solve_riesz(spec)
         ref = gauss_functional(res.solution, field, K2)
@@ -166,7 +167,7 @@ class TestSolveRiesz:
         # mass stacked on the first node initially
         cond = small_condenser(seed=3)
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K2)
+                           (None, None), K2)
         res = solve_riesz(spec)
         K, slices = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
         s = np.concatenate([np.full(len(p.nodes), float(p.sign))
@@ -191,7 +192,7 @@ class TestSolveRiesz:
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 1.7 / caps0.sum()
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint((caps0, None)), K2)
+                           (caps0, None), K2)
         res = solve_riesz(spec, seed=1)
         assert res.converged
         for i, total in enumerate(spec.totals):
@@ -211,7 +212,7 @@ class TestSolveRiesz:
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 2.0 / caps0.sum()
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint((caps0, None)), K2)
+                           (caps0, None), K2)
         res = solve_riesz(spec)
         W = weighted_potentials(res.solution, spec)
         scale = max(1.0, float(np.abs(res.constants).max()))
@@ -231,7 +232,7 @@ class TestSolveRiesz:
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 1.5 / caps0.sum()
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint((caps0, None)), K2)
+                           (caps0, None), K2)
         r1 = solve_riesz(spec, seed=1)
         r2 = solve_riesz(spec, seed=99)
         d = semimetric_distance(r1.solution, r2.solution, cond, K2)
@@ -248,7 +249,7 @@ class TestSolveRiesz:
         caps0 = np.full(len(cond.plates[0].nodes), 1e-3)
         with pytest.raises(InfeasibleError):
             ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                        Constraint((caps0, None)), K2)
+                        (caps0, None), K2)
 
     def test_infinite_field_nodes_frozen(self):
         cond = small_condenser(seed=8)
@@ -257,7 +258,7 @@ class TestSolveRiesz:
         vals[:3] = math.inf
         field = ExternalField.case1([vals, np.zeros(len(cond.plates[1].nodes))],
                                     cond.signs)
-        spec = ProblemSpec(cond, (1.0, 1.0), field, Constraint.unbounded(2), K2)
+        spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
         res = solve_riesz(spec)
         assert np.all(res.solution.components[0].weights[:3] == 0.0)
         assert math.isfinite(res.energy)
@@ -271,13 +272,13 @@ class TestSolveRiesz:
                           Plate(id=1, sign=+1, nodes=shared),
                           Plate(id=2, sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (0.5, 0.5, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(3), K2)
+                           (None, None, None), K2)
         assert solve_riesz(spec).converged
         repeated = shared.subset([0, 1, 1])
         cond = Condenser((Plate(id=0, sign=+1, nodes=repeated),
                           Plate(id=1, sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K2)
+                           (None, None), K2)
         with pytest.raises(DuplicateNodeError):
             solve_riesz(spec)
 
@@ -285,7 +286,7 @@ class TestSolveRiesz:
         cond = small_condenser(seed=9)
         tol = DEFAULT_TOLERANCES.with_(max_iters=2, kkt=1e-14)
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K2, tolerances=tol)
+                           (None, None), K2, tolerances=tol)
         res = solve_riesz(spec)
         assert not res.converged
         assert math.isfinite(res.energy)
@@ -295,18 +296,12 @@ class TestSolveRiesz:
 def small_green_setup():
     ball = ball_volume_nodes((0, 0, 0), 1.0, 0.3)
     exterior = ball_complement_nodes((0, 0, 0), 1.0, 12.0, 0.3)
-    from condenser.model import trim_cell_radii, _nearest_neighbor_distances, NEIGHBOR_TRIM
-    plates = []
-    all_pos = np.vstack([ball.positions, exterior.positions])
-    for pid, (sign, ns, tag) in enumerate(
-            ((1, ball, "ball"), (-1, exterior, "ball_complement"))):
-        dnn = _nearest_neighbor_distances(ns.positions, all_pos)
-        capped = NodeSet(ns.positions, ns.quad_weights,
-                         np.minimum(ns.cell_radii, NEIGHBOR_TRIM * dnn),
-                         ns.layer_index)
-        plates.append(Plate(id=pid, sign=sign, nodes=capped, geometry_tag=tag,
-                            params={"center": (0, 0, 0), "radius": 1.0}))
-    cond = Condenser(tuple(plates))
+    cond = Condenser(tuple(trim_across_plates([
+        Plate(id=0, sign=1, nodes=ball,
+              spec=PlateSpec(tag="ball", sign=1, radius=1.0)),
+        Plate(id=1, sign=-1, nodes=exterior,
+              spec=PlateSpec(tag="ball_complement", sign=-1, radius=1.0,
+                             truncation=12.0))])))
     ctx = GreenContext(cond.plates[1].nodes, K15)
     return cond, ctx
 
@@ -316,7 +311,7 @@ class TestSolveGreen:
                                                              small_green_setup):
         cond, ctx = small_green_setup
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K15)
+                           (None, None), K15)
         res = solve_green_reduced(spec, ctx)
         assert res.converged
         # Green-kernel equilibrium: potential constant on carried nodes
@@ -337,7 +332,7 @@ class TestSolveGreen:
         theta = ctx.sweep_weights(zeta)
         swept = DiscreteMeasure(ctx.exterior, np.maximum(theta, 0.0))
         field = ExternalField.case2(zeta, swept)
-        spec = ProblemSpec(cond, (1.0, 1.0), field, Constraint.unbounded(2),
+        spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None),
                            K15)
         fvals = field.plate_values([ball], [1], K15)[0]
         G, _ = ctx.green_matrix(ball)
@@ -353,7 +348,7 @@ class TestSolveGreen:
     def test_riesz_green_chain_inequality(self, small_green_setup):
         cond, ctx = small_green_setup
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K15)
+                           (None, None), K15)
         riesz = solve_riesz(spec)
         green = solve_green_reduced(spec, ctx)
         assert riesz.energy >= green.energy - 1e-6 * max(1.0, abs(green.energy))
@@ -377,7 +372,7 @@ def sigma_setup(small_green_setup):
     lam, _ = equilibrium_measure(cond.plates[0].nodes, K2, 1.0)
     caps0 = 1.5 * lam.weights
     spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                       Constraint((caps0, None)), K2)
+                       (caps0, None), K2)
     xi_res = solve_riesz(spec)
     swept = swept_positive_caps(spec, ctx2)
     return cond, ctx2, caps0, spec, xi_res, swept
@@ -387,7 +382,7 @@ class TestSigmaVariant:
     def test_exact_balayage_cap_matches_xi_optimum(self, sigma_setup):
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
         spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                                 Constraint((caps0, swept)), K2)
+                                 (caps0, swept), K2)
         res = solve_sigma_variant(spec_sigma, ctx2)
         assert res.converged
         rel = abs(res.energy - xi_res.energy) / max(abs(xi_res.energy), 1.0)
@@ -399,7 +394,7 @@ class TestSigmaVariant:
     def test_slack_cap_same_optimum(self, sigma_setup):
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
         spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                                 Constraint((caps0, 2.0 * swept)), K2)
+                                 (caps0, 2.0 * swept), K2)
         res = solve_sigma_variant(spec_sigma, ctx2)
         rel = abs(res.energy - xi_res.energy) / max(abs(xi_res.energy), 1.0)
         assert rel < 1e-8
@@ -411,6 +406,6 @@ class TestSigmaVariant:
         sigma[np.argmax(swept)] = 0.1 * swept.max()
         assert sigma.sum() > 1.0
         bad = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                          Constraint((caps0, sigma)), K2)
+                          (caps0, sigma), K2)
         with pytest.raises(SigmaDominationError):
             solve_sigma_variant(bad, ctx2)

@@ -5,13 +5,13 @@ import pytest
 
 from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
-from condenser.gauss_solver import (Constraint, ProblemSpec,
-                                    lift_green_to_riesz, solve_green_reduced,
-                                    solve_riesz)
+from condenser.gauss_solver import (ProblemSpec, lift_green_to_riesz,
+                                    solve_green_reduced, solve_riesz)
 from condenser.kernel import ExternalField, gauss_functional
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
-                             Plate, VectorMeasure, ball_complement_nodes,
-                             ball_volume_nodes)
+                             Plate, PlateSpec, VectorMeasure,
+                             ball_complement_nodes, ball_volume_nodes,
+                             trim_across_plates)
 from condenser.scenarios import example_one, sweep_plane_context
 from condenser.verify import (KKTReport, equivalence_check, kkt_report,
                               loglog_slope, mass_transfer_probe,
@@ -30,11 +30,11 @@ def small_spec(seed=0, cap_scale=None):
     cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
                       Plate(id=1, sign=-1, nodes=neg)))
     if cap_scale is None:
-        constraint = Constraint.unbounded(2)
+        constraint = (None, None)
     else:
         caps = rng.uniform(0.05, 0.2, 25)
         caps *= cap_scale / caps.sum()
-        constraint = Constraint((caps, None))
+        constraint = (caps, None)
     return ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(), constraint, K2)
 
 
@@ -59,7 +59,7 @@ class TestKKTReport:
         # move 1% of the plate mass between two free nodes against the slope
         W = weighted_potentials(res.solution, spec)[0]
         w = res.solution.components[0].weights.copy()
-        caps = spec.constraint.cap_array(0, len(w))
+        caps = spec.cap_array(0)
         margin = 1e-6
         free = np.flatnonzero((w > margin) & (w < caps - margin))
         assert free.size >= 2
@@ -110,12 +110,12 @@ class TestKKTReport:
         from condenser._pg import block_constants_and_kkt
         lam, _ = equilibrium_measure(cond.plates[0].nodes, kern, 1.0)
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint((1.5 * lam.weights, None)), kern)
+                           (1.5 * lam.weights, None), kern)
         gres = solve_green_reduced(spec, ctx)
         # Green potential of the whole solution, read at the plate nodes
         comp = gres.solution.components[0]
         W = ctx.green_potential(comp, comp.nodes.positions)
-        caps = spec.constraint.cap_array(0, len(comp.nodes))
+        caps = spec.cap_array(0)
         _, viol = block_constants_and_kkt(
             W, comp.weights, caps, [slice(0, len(W))], [1.0],
             spec.tolerances.free_margin_rel)
@@ -130,7 +130,7 @@ class TestZoneChecks:
                                  spec.condenser.plates[0],
                                  spec.condenser.plates[1]))
         bad_spec = ProblemSpec(three_plate, (0.5, 0.5, 1.0),
-                               ExternalField.zero(), Constraint.unbounded(3),
+                               ExternalField.zero(), (None, None, None),
                                K2)
         ctx = GreenContext(spec.condenser.plates[1].nodes, K2)
         res3 = solve_riesz(bad_spec)
@@ -168,7 +168,7 @@ class TestSupportReport:
         cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
                           Plate(id=1, sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
-                           Constraint.unbounded(2), K2)
+                           (None, None), K2)
         res = solve_riesz(spec)
         rep = support_report(res, spec)
         assert rep.boundary_fraction == pytest.approx(1.0)
@@ -203,20 +203,12 @@ class TestEquivalence:
             sc = example_one(resolution=0.28, truncation=8.0)
             # rebuild with a coarser exterior only
             ext = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.28 * res_ext / 1.6)
-            from condenser.model import (_nearest_neighbor_distances,
-                                         NEIGHBOR_TRIM, trim_cell_radii)
-            ball = sc.spec.condenser.plates[0].nodes
-            all_pos = np.vstack([ball.positions, ext.positions])
-            dnn = _nearest_neighbor_distances(ext.positions, all_pos)
-            ext = NodeSet(ext.positions, ext.quad_weights,
-                          np.minimum(ext.cell_radii, NEIGHBOR_TRIM * dnn),
-                          ext.layer_index)
-            plates = (sc.spec.condenser.plates[0],
-                      Plate(id=1, sign=-1, nodes=ext,
-                            geometry_tag="ball_complement",
-                            params={"center": (0, 0, 0), "radius": 1.0},
-                            truncation=8.0))
-            cond = Condenser(plates)
+            cond = Condenser(tuple(trim_across_plates([
+                sc.spec.condenser.plates[0],
+                Plate(id=1, sign=-1, nodes=ext,
+                      spec=PlateSpec(tag="ball_complement", sign=-1,
+                                     radius=1.0, truncation=8.0))])))
+            ext = cond.plates[1].nodes
             spec = ProblemSpec(cond, sc.spec.totals, sc.spec.field,
                                sc.spec.constraint, sc.spec.kernel,
                                sc.spec.tolerances)
