@@ -2,15 +2,15 @@
 problems, numerical balayage, and structure verification."""
 
 from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
-                     EmptyPlateError, InfeasibleError, ParseError,
-                     SigmaDominationError, SolverDivergence, UnsupportedKernel,
+                     EmptyPlateError, InfeasibleError, NonConvergedError,
+                     ParseError, SigmaDominationError, UnsupportedKernel,
                      WrongScenarioError, ZeroSeparationError)
 from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
                     resultant, semimetric_distance)
 from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
                      equilibrium_measure, gauss_functional, mutual_energy,
-                     potential, riesz_eval, vector_potential)
+                     potential, riesz_eval)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project, green_energy_identity_check,
                        mass_conservation_probe)

@@ -73,7 +73,9 @@ class GreenContext:
         """Cone projections of the columns of B (exterior potentials): one
         unconstrained Cholesky solve, then ``_cone_project`` for every column
         that dips below zero.  Returns theta and the clipped-column count."""
-        theta = cho_solve(self._chol, B)
+        # factors and right-hand sides are built here from finite kernel
+        # values, so the solves skip scipy's finiteness rescan
+        theta = cho_solve(self._chol, B, check_finite=False)
         col_max = np.maximum(theta.max(axis=0), 1e-300)
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
         for k in bad:
@@ -119,7 +121,7 @@ class GreenContext:
                     return np.zeros(m)
                 mask = b > 0.0
             idx, fac = self._pattern_solver(mask)
-            theta_s = cho_solve(fac, b[idx])
+            theta_s = cho_solve(fac, b[idx], check_finite=False)
             neg = theta_s < 0.0
             theta = np.zeros(m)
             theta[idx] = np.maximum(theta_s, 0.0)

@@ -2,8 +2,9 @@
 and report/CSV emission.  Scenarios come from ``scenarios.build_scenario``:
 a config file, or a built-in example's config for ``example``.
 
-Exit codes: 0 success, 2 parse error, 3 infeasible, 4 non-converged,
-5 internal error.  On any failure partial outputs are removed and a single
+Exit codes: 0 success, else the ``exit_code`` of the ``CondenserError``
+raised (2 parse, 3 infeasible, 4 non-converged, 5 other) or 5 for any other
+exception.  On any failure no output is written and a single
 machine-readable line ``ERROR <code> <message>`` goes to stderr.
 """
 
@@ -23,8 +24,7 @@ import yaml
 
 from . import scenarios
 from .balayage import GreenContext, balayage_project
-from .errors import (CondenserError, InfeasibleError, NonConvergedError,
-                     ParseError, SigmaDominationError, SolverDivergence)
+from .errors import CondenserError, NonConvergedError, ParseError
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import KernelSpec, equilibrium_measure
@@ -392,18 +392,9 @@ def main(argv=None) -> int:
     }
     try:
         files = handlers[args.command](args)
-    except ParseError as exc:
-        print(f"ERROR Parse {exc}", file=sys.stderr)
-        return 2
-    except (InfeasibleError, SigmaDominationError) as exc:
-        print(f"ERROR {exc.code} {exc}", file=sys.stderr)
-        return 3
-    except (NonConvergedError, SolverDivergence) as exc:
-        print(f"ERROR NonConverged {exc}", file=sys.stderr)
-        return 4
     except CondenserError as exc:
         print(f"ERROR {exc.code} {exc}", file=sys.stderr)
-        return 5
+        return exc.exit_code
     except Exception as exc:  # pragma: no cover - defensive
         print(f"ERROR Internal {exc}", file=sys.stderr)
         return 5

@@ -1,10 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.  Each carries the ``code``
+that the command line prints (``ERROR <code> <message>``) and the
+``exit_code`` it exits with."""
 
 
 class CondenserError(Exception):
     """Base class for all package errors."""
 
     code = "Internal"
+    exit_code = 5
 
 
 class ZeroSeparationError(CondenserError):
@@ -37,22 +40,18 @@ class UnsupportedKernel(CondenserError):
     code = "UnsupportedKernel"
 
 
-class SolverDivergence(CondenserError):
-    """An iterative solve failed its convergence contract."""
-
-    code = "SolverDivergence"
-
-
 class InfeasibleError(CondenserError):
     """The feasible region of a constrained problem is empty."""
 
     code = "Infeasible"
+    exit_code = 3
 
 
 class SigmaDominationError(CondenserError):
     """Explicit negative-plate cap does not dominate the swept positive caps."""
 
     code = "SigmaDomination"
+    exit_code = 3
 
 
 class WrongScenarioError(CondenserError):
@@ -65,9 +64,11 @@ class ParseError(CondenserError):
     """Scenario configuration could not be parsed or validated."""
 
     code = "Parse"
+    exit_code = 2
 
 
 class NonConvergedError(CondenserError):
-    """A solve hit its iteration budget before meeting the convergence contract."""
+    """An iterative solve failed its convergence contract."""
 
     code = "NonConverged"
+    exit_code = 4

@@ -126,26 +126,26 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
     return K, slices
 
 
-def _positive_caps_and_field(spec: ProblemSpec):
-    """Caps and linear field term of the positive plates, concatenated in
-    plate order.  The field is evaluated on every plate; nodes where it is
-    +inf are frozen to zero weight, and each plate's caps must still exceed
-    its mass after freezing."""
+def _caps_and_field(spec: ProblemSpec):
+    """Cap and linear field term of every plate, one array per plate in plate
+    order.  Nodes where the field is +inf are frozen to zero weight (cap 0,
+    field term 0), and each plate's caps must still exceed its mass after
+    freezing."""
     plates = spec.condenser.plates
     fvals = spec.field.plate_values([p.nodes for p in plates],
                                     spec.condenser.signs, spec.kernel)
     caps, bvals = [], []
-    for i in spec.i_plus:
+    for i, f in enumerate(fvals):
         c = spec.cap_array(i).copy()
-        frozen = np.isposinf(fvals[i])
+        frozen = np.isposinf(f)
         c[frozen] = 0.0
         if c.sum() <= spec.totals[i]:
             raise InfeasibleError(
                 f"plate {i}: caps after freezing infinite-field nodes sum "
                 f"to {c.sum():.6g} <= mass {spec.totals[i]:.6g}")
         caps.append(c)
-        bvals.append(np.where(frozen, 0.0, fvals[i]))
-    return np.concatenate(caps), np.concatenate(bvals)
+        bvals.append(np.where(frozen, 0.0, f))
+    return caps, bvals
 
 
 def _solve_result(res: PGResult, solution: VectorMeasure, energy: float,
@@ -159,28 +159,21 @@ def _solve_result(res: PGResult, solution: VectorMeasure, energy: float,
 
 def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
     """Minimize the Gauss functional over capped vector measures with the
-    prescribed per-plate masses (full Riesz formulation on R^n)."""
+    prescribed per-plate masses (full Riesz formulation on R^n); the
+    objective carries the field on every plate and is the reported energy."""
     plates = spec.condenser.plates
     K, slices = joint_kernel_matrix([p.nodes for p in plates], spec.kernel)
     s = np.concatenate([np.full(len(p.nodes), float(p.sign)) for p in plates])
     # fold the plate signs into K in place (exact: every factor is +-1)
     K *= s[:, None]
     K *= s[None, :]
-    caps, b = _positive_caps_and_field(spec)
-    # no field acts on the negative plate (f_p = 0 nearly everywhere)
-    m = len(plates[spec.p_index].nodes)
-    caps = np.concatenate([caps, spec.cap_array(spec.p_index)])
-    b = np.concatenate([b, np.zeros(m)])
-    res = minimize_quadratic(K, b, slices, spec.totals, caps, spec.tolerances,
-                             seed=seed)
+    caps, b = _caps_and_field(spec)
+    res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
+                             np.concatenate(caps), spec.tolerances, seed=seed)
     solution = VectorMeasure.from_weights(spec.condenser,
                                           [res.w[sl] for sl in slices])
-    # the objective w'Aw + 2b'w is the Gauss functional of the solution when
-    # the field vanishes on the negative plates, as zero and Case I fields
-    # do; a Case II field vanishes there only up to the discrete sweep
-    energy = res.objective if spec.field.case != "case2" else \
-        gauss_functional(solution, spec.field, spec.kernel)
-    return _solve_result(res, solution, energy, res.constants[:-1], seed)
+    return _solve_result(res, solution, res.objective, res.constants[:-1],
+                         seed)
 
 
 def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
@@ -192,9 +185,11 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
     merged, idx = _merge_positive(nodesets)
     G, _ = green.green_matrix(merged)
     slices = _block_slices([len(ns) for ns in nodesets])
-    caps, b = _positive_caps_and_field(spec)
-    res = minimize_quadratic(G[np.ix_(idx, idx)], b, slices,
-                             [spec.totals[i] for i in spec.i_plus], caps,
+    caps, b = _caps_and_field(spec)
+    res = minimize_quadratic(G[np.ix_(idx, idx)],
+                             np.concatenate(b[:spec.p_index]), slices,
+                             spec.totals[:spec.p_index],
+                             np.concatenate(caps[:spec.p_index]),
                              spec.tolerances, seed=seed)
     comps = [DiscreteMeasure(p.nodes, res.w[sl])
              for p, sl in zip(plates, slices)]

@@ -1,5 +1,7 @@
 """Kernel evaluation, matrix assembly, energies/potentials, the Gauss
-functional, and equilibrium measures / capacity."""
+functional, and equilibrium measures / capacity.  A vector measure is read
+through its resultant R mu = sum_i s_i mu^i, so ``potential`` and
+``mutual_energy`` take vector and scalar measures alike."""
 
 from __future__ import annotations
 
@@ -10,9 +12,9 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._pg import minimize_quadratic
-from .errors import DuplicateNodeError, SolverDivergence
+from .errors import DuplicateNodeError, NonConvergedError
 from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
-                    VectorMeasure, merge_by_position, row_blocks,
+                    VectorMeasure, merge_by_position, resultant, row_blocks,
                     squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -68,7 +70,10 @@ def assemble_matrix(nodes: NodeSet, kernel: KernelSpec) -> KernelMatrix:
 
 
 def _atoms_of(mu) -> tuple:
-    """(positions, weights, cell_radii) of a measure."""
+    """(positions, weights, cell_radii) of a measure; a vector measure gives
+    the atoms of its resultant."""
+    if isinstance(mu, VectorMeasure):
+        mu = resultant(mu)
     if isinstance(mu, DiscreteMeasure):
         return mu.nodes.positions, mu.weights, mu.nodes.cell_radii
     if isinstance(mu, SignedMeasure):
@@ -91,15 +96,7 @@ def potential(mu, points, kernel: KernelSpec) -> np.ndarray:
 
 def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
     """Mutual energy kappa(mu, nu); coinciding atom pairs contribute through
-    the self-energy rule.  Vector measures use the sign matrix s_i s_j."""
-    if isinstance(mu, VectorMeasure) or isinstance(nu, VectorMeasure):
-        if not (isinstance(mu, VectorMeasure) and isinstance(nu, VectorMeasure)):
-            raise TypeError("mix of vector and scalar measures")
-        total = 0.0
-        for si, ci in zip(mu.signs, mu.components):
-            for sj, cj in zip(nu.signs, nu.components):
-                total += si * sj * mutual_energy(ci, cj, kernel)
-        return total
+    the self-energy rule."""
     pa, wa, _ = _atoms_of(mu)
     pb, wb, rb = _atoms_of(nu)
     if pa.shape[0] == 0 or pb.shape[0] == 0:
@@ -109,16 +106,6 @@ def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
         K = _riesz_block(pa[rows], pb, kernel, rho_q=rb)
         total += float(wa[rows] @ K @ wb)
     return total
-
-
-def vector_potential(mu: VectorMeasure, i: int, points, kernel: KernelSpec) -> np.ndarray:
-    """Component i of the vector potential: sum_j s_i s_j kappa(x, mu^j)."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    out = np.zeros(pts.shape[0])
-    si = mu.signs[i]
-    for sj, comp in zip(mu.signs, mu.components):
-        out += si * sj * potential(comp, pts, kernel)
-    return out
 
 
 @dataclass(frozen=True)
@@ -178,7 +165,8 @@ class ExternalField:
 
 def gauss_functional(mu: VectorMeasure, field: ExternalField,
                      kernel: KernelSpec) -> float:
-    """Weighted energy G = kappa(mu, mu) + 2 sum_i <f_i, mu^i>.
+    """Weighted energy G = kappa(R mu, R mu) + 2 sum_i <f_i, mu^i>, the
+    functional every solve minimizes.
 
     Returns +inf when positive weight sits on a node with infinite field.
     """
@@ -191,7 +179,8 @@ def gauss_functional(mu: VectorMeasure, field: ExternalField,
             return math.inf
         finite = np.isfinite(f)
         linear += float(f[finite] @ comp.weights[finite])
-    return mutual_energy(mu, mu, kernel) + 2.0 * linear
+    r = resultant(mu)
+    return mutual_energy(r, r, kernel) + 2.0 * linear
 
 
 def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
@@ -211,7 +200,7 @@ def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
     res = minimize_quadratic(A, None, [slice(0, m)], [total],
                              np.full(m, np.inf), tolerances)
     if not res.converged:
-        raise SolverDivergence(
+        raise NonConvergedError(
             f"equilibrium solve stalled at KKT residual {res.kkt_residual:.3e}")
     energy = res.objective
     capacity = total * total / energy if energy > 0 else math.inf

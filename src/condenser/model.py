@@ -299,20 +299,13 @@ class SignedMeasure:
         return float(self.weights.sum())
 
 
-def resultant(mu: VectorMeasure, condenser: Condenser) -> SignedMeasure:
+def resultant(mu: VectorMeasure) -> SignedMeasure:
     """Signed scalar measure sum_i s_i mu^i; shared nodes of equally signed
     plates are merged (exact position match), zero atoms dropped."""
-    if len(mu.components) != len(condenser.plates):
-        raise AlignmentError(
-            f"measure has {len(mu.components)} components, condenser has "
-            f"{len(condenser.plates)} plates")
-    for plate, comp in zip(condenser.plates, mu.components):
-        if len(comp.weights) != len(plate.nodes):
-            raise AlignmentError(f"component for plate {plate.id} misaligned")
     comps = mu.components
     return _merged_signed(
         np.vstack([c.nodes.positions for c in comps]),
-        np.concatenate([s * c.weights for s, c in zip(condenser.signs, comps)]),
+        np.concatenate([s * c.weights for s, c in zip(mu.signs, comps)]),
         np.concatenate([c.nodes.cell_radii for c in comps]))
 
 
@@ -330,18 +323,15 @@ def _merged_signed(positions, weights, radii) -> SignedMeasure:
 
 
 def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
-                        condenser: Condenser, kernel: KernelSpec) -> float:
-    """Energy-norm distance ||R mu - R nu||_kappa.
-
-    Computed on the merged atom set of the two resultants; equals the
-    sign-matrix expansion over components up to floating error.
-    """
+                        kernel: KernelSpec) -> float:
+    """Energy-norm distance ||R mu - R nu||_kappa, computed on the merged
+    atom set of the two resultants."""
     from . import kernel as _kernel  # deferred: kernel imports this module
 
     if not mu.aligned_with(nu):
         raise AlignmentError("measures live on different condensers")
-    rmu = resultant(mu, condenser)
-    rnu = resultant(nu, condenser)
+    rmu = resultant(mu)
+    rnu = resultant(nu)
     delta = _merged_signed(np.vstack([rmu.positions, rnu.positions]),
                            np.concatenate([rmu.weights, -rnu.weights]),
                            np.concatenate([rmu.cell_radii, rnu.cell_radii]))
@@ -603,7 +593,19 @@ class PlateSpec:
 
 
 def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
-    """The nodes of one plate laid out at the given resolution."""
+    """The nodes of one plate laid out at the given resolution.
+
+    An unbounded plate needs ``truncation > radius + 2 x resolution`` (radius
+    0 for a half-space): a thinner truncated shell or slab would be laid out
+    in cells thinner than the resolution.  Raises ValueError otherwise,
+    before any layout.
+    """
+    if spec.tag in UNBOUNDED_TAGS:
+        inner = spec.radius if spec.tag == "ball_complement" else 0.0
+        if not spec.truncation > inner + 2.0 * resolution:
+            raise ValueError(
+                f"{spec.tag} truncation {spec.truncation} must exceed "
+                f"radius {inner:g} + 2 x resolution {resolution:g}")
     if spec.tag == "ball":
         return ball_volume_nodes(spec.center, spec.radius, resolution)
     if spec.tag == "ball_complement":

@@ -178,9 +178,11 @@ def _condenser_from(cfg: dict):
     kernel = kernel_from(cfg)
     sizes = {"resolution": positive_size(cfg, "resolution", 0.2),
              "truncation": positive_size(cfg, "truncation", 16.0)}
-    condenser = build_condenser(
-        _plate_specs_from(cfg, sizes["truncation"], kernel.alpha),
-        sizes["resolution"])
+    specs = _plate_specs_from(cfg, sizes["truncation"], kernel.alpha)
+    try:
+        condenser = build_condenser(specs, sizes["resolution"])
+    except ValueError as exc:
+        raise ParseError(str(exc)) from None
     return kernel, tol, condenser, sizes
 
 

@@ -15,7 +15,7 @@ from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
 from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
-                     potential, vector_potential, _riesz_block)
+                     potential, _riesz_block)
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
                     row_blocks, semimetric_distance, squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -25,16 +25,15 @@ TRANSFER_FRACTION = 1e-3  # mass of one mass-transfer trial / the plate's mass
 
 
 def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
-    """W^{lambda,i} at every node of every component, recomputed from the
-    measure itself (independent of solver internals)."""
+    """W^{lambda,i} = s_i kappa(., R lambda) + f_i at every node of every
+    component, recomputed from the measure itself (independent of solver
+    internals).  W is +inf where the field is, which is never a KKT
+    violation: such nodes are frozen at zero weight."""
     nodesets = [c.nodes for c in solution.components]
     fvals = spec.field.plate_values(nodesets, solution.signs, spec.kernel)
-    out = []
-    for i, comp in enumerate(solution.components):
-        W = vector_potential(solution, i, comp.nodes.positions, spec.kernel)
-        f = np.where(np.isposinf(fvals[i]), 0.0, fvals[i])
-        out.append(W + f)
-    return out
+    r = resultant(solution)
+    return [s * potential(r, ns.positions, spec.kernel) + f
+            for s, ns, f in zip(solution.signs, nodesets, fvals)]
 
 
 @dataclass
@@ -215,7 +214,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
                           tol=tol.potential,
                           checks={"identity": False, "level": False,
                                   "bound": False, "support": False})
-    lam = resultant(sol, spec.condenser)
+    lam = resultant(sol)
     plate1 = spec.condenser.plates[0]
     plate_p = spec.condenser.plates[1]
     caps = spec.cap_array(0)
@@ -376,8 +375,8 @@ def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
     lift_gap = abs(riesz_result.energy - lifted_result.energy) / \
         max(abs(lifted_result.energy), 1.0)
     dist = semimetric_distance(riesz_result.solution, lifted_result.solution,
-                               spec.condenser, spec.kernel)
-    r = resultant(riesz_result.solution, spec.condenser)
+                               spec.kernel)
+    r = resultant(riesz_result.solution)
     scale = math.sqrt(max(mutual_energy(r, r, spec.kernel), 1e-300))
     return {
         "energy_gap_rel": gap,

@@ -35,6 +35,20 @@ BALAYAGE_CONFIG = {
     "source": {"positions": [[0.0, 0.0, 0.0]], "weights": [1.0]},
 }
 
+# a disk above the half-space x1 <= 0 at toy sizes
+TOY_DISK_HALF_SPACE = {
+    "kernel": {"n": 3, "alpha": 2.0},
+    "resolution": 0.2,
+    "truncation": 6.0,
+    "plates": [
+        {"geometry": "disk", "sign": 1, "center": [1.0, 0, 0],
+         "radius": 0.5},
+        {"geometry": "half_space", "sign": -1},
+    ],
+    "totals": [1.0, 1.0],
+    "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}],
+}
+
 # a small exhaustion-sweep boundary
 SWEEP_SIZES = {"flat_radius": 2.0, "cell": 0.5, "truncation": 6.0}
 
@@ -267,17 +281,41 @@ class TestErrorPaths:
         ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
                       "conductor": {"geometry": "sphere", "radius": 1.0,
                                     "center": [0, 0]}}),
+        # an unbounded plate needs truncation > radius + 2 x resolution
+        ("solve", dict(TOY_DISK_HALF_SPACE, truncation=0.1)),
+        ("solve", dict(TOY_DISK_HALF_SPACE, truncation=0.3,
+                       kernel={"n": 3, "alpha": 1.5})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, truncation=0.4,
+                       kernel={"n": 3, "alpha": 1.5})),
+        ("solve", dict(TOY_BALL, resolution=0.2, truncation=1.01)),
     ], ids=["plate-axis", "plate-center-2d", "plate-side", "explicit-cloud",
             "negative-truncation", "truncation-inside-radius",
             "negative-radius", "truncation-on-ball", "negative-q",
             "non-numeric-total", "kernel-n4", "capacity-n4",
-            "capacity-center-2d"])
+            "capacity-center-2d", "half-space-truncation-below-resolution",
+            "backing-truncation-0.3", "backing-truncation-0.4",
+            "complement-truncation-near-radius"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o")
         assert main(["--out-dir", out, command, path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
         assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    def test_thin_complement_truncation_exits_before_its_layout(
+            self, tmp_path, capsys, monkeypatch):
+        # at truncation 1.01 the first shell would hold ~127k nodes
+        import condenser.model
+
+        def no_layout(*args, **kwargs):
+            raise AssertionError("ball complement laid out")
+
+        monkeypatch.setattr(condenser.model, "ball_complement_nodes",
+                            no_layout)
+        path = write_config(tmp_path, dict(TOY_BALL, resolution=0.2,
+                                           truncation=1.01))
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 2
+        assert capsys.readouterr().err.startswith("ERROR Parse")
 
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
@@ -337,6 +375,18 @@ class TestNodeValueField:
         assert main(["--out-dir", out, command, path]) == 0
         assert first_atom_weight(out) == 0.0
         assert_numerics_finite_or_inf(read_report(out))
+
+    def test_frozen_nodes_are_no_kkt_violation(self):
+        # the weighted potential is +inf at a frozen node, which is no
+        # violation of W >= c below the cap
+        from condenser.gauss_solver import solve_riesz
+        from condenser.scenarios import build_scenario
+        from condenser.verify import kkt_report
+        sc = build_scenario(node_value_config())
+        res = solve_riesz(sc.spec)
+        rep = kkt_report(res, sc.spec)
+        assert rep.lower_violation.max() <= 1e-12
+        assert rep.kkt_pass
 
 
 class TestCapacity:

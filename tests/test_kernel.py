@@ -6,8 +6,7 @@ import pytest
 from condenser.errors import DuplicateNodeError
 from condenser.kernel import (ExternalField, assemble_matrix,
                               equilibrium_measure, gauss_functional,
-                              mutual_energy, potential, riesz_eval,
-                              vector_potential)
+                              mutual_energy, potential, riesz_eval)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, ball_volume_nodes,
                              resultant, sphere_surface_nodes)
@@ -135,8 +134,11 @@ class TestMutualEnergy:
                 cond, [rng.random(3), rng.random(3), rng.random(2)])
             nu = VectorMeasure.from_weights(
                 cond, [rng.random(3), rng.random(3), rng.random(2)])
-            lhs = mutual_energy(mu, nu, K2)
-            ra, rb = resultant(mu, cond), resultant(nu, cond)
+            # sign-matrix expansion over components, scalar energies only
+            lhs = sum(si * sj * mutual_energy(ci, cj, K2)
+                      for si, ci in zip(mu.signs, mu.components)
+                      for sj, cj in zip(nu.signs, nu.components))
+            ra, rb = resultant(mu), resultant(nu)
             rhs = float(sum(
                 ra.weights[i] * rb.weights[j] *
                 (K2.self_energy(ra.cell_radii[i])
@@ -146,6 +148,7 @@ class TestMutualEnergy:
             scale = math.sqrt(mutual_energy(mu, mu, K2)) * \
                 math.sqrt(mutual_energy(nu, nu, K2)) + 1e-300
             assert abs(lhs - rhs) / scale < 1e-12
+            assert abs(mutual_energy(mu, nu, K2) - lhs) / scale < 1e-12
 
     def test_energy_nonnegative_and_definite(self):
         shared = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.05))
@@ -174,7 +177,26 @@ class TestMutualEnergy:
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def sign_expansion(mu, i, pts):
+    """sum_j s_i s_j kappa(x, mu^j): component i of the vector potential
+    from the scalar potentials of the components."""
+    return sum(mu.signs[i] * sj * potential(comp, pts, K2)
+               for sj, comp in zip(mu.signs, mu.components))
+
+
+def pointwise_kernel(pts, r):
+    """Kernel values between query points and the atoms of r, entry by
+    entry, the self-energy rule on coinciding pairs."""
+    return np.array([[np.linalg.norm(p - q) ** (-1) if np.any(p != q)
+                      else K2.self_energy(rr)
+                      for q, rr in zip(r.positions, r.cell_radii)]
+                     for p in pts])
+
+
 class TestVectorPotential:
+    """A vector measure's potential is that of its resultant; these check it
+    against the componentwise sign expansion."""
+
     def setup_method(self):
         pos = NodeSet([[0, 0, 0], [0.5, 0, 0]], np.ones(2), np.full(2, 0.05))
         neg = NodeSet([[3, 0, 0], [3, 0.5, 0]], np.ones(2), np.full(2, 0.05))
@@ -187,50 +209,43 @@ class TestVectorPotential:
         single = Condenser((self.cond.plates[0],))
         mu = VectorMeasure.from_weights(single, [self.mu.components[0].weights])
         pts = [[1.0, 1.0, 0.0]]
-        assert vector_potential(mu, 0, pts, K2)[0] == pytest.approx(
+        assert potential(mu, pts, K2)[0] == pytest.approx(
             potential(mu.components[0], pts, K2)[0])
 
     def test_two_plate_sign_expansion(self):
         pts = np.array([[1.0, 1.0, 0.0], [0.2, -1.0, 0.4]])
-        got = vector_potential(self.mu, 0, pts, K2)
+        got = potential(self.mu, pts, K2)
         expect = potential(self.mu.components[0], pts, K2) - \
             potential(self.mu.components[1], pts, K2)
         assert np.allclose(got, expect, rtol=1e-14)
 
     def test_negative_plate_is_minus_resultant_potential(self):
         pts = self.cond.plates[1].nodes.positions
-        got = vector_potential(self.mu, 1, pts, K2)
-        r = resultant(self.mu, self.cond)
-        ref = -potential(
-            DiscreteMeasure(NodeSet(r.positions, np.ones(len(r)),
-                                    r.cell_radii), np.abs(r.weights) * 0 + r.weights
-                            if False else np.zeros(len(r))), pts, K2)
+        got = sign_expansion(self.mu, 1, pts)
         # direct evaluation of the signed resultant potential
-        signed = r.weights
-        K = np.array([[np.linalg.norm(p - q) ** (-1) if np.any(p != q)
-                       else K2.self_energy(rr)
-                       for q, rr in zip(r.positions, r.cell_radii)]
-                      for p in pts])
-        ref = -(K @ signed)
+        r = resultant(self.mu)
+        ref = -(pointwise_kernel(pts, r) @ r.weights)
         rel = np.abs(got - ref) / np.maximum(np.abs(ref), 1e-300)
+        assert np.all(rel < 1e-12)
+        rel = np.abs(-potential(self.mu, pts, K2) - ref) / \
+            np.maximum(np.abs(ref), 1e-300)
         assert np.all(rel < 1e-12)
 
     def test_grouping_identity_at_all_nodes(self):
-        # vector potential vs s_i x potential of the resultant: same sums in
-        # different association, equal to 1e-12 relative
-        r = resultant(self.mu, self.cond)
-        rset = NodeSet(r.positions, np.ones(len(r)), r.cell_radii)
+        # sign expansion over components vs s_i x potential of the
+        # resultant: same sums in different association, equal to 1e-12
+        # relative
+        r = resultant(self.mu)
         for i, plate in enumerate(self.cond.plates):
             pts = plate.nodes.positions
-            via_components = vector_potential(self.mu, i, pts, K2)
-            K = np.array([[np.linalg.norm(p - q) ** (-1) if np.any(p != q)
-                           else K2.self_energy(rr)
-                           for q, rr in zip(r.positions, r.cell_radii)]
-                          for p in pts])
-            via_resultant = plate.sign * (K @ r.weights)
-            rel = np.abs(via_components - via_resultant) / \
-                np.maximum(np.abs(via_resultant), 1e-300)
-            assert np.all(rel < 1e-12)
+            via_components = sign_expansion(self.mu, i, pts)
+            via_resultant = plate.sign * (pointwise_kernel(pts, r) @ r.weights)
+            via_package = plate.sign * potential(self.mu, pts, K2)
+            scale = np.maximum(np.abs(via_resultant), 1e-300)
+            assert np.all(np.abs(via_components - via_resultant) / scale
+                          < 1e-12)
+            assert np.all(np.abs(via_package - via_components) / scale
+                          < 1e-12)
 
 
 class TestGaussFunctional:
@@ -299,7 +314,7 @@ class TestCaseTwoField:
             mu = VectorMeasure.from_weights(cond, [wp, wn])
             lhs = gauss_functional(mu, field, newton)
             # || R mu + (zeta - zeta') ||^2 - || zeta - zeta' ||^2
-            r = resultant(mu, cond)
+            r = resultant(mu)
             combo_pos = np.concatenate([r.positions, zeta.nodes.positions,
                                         swept.nodes.positions])
             combo_rad = np.concatenate([r.cell_radii, zeta.nodes.cell_radii,

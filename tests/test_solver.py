@@ -19,7 +19,7 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              semimetric_distance, sphere_surface_nodes,
                              trim_across_plates)
 from condenser.tolerances import DEFAULT_TOLERANCES
-from condenser.verify import weighted_potentials
+from condenser.verify import kkt_report, weighted_potentials
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
@@ -143,10 +143,10 @@ class TestSolveRiesz:
                                ex1.spec.kernel)
         assert ex1_riesz.energy == pytest.approx(ref, rel=1e-12)
 
-    def test_case2_energy_is_the_gauss_functional(self):
-        # the Newtonian sweep clips, so the swept field is not zero on the
-        # exterior (~1e-2 here) and the solve's objective, which drops it,
-        # is off by ~1e-9 relative
+    @staticmethod
+    def case2_spec():
+        """Newtonian ball against its complement with a Case II field; the
+        sweep clips, so the field is not zero on the exterior (~1e-2)."""
         ball = ball_volume_nodes((0, 0, 0), 0.62, 0.3)
         exterior = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
         cond = Condenser((Plate(id=0, sign=1, nodes=ball),
@@ -156,11 +156,25 @@ class TestSolveRiesz:
         theta = GreenContext(exterior, K2).sweep_weights(zeta)
         field = ExternalField.case2(
             zeta, DiscreteMeasure(exterior, np.maximum(theta, 0.0)))
-        spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None),
-                           K2)
+        return ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
+
+    def test_case2_energy_is_the_gauss_functional(self):
+        # the solve's objective carries the field on the negative plate too
+        spec = self.case2_spec()
         res = solve_riesz(spec)
-        ref = gauss_functional(res.solution, field, K2)
+        ref = gauss_functional(res.solution, spec.field, K2)
         assert res.energy == pytest.approx(ref, rel=1e-12)
+
+    def test_case2_solution_meets_kkt(self):
+        # the minimized functional is the one kkt_report differentiates, so
+        # the negative plate is stationary as well
+        spec = self.case2_spec()
+        res = solve_riesz(spec)
+        assert res.converged
+        rep = kkt_report(res, spec)
+        assert rep.kkt_pass, rep.max_violation
+        assert res.energy == pytest.approx(
+            gauss_functional(res.solution, spec.field, K2), rel=1e-12)
 
     def test_matches_fixed_step_reference(self):
         # independent reference: plain projected gradient, fixed 1/L step,
@@ -235,7 +249,7 @@ class TestSolveRiesz:
                            (caps0, None), K2)
         r1 = solve_riesz(spec, seed=1)
         r2 = solve_riesz(spec, seed=99)
-        d = semimetric_distance(r1.solution, r2.solution, cond, K2)
+        d = semimetric_distance(r1.solution, r2.solution, K2)
         norm = math.sqrt(mutual_energy(r1.solution, r1.solution, K2))
         assert d <= 1e-4 * norm
         # disjoint plates: solutions agree componentwise, not just through
@@ -387,7 +401,7 @@ class TestSigmaVariant:
         assert res.converged
         rel = abs(res.energy - xi_res.energy) / max(abs(xi_res.energy), 1.0)
         assert rel < 1e-6
-        d = semimetric_distance(res.solution, xi_res.solution, cond, K2)
+        d = semimetric_distance(res.solution, xi_res.solution, K2)
         norm = math.sqrt(mutual_energy(xi_res.solution, xi_res.solution, K2))
         assert d <= 1e-4 * norm
 
