@@ -10,13 +10,13 @@ from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     resultant, semimetric_distance)
 from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
                      equilibrium_measure, gauss_functional, mutual_energy,
-                     potential, riesz_eval)
+                     potential)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
-                       balayage_project, green_energy_identity_check,
-                       mass_conservation_probe)
+                       balayage_project)
+from ._pg import project_capped_simplex
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
-                           project_capped_simplex, solve_green_reduced,
-                           solve_riesz, solve_sigma_variant)
+                           solve_green_reduced, solve_riesz,
+                           solve_sigma_variant)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

@@ -22,6 +22,12 @@ from .tolerances import Tolerances
 
 # projected BB steps taken from each accepted iterate before the acceptance test
 BURST = 48
+# relative objective decrease below which a KKT-feasible iterate has converged
+OBJ_REL = 1e-10
+# accepted iterations over which the objective decrease must stay below OBJ_REL
+PATIENCE = 20
+# margin (relative to the plate total) classifying a node as strictly free
+FREE_MARGIN_REL = 1e-8
 
 
 def project_capped_simplex(w, caps, total):
@@ -107,7 +113,7 @@ class PGResult:
     matvecs: int = 0
 
 
-def plate_constant_and_kkt(W, w, caps, total, free_margin_rel):
+def plate_constant_and_kkt(W, w, caps, total):
     """Multiplier estimate c of one plate and its normalized KKT violations.
 
     W is the weighted potential at the plate's nodes (half the gradient of q).
@@ -117,7 +123,7 @@ def plate_constant_and_kkt(W, w, caps, total, free_margin_rel):
     max(W - c) over carried nodes, each floored at 0 and divided by
     max(1, |c|).
     """
-    margin = free_margin_rel * total
+    margin = FREE_MARGIN_REL * total
     carried = w > margin
     below = w < caps - margin
     free = carried & below
@@ -135,14 +141,14 @@ def plate_constant_and_kkt(W, w, caps, total, free_margin_rel):
     return c, lower, upper
 
 
-def block_constants_and_kkt(W, w, caps, slices, totals, free_margin_rel):
+def block_constants_and_kkt(W, w, caps, slices, totals):
     """Per-plate multiplier estimates c_j and the largest normalized KKT
     violation over all plates (see plate_constant_and_kkt)."""
     consts = np.zeros(len(slices))
     viol = 0.0
     for j, sl in enumerate(slices):
         consts[j], lower, upper = plate_constant_and_kkt(
-            W[sl], w[sl], caps[sl], totals[j], free_margin_rel)
+            W[sl], w[sl], caps[sl], totals[j])
         viol = max(viol, lower, upper)
     return consts, viol
 
@@ -150,9 +156,9 @@ def block_constants_and_kkt(W, w, caps, slices, totals, free_margin_rel):
 def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
                        seed=None):
     """Projected-gradient/BB minimization of w'Aw + 2b'w over per-plate capped
-    simplexes, stopped by the ``kkt``, ``obj_rel``, ``patience``,
-    ``max_iters`` and ``free_margin_rel`` entries of ``tol``.  Deterministic
-    for a fixed seed.  Trace rows are accepted iterates; their objective
+    simplexes, stopped by the ``kkt`` and ``max_iters`` entries of ``tol``
+    and by ``OBJ_REL`` over ``PATIENCE`` iterations.  Deterministic for a
+    fixed seed.  Trace rows are accepted iterates; their objective
     column is non-increasing."""
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
@@ -196,8 +202,7 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
     alpha = 1.0 / (2.0 * diag_max + 1e-300)
     a_lo, a_hi = 1e-14 / diag_max, 1e14 / diag_max
 
-    consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals,
-                                          tol.free_margin_rel)
+    consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
     trace = [(0, q, 0.0, kkt)]
     hist = [q]
     converged = kkt < tol.kkt
@@ -219,7 +224,7 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
             if cq < bq:
                 bw, bz, bq = cw, cz, cq
             _, ikkt = block_constants_and_kkt(cg / 2.0, cw, caps, slices,
-                                              totals, tol.free_margin_rel)
+                                              totals)
             ss = float(s @ s)
             sy = float(s @ y)
             yy = float(y @ y)
@@ -252,14 +257,13 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
                 g = 2.0 * (z + b)
                 step_used = lam * acons
             alpha = acons
-        consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals,
-                                              tol.free_margin_rel)
+        consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
         hist.append(q)
         trace.append((outer, q, step_used, kkt))
         if kkt < tol.kkt:
-            window = min(tol.patience, len(hist) - 1)
+            window = min(PATIENCE, len(hist) - 1)
             if window == 0 or \
-                    hist[-1 - window] - q <= tol.obj_rel * max(1.0, abs(q)):
+                    hist[-1 - window] - q <= OBJ_REL * max(1.0, abs(q)):
                 converged = True
 
     return PGResult(w=w, objective=q, converged=converged, iterations=outer,

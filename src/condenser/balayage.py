@@ -1,5 +1,5 @@
 """Numerical balayage onto a domain complement as an energy-norm projection,
-Green-kernel construction on top of it, and mass-conservation diagnostics.
+Green-kernel construction on top of it, and the half-space Poisson oracle.
 
 The sweep of a measure is the minimizer of ||mu - theta||_alpha over
 nonnegative measures theta on the exterior node set: a convex QP in the
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
@@ -24,8 +23,7 @@ from scipy.optimize import nnls
 
 from . import kernel as kernelmod
 from .errors import UnsupportedKernel
-from .kernel import (KernelSpec, assemble_matrix, mutual_energy, potential,
-                     riesz_eval)
+from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
 from .model import DiscreteMeasure, NodeSet
 
 # unconstrained sweep columns more negative than this (relative to the column
@@ -178,18 +176,6 @@ class GreenContext:
         c2 = float(tnu @ pmu)
         return direct - 0.5 * (c1 + c2)
 
-    def green_eval(self, x, y) -> float:
-        """g(x, y); the unit mass at y gets the smallest exterior cell radius."""
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        if np.array_equal(x, y):
-            return math.inf
-        rho = float(np.min(self.exterior.cell_radii))
-        _, theta, _ = self.sweep_columns(NodeSet(y[None, :], [1.0], [rho]))
-        swept = DiscreteMeasure(self.exterior, np.maximum(theta[:, 0], 0.0))
-        kxy = riesz_eval(x, y, self.riesz)
-        return kxy - float(potential(swept, x[None, :], self.riesz)[0])
-
 
 def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
     """Sweep mu onto the context's exterior node set: the energy-norm
@@ -215,21 +201,21 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
                           orthogonality=ortho, clipped_nodes=clipped)
 
 
-def balayage_oracle_halfspace(y, plane_nodes: NodeSet, kernel: KernelSpec,
-                              axis: Optional[int] = None) -> DiscreteMeasure:
+def balayage_oracle_halfspace(y, plane_nodes: NodeSet,
+                              kernel: KernelSpec) -> DiscreteMeasure:
     """Closed-form harmonic-measure discretization for the Newtonian kernel:
-    the Poisson density of the half-space, cell by cell.
+    the Poisson density of the half-space, cell by cell.  The plane normal
+    is the axis along which the nodes do not spread.
 
     Only alpha = 2 has this classical form; other orders are rejected.
     """
     if kernel.alpha != 2.0:
         raise UnsupportedKernel("half-space balayage oracle requires alpha = 2")
     pos = plane_nodes.positions
-    if axis is None:
-        spreads = pos.max(axis=0) - pos.min(axis=0)
-        axis = int(np.argmin(spreads))
-        if spreads[axis] > 1e-12 * max(1.0, float(np.abs(pos).max())):
-            raise ValueError("plane nodes are not coplanar; pass axis explicitly")
+    spreads = pos.max(axis=0) - pos.min(axis=0)
+    axis = int(np.argmin(spreads))
+    if spreads[axis] > 1e-12 * max(1.0, float(np.abs(pos).max())):
+        raise ValueError("plane nodes are not coplanar")
     y = np.asarray(y, dtype=float)
     n = kernel.n
     h = abs(float(y[axis] - pos[0, axis]))
@@ -240,48 +226,3 @@ def balayage_oracle_halfspace(y, plane_nodes: NodeSet, kernel: KernelSpec,
     dist = np.linalg.norm(pos - y, axis=1)
     density = 2.0 * h / (omega * dist ** n)
     return DiscreteMeasure(plane_nodes, density * plane_nodes.quad_weights)
-
-
-def green_energy_identity_check(mu: DiscreteMeasure, ctx: GreenContext) -> dict:
-    """Evaluate ||mu||_g^2, ||mu - mu'||_alpha^2 and ||mu||_alpha^2 - ||mu'||_alpha^2
-    independently and report their pairwise relative deviations."""
-    res = balayage_project(mu, ctx)
-    green_sq = ctx.green_mutual_energy(mu, mu)
-    gap_sq = res.projection_gap ** 2
-    e_mu = mutual_energy(mu, mu, ctx.riesz)
-    e_sw = mutual_energy(res.swept, res.swept, ctx.riesz)
-    diff_sq = e_mu - e_sw
-    vals = np.array([green_sq, gap_sq, diff_sq])
-    scale = max(float(np.abs(vals).max()), 1e-300)
-    devs = {
-        "green_vs_gap": abs(green_sq - gap_sq) / scale,
-        "green_vs_diff": abs(green_sq - diff_sq) / scale,
-        "gap_vs_diff": abs(gap_sq - diff_sq) / scale,
-    }
-    return {
-        "green_energy": green_sq,
-        "projection_gap_sq": gap_sq,
-        "norm_difference": diff_sq,
-        "deviations": devs,
-        "max_deviation": max(devs.values()),
-        "potential_residual": res.potential_residual,
-    }
-
-
-def mass_conservation_probe(context_factory: Callable[[float], GreenContext],
-                            sources: DiscreteMeasure,
-                            radii: Sequence[float]) -> list:
-    """Sweep the sources onto the contexts of exteriors truncated at each
-    radius and tabulate the mass ratios.  Non-thin complements drive the
-    ratio toward one."""
-    table = []
-    for r in radii:
-        ctx = context_factory(float(r))
-        res = balayage_project(sources, ctx)
-        table.append({
-            "truncation": float(r),
-            "mass_ratio": res.mass_ratio,
-            "potential_residual": res.potential_residual,
-            "exterior_nodes": len(ctx.exterior),
-        })
-    return table

@@ -37,7 +37,7 @@ from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
                      zone_checks_apply)
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 
 def load_config(path: str) -> dict:

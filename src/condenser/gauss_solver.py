@@ -9,8 +9,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import PGResult
-from ._pg import minimize_quadratic, project_capped_simplex  # noqa: F401  (re-export)
+from ._pg import PGResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import (ExternalField, KernelSpec, gauss_functional, _riesz_block,

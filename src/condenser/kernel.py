@@ -31,13 +31,6 @@ class KernelMatrix:
         return self.entries.shape[0]
 
 
-def riesz_eval(x, y, kernel: KernelSpec) -> float:
-    """Riesz kernel |x-y|^(alpha-n); +inf on the diagonal."""
-    return float(_riesz_block(np.atleast_2d(np.asarray(x, dtype=float)),
-                              np.atleast_2d(np.asarray(y, dtype=float)),
-                              kernel)[0, 0])
-
-
 def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
                  rho_q: Optional[np.ndarray] = None) -> np.ndarray:
     """Kernel values between two point arrays.  Exactly coinciding pairs get

@@ -49,22 +49,34 @@ def optional_mapping(cfg: dict, key: str) -> dict:
 
 def positive_size(cfg: dict, key: str, default: float) -> float:
     """The config's ``key`` as a float, ``default`` when absent; it must be
-    a number greater than zero."""
+    a finite number greater than zero, and not a boolean."""
+    raw = cfg.get(key, default)
     try:
-        val = float(cfg.get(key, default))
+        val = float(raw)
     except (ValueError, TypeError):
-        raise ParseError(f"config key {key!r} must be a number") from None
-    if not val > 0.0:
-        raise ParseError(f"config key {key!r} must be > 0, got {val}")
+        val = math.nan
+    if isinstance(raw, bool) or not (math.isfinite(val) and val > 0.0):
+        raise ParseError(f"config key {key!r} must be a finite number > 0, "
+                         f"got {raw!r}")
     return val
 
 
 def tolerances_from(cfg: dict) -> Tolerances:
+    """The default tolerance block with the config's overrides: ``kkt`` and
+    ``potential`` finite numbers > 0, ``max_iters`` an int >= 1."""
     overrides = optional_mapping(cfg, "tolerances")
     bad = set(overrides) - set(Tolerances.__dataclass_fields__)
     if bad:
         raise ParseError(f"unknown tolerance keys {sorted(bad)}")
-    return DEFAULT_TOLERANCES.with_(**overrides)
+    iters = overrides.get("max_iters", DEFAULT_TOLERANCES.max_iters)
+    if type(iters) is not int or iters < 1:
+        raise ParseError(f"tolerance max_iters must be an int >= 1, "
+                         f"got {iters!r}")
+    return Tolerances(
+        kkt=positive_size(overrides, "kkt", DEFAULT_TOLERANCES.kkt),
+        potential=positive_size(overrides, "potential",
+                                DEFAULT_TOLERANCES.potential),
+        max_iters=iters)
 
 
 def kernel_from(cfg: dict) -> KernelSpec:
@@ -160,14 +172,15 @@ def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
         vals = require(fc, "values", list)
         if len(vals) != len(condenser.plates):
             raise ParseError("one field value array per plate required")
-        arrays = []
-        for v, p in zip(vals, condenser.plates):
-            arr = np.asarray([math.inf if x == "inf" else float(x)
-                              for x in v], dtype=float)
-            if arr.shape != (len(p.nodes),):
+        try:
+            arrays = [np.asarray([math.inf if x == "inf" else float(x)
+                                  for x in v], dtype=float) for v in vals]
+            if any(arr.shape != (len(p.nodes),)
+                   for arr, p in zip(arrays, condenser.plates)):
                 raise ParseError("field values misaligned with plate nodes")
-            arrays.append(arr)
-        return ExternalField.case1(arrays, condenser.signs)
+            return ExternalField.case1(arrays, condenser.signs)
+        except (ValueError, TypeError) as exc:
+            raise ParseError(f"field values: {exc}") from None
     raise ParseError(f"unsupported field case {case!r} in configs")
 
 
@@ -209,8 +222,11 @@ def build_balayage(cfg: dict):
     if len(condenser.plates) != 1 or condenser.plates[0].sign != -1:
         raise ParseError("balayage config needs exactly one negative plate")
     src = require(cfg, "source", dict)
-    pos = np.asarray(require(src, "positions", list), dtype=float)
-    wts = np.asarray(require(src, "weights", list), dtype=float)
+    try:
+        pos = np.asarray(require(src, "positions", list), dtype=float)
+        wts = np.asarray(require(src, "weights", list), dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"source: {exc}") from None
     if pos.ndim != 2 or pos.shape[0] != wts.shape[0]:
         raise ParseError("source positions/weights misaligned")
     if pos.shape[1] != condenser.dim:
@@ -218,7 +234,7 @@ def build_balayage(cfg: dict):
                          f"coordinates, got {pos.shape[1]}")
     if not (np.all(np.isfinite(wts)) and np.all(wts >= 0)):
         raise ParseError("source weights must be finite and >= 0")
-    radius = float(src.get("cell_radius", sizes["resolution"] / 4.0))
+    radius = positive_size(src, "cell_radius", sizes["resolution"] / 4.0)
     mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
                                  np.full(len(wts), radius)), wts)
     return mu, condenser.plates[0].nodes, kernel, sizes["truncation"]

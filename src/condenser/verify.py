@@ -10,18 +10,24 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import plate_constant_and_kkt
+from ._pg import FREE_MARGIN_REL, plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
 from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
-                     potential, _riesz_block)
+                     potential)
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
                     row_blocks, semimetric_distance, squared_distances)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 ZONE_PROBES = 300         # zone-check probes inside D and across space, each
-TRANSFER_FRACTION = 1e-3  # mass of one mass-transfer trial / the plate's mass
+# probes closer than this multiple of a node's cell radius are excluded from
+# off-node potential checks (reported, never silent)
+PROBE_EXCLUSION = 2.0
+# per-node mass floor, relative to the uniform share, for support presence
+SUPP_FLOOR_REL = 1e-6
+# zero-weight negative-plate nodes drawn for the zero-potential law
+ZERO_SAMPLE = 128
 
 
 def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
@@ -63,8 +69,7 @@ class KKTReport:
         return max(vals)
 
 
-def kkt_report(result: SolveResult, spec: ProblemSpec,
-               zero_sample: int = 128, seed: int = 0) -> KKTReport:
+def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
     """First-order conditions at the solution, read at the nodes.
 
     Positive plates: W >= c_j below the cap, W <= c_j on carried nodes.
@@ -72,7 +77,9 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
     potential level |W| itself, which in the continuum vanishes nearly
     everywhere on the negative plate.  The level check is
     discretization-limited, so it carries the potential tolerance while the
-    stationarity residuals carry the KKT tolerance.
+    stationarity residuals carry the KKT tolerance.  The level is read at
+    every carried node and at ``ZERO_SAMPLE`` zero-weight nodes, drawn the
+    same way on every call.
     """
     tol = spec.tolerances
     sol = result.solution
@@ -86,21 +93,20 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
         comp = sol.components[j]
         caps = spec.cap_array(j)
         consts[j], lower[j], upper[j] = plate_constant_and_kkt(
-            W[j], comp.weights, caps, spec.totals[j], tol.free_margin_rel)
+            W[j], comp.weights, caps, spec.totals[j])
 
     comp = sol.components[p]
     caps = spec.cap_array(p)
     _, p_lower, p_upper = plate_constant_and_kkt(
-        W[p], comp.weights, caps, spec.totals[p], tol.free_margin_rel)
+        W[p], comp.weights, caps, spec.totals[p])
     plate_p_stat = max(p_lower, p_upper)
     # zero-potential law on the negative plate, outside the boundary zone
     plate = spec.condenser.plates[p]
-    margin = tol.free_margin_rel * spec.totals[p]
-    pick = comp.weights > margin
+    pick = comp.weights > FREE_MARGIN_REL * spec.totals[p]
     zeros = np.flatnonzero(~pick)
     if zeros.size:
-        rng = np.random.default_rng(seed)
-        take = rng.choice(zeros, size=min(zero_sample, zeros.size),
+        rng = np.random.default_rng(0)
+        take = rng.choice(zeros, size=min(ZERO_SAMPLE, zeros.size),
                           replace=False)
         pick[take] = True
     excluded = 0
@@ -121,52 +127,6 @@ def kkt_report(result: SolveResult, spec: ProblemSpec,
                      plate_p_level=plate_p_level, plate_p_excluded=excluded,
                      tol_kkt=tol.kkt, tol_potential=tol.potential,
                      kkt_pass=kkt_pass, plate_p_pass=plate_p_pass)
-
-
-def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
-                        seed: int = 0) -> dict:
-    """Random feasible single-pair mass transfers on the positive plates;
-    at a minimizer no transfer may decrease the functional beyond first-order
-    tolerance (delta G >= -tol * transferred mass)."""
-    rng = np.random.default_rng(seed)
-    tol = spec.tolerances
-    sol = result.solution
-    W = weighted_potentials(sol, spec)
-    p = spec.p_index
-    worst = math.inf
-    trials = []
-    for _ in range(count):
-        j = int(rng.integers(0, p)) if p > 1 else 0
-        comp = sol.components[j]
-        caps = spec.cap_array(j)
-        margin = tol.free_margin_rel * spec.totals[j]
-        donors = np.flatnonzero(comp.weights > margin)
-        receivers = np.flatnonzero(comp.weights < caps - margin)
-        if donors.size == 0 or receivers.size == 0:
-            continue
-        a = int(rng.choice(donors))
-        b = int(rng.choice(receivers))
-        if a == b:
-            continue
-        delta = min(comp.weights[a], caps[b] - comp.weights[b],
-                    TRANSFER_FRACTION * spec.totals[j])
-        if delta <= 0:
-            continue
-        pair = [a, b]
-        k = _riesz_block(comp.nodes.positions[pair], comp.nodes.positions[pair],
-                         spec.kernel, rho_q=comp.nodes.cell_radii[pair])
-        dG = 2.0 * delta * (W[j][b] - W[j][a]) + \
-            delta * delta * (k[0, 0] + k[1, 1] - 2.0 * k[0, 1])
-        trials.append(dG / delta)
-        worst = min(worst, dG / delta)
-    scale = max(1.0, float(np.abs(result.constants).max())
-                if result.constants.size else 1.0)
-    return {
-        "trials": len(trials),
-        "worst_rate": worst if trials else 0.0,
-        "tolerance": tol.kkt * scale,
-        "passed": (worst >= -tol.kkt * scale) if trials else True,
-    }
 
 
 @dataclass
@@ -220,12 +180,11 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     caps = spec.cap_array(0)
     w1 = sol.components[0].weights
     pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
-    c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0],
-                                      tol.free_margin_rel)
+    c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0])
     norm = max(1.0, abs(c1))
 
     # (ii) potential at the constant on cap-slack nodes
-    below = w1 < caps - tol.free_margin_rel * spec.totals[0]
+    below = w1 < caps - FREE_MARGIN_REL * spec.totals[0]
     level_res = float(np.abs(pot_nodes[below] - c1).max()) / norm \
         if np.any(below) else 0.0
 
@@ -234,7 +193,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     all_pos = np.vstack([p.nodes.positions for p in spec.condenser.plates])
     all_rad = np.concatenate([p.nodes.cell_radii for p in spec.condenser.plates])
     interior, excluded_i = _domain_probes(plate_p, ZONE_PROBES, rng, all_pos,
-                                          all_rad, tol.probe_exclusion_factor)
+                                          all_rad)
     # (i) Riesz potential of lambda vs Green potential of lambda+ inside D
     if interior.shape[0]:
         pot_in = potential(lam, interior, spec.kernel)
@@ -244,8 +203,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
         ident_res = math.inf
 
     # (iii) global upper bound at nodes and at far probes
-    far, excluded_f = _far_probes(plate_p, ZONE_PROBES, rng, all_pos,
-                                  all_rad, tol.probe_exclusion_factor)
+    far, excluded_f = _far_probes(ZONE_PROBES, rng, all_pos, all_rad)
     pot_all_nodes = [pot_nodes,
                      potential(lam, plate_p.nodes.positions, spec.kernel)]
     over = max(float((pn - c1).max()) for pn in pot_all_nodes)
@@ -258,7 +216,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     off_margin = math.inf
     off_used = 0
     if spec.kernel.alpha < 2.0:
-        floor = tol.supp_floor_rel * spec.totals[0] / len(plate1.nodes)
+        floor = SUPP_FLOOR_REL * spec.totals[0] / len(plate1.nodes)
         carried_cap = caps > floor
         supp_failures = int(np.sum(carried_cap & (w1 <= floor)))
         off_nodes = np.flatnonzero(~carried_cap)
@@ -282,15 +240,15 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
                       tol=tol.potential, checks=checks)
 
 
-def _exclude_near_atoms(pts, all_pos, all_rad, factor):
+def _exclude_near_atoms(pts, all_pos, all_rad):
     keep = np.ones(pts.shape[0], dtype=bool)
-    lim = (factor * all_rad[None, :]) ** 2
+    lim = (PROBE_EXCLUSION * all_rad[None, :]) ** 2
     for rows in row_blocks(pts, all_pos):
         keep[rows] = ~np.any(squared_distances(pts[rows], all_pos) < lim, axis=1)
     return keep
 
 
-def _domain_probes(plate_p, n, rng, all_pos, all_rad, factor):
+def _domain_probes(plate_p, n, rng, all_pos, all_rad):
     """Random probes inside D (the complement of the negative plate)."""
     spec = plate_p.spec
     tag = None if spec is None else spec.tag
@@ -308,11 +266,11 @@ def _domain_probes(plate_p, n, rng, all_pos, all_rad, factor):
     else:
         raise WrongScenarioError(
             f"no probe generator for domain geometry {tag!r}")
-    keep = _exclude_near_atoms(pts, all_pos, all_rad, factor)
+    keep = _exclude_near_atoms(pts, all_pos, all_rad)
     return pts[keep][:n], int(np.sum(~keep))
 
 
-def _far_probes(plate_p, n, rng, all_pos, all_rad, factor):
+def _far_probes(n, rng, all_pos, all_rad):
     """Log-radially spread probes over the truncated ambient space."""
     scale = max(2.0, float(np.abs(all_pos).max()))
     u = rng.random(4 * n)
@@ -320,7 +278,7 @@ def _far_probes(plate_p, n, rng, all_pos, all_rad, factor):
     dirs = rng.normal(size=(4 * n, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     pts = dirs * radii[:, None]
-    keep = _exclude_near_atoms(pts, all_pos, all_rad, factor)
+    keep = _exclude_near_atoms(pts, all_pos, all_rad)
     return pts[keep][:n], int(np.sum(~keep))
 
 
@@ -341,7 +299,7 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
     comp = result.solution.components[p]
     plate = spec.condenser.plates[p]
     total = comp.total_mass
-    floor = spec.tolerances.supp_floor_rel * spec.totals[p] / max(len(comp.nodes), 1)
+    floor = SUPP_FLOOR_REL * spec.totals[p] / max(len(comp.nodes), 1)
     if spec.kernel.alpha == 2.0:
         bdist = None if plate.spec is None else \
             plate.spec.boundary_distance(plate.nodes.positions)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
-                                balayage_project, green_energy_identity_check)
+                                balayage_project)
 from condenser.gauss_solver import (ProblemSpec, solve_riesz,
                                     solve_sigma_variant, swept_positive_caps)
 from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
@@ -19,8 +19,10 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              resultant, semimetric_distance)
 from condenser.scenarios import example_one, sweep_plane_context
 from condenser.verify import (equivalence_check, kkt_report, loglog_slope,
-                              mass_transfer_probe, scalar_zone_checks,
-                              support_report, unsolvability_sweep)
+                              scalar_zone_checks, support_report,
+                              unsolvability_sweep)
+
+from _probes import green_energy_identity_check, mass_transfer_probe
 
 K2 = KernelSpec(3, 2.0)
 

@@ -89,7 +89,7 @@ class TestSolveCommand:
         rc = main(["--out-dir", out, "--seed", "0", "solve", cfg])
         assert rc == 0
         rep = read_report(out)
-        assert rep["schema_version"] == "1"
+        assert rep["schema_version"] == "2"
         assert rep["solver.converged"] == "True"
         assert float(rep["solver.energy"]) > 0
         with open(os.path.join(out, "atoms.csv")) as fh:
@@ -116,6 +116,43 @@ class TestSolveCommand:
             with open(os.path.join(outs[0], name), "rb") as fa, \
                     open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
+
+
+def node_value_config():
+    """Toy ball/complement config whose field is given per node, with an
+    "inf" (frozen) first node of the ball."""
+    cfg = {
+        "kernel": {"n": 3, "alpha": 2.0},
+        "resolution": 0.5,
+        "truncation": 6.0,
+        "plates": [
+            {"geometry": "ball", "sign": 1, "radius": 1.0},
+            {"geometry": "ball_complement", "sign": -1, "radius": 1.0},
+        ],
+        "totals": [1.0, 1.0],
+        "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}],
+    }
+    from condenser.model import ball_volume_nodes
+    n0 = len(ball_volume_nodes((0, 0, 0), 1.0, 0.5))
+    vals = [0.0] * n0
+    vals[0] = "inf"
+    # negative-plate values must be zero; count its nodes via a dry build
+    from condenser.model import ball_complement_nodes
+    n1 = len(ball_complement_nodes((0, 0, 0), 1.0, 6.0, 0.5))
+    cfg["field"] = {"case": "node_values", "values": [vals, [0.0] * n1]}
+    return cfg
+
+
+def bad_field(plate, value, node=1):
+    """node_value_config with one entry of one plate's values replaced, or
+    the plate's whole entry with ``node=None``."""
+    cfg = node_value_config()
+    vals = cfg["field"]["values"]
+    if node is None:
+        vals[plate] = value
+    else:
+        vals[plate][node] = value
+    return cfg
 
 
 class TestErrorPaths:
@@ -288,17 +325,46 @@ class TestErrorPaths:
         ("solve", dict(TOY_DISK_HALF_SPACE, truncation=0.4,
                        kernel={"n": 3, "alpha": 1.5})),
         ("solve", dict(TOY_BALL, resolution=0.2, truncation=1.01)),
+        # tolerance values, from the config or from the flags
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"kkt": "abc"})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"potential": "x"})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"kkt": True})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"max_iters": 0})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"max_iters": True})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"kkt": -1})),
+        ("--tol-kkt -1 solve", TOY_DISK_HALF_SPACE),
+        ("--max-iters 0 solve", TOY_DISK_HALF_SPACE),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"patience": 20})),
+        # node_values field entries
+        ("solve", bad_field(0, "a")),
+        ("solve", bad_field(1, 1.0, node=0)),
+        ("solve", bad_field(0, "-inf")),
+        ("solve", bad_field(0, 5, node=None)),
+        # balayage source values
+        ("balayage", dict(BALAYAGE_CONFIG, source=dict(
+            BALAYAGE_CONFIG["source"], cell_radius="abc"))),
+        ("balayage", dict(BALAYAGE_CONFIG, source=dict(
+            BALAYAGE_CONFIG["source"], cell_radius=-0.1))),
+        ("balayage", dict(BALAYAGE_CONFIG, source=dict(
+            BALAYAGE_CONFIG["source"], positions=[["a", 0.0, 0.0]]))),
     ], ids=["plate-axis", "plate-center-2d", "plate-side", "explicit-cloud",
             "negative-truncation", "truncation-inside-radius",
             "negative-radius", "truncation-on-ball", "negative-q",
             "non-numeric-total", "kernel-n4", "capacity-n4",
             "capacity-center-2d", "half-space-truncation-below-resolution",
             "backing-truncation-0.3", "backing-truncation-0.4",
-            "complement-truncation-near-radius"])
+            "complement-truncation-near-radius", "tol-kkt-string",
+            "tol-potential-string", "tol-kkt-bool", "tol-max-iters-zero",
+            "tol-max-iters-bool", "tol-kkt-negative", "tol-kkt-flag-negative",
+            "max-iters-flag-zero", "tol-removed-key", "field-non-numeric",
+            "field-nonzero-on-negative-plate", "field-minus-inf",
+            "field-plate-not-a-list", "source-cell-radius-string",
+            "source-cell-radius-negative", "source-position-non-numeric"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
+        # a command may carry global flags before the subcommand
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o")
-        assert main(["--out-dir", out, command, path]) == 2
+        assert main(["--out-dir", out, *command.split(), path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
@@ -326,31 +392,6 @@ class TestErrorPaths:
         rc = main(["--out-dir", out, "solve", path])
         assert rc == 4
         assert not os.path.exists(os.path.join(out, "report.txt"))
-
-
-def node_value_config():
-    """Toy ball/complement config whose field is given per node, with an
-    "inf" (frozen) first node of the ball."""
-    cfg = {
-        "kernel": {"n": 3, "alpha": 2.0},
-        "resolution": 0.5,
-        "truncation": 6.0,
-        "plates": [
-            {"geometry": "ball", "sign": 1, "radius": 1.0},
-            {"geometry": "ball_complement", "sign": -1, "radius": 1.0},
-        ],
-        "totals": [1.0, 1.0],
-        "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}],
-    }
-    from condenser.model import ball_volume_nodes
-    n0 = len(ball_volume_nodes((0, 0, 0), 1.0, 0.5))
-    vals = [0.0] * n0
-    vals[0] = "inf"
-    # negative-plate values must be zero; count its nodes via a dry build
-    from condenser.model import ball_complement_nodes
-    n1 = len(ball_complement_nodes((0, 0, 0), 1.0, 6.0, 0.5))
-    cfg["field"] = {"case": "node_values", "values": [vals, [0.0] * n1]}
-    return cfg
 
 
 def first_atom_weight(out_dir):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,11 +7,11 @@ import pytest
 from condenser.balayage import GreenContext
 from condenser.errors import (DuplicateNodeError, InfeasibleError,
                               SigmaDominationError)
+from condenser._pg import project_capped_simplex
 from condenser.gauss_solver import (ProblemSpec,
                                     joint_kernel_matrix, lift_green_to_riesz,
-                                    project_capped_simplex, solve_green_reduced,
-                                    solve_riesz, solve_sigma_variant,
-                                    swept_positive_caps)
+                                    solve_green_reduced, solve_riesz,
+                                    solve_sigma_variant, swept_positive_caps)
 from condenser.kernel import (ExternalField, equilibrium_measure,
                               gauss_functional, mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
@@ -298,7 +299,7 @@ class TestSolveRiesz:
 
     def test_max_iters_flagged_not_raised(self):
         cond = small_condenser(seed=9)
-        tol = DEFAULT_TOLERANCES.with_(max_iters=2, kkt=1e-14)
+        tol = replace(DEFAULT_TOLERANCES, max_iters=2, kkt=1e-14)
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                            (None, None), K2, tolerances=tol)
         res = solve_riesz(spec)
