@@ -9,6 +9,17 @@ otherwise it backtracks to an exact-line-search descent step (which cannot
 fail off the optimum).  Accepted iterates therefore form a non-increasing
 objective trace while keeping the spectral behavior BB needs -- per-step
 monotone acceptance measurably stalls on these kernel matrices.
+
+PG finds the pattern of the minimizer (which nodes sit at zero, which are
+strictly free, which sit at their cap) long before it converges.  Once the
+pattern is known, the minimizer solves one linear KKT system: on the free
+nodes of plate j the weighted potential equals a constant c_j.  The exact
+finish solves that system with a float32 Cholesky factor of the free block,
+refined to float64 accuracy by residuals taken with the true matrix
+(mixed-precision iterative refinement), and ends the solve when the result is
+feasible, meets the KKT bound and does not raise the objective.  It runs at
+the start point and after every outer iteration whose pattern differs from
+the last one tried; when it fails, PG carries on.
 """
 
 from __future__ import annotations
@@ -16,8 +27,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InfeasibleError
+from .model import FILL_ENTRIES, row_blocks
 from .tolerances import Tolerances
 
 # projected BB steps taken from each accepted iterate before the acceptance test
@@ -28,6 +41,12 @@ OBJ_REL = 1e-10
 PATIENCE = 20
 # margin (relative to the plate total) classifying a node as strictly free
 FREE_MARGIN_REL = 1e-8
+# KKT residual the exact finish must reach (or tol.kkt, if that is smaller)
+FINISH_KKT = 1e-10
+# refinement steps of the exact finish at most; each costs one matvec
+REFINE_STEPS = 10
+# refinement stops once a correction is this small relative to the weights
+REFINE_REL = 1e-13
 
 
 def project_capped_simplex(w, caps, total):
@@ -110,7 +129,8 @@ class PGResult:
     kkt_residual: float
     constants: np.ndarray          # per-plate multiplier estimates c_j
     trace: np.ndarray              # columns: iter, objective, step, kkt_residual
-    matvecs: int = 0
+    matvecs: int = 0               # finish attempts included
+    exact_finish: bool = False     # the exact finish ended the solve
 
 
 def plate_constant_and_kkt(W, w, caps, total):
@@ -153,13 +173,94 @@ def block_constants_and_kkt(W, w, caps, slices, totals):
     return consts, viol
 
 
+def _pattern(w, caps, slices, totals):
+    """Strictly free nodes of w, by the FREE_MARGIN_REL rule of
+    plate_constant_and_kkt, and the weights of the others: their cap if they
+    carry weight, else 0."""
+    margin = np.empty(len(w))
+    for sl, total in zip(slices, totals):
+        margin[sl] = FREE_MARGIN_REL * total
+    carried = w > margin
+    free = carried & (w < caps - margin)
+    return free, np.where(carried & ~free, caps, 0.0)
+
+
+def _free_block_factor(A, F):
+    """float32 Cholesky factor of A[F][:, F], or None if that block is not
+    positive definite in float32.  Small row blocks of the block fill the
+    C-ordered transpose of a Fortran-ordered array, which LAPACK factors in
+    place, so no float64 copy of the block is made.  Only one triangle is
+    read: for a slightly asymmetric A the refinement's residuals, taken with
+    A itself, make up the difference."""
+    M = np.empty((len(F), len(F)), dtype=np.float32, order="F")
+    for rows in row_blocks(F, F, FILL_ENTRIES):
+        M.T[rows] = A[np.ix_(F[rows], F)]
+    try:
+        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+    except LinAlgError:
+        return None
+
+
+def _exact_finish(A, b, slices, totals, free, fixed):
+    """Minimizer of w'Aw + 2b'w with the pattern (free, fixed) held: the
+    nodes outside ``free`` keep their ``fixed`` weights, and the free nodes
+    of plate j carry its remaining mass at a constant potential c_j.
+
+    Solves the bordered system [A_FF E; E' 0] by iterative refinement: each
+    correction comes from the float32 factor of A_FF (its Schur complement
+    on the plates' multipliers is p x p), each residual from one float64
+    matvec with A.  Returns (w, A w, matvecs), with w None when some plate
+    has no free node or the factor does not exist.
+    """
+    p = len(slices)
+    sizes = [sl.stop - sl.start for sl in slices]
+    F = np.flatnonzero(free)
+    plate = np.repeat(np.arange(p), sizes)[F]
+    if np.any(np.bincount(plate, minlength=p) == 0):
+        return None, None, 0
+    factor = _free_block_factor(A, F)
+    if factor is None:
+        return None, None, 0
+    E = np.zeros((len(F), p), dtype=np.float32)
+    E[np.arange(len(F)), plate] = 1.0
+    Y = cho_solve(factor, E, overwrite_b=True, check_finite=False)
+    S = np.zeros((p, p))
+    np.add.at(S, plate, Y.astype(float))         # E' A_FF^-1 E
+    mass = np.asarray(totals) - np.array(
+        [fixed[sl].sum() for sl in slices])       # mass left to the free nodes
+
+    w = fixed.copy()
+    c = np.zeros(p)
+    z = A @ w
+    matvecs = 1
+    last = np.inf
+    for _ in range(REFINE_STEPS):
+        r = c[plate] - z[F] - b[F]
+        scale = max(float(np.abs(r).max()), 1e-300)
+        u = cho_solve(factor, (r / scale).astype(np.float32),
+                      overwrite_b=True, check_finite=False) * scale
+        dc = np.linalg.solve(
+            S, mass - np.bincount(plate, w[F], p) - np.bincount(plate, u, p))
+        dw = u + Y @ dc
+        w[F] += dw
+        c += dc
+        z = A @ w
+        matvecs += 1
+        size = float(np.abs(dw).max())
+        if size <= REFINE_REL * float(np.abs(w[F]).max()) or size > 0.5 * last:
+            break
+        last = size
+    return w, z, matvecs
+
+
 def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
                        seed=None):
     """Projected-gradient/BB minimization of w'Aw + 2b'w over per-plate capped
     simplexes, stopped by the ``kkt`` and ``max_iters`` entries of ``tol``
-    and by ``OBJ_REL`` over ``PATIENCE`` iterations.  Deterministic for a
-    fixed seed.  Trace rows are accepted iterates; their objective
-    column is non-increasing."""
+    and by ``OBJ_REL`` over ``PATIENCE`` iterations, or ended by the exact
+    finish.  Deterministic for a fixed seed.  Trace rows are accepted
+    iterates; their objective column is non-increasing.  An accepted finish
+    adds one last row, with step 0."""
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -205,8 +306,34 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
     consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
     trace = [(0, q, 0.0, kkt)]
     hist = [q]
-    converged = kkt < tol.kkt
+    finish_kkt = min(tol.kkt, FINISH_KKT)
+    tried = None
+
+    def finish():
+        """Try the exact finish on the pattern of w, unless w meets the
+        finish's KKT bound already or its pattern was the last one tried;
+        on success w is the finish's result and a trace row is added."""
+        nonlocal w, z, q, g, consts, kkt, tried, matvecs
+        pattern = _pattern(w, caps, slices, totals)
+        if kkt <= finish_kkt or (tried is not None and all(
+                np.array_equal(a, t) for a, t in zip(pattern, tried))):
+            return False
+        tried = pattern
+        wf, zf, used = _exact_finish(A, b, slices, totals, *pattern)
+        matvecs += used
+        if wf is None or not np.all((wf >= 0.0) & (wf <= caps)):
+            return False
+        qf = float(wf @ zf + 2.0 * (b @ wf))
+        cf, kf = block_constants_and_kkt(zf + b, wf, caps, slices, totals)
+        if not (kf <= finish_kkt and qf <= q):   # false on nan, too
+            return False
+        w, z, q, g, consts, kkt = wf, zf, qf, 2.0 * (zf + b), cf, kf
+        trace.append((outer + 1, q, 0.0, kkt))
+        return True
+
     outer = 0
+    finished = finish()
+    converged = finished or kkt < tol.kkt
     use_bb1 = True
     while not converged and outer < tol.max_iters:
         outer += 1
@@ -260,12 +387,16 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
         consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
         hist.append(q)
         trace.append((outer, q, step_used, kkt))
-        if kkt < tol.kkt:
+        finished = finish()
+        if finished:
+            converged = True
+        elif kkt < tol.kkt:
             window = min(PATIENCE, len(hist) - 1)
             if window == 0 or \
                     hist[-1 - window] - q <= OBJ_REL * max(1.0, abs(q)):
                 converged = True
 
-    return PGResult(w=w, objective=q, converged=converged, iterations=outer,
-                    kkt_residual=kkt, constants=consts, trace=np.array(trace),
-                    matvecs=matvecs)
+    return PGResult(w=w, objective=q, converged=converged,
+                    iterations=outer + finished, kkt_residual=kkt,
+                    constants=consts, trace=np.array(trace), matvecs=matvecs,
+                    exact_finish=finished)

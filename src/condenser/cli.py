@@ -37,7 +37,7 @@ from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
                      zone_checks_apply)
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 
 def load_config(path: str) -> dict:
@@ -150,6 +150,8 @@ def _solver_section(rep: ReportBuilder, result: SolveResult,
     for name in ("energy", "converged", "iterations", "kkt_residual",
                  "constants"):
         rep.add(f"{prefix}.{name}", getattr(result, name))
+    rep.add(f"{prefix}.finish",
+            "exact" if result.exact_finish else "projected_gradient")
     if result.seed is not None:
         rep.add(f"{prefix}.seed", result.seed)
     for i, comp in enumerate(result.solution.components):

@@ -14,8 +14,8 @@ from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import (ExternalField, KernelSpec, gauss_functional, _riesz_block,
                      _require_distinct)
-from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
-                    merge_by_position)
+from .model import (FILL_ENTRIES, Condenser, DiscreteMeasure, NodeSet,
+                    VectorMeasure, merge_by_position, row_blocks)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -97,6 +97,7 @@ class SolveResult:
     seed: Optional[int] = None
     lift_mass_defect: Optional[float] = None
     balayage_residual: Optional[float] = None
+    exact_finish: bool = False     # the QP's exact finish ended the solve
 
 
 def _block_slices(sizes: Sequence[int]) -> list:
@@ -110,18 +111,24 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
 
     Coinciding nodes across different sets (shared by equally signed plates)
     contribute their self-energy; duplicates inside one set are rejected.
+    Each plate-pair block is written by row blocks of at most FILL_ENTRIES
+    entries, and mirrored below the diagonal.
     """
     slices = _block_slices([len(ns) for ns in nodesets])
     N = slices[-1].stop
     K = np.empty((N, N))
     for i, a in enumerate(nodesets):
         _require_distinct(a.positions, f"plate node set {i}")
+        off = slices[i].start
         for j in range(i, len(nodesets)):
-            blk = _riesz_block(a.positions, nodesets[j].positions, kernel,
-                               rho_q=nodesets[j].cell_radii)
-            K[slices[i], slices[j]] = blk
-            if j > i:
-                K[slices[j], slices[i]] = blk.T
+            b = nodesets[j]
+            for rows in row_blocks(a.positions, b.positions, FILL_ENTRIES):
+                blk = _riesz_block(a.positions[rows], b.positions, kernel,
+                                   rho_q=b.cell_radii)
+                rk = slice(off + rows.start, off + rows.start + len(blk))
+                K[rk, slices[j]] = blk
+                if j > i:
+                    K[slices[j], rk] = blk.T
     return K, slices
 
 
@@ -153,7 +160,8 @@ def _solve_result(res: PGResult, solution: VectorMeasure, energy: float,
     return SolveResult(solution=solution, energy=energy, constants=constants,
                        trace=res.trace, converged=res.converged,
                        kkt_residual=res.kkt_residual,
-                       iterations=res.iterations, seed=seed)
+                       iterations=res.iterations, seed=seed,
+                       exact_finish=res.exact_finish)
 
 
 def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:

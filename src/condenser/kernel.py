@@ -32,19 +32,16 @@ class KernelMatrix:
 
 
 def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
-                 rho_q: Optional[np.ndarray] = None) -> np.ndarray:
+                 rho_q: np.ndarray) -> np.ndarray:
     """Kernel values between two point arrays.  Exactly coinciding pairs get
-    the self-energy value of the second array's cell (or +inf without radii)."""
+    the self-energy value of the second array's cell radius ``rho_q``."""
     K = squared_distances(P, Q)
     hits = K == 0.0
     with np.errstate(divide="ignore"):
         np.power(K, 0.5 * (kernel.alpha - kernel.n), out=K)
     if np.any(hits):
-        if rho_q is None:
-            K[hits] = math.inf
-        else:
-            se = np.broadcast_to(kernel.self_energy(rho_q), K.shape)
-            K[hits] = se[hits]
+        se = np.broadcast_to(kernel.self_energy(rho_q), K.shape)
+        K[hits] = se[hits]
     return K
 
 

@@ -37,6 +37,9 @@ NEIGHBOR_TRIM = 0.49
 # row blocks of pairwise arrays hold at most this many entries (32 MB of
 # float64), which bounds the memory of every blocked distance or kernel reader
 BLOCK_ENTRIES = 4_000_000
+# row blocks copied into a dense matrix hold at most this many entries (1 MB
+# of float64), so filling a matrix adds little to its own size
+FILL_ENTRIES = 131_072
 # geometric growth of the graded layouts of unbounded plates
 SHELL_GROWTH = 1.35  # ball-complement shell edges
 RING_GROWTH = 1.3    # half-space ring edges
@@ -157,10 +160,10 @@ def squared_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     return cdist(P, Q, "sqeuclidean")
 
 
-def row_blocks(P: np.ndarray, Q: np.ndarray):
+def row_blocks(P: np.ndarray, Q: np.ndarray, entries: int = BLOCK_ENTRIES):
     """Slices of P's rows such that each block against all of Q holds at most
-    BLOCK_ENTRIES pairs; blocked readers of pairwise arrays iterate these."""
-    step = max(1, BLOCK_ENTRIES // max(1, Q.shape[0]))
+    ``entries`` pairs; blocked readers of pairwise arrays iterate these."""
+    step = max(1, entries // max(1, Q.shape[0]))
     return [slice(start, start + step) for start in range(0, P.shape[0], step)]
 
 

@@ -89,7 +89,7 @@ class TestSolveCommand:
         rc = main(["--out-dir", out, "--seed", "0", "solve", cfg])
         assert rc == 0
         rep = read_report(out)
-        assert rep["schema_version"] == "2"
+        assert rep["schema_version"] == "3"
         assert rep["solver.converged"] == "True"
         assert float(rep["solver.energy"]) > 0
         with open(os.path.join(out, "atoms.csv")) as fh:
@@ -104,6 +104,24 @@ class TestSolveCommand:
         out = str(tmp_path / "out")
         assert main(["--out-dir", out, "solve", cfg]) == 0
         assert_numerics_finite_or_inf(read_report(out))
+
+    def test_report_names_the_finish(self, tmp_path):
+        # the exact finish ends the toy solves; two positive plates on the
+        # same nodes make the free block singular, so PG ends that solve
+        out = str(tmp_path / "exact")
+        path = write_config(tmp_path, TOY_BALL)
+        assert main(["--out-dir", out, "solve-green", path]) == 0
+        rep = read_report(out)
+        assert rep["green.finish"] == rep["lifted.finish"] == "exact"
+        shared = dict(TOY_BALL, totals=[0.5, 0.5, 1.0],
+                      plates=[BALL_CONFIG["plates"][0]] + BALL_CONFIG["plates"],
+                      constraint=[{"mode": "unbounded"}] * 3)
+        for cfg, finish in ((TOY_BALL, "exact"),
+                            (shared, "projected_gradient")):
+            out = str(tmp_path / finish)
+            path = write_config(tmp_path, cfg)
+            assert main(["--out-dir", out, "solve", path]) == 0
+            assert read_report(out)["solver.finish"] == finish
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -386,7 +404,9 @@ class TestErrorPaths:
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
-        cfg["tolerances"] = {"max_iters": 1, "kkt": 1e-14}
+        # a KKT bound below double roundoff, which neither PG nor the exact
+        # finish can meet
+        cfg["tolerances"] = {"max_iters": 1, "kkt": 1e-20}
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o")
         rc = main(["--out-dir", out, "solve", path])

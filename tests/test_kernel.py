@@ -32,14 +32,16 @@ def plate_from(ns, pid=0, sign=+1):
 
 class TestRieszEval:
     def test_values(self):
-        def value(x, y, kernel):
+        def value(x, y, kernel, rho=0.1):
             return _riesz_block(np.array([x], float), np.array([y], float),
-                                kernel)[0, 0]
+                                kernel, rho_q=np.array([rho]))[0, 0]
 
         assert value([0, 0, 0], [0.5, 0, 0], K2) == pytest.approx(2.0)
         k4 = KernelSpec(4, 2.0)
         assert value([0, 0, 0, 0], [2, 0, 0, 0], k4) == pytest.approx(0.25)
-        assert value([1, 1, 1], [1, 1, 1], K2) == math.inf
+        # a coinciding pair takes the self-energy of the second point's cell
+        assert value([1, 1, 1], [1, 1, 1], K2, rho=0.2) == \
+            pytest.approx(3 / (2 * 0.2))
 
 
 class TestAssemble:

@@ -7,13 +7,16 @@ import pytest
 from condenser.balayage import GreenContext
 from condenser.errors import (DuplicateNodeError, InfeasibleError,
                               SigmaDominationError)
+from condenser import _pg as pgmod
+from condenser import gauss_solver as gsmod
 from condenser._pg import project_capped_simplex
 from condenser.gauss_solver import (ProblemSpec,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz,
                                     solve_sigma_variant, swept_positive_caps)
-from condenser.kernel import (ExternalField, equilibrium_measure,
-                              gauss_functional, mutual_energy, potential)
+from condenser.kernel import (ExternalField, _riesz_block,
+                              equilibrium_measure, gauss_functional,
+                              mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
@@ -59,6 +62,21 @@ def small_condenser(seed=0, n_pos=30, n_neg=40):
     neg = NodeSet(neg_pts, np.ones(n_neg), np.full(n_neg, 0.02))
     return Condenser((Plate(id=0, sign=+1, nodes=pos),
                       Plate(id=1, sign=-1, nodes=neg)))
+
+
+def assert_variational_inequality(res, spec, caps0, rng):
+    """At the minimizer, sum_i <W^i, mu^i - lambda^i> >= 0 for feasible mu
+    (unit masses, plate 0 capped by caps0, plate 1 uncapped)."""
+    W = weighted_potentials(res.solution, spec)
+    n1 = len(spec.condenser.plates[1].nodes)
+    scale = max(1.0, float(np.abs(res.constants).max()))
+    for _ in range(25):
+        mu0 = project_capped_simplex(rng.random(len(caps0)) * caps0,
+                                     caps0, 1.0)
+        mup = project_capped_simplex(rng.random(n1), np.full(n1, np.inf), 1.0)
+        val = float(W[0] @ (mu0 - res.solution.components[0].weights)) + \
+            float(W[1] @ (mup - res.solution.components[1].weights))
+        assert val >= -1e-6 * scale
 
 
 class TestCappedSimplexProjection:
@@ -221,25 +239,13 @@ class TestSolveRiesz:
         assert np.all(np.diff(obj) <= 1e-12 * np.maximum(np.abs(obj[:-1]), 1.0))
 
     def test_variational_inequality(self):
-        # at the minimizer, sum_i <W^i, mu^i - lambda^i> >= 0 for feasible mu
         cond = small_condenser(seed=5)
         rng = np.random.default_rng(2)
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 2.0 / caps0.sum()
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                            (caps0, None), K2)
-        res = solve_riesz(spec)
-        W = weighted_potentials(res.solution, spec)
-        scale = max(1.0, float(np.abs(res.constants).max()))
-        for _ in range(25):
-            mu0 = project_capped_simplex(rng.random(len(caps0)) * caps0,
-                                         caps0, 1.0)
-            mup = project_capped_simplex(
-                rng.random(len(cond.plates[1].nodes)),
-                np.full(len(cond.plates[1].nodes), np.inf), 1.0)
-            val = float(W[0] @ (mu0 - res.solution.components[0].weights)) + \
-                float(W[1] @ (mup - res.solution.components[1].weights))
-            assert val >= -1e-6 * scale
+        assert_variational_inequality(solve_riesz(spec), spec, caps0, rng)
 
     def test_uniqueness_double_run(self):
         cond = small_condenser(seed=6)
@@ -298,13 +304,123 @@ class TestSolveRiesz:
             solve_riesz(spec)
 
     def test_max_iters_flagged_not_raised(self):
+        # a KKT bound below double roundoff, which neither PG nor the exact
+        # finish can meet
         cond = small_condenser(seed=9)
-        tol = replace(DEFAULT_TOLERANCES, max_iters=2, kkt=1e-14)
+        tol = replace(DEFAULT_TOLERANCES, max_iters=2, kkt=1e-20)
         spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                            (None, None), K2, tolerances=tol)
         res = solve_riesz(spec)
         assert not res.converged
         assert math.isfinite(res.energy)
+
+
+def fielded_capped_spec(cap_total):
+    """small_condenser(seed=5) with plate 0 capped to ``cap_total`` and a
+    repelling field of 3 on its first six nodes."""
+    cond = small_condenser(seed=5)
+    rng = np.random.default_rng(2)
+    n0 = len(cond.plates[0].nodes)
+    caps0 = rng.uniform(0.05, 0.2, n0)
+    caps0 *= cap_total / caps0.sum()
+    f0 = np.zeros(n0)
+    f0[:6] = 3.0
+    field = ExternalField.case1(
+        [f0, np.zeros(len(cond.plates[1].nodes))], cond.signs)
+    return ProblemSpec(cond, (1.0, 1.0), field, (caps0, None), K2), caps0
+
+
+@pytest.fixture
+def finish_attempts(monkeypatch):
+    """Weights returned by every exact-finish attempt (None: no factor)."""
+    attempts = []
+    original = pgmod._exact_finish
+
+    def record(*args):
+        out = original(*args)
+        attempts.append(out[0])
+        return out
+
+    monkeypatch.setattr(pgmod, "_exact_finish", record)
+    return attempts
+
+
+class TestJointAssembly:
+    @pytest.mark.parametrize("entries", [None, 1000])
+    def test_row_blocks_bit_identical(self, monkeypatch, entries):
+        # plates 0 and 1 share their first node; the reference writes every
+        # plate-pair block whole and mirrors it below the diagonal
+        if entries is not None:
+            monkeypatch.setattr(gsmod, "FILL_ENTRIES", entries)
+        rng = np.random.default_rng(7)
+        a = rng.normal(size=(90, 3))
+        b = np.vstack([a[:1], rng.normal(size=(70, 3)) + [1.5, 0, 0]])
+        c = rng.normal(size=(110, 3)) + [5.0, 0, 0]
+        sets = [NodeSet(p, np.ones(len(p)), rng.uniform(0.01, 0.03, len(p)))
+                for p in (a, b, c)]
+        K, slices = joint_kernel_matrix(sets, K15)
+        ref = np.empty_like(K)
+        for i, si in enumerate(sets):
+            for j, sj in enumerate(sets[i:], start=i):
+                blk = _riesz_block(si.positions, sj.positions, K15,
+                                   rho_q=sj.cell_radii)
+                ref[slices[i], slices[j]] = blk
+                ref[slices[j], slices[i]] = blk.T
+        assert np.array_equal(K, ref)
+        shared = K15.self_energy(sets[1].cell_radii[0])
+        assert K[0, slices[1].start] == K[slices[1].start, 0] == shared
+
+
+class TestExactFinish:
+    def test_zero_free_and_capped_nodes(self):
+        spec, caps0 = fielded_capped_spec(2.0)
+        res = solve_riesz(spec)
+        assert res.converged and res.exact_finish
+        assert res.kkt_residual <= 1e-10
+        w = res.solution.components[0].weights
+        margin = pgmod.FREE_MARGIN_REL
+        zero, capped = w <= margin, w >= caps0 - margin
+        assert zero.any() and capped.any() and (~zero & ~capped).any()
+        assert_variational_inequality(res, spec, caps0,
+                                      np.random.default_rng(2))
+
+    def test_rejected_start_then_finish(self, finish_attempts):
+        # the all-free start pattern puts more than their cap on some nodes
+        spec, caps0 = fielded_capped_spec(1.3)
+        res = solve_riesz(spec)
+        first = finish_attempts[0][:len(caps0)]
+        assert np.any(first > caps0)
+        assert len(finish_attempts) >= 2
+        assert res.converged and res.exact_finish
+        assert res.kkt_residual <= 1e-10
+        obj = res.trace[:, 1]
+        assert np.all(np.diff(obj) <= 0.0)
+
+    def test_plate_without_free_node_falls_back(self):
+        # the minimizer (0.5, 0.5, 0) has every node at zero or at its cap
+        A, b = np.eye(3), np.array([-1.0, -1.0, 1.0])
+        caps = np.full(3, 0.5)
+        res = pgmod.minimize_quadratic(A, b, [slice(0, 3)], [1.0], caps,
+                                       DEFAULT_TOLERANCES)
+        assert res.converged and not res.exact_finish
+        assert np.allclose(res.w, [0.5, 0.5, 0.0], atol=1e-12)
+        free, fixed = pgmod._pattern(res.w, caps, [slice(0, 3)], [1.0])
+        assert not free.any()
+        assert pgmod._exact_finish(A, b, [slice(0, 3)], [1.0], free,
+                                   fixed)[0] is None
+
+    def test_indefinite_block_falls_back(self, finish_attempts):
+        # the free block has no Cholesky factor (eigenvalues 3 and -1), yet
+        # the QP is convex on the simplex, where q = 6 t^2 - 0.2 t + const
+        # along w = (0.5 + t, 0.5 - t)
+        A = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        b = np.array([-0.1, 0.0])
+        res = pgmod.minimize_quadratic(A, b, [slice(0, 2)], [1.0],
+                                       np.full(2, np.inf), DEFAULT_TOLERANCES)
+        assert finish_attempts == [None]
+        assert res.converged and not res.exact_finish
+        t = 0.1 / 6.0
+        assert np.allclose(res.w, [0.5 + t, 0.5 - t], atol=1e-10)
 
 
 @pytest.fixture(scope="module")
