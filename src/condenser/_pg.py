@@ -133,6 +133,14 @@ class PGResult:
     exact_finish: bool = False     # the exact finish ended the solve
 
 
+def node_classes(w, caps, total):
+    """(carried, below) masks of one plate's nodes: weight above
+    FREE_MARGIN_REL of the plate total, and weight below the cap by more
+    than that.  A node in both is strictly free."""
+    margin = FREE_MARGIN_REL * total
+    return w > margin, w < caps - margin
+
+
 def plate_constant_and_kkt(W, w, caps, total):
     """Multiplier estimate c of one plate and its normalized KKT violations.
 
@@ -143,9 +151,7 @@ def plate_constant_and_kkt(W, w, caps, total):
     max(W - c) over carried nodes, each floored at 0 and divided by
     max(1, |c|).
     """
-    margin = FREE_MARGIN_REL * total
-    carried = w > margin
-    below = w < caps - margin
+    carried, below = node_classes(w, caps, total)
     free = carried & below
     if np.any(free):
         c = float(np.median(W[free]))
@@ -174,15 +180,15 @@ def block_constants_and_kkt(W, w, caps, slices, totals):
 
 
 def _pattern(w, caps, slices, totals):
-    """Strictly free nodes of w, by the FREE_MARGIN_REL rule of
-    plate_constant_and_kkt, and the weights of the others: their cap if they
-    carry weight, else 0."""
-    margin = np.empty(len(w))
+    """Strictly free nodes of w (see node_classes) and the weights of the
+    others: their cap if they carry weight, else 0."""
+    free = np.zeros(len(w), dtype=bool)
+    fixed = np.zeros(len(w))
     for sl, total in zip(slices, totals):
-        margin[sl] = FREE_MARGIN_REL * total
-    carried = w > margin
-    free = carried & (w < caps - margin)
-    return free, np.where(carried & ~free, caps, 0.0)
+        carried, below = node_classes(w[sl], caps[sl], total)
+        free[sl] = carried & below
+        fixed[sl] = np.where(carried & ~below, caps[sl], 0.0)
+    return free, fixed
 
 
 def _free_block_factor(A, F):
@@ -253,14 +259,14 @@ def _exact_finish(A, b, slices, totals, free, fixed):
     return w, z, matvecs
 
 
-def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
-                       seed=None):
+def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
     """Projected-gradient/BB minimization of w'Aw + 2b'w over per-plate capped
     simplexes, stopped by the ``kkt`` and ``max_iters`` entries of ``tol``
     and by ``OBJ_REL`` over ``PATIENCE`` iterations, or ended by the exact
-    finish.  Deterministic for a fixed seed.  Trace rows are accepted
-    iterates; their objective column is non-increasing.  An accepted finish
-    adds one last row, with step 0."""
+    finish.  The start point is fixed by the caps and totals, so the result
+    depends on the inputs only.  Trace rows are accepted iterates; their
+    objective column is non-increasing.  An accepted finish adds one last
+    row, with step 0."""
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)
@@ -272,21 +278,16 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
             out[sl] = project_capped_simplex(v[sl], caps[sl], totals[j])
         return out
 
-    rng = np.random.default_rng(seed)
     w0 = np.empty(N)
     for j, sl in enumerate(slices):
         cj = caps[sl]
-        m = sl.stop - sl.start
         if np.all(np.isinf(cj)):
-            base = np.full(m, totals[j] / m)
+            w0[sl] = totals[j] / (sl.stop - sl.start)
         else:
             finite = np.where(np.isfinite(cj), cj, 0.0)
             top = finite.max() if finite.max() > 0 else 1.0
             base = np.where(np.isfinite(cj), cj, top)
-            base = base * (totals[j] / base.sum())
-        if seed is not None:
-            base = base * (0.25 + rng.random(m))
-        w0[sl] = base
+            w0[sl] = base * (totals[j] / base.sum())
     w = project(w0)
 
     matvecs = 0
@@ -305,7 +306,6 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
 
     consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
     trace = [(0, q, 0.0, kkt)]
-    hist = [q]
     finish_kkt = min(tol.kkt, FINISH_KKT)
     tried = None
 
@@ -385,15 +385,14 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
                 step_used = lam * acons
             alpha = acons
         consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
-        hist.append(q)
         trace.append((outer, q, step_used, kkt))
         finished = finish()
         if finished:
             converged = True
         elif kkt < tol.kkt:
-            window = min(PATIENCE, len(hist) - 1)
+            window = min(PATIENCE, len(trace) - 1)
             if window == 0 or \
-                    hist[-1 - window] - q <= OBJ_REL * max(1.0, abs(q)):
+                    trace[-1 - window][1] - q <= OBJ_REL * max(1.0, abs(q)):
                 converged = True
 
     return PGResult(w=w, objective=q, converged=converged,

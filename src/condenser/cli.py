@@ -16,8 +16,6 @@ import io
 import math
 import os
 import sys
-import time
-from typing import Optional
 
 import numpy as np
 import yaml
@@ -37,7 +35,7 @@ from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
                      zone_checks_apply)
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 
 def load_config(path: str) -> dict:
@@ -89,8 +87,7 @@ def _fmt(v) -> str:
 class ReportBuilder:
     def __init__(self, name: str):
         self.lines = [f"schema_version = {REPORT_SCHEMA}",
-                      f"scenario = {name}",
-                      f"timestamp = {time.strftime('%Y-%m-%dT%H:%M:%S')}"]
+                      f"scenario = {name}"]
 
     def add(self, key: str, value):
         self.lines.append(f"{key} = {_fmt(value)}")
@@ -152,8 +149,6 @@ def _solver_section(rep: ReportBuilder, result: SolveResult,
         rep.add(f"{prefix}.{name}", getattr(result, name))
     rep.add(f"{prefix}.finish",
             "exact" if result.exact_finish else "projected_gradient")
-    if result.seed is not None:
-        rep.add(f"{prefix}.seed", result.seed)
     for i, comp in enumerate(result.solution.components):
         rep.add(f"{prefix}.plate{i}.mass", comp.total_mass)
     if result.lift_mass_defect is not None:
@@ -162,14 +157,11 @@ def _solver_section(rep: ReportBuilder, result: SolveResult,
         rep.add(f"{prefix}.balayage_residual", result.balayage_residual)
 
 
-def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict,
-                    seed: Optional[int]):
+def _config_section(rep: ReportBuilder, spec: ProblemSpec, meta: dict):
     rep.section("config")
     rep.add("config.kernel.n", spec.kernel.n)
     rep.add("config.kernel.alpha", spec.kernel.alpha)
     rep.add("config.totals", spec.totals)
-    if seed is not None:
-        rep.add("config.seed", seed)
     for key, val in sorted(meta.items()):
         rep.add(f"config.{key}", val)
     for i, p in enumerate(spec.condenser.plates):
@@ -193,8 +185,7 @@ def _verify_sections(rep: ReportBuilder, result, spec, green, lift,
         rep.add(f"kkt.{name}", getattr(krep, name))
     rep.add("kkt.pass", krep.overall_pass)
     if zone_checks_apply(spec):
-        # every run draws the same probes
-        zrep = scalar_zone_checks(result, spec, green, seed=3)
+        zrep = scalar_zone_checks(result, spec, green)
         rep.section("zone")
         for name in ("c1", "identity_residual", "level_residual",
                      "bound_residual", "support_failures", "probes_used",
@@ -232,9 +223,9 @@ def _converged(result: SolveResult) -> SolveResult:
 def cmd_solve(args) -> dict:
     sc = build_scenario(_with_flags(load_config(args.config), args))
     spec = sc.spec
-    result = _converged(solve_riesz(spec, seed=args.seed))
+    result = _converged(solve_riesz(spec))
     rep = ReportBuilder(sc.name)
-    _config_section(rep, spec, sc.meta, args.seed)
+    _config_section(rep, spec, sc.meta)
     _solver_section(rep, result)
     kkt = kkt_report(result, spec)
     rep.section("kkt")
@@ -246,10 +237,10 @@ def cmd_solve(args) -> dict:
 def cmd_solve_green(args) -> dict:
     sc = build_scenario(_with_flags(load_config(args.config), args))
     spec, green = sc.spec, sc.green
-    result = _converged(solve_green_reduced(spec, green, seed=args.seed))
+    result = _converged(solve_green_reduced(spec, green))
     lift = lift_green_to_riesz(result, spec, green)
     rep = ReportBuilder(sc.name)
-    _config_section(rep, spec, sc.meta, args.seed)
+    _config_section(rep, spec, sc.meta)
     _solver_section(rep, result, prefix="green")
     _solver_section(rep, lift, prefix="lifted")
     return _solve_files(rep, spec, lift, result)
@@ -311,16 +302,16 @@ def cmd_verify(args) -> dict:
     built-in config."""
     cfg = scenarios.EXAMPLES[args.example_name]() \
         if args.command == "example" else load_config(args.config)
-    return _pipeline(build_scenario(_with_flags(cfg, args)), args.seed)
+    return _pipeline(build_scenario(_with_flags(cfg, args)))
 
 
-def _pipeline(sc: Scenario, seed: Optional[int]) -> dict:
+def _pipeline(sc: Scenario) -> dict:
     spec, green = sc.spec, sc.green
-    result = _converged(solve_riesz(spec, seed=seed))
-    gres = solve_green_reduced(spec, green, seed=seed)
+    result = _converged(solve_riesz(spec))
+    gres = solve_green_reduced(spec, green)
     lift = lift_green_to_riesz(gres, spec, green)
     rep = ReportBuilder(sc.name)
-    _config_section(rep, spec, sc.meta, seed)
+    _config_section(rep, spec, sc.meta)
     _solver_section(rep, result)
     _solver_section(rep, gres, prefix="green")
     _verify_sections(rep, result, spec, green, lift, gres)
@@ -368,7 +359,6 @@ def main(argv=None) -> int:
         prog="condenser",
         description="Constrained minimum-energy problems on discretized "
                     "condensers: solve, verify, and probe")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--tol-kkt", type=float, default=None)
     parser.add_argument("--truncation", type=float, default=None)
     parser.add_argument("--resolution", type=float, default=None)

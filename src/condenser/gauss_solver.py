@@ -94,7 +94,6 @@ class SolveResult:
     converged: bool
     kkt_residual: float
     iterations: int
-    seed: Optional[int] = None
     lift_mass_defect: Optional[float] = None
     balayage_residual: Optional[float] = None
     exact_finish: bool = False     # the QP's exact finish ended the solve
@@ -154,17 +153,18 @@ def _caps_and_field(spec: ProblemSpec):
     return caps, bvals
 
 
-def _solve_result(res: PGResult, solution: VectorMeasure, energy: float,
-                  constants: np.ndarray, seed: Optional[int]) -> SolveResult:
-    """SolveResult of a solution built from the solver output ``res``."""
-    return SolveResult(solution=solution, energy=energy, constants=constants,
-                       trace=res.trace, converged=res.converged,
-                       kkt_residual=res.kkt_residual,
-                       iterations=res.iterations, seed=seed,
+def _solve_result(res: PGResult, solution: VectorMeasure,
+                  constants: np.ndarray) -> SolveResult:
+    """SolveResult of a solution built from the solver output ``res``; its
+    energy is the minimized objective."""
+    return SolveResult(solution=solution, energy=res.objective,
+                       constants=constants, trace=res.trace,
+                       converged=res.converged, kkt_residual=res.kkt_residual,
+                       iterations=res.iterations,
                        exact_finish=res.exact_finish)
 
 
-def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
+def solve_riesz(spec: ProblemSpec) -> SolveResult:
     """Minimize the Gauss functional over capped vector measures with the
     prescribed per-plate masses (full Riesz formulation on R^n); the
     objective carries the field on every plate and is the reported energy."""
@@ -176,15 +176,13 @@ def solve_riesz(spec: ProblemSpec, seed: Optional[int] = None) -> SolveResult:
     K *= s[None, :]
     caps, b = _caps_and_field(spec)
     res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
-                             np.concatenate(caps), spec.tolerances, seed=seed)
+                             np.concatenate(caps), spec.tolerances)
     solution = VectorMeasure.from_weights(spec.condenser,
                                           [res.w[sl] for sl in slices])
-    return _solve_result(res, solution, res.objective, res.constants[:-1],
-                         seed)
+    return _solve_result(res, solution, res.constants[:-1])
 
 
-def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
-                        seed: Optional[int] = None) -> SolveResult:
+def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     """Minimize the reduced Green-kernel functional over the positive plates
     only; same convergence contract as the full solve."""
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
@@ -197,11 +195,11 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext,
                              np.concatenate(b[:spec.p_index]), slices,
                              spec.totals[:spec.p_index],
                              np.concatenate(caps[:spec.p_index]),
-                             spec.tolerances, seed=seed)
+                             spec.tolerances)
     comps = [DiscreteMeasure(p.nodes, res.w[sl])
              for p, sl in zip(plates, slices)]
     solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
-    return _solve_result(res, solution, res.objective, res.constants, seed)
+    return _solve_result(res, solution, res.constants)
 
 
 def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:
@@ -256,8 +254,7 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
     return res.swept.weights
 
 
-def solve_sigma_variant(spec: ProblemSpec, green: GreenContext,
-                        seed: Optional[int] = None) -> SolveResult:
+def solve_sigma_variant(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     """Solve with the negative plate explicitly capped by sigma^p.
 
     Requires sigma^p to dominate, node by node, the sweep of the total
@@ -273,4 +270,4 @@ def solve_sigma_variant(spec: ProblemSpec, green: GreenContext,
         raise SigmaDominationError(
             f"sigma^p fails to dominate the swept positive caps "
             f"(worst shortfall {worst:.3e})")
-    return solve_riesz(spec, seed=seed)
+    return solve_riesz(spec)

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import FREE_MARGIN_REL, plate_constant_and_kkt
+from ._pg import node_classes, plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
@@ -86,23 +86,15 @@ def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
     W = weighted_potentials(sol, spec)
     p = spec.p_index
 
-    consts = np.zeros(p)
-    lower = np.zeros(p)
-    upper = np.zeros(p)
-    for j in range(p):
-        comp = sol.components[j]
-        caps = spec.cap_array(j)
-        consts[j], lower[j], upper[j] = plate_constant_and_kkt(
-            W[j], comp.weights, caps, spec.totals[j])
-
-    comp = sol.components[p]
-    caps = spec.cap_array(p)
-    _, p_lower, p_upper = plate_constant_and_kkt(
-        W[p], comp.weights, caps, spec.totals[p])
-    plate_p_stat = max(p_lower, p_upper)
+    stats = [plate_constant_and_kkt(W[j], sol.components[j].weights,
+                                    spec.cap_array(j), spec.totals[j])
+             for j in range(p + 1)]
+    consts, lower, upper = (np.array(col[:p]) for col in zip(*stats))
+    plate_p_stat = max(stats[p][1:])
     # zero-potential law on the negative plate, outside the boundary zone
     plate = spec.condenser.plates[p]
-    pick = comp.weights > FREE_MARGIN_REL * spec.totals[p]
+    pick, _ = node_classes(sol.components[p].weights, spec.cap_array(p),
+                           spec.totals[p])
     zeros = np.flatnonzero(~pick)
     if zeros.size:
         rng = np.random.default_rng(0)
@@ -154,12 +146,13 @@ def zone_checks_apply(spec: ProblemSpec) -> bool:
 
 
 def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
-                       green: GreenContext, seed: int = 0) -> ZoneReport:
+                       green: GreenContext, seed: int = 3) -> ZoneReport:
     """Scalar-case structure checks (one positive plate, unit masses, no
     field): the Riesz potential of the signed solution equals the Green
     potential of its positive part inside the domain, sits at the constant
     c1 where the cap is slack, stays below c1 everywhere, and (for alpha < 2
     with a solid complement) the solution charges every cap-carried node.
+    ``seed`` draws the probe points.
     """
     if not zone_checks_apply(spec):
         raise WrongScenarioError(
@@ -184,7 +177,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     norm = max(1.0, abs(c1))
 
     # (ii) potential at the constant on cap-slack nodes
-    below = w1 < caps - FREE_MARGIN_REL * spec.totals[0]
+    _, below = node_classes(w1, caps, spec.totals[0])
     level_res = float(np.abs(pot_nodes[below] - c1).max()) / norm \
         if np.any(below) else 0.0
 

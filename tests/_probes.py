@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from condenser._pg import FREE_MARGIN_REL
+from condenser._pg import node_classes
 from condenser.balayage import GreenContext, balayage_project
 from condenser.gauss_solver import ProblemSpec, SolveResult
 from condenser.kernel import _riesz_block, mutual_energy
@@ -32,9 +32,8 @@ def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
         j = int(rng.integers(0, p)) if p > 1 else 0
         comp = sol.components[j]
         caps = spec.cap_array(j)
-        margin = FREE_MARGIN_REL * spec.totals[j]
-        donors = np.flatnonzero(comp.weights > margin)
-        receivers = np.flatnonzero(comp.weights < caps - margin)
+        carried, below = node_classes(comp.weights, caps, spec.totals[j])
+        donors, receivers = np.flatnonzero(carried), np.flatnonzero(below)
         if donors.size == 0 or receivers.size == 0:
             continue
         a = int(rng.choice(donors))

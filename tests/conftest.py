@@ -25,13 +25,6 @@ def ex1_riesz(ex1):
 
 
 @pytest.fixture(scope="session")
-def ex1_riesz_alt(ex1):
-    res = solve_riesz(ex1.spec, seed=7)
-    assert res.converged
-    return res
-
-
-@pytest.fixture(scope="session")
 def ex1_green(ex1):
     res = solve_green_reduced(ex1.spec, ex1.green)
     assert res.converged
@@ -51,13 +44,6 @@ def ex2():
 @pytest.fixture(scope="session")
 def ex2_riesz(ex2):
     res = solve_riesz(ex2.spec)
-    assert res.converged
-    return res
-
-
-@pytest.fixture(scope="session")
-def ex2_riesz_alt(ex2):
-    res = solve_riesz(ex2.spec, seed=7)
     assert res.converged
     return res
 

@@ -192,18 +192,6 @@ def test_criterion_06_kkt_characterization(ex1, ex1_riesz, ex2, ex2_riesz):
                f"{probe['trials']} transfers")
 
 
-def test_criterion_07_uniqueness(ex1, ex1_riesz, ex1_riesz_alt, ex2, ex2_riesz,
-                                 ex2_riesz_alt):
-    for name, built, r1, r2 in (("example one", ex1, ex1_riesz, ex1_riesz_alt),
-                                ("example two", ex2, ex2_riesz, ex2_riesz_alt)):
-        d = semimetric_distance(r1.solution, r2.solution, built.spec.kernel)
-        norm = math.sqrt(mutual_energy(r1.solution, r1.solution,
-                                       built.spec.kernel))
-        ok = d <= 1e-4 * norm
-        report(7, f"solution uniqueness on {name}", ok,
-               f"resultant distance {d:.2e} <= 1e-4 x {norm:.3f}")
-
-
 @pytest.fixture(scope="module")
 def ball_alpha2():
     from condenser.scenarios import ball_in_ball

@@ -77,7 +77,7 @@ def assert_numerics_finite_or_inf(rep):
 
 
 def assert_no_seed_sentinels(rep):
-    """An unseeded run prints no seed key and no -1.0 placeholder."""
+    """A report prints no seed key and no -1.0 placeholder."""
     assert not [key for key in rep if key.endswith(".seed")]
     assert "-1.0" not in rep.values()
 
@@ -86,10 +86,10 @@ class TestSolveCommand:
     def test_solve_writes_artifacts(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
         out = str(tmp_path / "out")
-        rc = main(["--out-dir", out, "--seed", "0", "solve", cfg])
+        rc = main(["--out-dir", out, "solve", cfg])
         assert rc == 0
         rep = read_report(out)
-        assert rep["schema_version"] == "3"
+        assert rep["schema_version"] == "4"
         assert rep["solver.converged"] == "True"
         assert float(rep["solver.energy"]) > 0
         with open(os.path.join(out, "atoms.csv")) as fh:
@@ -128,9 +128,9 @@ class TestSolveCommand:
         outs = []
         for sub in ("a", "b"):
             out = str(tmp_path / sub)
-            assert main(["--out-dir", out, "--seed", "11", "solve", cfg]) == 0
+            assert main(["--out-dir", out, "solve", cfg]) == 0
             outs.append(out)
-        for name in ("atoms.csv", "trace.csv"):
+        for name in ("report.txt", "atoms.csv", "trace.csv"):
             with open(os.path.join(outs[0], name), "rb") as fa, \
                     open(os.path.join(outs[1], name), "rb") as fb:
                 assert fa.read() == fb.read()
@@ -183,6 +183,15 @@ class TestErrorPaths:
         assert not os.path.exists(os.path.join(out, "report.txt"))
         err = capsys.readouterr().err
         assert err.startswith("ERROR Parse")
+
+    def test_seed_flag_is_a_usage_error(self, tmp_path, capsys):
+        # a run is a function of its config: there is no seed to set
+        out = str(tmp_path / "out")
+        with pytest.raises(SystemExit) as exc:
+            main(["--seed", "5", "--out-dir", out, "example", "ex1"])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
+        assert not os.path.exists(out)
 
     def test_missing_key_exit_2(self, tmp_path):
         cfg = dict(BALL_CONFIG)
@@ -593,16 +602,6 @@ class TestExamples:
         assert float(rep["equivalence.energy_gap_rel"]) < 1e-3
         assert_numerics_finite_or_inf(rep)
         assert_no_seed_sentinels(rep)
-
-    def test_seeded_example_prints_its_seed(self, tmp_path):
-        out = str(tmp_path / "out")
-        rc = main(["--out-dir", out, "--seed", "5", "--resolution", "0.3",
-                   "--truncation", "12", "example", "ex2"])
-        assert rc == 0
-        rep = read_report(out)
-        for key in ("config.seed", "solver.seed", "green.seed"):
-            assert rep[key] == "5"
-        assert "-1.0" not in rep.values()
 
     def test_console_entry_point(self):
         proc = subprocess.run(
