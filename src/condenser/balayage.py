@@ -7,9 +7,13 @@ energy inner product.  The potential-match identity then holds on the
 exterior nodes up to the recorded residual instead of being imposed.
 
 Every sweep takes one path: an unconstrained Cholesky solve against the
-exterior kernel matrix, then, for each column that dips below zero, block
-principal pivoting on the nonnegative cone (``GreenContext._cone_project``),
-with Lawson-Hanson NNLS as the fallback if the pivoting cycles.
+exterior kernel matrix, then block principal pivoting on the nonnegative
+cone for all the columns that dip below zero at once
+(``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
+Park 2011).  Each round factors every distinct free pattern once and takes
+the gradients of all unsettled columns in one product with the exterior
+matrix; a column whose pivoting cycles or runs out of rounds falls back,
+alone, to Lawson-Hanson NNLS on the Cholesky factor.
 """
 
 from __future__ import annotations
@@ -29,6 +33,9 @@ from .model import DiscreteMeasure, NodeSet
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
 _NEG_REL_TOL = 1e-12
+
+# pivoting rounds a clipped column may take before its NNLS fallback
+PIVOT_ROUNDS = 60
 
 
 @dataclass
@@ -58,7 +65,6 @@ class GreenContext:
         self.riesz = kernel
         self._kee = assemble_matrix(exterior, kernel).entries
         self._chol = cho_factor(self._kee, lower=True)
-        self._pattern_cache: dict = {}
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -69,15 +75,14 @@ class GreenContext:
 
     def _sweep(self, B: np.ndarray):
         """Cone projections of the columns of B (exterior potentials): one
-        unconstrained Cholesky solve, then ``_cone_project`` for every column
-        that dips below zero.  Returns theta and the clipped-column count."""
+        unconstrained Cholesky solve, then ``_cone_project`` of the columns
+        that dip below zero.  Returns theta and the clipped-column count."""
         # factors and right-hand sides are built here from finite kernel
         # values, so the solves skip scipy's finiteness rescan
         theta = cho_solve(self._chol, B, check_finite=False)
         col_max = np.maximum(theta.max(axis=0), 1e-300)
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
-        for k in bad:
-            theta[:, k] = self._cone_project(B[:, k], theta[:, k])
+        theta[:, bad] = self._cone_project(B[:, bad], theta[:, bad])
         return theta, int(bad.size)
 
     def sweep_columns(self, nodes: NodeSet):
@@ -87,56 +92,71 @@ class GreenContext:
         theta, clipped = self._sweep(B)
         return B, theta, clipped
 
-    def _pattern_solver(self, mask: np.ndarray):
-        """Cholesky solve restricted to an active pattern, cached per pattern;
-        sources typically share one pattern, so this amortizes to one factor."""
-        key = mask.tobytes()
-        got = self._pattern_cache.get(key)
-        if got is None:
-            idx = np.flatnonzero(mask)
-            fac = cho_factor(self._kee[np.ix_(idx, idx)], lower=True)
-            got = (idx, fac)
-            if len(self._pattern_cache) < 64:
-                self._pattern_cache[key] = got
-        return got
-
-    def _cone_project(self, b: np.ndarray, free: np.ndarray) -> np.ndarray:
-        """min theta' K theta - 2 b' theta over theta >= 0 by block principal
-        pivoting (Judice & Pires 1994): start from the positive set of
-        ``free``, the unconstrained solution K^-1 b, solve on the free set
-        with a per-pattern cached factor, drop negative entries and free
-        nodes whose gradient is negative, until the KKT conditions hold.  If
-        the pivoting cycles, Lawson-Hanson NNLS on the Cholesky factor solves
-        the same QP."""
-        m = self._kee.shape[0]
-        scale = float(np.abs(b).max()) + 1e-300
-        mask = free > 0.0
-        seen = []
-        for _ in range(60):
-            if not mask.any():
-                grad = -b
-                if grad.min() >= -1e-12 * scale:
-                    return np.zeros(m)
-                mask = b > 0.0
-            idx, fac = self._pattern_solver(mask)
-            theta_s = cho_solve(fac, b[idx], check_finite=False)
-            neg = theta_s < 0.0
-            theta = np.zeros(m)
-            theta[idx] = np.maximum(theta_s, 0.0)
-            grad = self._kee @ theta - b
-            viol = (~mask) & (grad < -1e-10 * scale)
-            if not neg.any() and not viol.any():
-                return theta
-            new_mask = mask.copy()
-            new_mask[idx[neg]] = False
-            new_mask[viol] = True
-            if any(np.array_equal(new_mask, prev) for prev in seen):
+    def _cone_project(self, B: np.ndarray, free: np.ndarray) -> np.ndarray:
+        """min theta' K theta - 2 b' theta over theta >= 0 for every column b
+        of B by block principal pivoting (Judice & Pires 1994).  A column
+        starts from the positive set of its column of ``free``, the
+        unconstrained solution K^-1 b, solves on its free set, drops negative
+        entries and frees nodes whose gradient is negative, until the KKT
+        conditions hold.  The columns pivot together: each round groups them
+        by free set, factors each set once, and takes every gradient in one
+        product with K.  A column that cycles or runs out of rounds gets
+        Lawson-Hanson NNLS on the Cholesky factor, which solves the same QP."""
+        m, k = B.shape
+        scale = np.abs(B).max(axis=0) + 1e-300
+        masks = (free > 0.0).T.copy()          # row j: free set of column j
+        seen = [set() for _ in range(k)]
+        theta = np.zeros((m, k))
+        active = np.arange(k)
+        stuck = []
+        for _ in range(PIVOT_ROUNDS):
+            empty = active[~masks[active].any(axis=1)]
+            if empty.size:
+                # an empty free set is optimal when -b >= 0; else restart
+                # from the positive set of b
+                masks[empty] = (B[:, empty] > 0.0).T
+                optimal = B[:, empty].max(axis=0) <= 1e-12 * scale[empty]
+                active = np.setdiff1d(active, empty[optimal])
+            if not active.size:
                 break
-            seen.append(new_mask)
-            mask = new_mask
-        lower = np.tril(self._chol[0])
-        y = solve_triangular(lower, b, lower=True)
-        theta, _ = nnls(lower.T, y)
+            groups: dict = {}
+            for j in active:
+                groups.setdefault(masks[j].tobytes(), []).append(j)
+            active = np.concatenate(list(groups.values()))
+            free_now = masks[active].T
+            trial = np.zeros((m, active.size))
+            dropped = np.zeros((m, active.size), dtype=bool)
+            at = 0
+            for cols in groups.values():
+                idx = np.flatnonzero(masks[cols[0]])
+                fac = cho_factor(self._kee[idx][:, idx], lower=True,
+                                 overwrite_a=True, check_finite=False)
+                sol = cho_solve(fac, B[np.ix_(idx, cols)], check_finite=False)
+                block = slice(at, at + len(cols))
+                trial[idx, block] = np.maximum(sol, 0.0)
+                dropped[idx, block] = sol < 0.0
+                at += len(cols)
+            grad = self._kee @ trial - B[:, active]
+            viol = ~free_now & (grad < -1e-10 * scale[active])
+            done = ~(dropped.any(axis=0) | viol.any(axis=0))
+            theta[:, active[done]] = trial[:, done]
+            new = ((free_now & ~dropped) | viol).T
+            going = []
+            for i in np.flatnonzero(~done):
+                j, key = active[i], new[i].tobytes()
+                if key in seen[j]:
+                    stuck.append(j)
+                else:
+                    seen[j].add(key)
+                    masks[j] = new[i]
+                    going.append(j)
+            active = np.array(going, dtype=int)
+        stuck.extend(active)
+        if stuck:
+            lower = np.tril(self._chol[0])
+            y = solve_triangular(lower, B[:, stuck], lower=True)
+            for i, j in enumerate(stuck):
+                theta[:, j] = nnls(lower.T, y[:, i])[0]
         return theta
 
     def _potential_and_sweep(self, mu: DiscreteMeasure):
@@ -168,12 +188,15 @@ class GreenContext:
             potential(swept, points, self.riesz)
 
     def green_mutual_energy(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """g(mu, nu) = kappa(mu, nu) - sym[kappa(mu', nu)]."""
-        pmu, tmu = self._potential_and_sweep(mu)
-        pnu, tnu = self._potential_and_sweep(nu)
+        """g(mu, nu) = kappa(mu, nu) - sym[kappa(mu', nu)]; both measures
+        sweep in one call, mu alone when nu is mu."""
+        measures = (mu,) if nu is mu else (mu, nu)
+        pots = np.column_stack([self._cross_matrix(m.nodes) @ m.weights
+                                for m in measures])
+        thetas, _ = self._sweep(pots)
         direct = mutual_energy(mu, nu, self.riesz)
-        c1 = float(tmu @ pnu)
-        c2 = float(tnu @ pmu)
+        c1 = float(thetas[:, 0] @ pots[:, -1])
+        c2 = float(thetas[:, -1] @ pots[:, 0])
         return direct - 0.5 * (c1 + c2)
 
 
@@ -191,7 +214,7 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
 
     e_mu = mutual_energy(mu, mu, ctx.riesz)
     cross = float(theta @ pot_mu)
-    self_sw = float(theta @ ctx._kee @ theta)
+    self_sw = float(theta @ pot_sw)
     gap2 = max(e_mu - 2.0 * cross + self_sw, 0.0)
     ortho = cross - self_sw                    # kappa(mu - mu', mu')
     mass_ratio = swept.total_mass / mu.total_mass if mu.total_mass > 0 else 1.0

@@ -5,13 +5,16 @@ import pytest
 from scipy.linalg import cho_solve, solve_triangular
 from scipy.optimize import nnls
 
+from condenser import balayage as balayagemod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.errors import UnsupportedKernel
 from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
-                             ball_complement_nodes, ball_volume_nodes,
-                             graded_plane_nodes, sphere_surface_nodes)
+                             _concat_nodesets, ball_complement_nodes,
+                             ball_volume_nodes, graded_plane_nodes,
+                             sphere_surface_nodes)
+from condenser.scenarios import ball_in_ball
 
 from _probes import green_energy_identity_check, mass_conservation_probe
 
@@ -261,6 +264,65 @@ class TestClippedSweeps:
             assert np.abs(grad[~zero]).max() <= 1e-10 * scale
 
 
+@pytest.fixture(scope="module")
+def toy_sweep():
+    """The toy ball-in-ball's exterior and sources that mix clipped and
+    unclipped columns: the 33 positive nodes, whose columns all clip with
+    many distinct free sets, and three exterior nodes, exact fixed points
+    that do not clip.  (On this coarse exterior every interior atom clips,
+    however deep.)"""
+    plates = ball_in_ball(alpha=2.0, resolution=0.3,
+                          truncation=3.0).spec.condenser.plates
+    ext = plates[-1].nodes
+    src = _concat_nodesets([plates[0].nodes, ext.subset([0, 300, 700])])
+    return GreenContext(ext, K2), src
+
+
+class TestBatchedPivoting:
+    def test_batching_couples_no_columns(self, toy_sweep):
+        ctx, src = toy_sweep
+        B, theta, clipped = ctx.sweep_columns(src)
+        assert 0 < clipped < len(src)
+        patterns = {(theta[:, j] > 0.0).tobytes() for j in range(len(src))}
+        assert len(patterns) > 3
+        clipped_cols = []
+        for j in range(len(src)):
+            _, th, c = ctx.sweep_columns(src.subset([j]))
+            if c:
+                clipped_cols.append(j)
+            ref = th[:, 0]
+            assert np.abs(theta[:, j] - ref).max() <= \
+                1e-12 * np.abs(ref).max()
+        assert len(clipped_cols) == clipped
+        # cone KKT on every clipped column
+        grad = ctx._kee @ theta - B
+        scale = np.abs(B).max(axis=0)
+        for k in clipped_cols:
+            zero = theta[:, k] == 0.0
+            assert theta[:, k].min() >= 0.0
+            assert grad[zero, k].min() >= -1e-10 * scale[k]
+            assert np.abs(grad[~zero, k]).max() <= 1e-10 * scale[k]
+
+    def test_round_limit_falls_back_to_nnls(self, toy_sweep, monkeypatch):
+        ctx, src = toy_sweep
+        _, pivoted, clipped = ctx.sweep_columns(src)
+        calls = []
+
+        def counted_nnls(A, y):
+            calls.append(1)
+            return nnls(A, y)
+
+        monkeypatch.setattr(balayagemod, "PIVOT_ROUNDS", 1)
+        monkeypatch.setattr(balayagemod, "nnls", counted_nnls)
+        _, theta, again = ctx.sweep_columns(src)
+        assert again == clipped
+        # no clipped column settles in its first round, so each one ends
+        # in the fallback
+        assert len(calls) == clipped
+        assert np.abs(theta - pivoted).max() <= \
+            1e-10 * np.abs(pivoted).max()
+
+
 class TestMassConservation:
     def test_ball_complement_ratios_increase_to_one(self):
         sources = point_measure([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]], [0.6, 0.4])
@@ -280,7 +342,7 @@ class TestMassConservation:
         # strictly sub-unit mass, stable under truncation (probe only)
         ball = ball_volume_nodes((0, 0, 0), 1.0, 0.22)
         surf = sphere_surface_nodes((0, 0, 0), 1.0, 300, layer=1)
-        from condenser.model import _concat_nodesets, trim_cell_radii
+        from condenser.model import trim_cell_radii
         ctx = GreenContext(trim_cell_radii(_concat_nodesets([ball, surf])), K2)
         sources = point_measure([[3.0, 0.0, 0.0]], [1.0])
 
