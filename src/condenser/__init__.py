@@ -14,9 +14,9 @@ from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project)
 from ._pg import project_capped_simplex
-from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
-                           solve_green_reduced, solve_riesz,
-                           solve_sigma_variant)
+from .gauss_solver import (ProblemSpec, SolveResult, check_sigma_domination,
+                           lift_green_to_riesz, solve_green_reduced,
+                           solve_riesz)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 __version__ = "0.1.0"

@@ -4,11 +4,12 @@ Minimizes  q(w) = w' A w + 2 b' w  over a product of capped simplexes
 {0 <= w <= cap, sum w = total} (one block per plate).
 
 The driver takes Barzilai-Borwein spectral steps in short bursts and accepts
-the best point of each burst only if it does not increase the objective;
-otherwise it backtracks to an exact-line-search descent step (which cannot
-fail off the optimum).  Accepted iterates therefore form a non-increasing
-objective trace while keeping the spectral behavior BB needs -- per-step
-monotone acceptance measurably stalls on these kernel matrices.
+the best point of each burst if it lowers the objective (or meets the KKT
+bound without raising it); a burst that finds no such point backtracks to an
+exact-line-search descent step (which cannot fail off the optimum).
+Accepted iterates therefore form a non-increasing objective trace while
+keeping the spectral behavior BB needs -- per-step monotone acceptance
+measurably stalls on these kernel matrices.
 
 PG finds the pattern of the minimizer (which nodes sit at zero, which are
 strictly free, which sit at their cap) long before it converges.  Once the
@@ -30,7 +31,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .errors import InfeasibleError
-from .model import FILL_ENTRIES, row_blocks
+from .model import row_blocks
 from .tolerances import Tolerances
 
 # projected BB steps taken from each accepted iterate before the acceptance test
@@ -199,7 +200,7 @@ def _free_block_factor(A, F):
     read: for a slightly asymmetric A the refinement's residuals, taken with
     A itself, make up the difference."""
     M = np.empty((len(F), len(F)), dtype=np.float32, order="F")
-    for rows in row_blocks(F, F, FILL_ENTRIES):
+    for rows in row_blocks(F, F):
         M.T[rows] = A[np.ix_(F[rows], F)]
     try:
         return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
@@ -364,12 +365,13 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
                 break
             if cq > q + 10.0 * (abs(q) + 1.0):
                 break  # runaway burst; fall back below
-        if bq <= q:
+        if bw is not w:
             w, z, q = bw, bz, bq
             g = 2.0 * (z + b)
         else:
             # backtracking fallback: exact line search along the projected
-            # direction at a cautious step; guaranteed descent off the optimum
+            # direction at a cautious step; guaranteed descent off the optimum,
+            # taken only if roundoff leaves the objective no higher
             acons = 1.0 / (2.0 * diag_max)
             d = project(w - acons * g) - w
             matvecs += 1
@@ -377,10 +379,10 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
             gd = float(g @ d)
             dAd = float(d @ Ad)
             lam = 1.0 if dAd <= 0 else min(1.0, max(0.0, -gd / (2.0 * dAd)))
-            if gd < 0.0 and lam > 0.0:
-                w = w + lam * d
-                z = z + lam * Ad
-                q = float(w @ z + 2.0 * (b @ w))
+            wl, zl = w + lam * d, z + lam * Ad
+            ql = float(wl @ zl + 2.0 * (b @ wl))
+            if gd < 0.0 and lam > 0.0 and ql <= q:
+                w, z, q = wl, zl, ql
                 g = 2.0 * (z + b)
                 step_used = lam * acons
             alpha = acons

@@ -98,7 +98,8 @@ class GreenContext:
         starts from the positive set of its column of ``free``, the
         unconstrained solution K^-1 b, solves on its free set, drops negative
         entries and frees nodes whose gradient is negative, until the KKT
-        conditions hold.  The columns pivot together: each round groups them
+        conditions hold; an empty free set skips the factor, so its
+        gradient is -b.  The columns pivot together: each round groups them
         by free set, factors each set once, and takes every gradient in one
         product with K.  A column that cycles or runs out of rounds gets
         Lawson-Hanson NNLS on the Cholesky factor, which solves the same QP."""
@@ -110,13 +111,6 @@ class GreenContext:
         active = np.arange(k)
         stuck = []
         for _ in range(PIVOT_ROUNDS):
-            empty = active[~masks[active].any(axis=1)]
-            if empty.size:
-                # an empty free set is optimal when -b >= 0; else restart
-                # from the positive set of b
-                masks[empty] = (B[:, empty] > 0.0).T
-                optimal = B[:, empty].max(axis=0) <= 1e-12 * scale[empty]
-                active = np.setdiff1d(active, empty[optimal])
             if not active.size:
                 break
             groups: dict = {}
@@ -129,13 +123,15 @@ class GreenContext:
             at = 0
             for cols in groups.values():
                 idx = np.flatnonzero(masks[cols[0]])
+                block = slice(at, at + len(cols))
+                at += len(cols)
+                if not idx.size:
+                    continue        # an empty free set keeps trial 0
                 fac = cho_factor(self._kee[idx][:, idx], lower=True,
                                  overwrite_a=True, check_finite=False)
                 sol = cho_solve(fac, B[np.ix_(idx, cols)], check_finite=False)
-                block = slice(at, at + len(cols))
                 trial[idx, block] = np.maximum(sol, 0.0)
                 dropped[idx, block] = sol < 0.0
-                at += len(cols)
             grad = self._kee @ trial - B[:, active]
             viol = ~free_now & (grad < -1e-10 * scale[active])
             done = ~(dropped.any(axis=0) | viol.any(axis=0))

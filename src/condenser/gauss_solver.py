@@ -1,6 +1,7 @@
 """Constrained Gauss-functional minimization for condensers: the full Riesz
-problem on R^n, the reduced Green problem on the positive plates, the lift
-between them, and the sigma variant with an explicit negative-plate cap."""
+problem on R^n, the reduced Green problem on the positive plates and the lift
+between them, plus the domination check that a negative-plate cap sigma^p must
+pass before any solve."""
 
 from __future__ import annotations
 
@@ -14,8 +15,8 @@ from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import (ExternalField, KernelSpec, gauss_functional, _riesz_block,
                      _require_distinct)
-from .model import (FILL_ENTRIES, Condenser, DiscreteMeasure, NodeSet,
-                    VectorMeasure, merge_by_position, row_blocks)
+from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
+                    merge_by_position, row_blocks)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -110,8 +111,8 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
 
     Coinciding nodes across different sets (shared by equally signed plates)
     contribute their self-energy; duplicates inside one set are rejected.
-    Each plate-pair block is written by row blocks of at most FILL_ENTRIES
-    entries, and mirrored below the diagonal.
+    Each plate-pair block is written by row blocks (``row_blocks``), and
+    mirrored below the diagonal.
     """
     slices = _block_slices([len(ns) for ns in nodesets])
     N = slices[-1].stop
@@ -121,7 +122,7 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
         off = slices[i].start
         for j in range(i, len(nodesets)):
             b = nodesets[j]
-            for rows in row_blocks(a.positions, b.positions, FILL_ENTRIES):
+            for rows in row_blocks(a.positions, b.positions):
                 blk = _riesz_block(a.positions[rows], b.positions, kernel,
                                    rho_q=b.cell_radii)
                 rk = slice(off + rows.start, off + rows.start + len(blk))
@@ -242,27 +243,27 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
 
 
 def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
-    """Balayage of the total positive cap onto the negative plate's nodes;
-    the reference measure for sigma-variant domination checks."""
+    """Balayage of the total positive cap onto the negative plate's nodes,
+    the measure a negative-plate cap must dominate.  Raises
+    SigmaDominationError for an uncapped positive plate, whose sweep no cap
+    dominates."""
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
     caps = [spec.cap_array(i) for i in spec.i_plus]
     if any(np.any(np.isinf(cap)) for cap in caps):
-        raise ValueError("sigma variant needs finite positive-plate caps")
+        raise SigmaDominationError(
+            "sigma^p cannot dominate the sweep of an uncapped positive plate")
     merged, idx = _merge_positive([p.nodes for p in plates])
     weights = np.bincount(idx, np.concatenate(caps), len(merged))
     res = balayage_project(DiscreteMeasure(merged, weights), green)
     return res.swept.weights
 
 
-def solve_sigma_variant(spec: ProblemSpec, green: GreenContext) -> SolveResult:
-    """Solve with the negative plate explicitly capped by sigma^p.
-
-    Requires sigma^p to dominate, node by node, the sweep of the total
-    positive cap onto the negative plate (checked by computing that sweep).
-    """
+def check_sigma_domination(spec: ProblemSpec, green: GreenContext) -> None:
+    """Raise SigmaDominationError unless the negative plate is uncapped or
+    its cap sigma^p dominates, node by node, ``swept_positive_caps``."""
     sigma_p = spec.constraint[spec.p_index]
     if sigma_p is None:
-        raise ValueError("sigma variant needs an explicit negative-plate cap")
+        return
     swept = swept_positive_caps(spec, green)
     slack = 1e-10 * max(float(swept.max()), 1.0)
     if np.any(sigma_p < swept - slack):
@@ -270,4 +271,3 @@ def solve_sigma_variant(spec: ProblemSpec, green: GreenContext) -> SolveResult:
         raise SigmaDominationError(
             f"sigma^p fails to dominate the swept positive caps "
             f"(worst shortfall {worst:.3e})")
-    return solve_riesz(spec)

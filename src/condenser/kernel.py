@@ -71,31 +71,28 @@ def _atoms_of(mu) -> tuple:
     raise TypeError(f"unsupported measure type {type(mu).__name__}")
 
 
+def _kernel_sums(points: np.ndarray, mu, kernel: KernelSpec) -> np.ndarray:
+    """kappa(x, mu) at each row x of ``points``, read by row blocks."""
+    pos, w, rho = _atoms_of(mu)
+    out = np.zeros(points.shape[0])
+    if pos.shape[0]:
+        for rows in row_blocks(points, pos):
+            out[rows] = _riesz_block(points[rows], pos, kernel, rho_q=rho) @ w
+    return out
+
+
 def potential(mu, points, kernel: KernelSpec) -> np.ndarray:
     """kappa(x, mu) at each query point; a query coinciding with an atom uses
     the self-energy rule for that atom's contribution."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    pos, w, rho = _atoms_of(mu)
-    if pos.shape[0] == 0:
-        return np.zeros(pts.shape[0])
-    out = np.empty(pts.shape[0])
-    for rows in row_blocks(pts, pos):
-        out[rows] = _riesz_block(pts[rows], pos, kernel, rho_q=rho) @ w
-    return out
+    return _kernel_sums(np.atleast_2d(np.asarray(points, dtype=float)), mu,
+                        kernel)
 
 
 def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
     """Mutual energy kappa(mu, nu); coinciding atom pairs contribute through
     the self-energy rule."""
     pa, wa, _ = _atoms_of(mu)
-    pb, wb, rb = _atoms_of(nu)
-    if pa.shape[0] == 0 or pb.shape[0] == 0:
-        return 0.0
-    total = 0.0
-    for rows in row_blocks(pa, pb):
-        K = _riesz_block(pa[rows], pb, kernel, rho_q=rb)
-        total += float(wa[rows] @ K @ wb)
-    return total
+    return float(wa @ _kernel_sums(pa, nu, kernel))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 from scipy.spatial.distance import cdist
 
 from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
@@ -34,12 +35,10 @@ VOLUME_CELL_RADIUS_FACTOR = 0.49  # x cell spacing
 # effective cells are trimmed so rho_i <= NEIGHBOR_TRIM * (nearest-neighbor
 # distance); any pair then satisfies rho_i + rho_j < d_ij
 NEIGHBOR_TRIM = 0.49
-# row blocks of pairwise arrays hold at most this many entries (32 MB of
-# float64), which bounds the memory of every blocked distance or kernel reader
-BLOCK_ENTRIES = 4_000_000
-# row blocks copied into a dense matrix hold at most this many entries (1 MB
-# of float64), so filling a matrix adds little to its own size
-FILL_ENTRIES = 131_072
+# row blocks of pairwise arrays hold at most this many entries (1 MB of
+# float64): a blocked kernel reader stays small, and filling a dense matrix
+# adds little to its own size
+BLOCK_ENTRIES = 131_072
 # geometric growth of the graded layouts of unbounded plates
 SHELL_GROWTH = 1.35  # ball-complement shell edges
 RING_GROWTH = 1.3    # half-space ring edges
@@ -141,7 +140,7 @@ class Condenser:
         if pos_idx and neg_idx:
             pos = np.vstack([self.plates[i].nodes.positions for i in pos_idx])
             neg = np.vstack([self.plates[i].nodes.positions for i in neg_idx])
-            if _min_cross_distance(pos, neg) <= 0.0:
+            if cKDTree(neg).query(pos)[0].min() <= 0.0:
                 raise ZeroSeparationError(
                     "a positive node coincides with a negative node")
 
@@ -156,34 +155,28 @@ class Condenser:
 
 def squared_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
     """|p - q|^2 for every row p of P and q of Q; coinciding points give
-    exactly zero.  Every pairwise distance in the package comes from here."""
+    exactly zero.  Every kernel block in the package comes from here."""
     return cdist(P, Q, "sqeuclidean")
 
 
-def row_blocks(P: np.ndarray, Q: np.ndarray, entries: int = BLOCK_ENTRIES):
+def row_blocks(P: np.ndarray, Q: np.ndarray):
     """Slices of P's rows such that each block against all of Q holds at most
-    ``entries`` pairs; blocked readers of pairwise arrays iterate these."""
-    step = max(1, entries // max(1, Q.shape[0]))
+    BLOCK_ENTRIES pairs, or 8 rows; blocked readers of pairwise arrays
+    iterate these.  Blocks take whole groups of 8 rows: BLAS matrix-vector
+    kernels sum rows in groups (of 4 in OpenBLAS), so on one thread a row of
+    a blocked product K @ w gets the same sum as in one unblocked product."""
+    step = max(8, BLOCK_ENTRIES // max(1, Q.shape[0]) // 8 * 8)
     return [slice(start, start + step) for start in range(0, P.shape[0], step)]
-
-
-def _min_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """Minimum pairwise distance between two point clouds."""
-    best = min(float(squared_distances(a[rows], b).min())
-               for rows in row_blocks(a, b))
-    return math.sqrt(max(best, 0.0))
 
 
 def _nearest_neighbor_distances(pos: np.ndarray, ref: np.ndarray) -> np.ndarray:
     """Per-point distance to the nearest distinct point of ``ref`` (zero
     distances are ignored: shared nodes of equally signed plates are the same
-    cell)."""
-    out = np.full(pos.shape[0], np.inf)
-    for rows in row_blocks(pos, ref):
-        d2 = squared_distances(pos[rows], ref)
-        d2[d2 == 0.0] = np.inf
-        out[rows] = np.sqrt(d2.min(axis=1))
-    return out
+    cell); inf when ``ref`` has no such point."""
+    tree = cKDTree(ref[merge_by_position(ref)[0]])
+    d, _ = tree.query(pos, k=2)
+    # a point of ``pos`` coincides with at most one merged reference point
+    return np.where(d[:, 0] > 0.0, d[:, 0], d[:, 1])
 
 
 def trim_cell_radii(nodes: NodeSet, reference: Optional[np.ndarray] = None

@@ -11,7 +11,7 @@ import numpy as np
 
 from .balayage import GreenContext
 from .errors import AlignmentError, ParseError
-from .gauss_solver import ProblemSpec
+from .gauss_solver import ProblemSpec, check_sigma_domination
 from .kernel import ExternalField, KernelSpec, equilibrium_measure
 from .model import (RING_GROWTH, UNBOUNDED_TAGS, Condenser, DiscreteMeasure,
                     NodeSet, PlateSpec, _concat_nodesets, build_condenser,
@@ -200,7 +200,8 @@ def _condenser_from(cfg: dict):
 
 
 def build_scenario(cfg: dict) -> Scenario:
-    """Validated Scenario from a parsed config mapping."""
+    """Validated Scenario from a parsed config mapping.  A capped negative
+    plate must pass ``check_sigma_domination``."""
     kernel, tol, condenser, sizes = _condenser_from(cfg)
     totals = require(cfg, "totals", list)
     constraint = _constraint_from(cfg, condenser, kernel, tol)
@@ -211,6 +212,7 @@ def build_scenario(cfg: dict) -> Scenario:
     except (ValueError, TypeError, AlignmentError) as exc:
         raise ParseError(str(exc)) from None
     green = GreenContext(condenser.plates[-1].nodes, kernel)
+    check_sigma_domination(spec, green)
     return Scenario(name=str(cfg.get("name", "scenario")), spec=spec,
                     green=green, meta=sizes)
 

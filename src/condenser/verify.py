@@ -9,6 +9,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial import cKDTree
 
 from ._pg import node_classes, plate_constant_and_kkt
 from .balayage import GreenContext
@@ -17,7 +18,7 @@ from .gauss_solver import ProblemSpec, SolveResult
 from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
                      potential)
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
-                    row_blocks, semimetric_distance, squared_distances)
+                    semimetric_distance)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 ZONE_PROBES = 300         # zone-check probes inside D and across space, each
@@ -234,10 +235,11 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
 
 
 def _exclude_near_atoms(pts, all_pos, all_rad):
+    """Mask of the probes farther from every atom than PROBE_EXCLUSION x
+    the atom's cell radius."""
     keep = np.ones(pts.shape[0], dtype=bool)
-    lim = (PROBE_EXCLUSION * all_rad[None, :]) ** 2
-    for rows in row_blocks(pts, all_pos):
-        keep[rows] = ~np.any(squared_distances(pts[rows], all_pos) < lim, axis=1)
+    near = cKDTree(pts).query_ball_point(all_pos, PROBE_EXCLUSION * all_rad)
+    keep[[i for hits in near for i in hits]] = False
     return keep
 
 

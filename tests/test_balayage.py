@@ -322,6 +322,21 @@ class TestBatchedPivoting:
         assert np.abs(theta - pivoted).max() <= \
             1e-10 * np.abs(pivoted).max()
 
+    def test_empty_start_matches_nnls(self, toy_sweep):
+        # every column starts from an empty free set; the last one's b is
+        # nonpositive, so its empty set is already optimal
+        ctx, src = toy_sweep
+        B = ctx._cross_matrix(src.subset([0, 10, 20]))
+        B = np.column_stack([B, -B[:, 0]])
+        theta = ctx._cone_project(B, -np.ones_like(B))
+        lower = np.tril(ctx._chol[0])
+        y = solve_triangular(lower, B, lower=True)
+        for j in range(B.shape[1]):
+            ref = nnls(lower.T, y[:, j])[0]
+            assert np.abs(theta[:, j] - ref).max() <= \
+                1e-10 * max(np.abs(ref).max(), 1.0)
+        assert not theta[:, -1].any()
+
 
 class TestMassConservation:
     def test_ball_complement_ratios_increase_to_one(self):

@@ -8,6 +8,8 @@ import pytest
 import yaml
 
 from condenser.cli import main
+from condenser.gauss_solver import swept_positive_caps
+from condenser.scenarios import build_scenario
 
 BALL_CONFIG = {
     "name": "ball-test",
@@ -51,6 +53,32 @@ TOY_DISK_HALF_SPACE = {
 
 # a small exhaustion-sweep boundary
 SWEEP_SIZES = {"flat_radius": 2.0, "cell": 0.5, "truncation": 6.0}
+
+
+# a capped ball strictly inside a ball complement at toy sizes (33 + 888
+# nodes)
+TOY_BALL_IN_BALL = {
+    "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3, "truncation": 3.0,
+    "plates": [{"geometry": "ball", "sign": 1, "radius": 0.62},
+               {"geometry": "ball_complement", "sign": -1, "radius": 1.0}],
+    "totals": [1.0, 1.0],
+    "constraint": [{"mode": "scaled_capacitary", "q": 1.5},
+                   {"mode": "unbounded"}],
+}
+
+
+@pytest.fixture(scope="module")
+def toy_swept_cap():
+    """Sweep of TOY_BALL_IN_BALL's positive cap onto its negative plate."""
+    sc = build_scenario(TOY_BALL_IN_BALL)
+    return swept_positive_caps(sc.spec, sc.green)
+
+
+def sigma_config(sigma):
+    """TOY_BALL_IN_BALL with the explicit negative-plate cap ``sigma``."""
+    return dict(TOY_BALL_IN_BALL, constraint=[
+        TOY_BALL_IN_BALL["constraint"][0],
+        {"mode": "explicit", "weights": [float(x) for x in sigma]}])
 
 
 def write_config(tmp_path, cfg, name="config.yaml"):
@@ -207,6 +235,22 @@ class TestErrorPaths:
         rc = main(["--out-dir", str(tmp_path / "o"), "solve", path])
         assert rc == 3
         assert capsys.readouterr().err.startswith("ERROR")
+
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_undominated_negative_cap_exit_3(self, tmp_path, capsys,
+                                             toy_swept_cap, command):
+        # 1.3 x the swept positive cap, but 0.1 x its peak at the peak node
+        sigma = 1.3 * toy_swept_cap
+        sigma[np.argmax(toy_swept_cap)] = 0.1 * toy_swept_cap.max()
+        path = write_config(tmp_path, sigma_config(sigma))
+        out = str(tmp_path / "o")
+        assert main(["--out-dir", out, command, path]) == 3
+        assert capsys.readouterr().err.startswith("ERROR SigmaDomination")
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    def test_dominating_negative_cap_exit_0(self, tmp_path, toy_swept_cap):
+        path = write_config(tmp_path, sigma_config(1.3 * toy_swept_cap))
+        assert main(["--out-dir", str(tmp_path / "o"), "solve", path]) == 0
 
     def test_repeated_plate_node_exit_5(self, tmp_path, monkeypatch, capsys):
         from condenser import model

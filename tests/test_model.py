@@ -7,8 +7,10 @@ from condenser.errors import EmptyPlateError, ZeroSeparationError
 from condenser.kernel import assemble_matrix
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
-                             build_condenser, resultant, semimetric_distance,
-                             sphere_surface_nodes, trim_across_plates)
+                             _nearest_neighbor_distances, build_condenser,
+                             resultant, semimetric_distance,
+                             sphere_surface_nodes, trim_across_plates,
+                             trim_cell_radii)
 
 K2 = KernelSpec(3, 2.0)
 
@@ -89,6 +91,27 @@ class TestBuildCondenser:
         assert cond.plates[0].nodes.cell_radii[0] == NEIGHBOR_TRIM * 0.4
         assert np.array_equal(cond.plates[1].nodes.cell_radii,
                               [NEIGHBOR_TRIM * 0.4, 0.5])
+
+    def test_shared_node_trimmed_against_nearest_distinct_node(self):
+        # two positive plates share the origin, the same cell; its trim
+        # reads the nearest other node, 0.3 away, not the zero distance
+        shared = NodeSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], np.ones(2),
+                         np.full(2, 0.4))
+        other = NodeSet([[0.0, 0.3, 0.0]], [1.0], [0.4])
+        plates = trim_across_plates([Plate(id=0, sign=+1, nodes=shared),
+                                     Plate(id=1, sign=+1, nodes=shared),
+                                     Plate(id=2, sign=+1, nodes=other)])
+        for plate in plates[:2]:
+            assert np.array_equal(plate.nodes.cell_radii,
+                                  [NEIGHBOR_TRIM * 0.3, 0.4])
+        assert plates[2].nodes.cell_radii[0] == NEIGHBOR_TRIM * 0.3
+
+    def test_one_node_reference_leaves_the_radius(self):
+        one = NodeSet([[1.0, 2.0, 3.0]], [1.0], [0.7])
+        assert np.array_equal(_nearest_neighbor_distances(one.positions,
+                                                          one.positions),
+                              [np.inf])
+        assert trim_cell_radii(one).cell_radii[0] == 0.7
 
     def test_truncation_recorded(self):
         cond = build_condenser(

@@ -1,0 +1,74 @@
+"""Pairwise-work lint: one way to read pairs of points.  Only
+``kernel._riesz_block`` computes pairwise distances (neighbour queries go
+through k-d trees), every blocked reader takes its row blocks from
+``row_blocks(P, Q)``, and ``model`` defines one block size for them."""
+
+import ast
+import pathlib
+
+import condenser
+
+PACKAGE = pathlib.Path(condenser.__file__).parent
+
+
+def calls_by_function(source: str, name: str) -> list:
+    """(enclosing function, call node) of every call of ``name``, by bare
+    name or as an attribute; module-level calls have function None."""
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner
+            if isinstance(child, ast.Call):
+                func = child.func
+                called = func.id if isinstance(func, ast.Name) else \
+                    func.attr if isinstance(func, ast.Attribute) else None
+                if called == name:
+                    found.append((owner, child))
+            visit(child, inner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def package_calls(name: str) -> dict:
+    """(module, enclosing function) -> calls of ``name`` in the package."""
+    out: dict = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for owner, call in calls_by_function(path.read_text(), name):
+            out.setdefault((path.stem, owner), []).append(call)
+    return out
+
+
+def model_tree():
+    return ast.parse((PACKAGE / "model.py").read_text())
+
+
+def test_lint_sees_nested_and_attribute_calls():
+    src = ("def f():\n    def g():\n        m.squared_distances(a, b)\n"
+           "squared_distances(a, b)\n")
+    assert [owner for owner, _ in calls_by_function(src, "squared_distances")
+            ] == ["g", None]
+
+
+def test_only_the_kernel_block_reads_squared_distances():
+    assert set(package_calls("squared_distances")) == {("kernel",
+                                                        "_riesz_block")}
+
+
+def test_row_blocks_takes_exactly_two_point_arrays():
+    (fn,) = [node for node in model_tree().body
+             if isinstance(node, ast.FunctionDef) and node.name == "row_blocks"]
+    args = fn.args
+    assert [a.arg for a in args.args] == ["P", "Q"]
+    assert not (args.defaults or args.kwonlyargs or args.vararg
+                or args.kwarg or args.posonlyargs)
+    calls = [c for cs in package_calls("row_blocks").values() for c in cs]
+    assert calls and all(len(c.args) == 2 and not c.keywords for c in calls)
+
+
+def test_model_defines_one_block_size():
+    names = [t.id for node in model_tree().body if isinstance(node, ast.Assign)
+             for t in node.targets if isinstance(t, ast.Name)]
+    assert [n for n in names if n.endswith("_ENTRIES")] == ["BLOCK_ENTRIES"]

@@ -8,13 +8,13 @@ from condenser.balayage import GreenContext
 from condenser.errors import (DuplicateNodeError, InfeasibleError,
                               SigmaDominationError)
 from condenser import _pg as pgmod
-from condenser import gauss_solver as gsmod
+from condenser import model as modelmod
 from condenser._pg import project_capped_simplex
-from condenser.gauss_solver import (ProblemSpec,
+from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz,
-                                    solve_sigma_variant, swept_positive_caps)
-from condenser.kernel import (ExternalField, _riesz_block,
+                                    swept_positive_caps)
+from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
                               equilibrium_measure, gauss_functional,
                               mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
@@ -343,13 +343,37 @@ def finish_attempts(monkeypatch):
     return attempts
 
 
+class TestBacktrackingFallback:
+    def test_failed_bursts_fall_back_to_descent(self, monkeypatch,
+                                                finish_attempts):
+        # one BB step per burst, so a step that raises the objective fails
+        # its burst; two plates on the same nodes make every free block
+        # singular, so no exact finish ends the solve
+        monkeypatch.setattr(pgmod, "BURST", 1)
+        nodes = ball_volume_nodes((0, 0, 0), 1.0, 0.5)
+        K = assemble_matrix(nodes, K15).entries
+        m = len(nodes)
+        res = pgmod.minimize_quadratic(
+            np.block([[K, K], [K, K]]), None, [slice(0, m), slice(m, 2 * m)],
+            [0.5, 0.5], np.full(2 * m, np.inf), DEFAULT_TOLERANCES)
+        assert res.converged and not res.exact_finish
+        assert finish_attempts and all(w is None for w in finish_attempts)
+        # an outer iteration takes one matvec in its burst and one more
+        # when it falls back; the start point takes one
+        assert res.matvecs - 1 - res.iterations > 0
+        assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
+        # the plates' sum is the unit equilibrium measure of the nodes
+        _, cap = equilibrium_measure(nodes, K15, 1.0)
+        assert abs(res.objective - 1.0 / cap) <= 1e-8 / cap
+
+
 class TestJointAssembly:
     @pytest.mark.parametrize("entries", [None, 1000])
     def test_row_blocks_bit_identical(self, monkeypatch, entries):
         # plates 0 and 1 share their first node; the reference writes every
         # plate-pair block whole and mirrors it below the diagonal
         if entries is not None:
-            monkeypatch.setattr(gsmod, "FILL_ENTRIES", entries)
+            monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
         rng = np.random.default_rng(7)
         a = rng.normal(size=(90, 3))
         b = np.vstack([a[:1], rng.normal(size=(70, 3)) + [1.5, 0, 0]])
@@ -512,7 +536,8 @@ class TestSigmaVariant:
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
         spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                                  (caps0, swept), K2)
-        res = solve_sigma_variant(spec_sigma, ctx2)
+        check_sigma_domination(spec_sigma, ctx2)
+        res = solve_riesz(spec_sigma)
         assert res.converged
         rel = abs(res.energy - xi_res.energy) / max(abs(xi_res.energy), 1.0)
         assert rel < 1e-6
@@ -524,7 +549,8 @@ class TestSigmaVariant:
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
         spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                                  (caps0, 2.0 * swept), K2)
-        res = solve_sigma_variant(spec_sigma, ctx2)
+        check_sigma_domination(spec_sigma, ctx2)
+        res = solve_riesz(spec_sigma)
         rel = abs(res.energy - xi_res.energy) / max(abs(xi_res.energy), 1.0)
         assert rel < 1e-8
 
@@ -537,4 +563,11 @@ class TestSigmaVariant:
         bad = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
                           (caps0, sigma), K2)
         with pytest.raises(SigmaDominationError):
-            solve_sigma_variant(bad, ctx2)
+            check_sigma_domination(bad, ctx2)
+
+    def test_uncapped_positive_plate_cannot_be_dominated(self, sigma_setup):
+        cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
+        uncapped = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+                               (None, 2.0 * swept), K2)
+        with pytest.raises(SigmaDominationError):
+            check_sigma_domination(uncapped, ctx2)

@@ -11,9 +11,10 @@ from condenser.kernel import ExternalField, gauss_functional
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             trim_across_plates)
+                             squared_distances, trim_across_plates)
 from condenser.scenarios import example_one, sweep_plane_context
-from condenser.verify import (KKTReport, equivalence_check, kkt_report,
+from condenser.verify import (PROBE_EXCLUSION, KKTReport, _exclude_near_atoms,
+                              equivalence_check, kkt_report,
                               loglog_slope, scalar_zone_checks,
                               support_report, unsolvability_sweep,
                               weighted_potentials)
@@ -160,6 +161,19 @@ class TestZoneChecks:
         assert rep.c1 > 0
         assert rep.checks["identity"] and rep.checks["level"] \
             and rep.checks["bound"]
+
+
+class TestProbeExclusion:
+    def test_matches_all_pairs_reference(self):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform(-1.0, 1.0, size=(200, 3))
+        atoms = rng.uniform(-1.0, 1.0, size=(300, 3))
+        rad = rng.uniform(0.01, 0.08, 300)
+        keep = _exclude_near_atoms(pts, atoms, rad)
+        ref = ~np.any(squared_distances(pts, atoms)
+                      < (PROBE_EXCLUSION * rad[None, :]) ** 2, axis=1)
+        assert 0 < keep.sum() < len(pts)
+        assert np.array_equal(keep, ref)
 
 
 class TestSupportReport:
