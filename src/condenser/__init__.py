@@ -8,9 +8,8 @@ from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
 from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
                     resultant, semimetric_distance)
-from .kernel import (ExternalField, KernelMatrix, assemble_matrix,
-                     equilibrium_measure, gauss_functional, mutual_energy,
-                     potential)
+from .kernel import (KernelMatrix, assemble_matrix, equilibrium_measure,
+                     gauss_functional, mutual_energy, potential)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project)
 from ._pg import project_capped_simplex

@@ -75,10 +75,6 @@ def _fmt(v) -> str:
         if math.isinf(v):
             return "inf" if v > 0 else "-inf"
         return repr(v)
-    if isinstance(v, (np.floating,)):
-        return _fmt(float(v))
-    if isinstance(v, (np.integer,)):
-        return str(int(v))
     if isinstance(v, (list, tuple, np.ndarray)):
         return "[" + ", ".join(_fmt(float(x)) for x in np.asarray(v).ravel()) + "]"
     return str(v)

@@ -13,7 +13,7 @@ import numpy as np
 from ._pg import PGResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
-from .kernel import (ExternalField, KernelSpec, gauss_functional, _riesz_block,
+from .kernel import (KernelSpec, gauss_functional, _riesz_block,
                      _require_distinct)
 from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
                     merge_by_position, row_blocks)
@@ -25,30 +25,29 @@ class ProblemSpec:
     """Full problem statement: condenser, prescribed masses, field, caps.
 
     The unique negative plate is the last one; its mass equals the sum of the
-    positive masses (enforced here).  ``constraint`` holds one entry per
-    plate: its cap weights, one per node, finite and >= 0 with a total above
-    the plate's mass, or None for an uncapped plate (xi = inf).
+    positive masses (enforced here).  ``field`` is None (no field) or one
+    array of node values per plate, each finite or +inf; a +inf node is
+    frozen at zero weight.  ``constraint`` holds one entry per plate: its cap
+    weights, finite and >= 0, or None (or all +inf) for an uncapped plate.
+    Both are stored as one float array per plate, aligned with its nodes:
+    the field is zero when absent and the caps are +inf where uncapped.  The
+    caps on a plate's finite-field nodes must total more than its mass.
     """
 
     condenser: Condenser
     totals: tuple
-    field: ExternalField
+    field: Optional[tuple]
     constraint: tuple
     kernel: KernelSpec
     tolerances: Tolerances = DEFAULT_TOLERANCES
 
     def __post_init__(self):
-        object.__setattr__(self, "totals", tuple(float(a) for a in self.totals))
-        object.__setattr__(self, "constraint", tuple(
-            None if c is None else np.asarray(c, dtype=float)
-            for c in self.constraint))
         plates = self.condenser.plates
+        object.__setattr__(self, "totals", tuple(float(a) for a in self.totals))
         if len(self.totals) != len(plates):
             raise AlignmentError("one total per plate required")
         if any(a <= 0 for a in self.totals):
             raise ValueError("prescribed masses must be > 0")
-        if len(self.constraint) != len(plates):
-            raise AlignmentError("one cap entry per plate required")
         signs = [p.sign for p in plates]
         if signs[-1] != -1 or any(s != +1 for s in signs[:-1]):
             raise ValueError("plate order must be positives first, the single "
@@ -58,24 +57,24 @@ class ProblemSpec:
             raise ValueError(
                 f"negative-plate mass {self.totals[-1]} must equal the sum of "
                 f"positive masses {a_pos}")
-        for i, (p, c) in enumerate(zip(plates, self.constraint)):
-            if c is None:
-                continue
-            if c.shape != (len(p.nodes),):
-                raise AlignmentError(f"cap for plate {i} misaligned")
-            if np.any(c < 0) or not np.all(np.isfinite(c)):
+        field = _per_plate(plates, (None,) * len(plates) if self.field is None
+                           else self.field, 0.0, "field value array")
+        caps = _per_plate(plates, self.constraint, np.inf, "cap entry")
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "constraint", caps)
+        for i, (f, c) in enumerate(zip(field, caps)):
+            if np.any(np.isnan(f) | np.isneginf(f)):
+                raise ValueError(f"plate {i}: field values must be > -inf")
+            if not (np.all(np.isposinf(c)) or
+                    np.all(np.isfinite(c) & (c >= 0))):
                 raise ValueError(f"plate {i}: cap weights must be finite "
                                  f"and >= 0")
-            if c.sum() <= self.totals[i]:
+            room = c[np.isfinite(f)].sum()
+            if room <= self.totals[i]:
                 raise InfeasibleError(
-                    f"plate {i}: cap total {c.sum():.6g} must strictly exceed "
-                    f"the prescribed mass {self.totals[i]:.6g}")
-
-    def cap_array(self, i: int) -> np.ndarray:
-        """Cap weights of plate i, +inf at every node of an uncapped plate."""
-        c = self.constraint[i]
-        return np.full(len(self.condenser.plates[i].nodes), np.inf) \
-            if c is None else c
+                    f"plate {i}: caps on finite-field nodes total "
+                    f"{room:.6g}, not above the prescribed mass "
+                    f"{self.totals[i]:.6g}")
 
     @property
     def i_plus(self) -> tuple:
@@ -84,6 +83,21 @@ class ProblemSpec:
     @property
     def p_index(self) -> int:
         return len(self.condenser.plates) - 1
+
+
+def _per_plate(plates, entries, fill: float, what: str) -> tuple:
+    """One float array per plate, aligned with its nodes; a None entry is
+    ``fill`` at every node."""
+    if len(entries) != len(plates):
+        raise AlignmentError(f"one {what} per plate required")
+    out = tuple(np.full(len(p.nodes), fill) if e is None
+                else np.asarray(e, dtype=float)
+                for p, e in zip(plates, entries))
+    for i, (p, a) in enumerate(zip(plates, out)):
+        if a.shape != (len(p.nodes),):
+            raise AlignmentError(f"plate {i}: {what} misaligned with its "
+                                 f"nodes")
+    return out
 
 
 @dataclass
@@ -135,23 +149,10 @@ def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
 def _caps_and_field(spec: ProblemSpec):
     """Cap and linear field term of every plate, one array per plate in plate
     order.  Nodes where the field is +inf are frozen to zero weight (cap 0,
-    field term 0), and each plate's caps must still exceed its mass after
-    freezing."""
-    plates = spec.condenser.plates
-    fvals = spec.field.plate_values([p.nodes for p in plates],
-                                    spec.condenser.signs, spec.kernel)
-    caps, bvals = [], []
-    for i, f in enumerate(fvals):
-        c = spec.cap_array(i).copy()
-        frozen = np.isposinf(f)
-        c[frozen] = 0.0
-        if c.sum() <= spec.totals[i]:
-            raise InfeasibleError(
-                f"plate {i}: caps after freezing infinite-field nodes sum "
-                f"to {c.sum():.6g} <= mass {spec.totals[i]:.6g}")
-        caps.append(c)
-        bvals.append(np.where(frozen, 0.0, f))
-    return caps, bvals
+    field term 0)."""
+    caps = [np.where(np.isposinf(f), 0.0, c)
+            for f, c in zip(spec.field, spec.constraint)]
+    return caps, [np.where(np.isposinf(f), 0.0, f) for f in spec.field]
 
 
 def _solve_result(res: PGResult, solution: VectorMeasure,
@@ -190,10 +191,13 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     nodesets = [p.nodes for p in plates]
     merged, idx = _merge_positive(nodesets)
     G, _ = green.green_matrix(merged)
+    if not np.array_equal(idx, np.arange(len(idx))):
+        # plates that share nodes read the merged matrix through idx; others
+        # take G as it is, without an n^2 copy
+        G = G[np.ix_(idx, idx)]
     slices = _block_slices([len(ns) for ns in nodesets])
     caps, b = _caps_and_field(spec)
-    res = minimize_quadratic(G[np.ix_(idx, idx)],
-                             np.concatenate(b[:spec.p_index]), slices,
+    res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,
                              spec.totals[:spec.p_index],
                              np.concatenate(caps[:spec.p_index]),
                              spec.tolerances)
@@ -214,6 +218,15 @@ def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:
     return merged, inverse
 
 
+def _sweep_positive(nodesets: Sequence[NodeSet], weights: Sequence[np.ndarray],
+                    green: GreenContext):
+    """Balayage onto the context's exterior of the total of the per-plate
+    positive ``weights``, nodes shared by several plates merged."""
+    merged, idx = _merge_positive(nodesets)
+    total = np.bincount(idx, np.concatenate(weights), len(merged))
+    return balayage_project(DiscreteMeasure(merged, total), green)
+
+
 def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
                         green: GreenContext) -> SolveResult:
     """Extend a reduced Green solution to the full condenser by sweeping the
@@ -228,11 +241,8 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
         raise AlignmentError(
             "green context exterior must be the negative plate's node set")
     comps = list(green_result.solution.components)
-    merged, idx = _merge_positive([c.nodes for c in comps])
-    weights = np.bincount(idx, np.concatenate([c.weights for c in comps]),
-                          len(merged))
-    total_pos = DiscreteMeasure(merged, weights)
-    bres = balayage_project(total_pos, green)
+    bres = _sweep_positive([c.nodes for c in comps],
+                           [c.weights for c in comps], green)
     comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights)]
     solution = VectorMeasure(tuple(comps_full), spec.condenser.signs)
     energy = gauss_functional(solution, spec.field, spec.kernel)
@@ -247,22 +257,19 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
     the measure a negative-plate cap must dominate.  Raises
     SigmaDominationError for an uncapped positive plate, whose sweep no cap
     dominates."""
-    plates = [spec.condenser.plates[i] for i in spec.i_plus]
-    caps = [spec.cap_array(i) for i in spec.i_plus]
+    caps = spec.constraint[:spec.p_index]
     if any(np.any(np.isinf(cap)) for cap in caps):
         raise SigmaDominationError(
             "sigma^p cannot dominate the sweep of an uncapped positive plate")
-    merged, idx = _merge_positive([p.nodes for p in plates])
-    weights = np.bincount(idx, np.concatenate(caps), len(merged))
-    res = balayage_project(DiscreteMeasure(merged, weights), green)
-    return res.swept.weights
+    nodesets = [spec.condenser.plates[i].nodes for i in spec.i_plus]
+    return _sweep_positive(nodesets, caps, green).swept.weights
 
 
 def check_sigma_domination(spec: ProblemSpec, green: GreenContext) -> None:
     """Raise SigmaDominationError unless the negative plate is uncapped or
     its cap sigma^p dominates, node by node, ``swept_positive_caps``."""
     sigma_p = spec.constraint[spec.p_index]
-    if sigma_p is None:
+    if np.all(np.isposinf(sigma_p)):
         return
     swept = swept_positive_caps(spec, green)
     slack = 1e-10 * max(float(swept.max()), 1.0)

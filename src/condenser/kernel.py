@@ -95,72 +95,16 @@ def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
     return float(wa @ _kernel_sums(pa, nu, kernel))
 
 
-@dataclass(frozen=True)
-class ExternalField:
-    """External field acting on the plates.
-
-    Case I stores node-sampled values per plate, finite or +inf, with the
-    negative-plate values identically zero.  Case II derives values from an
-    extendible measure zeta and its sweep zeta' onto the domain complement:
-    f_i = s_i * (kappa(., zeta) - kappa(., zeta')).
-    """
-
-    case: str  # "zero" | "case1" | "case2"
-    values: Optional[tuple] = None
-    zeta: Optional[DiscreteMeasure] = None
-    zeta_swept: Optional[DiscreteMeasure] = None
-
-    @staticmethod
-    def zero() -> "ExternalField":
-        return ExternalField(case="zero")
-
-    @staticmethod
-    def case1(values: Sequence[np.ndarray], signs: Sequence[int]) -> "ExternalField":
-        vals = tuple(np.asarray(v, dtype=float) for v in values)
-        for v, s in zip(vals, signs):
-            if np.any(np.isneginf(v)) or np.any(np.isnan(v)):
-                raise ValueError("Case I field values must be > -inf")
-            if s < 0 and np.any(v != 0.0):
-                raise ValueError("Case I field must vanish on negative plates")
-        return ExternalField(case="case1", values=vals)
-
-    @staticmethod
-    def case2(zeta: DiscreteMeasure, zeta_swept: DiscreteMeasure) -> "ExternalField":
-        return ExternalField(case="case2", zeta=zeta, zeta_swept=zeta_swept)
-
-    def plate_values(self, nodesets: Sequence[NodeSet], signs: Sequence[int],
-                     kernel: KernelSpec) -> list:
-        """Field values at every node of every plate, in plate order."""
-        if self.case == "zero":
-            return [np.zeros(len(ns)) for ns in nodesets]
-        if self.case == "case1":
-            if len(self.values) != len(nodesets):
-                raise ValueError("one value array per plate required")
-            out = []
-            for v, ns in zip(self.values, nodesets):
-                if v.shape != (len(ns),):
-                    raise ValueError("field values misaligned with plate nodes")
-                out.append(v)
-            return out
-        out = []
-        for ns, s in zip(nodesets, signs):
-            vals = potential(self.zeta, ns.positions, kernel) \
-                - potential(self.zeta_swept, ns.positions, kernel)
-            out.append(s * vals)
-        return out
-
-
-def gauss_functional(mu: VectorMeasure, field: ExternalField,
+def gauss_functional(mu: VectorMeasure, field: Sequence[np.ndarray],
                      kernel: KernelSpec) -> float:
     """Weighted energy G = kappa(R mu, R mu) + 2 sum_i <f_i, mu^i>, the
-    functional every solve minimizes.
+    functional every solve minimizes; ``field`` holds the values f_i at the
+    nodes of each component, finite or +inf.
 
     Returns +inf when positive weight sits on a node with infinite field.
     """
-    nodesets = [c.nodes for c in mu.components]
-    fvals = field.plate_values(nodesets, mu.signs, kernel)
     linear = 0.0
-    for f, comp in zip(fvals, mu.components):
+    for f, comp in zip(field, mu.components, strict=True):
         carried = comp.weights > 0
         if np.any(np.isposinf(f[carried])):
             return math.inf

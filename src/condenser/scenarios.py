@@ -12,7 +12,7 @@ import numpy as np
 from .balayage import GreenContext
 from .errors import AlignmentError, ParseError
 from .gauss_solver import ProblemSpec, check_sigma_domination
-from .kernel import ExternalField, KernelSpec, equilibrium_measure
+from .kernel import KernelSpec, equilibrium_measure
 from .model import (RING_GROWTH, UNBOUNDED_TAGS, Condenser, DiscreteMeasure,
                     NodeSet, PlateSpec, _concat_nodesets, build_condenser,
                     disk_nodes, graded_plane_nodes, trim_cell_radii,
@@ -163,25 +163,27 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
     return tuple(caps)
 
 
-def _field_from(cfg: dict, condenser: Condenser) -> ExternalField:
+def _field_from(cfg: dict, condenser: Condenser):
+    """Field values of a config, one array per plate, or None for no field.
+    ``node_values`` entries are numbers or "inf" (a frozen node), and the
+    negative plate's are zero; ``ProblemSpec`` checks the rest."""
     fc = optional_mapping(cfg, "field")
     case = fc.get("case", "zero")
     if case == "zero":
-        return ExternalField.zero()
-    if case == "node_values":
-        vals = require(fc, "values", list)
-        if len(vals) != len(condenser.plates):
-            raise ParseError("one field value array per plate required")
-        try:
-            arrays = [np.asarray([math.inf if x == "inf" else float(x)
-                                  for x in v], dtype=float) for v in vals]
-            if any(arr.shape != (len(p.nodes),)
-                   for arr, p in zip(arrays, condenser.plates)):
-                raise ParseError("field values misaligned with plate nodes")
-            return ExternalField.case1(arrays, condenser.signs)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"field values: {exc}") from None
-    raise ParseError(f"unsupported field case {case!r} in configs")
+        return None
+    if case != "node_values":
+        raise ParseError(f"unsupported field case {case!r} in configs")
+    vals = require(fc, "values", list)
+    if len(vals) != len(condenser.plates):
+        raise ParseError("one field value array per plate required")
+    try:
+        arrays = tuple(np.asarray([math.inf if x == "inf" else float(x)
+                                   for x in v], dtype=float) for v in vals)
+    except (ValueError, TypeError) as exc:
+        raise ParseError(f"field values: {exc}") from None
+    if np.any(arrays[-1] != 0.0):
+        raise ParseError("field values must vanish on the negative plate")
+    return arrays
 
 
 def _condenser_from(cfg: dict):
@@ -205,9 +207,9 @@ def build_scenario(cfg: dict) -> Scenario:
     kernel, tol, condenser, sizes = _condenser_from(cfg)
     totals = require(cfg, "totals", list)
     constraint = _constraint_from(cfg, condenser, kernel, tol)
-    fieldspec = _field_from(cfg, condenser)
+    field = _field_from(cfg, condenser)
     try:
-        spec = ProblemSpec(condenser=condenser, totals=totals, field=fieldspec,
+        spec = ProblemSpec(condenser=condenser, totals=totals, field=field,
                            constraint=constraint, kernel=kernel, tolerances=tol)
     except (ValueError, TypeError, AlignmentError) as exc:
         raise ParseError(str(exc)) from None

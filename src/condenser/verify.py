@@ -36,11 +36,10 @@ def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
     component, recomputed from the measure itself (independent of solver
     internals).  W is +inf where the field is, which is never a KKT
     violation: such nodes are frozen at zero weight."""
-    nodesets = [c.nodes for c in solution.components]
-    fvals = spec.field.plate_values(nodesets, solution.signs, spec.kernel)
     r = resultant(solution)
-    return [s * potential(r, ns.positions, spec.kernel) + f
-            for s, ns, f in zip(solution.signs, nodesets, fvals)]
+    return [s * potential(r, c.nodes.positions, spec.kernel) + f
+            for s, c, f in zip(solution.signs, solution.components,
+                               spec.field)]
 
 
 @dataclass
@@ -88,13 +87,13 @@ def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
     p = spec.p_index
 
     stats = [plate_constant_and_kkt(W[j], sol.components[j].weights,
-                                    spec.cap_array(j), spec.totals[j])
+                                    spec.constraint[j], spec.totals[j])
              for j in range(p + 1)]
     consts, lower, upper = (np.array(col[:p]) for col in zip(*stats))
     plate_p_stat = max(stats[p][1:])
     # zero-potential law on the negative plate, outside the boundary zone
     plate = spec.condenser.plates[p]
-    pick, _ = node_classes(sol.components[p].weights, spec.cap_array(p),
+    pick, _ = node_classes(sol.components[p].weights, spec.constraint[p],
                            spec.totals[p])
     zeros = np.flatnonzero(~pick)
     if zeros.size:
@@ -141,9 +140,9 @@ class ZoneReport:
 
 def zone_checks_apply(spec: ProblemSpec) -> bool:
     """Whether the scalar zone checks apply: one positive plate, unit
-    masses and no field."""
-    return len(spec.condenser.plates) == 2 and spec.field.case == "zero" \
-        and spec.totals[0] == 1.0
+    masses and a field that is identically zero."""
+    return len(spec.condenser.plates) == 2 and spec.totals[0] == 1.0 \
+        and not any(np.any(f) for f in spec.field)
 
 
 def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
@@ -171,7 +170,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     lam = resultant(sol)
     plate1 = spec.condenser.plates[0]
     plate_p = spec.condenser.plates[1]
-    caps = spec.cap_array(0)
+    caps = spec.constraint[0]
     w1 = sol.components[0].weights
     pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
     c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0])

@@ -1,5 +1,6 @@
 """Probes that only the tests read: random mass transfers at a minimizer, the
-grounded-energy identities of one sweep, and swept mass against truncation."""
+grounded-energy identities of one sweep, swept mass against truncation, and
+the Case II field of a measure."""
 
 import math
 from typing import Callable, Sequence
@@ -10,7 +11,7 @@ from condenser._pg import node_classes
 from condenser.balayage import GreenContext, balayage_project
 from condenser.gauss_solver import ProblemSpec, SolveResult
 from condenser.kernel import _riesz_block, mutual_energy
-from condenser.model import DiscreteMeasure
+from condenser.model import Condenser, DiscreteMeasure
 from condenser.verify import weighted_potentials
 
 TRANSFER_FRACTION = 1e-3  # mass of one mass-transfer trial / the plate's mass
@@ -31,7 +32,7 @@ def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,
     for _ in range(count):
         j = int(rng.integers(0, p)) if p > 1 else 0
         comp = sol.components[j]
-        caps = spec.cap_array(j)
+        caps = spec.constraint[j]
         carried, below = node_classes(comp.weights, caps, spec.totals[j])
         donors, receivers = np.flatnonzero(carried), np.flatnonzero(below)
         if donors.size == 0 or receivers.size == 0:
@@ -104,3 +105,11 @@ def mass_conservation_probe(context_factory: Callable[[float], GreenContext],
             "exterior_nodes": len(ctx.exterior),
         })
     return table
+
+
+def green_field(zeta: DiscreteMeasure, condenser: Condenser,
+                ctx: GreenContext) -> tuple:
+    """The paper's Case II field of zeta at the plate nodes, one array per
+    plate: f_i = s_i g(., zeta) = s_i (kappa(., zeta) - kappa(., zeta'))."""
+    return tuple(p.sign * ctx.green_potential(zeta, p.nodes.positions)
+                 for p in condenser.plates)

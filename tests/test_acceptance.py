@@ -12,8 +12,7 @@ from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     solve_riesz, swept_positive_caps)
-from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
-                              mutual_energy)
+from condenser.kernel import _riesz_block, assemble_matrix, mutual_energy
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, graded_plane_nodes,
                              resultant, semimetric_distance)

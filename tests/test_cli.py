@@ -490,6 +490,17 @@ class TestNodeValueField:
         assert first_atom_weight(out) == 0.0
         assert_numerics_finite_or_inf(read_report(out))
 
+    def test_all_zero_values_get_zone_checks(self, tmp_path):
+        # an explicit field that is zero at every node is no field: the
+        # scalar zone checks run, as they do not for the frozen node
+        for first, zoned in ((0.0, True), ("inf", False)):
+            cfg = node_value_config()
+            cfg["field"]["values"][0][0] = first
+            path = write_config(tmp_path, cfg)
+            out = str(tmp_path / f"out-{first}")
+            assert main(["--out-dir", out, "verify", path]) == 0
+            assert ("zone.c1" in read_report(out)) == zoned
+
     def test_frozen_nodes_are_no_kkt_violation(self):
         # the weighted potential is +inf at a frozen node, which is no
         # violation of W >= c below the cap

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from condenser.errors import DuplicateNodeError
-from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
+from condenser.kernel import (_riesz_block, assemble_matrix,
                               equilibrium_measure, gauss_functional,
                               mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, ball_volume_nodes,
                              resultant, sphere_surface_nodes)
+
+from _probes import green_field
 
 K2 = KernelSpec(3, 2.0)
 
@@ -259,7 +261,7 @@ class TestGaussFunctional:
         ns = NodeSet([[0, 0, 0]], [1.0], [0.1])
         cond = Condenser((plate_from(ns, 0, +1),))
         mu = VectorMeasure.zero(cond)
-        assert gauss_functional(mu, ExternalField.zero(), K2) == 0.0
+        assert gauss_functional(mu, [np.zeros(1)], K2) == 0.0
 
     def test_opposite_atoms_excluded_rule(self):
         # two unit atoms of cell radius 0.1: each cell-ball diagonal is
@@ -269,23 +271,15 @@ class TestGaussFunctional:
         neg = NodeSet([[d, 0, 0]], [1.0], [0.1])
         cond = Condenser((plate_from(pos, 0, +1), plate_from(neg, 1, -1)))
         mu = VectorMeasure.from_weights(cond, [np.array([1.0]), np.array([1.0])])
-        got = gauss_functional(mu, ExternalField.zero(), K2)
+        got = gauss_functional(mu, [np.zeros(1), np.zeros(1)], K2)
         assert got == pytest.approx(2.0 * 1.5 / 0.1 - 2.0 / d, rel=1e-14)
         assert got == pytest.approx(27.5, rel=1e-14)
-
-    def test_case1_rejects_field_on_negative_plate(self):
-        with pytest.raises(ValueError):
-            ExternalField.case1([np.zeros(2), np.array([1.0])], (1, -1))
-        with pytest.raises(ValueError):
-            ExternalField.case1([np.array([-math.inf, 0.0]), np.zeros(1)],
-                                (1, -1))
 
     def test_infinite_field_flagged(self):
         ns = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.1))
         neg = NodeSet([[4, 0, 0]], [1.0], [0.1])
         cond = Condenser((plate_from(ns, 0, +1), plate_from(neg, 1, -1)))
-        f = ExternalField.case1([np.array([math.inf, 0.0]), np.zeros(1)],
-                                cond.signs)
+        f = [np.array([math.inf, 0.0]), np.zeros(1)]
         carried = VectorMeasure.from_weights(
             cond, [np.array([0.5, 0.5]), np.array([1.0])])
         assert gauss_functional(carried, f, K2) == math.inf
@@ -308,11 +302,11 @@ class TestCaseTwoField:
 
     def test_gcii_identity(self, ball_ctx, newton):
         zeta, swept = self.build(ball_ctx)
-        field = ExternalField.case2(zeta, swept)
         ball = NodeSet([[0.2, 0, 0], [0, -0.3, 0.1], [0.4, 0.4, 0]],
                        np.ones(3), np.full(3, 0.03))
         cond = Condenser((plate_from(ball, 0, +1),
                           plate_from(ball_ctx.exterior, 1, -1)))
+        field = green_field(zeta, cond, ball_ctx)
         rng = np.random.default_rng(14)
         for _ in range(3):
             wp = rng.random(3)
@@ -336,11 +330,11 @@ class TestCaseTwoField:
 
     def test_lower_bound(self, ball_ctx, newton):
         zeta, swept = self.build(ball_ctx)
-        field = ExternalField.case2(zeta, swept)
         ball = NodeSet([[0.2, 0, 0], [0, -0.3, 0.1]], np.ones(2),
                        np.full(2, 0.03))
         cond = Condenser((plate_from(ball, 0, +1),
                           plate_from(ball_ctx.exterior, 1, -1)))
+        field = green_field(zeta, cond, ball_ctx)
         # bound: G >= -||zeta - zeta'||_alpha^2
         diff_pos = np.concatenate([zeta.nodes.positions, swept.nodes.positions])
         diff_rad = np.concatenate([zeta.nodes.cell_radii, swept.nodes.cell_radii])

@@ -40,7 +40,7 @@ def test_stacked_disk_caps_use_each_disk_alone():
     npd = 40
     sc = example_two(nodes_per_disk=npd, plane_inner=0.3, truncation=12.0)
     plate = sc.spec.condenser.plates[0]
-    cap = sc.spec.cap_array(0)
+    cap = sc.spec.constraint[0]
     kernel = KernelSpec(3, 2.0)
     for k in range(1, 5):
         disk = disk_nodes((1.0 / k, 0.0, 0.0), float(k), npd, axis=0,

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from condenser.balayage import GreenContext
-from condenser.errors import (DuplicateNodeError, InfeasibleError,
-                              SigmaDominationError)
+from condenser.errors import (AlignmentError, DuplicateNodeError,
+                              InfeasibleError, SigmaDominationError)
 from condenser import _pg as pgmod
 from condenser import model as modelmod
 from condenser._pg import project_capped_simplex
@@ -14,7 +14,7 @@ from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz,
                                     swept_positive_caps)
-from condenser.kernel import (ExternalField, _riesz_block, assemble_matrix,
+from condenser.kernel import (_riesz_block, assemble_matrix,
                               equilibrium_measure, gauss_functional,
                               mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
@@ -25,6 +25,8 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
 from condenser.scenarios import build_scenario
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
+
+from _probes import green_field
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
@@ -162,7 +164,7 @@ class TestSolveRiesz:
         neg = NodeSet([[1.0, 0, 0]], [1.0], [0.1])
         cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
                           Plate(id=1, sign=-1, nodes=neg)))
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
         k11 = K2.self_energy(0.1)
@@ -187,9 +189,7 @@ class TestSolveRiesz:
                           Plate(id=1, sign=-1, nodes=exterior)))
         rng = np.random.default_rng(11)
         zeta = DiscreteMeasure(ball, rng.random(len(ball)) * 0.3)
-        theta = GreenContext(exterior, K2).sweep_weights(zeta)
-        field = ExternalField.case2(
-            zeta, DiscreteMeasure(exterior, np.maximum(theta, 0.0)))
+        field = green_field(zeta, cond, GreenContext(exterior, K2))
         return ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
 
     def test_case2_energy_is_the_gauss_functional(self):
@@ -214,7 +214,7 @@ class TestSolveRiesz:
         # independent reference: plain projected gradient, fixed 1/L step,
         # mass stacked on the first node initially
         cond = small_condenser(seed=3)
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
         K, slices = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
@@ -239,7 +239,7 @@ class TestSolveRiesz:
         rng = np.random.default_rng(0)
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 1.7 / caps0.sum()
-        capped = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        capped = ProblemSpec(cond, (1.0, 1.0), None,
                              (caps0, None), K2)
         for spec in (capped, shared_node_spec()):
             res = solve_riesz(spec)
@@ -247,7 +247,7 @@ class TestSolveRiesz:
             for i, total in enumerate(spec.totals):
                 w = res.solution.components[i].weights
                 assert abs(w.sum() - total) <= 1e-10 * max(1.0, total)
-                assert np.all((w >= 0) & (w <= spec.cap_array(i) + 1e-12))
+                assert np.all((w >= 0) & (w <= spec.constraint[i] + 1e-12))
             obj = res.trace[:, 1]
             assert np.all(np.diff(obj) <=
                           1e-12 * np.maximum(np.abs(obj[:-1]), 1.0))
@@ -259,7 +259,7 @@ class TestSolveRiesz:
         rng = np.random.default_rng(2)
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
         caps0 *= 2.0 / caps0.sum()
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (caps0, None), K2)
         assert_variational_inequality(solve_riesz(spec), spec, caps0, rng)
 
@@ -267,7 +267,7 @@ class TestSolveRiesz:
         cond = small_condenser(seed=7)
         caps0 = np.full(len(cond.plates[0].nodes), 1e-3)
         with pytest.raises(InfeasibleError):
-            ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+            ProblemSpec(cond, (1.0, 1.0), None,
                         (caps0, None), K2)
 
     def test_infinite_field_nodes_frozen(self):
@@ -275,8 +275,7 @@ class TestSolveRiesz:
         n0 = len(cond.plates[0].nodes)
         vals = np.zeros(n0)
         vals[:3] = math.inf
-        field = ExternalField.case1([vals, np.zeros(len(cond.plates[1].nodes))],
-                                    cond.signs)
+        field = [vals, np.zeros(len(cond.plates[1].nodes))]
         spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
         res = solve_riesz(spec)
         assert np.all(res.solution.components[0].weights[:3] == 0.0)
@@ -290,13 +289,13 @@ class TestSolveRiesz:
         cond = Condenser((Plate(id=0, sign=+1, nodes=shared),
                           Plate(id=1, sign=+1, nodes=shared),
                           Plate(id=2, sign=-1, nodes=neg)))
-        spec = ProblemSpec(cond, (0.5, 0.5, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (0.5, 0.5, 1.0), None,
                            (None, None, None), K2)
         assert solve_riesz(spec).converged
         repeated = shared.subset([0, 1, 1])
         cond = Condenser((Plate(id=0, sign=+1, nodes=repeated),
                           Plate(id=1, sign=-1, nodes=neg)))
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         with pytest.raises(DuplicateNodeError):
             solve_riesz(spec)
@@ -306,7 +305,7 @@ class TestSolveRiesz:
         # finish can meet
         cond = small_condenser(seed=9)
         tol = replace(DEFAULT_TOLERANCES, max_iters=2, kkt=1e-20)
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2, tolerances=tol)
         res = solve_riesz(spec)
         assert not res.converged
@@ -323,9 +322,58 @@ def fielded_capped_spec(cap_total):
     caps0 *= cap_total / caps0.sum()
     f0 = np.zeros(n0)
     f0[:6] = 3.0
-    field = ExternalField.case1(
-        [f0, np.zeros(len(cond.plates[1].nodes))], cond.signs)
+    field = [f0, np.zeros(len(cond.plates[1].nodes))]
     return ProblemSpec(cond, (1.0, 1.0), field, (caps0, None), K2), caps0
+
+
+class TestProblemSpec:
+    def test_absent_field_and_caps_stored_as_arrays(self):
+        cond = small_condenser(seed=3)
+        spec = ProblemSpec(cond, (1.0, 1.0), None, (None, None), K2)
+        for p, f, c in zip(cond.plates, spec.field, spec.constraint):
+            np.testing.assert_array_equal(f, np.zeros(len(p.nodes)))
+            np.testing.assert_array_equal(c, np.full(len(p.nodes), np.inf))
+
+    def test_rebuilt_from_its_own_fields_solves_identically(self):
+        spec, _ = fielded_capped_spec(1.7)
+        rebuilt = ProblemSpec(spec.condenser, spec.totals, spec.field,
+                              spec.constraint, spec.kernel, spec.tolerances)
+        a, b = solve_riesz(spec), solve_riesz(rebuilt)
+        assert a.energy == b.energy
+        for ca, cb in zip(a.solution.components, b.solution.components):
+            np.testing.assert_array_equal(ca.weights, cb.weights)
+
+    @pytest.mark.parametrize("bad", [-math.inf, math.nan])
+    def test_rejects_nan_and_minus_inf_field(self, bad):
+        cond = small_condenser(seed=3)
+        f0 = np.zeros(len(cond.plates[0].nodes))
+        f0[4] = bad
+        with pytest.raises(ValueError):
+            ProblemSpec(cond, (1.0, 1.0),
+                        (f0, np.zeros(len(cond.plates[1].nodes))),
+                        (None, None), K2)
+
+    def test_rejects_misaligned_field(self):
+        cond = small_condenser(seed=3)
+        n0, n1 = (len(p.nodes) for p in cond.plates)
+        for field in ((np.zeros(n0 + 1), np.zeros(n1)), (np.zeros(n0),)):
+            with pytest.raises(AlignmentError):
+                ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
+
+    def test_infeasible_once_infinite_field_nodes_freeze(self):
+        # the caps total 1.7 > 1, but the nodes of finite field hold < 1
+        cond = small_condenser(seed=5)
+        n0 = len(cond.plates[0].nodes)
+        caps0 = np.full(n0, 1.7 / n0)
+        f0 = np.zeros(n0)
+        f0[:n0 // 2] = math.inf
+        field = (f0, np.zeros(len(cond.plates[1].nodes)))
+        with pytest.raises(InfeasibleError):
+            ProblemSpec(cond, (1.0, 1.0), field, (caps0, None), K2)
+        # an uncapped plate whose every node is frozen
+        f0[:] = math.inf
+        with pytest.raises(InfeasibleError):
+            ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
 
 
 @pytest.fixture
@@ -463,7 +511,7 @@ class TestSolveGreen:
     def test_single_plate_equilibrium_and_constant_potential(self,
                                                              small_green_setup):
         cond, ctx = small_green_setup
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K15)
         res = solve_green_reduced(spec, ctx)
         assert res.converged
@@ -482,12 +530,9 @@ class TestSolveGreen:
         rng = np.random.default_rng(11)
         zw = rng.random(len(ball)) * 0.3
         zeta = DiscreteMeasure(ball, zw)
-        theta = ctx.sweep_weights(zeta)
-        swept = DiscreteMeasure(ctx.exterior, np.maximum(theta, 0.0))
-        field = ExternalField.case2(zeta, swept)
-        spec = ProblemSpec(cond, (1.0, 1.0), field, (None, None),
-                           K15)
-        fvals = field.plate_values([ball], [1], K15)[0]
+        spec = ProblemSpec(cond, (1.0, 1.0), green_field(zeta, cond, ctx),
+                           (None, None), K15)
+        fvals = spec.field[0]
         G, _ = ctx.green_matrix(ball)
         for _ in range(4):
             w = rng.random(len(ball))
@@ -498,9 +543,22 @@ class TestSolveGreen:
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) / scale < 1e-10
 
+    def test_plates_sharing_nodes(self):
+        # two positive plates on the same nodes read the merged Green matrix
+        # through the plate index; the optimum is the Green equilibrium
+        # energy of their total mass
+        spec = shared_node_spec()
+        nodes = spec.condenser.plates[0].nodes
+        ctx = GreenContext(spec.condenser.plates[2].nodes, spec.kernel)
+        res = solve_green_reduced(spec, ctx)
+        assert res.converged
+        G, _ = ctx.green_matrix(nodes)
+        _, cap = equilibrium_measure(nodes, spec.kernel, 1.0, matrix=G)
+        assert res.energy == pytest.approx(1.0 / cap, rel=1e-8)
+
     def test_riesz_green_chain_inequality(self, small_green_setup):
         cond, ctx = small_green_setup
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K15)
         riesz = solve_riesz(spec)
         green = solve_green_reduced(spec, ctx)
@@ -524,7 +582,7 @@ def sigma_setup(small_green_setup):
     ctx2 = GreenContext(cond.plates[1].nodes, K2)
     lam, _ = equilibrium_measure(cond.plates[0].nodes, K2, 1.0)
     caps0 = 1.5 * lam.weights
-    spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+    spec = ProblemSpec(cond, (1.0, 1.0), None,
                        (caps0, None), K2)
     xi_res = solve_riesz(spec)
     swept = swept_positive_caps(spec, ctx2)
@@ -534,7 +592,7 @@ def sigma_setup(small_green_setup):
 class TestSigmaVariant:
     def test_exact_balayage_cap_matches_xi_optimum(self, sigma_setup):
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
-        spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec_sigma = ProblemSpec(cond, (1.0, 1.0), None,
                                  (caps0, swept), K2)
         check_sigma_domination(spec_sigma, ctx2)
         res = solve_riesz(spec_sigma)
@@ -547,7 +605,7 @@ class TestSigmaVariant:
 
     def test_slack_cap_same_optimum(self, sigma_setup):
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
-        spec_sigma = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec_sigma = ProblemSpec(cond, (1.0, 1.0), None,
                                  (caps0, 2.0 * swept), K2)
         check_sigma_domination(spec_sigma, ctx2)
         res = solve_riesz(spec_sigma)
@@ -560,14 +618,14 @@ class TestSigmaVariant:
         sigma = 1.3 * swept
         sigma[np.argmax(swept)] = 0.1 * swept.max()
         assert sigma.sum() > 1.0
-        bad = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        bad = ProblemSpec(cond, (1.0, 1.0), None,
                           (caps0, sigma), K2)
         with pytest.raises(SigmaDominationError):
             check_sigma_domination(bad, ctx2)
 
     def test_uncapped_positive_plate_cannot_be_dominated(self, sigma_setup):
         cond, ctx2, caps0, spec, xi_res, swept = sigma_setup
-        uncapped = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        uncapped = ProblemSpec(cond, (1.0, 1.0), None,
                                (None, 2.0 * swept), K2)
         with pytest.raises(SigmaDominationError):
             check_sigma_domination(uncapped, ctx2)

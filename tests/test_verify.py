@@ -7,7 +7,7 @@ from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
 from condenser.gauss_solver import (ProblemSpec, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz)
-from condenser.kernel import ExternalField, gauss_functional
+from condenser.kernel import gauss_functional
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
@@ -38,7 +38,7 @@ def small_spec(seed=0, cap_scale=None):
         caps = rng.uniform(0.05, 0.2, 25)
         caps *= cap_scale / caps.sum()
         constraint = (caps, None)
-    return ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(), constraint, K2)
+    return ProblemSpec(cond, (1.0, 1.0), None, constraint, K2)
 
 
 class TestKKTReport:
@@ -62,7 +62,7 @@ class TestKKTReport:
         # move 1% of the plate mass between two free nodes against the slope
         W = weighted_potentials(res.solution, spec)[0]
         w = res.solution.components[0].weights.copy()
-        caps = spec.cap_array(0)
+        caps = spec.constraint[0]
         margin = 1e-6
         free = np.flatnonzero((w > margin) & (w < caps - margin))
         assert free.size >= 2
@@ -112,13 +112,13 @@ class TestKKTReport:
         from condenser.kernel import equilibrium_measure
         from condenser._pg import block_constants_and_kkt
         lam, _ = equilibrium_measure(cond.plates[0].nodes, kern, 1.0)
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (1.5 * lam.weights, None), kern)
         gres = solve_green_reduced(spec, ctx)
         # Green potential of the whole solution, read at the plate nodes
         comp = gres.solution.components[0]
         W = ctx.green_potential(comp, comp.nodes.positions)
-        caps = spec.cap_array(0)
+        caps = spec.constraint[0]
         _, viol = block_constants_and_kkt(
             W, comp.weights, caps, [slice(0, len(W))], [1.0])
         assert viol <= spec.tolerances.kkt
@@ -132,7 +132,7 @@ class TestZoneChecks:
                                  spec.condenser.plates[0],
                                  spec.condenser.plates[1]))
         bad_spec = ProblemSpec(three_plate, (0.5, 0.5, 1.0),
-                               ExternalField.zero(), (None, None, None),
+                               None, (None, None, None),
                                K2)
         ctx = GreenContext(spec.condenser.plates[1].nodes, K2)
         res3 = solve_riesz(bad_spec)
@@ -182,7 +182,7 @@ class TestSupportReport:
         neg = NodeSet([[2, 0, 0]], [1.0], [0.05])
         cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
                           Plate(id=1, sign=-1, nodes=neg)))
-        spec = ProblemSpec(cond, (1.0, 1.0), ExternalField.zero(),
+        spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
         rep = support_report(res, spec)
@@ -224,8 +224,9 @@ class TestEquivalence:
                       spec=PlateSpec(tag="ball_complement", sign=-1,
                                      radius=1.0, truncation=8.0))])))
             ext = cond.plates[1].nodes
-            spec = ProblemSpec(cond, sc.spec.totals, sc.spec.field,
-                               sc.spec.constraint, sc.spec.kernel,
+            # the stored field and caps are aligned with the old exterior
+            spec = ProblemSpec(cond, sc.spec.totals, None,
+                               (sc.spec.constraint[0], None), sc.spec.kernel,
                                sc.spec.tolerances)
             ctx = GreenContext(ext, sc.spec.kernel)
             riesz = solve_riesz(spec)
