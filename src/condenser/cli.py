@@ -25,7 +25,7 @@ from .balayage import GreenContext, balayage_project
 from .errors import CondenserError, NonConvergedError, ParseError
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
-from .kernel import KernelSpec, equilibrium_measure
+from .kernel import equilibrium_measure
 from .model import PlateSpec, disk_nodes, plate_nodes, sphere_surface_nodes
 from .scenarios import (Scenario, build_scenario, kernel_from,
                         optional_mapping, positive_size, require,
@@ -324,7 +324,6 @@ def cmd_sweep(args) -> dict:
     if not (isinstance(stages, list) and stages and all(
             type(s) is int and s >= 1 for s in stages)):
         raise ParseError("sweep stages must be a non-empty list of ints >= 1")
-    kernel = KernelSpec(3, 2.0)
     ctx = scenarios.sweep_plane_context(
         flat_radius=positive_size(cfg, "flat_radius", 8.0),
         cell=positive_size(cfg, "cell", 0.33),
@@ -332,9 +331,8 @@ def cmd_sweep(args) -> dict:
     zeta = None
     if mode == "capped":
         zn = disk_nodes((1.0, 0.0, 0.0), 0.5, 80, axis=0)
-        zeta, _ = equilibrium_measure(zn, kernel, 0.5, tolerances=tol)
-    rows = unsolvability_sweep(mode, stages, ctx, kernel, zeta=zeta,
-                               tolerances=tol)
+        zeta, _ = equilibrium_measure(zn, ctx.riesz, 0.5, tolerances=tol)
+    rows = unsolvability_sweep(mode, stages, ctx, zeta=zeta, tolerances=tol)
     key = "energy" if mode == "uncapped" else "bound"
     vals = [row[key] for row in rows]
     rep = ReportBuilder("sweep")

@@ -8,7 +8,7 @@ allowed to shrink with resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -17,9 +17,14 @@ from scipy.spatial.distance import cdist
 
 from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
 
-GEOMETRY_TAGS = ("ball", "ball_complement", "half_space", "disk")
-# geometries laid out only out to a truncation radius
-UNBOUNDED_TAGS = ("ball_complement", "half_space")
+# the PlateSpec fields each geometry reads besides tag, sign and backing; a
+# geometry reading ``truncation`` is unbounded, laid out up to that radius
+PLATE_KEYS = {
+    "ball": ("center", "radius"),
+    "ball_complement": ("center", "radius", "truncation"),
+    "half_space": ("center", "axis", "side", "truncation"),
+    "disk": ("center", "radius", "axis", "stack_count", "count"),
+}
 
 # Cell-radius calibration.  The CellBall diagonal rule evaluates the mean of
 # the kernel over a ball of radius cell_radius, so cell_radius sets each
@@ -109,7 +114,6 @@ class Plate:
     """One signed plate of a condenser; ``spec`` is the description it was
     laid out from, None for a bare node cloud."""
 
-    id: int
     sign: int
     nodes: NodeSet
     spec: Optional[PlateSpec] = None
@@ -118,7 +122,7 @@ class Plate:
         if self.sign not in (+1, -1):
             raise ValueError("sign must be +1 or -1")
         if len(self.nodes) == 0:
-            raise EmptyPlateError(f"plate {self.id} has no nodes")
+            raise EmptyPlateError("plate has no nodes")
 
 
 @dataclass(frozen=True)
@@ -255,11 +259,6 @@ class VectorMeasure:
         comps = [DiscreteMeasure(plate.nodes, np.asarray(w, dtype=float))
                  for plate, w in zip(condenser.plates, weights)]
         return cls(tuple(comps), condenser.signs)
-
-    @classmethod
-    def zero(cls, condenser: Condenser) -> "VectorMeasure":
-        return cls.from_weights(
-            condenser, [np.zeros(len(p.nodes)) for p in condenser.plates])
 
     def aligned_with(self, other: "VectorMeasure") -> bool:
         if len(self.components) != len(other.components) or self.signs != other.signs:
@@ -484,13 +483,13 @@ def ball_complement_nodes(center, radius, truncation, resolution):
     return trim_cell_radii(_concat_nodesets(parts))
 
 
-def half_space_nodes(level, side, truncation, resolution, axis=0, *,
+def half_space_nodes(center, side, truncation, resolution, axis=0, *,
                      backing=True):
-    """Half-space plate {x_axis*side >= level*side}: boundary-plane layer plus
-    volume layers going into the half-space, rings graded by RING_GROWTH and
-    depths by DEPTH_GROWTH."""
-    center = np.zeros(3)
-    center[axis] = level
+    """Half-space plate on the ``side`` of the plane through ``center`` with
+    normal ``axis``: boundary-plane layer plus volume layers going into the
+    half-space, rings graded around ``center`` by RING_GROWTH and depths by
+    DEPTH_GROWTH."""
+    center = np.asarray(center, dtype=float)
     parts = [graded_plane_nodes(center, resolution, truncation, axis=axis,
                                 growth=RING_GROWTH, layer=0)]
     if backing:
@@ -500,8 +499,8 @@ def half_space_nodes(level, side, truncation, resolution, axis=0, *,
             d0, d1 = edges[j], edges[j + 1]
             dm = 0.5 * (d0 + d1)
             t = d1 - d0
-            c = np.zeros(3)
-            c[axis] = level + side * dm
+            c = center.copy()
+            c[axis] += side * dm
             sheet = graded_plane_nodes(c, max(resolution, t), truncation,
                                        axis=axis, growth=RING_GROWTH,
                                        layer=j + 1)
@@ -529,8 +528,9 @@ def _concat_nodesets(parts: Iterable[NodeSet]) -> NodeSet:
 class PlateSpec:
     """Geometric description of one plate, laid out by :func:`plate_nodes`.
 
-    Unbounded plates (ball complements, half-spaces) need a ``truncation``
-    radius beyond their ``radius``, and other plates take none.
+    A geometry reads the fields ``PLATE_KEYS`` lists for it, and ``backing``
+    (a half-space's volume layers); every other field keeps its default.
+    Unbounded plates need a ``truncation`` radius beyond their ``radius``.
     ``stack_count`` > 0 on a disk plate builds the stacked family: disk k of
     radius k x radius at axis offset 1/k from the disk center, k = 1..count,
     one layer per disk.  ``count`` fixes the nodes per disk (every disk of a
@@ -542,7 +542,6 @@ class PlateSpec:
     center: tuple = (0.0, 0.0, 0.0)
     radius: float = 0.0
     axis: int = 0
-    level: float = 0.0
     side: int = -1
     truncation: Optional[float] = None
     stack_count: int = 0
@@ -551,41 +550,43 @@ class PlateSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
-        if self.tag not in GEOMETRY_TAGS:
+        if self.tag not in PLATE_KEYS:
             raise ValueError(f"unknown geometry tag {self.tag!r}")
+        keys = PLATE_KEYS[self.tag] + ("tag", "sign", "backing")
+        for f in fields(self):
+            if f.name not in keys and getattr(self, f.name) != f.default:
+                raise ValueError(f"{f.name} does not apply to {self.tag} "
+                                 f"plates")
         if self.sign not in (+1, -1):
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if len(self.center) != 3:
             raise ValueError(f"center must have 3 coordinates, got {self.center}")
-        if self.tag != "half_space" and not self.radius > 0:
+        if "radius" in keys and not self.radius > 0:
             raise ValueError(f"{self.tag} radius must be > 0, got {self.radius}")
         if self.axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
         if self.side not in (+1, -1):
             raise ValueError(f"side must be +1 or -1, got {self.side}")
-        if (self.truncation is not None) != (self.tag in UNBOUNDED_TAGS):
-            raise ValueError("truncation applies to, and is required on, "
-                             "ball_complement and half_space plates only")
-        if self.truncation is not None and \
-                not self.truncation > max(self.radius, 0.0):
-            raise ValueError(f"truncation {self.truncation} must exceed the "
-                             f"radius {self.radius}")
-        if self.stack_count and self.tag != "disk":
-            raise ValueError("stack_count applies to disk plates only")
-        if self.count is not None and (self.tag != "disk" or self.count < 1):
-            raise ValueError("count (>= 1) applies to disk plates only")
+        if "truncation" in keys and (self.truncation is None
+                                     or not self.truncation > self.radius):
+            raise ValueError(f"{self.tag} plates need a truncation beyond "
+                             f"the radius {self.radius}, got "
+                             f"{self.truncation}")
+        if self.count is not None and self.count < 1:
+            raise ValueError(f"count must be >= 1, got {self.count}")
 
-    def boundary_distance(self, positions: np.ndarray) -> Optional[np.ndarray]:
-        """Distance to the plate's boundary surface: the sphere of a ball or
-        ball complement, the bounding hyperplane of a half-space; None for a
-        disk."""
-        pos = np.asarray(positions, dtype=float)
-        if self.tag in ("ball", "ball_complement"):
-            return np.abs(np.linalg.norm(pos - np.asarray(self.center), axis=-1)
-                          - self.radius)
+    def boundary_zone(self, nodes: NodeSet) -> Optional[np.ndarray]:
+        """Mask of the nodes closer to the plate's boundary surface than
+        their cell radius: the sphere of a ball or ball complement, the
+        bounding plane of a half-space; None for a disk."""
+        if self.tag == "disk":
+            return None
+        offset = nodes.positions - np.asarray(self.center)
         if self.tag == "half_space":
-            return np.abs(pos[..., self.axis] - self.level)
-        return None
+            dist = np.abs(offset[:, self.axis])
+        else:
+            dist = np.abs(np.linalg.norm(offset, axis=1) - self.radius)
+        return dist < nodes.cell_radii
 
 
 def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
@@ -596,19 +597,18 @@ def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
     in cells thinner than the resolution.  Raises ValueError otherwise,
     before any layout.
     """
-    if spec.tag in UNBOUNDED_TAGS:
-        inner = spec.radius if spec.tag == "ball_complement" else 0.0
-        if not spec.truncation > inner + 2.0 * resolution:
-            raise ValueError(
-                f"{spec.tag} truncation {spec.truncation} must exceed "
-                f"radius {inner:g} + 2 x resolution {resolution:g}")
+    if spec.truncation is not None and \
+            not spec.truncation > spec.radius + 2.0 * resolution:
+        raise ValueError(
+            f"{spec.tag} truncation {spec.truncation} must exceed "
+            f"radius {spec.radius:g} + 2 x resolution {resolution:g}")
     if spec.tag == "ball":
         return ball_volume_nodes(spec.center, spec.radius, resolution)
     if spec.tag == "ball_complement":
         return ball_complement_nodes(spec.center, spec.radius, spec.truncation,
                                      resolution)
     if spec.tag == "half_space":
-        return half_space_nodes(spec.level, spec.side, spec.truncation,
+        return half_space_nodes(spec.center, spec.side, spec.truncation,
                                 resolution, axis=spec.axis, backing=spec.backing)
     if spec.stack_count > 0:
         parts = []
@@ -631,6 +631,6 @@ def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Cond
     cells trimmed across plates.  Raises EmptyPlateError for a plate without
     nodes and ZeroSeparationError if a positive node coincides with a
     negative one."""
-    plates = [Plate(id=i, sign=spec.sign, nodes=plate_nodes(spec, resolution),
-                    spec=spec) for i, spec in enumerate(plate_specs)]
+    plates = [Plate(sign=spec.sign, nodes=plate_nodes(spec, resolution),
+                    spec=spec) for spec in plate_specs]
     return Condenser(tuple(trim_across_plates(plates)))

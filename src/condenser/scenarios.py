@@ -13,7 +13,7 @@ from .balayage import GreenContext
 from .errors import AlignmentError, ParseError
 from .gauss_solver import ProblemSpec, check_sigma_domination
 from .kernel import KernelSpec, equilibrium_measure
-from .model import (RING_GROWTH, UNBOUNDED_TAGS, Condenser, DiscreteMeasure,
+from .model import (PLATE_KEYS, RING_GROWTH, Condenser, DiscreteMeasure,
                     NodeSet, PlateSpec, _concat_nodesets, build_condenser,
                     disk_nodes, graded_plane_nodes, trim_cell_radii,
                     untrimmed_surface_cells)
@@ -91,31 +91,34 @@ def kernel_from(cfg: dict) -> KernelSpec:
     return kernel
 
 
-# plate keys and their types; an absent key takes the PlateSpec default
-_PLATE_KEYS = {"center": tuple, "radius": float, "axis": int, "level": float,
-               "side": int, "truncation": float, "stack_count": int,
-               "count": int, "backing": bool}
+# how a config value of each plate key is read
+_PLATE_KEY_TYPES = {"center": tuple, "radius": float, "axis": int, "side": int,
+                    "truncation": float, "stack_count": int, "count": int}
 
 
 def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
+    """One PlateSpec per config plate, which takes the keys its geometry
+    reads.  Half-spaces are backed exactly when alpha < 2: Newtonian sweeps
+    are carried by the boundary."""
     specs = []
     for i, pc in enumerate(require(cfg, "plates", list)):
         if not isinstance(pc, dict):
             raise ParseError(f"plate {i} must be a mapping")
         tag = require(pc, "geometry", str)
-        bad = set(pc) - set(_PLATE_KEYS) - {"geometry", "sign"}
+        if tag not in PLATE_KEYS:
+            raise ParseError(f"plate {i}: unknown geometry tag {tag!r}")
+        keys = PLATE_KEYS[tag]
+        bad = set(pc) - set(keys) - {"geometry", "sign"}
         if bad:
-            raise ParseError(f"plate {i}: unknown plate keys {sorted(bad)}")
+            raise ParseError(f"plate {i}: {tag} plates take no keys "
+                             f"{sorted(bad)}")
         try:
-            kw = {key: kind(pc[key]) for key, kind in _PLATE_KEYS.items()
+            kw = {key: _PLATE_KEY_TYPES[key](pc[key]) for key in keys
                   if key in pc}
-            if tag in UNBOUNDED_TAGS:
+            if "truncation" in keys:
                 kw.setdefault("truncation", truncation)
-            # Newtonian sweeps are carried by the boundary, so half-space
-            # plates default to the boundary layer alone at alpha = 2
-            kw.setdefault("backing", alpha < 2.0)
             specs.append(PlateSpec(tag=tag, sign=int(require(pc, "sign")),
-                                   **kw))
+                                   backing=alpha < 2.0, **kw))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"plate {i}: {exc}") from None
     return specs
@@ -287,8 +290,7 @@ def ex2_config(disk_count: int = 4, nodes_per_disk: int = 240,
         "resolution": plane_inner, "truncation": truncation,
         "plates": [{"geometry": "disk", "sign": 1, "radius": 1.0,
                     "stack_count": disk_count, "count": nodes_per_disk},
-                   {"geometry": "half_space", "sign": -1,
-                    "backing": False}],
+                   {"geometry": "half_space", "sign": -1}],
         "totals": [1.0, 1.0],
         "constraint": [{"mode": "stacked_disks"}, {"mode": "unbounded"}],
     }
@@ -317,8 +319,8 @@ def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
                                        resolution, q, truncation))
 
 
-def sweep_plane_context(flat_radius: float = 8.0, cell: float = 0.33,
-                        truncation: float = 30.0) -> GreenContext:
+def sweep_plane_context(flat_radius: float, cell: float,
+                        truncation: float) -> GreenContext:
     """Half-space boundary for the exhaustion sweeps: a uniform cell layout
     out to ``flat_radius`` (sources sit at height ~1 above it), rings graded
     like a half-space plate's beyond."""

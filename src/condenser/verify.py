@@ -15,8 +15,7 @@ from ._pg import node_classes, plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
-from .kernel import (KernelSpec, equilibrium_measure, mutual_energy,
-                     potential)
+from .kernel import equilibrium_measure, mutual_energy, potential
 from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
                     semimetric_distance)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -102,12 +101,10 @@ def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
                           replace=False)
         pick[take] = True
     excluded = 0
-    bdist = None if plate.spec is None else \
-        plate.spec.boundary_distance(plate.nodes.positions)
-    if bdist is not None:
-        inside = bdist < plate.nodes.cell_radii
-        excluded = int(np.sum(pick & inside))
-        pick = pick & ~inside
+    zone = None if plate.spec is None else plate.spec.boundary_zone(plate.nodes)
+    if zone is not None:
+        excluded = int(np.sum(pick & zone))
+        pick = pick & ~zone
     norm = max(1.0, float(np.abs(consts).max()))
     plate_p_level = float(np.abs(W[p][pick]).max()) / norm \
         if np.any(pick) else 0.0
@@ -172,7 +169,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     plate_p = spec.condenser.plates[1]
     caps = spec.constraint[0]
     w1 = sol.components[0].weights
-    pot_nodes = potential(lam, plate1.nodes.positions, spec.kernel)
+    # without a field, W^1 = kappa(., lambda) and W^p = -kappa(., lambda)
+    pot_nodes, neg_pot_p = weighted_potentials(sol, spec)
     c1, _, _ = plate_constant_and_kkt(pot_nodes, w1, caps, spec.totals[0])
     norm = max(1.0, abs(c1))
 
@@ -197,9 +195,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
 
     # (iii) global upper bound at nodes and at far probes
     far, excluded_f = _far_probes(ZONE_PROBES, rng, all_pos, all_rad)
-    pot_all_nodes = [pot_nodes,
-                     potential(lam, plate_p.nodes.positions, spec.kernel)]
-    over = max(float((pn - c1).max()) for pn in pot_all_nodes)
+    over = max(float((pn - c1).max()) for pn in (pot_nodes, -neg_pot_p))
     if far.shape[0]:
         over = max(over, float((potential(lam, far, spec.kernel) - c1).max()))
     bound_res = max(0.0, over) / norm
@@ -255,7 +251,7 @@ def _domain_probes(plate_p, n, rng, all_pos, all_rad):
     elif tag == "half_space":
         span = max(1.0, float(np.abs(all_pos).max()) / 4.0)
         pts = rng.uniform(-span, span, size=(4 * n, 3))
-        pts[:, spec.axis] = spec.level - \
+        pts[:, spec.axis] = spec.center[spec.axis] - \
             spec.side * (0.05 + rng.random(4 * n) * span)
     else:
         raise WrongScenarioError(
@@ -295,13 +291,12 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
     total = comp.total_mass
     floor = SUPP_FLOOR_REL * spec.totals[p] / max(len(comp.nodes), 1)
     if spec.kernel.alpha == 2.0:
-        bdist = None if plate.spec is None else \
-            plate.spec.boundary_distance(plate.nodes.positions)
-        if bdist is None:
+        zone = None if plate.spec is None else \
+            plate.spec.boundary_zone(plate.nodes)
+        if zone is None:
             frac = 1.0 if len(plate.nodes) == 1 else 0.0
         else:
-            near = bdist <= plate.nodes.cell_radii
-            frac = float(comp.weights[near].sum()) / total if total > 0 else 0.0
+            frac = float(comp.weights[zone].sum()) / total if total > 0 else 0.0
         return SupportReport(alpha=2.0, boundary_fraction=frac,
                              layer_masses=None, empty_layers=None,
                              floor=floor, passed=frac >= 0.99)
@@ -317,12 +312,10 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
 
 
 def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
-                      spec: ProblemSpec,
-                      green_result: Optional[SolveResult] = None) -> dict:
+                      spec: ProblemSpec, green_result: SolveResult) -> dict:
     """Energy agreement between the full Riesz solve and the (lifted) reduced
     Green solve, plus the energy-norm distance between the two solutions."""
-    g_energy = green_result.energy if green_result is not None \
-        else lifted_result.energy
+    g_energy = green_result.energy
     gap = abs(riesz_result.energy - g_energy) / max(abs(g_energy), 1.0)
     lift_gap = abs(riesz_result.energy - lifted_result.energy) / \
         max(abs(lifted_result.energy), 1.0)
@@ -341,7 +334,7 @@ def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
 
 
 def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
-                        kernel: KernelSpec, *, nodes_per_stage: int = 220,
+                        *, nodes_per_stage: int = 220,
                         zeta: Optional[DiscreteMeasure] = None,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
     """Exhaustion sweeps behind the short-circuit results.
@@ -361,7 +354,7 @@ def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
         for ell in stages:
             nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
             gk = green.green_matrix(nodes)[0]
-            lam, _ = equilibrium_measure(nodes, kernel, 1.0,
+            lam, _ = equilibrium_measure(nodes, green.riesz, 1.0,
                                          tolerances=tolerances, matrix=gk)
             energy = float(lam.weights @ gk @ lam.weights)
             rows.append({"stage": int(ell), "energy": energy,
@@ -372,7 +365,8 @@ def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
         zeta_g = math.sqrt(max(green.green_mutual_energy(zeta, zeta), 0.0))
         for ell in stages:
             nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
-            xi, _ = equilibrium_measure(nodes, kernel, 1.0, tolerances=tolerances)
+            xi, _ = equilibrium_measure(nodes, green.riesz, 1.0,
+                                        tolerances=tolerances)
             xi_g = math.sqrt(max(green.green_mutual_energy(xi, xi), 0.0))
             cross = green.green_mutual_energy(zeta, xi)
             stage_value = xi_g * xi_g + 2.0 * cross

@@ -48,9 +48,9 @@ def overlap_condenser():
     other = NodeSet([[0.5, 0.5, 0], [1, 1, 0]], np.ones(2), np.full(2, 0.05))
     neg = NodeSet([[4, 0, 0], [4, 1, 0], [4, 0, 1]], np.ones(3),
                   np.full(3, 0.05))
-    return Condenser((Plate(id=0, sign=+1, nodes=shared),
-                      Plate(id=1, sign=+1, nodes=other),
-                      Plate(id=2, sign=-1, nodes=neg)))
+    return Condenser((Plate(sign=+1, nodes=shared),
+                      Plate(sign=+1, nodes=other),
+                      Plate(sign=-1, nodes=neg)))
 
 
 def test_criterion_01_energy_principle():
@@ -235,9 +235,9 @@ def test_criterion_09_sigma_variant(ex1, ex1_riesz):
 
 def test_criterion_10_unsolvability_trend():
     start = time.perf_counter()
-    ctx = sweep_plane_context()
+    ctx = sweep_plane_context(flat_radius=8.0, cell=0.33, truncation=30.0)
     stages = [1, 2, 3, 4, 5, 6]
-    rows = unsolvability_sweep("uncapped", stages, ctx, K2)
+    rows = unsolvability_sweep("uncapped", stages, ctx)
     energies = [row["energy"] for row in rows]
     elapsed = time.perf_counter() - start
     decreasing = all(energies[i + 1] < energies[i]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 import yaml
 
+import condenser.verify
 from condenser.cli import main
 from condenser.gauss_solver import swept_positive_caps
 from condenser.scenarios import build_scenario
@@ -201,6 +202,13 @@ def bad_field(plate, value, node=1):
     return cfg
 
 
+def with_plate_keys(cfg, plate, **keys):
+    """``cfg`` with ``keys`` added to one of its plates."""
+    plates = list(cfg["plates"])
+    plates[plate] = dict(plates[plate], **keys)
+    return dict(cfg, plates=plates)
+
+
 class TestErrorPaths:
     def test_malformed_config_exit_2_no_outputs(self, tmp_path, capsys):
         path = tmp_path / "bad.yaml"
@@ -358,13 +366,17 @@ class TestErrorPaths:
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
     @pytest.mark.parametrize("command, cfg", [
-        ("solve", dict(TOY_BALL, plates=[
-            dict(TOY_BALL["plates"][0], axis=7), TOY_BALL["plates"][1]])),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, axis=7)),
         ("solve", dict(TOY_BALL, plates=[
             dict(TOY_BALL["plates"][0], center=[0, 0]),
             TOY_BALL["plates"][1]])),
-        ("solve", dict(TOY_BALL, plates=[
-            TOY_BALL["plates"][0], dict(TOY_BALL["plates"][1], side=3)])),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, side=3)),
+        # a key the plate's geometry does not read, and removed keys
+        ("solve", with_plate_keys(TOY_BALL, 0, axis=1)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, side=1)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, radius=1.0)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, level=0.0)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, backing=False)),
         ("solve", dict(TOY_BALL, plates=[
             {"geometry": "explicit_cloud", "sign": 1},
             TOY_BALL["plates"][1]])),
@@ -418,7 +430,9 @@ class TestErrorPaths:
             BALAYAGE_CONFIG["source"], cell_radius=-0.1))),
         ("balayage", dict(BALAYAGE_CONFIG, source=dict(
             BALAYAGE_CONFIG["source"], positions=[["a", 0.0, 0.0]]))),
-    ], ids=["plate-axis", "plate-center-2d", "plate-side", "explicit-cloud",
+    ], ids=["plate-axis", "plate-center-2d", "plate-side", "ball-axis",
+            "disk-side", "half-space-radius", "level-key", "backing-key",
+            "explicit-cloud",
             "negative-truncation", "truncation-inside-radius",
             "negative-radius", "truncation-on-ball", "negative-q",
             "non-numeric-total", "kernel-n4", "capacity-n4",
@@ -597,6 +611,19 @@ class TestVerifyCommand:
         for key in ("kkt.pass", "zone.pass", "support.pass"):
             assert rep[key] == "True", key
 
+    def test_no_interior_probe_reads_inf(self, tmp_path, monkeypatch):
+        # exclusion balls of 5 cell radii around the toy ball's nodes cover
+        # the whole ball, so no probe inside D survives
+        monkeypatch.setattr(condenser.verify, "PROBE_EXCLUSION", 5.0)
+        path = write_config(tmp_path, TOY_BALL)
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, "verify", path]) == 0
+        rep = read_report(out)
+        assert rep["zone.identity_residual"] == "inf"
+        assert rep["zone.check.identity"] == "False"
+        assert rep["zone.pass"] == "False"
+        assert_numerics_finite_or_inf(rep)
+
 
 class TestSolveGreen:
     def test_solve_green_with_lift(self, tmp_path):
@@ -619,7 +646,7 @@ class TestStackedDisks:
                 {"geometry": "disk", "sign": 1, "center": [0, 0, 0],
                  "radius": 1.0, "axis": 0, "stack_count": 2},
                 {"geometry": "half_space", "sign": -1, "axis": 0,
-                 "level": 0.0, "side": -1},
+                 "side": -1},
             ],
             "totals": [1.0, 1.0],
             "constraint": [{"mode": "stacked_disks"},

@@ -28,8 +28,8 @@ def jittered_cloud(rng, count, n, spacing=1.0):
     return NodeSet(pts, np.full(count, spacing ** n), radii)
 
 
-def plate_from(ns, pid=0, sign=+1):
-    return Plate(id=pid, sign=sign, nodes=ns)
+def plate_from(ns, sign=+1):
+    return Plate(sign=sign, nodes=ns)
 
 
 class TestRieszEval:
@@ -134,8 +134,8 @@ class TestMutualEnergy:
         shared = NodeSet([[0, 0, 0], [1, 0, 0], [0, 1, 0]], np.ones(3),
                          np.full(3, 0.05))
         neg = NodeSet([[4, 0, 0], [4, 1, 0]], np.ones(2), np.full(2, 0.05))
-        cond = Condenser((plate_from(shared, 0, +1), plate_from(shared, 1, +1),
-                          plate_from(neg, 2, -1)))
+        cond = Condenser((plate_from(shared, +1), plate_from(shared, +1),
+                          plate_from(neg, -1)))
         rng = np.random.default_rng(7)
         for _ in range(10):
             mu = VectorMeasure.from_weights(
@@ -161,12 +161,12 @@ class TestMutualEnergy:
     def test_energy_nonnegative_and_definite(self):
         shared = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.05))
         neg = NodeSet([[3, 0, 0]], np.ones(1), np.full(1, 0.05))
-        cond = Condenser((plate_from(shared, 0, +1), plate_from(neg, 1, -1)))
+        cond = Condenser((plate_from(shared, +1), plate_from(neg, -1)))
         rng = np.random.default_rng(8)
         for _ in range(10):
             mu = VectorMeasure.from_weights(cond, [rng.random(2), rng.random(1)])
             assert mutual_energy(mu, mu, K2) >= 0.0
-        zero = VectorMeasure.zero(cond)
+        zero = VectorMeasure.from_weights(cond, [np.zeros(2), np.zeros(1)])
         assert mutual_energy(zero, zero, K2) == 0.0
 
     def test_bilinear_and_symmetric(self):
@@ -208,7 +208,7 @@ class TestVectorPotential:
     def setup_method(self):
         pos = NodeSet([[0, 0, 0], [0.5, 0, 0]], np.ones(2), np.full(2, 0.05))
         neg = NodeSet([[3, 0, 0], [3, 0.5, 0]], np.ones(2), np.full(2, 0.05))
-        self.cond = Condenser((plate_from(pos, 0, +1), plate_from(neg, 1, -1)))
+        self.cond = Condenser((plate_from(pos, +1), plate_from(neg, -1)))
         rng = np.random.default_rng(11)
         self.mu = VectorMeasure.from_weights(self.cond,
                                              [rng.random(2), rng.random(2)])
@@ -259,8 +259,8 @@ class TestVectorPotential:
 class TestGaussFunctional:
     def test_zero_measure(self):
         ns = NodeSet([[0, 0, 0]], [1.0], [0.1])
-        cond = Condenser((plate_from(ns, 0, +1),))
-        mu = VectorMeasure.zero(cond)
+        cond = Condenser((plate_from(ns, +1),))
+        mu = VectorMeasure.from_weights(cond, [np.zeros(1)])
         assert gauss_functional(mu, [np.zeros(1)], K2) == 0.0
 
     def test_opposite_atoms_excluded_rule(self):
@@ -269,7 +269,7 @@ class TestGaussFunctional:
         d = 0.8
         pos = NodeSet([[0, 0, 0]], [1.0], [0.1])
         neg = NodeSet([[d, 0, 0]], [1.0], [0.1])
-        cond = Condenser((plate_from(pos, 0, +1), plate_from(neg, 1, -1)))
+        cond = Condenser((plate_from(pos, +1), plate_from(neg, -1)))
         mu = VectorMeasure.from_weights(cond, [np.array([1.0]), np.array([1.0])])
         got = gauss_functional(mu, [np.zeros(1), np.zeros(1)], K2)
         assert got == pytest.approx(2.0 * 1.5 / 0.1 - 2.0 / d, rel=1e-14)
@@ -278,7 +278,7 @@ class TestGaussFunctional:
     def test_infinite_field_flagged(self):
         ns = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.1))
         neg = NodeSet([[4, 0, 0]], [1.0], [0.1])
-        cond = Condenser((plate_from(ns, 0, +1), plate_from(neg, 1, -1)))
+        cond = Condenser((plate_from(ns, +1), plate_from(neg, -1)))
         f = [np.array([math.inf, 0.0]), np.zeros(1)]
         carried = VectorMeasure.from_weights(
             cond, [np.array([0.5, 0.5]), np.array([1.0])])
@@ -304,8 +304,8 @@ class TestCaseTwoField:
         zeta, swept = self.build(ball_ctx)
         ball = NodeSet([[0.2, 0, 0], [0, -0.3, 0.1], [0.4, 0.4, 0]],
                        np.ones(3), np.full(3, 0.03))
-        cond = Condenser((plate_from(ball, 0, +1),
-                          plate_from(ball_ctx.exterior, 1, -1)))
+        cond = Condenser((plate_from(ball, +1),
+                          plate_from(ball_ctx.exterior, -1)))
         field = green_field(zeta, cond, ball_ctx)
         rng = np.random.default_rng(14)
         for _ in range(3):
@@ -332,8 +332,8 @@ class TestCaseTwoField:
         zeta, swept = self.build(ball_ctx)
         ball = NodeSet([[0.2, 0, 0], [0, -0.3, 0.1]], np.ones(2),
                        np.full(2, 0.03))
-        cond = Condenser((plate_from(ball, 0, +1),
-                          plate_from(ball_ctx.exterior, 1, -1)))
+        cond = Condenser((plate_from(ball, +1),
+                          plate_from(ball_ctx.exterior, -1)))
         field = green_field(zeta, cond, ball_ctx)
         # bound: G >= -||zeta - zeta'||_alpha^2
         diff_pos = np.concatenate([zeta.nodes.positions, swept.nodes.positions])

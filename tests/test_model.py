@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,26 +9,26 @@ from condenser.kernel import assemble_matrix
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              _nearest_neighbor_distances, build_condenser,
-                             resultant, semimetric_distance,
+                             plate_nodes, resultant, semimetric_distance,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
 
 K2 = KernelSpec(3, 2.0)
 
 
-def cloud_plate(pid, sign, positions, radius=0.05):
+def cloud_plate(sign, positions, radius=0.05):
     m = len(positions)
     ns = NodeSet(np.asarray(positions, float), np.ones(m), np.full(m, radius))
-    return Plate(id=pid, sign=sign, nodes=ns)
+    return Plate(sign=sign, nodes=ns)
 
 
 def two_plus_one_condenser():
     """Two overlapping positive plates plus a separated negative plate."""
     shared = NodeSet([[0, 0, 0], [1, 0, 0], [0, 1, 0]], np.ones(3),
                      np.full(3, 0.05))
-    p0 = Plate(id=0, sign=+1, nodes=shared)
-    p1 = Plate(id=1, sign=+1, nodes=shared)
-    p2 = cloud_plate(2, -1, [[4, 0, 0], [4, 1, 0], [4, 0, 1]])
+    p0 = Plate(sign=+1, nodes=shared)
+    p1 = Plate(sign=+1, nodes=shared)
+    p2 = cloud_plate(-1, [[4, 0, 0], [4, 1, 0], [4, 0, 1]])
     return Condenser((p0, p1, p2))
 
 
@@ -47,7 +48,7 @@ class TestBuildCondenser:
 
     def test_plate_without_nodes_rejected(self):
         with pytest.raises(EmptyPlateError):
-            Plate(id=0, sign=+1, nodes=NodeSet(np.zeros((0, 3)), [], []))
+            Plate(sign=+1, nodes=NodeSet(np.zeros((0, 3)), [], []))
 
     def test_touching_closures_are_allowed(self):
         # exterior boundary layer sits exactly on the sphere; interior grid
@@ -64,8 +65,8 @@ class TestBuildCondenser:
 
     def test_coinciding_opposite_nodes_rejected(self):
         with pytest.raises(ZeroSeparationError):
-            Condenser((cloud_plate(0, +1, [[0, 0, 0], [1, 0, 0]]),
-                       cloud_plate(1, -1, [[1, 0, 0], [2, 0, 0]])))
+            Condenser((cloud_plate(+1, [[0, 0, 0], [1, 0, 0]]),
+                       cloud_plate(-1, [[1, 0, 0], [2, 0, 0]])))
 
     def test_volume_first_order_convergence(self):
         exact = 4.0 / 3.0 * math.pi
@@ -87,7 +88,7 @@ class TestBuildCondenser:
         other = NodeSet([[0.4, 0.0, 0.0], [2.0, 0.0, 0.0]], np.ones(2),
                         np.full(2, 0.5))
         cond = Condenser(trim_across_plates(
-            [Plate(id=0, sign=+1, nodes=one), Plate(id=1, sign=-1, nodes=other)]))
+            [Plate(sign=+1, nodes=one), Plate(sign=-1, nodes=other)]))
         assert cond.plates[0].nodes.cell_radii[0] == NEIGHBOR_TRIM * 0.4
         assert np.array_equal(cond.plates[1].nodes.cell_radii,
                               [NEIGHBOR_TRIM * 0.4, 0.5])
@@ -98,9 +99,9 @@ class TestBuildCondenser:
         shared = NodeSet([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], np.ones(2),
                          np.full(2, 0.4))
         other = NodeSet([[0.0, 0.3, 0.0]], [1.0], [0.4])
-        plates = trim_across_plates([Plate(id=0, sign=+1, nodes=shared),
-                                     Plate(id=1, sign=+1, nodes=shared),
-                                     Plate(id=2, sign=+1, nodes=other)])
+        plates = trim_across_plates([Plate(sign=+1, nodes=shared),
+                                     Plate(sign=+1, nodes=shared),
+                                     Plate(sign=+1, nodes=other)])
         for plate in plates[:2]:
             assert np.array_equal(plate.nodes.cell_radii,
                                   [NEIGHBOR_TRIM * 0.3, 0.4])
@@ -116,8 +117,8 @@ class TestBuildCondenser:
     def test_truncation_recorded(self):
         cond = build_condenser(
             [PlateSpec(tag="ball", sign=+1, radius=1.0),
-             PlateSpec(tag="half_space", sign=-1, level=-2.0, side=-1,
-                       truncation=6.0)], resolution=0.3)
+             PlateSpec(tag="half_space", sign=-1, center=(-2.0, 0.0, 0.0),
+                       side=-1, truncation=6.0)], resolution=0.3)
         assert cond.plates[1].spec.truncation == 6.0
         assert cond.plates[0].spec.truncation is None
 
@@ -130,29 +131,50 @@ class TestBuildCondenser:
         dict(tag="ball_complement", radius=1.0, truncation=0.5),
         dict(tag="ball_complement", radius=1.0, truncation=-1.0),
         dict(tag="half_space", truncation=0.0),
-        dict(tag="ball", radius=1.0, axis=7),
+        dict(tag="disk", radius=1.0, axis=7),
         dict(tag="half_space", truncation=6.0, side=3),
         dict(tag="ball", radius=1.0, center=(0.0, 0.0)),
         dict(tag="explicit_cloud"),
+        dict(tag="ball", radius=1.0, axis=2),
+        dict(tag="disk", radius=1.0, side=1),
+        dict(tag="half_space", truncation=6.0, radius=1.0),
+        dict(tag="ball_complement", radius=1.0, truncation=6.0, count=10),
+        dict(tag="disk", radius=1.0, count=0),
     ], ids=["negative-radius", "zero-disk-radius", "complement-no-truncation",
             "half-space-no-truncation", "bounded-truncation",
             "truncation-inside-radius", "negative-truncation",
             "zero-half-space-truncation", "axis", "side", "center-2d",
-            "unknown-tag"])
+            "unknown-tag", "ball-axis", "disk-side", "half-space-radius",
+            "complement-count", "zero-count"])
     def test_plate_spec_rejects(self, kwargs):
         with pytest.raises(ValueError):
             PlateSpec(sign=-1, **kwargs)
 
-    def test_boundary_distance(self):
+    def test_boundary_zone(self):
         ball = PlateSpec(tag="ball", sign=+1, center=(1.0, 0.0, 0.0), radius=2.0)
-        plane = PlateSpec(tag="half_space", sign=-1, axis=2, level=-1.0,
-                          truncation=6.0)
+        plane = PlateSpec(tag="half_space", sign=-1, axis=2,
+                          center=(0.0, 0.0, -1.0), truncation=6.0)
         disk = PlateSpec(tag="disk", sign=+1, radius=1.0)
-        pts = np.array([[1.0, 0.0, 0.0], [4.0, 0.0, 0.5]])
-        assert np.allclose(ball.boundary_distance(pts),
-                           [2.0, math.sqrt(9.25) - 2.0])
-        assert np.array_equal(plane.boundary_distance(pts), [1.0, 1.5])
-        assert disk.boundary_distance(pts) is None
+        # sphere distances 2, sqrt(9.25) - 2 and sqrt(4.25) - 2, plane
+        # distances 1, 1.5 and 0.5: a distance equal to the cell radius is
+        # outside the zone
+        nodes = NodeSet([[1.0, 0.0, 0.0], [4.0, 0.0, 0.5], [3.0, 0.0, -0.5]],
+                        np.ones(3), [2.0, 1.1, 0.5])
+        assert ball.boundary_zone(nodes).tolist() == [False, True, True]
+        assert plane.boundary_zone(nodes).tolist() == [True, False, False]
+        assert disk.boundary_zone(nodes) is None
+
+    @pytest.mark.parametrize("backing", [False, True])
+    def test_half_space_plane_passes_through_center(self, backing):
+        origin = PlateSpec(tag="half_space", sign=-1, axis=2, truncation=4.0,
+                           backing=backing)
+        moved = replace(origin, center=(0.0, 2.0, -1.0))
+        a, b = plate_nodes(origin, 0.5), plate_nodes(moved, 0.5)
+        assert np.allclose(b.positions, a.positions + moved.center,
+                           rtol=0.0, atol=1e-12)
+        assert np.array_equal(b.quad_weights, a.quad_weights)
+        assert np.allclose(b.cell_radii, a.cell_radii, rtol=1e-12, atol=0.0)
+        assert np.array_equal(moved.boundary_zone(b), origin.boundary_zone(a))
 
 
 class TestNodeValidation:
@@ -178,7 +200,7 @@ class TestNodeValidation:
 
 class TestResultant:
     def test_single_positive_plate_identity(self):
-        cond = Condenser((cloud_plate(0, +1, [[0.5, 0, 0]]),))
+        cond = Condenser((cloud_plate(+1, [[0.5, 0, 0]]),))
         mu = VectorMeasure.from_weights(cond, [np.array([1.0])])
         r = resultant(mu)
         assert len(r) == 1
@@ -203,7 +225,8 @@ class TestResultant:
 
     def test_zero_measure_empty(self):
         cond = two_plus_one_condenser()
-        r = resultant(VectorMeasure.zero(cond))
+        r = resultant(VectorMeasure.from_weights(
+            cond, [np.zeros(len(p.nodes)) for p in cond.plates]))
         assert len(r) == 0
         assert r.total == 0.0
 
@@ -248,8 +271,8 @@ class TestSemimetric:
     def test_two_atom_hand_formula(self):
         # d(mu, nu)^2 = k11 + k22 - 2 k12 for unit atoms on disjoint plates
         rho1, rho2 = 0.05, 0.08
-        p0 = cloud_plate(0, +1, [[0.0, 0, 0]], radius=rho1)
-        p1 = cloud_plate(1, +1, [[2.0, 0, 0]], radius=rho2)
+        p0 = cloud_plate(+1, [[0.0, 0, 0]], radius=rho1)
+        p1 = cloud_plate(+1, [[2.0, 0, 0]], radius=rho2)
         cond = Condenser((p0, p1))
         mu = VectorMeasure.from_weights(cond, [np.array([1.0]), np.array([0.0])])
         nu = VectorMeasure.from_weights(cond, [np.array([0.0]), np.array([1.0])])

@@ -2,6 +2,7 @@
 examples are config mappings for ``build_scenario``."""
 
 import os
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import yaml
 from condenser.cli import main
 from condenser.errors import ParseError
 from condenser.kernel import KernelSpec, equilibrium_measure
-from condenser.model import disk_nodes
-from condenser.scenarios import (EXAMPLES, build_scenario, example_two,
-                                 ex2_config)
+from condenser.model import PLATE_KEYS, PlateSpec, disk_nodes
+from condenser.scenarios import (_PLATE_KEY_TYPES, EXAMPLES, build_scenario,
+                                 example_two, ex2_config)
 
 # small sizes per built-in example: --resolution and --truncation
 TOY_FLAGS = {"ex1": ["--resolution", "0.5", "--truncation", "3"],
@@ -70,3 +71,13 @@ def test_count_off_a_disk_or_below_one_is_rejected(plate):
     cfg["plates"] = [plate, cfg["plates"][1]]
     with pytest.raises(ParseError):
         build_scenario(cfg)
+
+
+def test_plate_key_table_matches_plate_spec():
+    # every key a geometry reads is a PlateSpec field, and every field but
+    # the tag, the sign and the alpha-decided backing is read by some
+    # geometry and has a config type
+    read = {key for keys in PLATE_KEYS.values() for key in keys}
+    settable = {f.name for f in fields(PlateSpec)} - {"tag", "sign", "backing"}
+    assert read == settable
+    assert set(_PLATE_KEY_TYPES) == settable

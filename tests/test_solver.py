@@ -77,8 +77,8 @@ def small_condenser(seed=0, n_pos=30, n_neg=40):
     neg_pts = rng.normal(size=(n_neg, 3)) * 0.3 + np.array([3.0, 0, 0])
     pos = NodeSet(pos_pts, np.ones(n_pos), np.full(n_pos, 0.02))
     neg = NodeSet(neg_pts, np.ones(n_neg), np.full(n_neg, 0.02))
-    return Condenser((Plate(id=0, sign=+1, nodes=pos),
-                      Plate(id=1, sign=-1, nodes=neg)))
+    return Condenser((Plate(sign=+1, nodes=pos),
+                      Plate(sign=-1, nodes=neg)))
 
 
 def assert_variational_inequality(res, spec, caps0, rng):
@@ -162,8 +162,8 @@ class TestSolveRiesz:
     def test_two_node_no_freedom(self):
         pos = NodeSet([[0.0, 0, 0]], [1.0], [0.1])
         neg = NodeSet([[1.0, 0, 0]], [1.0], [0.1])
-        cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
-                          Plate(id=1, sign=-1, nodes=neg)))
+        cond = Condenser((Plate(sign=+1, nodes=pos),
+                          Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
@@ -185,8 +185,8 @@ class TestSolveRiesz:
         sweep clips, so the field is not zero on the exterior (~1e-2)."""
         ball = ball_volume_nodes((0, 0, 0), 0.62, 0.3)
         exterior = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
-        cond = Condenser((Plate(id=0, sign=1, nodes=ball),
-                          Plate(id=1, sign=-1, nodes=exterior)))
+        cond = Condenser((Plate(sign=1, nodes=ball),
+                          Plate(sign=-1, nodes=exterior)))
         rng = np.random.default_rng(11)
         zeta = DiscreteMeasure(ball, rng.random(len(ball)) * 0.3)
         field = green_field(zeta, cond, GreenContext(exterior, K2))
@@ -286,15 +286,15 @@ class TestSolveRiesz:
         # repeated inside one plate would make the joint matrix singular
         shared = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.05))
         neg = NodeSet([[4, 0, 0], [4, 1, 0]], np.ones(2), np.full(2, 0.05))
-        cond = Condenser((Plate(id=0, sign=+1, nodes=shared),
-                          Plate(id=1, sign=+1, nodes=shared),
-                          Plate(id=2, sign=-1, nodes=neg)))
+        cond = Condenser((Plate(sign=+1, nodes=shared),
+                          Plate(sign=+1, nodes=shared),
+                          Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (0.5, 0.5, 1.0), None,
                            (None, None, None), K2)
         assert solve_riesz(spec).converged
         repeated = shared.subset([0, 1, 1])
-        cond = Condenser((Plate(id=0, sign=+1, nodes=repeated),
-                          Plate(id=1, sign=-1, nodes=neg)))
+        cond = Condenser((Plate(sign=+1, nodes=repeated),
+                          Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         with pytest.raises(DuplicateNodeError):
@@ -498,9 +498,9 @@ def small_green_setup():
     ball = ball_volume_nodes((0, 0, 0), 1.0, 0.3)
     exterior = ball_complement_nodes((0, 0, 0), 1.0, 12.0, 0.3)
     cond = Condenser(tuple(trim_across_plates([
-        Plate(id=0, sign=1, nodes=ball,
+        Plate(sign=1, nodes=ball,
               spec=PlateSpec(tag="ball", sign=1, radius=1.0)),
-        Plate(id=1, sign=-1, nodes=exterior,
+        Plate(sign=-1, nodes=exterior,
               spec=PlateSpec(tag="ball_complement", sign=-1, radius=1.0,
                              truncation=12.0))])))
     ctx = GreenContext(cond.plates[1].nodes, K15)

@@ -7,13 +7,16 @@ from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
 from condenser.gauss_solver import (ProblemSpec, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz)
-from condenser.kernel import gauss_functional
+from condenser.kernel import gauss_functional, potential
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             squared_distances, trim_across_plates)
-from condenser.scenarios import example_one, sweep_plane_context
-from condenser.verify import (PROBE_EXCLUSION, KKTReport, _exclude_near_atoms,
+                             resultant, squared_distances, trim_across_plates)
+from condenser.scenarios import (build_scenario, example_one,
+                                 sweep_plane_context)
+from condenser.tolerances import Tolerances
+from condenser.verify import (PROBE_EXCLUSION, SUPP_FLOOR_REL, KKTReport,
+                              _exclude_near_atoms,
                               equivalence_check, kkt_report,
                               loglog_slope, scalar_zone_checks,
                               support_report, unsolvability_sweep,
@@ -30,8 +33,8 @@ def small_spec(seed=0, cap_scale=None):
     neg_pts = rng.normal(size=(30, 3)) * 0.3 + np.array([3.0, 0, 0])
     pos = NodeSet(pos_pts, np.ones(25), np.full(25, 0.02))
     neg = NodeSet(neg_pts, np.ones(30), np.full(30, 0.02))
-    cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
-                      Plate(id=1, sign=-1, nodes=neg)))
+    cond = Condenser((Plate(sign=+1, nodes=pos),
+                      Plate(sign=-1, nodes=neg)))
     if cap_scale is None:
         constraint = (None, None)
     else:
@@ -100,12 +103,12 @@ class TestKKTReport:
         ext = ball_complement_nodes((0, 0, 0), 1.0, 10.0, 0.3)
         all_pos = np.vstack([ball.positions, ext.positions])
         plates = []
-        for pid, (sign, ns) in enumerate(((1, ball), (-1, ext))):
+        for sign, ns in ((1, ball), (-1, ext)):
             dnn = _nearest_neighbor_distances(ns.positions, all_pos)
             capped = NodeSet(ns.positions, ns.quad_weights,
                              np.minimum(ns.cell_radii, NEIGHBOR_TRIM * dnn),
                              ns.layer_index)
-            plates.append(Plate(id=pid, sign=sign, nodes=capped))
+            plates.append(Plate(sign=sign, nodes=capped))
         cond = Condenser(tuple(plates))
         kern = KernelSpec(3, 1.5)
         ctx = GreenContext(cond.plates[1].nodes, kern)
@@ -140,13 +143,51 @@ class TestZoneChecks:
             scalar_zone_checks(res3, bad_spec, ctx)
 
     def test_zero_solution_reported_as_failure(self, ex1):
-        zero = VectorMeasure.zero(ex1.spec.condenser)
+        cond = ex1.spec.condenser
+        zero = VectorMeasure.from_weights(
+            cond, [np.zeros(len(p.nodes)) for p in cond.plates])
         from condenser.gauss_solver import SolveResult
         fake = SolveResult(solution=zero, energy=0.0,
                            constants=np.zeros(1), trace=np.zeros((0, 4)),
                            converged=False, kkt_residual=1.0, iterations=0)
         rep = scalar_zone_checks(fake, ex1.spec, ex1.green)
         assert not rep.overall_pass
+
+    @pytest.mark.parametrize("tol_potential, passes", [(1e-3, True),
+                                                       (1.0, False)])
+    def test_strict_bound_off_the_cap_support(self, tol_potential, passes):
+        # alpha < 2 with caps that vanish on the ball nodes at x1 > 0.4: the
+        # support check also asks the potential to stay below c1 by more
+        # than the tolerance at those nodes (by 0.69 c1 here)
+        sc = build_scenario({
+            "kernel": {"n": 3, "alpha": 1.5}, "resolution": 0.5,
+            "truncation": 3.0,
+            "plates": [{"geometry": "ball", "sign": 1, "radius": 1.0},
+                       {"geometry": "ball_complement", "sign": -1,
+                        "radius": 1.0}],
+            "totals": [1.0, 1.0],
+            "constraint": [{"mode": "scaled_capacitary", "q": 2.0},
+                           {"mode": "unbounded"}]})
+        plate = sc.spec.condenser.plates[0]
+        caps = np.where(plate.nodes.positions[:, 0] > 0.4, 0.0,
+                        sc.spec.constraint[0])
+        spec = ProblemSpec(sc.spec.condenser, sc.spec.totals, None,
+                           (caps, None), sc.spec.kernel,
+                           Tolerances(potential=tol_potential))
+        res = solve_riesz(spec)
+        rep = scalar_zone_checks(res, spec, sc.green)
+        # independent recomputation from the potential of the resultant
+        w = res.solution.components[0].weights
+        floor = SUPP_FLOOR_REL / len(w)
+        off = caps <= floor
+        pot = potential(resultant(res.solution), plate.nodes.positions,
+                        spec.kernel)
+        failures = int(np.sum(~off & (w <= floor)))
+        margin = float((rep.c1 - pot[off]).min()) / max(1.0, abs(rep.c1))
+        assert off.sum() == 9
+        assert rep.support_failures == failures
+        assert rep.checks["support"] == \
+            (failures == 0 and margin > tol_potential) == passes
 
     def test_example_one_zone(self, ex1, ex1_riesz):
         rep = scalar_zone_checks(ex1_riesz, ex1.spec, ex1.green, seed=3)
@@ -180,8 +221,8 @@ class TestSupportReport:
     def test_single_node_negative_plate(self):
         pos = NodeSet([[0, 0, 0]], [1.0], [0.05])
         neg = NodeSet([[2, 0, 0]], [1.0], [0.05])
-        cond = Condenser((Plate(id=0, sign=+1, nodes=pos),
-                          Plate(id=1, sign=-1, nodes=neg)))
+        cond = Condenser((Plate(sign=+1, nodes=pos),
+                          Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
@@ -206,7 +247,7 @@ class TestSupportReport:
 
 class TestEquivalence:
     def test_identical_inputs_zero_gap(self, ex1, ex1_riesz):
-        rep = equivalence_check(ex1_riesz, ex1_riesz, ex1.spec)
+        rep = equivalence_check(ex1_riesz, ex1_riesz, ex1.spec, ex1_riesz)
         assert rep["energy_gap_rel"] == 0.0
         assert rep["semimetric_distance"] == 0.0
 
@@ -220,7 +261,7 @@ class TestEquivalence:
             ext = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.28 * res_ext / 1.6)
             cond = Condenser(tuple(trim_across_plates([
                 sc.spec.condenser.plates[0],
-                Plate(id=1, sign=-1, nodes=ext,
+                Plate(sign=-1, nodes=ext,
                       spec=PlateSpec(tag="ball_complement", sign=-1,
                                      radius=1.0, truncation=8.0))])))
             ext = cond.plates[1].nodes
@@ -240,14 +281,13 @@ class TestEquivalence:
 class TestSweeps:
     def test_single_stage(self):
         ctx = sweep_plane_context(flat_radius=4.0, cell=0.4, truncation=12.0)
-        rows = unsolvability_sweep("uncapped", [2], ctx, K2,
-                                   nodes_per_stage=120)
+        rows = unsolvability_sweep("uncapped", [2], ctx, nodes_per_stage=120)
         assert len(rows) == 1
         assert rows[0]["energy"] > 0
 
     def test_strictly_decreasing_three_stages(self):
         ctx = sweep_plane_context(flat_radius=5.0, cell=0.4, truncation=15.0)
-        rows = unsolvability_sweep("uncapped", [1, 2, 3], ctx, K2,
+        rows = unsolvability_sweep("uncapped", [1, 2, 3], ctx,
                                    nodes_per_stage=150)
         E = [r["energy"] for r in rows]
         assert E[0] > E[1] > E[2] > 0
@@ -263,7 +303,7 @@ class TestSweeps:
         ctx = sweep_plane_context(flat_radius=5.0, cell=0.4, truncation=15.0)
         zn = disk_nodes((1.0, 0, 0), 0.5, 60, axis=0)
         zeta, _ = equilibrium_measure(zn, K2, 0.5)
-        rows = unsolvability_sweep("capped", [1, 2, 3, 4], ctx, K2,
+        rows = unsolvability_sweep("capped", [1, 2, 3, 4], ctx,
                                    nodes_per_stage=150, zeta=zeta)
         bounds = [r["bound"] for r in rows]
         values = [r["stage_value"] for r in rows]
