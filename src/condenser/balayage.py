@@ -161,10 +161,6 @@ class GreenContext:
         theta, _ = self._sweep(b[:, None])
         return b, theta[:, 0]
 
-    def sweep_weights(self, mu: DiscreteMeasure) -> np.ndarray:
-        """Swept weights of a whole measure (single projection solve)."""
-        return self._potential_and_sweep(mu)[1]
-
     # -- Green kernel ------------------------------------------------------
     def green_matrix(self, nodes: NodeSet):
         """Green kernel matrix on interior nodes: the Schur-style form
@@ -178,8 +174,8 @@ class GreenContext:
         return G, asym / scale
 
     def green_potential(self, mu: DiscreteMeasure, points) -> np.ndarray:
-        swept = DiscreteMeasure(self.exterior,
-                                np.maximum(self.sweep_weights(mu), 0.0))
+        _, theta = self._potential_and_sweep(mu)
+        swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
         return potential(mu, points, self.riesz) - \
             potential(swept, points, self.riesz)
 

@@ -26,9 +26,9 @@ from .errors import CondenserError, NonConvergedError, ParseError
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import equilibrium_measure
-from .model import PlateSpec, disk_nodes, plate_nodes, sphere_surface_nodes
+from .model import PlateSpec, disk_nodes, plate_nodes, sphere_layer
 from .scenarios import (Scenario, build_scenario, kernel_from,
-                        optional_mapping, positive_size, require,
+                        optional_mapping, positive_size, read_value, require,
                         tolerances_from)
 from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
@@ -266,18 +266,20 @@ def cmd_capacity(args) -> dict:
     tag = require(gc, "geometry", str)
     if tag not in ("sphere", "ball", "disk"):
         raise ParseError(f"unsupported conductor geometry {tag!r}")
+    bad = set(gc) - {"geometry", "center", "radius", "axis", "total"}
+    if bad:
+        raise ParseError(f"conductor takes no keys {sorted(bad)}")
     try:
         # a sphere conductor is the boundary of the ball it describes
         spec = PlateSpec("disk" if tag == "disk" else "ball", +1,
-                         center=tuple(gc.get("center", (0.0, 0.0, 0.0))),
+                         center=read_value(tuple, gc.get("center", (0.0,) * 3),
+                                           "center"),
                          radius=positive_size(gc, "radius", 1.0),
-                         axis=int(gc.get("axis", 0)))
+                         axis=read_value(int, gc.get("axis", 0), "axis"))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"conductor: {exc}") from None
     if tag == "sphere":
-        count = max(12, int(round(
-            4 * math.pi * spec.radius ** 2 / resolution ** 2)))
-        nodes = sphere_surface_nodes(spec.center, spec.radius, count)
+        nodes = sphere_layer(spec.center, spec.radius, resolution)
     else:
         nodes = plate_nodes(spec, resolution)
     total = positive_size(gc, "total", 1.0)

@@ -10,12 +10,12 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from ._pg import minimize_quadratic
 from .errors import DuplicateNodeError, NonConvergedError
 from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
-                    VectorMeasure, merge_by_position, resultant, row_blocks,
-                    squared_distances)
+                    VectorMeasure, merge_by_position, resultant, row_blocks)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -35,7 +35,7 @@ def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
                  rho_q: np.ndarray) -> np.ndarray:
     """Kernel values between two point arrays.  Exactly coinciding pairs get
     the self-energy value of the second array's cell radius ``rho_q``."""
-    K = squared_distances(P, Q)
+    K = cdist(P, Q, "sqeuclidean")
     hits = K == 0.0
     with np.errstate(divide="ignore"):
         np.power(K, 0.5 * (kernel.alpha - kernel.n), out=K)

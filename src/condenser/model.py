@@ -13,7 +13,6 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
-from scipy.spatial.distance import cdist
 
 from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
 
@@ -155,12 +154,6 @@ class Condenser:
     @property
     def dim(self) -> int:
         return self.plates[0].nodes.dim
-
-
-def squared_distances(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """|p - q|^2 for every row p of P and q of Q; coinciding points give
-    exactly zero.  Every kernel block in the package comes from here."""
-    return cdist(P, Q, "sqeuclidean")
 
 
 def row_blocks(P: np.ndarray, Q: np.ndarray):
@@ -349,11 +342,19 @@ def ball_volume_nodes(center, radius, h):
     keep = np.linalg.norm(grid, axis=1) < radius
     pts = grid[keep] + center
     m = pts.shape[0]
-    if m == 0:
-        return NodeSet(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
     w = np.full(m, h ** 3)
     rho = np.full(m, VOLUME_CELL_RADIUS_FACTOR * h)
     return NodeSet(pts, w, rho)
+
+
+def surface_cells(positions, areas, layer) -> NodeSet:
+    """Flat cells of weight their area (one or one per cell) and radius
+    SURFACE_CELL_RADIUS_FACTOR x sqrt(area), all in ``layer``."""
+    m = len(positions)
+    areas = np.full(m, areas, dtype=float)
+    return NodeSet(positions, areas,
+                   SURFACE_CELL_RADIUS_FACTOR * np.sqrt(areas),
+                   np.full(m, layer, dtype=int))
 
 
 def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0):
@@ -371,12 +372,15 @@ def sphere_surface_nodes(center, radius, count, *, layer=0, phase=0.0):
     ang = phase + i * math.pi * (3.0 - math.sqrt(5.0))
     rho = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     pts = np.stack([rho * np.cos(ang), rho * np.sin(ang), z], axis=1)
-    pts = pts * radius + center
-    m = pts.shape[0]
-    area = 4.0 * math.pi * radius ** 2 / count
-    w = np.full(m, area)
-    rho_c = np.full(m, SURFACE_CELL_RADIUS_FACTOR * math.sqrt(area))
-    return NodeSet(pts, w, rho_c, np.full(m, layer, dtype=int))
+    return surface_cells(pts * radius + center,
+                         4.0 * math.pi * radius ** 2 / count, layer)
+
+
+def sphere_layer(center, radius, cell, **layout):
+    """``sphere_surface_nodes`` with max(12, round(4 pi r^2 / cell^2)) cells;
+    ``layout`` takes its ``layer`` and ``phase``."""
+    count = max(12, int(round(4.0 * math.pi * radius ** 2 / cell ** 2)))
+    return sphere_surface_nodes(center, radius, count, **layout)
 
 
 def disk_nodes(center, radius, count, axis=0, *, layer=0):
@@ -392,19 +396,7 @@ def disk_nodes(center, radius, count, axis=0, *, layer=0):
     pts = np.zeros((count, 3))
     pts[:, u] = rr * np.cos(ang)
     pts[:, v] = rr * np.sin(ang)
-    pts = pts + center
-    cell_area = math.pi * radius ** 2 / count
-    w = np.full(count, cell_area)
-    rho_c = np.full(count, SURFACE_CELL_RADIUS_FACTOR * math.sqrt(cell_area))
-    return NodeSet(pts, w, rho_c, np.full(count, layer, dtype=int))
-
-
-def untrimmed_surface_cells(nodes: NodeSet) -> NodeSet:
-    """Flat surface cells (``disk_nodes``, ``graded_plane_nodes``) with the
-    calibrated radius of their own area, undoing any nearest-neighbor trim."""
-    return NodeSet(nodes.positions, nodes.quad_weights,
-                   SURFACE_CELL_RADIUS_FACTOR * np.sqrt(nodes.quad_weights),
-                   nodes.layer_index)
+    return surface_cells(pts + center, math.pi * radius ** 2 / count, layer)
 
 
 def _geometric_edges(start: float, stop: float, growth: float) -> np.ndarray:
@@ -436,7 +428,7 @@ def graded_plane_nodes(center, inner, outer, axis=0, *, growth=1.45, layer=0,
         edges = np.concatenate([[0.0],
                                 _geometric_edges(float(inner), float(outer), growth)])
     u, v = [a for a in range(3) if a != axis]
-    pts, wts, rads = [], [], []
+    pts, areas = [], []
     golden = math.pi * (3.0 - math.sqrt(5.0))
     for m_ in range(len(edges) - 1):
         r0, r1 = edges[m_], edges[m_ + 1]
@@ -452,34 +444,31 @@ def graded_plane_nodes(center, inner, outer, axis=0, *, growth=1.45, layer=0,
             ring[:, u] = rm * np.cos(ang)
             ring[:, v] = rm * np.sin(ang)
         pts.append(ring)
-        wts.append(np.full(km, area))
-        rads.append(np.full(km, SURFACE_CELL_RADIUS_FACTOR * math.sqrt(area)))
-    pts = np.vstack(pts) + center
-    m = pts.shape[0]
-    return NodeSet(pts, np.concatenate(wts), np.concatenate(rads),
-                   np.full(m, layer, dtype=int))
+        areas.append(np.full(km, area))
+    return surface_cells(np.vstack(pts) + center, np.concatenate(areas), layer)
+
+
+def _volume_layer(surface: NodeSet, weights, thickness) -> NodeSet:
+    """The cells of a surface layer as a slab of ``thickness``: radius
+    VOLUME_CELL_RADIUS_FACTOR x min(sqrt(cell area), thickness)."""
+    return NodeSet(surface.positions, np.full(len(surface), weights),
+                   VOLUME_CELL_RADIUS_FACTOR * np.minimum(
+                       np.sqrt(surface.quad_weights), thickness),
+                   surface.layer_index)
 
 
 def ball_complement_nodes(center, radius, truncation, resolution):
     """Boundary sphere layer plus volume shells out to the truncation radius,
     their edges growing by SHELL_GROWTH."""
-    center = np.asarray(center, dtype=float)
-    n_surf = max(12, int(round(4.0 * math.pi * radius ** 2 / resolution ** 2)))
-    parts = [sphere_surface_nodes(center, radius, n_surf, layer=0)]
+    parts = [sphere_layer(center, radius, resolution)]
     edges = _geometric_edges(radius, truncation, SHELL_GROWTH)
     for j in range(len(edges) - 1):
         r0, r1 = edges[j], edges[j + 1]
-        rm = 0.5 * (r0 + r1)
         t = r1 - r0
-        count = max(12, int(round(4.0 * math.pi * rm ** 2 / t ** 2)))
-        shell = sphere_surface_nodes(center, rm, count, layer=j + 1,
-                                     phase=0.37 * (j + 1))
+        shell = sphere_layer(center, 0.5 * (r0 + r1), t, layer=j + 1,
+                             phase=0.37 * (j + 1))
         vol = 4.0 * math.pi / 3.0 * (r1 ** 3 - r0 ** 3)
-        area = 4.0 * math.pi * rm ** 2 / count
-        w = np.full(len(shell), vol / count)
-        rho_val = VOLUME_CELL_RADIUS_FACTOR * min(math.sqrt(area), t)
-        rho = np.full(len(shell), rho_val)
-        parts.append(NodeSet(shell.positions, w, rho, shell.layer_index))
+        parts.append(_volume_layer(shell, vol / len(shell), t))
     return trim_cell_radii(_concat_nodesets(parts))
 
 
@@ -504,9 +493,7 @@ def half_space_nodes(center, side, truncation, resolution, axis=0, *,
             sheet = graded_plane_nodes(c, max(resolution, t), truncation,
                                        axis=axis, growth=RING_GROWTH,
                                        layer=j + 1)
-            w = sheet.quad_weights * t
-            rho = VOLUME_CELL_RADIUS_FACTOR * np.minimum(np.sqrt(sheet.quad_weights), t)
-            parts.append(NodeSet(sheet.positions, w, rho, sheet.layer_index))
+            parts.append(_volume_layer(sheet, sheet.quad_weights * t, t))
     return trim_cell_radii(_concat_nodesets(parts))
 
 

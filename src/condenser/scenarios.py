@@ -15,8 +15,8 @@ from .gauss_solver import ProblemSpec, check_sigma_domination
 from .kernel import KernelSpec, equilibrium_measure
 from .model import (PLATE_KEYS, RING_GROWTH, Condenser, DiscreteMeasure,
                     NodeSet, PlateSpec, _concat_nodesets, build_condenser,
-                    disk_nodes, graded_plane_nodes, trim_cell_radii,
-                    untrimmed_surface_cells)
+                    disk_nodes, graded_plane_nodes, surface_cells,
+                    trim_cell_radii)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -47,15 +47,26 @@ def optional_mapping(cfg: dict, key: str) -> dict:
     return val
 
 
+def read_value(kind, raw, key: str):
+    """A config value as ``kind``: int from an int only (never truncated),
+    float from a number but not a boolean, tuple of such floats."""
+    if kind is tuple:
+        return tuple(read_value(float, x, f"{key} coordinate") for x in raw)
+    if isinstance(raw, bool) or (kind is int and type(raw) is not int):
+        what = "an int" if kind is int else "a number"
+        raise ValueError(f"{key} must be {what}, got {raw!r}")
+    return kind(raw)
+
+
 def positive_size(cfg: dict, key: str, default: float) -> float:
     """The config's ``key`` as a float, ``default`` when absent; it must be
     a finite number greater than zero, and not a boolean."""
     raw = cfg.get(key, default)
     try:
-        val = float(raw)
+        val = read_value(float, raw, key)
     except (ValueError, TypeError):
         val = math.nan
-    if isinstance(raw, bool) or not (math.isfinite(val) and val > 0.0):
+    if not (math.isfinite(val) and val > 0.0):
         raise ParseError(f"config key {key!r} must be a finite number > 0, "
                          f"got {raw!r}")
     return val
@@ -82,7 +93,8 @@ def tolerances_from(cfg: dict) -> Tolerances:
 def kernel_from(cfg: dict) -> KernelSpec:
     kc = require(cfg, "kernel", dict)
     try:
-        kernel = KernelSpec(int(kc.get("n", 3)), float(require(kc, "alpha")))
+        kernel = KernelSpec(read_value(int, kc.get("n", 3), "n"),
+                            read_value(float, require(kc, "alpha"), "alpha"))
     except (ValueError, TypeError) as exc:
         raise ParseError(f"invalid kernel spec: {exc}") from None
     if kernel.n != 3:
@@ -91,7 +103,7 @@ def kernel_from(cfg: dict) -> KernelSpec:
     return kernel
 
 
-# how a config value of each plate key is read
+# the kind each plate key's config value is read as, by ``read_value``
 _PLATE_KEY_TYPES = {"center": tuple, "radius": float, "axis": int, "side": int,
                     "truncation": float, "stack_count": int, "count": int}
 
@@ -113,12 +125,13 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
             raise ParseError(f"plate {i}: {tag} plates take no keys "
                              f"{sorted(bad)}")
         try:
-            kw = {key: _PLATE_KEY_TYPES[key](pc[key]) for key in keys
-                  if key in pc}
+            kw = {key: read_value(_PLATE_KEY_TYPES[key], pc[key], key)
+                  for key in keys if key in pc}
             if "truncation" in keys:
                 kw.setdefault("truncation", truncation)
-            specs.append(PlateSpec(tag=tag, sign=int(require(pc, "sign")),
-                                   backing=alpha < 2.0, **kw))
+            sign = read_value(int, require(pc, "sign"), "sign")
+            specs.append(PlateSpec(tag=tag, sign=sign, backing=alpha < 2.0,
+                                   **kw))
         except (ValueError, TypeError) as exc:
             raise ParseError(f"plate {i}: {exc}") from None
     return specs
@@ -156,7 +169,8 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                 sel = np.flatnonzero(layers == k - 1)
                 # lambda_k is the equilibrium measure of disk k alone, on its
                 # own cells, untrimmed against the other disks and plates
-                disk = untrimmed_surface_cells(plate.nodes.subset(sel))
+                disk = surface_cells(plate.nodes.positions[sel],
+                                     plate.nodes.quad_weights[sel], k - 1)
                 lam, _ = equilibrium_measure(disk, kernel, 1.0,
                                              tolerances=tol)
                 cap[sel] = lam.weights / (k * k)

@@ -7,8 +7,11 @@ import numpy as np
 import pytest
 import yaml
 
+import condenser.cli
 import condenser.verify
 from condenser.cli import main
+from condenser.kernel import equilibrium_measure
+from condenser.model import ball_complement_nodes, sphere_layer
 from condenser.gauss_solver import swept_positive_caps
 from condenser.scenarios import build_scenario
 
@@ -430,6 +433,25 @@ class TestErrorPaths:
             BALAYAGE_CONFIG["source"], cell_radius=-0.1))),
         ("balayage", dict(BALAYAGE_CONFIG, source=dict(
             BALAYAGE_CONFIG["source"], positions=[["a", 0.0, 0.0]]))),
+        # an int key refuses floats and booleans, and a number key refuses
+        # booleans, rather than truncating them or reading them as 0 or 1
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, axis=0.7)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, count=30.9)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, stack_count=2.5)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, radius=True)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0,
+                                  center=[1.0, False, 0.0])),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, side=-1.6)),
+        ("solve", dict(TOY_DISK_HALF_SPACE, kernel={"n": 3.9, "alpha": 2.0})),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, sign=1.5)),
+        ("solve", dict(TOY_DISK_HALF_SPACE, kernel={"n": 3, "alpha": True})),
+        # a capacity conductor takes geometry, center, radius, axis, total
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+                      "conductor": {"geometry": "disk", "radius": 1.0,
+                                    "axsi": 2, "axis": 1}}),
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+                      "conductor": {"geometry": "disk", "radius": 1.0,
+                                    "axis": 1.9}}),
     ], ids=["plate-axis", "plate-center-2d", "plate-side", "ball-axis",
             "disk-side", "half-space-radius", "level-key", "backing-key",
             "explicit-cloud",
@@ -444,7 +466,11 @@ class TestErrorPaths:
             "max-iters-flag-zero", "tol-removed-key", "field-non-numeric",
             "field-nonzero-on-negative-plate", "field-minus-inf",
             "field-plate-not-a-list", "source-cell-radius-string",
-            "source-cell-radius-negative", "source-position-non-numeric"])
+            "source-cell-radius-negative", "source-position-non-numeric",
+            "disk-axis-float", "disk-count-float", "stack-count-float",
+            "radius-bool", "center-bool", "side-float", "kernel-n-float",
+            "sign-float", "kernel-alpha-bool", "capacity-unknown-key",
+            "capacity-axis-float"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
         # a command may carry global flags before the subcommand
         path = write_config(tmp_path, cfg)
@@ -540,6 +566,34 @@ class TestCapacity:
         assert abs(float(rep["capacity.value"]) - 1.0) < 0.02
 
 
+    def test_sphere_conductor_is_a_complement_boundary_layer(
+            self, tmp_path, monkeypatch):
+        # the sphere conductor and a ball complement's boundary layer are
+        # the same sphere_layer at the same center, radius and resolution
+        laid_out = []
+
+        def recording(nodes, *args, **kwargs):
+            laid_out.append(nodes)
+            return equilibrium_measure(nodes, *args, **kwargs)
+
+        monkeypatch.setattr(condenser.cli, "equilibrium_measure", recording)
+        center, radius, res = (0.1, -0.2, 0.3), 1.3, 0.2
+        cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": res,
+               "conductor": {"geometry": "sphere", "center": list(center),
+                             "radius": radius}}
+        assert main(["--out-dir", str(tmp_path / "out"), "capacity",
+                     write_config(tmp_path, cfg)]) == 0
+        (nodes,) = laid_out
+        layer = sphere_layer(center, radius, res)
+        for name in ("positions", "quad_weights", "cell_radii",
+                     "layer_index"):
+            assert np.array_equal(getattr(nodes, name), getattr(layer, name))
+        # the complement trims its cells; positions and weights stay
+        comp = ball_complement_nodes(center, radius, 4.0, res)
+        first = comp.subset(comp.layer_index == 0)
+        assert np.array_equal(first.positions, nodes.positions)
+        assert np.array_equal(first.quad_weights, nodes.quad_weights)
+
     def test_ball_capacity_near_its_radius(self, tmp_path):
         # Newtonian capacity of a solid ball is that of its sphere; the
         # volume nodes sit strictly inside it, so a coarse grid reads low
@@ -577,8 +631,9 @@ class TestBalayage:
 
 
 class TestSweep:
-    def test_sweep_small(self, tmp_path):
-        cfg = {"mode": "uncapped", "stages": [1, 2, 3], "flat_radius": 5.0,
+    @pytest.mark.parametrize("mode", ["uncapped", "capped"])
+    def test_sweep_small(self, tmp_path, mode):
+        cfg = {"mode": mode, "stages": [1, 2, 3], "flat_radius": 5.0,
                "cell": 0.4, "truncation": 15.0}
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "out")
@@ -686,8 +741,14 @@ class TestExamples:
         assert_no_seed_sentinels(rep)
 
     def test_console_entry_point(self):
+        # the package need not be installed: the child finds it in src
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                           os.pardir, "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
         proc = subprocess.run(
             [sys.executable, "-m", "condenser.cli", "--help"],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "example" in proc.stdout

@@ -296,7 +296,7 @@ class TestCaseTwoField:
             (0.7 * rng.random((12, 1)) ** (1 / 3))
         zn = NodeSet(pts, np.ones(12), np.full(12, 0.03))
         zeta = DiscreteMeasure(zn, rng.random(12))
-        theta = ball_ctx.sweep_weights(zeta)
+        _, theta = ball_ctx._potential_and_sweep(zeta)
         swept = DiscreteMeasure(ball_ctx.exterior, np.maximum(theta, 0.0))
         return zeta, swept
 

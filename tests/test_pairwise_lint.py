@@ -1,7 +1,8 @@
 """Pairwise-work lint: one way to read pairs of points.  Only
-``kernel._riesz_block`` computes pairwise distances (neighbour queries go
-through k-d trees), every blocked reader takes its row blocks from
-``row_blocks(P, Q)``, and ``model`` defines one block size for them."""
+``kernel._riesz_block`` computes pairwise distances, with ``cdist``
+(neighbour queries go through k-d trees), every blocked reader takes its
+row blocks from ``row_blocks(P, Q)``, and ``model`` defines one block size
+for them."""
 
 import ast
 import pathlib
@@ -46,15 +47,14 @@ def model_tree():
 
 
 def test_lint_sees_nested_and_attribute_calls():
-    src = ("def f():\n    def g():\n        m.squared_distances(a, b)\n"
-           "squared_distances(a, b)\n")
-    assert [owner for owner, _ in calls_by_function(src, "squared_distances")
+    src = ("def f():\n    def g():\n        m.cdist(a, b)\n"
+           "cdist(a, b)\n")
+    assert [owner for owner, _ in calls_by_function(src, "cdist")
             ] == ["g", None]
 
 
-def test_only_the_kernel_block_reads_squared_distances():
-    assert set(package_calls("squared_distances")) == {("kernel",
-                                                        "_riesz_block")}
+def test_only_the_kernel_block_calls_cdist():
+    assert set(package_calls("cdist")) == {("kernel", "_riesz_block")}
 
 
 def test_row_blocks_takes_exactly_two_point_arrays():

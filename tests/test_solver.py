@@ -572,7 +572,7 @@ class TestSolveGreen:
         cond, ctx = small_green_setup
         zero = DiscreteMeasure(cond.plates[0].nodes,
                                np.zeros(len(cond.plates[0].nodes)))
-        theta = ctx.sweep_weights(zero)
+        _, theta = ctx._potential_and_sweep(zero)
         assert np.allclose(theta, 0.0, atol=1e-300)
 
 

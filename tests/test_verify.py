@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
@@ -11,7 +12,7 @@ from condenser.kernel import gauss_functional, potential
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             resultant, squared_distances, trim_across_plates)
+                             resultant, trim_across_plates)
 from condenser.scenarios import (build_scenario, example_one,
                                  sweep_plane_context)
 from condenser.tolerances import Tolerances
@@ -211,7 +212,7 @@ class TestProbeExclusion:
         atoms = rng.uniform(-1.0, 1.0, size=(300, 3))
         rad = rng.uniform(0.01, 0.08, 300)
         keep = _exclude_near_atoms(pts, atoms, rad)
-        ref = ~np.any(squared_distances(pts, atoms)
+        ref = ~np.any(cdist(pts, atoms, "sqeuclidean")
                       < (PROBE_EXCLUSION * rad[None, :]) ** 2, axis=1)
         assert 0 < keep.sum() < len(pts)
         assert np.array_equal(keep, ref)
