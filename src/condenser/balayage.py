@@ -10,10 +10,18 @@ Every sweep takes one path: an unconstrained Cholesky solve against the
 exterior kernel matrix, then block principal pivoting on the nonnegative
 cone for all the columns that dip below zero at once
 (``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
-Park 2011).  Each round factors every distinct free pattern once and takes
-the gradients of all unsettled columns in one product with the exterior
-matrix; a column whose pivoting cycles or runs out of rounds falls back,
-alone, to Lawson-Hanson NNLS on the Cholesky factor.
+Park 2011).  Each round factors every distinct free pattern once, from the
+free set's rows of the exterior matrix, and takes the gradients of its
+columns from the same rows, so a round's work scales with the free set; a
+column whose pivoting cycles or runs out of rounds falls back, alone, to
+Lawson-Hanson NNLS on the Cholesky factor.
+
+Pivoting accepts any start set and stops only when the KKT conditions hold,
+so a start changes the work, not the answer.  A context keeps the union of
+the last clipped sweep's settled positive sets (for alpha = 2, the boundary
+layer of D) and starts later clipped columns from it.  A sweep that finds
+no carried support lets its first clipped column settle alone and starts
+the others from that column's positive set.
 """
 
 from __future__ import annotations
@@ -65,6 +73,9 @@ class GreenContext:
         self.riesz = kernel
         self._kee = assemble_matrix(exterior, kernel).entries
         self._chol = cho_factor(self._kee, lower=True)
+        # exterior nodes carried by the last clipped sweep: the pivoting
+        # start of later clipped columns
+        self._support = None
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -76,13 +87,26 @@ class GreenContext:
     def _sweep(self, B: np.ndarray):
         """Cone projections of the columns of B (exterior potentials): one
         unconstrained Cholesky solve, then ``_cone_project`` of the columns
-        that dip below zero.  Returns theta and the clipped-column count."""
+        that dip below zero.  Clipped columns start from the carried
+        support; without one, the first clipped column settles alone from
+        its unconstrained positive set and the others start from its
+        settled set.  The union of their settled sets becomes the carried
+        support.  Returns theta and the clipped-column count."""
         # factors and right-hand sides are built here from finite kernel
         # values, so the solves skip scipy's finiteness rescan
         theta = cho_solve(self._chol, B, check_finite=False)
         col_max = np.maximum(theta.max(axis=0), 1e-300)
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
-        theta[:, bad] = self._cone_project(B[:, bad], theta[:, bad])
+        if not bad.size:
+            return theta, 0
+        start = theta[:, bad]
+        if self._support is not None:
+            start = np.broadcast_to(self._support[:, None], start.shape)
+        elif bad.size > 1:
+            seed = self._cone_project(B[:, bad[:1]], start[:, :1])
+            start = np.broadcast_to(seed, start.shape)
+        theta[:, bad] = self._cone_project(B[:, bad], start)
+        self._support = (theta[:, bad] > 0.0).any(axis=1)
         return theta, int(bad.size)
 
     def sweep_columns(self, nodes: NodeSet):
@@ -92,61 +116,63 @@ class GreenContext:
         theta, clipped = self._sweep(B)
         return B, theta, clipped
 
-    def _cone_project(self, B: np.ndarray, free: np.ndarray) -> np.ndarray:
+    def _cone_project(self, B: np.ndarray, start: np.ndarray) -> np.ndarray:
         """min theta' K theta - 2 b' theta over theta >= 0 for every column b
         of B by block principal pivoting (Judice & Pires 1994).  A column
-        starts from the positive set of its column of ``free``, the
-        unconstrained solution K^-1 b, solves on its free set, drops negative
-        entries and frees nodes whose gradient is negative, until the KKT
-        conditions hold; an empty free set skips the factor, so its
-        gradient is -b.  The columns pivot together: each round groups them
-        by free set, factors each set once, and takes every gradient in one
-        product with K.  A column that cycles or runs out of rounds gets
-        Lawson-Hanson NNLS on the Cholesky factor, which solves the same QP."""
+        starts from the positive entries of its column of ``start`` (a
+        trial solution or a boolean free set), solves on its free set,
+        drops negative entries and frees nodes whose gradient is negative,
+        until the KKT conditions hold.  The columns pivot together: each
+        round groups them by free set and reads each set's rows K[idx]
+        once, which give both the factor K[idx, idx] and the gradient
+        K[:, idx] theta[idx] - b (K is symmetric); an empty free set skips
+        both, so its gradient is -b.  A column that cycles or runs out of
+        rounds gets Lawson-Hanson NNLS on the Cholesky factor, which solves
+        the same QP."""
         m, k = B.shape
         scale = np.abs(B).max(axis=0) + 1e-300
-        masks = (free > 0.0).T.copy()          # row j: free set of column j
+        masks = (start > 0.0).T.copy()         # row j: free set of column j
         seen = [set() for _ in range(k)]
         theta = np.zeros((m, k))
-        active = np.arange(k)
+        active = list(range(k))
         stuck = []
         for _ in range(PIVOT_ROUNDS):
-            if not active.size:
+            if not active:
                 break
             groups: dict = {}
             for j in active:
                 groups.setdefault(masks[j].tobytes(), []).append(j)
-            active = np.concatenate(list(groups.values()))
-            free_now = masks[active].T
-            trial = np.zeros((m, active.size))
-            dropped = np.zeros((m, active.size), dtype=bool)
-            at = 0
+            active = []
             for cols in groups.values():
-                idx = np.flatnonzero(masks[cols[0]])
-                block = slice(at, at + len(cols))
-                at += len(cols)
-                if not idx.size:
-                    continue        # an empty free set keeps trial 0
-                fac = cho_factor(self._kee[idx][:, idx], lower=True,
-                                 overwrite_a=True, check_finite=False)
-                sol = cho_solve(fac, B[np.ix_(idx, cols)], check_finite=False)
-                trial[idx, block] = np.maximum(sol, 0.0)
-                dropped[idx, block] = sol < 0.0
-            grad = self._kee @ trial - B[:, active]
-            viol = ~free_now & (grad < -1e-10 * scale[active])
-            done = ~(dropped.any(axis=0) | viol.any(axis=0))
-            theta[:, active[done]] = trial[:, done]
-            new = ((free_now & ~dropped) | viol).T
-            going = []
-            for i in np.flatnonzero(~done):
-                j, key = active[i], new[i].tobytes()
-                if key in seen[j]:
-                    stuck.append(j)
-                else:
-                    seen[j].add(key)
-                    masks[j] = new[i]
-                    going.append(j)
-            active = np.array(going, dtype=int)
+                free = masks[cols[0]]
+                idx = np.flatnonzero(free)
+                b = B[:, cols]
+                trial = np.zeros_like(b)
+                dropped = np.zeros(b.shape, dtype=bool)
+                grad = -b
+                if idx.size:
+                    rows = self._kee[idx]
+                    fac = cho_factor(rows[:, idx], lower=True,
+                                     overwrite_a=True, check_finite=False)
+                    sol = cho_solve(fac, b[idx], check_finite=False)
+                    pos = np.maximum(sol, 0.0)
+                    trial[idx] = pos
+                    dropped[idx] = sol < 0.0
+                    grad = rows.T @ pos - b
+                viol = ~free[:, None] & (grad < -1e-10 * scale[cols])
+                done = ~(dropped.any(axis=0) | viol.any(axis=0))
+                new = (free[:, None] & ~dropped) | viol
+                for i, j in enumerate(cols):
+                    if done[i]:
+                        theta[:, j] = trial[:, i]
+                        continue
+                    key = new[:, i].tobytes()
+                    if key in seen[j]:
+                        stuck.append(j)
+                    else:
+                        seen[j].add(key)
+                        masks[j] = new[:, i]
+                        active.append(j)
         stuck.extend(active)
         if stuck:
             lower = np.tril(self._chol[0])

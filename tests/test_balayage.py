@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import nnls
 
 from condenser import balayage as balayagemod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.errors import UnsupportedKernel
+from condenser.gauss_solver import lift_green_to_riesz, solve_green_reduced
 from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              _concat_nodesets, ball_complement_nodes,
@@ -265,7 +266,7 @@ class TestClippedSweeps:
 
 
 @pytest.fixture(scope="module")
-def toy_sweep():
+def toy_nodes():
     """The toy ball-in-ball's exterior and sources that mix clipped and
     unclipped columns: the 33 positive nodes, whose columns all clip with
     many distinct free sets, and three exterior nodes, exact fixed points
@@ -275,7 +276,36 @@ def toy_sweep():
                           truncation=3.0).spec.condenser.plates
     ext = plates[-1].nodes
     src = _concat_nodesets([plates[0].nodes, ext.subset([0, 300, 700])])
+    return ext, src
+
+
+@pytest.fixture
+def toy_sweep(toy_nodes):
+    """A fresh context on the toy exterior, so that no test starts from
+    the support another test's sweeps carried."""
+    ext, src = toy_nodes
     return GreenContext(ext, K2), src
+
+
+def clipped_of(ctx, B):
+    """Indices of the columns of B whose unconstrained sweep clips."""
+    unconstrained = cho_solve(ctx._chol, B)
+    return np.flatnonzero(unconstrained.min(axis=0) < -1e-12 * np.maximum(
+        unconstrained.max(axis=0), 1e-300))
+
+
+def assert_cone_solution(ctx, B, theta, ref, cols):
+    """Columns ``cols`` of theta match those of ``ref`` and satisfy the
+    cone KKT conditions, both within 1e-10."""
+    grad = ctx._kee @ theta[:, cols] - B[:, cols]
+    for i, k in enumerate(cols):
+        assert np.abs(theta[:, k] - ref[:, k]).max() <= \
+            1e-10 * np.abs(ref[:, k]).max()
+        scale = np.abs(B[:, k]).max()
+        zero = theta[:, k] == 0.0
+        assert theta[:, k].min() >= 0.0
+        assert grad[zero, i].min() >= -1e-10 * scale
+        assert np.abs(grad[~zero, i]).max() <= 1e-10 * scale
 
 
 class TestBatchedPivoting:
@@ -305,7 +335,7 @@ class TestBatchedPivoting:
 
     def test_round_limit_falls_back_to_nnls(self, toy_sweep, monkeypatch):
         ctx, src = toy_sweep
-        _, pivoted, clipped = ctx.sweep_columns(src)
+        B, pivoted, clipped = GreenContext(ctx.exterior, K2).sweep_columns(src)
         calls = []
 
         def counted_nnls(A, y):
@@ -316,9 +346,14 @@ class TestBatchedPivoting:
         monkeypatch.setattr(balayagemod, "nnls", counted_nnls)
         _, theta, again = ctx.sweep_columns(src)
         assert again == clipped
-        # no clipped column settles in its first round, so each one ends
-        # in the fallback
-        assert len(calls) == clipped
+        # the seed column does not settle in its one round, so it ends in
+        # the fallback; the others start from its settled set, and one
+        # round settles exactly those whose own set it is.  On the toy no
+        # other column settles on the seed's set, so every column falls back
+        cols = clipped_of(ctx, B)
+        sets = [(pivoted[:, k] > 0.0).tobytes() for k in cols]
+        assert len(calls) == 1 + sum(s != sets[0] for s in sets[1:])
+        assert len(calls) == clipped == 33
         assert np.abs(theta - pivoted).max() <= \
             1e-10 * np.abs(pivoted).max()
 
@@ -336,6 +371,63 @@ class TestBatchedPivoting:
             assert np.abs(theta[:, j] - ref).max() <= \
                 1e-10 * max(np.abs(ref).max(), 1.0)
         assert not theta[:, -1].any()
+
+
+class TestStartRule:
+    """A clipped column starts from the context's carried support, or from
+    the seed column's settled set; the start changes the work, not the
+    answer."""
+
+    def test_swept_context_gives_the_fresh_answer(self, toy_sweep):
+        ctx, src = toy_sweep
+        mu = DiscreteMeasure(src, np.linspace(0.5, 1.5, len(src)))
+        points = src.positions[:7] * 0.9
+        fresh = GreenContext(ctx.exterior, K2)
+        _, theta, _ = fresh.sweep_columns(src)
+        pot = GreenContext(ctx.exterior, K2).green_potential(mu, points)
+        ctx.sweep_columns(src.subset([3, 4, 5]))
+        assert ctx._support is not None
+        _, again, _ = ctx.sweep_columns(src)
+        # bit-identical: both starts settle on the same free sets
+        assert np.array_equal(again, theta)
+        assert np.array_equal(ctx.green_potential(mu, points), pot)
+
+    @pytest.mark.parametrize("carried", ["all", "one"])
+    def test_wrong_carried_support_still_solves(self, toy_sweep, carried):
+        # the reference sweep's columns are the NNLS solutions within 1e-10
+        # (test_round_limit_falls_back_to_nnls)
+        ctx, src = toy_sweep
+        _, ref, _ = GreenContext(ctx.exterior, K2).sweep_columns(src)
+        support = np.full(len(ctx.exterior), carried == "all")
+        support[0] = True
+        ctx._support = support
+        B, theta, clipped = ctx.sweep_columns(src)
+        cols = clipped_of(ctx, B)
+        assert clipped == cols.size > 0
+        assert_cone_solution(ctx, B, theta, ref, cols)
+
+    @pytest.mark.parametrize("resolution, own_start, factors", [
+        (0.3, 4, 3), (0.2, 2, 1)])
+    def test_lift_after_green_matrix_factors_once(self, monkeypatch,
+                                                 resolution, own_start,
+                                                 factors):
+        # the lift's lone column starts from the support the green-matrix
+        # sweep carried.  On the coarse toy (resolution 0.3) the 33 columns
+        # settle on 32 distinct sets, so their union is a looser start than
+        # at resolution 0.2, where every column settles on one set;
+        # ``own_start`` is the count when the lift starts from its own
+        # unconstrained positive set
+        built = ball_in_ball(alpha=2.0, resolution=resolution, truncation=3.0)
+        gres = solve_green_reduced(built.spec, built.green)
+        calls = []
+
+        def counted_cho_factor(a, **kw):
+            calls.append(a.shape[0])
+            return cho_factor(a, **kw)
+
+        monkeypatch.setattr(balayagemod, "cho_factor", counted_cho_factor)
+        lift_green_to_riesz(gres, built.spec, built.green)
+        assert len(calls) == factors < own_start
 
 
 class TestMassConservation:
