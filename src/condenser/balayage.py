@@ -63,7 +63,7 @@ class GreenContext:
 
     Holds the exterior kernel matrix and its Cholesky factor, and exposes the
     Green kernel (Riesz kernel minus the swept point-mass potential) as
-    matrices, potentials and energies.
+    matrices and potentials.
     """
 
     def __init__(self, exterior: NodeSet, kernel: KernelSpec):
@@ -204,18 +204,6 @@ class GreenContext:
         swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
         return potential(mu, points, self.riesz) - \
             potential(swept, points, self.riesz)
-
-    def green_mutual_energy(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> float:
-        """g(mu, nu) = kappa(mu, nu) - sym[kappa(mu', nu)]; both measures
-        sweep in one call, mu alone when nu is mu."""
-        measures = (mu,) if nu is mu else (mu, nu)
-        pots = np.column_stack([self._cross_matrix(m.nodes) @ m.weights
-                                for m in measures])
-        thetas, _ = self._sweep(pots)
-        direct = mutual_energy(mu, nu, self.riesz)
-        c1 = float(thetas[:, 0] @ pots[:, -1])
-        c2 = float(thetas[:, -1] @ pots[:, 0])
-        return direct - 0.5 * (c1 + c2)
 
 
 def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:

@@ -1,6 +1,6 @@
-"""Command-line front end: subcommands, solve and verification pipelines,
-and report/CSV emission.  Scenarios come from ``scenarios.build_scenario``:
-a config file, or a built-in example's config for ``example``.
+"""Command-line front end: each subcommand loads its config (a file, or a
+built-in example's config for ``example``), merges the global flags, has
+``scenarios`` build its problem, runs it and prints the report and CSVs.
 
 Exit codes: 0 success, else the ``exit_code`` of the ``CondenserError``
 raised (2 parse, 3 infeasible, 4 non-converged, 5 other) or 5 for any other
@@ -21,15 +21,12 @@ import numpy as np
 import yaml
 
 from . import scenarios
-from .balayage import GreenContext, balayage_project
+from .balayage import balayage_project
 from .errors import CondenserError, NonConvergedError, ParseError
 from .gauss_solver import (ProblemSpec, SolveResult, lift_green_to_riesz,
                            solve_green_reduced, solve_riesz)
 from .kernel import equilibrium_measure
-from .model import PlateSpec, disk_nodes, plate_nodes, sphere_layer
-from .scenarios import (Scenario, build_scenario, kernel_from,
-                        optional_mapping, positive_size, read_value, require,
-                        tolerances_from)
+from .scenarios import Scenario, build_scenario
 from .tolerances import Tolerances
 from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
@@ -54,15 +51,17 @@ def load_config(path: str) -> dict:
 def _with_flags(cfg: dict, args) -> dict:
     """The config with the global flags merged in: --resolution and
     --truncation replace the top-level values, --tol-kkt and --max-iters
-    override the tolerance block; flags not given leave the config as is."""
+    override a tolerance block that is a mapping (the builders refuse any
+    other); flags not given leave the config as is."""
     cfg = {**cfg, **{key: val for key, val in (
         ("resolution", args.resolution), ("truncation", args.truncation))
         if val is not None}}
     tol = {key: val for key, val in (("kkt", args.tol_kkt),
                                      ("max_iters", args.max_iters))
            if val is not None}
-    if tol:
-        cfg["tolerances"] = {**optional_mapping(cfg, "tolerances"), **tol}
+    base = cfg.get("tolerances") or {}
+    if tol and isinstance(base, dict):
+        cfg["tolerances"] = {**base, **tol}
     return cfg
 
 
@@ -243,46 +242,23 @@ def cmd_solve_green(args) -> dict:
 
 
 def cmd_balayage(args) -> dict:
-    mu, exterior, kernel, truncation = scenarios.build_balayage(
+    mu, green, truncation = scenarios.build_balayage(
         _with_flags(load_config(args.config), args))
-    res = balayage_project(mu, GreenContext(exterior, kernel))
+    res = balayage_project(mu, green)
     rep = ReportBuilder("balayage")
     rep.section("balayage")
     for name in ("mass_ratio", "potential_residual", "projection_gap",
                  "orthogonality", "clipped_nodes"):
         rep.add(f"balayage.{name}", getattr(res, name))
     rep.add("balayage.truncation", truncation)
-    rep.add("balayage.exterior_nodes", len(exterior))
+    rep.add("balayage.exterior_nodes", len(green.exterior))
     return {"report.txt": rep.text(),
             "atoms.csv": _atoms_csv([res.swept], [None])}
 
 
 def cmd_capacity(args) -> dict:
-    cfg = _with_flags(load_config(args.config), args)
-    kernel = kernel_from(cfg)
-    tol = tolerances_from(cfg)
-    resolution = positive_size(cfg, "resolution", 0.1)
-    gc = require(cfg, "conductor", dict)
-    tag = require(gc, "geometry", str)
-    if tag not in ("sphere", "ball", "disk"):
-        raise ParseError(f"unsupported conductor geometry {tag!r}")
-    bad = set(gc) - {"geometry", "center", "radius", "axis", "total"}
-    if bad:
-        raise ParseError(f"conductor takes no keys {sorted(bad)}")
-    try:
-        # a sphere conductor is the boundary of the ball it describes
-        spec = PlateSpec("disk" if tag == "disk" else "ball", +1,
-                         center=read_value(tuple, gc.get("center", (0.0,) * 3),
-                                           "center"),
-                         radius=positive_size(gc, "radius", 1.0),
-                         axis=read_value(int, gc.get("axis", 0), "axis"))
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"conductor: {exc}") from None
-    if tag == "sphere":
-        nodes = sphere_layer(spec.center, spec.radius, resolution)
-    else:
-        nodes = plate_nodes(spec, resolution)
-    total = positive_size(gc, "total", 1.0)
+    tag, nodes, kernel, total, tol = scenarios.build_capacity(
+        _with_flags(load_config(args.config), args))
     lam, cap = equilibrium_measure(nodes, kernel, total, tolerances=tol)
     rep = ReportBuilder("capacity")
     rep.section("capacity")
@@ -317,24 +293,10 @@ def _pipeline(sc: Scenario) -> dict:
 
 
 def cmd_sweep(args) -> dict:
-    cfg = _with_flags(load_config(args.config), args)
-    tol = tolerances_from(cfg)
-    mode = cfg.get("mode", "uncapped")
-    if mode not in ("uncapped", "capped"):
-        raise ParseError(f"sweep mode {mode!r} is not uncapped or capped")
-    stages = cfg.get("stages", [1, 2, 3, 4, 5, 6])
-    if not (isinstance(stages, list) and stages and all(
-            type(s) is int and s >= 1 for s in stages)):
-        raise ParseError("sweep stages must be a non-empty list of ints >= 1")
-    ctx = scenarios.sweep_plane_context(
-        flat_radius=positive_size(cfg, "flat_radius", 8.0),
-        cell=positive_size(cfg, "cell", 0.33),
-        truncation=positive_size(cfg, "truncation", 30.0))
-    zeta = None
-    if mode == "capped":
-        zn = disk_nodes((1.0, 0.0, 0.0), 0.5, 80, axis=0)
-        zeta, _ = equilibrium_measure(zn, ctx.riesz, 0.5, tolerances=tol)
-    rows = unsolvability_sweep(mode, stages, ctx, zeta=zeta, tolerances=tol)
+    mode, disks, green, zeta, tol = scenarios.build_sweep(
+        _with_flags(load_config(args.config), args))
+    rows = unsolvability_sweep(disks, green, zeta=zeta, tolerances=tol)
+    stages = [row["stage"] for row in rows]
     key = "energy" if mode == "uncapped" else "bound"
     vals = [row[key] for row in rows]
     rep = ReportBuilder("sweep")

@@ -46,8 +46,8 @@ class ProblemSpec:
         object.__setattr__(self, "totals", tuple(float(a) for a in self.totals))
         if len(self.totals) != len(plates):
             raise AlignmentError("one total per plate required")
-        if any(a <= 0 for a in self.totals):
-            raise ValueError("prescribed masses must be > 0")
+        if not all(0.0 < a < np.inf for a in self.totals):
+            raise ValueError("prescribed masses must be finite and > 0")
         signs = [p.sign for p in plates]
         if signs[-1] != -1 or any(s != +1 for s in signs[:-1]):
             raise ValueError("plate order must be positives first, the single "

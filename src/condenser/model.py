@@ -399,6 +399,13 @@ def disk_nodes(center, radius, count, axis=0, *, layer=0):
     return surface_cells(pts + center, math.pi * radius ** 2 / count, layer)
 
 
+def disk_layer(center, radius, cell, **layout):
+    """``disk_nodes`` with max(12, round(pi r^2 / cell^2)) cells; ``layout``
+    takes its ``axis`` and ``layer``."""
+    count = max(12, int(round(math.pi * radius ** 2 / cell ** 2)))
+    return disk_nodes(center, radius, count, **layout)
+
+
 def _geometric_edges(start: float, stop: float, growth: float) -> np.ndarray:
     """Geometric partition of [start, stop]; a trailing fragment shorter than
     half a full step is merged into the previous interval instead of forming
@@ -521,7 +528,7 @@ class PlateSpec:
     ``stack_count`` > 0 on a disk plate builds the stacked family: disk k of
     radius k x radius at axis offset 1/k from the disk center, k = 1..count,
     one layer per disk.  ``count`` fixes the nodes per disk (every disk of a
-    stack), replacing the count derived from the resolution.
+    stack), replacing the count ``disk_layer`` derives from the resolution.
     """
 
     tag: str
@@ -597,20 +604,17 @@ def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
     if spec.tag == "half_space":
         return half_space_nodes(spec.center, spec.side, spec.truncation,
                                 resolution, axis=spec.axis, backing=spec.backing)
-    if spec.stack_count > 0:
-        parts = []
-        for k in range(1, spec.stack_count + 1):
-            ctr = np.asarray(spec.center, dtype=float)
-            ctr[spec.axis] += 1.0 / k
-            rk = k * spec.radius
-            count = spec.count or \
-                max(12, int(round(math.pi * rk ** 2 / resolution ** 2)))
-            parts.append(disk_nodes(ctr, rk, count, axis=spec.axis,
-                                    layer=k - 1))
-        return trim_cell_radii(_concat_nodesets(parts))
-    count = spec.count or max(1, int(round(
-        math.pi * spec.radius ** 2 / resolution ** 2)))
-    return disk_nodes(spec.center, spec.radius, count, axis=spec.axis)
+    disks = [] if spec.stack_count else [(spec.center, spec.radius)]
+    for k in range(1, spec.stack_count + 1):
+        ctr = np.asarray(spec.center, dtype=float)
+        ctr[spec.axis] += 1.0 / k
+        disks.append((ctr, k * spec.radius))
+    parts = [disk_nodes(ctr, r, spec.count, axis=spec.axis, layer=j)
+             if spec.count else
+             disk_layer(ctr, r, resolution, axis=spec.axis, layer=j)
+             for j, (ctr, r) in enumerate(disks)]
+    return trim_cell_radii(_concat_nodesets(parts)) if spec.stack_count \
+        else parts[0]
 
 
 def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Condenser:

@@ -1,10 +1,11 @@
-"""Scenarios: ``build_scenario`` turns a config mapping (the schema of
-``scenarios/annotated_example.yaml``) into a validated problem, and the
-built-in examples are config mappings for it."""
+"""Scenarios: the ``build_*`` functions turn each subcommand's config mapping
+(for problems, the schema of ``scenarios/annotated_example.yaml``) into its
+inputs, every number read by one rule; the built-in examples are configs."""
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,8 +16,8 @@ from .gauss_solver import ProblemSpec, check_sigma_domination
 from .kernel import KernelSpec, equilibrium_measure
 from .model import (PLATE_KEYS, RING_GROWTH, Condenser, DiscreteMeasure,
                     NodeSet, PlateSpec, _concat_nodesets, build_condenser,
-                    disk_nodes, graded_plane_nodes, surface_cells,
-                    trim_cell_radii)
+                    disk_layer, disk_nodes, graded_plane_nodes, plate_nodes,
+                    sphere_layer, surface_cells, trim_cell_radii)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -30,7 +31,7 @@ class Scenario:
     meta: dict
 
 
-def require(cfg: dict, key: str, kind=None):
+def _require(cfg: dict, key: str, kind=None):
     if key not in cfg:
         raise ParseError(f"missing config key {key!r}")
     val = cfg[key]
@@ -40,62 +41,63 @@ def require(cfg: dict, key: str, kind=None):
     return val
 
 
-def optional_mapping(cfg: dict, key: str) -> dict:
+def _optional_mapping(cfg: dict, key: str) -> dict:
     val = cfg.get(key) or {}
     if not isinstance(val, dict):
         raise ParseError(f"config key {key!r} must be a mapping")
     return val
 
 
-def read_value(kind, raw, key: str):
+def _read_value(kind, raw, key: str):
     """A config value as ``kind``: int from an int only (never truncated),
-    float from a number but not a boolean, tuple of such floats."""
+    float from a number but neither a boolean nor a string, tuple of such
+    floats from a list.  Raises ParseError for any other value."""
     if kind is tuple:
-        return tuple(read_value(float, x, f"{key} coordinate") for x in raw)
-    if isinstance(raw, bool) or (kind is int and type(raw) is not int):
+        if not isinstance(raw, (list, tuple)):
+            raise ParseError(f"{key} must be a list of numbers, got {raw!r}")
+        return tuple(_read_value(float, x, f"{key} entry") for x in raw)
+    if isinstance(raw, bool) or not (type(raw) is int if kind is int
+                                     else isinstance(raw, numbers.Real)):
         what = "an int" if kind is int else "a number"
-        raise ValueError(f"{key} must be {what}, got {raw!r}")
+        raise ParseError(f"{key} must be {what}, got {raw!r}")
     return kind(raw)
 
 
-def positive_size(cfg: dict, key: str, default: float) -> float:
+def _positive_size(cfg: dict, key: str, default: float) -> float:
     """The config's ``key`` as a float, ``default`` when absent; it must be
-    a finite number greater than zero, and not a boolean."""
+    a finite number greater than zero."""
     raw = cfg.get(key, default)
-    try:
-        val = read_value(float, raw, key)
-    except (ValueError, TypeError):
-        val = math.nan
+    val = _read_value(float, raw, key)
     if not (math.isfinite(val) and val > 0.0):
         raise ParseError(f"config key {key!r} must be a finite number > 0, "
                          f"got {raw!r}")
     return val
 
 
-def tolerances_from(cfg: dict) -> Tolerances:
+def _tolerances_from(cfg: dict) -> Tolerances:
     """The default tolerance block with the config's overrides: ``kkt`` and
     ``potential`` finite numbers > 0, ``max_iters`` an int >= 1."""
-    overrides = optional_mapping(cfg, "tolerances")
+    overrides = _optional_mapping(cfg, "tolerances")
     bad = set(overrides) - set(Tolerances.__dataclass_fields__)
     if bad:
         raise ParseError(f"unknown tolerance keys {sorted(bad)}")
-    iters = overrides.get("max_iters", DEFAULT_TOLERANCES.max_iters)
-    if type(iters) is not int or iters < 1:
-        raise ParseError(f"tolerance max_iters must be an int >= 1, "
-                         f"got {iters!r}")
+    iters = _read_value(int, overrides.get(
+        "max_iters", DEFAULT_TOLERANCES.max_iters), "max_iters")
+    if iters < 1:
+        raise ParseError(f"tolerance max_iters must be >= 1, got {iters}")
     return Tolerances(
-        kkt=positive_size(overrides, "kkt", DEFAULT_TOLERANCES.kkt),
-        potential=positive_size(overrides, "potential",
-                                DEFAULT_TOLERANCES.potential),
+        kkt=_positive_size(overrides, "kkt", DEFAULT_TOLERANCES.kkt),
+        potential=_positive_size(overrides, "potential",
+                                 DEFAULT_TOLERANCES.potential),
         max_iters=iters)
 
 
-def kernel_from(cfg: dict) -> KernelSpec:
-    kc = require(cfg, "kernel", dict)
+def _kernel_from(cfg: dict) -> KernelSpec:
+    kc = _require(cfg, "kernel", dict)
     try:
-        kernel = KernelSpec(read_value(int, kc.get("n", 3), "n"),
-                            read_value(float, require(kc, "alpha"), "alpha"))
-    except (ValueError, TypeError) as exc:
+        kernel = KernelSpec(_read_value(int, kc.get("n", 3), "n"),
+                            _read_value(float, _require(kc, "alpha"), "alpha"))
+    except (ValueError, ParseError) as exc:
         raise ParseError(f"invalid kernel spec: {exc}") from None
     if kernel.n != 3:
         raise ParseError(f"kernel n must be 3, the dimension every config "
@@ -103,7 +105,7 @@ def kernel_from(cfg: dict) -> KernelSpec:
     return kernel
 
 
-# the kind each plate key's config value is read as, by ``read_value``
+# the kind each plate key's config value is read as, by ``_read_value``
 _PLATE_KEY_TYPES = {"center": tuple, "radius": float, "axis": int, "side": int,
                     "truncation": float, "stack_count": int, "count": int}
 
@@ -113,10 +115,10 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
     reads.  Half-spaces are backed exactly when alpha < 2: Newtonian sweeps
     are carried by the boundary."""
     specs = []
-    for i, pc in enumerate(require(cfg, "plates", list)):
+    for i, pc in enumerate(_require(cfg, "plates", list)):
         if not isinstance(pc, dict):
             raise ParseError(f"plate {i} must be a mapping")
-        tag = require(pc, "geometry", str)
+        tag = _require(pc, "geometry", str)
         if tag not in PLATE_KEYS:
             raise ParseError(f"plate {i}: unknown geometry tag {tag!r}")
         keys = PLATE_KEYS[tag]
@@ -125,37 +127,35 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
             raise ParseError(f"plate {i}: {tag} plates take no keys "
                              f"{sorted(bad)}")
         try:
-            kw = {key: read_value(_PLATE_KEY_TYPES[key], pc[key], key)
+            kw = {key: _read_value(_PLATE_KEY_TYPES[key], pc[key], key)
                   for key in keys if key in pc}
             if "truncation" in keys:
                 kw.setdefault("truncation", truncation)
-            sign = read_value(int, require(pc, "sign"), "sign")
+            sign = _read_value(int, _require(pc, "sign"), "sign")
             specs.append(PlateSpec(tag=tag, sign=sign, backing=alpha < 2.0,
                                    **kw))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, ParseError) as exc:
             raise ParseError(f"plate {i}: {exc}") from None
     return specs
 
 
 def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                      tol: Tolerances) -> tuple:
-    entries = require(cfg, "constraint", list)
+    entries = _require(cfg, "constraint", list)
     if len(entries) != len(condenser.plates):
         raise ParseError("one constraint entry per plate required")
     caps = []
     for i, (ent, plate) in enumerate(zip(entries, condenser.plates)):
         if not isinstance(ent, dict):
             raise ParseError(f"constraint {i} must be a mapping")
-        mode = require(ent, "mode", str)
+        mode = _require(ent, "mode", str)
         if mode == "unbounded":
             caps.append(None)
         elif mode == "explicit":
-            caps.append(require(ent, "weights", list))
+            caps.append(_read_value(tuple, _require(ent, "weights"),
+                                    f"constraint {i} weights"))
         elif mode == "scaled_capacitary":
-            try:
-                q = float(require(ent, "q"))
-            except (ValueError, TypeError):
-                raise ParseError(f"constraint {i}: non-numeric q") from None
+            q = _read_value(float, _require(ent, "q"), f"constraint {i} q")
             lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
                                          tolerances=tol)
             caps.append(q * lam.weights)
@@ -184,20 +184,19 @@ def _field_from(cfg: dict, condenser: Condenser):
     """Field values of a config, one array per plate, or None for no field.
     ``node_values`` entries are numbers or "inf" (a frozen node), and the
     negative plate's are zero; ``ProblemSpec`` checks the rest."""
-    fc = optional_mapping(cfg, "field")
+    fc = _optional_mapping(cfg, "field")
     case = fc.get("case", "zero")
     if case == "zero":
         return None
     if case != "node_values":
         raise ParseError(f"unsupported field case {case!r} in configs")
-    vals = require(fc, "values", list)
-    if len(vals) != len(condenser.plates):
-        raise ParseError("one field value array per plate required")
-    try:
-        arrays = tuple(np.asarray([math.inf if x == "inf" else float(x)
-                                   for x in v], dtype=float) for v in vals)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"field values: {exc}") from None
+    vals = _require(fc, "values", list)
+    if len(vals) != len(condenser.plates) or not all(
+            isinstance(v, list) for v in vals):
+        raise ParseError("field values must be one list per plate")
+    arrays = tuple(np.array([math.inf if x == "inf" else
+                             _read_value(float, x, "field value") for x in v])
+                   for v in vals)
     if np.any(arrays[-1] != 0.0):
         raise ParseError("field values must vanish on the negative plate")
     return arrays
@@ -206,10 +205,10 @@ def _field_from(cfg: dict, condenser: Condenser):
 def _condenser_from(cfg: dict):
     """Kernel, tolerances, condenser and top-level sizes of a config: the
     part that problem and balayage configs share."""
-    tol = tolerances_from(cfg)
-    kernel = kernel_from(cfg)
-    sizes = {"resolution": positive_size(cfg, "resolution", 0.2),
-             "truncation": positive_size(cfg, "truncation", 16.0)}
+    tol = _tolerances_from(cfg)
+    kernel = _kernel_from(cfg)
+    sizes = {"resolution": _positive_size(cfg, "resolution", 0.2),
+             "truncation": _positive_size(cfg, "truncation", 16.0)}
     specs = _plate_specs_from(cfg, sizes["truncation"], kernel.alpha)
     try:
         condenser = build_condenser(specs, sizes["resolution"])
@@ -222,7 +221,7 @@ def build_scenario(cfg: dict) -> Scenario:
     """Validated Scenario from a parsed config mapping.  A capped negative
     plate must pass ``check_sigma_domination``."""
     kernel, tol, condenser, sizes = _condenser_from(cfg)
-    totals = require(cfg, "totals", list)
+    totals = _read_value(tuple, _require(cfg, "totals"), "totals")
     constraint = _constraint_from(cfg, condenser, kernel, tol)
     field = _field_from(cfg, condenser)
     try:
@@ -237,58 +236,110 @@ def build_scenario(cfg: dict) -> Scenario:
 
 
 def build_balayage(cfg: dict):
-    """Source measure, exterior nodes, kernel and truncation radius of a
-    balayage config: one negative plate and a ``source`` block."""
+    """Source measure, GreenContext of the exterior plate and truncation
+    radius of a balayage config: one negative plate and a ``source``."""
     kernel, _, condenser, sizes = _condenser_from(cfg)
     if len(condenser.plates) != 1 or condenser.plates[0].sign != -1:
         raise ParseError("balayage config needs exactly one negative plate")
-    src = require(cfg, "source", dict)
-    try:
-        pos = np.asarray(require(src, "positions", list), dtype=float)
-        wts = np.asarray(require(src, "weights", list), dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ParseError(f"source: {exc}") from None
-    if pos.ndim != 2 or pos.shape[0] != wts.shape[0]:
+    src = _require(cfg, "source", dict)
+    pos = [_read_value(tuple, x, "source position")
+           for x in _require(src, "positions", list)]
+    wts = np.array(_read_value(tuple, _require(src, "weights"),
+                               "source weights"))
+    if not pos or len(pos) != len(wts):
         raise ParseError("source positions/weights misaligned")
-    if pos.shape[1] != condenser.dim:
+    if any(len(x) != condenser.dim for x in pos):
         raise ParseError(f"source positions must have {condenser.dim} "
-                         f"coordinates, got {pos.shape[1]}")
+                         f"coordinates")
     if not (np.all(np.isfinite(wts)) and np.all(wts >= 0)):
         raise ParseError("source weights must be finite and >= 0")
-    radius = positive_size(src, "cell_radius", sizes["resolution"] / 4.0)
-    mu = DiscreteMeasure(NodeSet(pos, np.ones(len(wts)),
+    radius = _positive_size(src, "cell_radius", sizes["resolution"] / 4.0)
+    mu = DiscreteMeasure(NodeSet(np.array(pos), np.ones(len(wts)),
                                  np.full(len(wts), radius)), wts)
-    return mu, condenser.plates[0].nodes, kernel, sizes["truncation"]
+    return (mu, GreenContext(condenser.plates[0].nodes, kernel),
+            sizes["truncation"])
+
+
+def build_capacity(cfg: dict):
+    """Geometry tag, nodes, kernel, total mass and tolerances of a capacity
+    config: its ``conductor`` (a sphere, ball or disk) laid out at the
+    config's resolution."""
+    kernel = _kernel_from(cfg)
+    tol = _tolerances_from(cfg)
+    resolution = _positive_size(cfg, "resolution", 0.1)
+    gc = _require(cfg, "conductor", dict)
+    tag = _require(gc, "geometry", str)
+    if tag not in ("sphere", "ball", "disk"):
+        raise ParseError(f"unsupported conductor geometry {tag!r}")
+    bad = set(gc) - {"geometry", "center", "radius", "axis", "total"}
+    if bad:
+        raise ParseError(f"conductor takes no keys {sorted(bad)}")
+    try:
+        # a sphere conductor is the boundary of the ball it describes
+        spec = PlateSpec("disk" if tag == "disk" else "ball", +1,
+                         center=_read_value(tuple, gc.get("center", (0.0,) * 3),
+                                            "center"),
+                         radius=_positive_size(gc, "radius", 1.0),
+                         axis=_read_value(int, gc.get("axis", 0), "axis"))
+    except (ValueError, ParseError) as exc:
+        raise ParseError(f"conductor: {exc}") from None
+    nodes = sphere_layer(spec.center, spec.radius, resolution) \
+        if tag == "sphere" else plate_nodes(spec, resolution)
+    return tag, nodes, kernel, _positive_size(gc, "total", 1.0), tol
+
+
+def build_sweep(cfg: dict):
+    """Mode, stages, plane context, field measure zeta and tolerances of a
+    sweep config.  Stage l is (l, a disk of radius l at height 1 above the
+    plane, 220 nodes); zeta, in capped mode only, is the equilibrium measure
+    of mass 0.5 on a disk of radius 0.5 at that height, 80 nodes."""
+    tol = _tolerances_from(cfg)
+    mode = cfg.get("mode", "uncapped")
+    if mode not in ("uncapped", "capped"):
+        raise ParseError(f"sweep mode {mode!r} is not uncapped or capped")
+    stages = cfg.get("stages", [1, 2, 3, 4, 5, 6])
+    if not (isinstance(stages, list) and stages and all(
+            type(s) is int and s >= 1 for s in stages)):
+        raise ParseError("sweep stages must be a non-empty list of ints >= 1")
+    green = sweep_plane_context(
+        flat_radius=_positive_size(cfg, "flat_radius", 8.0),
+        cell=_positive_size(cfg, "cell", 0.33),
+        truncation=_positive_size(cfg, "truncation", 30.0))
+    center = (1.0, 0.0, 0.0)   # disks normal to x1, at height 1
+    zeta = None
+    if mode == "capped":
+        zeta, _ = equilibrium_measure(disk_nodes(center, 0.5, 80, axis=0),
+                                      green.riesz, 0.5, tolerances=tol)
+    disks = [(ell, disk_nodes(center, float(ell), 220, axis=0))
+             for ell in stages]
+    return mode, disks, green, zeta, tol
 
 
 # ---------------------------------------------------------------------------
 # built-in examples: config mappings for build_scenario
 # ---------------------------------------------------------------------------
 
-def _ball_config(name, alpha, inner, radius, resolution, q,
-                 truncation) -> dict:
+def _ball_config(name, alpha, inner, resolution, q, truncation) -> dict:
     """A ball of radius ``inner`` capped by q x its equilibrium measure,
-    against the complement of the concentric ball of radius ``radius``."""
+    against the complement of the concentric unit ball."""
     return {
         "name": name, "kernel": {"n": 3, "alpha": alpha},
         "resolution": resolution, "truncation": truncation,
         "plates": [{"geometry": "ball", "sign": 1, "radius": inner},
                    {"geometry": "ball_complement", "sign": -1,
-                    "radius": radius}],
+                    "radius": 1.0}],
         "totals": [1.0, 1.0],
         "constraint": [{"mode": "scaled_capacitary", "q": q},
                        {"mode": "unbounded"}],
     }
 
 
-def ex1_config(resolution: float = 0.18, radius: float = 1.0,
-               alpha: float = 1.5, q: float = 1.5,
+def ex1_config(resolution: float = 0.18, alpha: float = 1.5, q: float = 1.5,
                truncation: float = 16.0) -> dict:
-    """Example one: positive plate = solid ball D, negative plate = its
-    complement, cap = q x (discrete equilibrium measure of the ball),
+    """Example one: positive plate = the solid unit ball D, negative plate =
+    its complement, cap = q x (discrete equilibrium measure of the ball),
     alpha < 2."""
-    return _ball_config("ex1", alpha, radius, radius, resolution, q,
-                        truncation)
+    return _ball_config("ex1", alpha, 1.0, resolution, q, truncation)
 
 
 def ex2_config(disk_count: int = 4, nodes_per_disk: int = 240,
@@ -324,12 +375,13 @@ def example_two(**kwargs) -> Scenario:
     return build_scenario(ex2_config(**kwargs))
 
 
-def ball_in_ball(alpha: float = 2.0, inner: float = 0.62, radius: float = 1.0,
+def ball_in_ball(alpha: float = 2.0, inner: float = 0.62,
                  resolution: float = 0.16, q: float = 1.5,
                  truncation: float = 16.0) -> Scenario:
-    """A strictly interior ball against the complement of a larger ball;
-    the clean instance for support-structure checks (no touching plates)."""
-    return build_scenario(_ball_config("ball-in-ball", alpha, inner, radius,
+    """A ball of radius ``inner`` < 1 against the complement of the unit
+    ball; the clean instance for support-structure checks (no touching
+    plates)."""
+    return build_scenario(_ball_config("ball-in-ball", alpha, inner,
                                        resolution, q, truncation))
 
 
@@ -339,8 +391,7 @@ def sweep_plane_context(flat_radius: float, cell: float,
     out to ``flat_radius`` (sources sit at height ~1 above it), rings graded
     like a half-space plate's beyond."""
     kernel = KernelSpec(3, 2.0)
-    count = max(16, int(round(math.pi * flat_radius ** 2 / cell ** 2)))
-    core = disk_nodes((0.0, 0.0, 0.0), flat_radius, count, axis=0, layer=0)
+    core = disk_layer((0.0, 0.0, 0.0), flat_radius, cell, axis=0, layer=0)
     tail = graded_plane_nodes((0.0, 0.0, 0.0), cell, truncation, axis=0,
                               growth=RING_GROWTH, layer=1, start=flat_radius)
     exterior = trim_cell_radii(_concat_nodesets([core, tail]))

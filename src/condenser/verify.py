@@ -16,7 +16,7 @@ from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
 from .kernel import equilibrium_measure, mutual_energy, potential
-from .model import (DiscreteMeasure, VectorMeasure, disk_nodes, resultant,
+from .model import (DiscreteMeasure, VectorMeasure, resultant,
                     semimetric_distance)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
@@ -333,48 +333,43 @@ def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
     }
 
 
-def unsolvability_sweep(mode: str, stages: Sequence[int], green: GreenContext,
-                        *, nodes_per_stage: int = 220,
+def unsolvability_sweep(stages: Sequence[tuple], green: GreenContext, *,
                         zeta: Optional[DiscreteMeasure] = None,
                         tolerances: Tolerances = DEFAULT_TOLERANCES) -> list:
-    """Exhaustion sweeps behind the short-circuit results.
+    """Exhaustion sweeps behind the short-circuit results, one row per
+    (l, nodes) stage: nested disks above the grounded boundary of ``green``.
 
-    mode="uncapped": stage compacts are nested disks of radius l at a fixed
-    height above the grounded boundary; the minimized energy is the Green
+    Without ``zeta`` (uncapped): the minimized energy is the Green
     equilibrium energy 1/c_g, which decreases strictly toward zero as the
     disks exhaust an unbounded subset of the half-space.
 
-    mode="capped": stage cap pieces are unit equilibrium measures on the
-    same growing disks; the stage infimum is bounded by
+    With the field measure ``zeta`` (capped): stage cap pieces are unit
+    equilibrium measures xi_l on the disks; the stage infimum is bounded by
     ||xi_l||_g^2 + 2 ||zeta||_g ||xi_l||_g, which decreases toward zero.
     """
-    center = (1.0, 0.0, 0.0)  # stage disks: normal to x1, at height 1
     rows = []
-    if mode == "uncapped":
-        for ell in stages:
-            nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
+    if zeta is not None:
+        zpos = zeta.nodes.positions
+        zeta_g = math.sqrt(max(float(
+            zeta.weights @ green.green_potential(zeta, zpos)), 0.0))
+    for ell, nodes in stages:
+        if zeta is None:
             gk = green.green_matrix(nodes)[0]
             lam, _ = equilibrium_measure(nodes, green.riesz, 1.0,
                                          tolerances=tolerances, matrix=gk)
             energy = float(lam.weights @ gk @ lam.weights)
             rows.append({"stage": int(ell), "energy": energy,
                          "green_capacity": 1.0 / energy})
-    elif mode == "capped":
-        if zeta is None:
-            raise ValueError("capped sweep needs the field measure zeta")
-        zeta_g = math.sqrt(max(green.green_mutual_energy(zeta, zeta), 0.0))
-        for ell in stages:
-            nodes = disk_nodes(center, float(ell), nodes_per_stage, axis=0)
-            xi, _ = equilibrium_measure(nodes, green.riesz, 1.0,
-                                        tolerances=tolerances)
-            xi_g = math.sqrt(max(green.green_mutual_energy(xi, xi), 0.0))
-            cross = green.green_mutual_energy(zeta, xi)
-            stage_value = xi_g * xi_g + 2.0 * cross
-            bound = xi_g * xi_g + 2.0 * zeta_g * xi_g
-            rows.append({"stage": int(ell), "green_norm": xi_g,
-                         "stage_value": stage_value, "bound": bound})
-    else:
-        raise ValueError(f"unknown sweep mode {mode!r}")
+            continue
+        xi, _ = equilibrium_measure(nodes, green.riesz, 1.0,
+                                    tolerances=tolerances)
+        # one sweep of xi gives both g(xi, xi) and g(xi, zeta)
+        pot = green.green_potential(xi, np.vstack([nodes.positions, zpos]))
+        xi_g = math.sqrt(max(float(xi.weights @ pot[:len(nodes)]), 0.0))
+        cross = float(zeta.weights @ pot[len(nodes):])
+        rows.append({"stage": int(ell), "green_norm": xi_g,
+                     "stage_value": xi_g * xi_g + 2.0 * cross,
+                     "bound": xi_g * xi_g + 2.0 * zeta_g * xi_g})
     return rows
 
 

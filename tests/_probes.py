@@ -66,7 +66,7 @@ def green_energy_identity_check(mu: DiscreteMeasure, ctx: GreenContext) -> dict:
     """Evaluate ||mu||_g^2, ||mu - mu'||_alpha^2 and ||mu||_alpha^2 - ||mu'||_alpha^2
     independently and report their pairwise relative deviations."""
     res = balayage_project(mu, ctx)
-    green_sq = ctx.green_mutual_energy(mu, mu)
+    green_sq = float(mu.weights @ ctx.green_potential(mu, mu.nodes.positions))
     gap_sq = res.projection_gap ** 2
     e_mu = mutual_energy(mu, mu, ctx.riesz)
     e_sw = mutual_energy(res.swept, res.swept, ctx.riesz)

@@ -16,7 +16,7 @@ from condenser.kernel import _riesz_block, assemble_matrix, mutual_energy
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, graded_plane_nodes,
                              resultant, semimetric_distance)
-from condenser.scenarios import example_one, sweep_plane_context
+from condenser.scenarios import build_sweep, example_one
 from condenser.verify import (equivalence_check, kkt_report, loglog_slope,
                               scalar_zone_checks, support_report,
                               unsolvability_sweep)
@@ -235,9 +235,11 @@ def test_criterion_09_sigma_variant(ex1, ex1_riesz):
 
 def test_criterion_10_unsolvability_trend():
     start = time.perf_counter()
-    ctx = sweep_plane_context(flat_radius=8.0, cell=0.33, truncation=30.0)
+    # the default `condenser sweep` problem: plane core of radius 8 in cells
+    # of 0.33, tail to 30, stage disks of 220 nodes
     stages = [1, 2, 3, 4, 5, 6]
-    rows = unsolvability_sweep("uncapped", stages, ctx)
+    _, disks, ctx, _, tol = build_sweep({"stages": stages})
+    rows = unsolvability_sweep(disks, ctx, tolerances=tol)
     energies = [row["energy"] for row in rows]
     elapsed = time.perf_counter() - start
     decreasing = all(energies[i + 1] < energies[i]

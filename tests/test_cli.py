@@ -11,7 +11,8 @@ import condenser.cli
 import condenser.verify
 from condenser.cli import main
 from condenser.kernel import equilibrium_measure
-from condenser.model import ball_complement_nodes, sphere_layer
+from condenser.model import (ball_complement_nodes, ball_volume_nodes,
+                             sphere_layer)
 from condenser.gauss_solver import swept_positive_caps
 from condenser.scenarios import build_scenario
 
@@ -33,6 +34,7 @@ BALL_CONFIG = {
 
 # the ball config at toy sizes
 TOY_BALL = dict(BALL_CONFIG, resolution=0.5, truncation=3.0)
+TOY_BALL_NODES = len(ball_volume_nodes((0, 0, 0), 1.0, 0.5))
 
 BALAYAGE_CONFIG = {
     "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.25, "truncation": 8.0,
@@ -355,17 +357,46 @@ class TestErrorPaths:
         ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[])),
         ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[0, 1])),
         ("sweep", dict(SWEEP_SIZES, mode="foo", stages=[1, 2])),
+        # every config number is read by one rule: a boolean or a numeric
+        # string is refused, not read as 1 or parsed
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "scaled_capacitary", "q": True}, {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "scaled_capacitary", "q": "1.5"},
+            {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, totals=["1.0", "1.0"])),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "explicit", "weights": [True] * TOY_BALL_NODES},
+            {"mode": "unbounded"}])),
+        ("solve", bad_field(0, True)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, radius="0.5")),
+        ("balayage", dict(BALAYAGE_CONFIG, source={
+            "positions": [[0.0, 0.0, 0.0]], "weights": [True]})),
+        ("balayage", dict(BALAYAGE_CONFIG, source={
+            "positions": [["0.1", 0.0, 0.0]], "weights": [1.0]})),
     ], ids=["plate-sign", "constraint-q", "resolution-scale-key",
             "totals-per-plate",
             "explicit-cap-length", "source-weight", "source-dimension",
             "capacity-total", "sweep-no-stages", "sweep-stage-zero",
-            "sweep-mode"])
+            "sweep-mode", "q-bool", "q-numeric-string",
+            "totals-numeric-strings", "explicit-cap-bool", "field-value-bool",
+            "plate-radius-numeric-string", "source-weight-bool",
+            "source-position-numeric-string"])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command,
                                          cfg):
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o")
         assert main(["--out-dir", out, command, path]) == 2
         assert capsys.readouterr().err.startswith("ERROR Parse")
+        assert not os.path.exists(os.path.join(out, "report.txt"))
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_totals_exit_2(self, tmp_path, capsys, total):
+        path = write_config(tmp_path, dict(TOY_BALL, totals=[total, total]))
+        out = str(tmp_path / "o")
+        assert main(["--out-dir", out, "solve", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ERROR Parse") and "finite" in err
         assert not os.path.exists(os.path.join(out, "report.txt"))
 
     @pytest.mark.parametrize("command, cfg", [
@@ -421,6 +452,7 @@ class TestErrorPaths:
         ("--tol-kkt -1 solve", TOY_DISK_HALF_SPACE),
         ("--max-iters 0 solve", TOY_DISK_HALF_SPACE),
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"patience": 20})),
+        ("--tol-kkt 1e-6 solve", dict(TOY_DISK_HALF_SPACE, tolerances=[1, 2])),
         # node_values field entries
         ("solve", bad_field(0, "a")),
         ("solve", bad_field(1, 1.0, node=0)),
@@ -463,7 +495,8 @@ class TestErrorPaths:
             "complement-truncation-near-radius", "tol-kkt-string",
             "tol-potential-string", "tol-kkt-bool", "tol-max-iters-zero",
             "tol-max-iters-bool", "tol-kkt-negative", "tol-kkt-flag-negative",
-            "max-iters-flag-zero", "tol-removed-key", "field-non-numeric",
+            "max-iters-flag-zero", "tol-removed-key",
+            "tol-not-a-mapping-with-flag", "field-non-numeric",
             "field-nonzero-on-negative-plate", "field-minus-inf",
             "field-plate-not-a-list", "source-cell-radius-string",
             "source-cell-radius-negative", "source-position-non-numeric",

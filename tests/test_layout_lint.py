@@ -1,7 +1,9 @@
 """Layout lint: each cell rule is stated once.  A flat cell's radius comes
 from ``model.surface_cells``, a volume cell's from ``model._volume_layer``
-(or the cubic grid of ``model.ball_volume_nodes``), and every spiral-lattice
-sphere layer from ``model.sphere_layer``, which holds the cell count rule."""
+(or the cubic grid of ``model.ball_volume_nodes``), every spiral-lattice
+sphere layer from ``model.sphere_layer``, which holds the cell count rule,
+and every disk whose count follows from a cell size from
+``model.disk_layer``, which holds the disk count rule."""
 
 import ast
 
@@ -42,3 +44,18 @@ def test_volume_cell_radius_is_read_in_the_volume_layouts_only():
 def test_every_sphere_layer_counts_its_cells_in_sphere_layer():
     assert set(package_calls("sphere_surface_nodes")) == {
         ("model", "sphere_layer")}
+
+
+def test_every_derived_disk_count_is_disk_layers():
+    # disk plates and the sweep plane's core count their cells by
+    # disk_layer; every other disk_nodes call passes a fixed count, a
+    # literal or a plate's explicit ``count``
+    assert set(package_calls("disk_layer")) == {
+        ("model", "plate_nodes"), ("scenarios", "sweep_plane_context")}
+    calls = package_calls("disk_nodes")
+    assert ("model", "disk_layer") in calls
+    fixed = [call.args[2] for owner, cs in calls.items()
+             if owner != ("model", "disk_layer") for call in cs]
+    assert fixed and all(
+        isinstance(c, ast.Constant) or
+        (isinstance(c, ast.Attribute) and c.attr == "count") for c in fixed)

@@ -9,7 +9,8 @@ from condenser.kernel import assemble_matrix
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              _nearest_neighbor_distances, build_condenser,
-                             plate_nodes, resultant, semimetric_distance,
+                             disk_layer, plate_nodes, resultant,
+                             semimetric_distance,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
 
@@ -175,6 +176,28 @@ class TestBuildCondenser:
         assert np.array_equal(b.quad_weights, a.quad_weights)
         assert np.allclose(b.cell_radii, a.cell_radii, rtol=1e-12, atol=0.0)
         assert np.array_equal(moved.boundary_zone(b), origin.boundary_zone(a))
+
+
+class TestDiskCellCount:
+    @pytest.mark.parametrize("radius, cell", [(1.0, 0.15), (8.0, 0.33),
+                                              (0.2, 0.3)])
+    def test_disk_layer_count(self, radius, cell):
+        count = max(12, round(math.pi * radius ** 2 / cell ** 2))
+        layer = disk_layer((0.0, 0.0, 0.0), radius, cell, axis=2, layer=3)
+        assert len(layer) == count
+        assert np.all(layer.positions[:, 2] == 0.0)
+        assert np.all(layer.layer_index == 3)
+
+    def test_disk_plates_count_by_disk_layer(self):
+        # a single disk and each disk of a stack take at least 12 cells; an
+        # explicit count wins
+        small = PlateSpec(tag="disk", sign=+1, radius=0.2)
+        assert len(plate_nodes(small, 0.3)) == 12
+        assert len(plate_nodes(replace(small, count=3), 0.3)) == 3
+        stack = plate_nodes(replace(small, radius=0.4, stack_count=3), 0.3)
+        counts = [int(np.sum(stack.layer_index == k)) for k in range(3)]
+        assert counts == [max(12, round(math.pi * (0.4 * k) ** 2 / 0.09))
+                          for k in (1, 2, 3)]
 
 
 class TestNodeValidation:

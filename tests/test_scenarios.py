@@ -13,7 +13,7 @@ from condenser.errors import ParseError
 from condenser.kernel import KernelSpec, equilibrium_measure
 from condenser.model import PLATE_KEYS, PlateSpec, disk_nodes
 from condenser.scenarios import (_PLATE_KEY_TYPES, EXAMPLES, build_scenario,
-                                 example_two, ex2_config)
+                                 example_two, ex2_config, sweep_plane_context)
 
 # small sizes per built-in example: --resolution and --truncation
 TOY_FLAGS = {"ex1": ["--resolution", "0.5", "--truncation", "3"],
@@ -81,3 +81,11 @@ def test_plate_key_table_matches_plate_spec():
     settable = {f.name for f in fields(PlateSpec)} - {"tag", "sign", "backing"}
     assert read == settable
     assert set(_PLATE_KEY_TYPES) == settable
+
+
+def test_sweep_plane_core_counts_by_disk_layer():
+    # the uniform core follows the disk cell-count rule, at least 12 cells
+    ctx = sweep_plane_context(flat_radius=1.0, cell=0.5, truncation=4.0)
+    assert int(np.sum(ctx.exterior.layer_index == 0)) == 13
+    ctx = sweep_plane_context(flat_radius=0.5, cell=0.5, truncation=4.0)
+    assert int(np.sum(ctx.exterior.layer_index == 0)) == 12

@@ -12,7 +12,7 @@ from condenser.kernel import gauss_functional, potential
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             resultant, trim_across_plates)
+                             disk_nodes, resultant, trim_across_plates)
 from condenser.scenarios import (build_scenario, example_one,
                                  sweep_plane_context)
 from condenser.tolerances import Tolerances
@@ -279,17 +279,24 @@ class TestEquivalence:
         assert gaps[0] < gaps[1] < gaps[2]
 
 
+def stage_disks(stages, count):
+    """(l, disk of radius l at height 1 above the plane x1 = 0, ``count``
+    nodes) per stage l."""
+    return [(ell, disk_nodes((1.0, 0.0, 0.0), float(ell), count, axis=0))
+            for ell in stages]
+
+
 class TestSweeps:
     def test_single_stage(self):
         ctx = sweep_plane_context(flat_radius=4.0, cell=0.4, truncation=12.0)
-        rows = unsolvability_sweep("uncapped", [2], ctx, nodes_per_stage=120)
+        rows = unsolvability_sweep(stage_disks([2], 120), ctx)
         assert len(rows) == 1
+        assert rows[0]["stage"] == 2
         assert rows[0]["energy"] > 0
 
     def test_strictly_decreasing_three_stages(self):
         ctx = sweep_plane_context(flat_radius=5.0, cell=0.4, truncation=15.0)
-        rows = unsolvability_sweep("uncapped", [1, 2, 3], ctx,
-                                   nodes_per_stage=150)
+        rows = unsolvability_sweep(stage_disks([1, 2, 3], 150), ctx)
         E = [r["energy"] for r in rows]
         assert E[0] > E[1] > E[2] > 0
 
@@ -300,12 +307,11 @@ class TestSweeps:
         # sharpness construction: stage infima are bounded by
         # ||xi_l||_g^2 + 2 ||zeta||_g ||xi_l||_g, decreasing toward zero
         from condenser.kernel import equilibrium_measure
-        from condenser.model import disk_nodes
         ctx = sweep_plane_context(flat_radius=5.0, cell=0.4, truncation=15.0)
         zn = disk_nodes((1.0, 0, 0), 0.5, 60, axis=0)
         zeta, _ = equilibrium_measure(zn, K2, 0.5)
-        rows = unsolvability_sweep("capped", [1, 2, 3, 4], ctx,
-                                   nodes_per_stage=150, zeta=zeta)
+        rows = unsolvability_sweep(stage_disks([1, 2, 3, 4], 150), ctx,
+                                   zeta=zeta)
         bounds = [r["bound"] for r in rows]
         values = [r["stage_value"] for r in rows]
         assert all(bounds[i + 1] < bounds[i] for i in range(len(bounds) - 1))
