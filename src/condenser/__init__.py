@@ -7,9 +7,10 @@ from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
                      WrongScenarioError, ZeroSeparationError)
 from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
-                    resultant, semimetric_distance)
+                    resultant)
 from .kernel import (KernelMatrix, assemble_matrix, equilibrium_measure,
-                     gauss_functional, mutual_energy, potential)
+                     gauss_functional, mutual_energy, potential,
+                     semimetric_distance)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project)
 from ._pg import project_capped_simplex

@@ -52,7 +52,9 @@ def _with_flags(cfg: dict, args) -> dict:
     """The config with the global flags merged in: --resolution and
     --truncation replace the top-level values, --tol-kkt and --max-iters
     override a tolerance block that is a mapping (the builders refuse any
-    other); flags not given leave the config as is."""
+    other); flags not given leave the config as is.  A builder refuses a
+    flag's key that its config does not read, as it refuses the key itself
+    (``sweep`` reads no resolution, ``capacity`` no truncation)."""
     cfg = {**cfg, **{key: val for key, val in (
         ("resolution", args.resolution), ("truncation", args.truncation))
         if val is not None}}
@@ -75,7 +77,7 @@ def _fmt(v) -> str:
             return "inf" if v > 0 else "-inf"
         return repr(v)
     if isinstance(v, (list, tuple, np.ndarray)):
-        return "[" + ", ".join(_fmt(float(x)) for x in np.asarray(v).ravel()) + "]"
+        return "[" + ", ".join(map(_fmt, np.asarray(v).ravel().tolist())) + "]"
     return str(v)
 
 

@@ -1,7 +1,8 @@
 """Kernel evaluation, matrix assembly, energies/potentials, the Gauss
-functional, and equilibrium measures / capacity.  A vector measure is read
-through its resultant R mu = sum_i s_i mu^i, so ``potential`` and
-``mutual_energy`` take vector and scalar measures alike."""
+functional, the energy semimetric, and equilibrium measures / capacity.  A
+vector measure is read through its resultant R mu = sum_i s_i mu^i, so
+``potential`` and ``mutual_energy`` take vector and scalar measures alike;
+its own nodes are read once, by ``_node_potentials``."""
 
 from __future__ import annotations
 
@@ -13,7 +14,7 @@ import numpy as np
 from scipy.spatial.distance import cdist
 
 from ._pg import minimize_quadratic
-from .errors import DuplicateNodeError, NonConvergedError
+from .errors import AlignmentError, DuplicateNodeError, NonConvergedError
 from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
                     VectorMeasure, merge_by_position, resultant, row_blocks)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -71,8 +72,11 @@ def _atoms_of(mu) -> tuple:
     raise TypeError(f"unsupported measure type {type(mu).__name__}")
 
 
-def _kernel_sums(points: np.ndarray, mu, kernel: KernelSpec) -> np.ndarray:
-    """kappa(x, mu) at each row x of ``points``, read by row blocks."""
+def potential(mu, points, kernel: KernelSpec) -> np.ndarray:
+    """kappa(x, mu) at each query point, read by row blocks; a query
+    coinciding with an atom uses the self-energy rule for that atom's
+    contribution."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
     pos, w, rho = _atoms_of(mu)
     out = np.zeros(points.shape[0])
     if pos.shape[0]:
@@ -81,18 +85,34 @@ def _kernel_sums(points: np.ndarray, mu, kernel: KernelSpec) -> np.ndarray:
     return out
 
 
-def potential(mu, points, kernel: KernelSpec) -> np.ndarray:
-    """kappa(x, mu) at each query point; a query coinciding with an atom uses
-    the self-energy rule for that atom's contribution."""
-    return _kernel_sums(np.atleast_2d(np.asarray(points, dtype=float)), mu,
-                        kernel)
-
-
 def mutual_energy(mu, nu, kernel: KernelSpec) -> float:
     """Mutual energy kappa(mu, nu); coinciding atom pairs contribute through
     the self-energy rule."""
     pa, wa, _ = _atoms_of(mu)
-    return float(wa @ _kernel_sums(pa, nu, kernel))
+    return float(wa @ potential(nu, pa, kernel))
+
+
+def _node_potentials(mu: VectorMeasure, kernel: KernelSpec) -> list:
+    """kappa(., R mu) at the nodes of each component of ``mu``, read by
+    component, as read-only arrays: the one read behind the measure's
+    weighted potentials, energy, Gauss functional and distances.  It is kept
+    on the measure, one per kernel; a new measure (``dataclasses.replace``
+    makes one) is read afresh, and measures are never changed in place."""
+    memo = vars(mu).setdefault("_potentials", {})
+    if kernel not in memo:
+        r = resultant(mu)
+        memo[kernel] = [potential(r, c.nodes.positions, kernel)
+                        for c in mu.components]
+        for p in memo[kernel]:
+            p.flags.writeable = False
+    return memo[kernel]
+
+
+def _energy(mu: VectorMeasure, kernel: KernelSpec) -> float:
+    """kappa(R mu, R mu) = sum_i s_i <mu^i, kappa(., R mu)>, from the node
+    potentials."""
+    return sum(s * float(c.weights @ p) for s, c, p in
+               zip(mu.signs, mu.components, _node_potentials(mu, kernel)))
 
 
 def gauss_functional(mu: VectorMeasure, field: Sequence[np.ndarray],
@@ -110,8 +130,21 @@ def gauss_functional(mu: VectorMeasure, field: Sequence[np.ndarray],
             return math.inf
         finite = np.isfinite(f)
         linear += float(f[finite] @ comp.weights[finite])
-    r = resultant(mu)
-    return mutual_energy(r, r, kernel) + 2.0 * linear
+    return _energy(mu, kernel) + 2.0 * linear
+
+
+def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
+                        kernel: KernelSpec) -> float:
+    """Energy-norm distance ||R mu - R nu||_kappa of two measures on the same
+    nodes: the square root of sum_i s_i <mu^i - nu^i, p_mu^i - p_nu^i>, with
+    p the node potentials of each measure."""
+    if not mu.aligned_with(nu):
+        raise AlignmentError("measures live on different condensers")
+    pairs = zip(mu.signs, mu.components, nu.components,
+                _node_potentials(mu, kernel), _node_potentials(nu, kernel))
+    sq = sum(s * float((a.weights - b.weights) @ (pa - pb))
+             for s, a, b, pa, pb in pairs)
+    return math.sqrt(max(sq, 0.0))
 
 
 def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,

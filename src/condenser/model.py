@@ -288,42 +288,20 @@ class SignedMeasure:
 
 
 def resultant(mu: VectorMeasure) -> SignedMeasure:
-    """Signed scalar measure sum_i s_i mu^i; shared nodes of equally signed
-    plates are merged (exact position match), zero atoms dropped."""
+    """Signed scalar measure sum_i s_i mu^i of the nonzero atoms, merged by
+    exact position (shared nodes of equally signed plates); a merged atom of
+    zero total weight is dropped, and a merged atom keeps the cell radius of
+    its first nonzero atom."""
     comps = mu.components
-    return _merged_signed(
-        np.vstack([c.nodes.positions for c in comps]),
-        np.concatenate([s * c.weights for s, c in zip(mu.signs, comps)]),
-        np.concatenate([c.nodes.cell_radii for c in comps]))
-
-
-def _merged_signed(positions, weights, radii) -> SignedMeasure:
-    """Signed measure of the nonzero atoms merged by position, with merged
-    atoms of zero total weight dropped; a merged atom keeps the cell radius
-    of its first nonzero atom."""
+    weights = np.concatenate([s * c.weights for s, c in zip(mu.signs, comps)])
     nz = weights != 0.0
-    positions, weights, radii = positions[nz], weights[nz], radii[nz]
+    positions = np.vstack([c.nodes.positions for c in comps])[nz]
+    radii = np.concatenate([c.nodes.cell_radii for c in comps])[nz]
     first, inverse = merge_by_position(positions)
-    merged = np.bincount(inverse, weights, first.size)
+    merged = np.bincount(inverse, weights[nz], first.size)
     keep = merged != 0.0
     return SignedMeasure(positions[first][keep], merged[keep],
                          radii[first][keep])
-
-
-def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
-                        kernel: KernelSpec) -> float:
-    """Energy-norm distance ||R mu - R nu||_kappa, computed on the merged
-    atom set of the two resultants."""
-    from . import kernel as _kernel  # deferred: kernel imports this module
-
-    if not mu.aligned_with(nu):
-        raise AlignmentError("measures live on different condensers")
-    rmu = resultant(mu)
-    rnu = resultant(nu)
-    delta = _merged_signed(np.vstack([rmu.positions, rnu.positions]),
-                           np.concatenate([rmu.weights, -rnu.weights]),
-                           np.concatenate([rmu.cell_radii, rnu.cell_radii]))
-    return math.sqrt(max(_kernel.mutual_energy(delta, delta, kernel), 0.0))
 
 
 # ---------------------------------------------------------------------------

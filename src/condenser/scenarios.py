@@ -41,6 +41,14 @@ def _require(cfg: dict, key: str, kind=None):
     return val
 
 
+def _only_keys(cfg: dict, keys) -> None:
+    """Refuse the keys of ``cfg`` outside ``keys``, naming both."""
+    bad = set(cfg) - set(keys)
+    if bad:
+        raise ParseError(f"unknown keys {sorted(bad)}, not among "
+                         f"{sorted(keys)}")
+
+
 def _optional_mapping(cfg: dict, key: str) -> dict:
     val = cfg.get(key) or {}
     if not isinstance(val, dict):
@@ -78,9 +86,7 @@ def _tolerances_from(cfg: dict) -> Tolerances:
     """The default tolerance block with the config's overrides: ``kkt`` and
     ``potential`` finite numbers > 0, ``max_iters`` an int >= 1."""
     overrides = _optional_mapping(cfg, "tolerances")
-    bad = set(overrides) - set(Tolerances.__dataclass_fields__)
-    if bad:
-        raise ParseError(f"unknown tolerance keys {sorted(bad)}")
+    _only_keys(overrides, Tolerances.__dataclass_fields__)
     iters = _read_value(int, overrides.get(
         "max_iters", DEFAULT_TOLERANCES.max_iters), "max_iters")
     if iters < 1:
@@ -122,11 +128,8 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
         if tag not in PLATE_KEYS:
             raise ParseError(f"plate {i}: unknown geometry tag {tag!r}")
         keys = PLATE_KEYS[tag]
-        bad = set(pc) - set(keys) - {"geometry", "sign"}
-        if bad:
-            raise ParseError(f"plate {i}: {tag} plates take no keys "
-                             f"{sorted(bad)}")
         try:
+            _only_keys(pc, keys + ("geometry", "sign"))
             kw = {key: _read_value(_PLATE_KEY_TYPES[key], pc[key], key)
                   for key in keys if key in pc}
             if "truncation" in keys:
@@ -203,9 +206,8 @@ def _field_from(cfg: dict, condenser: Condenser):
 
 
 def _condenser_from(cfg: dict):
-    """Kernel, tolerances, condenser and top-level sizes of a config: the
-    part that problem and balayage configs share."""
-    tol = _tolerances_from(cfg)
+    """Kernel, condenser and top-level sizes of a config: the part that
+    problem and balayage configs share."""
     kernel = _kernel_from(cfg)
     sizes = {"resolution": _positive_size(cfg, "resolution", 0.2),
              "truncation": _positive_size(cfg, "truncation", 16.0)}
@@ -214,13 +216,16 @@ def _condenser_from(cfg: dict):
         condenser = build_condenser(specs, sizes["resolution"])
     except ValueError as exc:
         raise ParseError(str(exc)) from None
-    return kernel, tol, condenser, sizes
+    return kernel, condenser, sizes
 
 
 def build_scenario(cfg: dict) -> Scenario:
     """Validated Scenario from a parsed config mapping.  A capped negative
     plate must pass ``check_sigma_domination``."""
-    kernel, tol, condenser, sizes = _condenser_from(cfg)
+    _only_keys(cfg, ("name", "kernel", "resolution", "truncation", "plates",
+                     "totals", "constraint", "field", "tolerances"))
+    tol = _tolerances_from(cfg)
+    kernel, condenser, sizes = _condenser_from(cfg)
     totals = _read_value(tuple, _require(cfg, "totals"), "totals")
     constraint = _constraint_from(cfg, condenser, kernel, tol)
     field = _field_from(cfg, condenser)
@@ -238,7 +243,9 @@ def build_scenario(cfg: dict) -> Scenario:
 def build_balayage(cfg: dict):
     """Source measure, GreenContext of the exterior plate and truncation
     radius of a balayage config: one negative plate and a ``source``."""
-    kernel, _, condenser, sizes = _condenser_from(cfg)
+    _only_keys(cfg, ("kernel", "resolution", "truncation", "plates",
+                     "source"))
+    kernel, condenser, sizes = _condenser_from(cfg)
     if len(condenser.plates) != 1 or condenser.plates[0].sign != -1:
         raise ParseError("balayage config needs exactly one negative plate")
     src = _require(cfg, "source", dict)
@@ -264,6 +271,7 @@ def build_capacity(cfg: dict):
     """Geometry tag, nodes, kernel, total mass and tolerances of a capacity
     config: its ``conductor`` (a sphere, ball or disk) laid out at the
     config's resolution."""
+    _only_keys(cfg, ("kernel", "tolerances", "resolution", "conductor"))
     kernel = _kernel_from(cfg)
     tol = _tolerances_from(cfg)
     resolution = _positive_size(cfg, "resolution", 0.1)
@@ -271,10 +279,8 @@ def build_capacity(cfg: dict):
     tag = _require(gc, "geometry", str)
     if tag not in ("sphere", "ball", "disk"):
         raise ParseError(f"unsupported conductor geometry {tag!r}")
-    bad = set(gc) - {"geometry", "center", "radius", "axis", "total"}
-    if bad:
-        raise ParseError(f"conductor takes no keys {sorted(bad)}")
     try:
+        _only_keys(gc, ("geometry", "center", "radius", "axis", "total"))
         # a sphere conductor is the boundary of the ball it describes
         spec = PlateSpec("disk" if tag == "disk" else "ball", +1,
                          center=_read_value(tuple, gc.get("center", (0.0,) * 3),
@@ -293,6 +299,8 @@ def build_sweep(cfg: dict):
     sweep config.  Stage l is (l, a disk of radius l at height 1 above the
     plane, 220 nodes); zeta, in capped mode only, is the equilibrium measure
     of mass 0.5 on a disk of radius 0.5 at that height, 80 nodes."""
+    _only_keys(cfg, ("tolerances", "mode", "stages", "flat_radius", "cell",
+                     "truncation"))
     tol = _tolerances_from(cfg)
     mode = cfg.get("mode", "uncapped")
     if mode not in ("uncapped", "capped"):

@@ -15,9 +15,9 @@ from ._pg import node_classes, plate_constant_and_kkt
 from .balayage import GreenContext
 from .errors import WrongScenarioError
 from .gauss_solver import ProblemSpec, SolveResult
-from .kernel import equilibrium_measure, mutual_energy, potential
-from .model import (DiscreteMeasure, VectorMeasure, resultant,
-                    semimetric_distance)
+from .kernel import (_energy, _node_potentials, equilibrium_measure,
+                     potential, semimetric_distance)
+from .model import DiscreteMeasure, VectorMeasure, resultant
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 ZONE_PROBES = 300         # zone-check probes inside D and across space, each
@@ -32,13 +32,11 @@ ZERO_SAMPLE = 128
 
 def weighted_potentials(solution: VectorMeasure, spec: ProblemSpec) -> list:
     """W^{lambda,i} = s_i kappa(., R lambda) + f_i at every node of every
-    component, recomputed from the measure itself (independent of solver
-    internals).  W is +inf where the field is, which is never a KKT
-    violation: such nodes are frozen at zero weight."""
-    r = resultant(solution)
-    return [s * potential(r, c.nodes.positions, spec.kernel) + f
-            for s, c, f in zip(solution.signs, solution.components,
-                               spec.field)]
+    component, from the measure's own node potentials (independent of solver
+    internals, and read once per measure).  W is +inf where the field is,
+    which is never a KKT violation: such nodes are frozen at zero weight."""
+    return [s * p + f for s, p, f in zip(
+        solution.signs, _node_potentials(solution, spec.kernel), spec.field)]
 
 
 @dataclass
@@ -314,15 +312,15 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
 def equivalence_check(riesz_result: SolveResult, lifted_result: SolveResult,
                       spec: ProblemSpec, green_result: SolveResult) -> dict:
     """Energy agreement between the full Riesz solve and the (lifted) reduced
-    Green solve, plus the energy-norm distance between the two solutions."""
+    Green solve, plus the energy-norm distance between the two solutions,
+    from the node potentials each solution was already read for."""
     g_energy = green_result.energy
     gap = abs(riesz_result.energy - g_energy) / max(abs(g_energy), 1.0)
     lift_gap = abs(riesz_result.energy - lifted_result.energy) / \
         max(abs(lifted_result.energy), 1.0)
     dist = semimetric_distance(riesz_result.solution, lifted_result.solution,
                                spec.kernel)
-    r = resultant(riesz_result.solution)
-    scale = math.sqrt(max(mutual_energy(r, r, spec.kernel), 1e-300))
+    scale = math.sqrt(max(_energy(riesz_result.solution, spec.kernel), 1e-300))
     return {
         "energy_gap_rel": gap,
         "lift_energy_gap_rel": lift_gap,

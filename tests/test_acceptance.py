@@ -12,10 +12,11 @@ from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     solve_riesz, swept_positive_caps)
-from condenser.kernel import _riesz_block, assemble_matrix, mutual_energy
+from condenser.kernel import (_riesz_block, assemble_matrix, mutual_energy,
+                              semimetric_distance)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, graded_plane_nodes,
-                             resultant, semimetric_distance)
+                             resultant)
 from condenser.scenarios import build_sweep, example_one
 from condenser.verify import (equivalence_check, kkt_report, loglog_slope,
                               scalar_zone_checks, support_report,

@@ -374,6 +374,10 @@ class TestErrorPaths:
             "positions": [[0.0, 0.0, 0.0]], "weights": [True]})),
         ("balayage", dict(BALAYAGE_CONFIG, source={
             "positions": [["0.1", 0.0, 0.0]], "weights": [1.0]})),
+        # a top-level key the subcommand does not read
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stagse=[1])),
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resoluton": 0.3,
+                      "conductor": {"geometry": "sphere", "radius": 1.0}}),
     ], ids=["plate-sign", "constraint-q", "resolution-scale-key",
             "totals-per-plate",
             "explicit-cap-length", "source-weight", "source-dimension",
@@ -381,7 +385,8 @@ class TestErrorPaths:
             "sweep-mode", "q-bool", "q-numeric-string",
             "totals-numeric-strings", "explicit-cap-bool", "field-value-bool",
             "plate-radius-numeric-string", "source-weight-bool",
-            "source-position-numeric-string"])
+            "source-position-numeric-string", "sweep-misspelled-stages",
+            "capacity-misspelled-resolution"])
     def test_invalid_config_value_exit_2(self, tmp_path, capsys, command,
                                          cfg):
         path = write_config(tmp_path, cfg)
@@ -453,6 +458,11 @@ class TestErrorPaths:
         ("--max-iters 0 solve", TOY_DISK_HALF_SPACE),
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"patience": 20})),
         ("--tol-kkt 1e-6 solve", dict(TOY_DISK_HALF_SPACE, tolerances=[1, 2])),
+        # a size flag whose key the subcommand does not read
+        ("--resolution 0.3 sweep", dict(SWEEP_SIZES, stages=[1])),
+        ("--truncation 4 capacity", {
+            "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+            "conductor": {"geometry": "sphere", "radius": 1.0}}),
         # node_values field entries
         ("solve", bad_field(0, "a")),
         ("solve", bad_field(1, 1.0, node=0)),
@@ -496,7 +506,8 @@ class TestErrorPaths:
             "tol-potential-string", "tol-kkt-bool", "tol-max-iters-zero",
             "tol-max-iters-bool", "tol-kkt-negative", "tol-kkt-flag-negative",
             "max-iters-flag-zero", "tol-removed-key",
-            "tol-not-a-mapping-with-flag", "field-non-numeric",
+            "tol-not-a-mapping-with-flag", "resolution-flag-on-sweep",
+            "truncation-flag-on-capacity", "field-non-numeric",
             "field-nonzero-on-negative-plate", "field-minus-inf",
             "field-plate-not-a-list", "source-cell-radius-string",
             "source-cell-radius-negative", "source-position-non-numeric",
@@ -672,6 +683,7 @@ class TestSweep:
         out = str(tmp_path / "out")
         assert main(["--out-dir", out, "sweep", path]) == 0
         rep = read_report(out)
+        assert rep["sweep.stages"] == "[1, 2, 3]"
         assert rep["sweep.strictly_decreasing"] == "True"
         assert float(rep["sweep.loglog_slope"]) < 0
 

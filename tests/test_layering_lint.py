@@ -2,7 +2,9 @@
 ``cli`` only loads a config, merges the flags, runs and prints.  So ``cli``
 imports nothing from ``condenser.model`` and constructs no geometry or Green
 context, and ``scenarios`` exposes only its scenario type, its ``build_*``
-functions, the built-in examples and the sweep plane."""
+functions, the built-in examples and the sweep plane.  ``model`` sits below
+``kernel``: it imports nothing from ``condenser.kernel``, not even inside a
+function."""
 
 import ast
 
@@ -14,19 +16,19 @@ SCENARIO_NAMES = {"Scenario", "EXAMPLES", "ex1_config", "ex2_config",
                   "sweep_plane_context"}
 
 
-def model_imports(source: str) -> list:
-    """Line numbers of the imports of ``condenser.model`` or of names from
-    it, absolute or relative."""
+def module_imports(source: str, name: str) -> list:
+    """Line numbers of the imports of ``condenser.<name>`` or of names from
+    it, absolute or relative, at module level or inside a function."""
     found = []
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             found += [node.lineno for a in node.names
-                      if a.name == "condenser.model"]
+                      if a.name == f"condenser.{name}"]
         elif isinstance(node, ast.ImportFrom):
             module = node.module or ""
             names = {a.name for a in node.names}
-            if module in ("model", "condenser.model") or (
-                    module in ("", "condenser") and "model" in names):
+            if module in (name, f"condenser.{name}") or (
+                    module in ("", "condenser") and name in names):
                 found.append(node.lineno)
     return found
 
@@ -47,12 +49,18 @@ def public_names(source: str) -> set:
 def test_lint_sees_model_imports():
     src = ("from .model import NodeSet\nfrom . import model\n"
            "import condenser.model\nfrom condenser.model import x\n"
-           "from .kernel import potential\n")
-    assert model_imports(src) == [1, 2, 3, 4]
+           "from .kernel import potential\n"
+           "def f():\n    from . import kernel as _kernel\n")
+    assert module_imports(src, "model") == [1, 2, 3, 4]
+    assert module_imports(src, "kernel") == [5, 7]
 
 
 def test_cli_imports_nothing_from_model():
-    assert model_imports((PACKAGE / "cli.py").read_text()) == []
+    assert module_imports((PACKAGE / "cli.py").read_text(), "model") == []
+
+
+def test_model_imports_nothing_from_kernel():
+    assert module_imports((PACKAGE / "model.py").read_text(), "kernel") == []
 
 
 def test_cli_builds_no_geometry_and_no_green_context():

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from condenser.errors import EmptyPlateError, ZeroSeparationError
-from condenser.kernel import assemble_matrix
+from condenser.kernel import assemble_matrix, semimetric_distance
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              _nearest_neighbor_distances, build_condenser,
                              disk_layer, plate_nodes, resultant,
-                             semimetric_distance,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
 

@@ -12,7 +12,8 @@ from condenser.cli import main
 from condenser.errors import ParseError
 from condenser.kernel import KernelSpec, equilibrium_measure
 from condenser.model import PLATE_KEYS, PlateSpec, disk_nodes
-from condenser.scenarios import (_PLATE_KEY_TYPES, EXAMPLES, build_scenario,
+from condenser.scenarios import (_PLATE_KEY_TYPES, EXAMPLES, build_balayage,
+                                 build_capacity, build_scenario, build_sweep,
                                  example_two, ex2_config, sweep_plane_context)
 
 # small sizes per built-in example: --resolution and --truncation
@@ -89,3 +90,22 @@ def test_sweep_plane_core_counts_by_disk_layer():
     assert int(np.sum(ctx.exterior.layer_index == 0)) == 13
     ctx = sweep_plane_context(flat_radius=0.5, cell=0.5, truncation=4.0)
     assert int(np.sum(ctx.exterior.layer_index == 0)) == 12
+
+
+@pytest.mark.parametrize("build, cfg, key", [
+    (build_scenario, ex2_config(), "seed"),
+    (build_scenario, ex2_config(), "source"),
+    (build_balayage, {"kernel": {"n": 3, "alpha": 2.0},
+                      "plates": [{"geometry": "half_space", "sign": -1}],
+                      "source": {"positions": [[1.0, 0, 0]],
+                                 "weights": [1.0]}}, "tolerances"),
+    (build_capacity, {"kernel": {"n": 3, "alpha": 2.0},
+                      "conductor": {"geometry": "sphere"}}, "truncation"),
+    (build_sweep, {"stages": [1]}, "resolution"),
+    (build_sweep, {"stages": [1]}, "kernel"),
+])
+def test_builders_refuse_top_level_keys_they_do_not_read(build, cfg, key):
+    # each builder reads its own key set; any other key is named in the
+    # error, never dropped
+    with pytest.raises(ParseError, match=f"'{key}'"):
+        build(dict(cfg, **{key: {}}))

@@ -16,12 +16,11 @@ from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     swept_positive_caps)
 from condenser.kernel import (_riesz_block, assemble_matrix,
                               equilibrium_measure, gauss_functional,
-                              mutual_energy, potential)
+                              mutual_energy, potential, semimetric_distance)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             semimetric_distance, sphere_surface_nodes,
-                             trim_across_plates)
+                             sphere_surface_nodes, trim_across_plates)
 from condenser.scenarios import build_scenario
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials

@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
+import condenser.gauss_solver
+import condenser.kernel
 from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
 from condenser.gauss_solver import (ProblemSpec, lift_green_to_riesz,
@@ -277,6 +280,62 @@ class TestEquivalence:
             rep = equivalence_check(riesz, lift, spec, green_result=green)
             gaps.append(rep["energy_gap_rel"] + abs(rep["lift_mass_defect"]))
         assert gaps[0] < gaps[1] < gaps[2]
+
+
+@pytest.fixture
+def kernel_entries(monkeypatch):
+    """Counter of the kernel entries every reader evaluates: wraps
+    ``_riesz_block`` in ``kernel`` and where ``gauss_solver`` bound it."""
+    count = {"entries": 0}
+    block = condenser.kernel._riesz_block
+
+    def counting(*args, **kwargs):
+        out = block(*args, **kwargs)
+        count["entries"] += out.size
+        return out
+
+    monkeypatch.setattr(condenser.kernel, "_riesz_block", counting)
+    monkeypatch.setattr(condenser.gauss_solver, "_riesz_block", counting)
+    return count
+
+
+class TestNodeReads:
+    """Each solution's node potentials are read once: the lift's read gives
+    its energy, the first check to need the Riesz solution's read keeps it,
+    and the later checks reuse both."""
+
+    def test_checks_after_the_solve_read_each_solution_once(
+            self, kernel_entries):
+        sc = example_one(resolution=0.5, alpha=1.5, truncation=3.0)
+        spec, green = sc.spec, sc.green
+        riesz = solve_riesz(spec)
+        kernel_entries["entries"] = 0
+        gres = solve_green_reduced(spec, green)
+        lift = lift_green_to_riesz(gres, spec, green)
+        kkt_report(riesz, spec)
+        scalar_zone_checks(riesz, spec, green)
+        support_report(riesz, spec)
+        equivalence_check(riesz, lift, spec, green_result=gres)
+        # 825 joint nodes: one full read is 825^2 = 0.68 M entries; reading
+        # the Riesz solution again in the zone and equivalence checks and
+        # the lifted one again for the distance made 3.55 M
+        assert kernel_entries["entries"] <= 1.51e6
+
+    def test_a_replaced_solution_is_read_afresh(self, kernel_entries):
+        spec = small_spec(seed=4)
+        res = solve_riesz(spec)
+        kkt_report(res, spec)
+        sol = res.solution
+        halved = replace(sol, components=tuple(
+            DiscreteMeasure(c.nodes, 0.5 * c.weights)
+            for c in sol.components))
+        before = kernel_entries["entries"]
+        W = weighted_potentials(replace(res, solution=halved).solution, spec)
+        assert kernel_entries["entries"] > before
+        r = resultant(halved)
+        for s, c, f, w in zip(sol.signs, sol.components, spec.field, W):
+            assert np.array_equal(
+                w, s * potential(r, c.nodes.positions, spec.kernel) + f)
 
 
 def stage_disks(stages, count):
