@@ -183,7 +183,7 @@ class GreenContext:
 
     def _potential_and_sweep(self, mu: DiscreteMeasure):
         """kappa(., mu) on the exterior nodes and the swept weights of mu."""
-        b = self._cross_matrix(mu.nodes) @ mu.weights
+        b = potential(mu, self.exterior.positions, self.riesz)
         theta, _ = self._sweep(b[:, None])
         return b, theta[:, 0]
 

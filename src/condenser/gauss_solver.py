@@ -13,10 +13,10 @@ import numpy as np
 from ._pg import PGResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
-from .kernel import (KernelSpec, gauss_functional, _riesz_block,
-                     _require_distinct)
+from .kernel import (KernelSpec, gauss_functional, _require_distinct,
+                     _symmetric_matrix)
 from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
-                    merge_by_position, row_blocks)
+                    merge_by_position)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -121,29 +121,15 @@ def _block_slices(sizes: Sequence[int]) -> list:
 
 
 def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
-    """Dense kernel matrix over the concatenated node sets.
-
-    Coinciding nodes across different sets (shared by equally signed plates)
-    contribute their self-energy; duplicates inside one set are rejected.
-    Each plate-pair block is written by row blocks (``row_blocks``), and
-    mirrored below the diagonal.
-    """
-    slices = _block_slices([len(ns) for ns in nodesets])
-    N = slices[-1].stop
-    K = np.empty((N, N))
-    for i, a in enumerate(nodesets):
-        _require_distinct(a.positions, f"plate node set {i}")
-        off = slices[i].start
-        for j in range(i, len(nodesets)):
-            b = nodesets[j]
-            for rows in row_blocks(a.positions, b.positions):
-                blk = _riesz_block(a.positions[rows], b.positions, kernel,
-                                   rho_q=b.cell_radii)
-                rk = slice(off + rows.start, off + rows.start + len(blk))
-                K[rk, slices[j]] = blk
-                if j > i:
-                    K[slices[j], rk] = blk.T
-    return K, slices
+    """Dense kernel matrix over the concatenated node sets; a node shared
+    by two sets (equally signed plates) takes the later set's cell radius,
+    and duplicates inside one set are rejected."""
+    for i, ns in enumerate(nodesets):
+        _require_distinct(ns.positions, f"plate node set {i}")
+    K = _symmetric_matrix(np.vstack([ns.positions for ns in nodesets]),
+                          np.concatenate([ns.cell_radii for ns in nodesets]),
+                          kernel)
+    return K, _block_slices([len(ns) for ns in nodesets])
 
 
 def _caps_and_field(spec: ProblemSpec):

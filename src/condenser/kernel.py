@@ -52,12 +52,28 @@ def _require_distinct(positions: np.ndarray, what: str) -> None:
         raise DuplicateNodeError(f"coinciding nodes in {what}")
 
 
+def _symmetric_matrix(P: np.ndarray, rho: np.ndarray,
+                      kernel: KernelSpec) -> np.ndarray:
+    """Kernel matrix of P against itself, cell radii ``rho``: each row block
+    is read from the diagonal onwards and mirrored below it, so a coinciding
+    pair gets the later point's self-energy on both sides."""
+    K = np.empty((len(P), len(P)))
+    for rows in row_blocks(P, P):
+        a, b = rows.start, min(rows.stop, len(P))
+        blk = _riesz_block(P[a:b], P[a:], kernel, rho_q=rho[a:])
+        lower = np.tril_indices(b - a, -1)
+        blk[lower] = blk.T[lower]
+        K[a:b, a:] = blk
+        K[b:, a:b] = blk[:, b - a:].T
+    return K
+
+
 def assemble_matrix(nodes: NodeSet, kernel: KernelSpec) -> KernelMatrix:
     """Dense kernel matrix on pairwise-distinct nodes: off-diagonal entries
     |x-y|^(alpha-n), diagonal per the self-energy rule."""
     _require_distinct(nodes.positions, "matrix assembly")
-    return KernelMatrix(_riesz_block(nodes.positions, nodes.positions, kernel,
-                                     rho_q=nodes.cell_radii))
+    return KernelMatrix(_symmetric_matrix(nodes.positions, nodes.cell_radii,
+                                          kernel))
 
 
 def _atoms_of(mu) -> tuple:

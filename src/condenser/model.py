@@ -103,10 +103,6 @@ class NodeSet:
     def dim(self) -> int:
         return self.positions.shape[1]
 
-    def subset(self, idx) -> "NodeSet":
-        return NodeSet(self.positions[idx], self.quad_weights[idx],
-                       self.cell_radii[idx], self.layer_index[idx])
-
 
 @dataclass(frozen=True)
 class Plate:
@@ -176,23 +172,23 @@ def _nearest_neighbor_distances(pos: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return np.where(d[:, 0] > 0.0, d[:, 0], d[:, 1])
 
 
-def trim_cell_radii(nodes: NodeSet, reference: Optional[np.ndarray] = None
-                    ) -> NodeSet:
+def trim_cell_radii(nodes: NodeSet) -> NodeSet:
     """Cap cell radii at NEIGHBOR_TRIM x the distance to the nearest distinct
-    point of ``reference`` (default: the node set itself), so effective cells
-    stay pairwise disjoint."""
-    ref = nodes.positions if reference is None else reference
-    dnn = _nearest_neighbor_distances(nodes.positions, ref)
+    node of the set, so effective cells stay pairwise disjoint."""
+    dnn = _nearest_neighbor_distances(nodes.positions, nodes.positions)
     capped = np.minimum(nodes.cell_radii, NEIGHBOR_TRIM * dnn)
     return NodeSet(nodes.positions, nodes.quad_weights, capped, nodes.layer_index)
 
 
 def trim_across_plates(plates: Sequence[Plate]) -> list:
-    """Trim every plate's cells against the nodes of all plates, so joint
-    kernel matrices stay positive definite; coincident nodes (shared by
-    equally signed plates) are the same cell."""
-    all_pos = np.vstack([p.nodes.positions for p in plates])
-    return [replace(p, nodes=trim_cell_radii(p.nodes, all_pos)) for p in plates]
+    """Trim the cells of all plates in one trim of their concatenated nodes,
+    so joint kernel matrices stay positive definite; coincident nodes
+    (shared by equally signed plates) are the same cell."""
+    trimmed = trim_cell_radii(_concat_nodesets([p.nodes for p in plates]))
+    ends = np.cumsum([len(p.nodes) for p in plates])[:-1]
+    return [replace(p, nodes=NodeSet(p.nodes.positions, p.nodes.quad_weights,
+                                     r, p.nodes.layer_index))
+            for p, r in zip(plates, np.split(trimmed.cell_radii, ends))]
 
 
 def merge_by_position(positions: np.ndarray) -> tuple:
@@ -444,7 +440,7 @@ def _volume_layer(surface: NodeSet, weights, thickness) -> NodeSet:
 
 def ball_complement_nodes(center, radius, truncation, resolution):
     """Boundary sphere layer plus volume shells out to the truncation radius,
-    their edges growing by SHELL_GROWTH."""
+    their edges growing by SHELL_GROWTH; cells untrimmed."""
     parts = [sphere_layer(center, radius, resolution)]
     edges = _geometric_edges(radius, truncation, SHELL_GROWTH)
     for j in range(len(edges) - 1):
@@ -454,7 +450,7 @@ def ball_complement_nodes(center, radius, truncation, resolution):
                              phase=0.37 * (j + 1))
         vol = 4.0 * math.pi / 3.0 * (r1 ** 3 - r0 ** 3)
         parts.append(_volume_layer(shell, vol / len(shell), t))
-    return trim_cell_radii(_concat_nodesets(parts))
+    return _concat_nodesets(parts)
 
 
 def half_space_nodes(center, side, truncation, resolution, axis=0, *,
@@ -462,7 +458,7 @@ def half_space_nodes(center, side, truncation, resolution, axis=0, *,
     """Half-space plate on the ``side`` of the plane through ``center`` with
     normal ``axis``: boundary-plane layer plus volume layers going into the
     half-space, rings graded around ``center`` by RING_GROWTH and depths by
-    DEPTH_GROWTH."""
+    DEPTH_GROWTH; cells untrimmed."""
     center = np.asarray(center, dtype=float)
     parts = [graded_plane_nodes(center, resolution, truncation, axis=axis,
                                 growth=RING_GROWTH, layer=0)]
@@ -479,7 +475,7 @@ def half_space_nodes(center, side, truncation, resolution, axis=0, *,
                                        axis=axis, growth=RING_GROWTH,
                                        layer=j + 1)
             parts.append(_volume_layer(sheet, sheet.quad_weights * t, t))
-    return trim_cell_radii(_concat_nodesets(parts))
+    return _concat_nodesets(parts)
 
 
 def _concat_nodesets(parts: Iterable[NodeSet]) -> NodeSet:
@@ -544,6 +540,8 @@ class PlateSpec:
             raise ValueError(f"{self.tag} plates need a truncation beyond "
                              f"the radius {self.radius}, got "
                              f"{self.truncation}")
+        if self.stack_count < 0:
+            raise ValueError(f"stack_count must be >= 0, got {self.stack_count}")
         if self.count is not None and self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
@@ -562,7 +560,7 @@ class PlateSpec:
 
 
 def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
-    """The nodes of one plate laid out at the given resolution.
+    """The nodes of one plate laid out at the given resolution, untrimmed.
 
     An unbounded plate needs ``truncation > radius + 2 x resolution`` (radius
     0 for a half-space): a thinner truncated shell or slab would be laid out
@@ -591,8 +589,7 @@ def plate_nodes(spec: PlateSpec, resolution: float) -> NodeSet:
              if spec.count else
              disk_layer(ctr, r, resolution, axis=spec.axis, layer=j)
              for j, (ctr, r) in enumerate(disks)]
-    return trim_cell_radii(_concat_nodesets(parts)) if spec.stack_count \
-        else parts[0]
+    return _concat_nodesets(parts)
 
 
 def build_condenser(plate_specs: Sequence[PlateSpec], resolution: float) -> Condenser:

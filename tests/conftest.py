@@ -3,7 +3,8 @@ import pytest
 from condenser.balayage import GreenContext
 from condenser.gauss_solver import (lift_green_to_riesz, solve_green_reduced,
                                     solve_riesz)
-from condenser.model import KernelSpec, ball_complement_nodes
+from condenser.model import (KernelSpec, ball_complement_nodes,
+                             trim_cell_radii)
 from condenser.scenarios import example_one, example_two
 
 
@@ -64,4 +65,4 @@ def ex2_lift(ex2, ex2_green):
 def ball_ctx(newton):
     """Complement of the unit ball, Newtonian kernel, truncated at 16."""
     exterior = ball_complement_nodes((0.0, 0.0, 0.0), 1.0, 16.0, 0.14)
-    return GreenContext(exterior, newton)
+    return GreenContext(trim_cell_radii(exterior), newton)

@@ -14,7 +14,7 @@ from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              _concat_nodesets, ball_complement_nodes,
                              ball_volume_nodes, graded_plane_nodes,
-                             sphere_surface_nodes)
+                             sphere_surface_nodes, trim_cell_radii)
 from condenser.scenarios import ball_in_ball
 
 from _probes import green_energy_identity_check, mass_conservation_probe
@@ -192,7 +192,7 @@ class TestGreenKernel:
     def test_green_matrix_drives_equilibrium_and_energy(self, newton):
         # the Green matrix feeds the generic equilibrium solve, and the
         # whole-measure Green energy agrees with its minimum
-        ext = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
+        ext = trim_cell_radii(ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3))
         ctx = GreenContext(ext, newton)
         rng = np.random.default_rng(6)
         mu = random_ball_sources(rng, 15)
@@ -236,7 +236,8 @@ class TestClippedSweeps:
     def test_clipped_columns_solve_the_cone_qp(self):
         # Newtonian sweeps of atoms near the sphere onto a coarse complement
         # go negative unconstrained, so every column takes the cone projection
-        ext = ball_complement_nodes((0, 0, 0), 1.0, 3.0, 0.35)
+        ext = trim_cell_radii(ball_complement_nodes((0, 0, 0), 1.0, 3.0,
+                                                    0.35))
         ctx = GreenContext(ext, K2)
         rng = np.random.default_rng(8)
         dirs = rng.normal(size=(6, 3))
@@ -275,7 +276,10 @@ def toy_nodes():
     plates = ball_in_ball(alpha=2.0, resolution=0.3,
                           truncation=3.0).spec.condenser.plates
     ext = plates[-1].nodes
-    src = _concat_nodesets([plates[0].nodes, ext.subset([0, 300, 700])])
+    idx = [0, 300, 700]
+    src = _concat_nodesets([plates[0].nodes, NodeSet(
+        ext.positions[idx], ext.quad_weights[idx], ext.cell_radii[idx],
+        ext.layer_index[idx])])
     return ext, src
 
 
@@ -317,7 +321,9 @@ class TestBatchedPivoting:
         assert len(patterns) > 3
         clipped_cols = []
         for j in range(len(src)):
-            _, th, c = ctx.sweep_columns(src.subset([j]))
+            _, th, c = ctx.sweep_columns(NodeSet(
+                src.positions[[j]], src.quad_weights[[j]],
+                src.cell_radii[[j]]))
             if c:
                 clipped_cols.append(j)
             ref = th[:, 0]
@@ -361,7 +367,10 @@ class TestBatchedPivoting:
         # every column starts from an empty free set; the last one's b is
         # nonpositive, so its empty set is already optimal
         ctx, src = toy_sweep
-        B = ctx._cross_matrix(src.subset([0, 10, 20]))
+        idx = [0, 10, 20]
+        B = ctx._cross_matrix(NodeSet(src.positions[idx],
+                                      src.quad_weights[idx],
+                                      src.cell_radii[idx]))
         B = np.column_stack([B, -B[:, 0]])
         theta = ctx._cone_project(B, -np.ones_like(B))
         lower = np.tril(ctx._chol[0])
@@ -385,7 +394,8 @@ class TestStartRule:
         fresh = GreenContext(ctx.exterior, K2)
         _, theta, _ = fresh.sweep_columns(src)
         pot = GreenContext(ctx.exterior, K2).green_potential(mu, points)
-        ctx.sweep_columns(src.subset([3, 4, 5]))
+        ctx.sweep_columns(NodeSet(src.positions[3:6], src.quad_weights[3:6],
+                                  src.cell_radii[3:6]))
         assert ctx._support is not None
         _, again, _ = ctx.sweep_columns(src)
         # bit-identical: both starts settle on the same free sets
@@ -435,8 +445,8 @@ class TestMassConservation:
         sources = point_measure([[0.0, 0.0, 0.0], [0.3, 0.0, 0.0]], [0.6, 0.4])
 
         def factory(radius):
-            return GreenContext(
-                ball_complement_nodes((0, 0, 0), 1.0, radius, 0.25), K15)
+            return GreenContext(trim_cell_radii(
+                ball_complement_nodes((0, 0, 0), 1.0, radius, 0.25)), K15)
 
         table = mass_conservation_probe(factory, sources, [2, 4, 8, 16])
         ratios = [row["mass_ratio"] for row in table]
@@ -449,7 +459,6 @@ class TestMassConservation:
         # strictly sub-unit mass, stable under truncation (probe only)
         ball = ball_volume_nodes((0, 0, 0), 1.0, 0.22)
         surf = sphere_surface_nodes((0, 0, 0), 1.0, 300, layer=1)
-        from condenser.model import trim_cell_radii
         ctx = GreenContext(trim_cell_radii(_concat_nodesets([ball, surf])), K2)
         sources = point_measure([[3.0, 0.0, 0.0]], [1.0])
 

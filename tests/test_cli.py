@@ -11,8 +11,8 @@ import condenser.cli
 import condenser.verify
 from condenser.cli import main
 from condenser.kernel import equilibrium_measure
-from condenser.model import (ball_complement_nodes, ball_volume_nodes,
-                             sphere_layer)
+from condenser.model import (NodeSet, ball_complement_nodes,
+                             ball_volume_nodes, sphere_layer)
 from condenser.gauss_solver import swept_positive_caps
 from condenser.scenarios import build_scenario
 
@@ -271,7 +271,9 @@ class TestErrorPaths:
 
         def with_repeated_node(*args, **kwargs):
             ns = layout(*args, **kwargs)
-            return ns.subset(np.r_[np.arange(len(ns)), 0])
+            idx = np.r_[np.arange(len(ns)), 0]
+            return NodeSet(ns.positions[idx], ns.quad_weights[idx],
+                           ns.cell_radii[idx])
 
         monkeypatch.setattr(model, "ball_volume_nodes", with_repeated_node)
         cfg = dict(BALL_CONFIG)
@@ -480,6 +482,7 @@ class TestErrorPaths:
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, axis=0.7)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, count=30.9)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, stack_count=2.5)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, stack_count=-1)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, radius=True)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0,
                                   center=[1.0, False, 0.0])),
@@ -512,6 +515,7 @@ class TestErrorPaths:
             "field-plate-not-a-list", "source-cell-radius-string",
             "source-cell-radius-negative", "source-position-non-numeric",
             "disk-axis-float", "disk-count-float", "stack-count-float",
+            "stack-count-negative",
             "radius-bool", "center-bool", "side-float", "kernel-n-float",
             "sign-float", "kernel-alpha-bool", "capacity-unknown-key",
             "capacity-axis-float"])
@@ -632,11 +636,11 @@ class TestCapacity:
         for name in ("positions", "quad_weights", "cell_radii",
                      "layer_index"):
             assert np.array_equal(getattr(nodes, name), getattr(layer, name))
-        # the complement trims its cells; positions and weights stay
+        # the complement's boundary layer has the same positions and weights
         comp = ball_complement_nodes(center, radius, 4.0, res)
-        first = comp.subset(comp.layer_index == 0)
-        assert np.array_equal(first.positions, nodes.positions)
-        assert np.array_equal(first.quad_weights, nodes.quad_weights)
+        first = comp.layer_index == 0
+        assert np.array_equal(comp.positions[first], nodes.positions)
+        assert np.array_equal(comp.quad_weights[first], nodes.quad_weights)
 
     def test_ball_capacity_near_its_radius(self, tmp_path):
         # Newtonian capacity of a solid ball is that of its sphere; the

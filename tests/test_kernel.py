@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from condenser import model as modelmod
 from condenser.errors import DuplicateNodeError
 from condenser.kernel import (_riesz_block, assemble_matrix,
                               equilibrium_measure, gauss_functional,
@@ -86,6 +87,18 @@ class TestAssemble:
         ns = jittered_cloud(rng, 40, 3)
         km = assemble_matrix(ns, KernelSpec(3, 1.5))
         assert np.array_equal(km.entries, km.entries.T)
+
+    @pytest.mark.parametrize("entries", [None, 1000])
+    def test_row_blocks_bit_identical(self, monkeypatch, entries):
+        # the upper triangle read by row blocks and mirrored equals one
+        # unblocked read of every pair; 1000 entries makes 8-row blocks
+        if entries is not None:
+            monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
+        rng = np.random.default_rng(11)
+        ns = jittered_cloud(rng, 150, 3)
+        ref = _riesz_block(ns.positions, ns.positions, K2,
+                           rho_q=ns.cell_radii)
+        assert np.array_equal(assemble_matrix(ns, K2).entries, ref)
 
     def test_duplicate_nodes_rejected(self):
         ns = NodeSet([[0, 0, 0], [0, 0, 0]], [1, 1], [0.1, 0.1])

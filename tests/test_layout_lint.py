@@ -2,8 +2,10 @@
 from ``model.surface_cells``, a volume cell's from ``model._volume_layer``
 (or the cubic grid of ``model.ball_volume_nodes``), every spiral-lattice
 sphere layer from ``model.sphere_layer``, which holds the cell count rule,
-and every disk whose count follows from a cell size from
-``model.disk_layer``, which holds the disk count rule."""
+every disk whose count follows from a cell size from
+``model.disk_layer``, which holds the disk count rule, and cells are
+trimmed only where node sets meet: across a condenser's plates, and on the
+sweep plane's context."""
 
 import ast
 
@@ -59,3 +61,8 @@ def test_every_derived_disk_count_is_disk_layers():
     assert fixed and all(
         isinstance(c, ast.Constant) or
         (isinstance(c, ast.Attribute) and c.attr == "count") for c in fixed)
+
+
+def test_cells_are_trimmed_where_node_sets_meet():
+    assert set(package_calls("trim_cell_radii")) == {
+        ("model", "trim_across_plates"), ("scenarios", "sweep_plane_context")}

@@ -4,11 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from condenser import model as modelmod
 from condenser.errors import EmptyPlateError, ZeroSeparationError
 from condenser.kernel import assemble_matrix, semimetric_distance
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
-                             _nearest_neighbor_distances, build_condenser,
+                             _concat_nodesets, _nearest_neighbor_distances,
+                             build_condenser,
                              disk_layer, plate_nodes, resultant,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
@@ -175,6 +177,37 @@ class TestBuildCondenser:
         assert np.array_equal(b.quad_weights, a.quad_weights)
         assert np.allclose(b.cell_radii, a.cell_radii, rtol=1e-12, atol=0.0)
         assert np.array_equal(moved.boundary_zone(b), origin.boundary_zone(a))
+
+
+class TestOneTrim:
+    """Layouts only lay cells out; ``build_condenser`` trims them once,
+    across all plates."""
+
+    @pytest.mark.parametrize("specs, resolution", [
+        ((PlateSpec(tag="ball", sign=+1, radius=1.0),
+          PlateSpec(tag="ball_complement", sign=-1, radius=1.0,
+                    truncation=3.0)), 0.5),
+        ((PlateSpec(tag="disk", sign=+1, radius=1.0, stack_count=4,
+                    count=40),
+          PlateSpec(tag="half_space", sign=-1, truncation=12.0,
+                    backing=False)), 0.3),
+    ], ids=["ex1", "ex2"])
+    def test_condenser_radii_are_one_trim_of_the_layouts(
+            self, monkeypatch, specs, resolution):
+        layouts = [plate_nodes(s, resolution) for s in specs]
+        raw = np.concatenate([ns.cell_radii for ns in layouts])
+        trimmed = trim_cell_radii(_concat_nodesets(layouts)).cell_radii
+        built = build_condenser(specs, resolution)
+        assert np.array_equal(
+            np.concatenate([p.nodes.cell_radii for p in built.plates]),
+            trimmed)
+        assert np.any(trimmed < raw)
+        # every layout keeps its cell rule's radii: with no trim in force
+        # it lays out the same radii
+        monkeypatch.setattr(modelmod, "NEIGHBOR_TRIM", np.inf)
+        for spec, nodes in zip(specs, layouts):
+            assert np.array_equal(plate_nodes(spec, resolution).cell_radii,
+                                  nodes.cell_radii)
 
 
 class TestDiskCellCount:

@@ -1,8 +1,9 @@
 """Pairwise-work lint: one way to read pairs of points.  Only
 ``kernel._riesz_block`` computes pairwise distances, with ``cdist``
-(neighbour queries go through k-d trees), every blocked reader takes its
-row blocks from ``row_blocks(P, Q)``, and ``model`` defines one block size
-for them."""
+(neighbour queries go through k-d trees), and only ``kernel`` and the
+sweep's cross matrix ``GreenContext._cross_matrix`` call it; every blocked
+reader takes its row blocks from ``row_blocks(P, Q)``, and ``model``
+defines one block size for them."""
 
 import ast
 import pathlib
@@ -55,6 +56,12 @@ def test_lint_sees_nested_and_attribute_calls():
 
 def test_only_the_kernel_block_calls_cdist():
     assert set(package_calls("cdist")) == {("kernel", "_riesz_block")}
+
+
+def test_kernel_blocks_are_read_in_kernel_and_the_cross_matrix_only():
+    outside = {owner for owner in package_calls("_riesz_block")
+               if owner[0] != "kernel"}
+    assert outside == {("balayage", "_cross_matrix")}
 
 
 def test_row_blocks_takes_exactly_two_point_arrays():

@@ -20,7 +20,8 @@ from condenser.kernel import (_riesz_block, assemble_matrix,
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
                              ball_complement_nodes, ball_volume_nodes,
-                             sphere_surface_nodes, trim_across_plates)
+                             sphere_surface_nodes, trim_across_plates,
+                             trim_cell_radii)
 from condenser.scenarios import build_scenario
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
@@ -183,7 +184,8 @@ class TestSolveRiesz:
         """Newtonian ball against its complement with a Case II field; the
         sweep clips, so the field is not zero on the exterior (~1e-2)."""
         ball = ball_volume_nodes((0, 0, 0), 0.62, 0.3)
-        exterior = ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3)
+        exterior = trim_cell_radii(
+            ball_complement_nodes((0, 0, 0), 1.0, 8.0, 0.3))
         cond = Condenser((Plate(sign=1, nodes=ball),
                           Plate(sign=-1, nodes=exterior)))
         rng = np.random.default_rng(11)
@@ -291,7 +293,8 @@ class TestSolveRiesz:
         spec = ProblemSpec(cond, (0.5, 0.5, 1.0), None,
                            (None, None, None), K2)
         assert solve_riesz(spec).converged
-        repeated = shared.subset([0, 1, 1])
+        repeated = NodeSet(shared.positions[[0, 1, 1]], np.ones(3),
+                           np.full(3, 0.05))
         cond = Condenser((Plate(sign=+1, nodes=repeated),
                           Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 from scipy.spatial.distance import cdist
 
-import condenser.gauss_solver
 import condenser.kernel
 from condenser.balayage import GreenContext
 from condenser.errors import WrongScenarioError
@@ -285,7 +284,8 @@ class TestEquivalence:
 @pytest.fixture
 def kernel_entries(monkeypatch):
     """Counter of the kernel entries every reader evaluates: wraps
-    ``_riesz_block`` in ``kernel`` and where ``gauss_solver`` bound it."""
+    ``kernel._riesz_block``, which every reader calls through ``kernel``
+    (``tests/test_pairwise_lint.py``)."""
     count = {"entries": 0}
     block = condenser.kernel._riesz_block
 
@@ -295,8 +295,16 @@ def kernel_entries(monkeypatch):
         return out
 
     monkeypatch.setattr(condenser.kernel, "_riesz_block", counting)
-    monkeypatch.setattr(condenser.gauss_solver, "_riesz_block", counting)
     return count
+
+
+def test_set_up_and_solve_read_each_symmetric_matrix_by_half(
+        kernel_entries):
+    # 27 + 798 nodes: whole, K_EE and the joint matrix hold 0.64 M and
+    # 0.68 M entries; each read from its upper triangle takes about half
+    sc = example_one(resolution=0.5, alpha=1.5, truncation=3.0)
+    solve_riesz(sc.spec)
+    assert kernel_entries["entries"] <= 0.80e6
 
 
 class TestNodeReads:
