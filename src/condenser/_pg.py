@@ -1,9 +1,10 @@
-"""Projected-gradient engine for the convex quadratics used across the package.
+"""QP engine for the convex quadratics used across the package: a pivoting
+exact finish, with projected gradient (PG) as its fallback.
 
 Minimizes  q(w) = w' A w + 2 b' w  over a product of capped simplexes
 {0 <= w <= cap, sum w = total} (one block per plate).
 
-The driver takes Barzilai-Borwein spectral steps in short bursts and accepts
+PG takes Barzilai-Borwein spectral steps in short bursts and accepts
 the best point of each burst if it lowers the objective (or meets the KKT
 bound without raising it); a burst that finds no such point backtracks to an
 exact-line-search descent step (which cannot fail off the optimum).
@@ -11,16 +12,18 @@ Accepted iterates therefore form a non-increasing objective trace while
 keeping the spectral behavior BB needs -- per-step monotone acceptance
 measurably stalls on these kernel matrices.
 
-PG finds the pattern of the minimizer (which nodes sit at zero, which are
-strictly free, which sit at their cap) long before it converges.  Once the
-pattern is known, the minimizer solves one linear KKT system: on the free
-nodes of plate j the weighted potential equals a constant c_j.  The exact
-finish solves that system with a float32 Cholesky factor of the free block,
-refined to float64 accuracy by residuals taken with the true matrix
-(mixed-precision iterative refinement), and ends the solve when the result is
-feasible, meets the KKT bound and does not raise the objective.  It runs at
-the start point and after every outer iteration whose pattern differs from
-the last one tried; when it fails, PG carries on.
+The minimizer is fixed by its pattern: which nodes sit at zero, which are
+strictly free, which sit at their cap.  The pattern's minimizer solves one
+linear KKT system: on the free nodes of plate j the weighted potential
+equals a constant c_j.  The exact finish solves that system with a float32
+Cholesky factor of the free block, refined to float64 accuracy by residuals
+taken with the true matrix (mixed-precision iterative refinement), and
+pivots to the next pattern until no node moves (_next_pattern; Hungerlaender
+& Rendl 2015, Kunisch & Rendl 2003).  It runs at the start point and after
+every outer iteration whose pattern differs from the last one tried.  PG
+carries on when a pattern repeats or PIVOT_ROUNDS moves do not settle it,
+and when a plate has no free node or the free block no float32 factor
+(plates that share nodes, indefinite blocks).
 """
 
 from __future__ import annotations
@@ -48,6 +51,10 @@ FINISH_KKT = 1e-10
 REFINE_STEPS = 10
 # refinement stops once a correction is this small relative to the weights
 REFINE_REL = 1e-13
+# pattern moves one exact finish takes at most before PG carries on
+PIVOT_ROUNDS = 30
+# potential violation of c_j, relative to max(1, |c_j|), that frees a node
+DUAL_REL = 1e-10
 
 
 def project_capped_simplex(w, caps, total):
@@ -132,6 +139,7 @@ class PGResult:
     trace: np.ndarray              # columns: iter, objective, step, kkt_residual
     matvecs: int = 0               # finish attempts included
     exact_finish: bool = False     # the exact finish ended the solve
+    pivot_rounds: int = 0          # finish rounds after a pattern move
 
 
 def node_classes(w, caps, total):
@@ -200,15 +208,16 @@ def _free_block_factor(A, F):
     read: for a slightly asymmetric A the refinement's residuals, taken with
     A itself, make up the difference."""
     M = np.empty((len(F), len(F)), dtype=np.float32, order="F")
+    whole = len(F) == A.shape[0]
     for rows in row_blocks(F, F):
-        M.T[rows] = A[np.ix_(F[rows], F)]
+        M.T[rows] = A[rows] if whole else A[F[rows]].take(F, axis=1)
     try:
         return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
     except LinAlgError:
         return None
 
 
-def _exact_finish(A, b, slices, totals, free, fixed):
+def _exact_finish(A, b, slices, totals, free, fixed, caps=np.inf):
     """Minimizer of w'Aw + 2b'w with the pattern (free, fixed) held: the
     nodes outside ``free`` keep their ``fixed`` weights, and the free nodes
     of plate j carry its remaining mass at a constant potential c_j.
@@ -216,18 +225,21 @@ def _exact_finish(A, b, slices, totals, free, fixed):
     Solves the bordered system [A_FF E; E' 0] by iterative refinement: each
     correction comes from the float32 factor of A_FF (its Schur complement
     on the plates' multipliers is p x p), each residual from one float64
-    matvec with A.  Returns (w, A w, matvecs), with w None when some plate
-    has no free node or the factor does not exist.
+    matvec with A.  Returns (w, A w, c, matvecs), with w None when some
+    plate has no free node or the factor does not exist.  When the first
+    correction, the plain float32 solve, puts a free node outside
+    [0, caps], refinement stops there and A w is None: that solve already
+    shows the bounds the pattern breaks.
     """
     p = len(slices)
     sizes = [sl.stop - sl.start for sl in slices]
     F = np.flatnonzero(free)
     plate = np.repeat(np.arange(p), sizes)[F]
     if np.any(np.bincount(plate, minlength=p) == 0):
-        return None, None, 0
+        return None, None, None, 0
     factor = _free_block_factor(A, F)
     if factor is None:
-        return None, None, 0
+        return None, None, None, 0
     E = np.zeros((len(F), p), dtype=np.float32)
     E[np.arange(len(F)), plate] = 1.0
     Y = cho_solve(factor, E, overwrite_b=True, check_finite=False)
@@ -241,7 +253,7 @@ def _exact_finish(A, b, slices, totals, free, fixed):
     z = A @ w
     matvecs = 1
     last = np.inf
-    for _ in range(REFINE_STEPS):
+    for step in range(REFINE_STEPS):
         r = c[plate] - z[F] - b[F]
         scale = max(float(np.abs(r).max()), 1e-300)
         u = cho_solve(factor, (r / scale).astype(np.float32),
@@ -251,13 +263,37 @@ def _exact_finish(A, b, slices, totals, free, fixed):
         dw = u + Y @ dc
         w[F] += dw
         c += dc
+        if step == 0 and np.any((w < 0.0) | (w > caps)):
+            return w, None, c, matvecs
         z = A @ w
         matvecs += 1
         size = float(np.abs(dw).max())
         if size <= REFINE_REL * float(np.abs(w[F]).max()) or size > 0.5 * last:
             break
         last = size
-    return w, z, matvecs
+    return w, z, c, matvecs
+
+
+def _next_pattern(w, z, c, b, caps, free, slices):
+    """Pattern (free, fixed) the pivoting finish solves after the solution
+    (w, z = A w, c) of a pattern with free set ``free``, or None when no
+    node moves.  Free nodes below 0 go to zero and those above their cap
+    to the cap.  Only when there are none are zero and at-cap nodes freed
+    whose potential z + b lies below, resp. above, c_j by more than DUAL_REL
+    max(1, |c_j|); frozen nodes (cap 0) never are.  Moving both kinds at
+    once oscillates."""
+    out = free & ((w < 0.0) | (w > caps))
+    if out.any():
+        free = free & ~out
+    else:
+        cn = np.repeat(c, [sl.stop - sl.start for sl in slices])
+        gap = (z + b - cn) / np.maximum(1.0, np.abs(cn))
+        held = ~free & (caps > 0.0)
+        move = held & np.where(w > 0.0, gap > DUAL_REL, gap < -DUAL_REL)
+        if not move.any():
+            return None
+        free = free | move
+    return free, np.where(free, 0.0, np.clip(w, 0.0, caps))
 
 
 def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
@@ -309,20 +345,34 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
     trace = [(0, q, 0.0, kkt)]
     finish_kkt = min(tol.kkt, FINISH_KKT)
     tried = None
+    pivot_rounds = 0
 
     def finish():
-        """Try the exact finish on the pattern of w, unless w meets the
-        finish's KKT bound already or its pattern was the last one tried;
-        on success w is the finish's result and a trace row is added."""
-        nonlocal w, z, q, g, consts, kkt, tried, matvecs
+        """Try the pivoting exact finish from the pattern of w, unless w
+        meets the finish's KKT bound already or its pattern was the last
+        one tried; on success w is the finish's result and a trace row is
+        added."""
+        nonlocal w, z, q, g, consts, kkt, tried, matvecs, pivot_rounds
         pattern = _pattern(w, caps, slices, totals)
         if kkt <= finish_kkt or (tried is not None and all(
                 np.array_equal(a, t) for a, t in zip(pattern, tried))):
             return False
         tried = pattern
-        wf, zf, used = _exact_finish(A, b, slices, totals, *pattern)
-        matvecs += used
-        if wf is None or not np.all((wf >= 0.0) & (wf <= caps)):
+        seen = set()
+        while pattern is not None:
+            key = pattern[0].tobytes() + pattern[1].tobytes()
+            if key in seen or len(seen) > PIVOT_ROUNDS:
+                return False
+            if seen:
+                pivot_rounds += 1
+            seen.add(key)
+            wf, zf, cf, used = _exact_finish(A, b, slices, totals,
+                                             *pattern, caps)
+            matvecs += used
+            if wf is None:
+                return False
+            pattern = _next_pattern(wf, zf, cf, b, caps, pattern[0], slices)
+        if not np.all((wf >= 0.0) & (wf <= caps)):
             return False
         qf = float(wf @ zf + 2.0 * (b @ wf))
         cf, kf = block_constants_and_kkt(zf + b, wf, caps, slices, totals)
@@ -400,4 +450,4 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
     return PGResult(w=w, objective=q, converged=converged,
                     iterations=outer + finished, kkt_residual=kkt,
                     constants=consts, trace=np.array(trace), matvecs=matvecs,
-                    exact_finish=finished)
+                    exact_finish=finished, pivot_rounds=pivot_rounds)

@@ -32,7 +32,7 @@ from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
                      zone_checks_apply)
 
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 
 def load_config(path: str) -> dict:
@@ -141,8 +141,8 @@ def _emit(out_dir: str, files: dict):
 def _solver_section(rep: ReportBuilder, result: SolveResult,
                     prefix: str = "solver"):
     rep.section(prefix)
-    for name in ("energy", "converged", "iterations", "kkt_residual",
-                 "constants"):
+    for name in ("energy", "converged", "iterations", "matvecs",
+                 "pivot_rounds", "kkt_residual", "constants"):
         rep.add(f"{prefix}.{name}", getattr(result, name))
     rep.add(f"{prefix}.finish",
             "exact" if result.exact_finish else "projected_gradient")

@@ -112,6 +112,8 @@ class SolveResult:
     lift_mass_defect: Optional[float] = None
     balayage_residual: Optional[float] = None
     exact_finish: bool = False     # the QP's exact finish ended the solve
+    matvecs: int = 0               # products with the QP's matrix
+    pivot_rounds: int = 0          # exact-finish rounds after a pattern move
 
 
 def _block_slices(sizes: Sequence[int]) -> list:
@@ -149,7 +151,8 @@ def _solve_result(res: PGResult, solution: VectorMeasure,
                        constants=constants, trace=res.trace,
                        converged=res.converged, kkt_residual=res.kkt_residual,
                        iterations=res.iterations,
-                       exact_finish=res.exact_finish)
+                       exact_finish=res.exact_finish, matvecs=res.matvecs,
+                       pivot_rounds=res.pivot_rounds)
 
 
 def solve_riesz(spec: ProblemSpec) -> SolveResult:

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from condenser._pg import node_classes
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
@@ -20,7 +21,7 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
 from condenser.scenarios import build_sweep, example_one
 from condenser.verify import (equivalence_check, kkt_report, loglog_slope,
                               scalar_zone_checks, support_report,
-                              unsolvability_sweep)
+                              unsolvability_sweep, weighted_potentials)
 
 from _probes import green_energy_identity_check, mass_transfer_probe
 
@@ -261,3 +262,24 @@ def test_criterion_11_scalar_zone_checks(ex1, ex1_riesz):
            f"c1 {rep.c1:.4f} > 0; residuals: identity {rep.identity_residual:.1e}, "
            f"level {rep.level_residual:.1e}, bound {rep.bound_residual:.1e} "
            f"(tol {rep.tol}); checks {rep.checks}")
+
+
+def test_criterion_12_nodes_at_cap(ex2, ex2_riesz):
+    # ex2's cap binds on most positive nodes; the exact finish, pivoting
+    # from the start point, ends the solve
+    spec, res = ex2.spec, ex2_riesz
+    w, cap = res.solution.components[0].weights, spec.constraint[0]
+    carried, below = node_classes(w, cap, spec.totals[0])
+    at_cap = carried & ~below
+    rep = kkt_report(res, spec)
+    c = rep.constants[0]
+    W = weighted_potentials(res.solution, spec)[0]
+    cap_upper = max(0.0, float((W[at_cap] - c).max())) / max(1.0, abs(c))
+    ok = at_cap.sum() >= len(w) // 2 and res.kkt_residual <= 1e-10 and \
+        cap_upper <= 1e-10 and rep.upper_violation.max() <= 1e-10 and \
+        res.iterations == 1 and res.exact_finish
+    report(12, "nodes at their cap on example two", ok,
+           f"{at_cap.sum()} of {len(w)} nodes at cap, KKT residual "
+           f"{res.kkt_residual:.1e} (tol 1e-10), upper violation on them "
+           f"{cap_upper:.1e}, {res.iterations} iteration(s), finish "
+           f"{'exact' if res.exact_finish else 'projected_gradient'}")

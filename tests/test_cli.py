@@ -123,8 +123,10 @@ class TestSolveCommand:
         rc = main(["--out-dir", out, "solve", cfg])
         assert rc == 0
         rep = read_report(out)
-        assert rep["schema_version"] == "4"
+        assert rep["schema_version"] == "5"
         assert rep["solver.converged"] == "True"
+        assert int(rep["solver.matvecs"]) >= 1
+        assert int(rep["solver.pivot_rounds"]) >= 0
         assert float(rep["solver.energy"]) > 0
         with open(os.path.join(out, "atoms.csv")) as fh:
             header = fh.readline().strip()

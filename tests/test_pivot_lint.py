@@ -1,8 +1,14 @@
-"""Pivoting-work lint: a round of ``GreenContext._cone_project`` reads only
-the free set's rows of the exterior matrix, so its work scales with the
-free set.  Every read of ``self._kee`` there must index rows; a bare
-``self._kee`` (a product with the whole matrix) or an all-``:`` index
-fails."""
+"""Pivoting-work lint.
+
+A round of ``GreenContext._cone_project`` reads only the free set's rows of
+the exterior matrix, so its work scales with the free set.  Every read of
+``self._kee`` there must index rows; a bare ``self._kee`` (a product with
+the whole matrix) or an all-``:`` index fails.
+
+A round of the exact finish in ``_pg`` takes one factor: ``cho_factor`` is
+called only in ``_free_block_factor``, and that only in ``_exact_finish``.
+The free block is gathered by rows and ``take``, never through ``np.ix_``
+(an index-array copy several times slower)."""
 
 import ast
 import pathlib
@@ -10,6 +16,7 @@ import pathlib
 import condenser
 
 BALAYAGE = pathlib.Path(condenser.__file__).parent / "balayage.py"
+PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
 
 
 def whole_matrix_reads(source: str) -> list:
@@ -60,3 +67,42 @@ def test_lint_flags_whole_matrix_products():
 def test_cone_project_reads_only_free_rows():
     assert whole_matrix_reads(method_source("GreenContext",
                                             "_cone_project")) == []
+
+
+def callers(source: str, name: str) -> list:
+    """Top-level function of ``source`` around each call of ``name`` (a
+    bare name or an attribute), in source order; None outside functions."""
+    out = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None)):
+                out.append(top.name if isinstance(top, ast.FunctionDef)
+                           else None)
+    return out
+
+
+def attribute_uses(source: str, attr: str) -> list:
+    """Line numbers of every ``<x>.<attr>`` in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute) and node.attr == attr]
+
+
+def test_lint_finds_callers_and_attributes():
+    source = ("import numpy as np\n"
+              "def f(A, F):\n    return A[np.ix_(F, F)], g(1)\n"
+              "def h():\n    return m.g(2), g\n"
+              "g(3)\n")
+    assert callers(source, "g") == ["f", "h", None]
+    assert attribute_uses(source, "ix_") == [3]
+
+
+def test_pg_gathers_without_ix():
+    assert attribute_uses(PG.read_text(), "ix_") == []
+
+
+def test_pg_factors_once_per_round():
+    source = PG.read_text()
+    assert callers(source, "cho_factor") == ["_free_block_factor"]
+    assert callers(source, "_free_block_factor") == ["_exact_finish"]

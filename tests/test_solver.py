@@ -22,7 +22,7 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              ball_complement_nodes, ball_volume_nodes,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
-from condenser.scenarios import build_scenario
+from condenser.scenarios import ball_in_ball, build_scenario
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
 
@@ -378,6 +378,16 @@ class TestProblemSpec:
             ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
 
 
+def seeded_qp(seed=21, n=8):
+    """A random positive definite QP on one plate of n nodes with caps in
+    [0.2, 0.5]: for unit mass, its all-free solve drops nodes to zero and
+    pivoting frees one of them again."""
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, n))
+    return (X @ X.T / n + 0.1 * np.eye(n), rng.normal(size=n),
+            rng.uniform(0.2, 0.5, n))
+
+
 @pytest.fixture
 def finish_attempts(monkeypatch):
     """Weights returned by every exact-finish attempt (None: no factor)."""
@@ -457,16 +467,78 @@ class TestExactFinish:
                                       np.random.default_rng(2))
 
     def test_rejected_start_then_finish(self, finish_attempts):
-        # the all-free start pattern puts more than their cap on some nodes
+        # the all-free start pattern puts more than their cap on some nodes;
+        # pivoting from that solve, not PG, ends the solve at the start point
         spec, caps0 = fielded_capped_spec(1.3)
         res = solve_riesz(spec)
         first = finish_attempts[0][:len(caps0)]
         assert np.any(first > caps0)
-        assert len(finish_attempts) >= 2
         assert res.converged and res.exact_finish
+        assert res.iterations == 1
+        assert res.pivot_rounds == len(finish_attempts) - 1 >= 1
         assert res.kkt_residual <= 1e-10
         obj = res.trace[:, 1]
-        assert np.all(np.diff(obj) <= 0.0)
+        assert len(obj) == 2 and obj[1] <= obj[0]
+
+    @pytest.mark.parametrize("name", ["capped-1.3", "capped-2.0", "ballinball"])
+    def test_pivoting_matches_pg(self, monkeypatch, name):
+        spec = {"capped-1.3": lambda: fielded_capped_spec(1.3)[0],
+                "capped-2.0": lambda: fielded_capped_spec(2.0)[0],
+                "ballinball": lambda: ball_in_ball(
+                    alpha=2.0, resolution=0.3, truncation=3.0).spec}[name]()
+        piv = solve_riesz(spec)
+        # no pattern moves: a finish that needs one hands over to PG
+        monkeypatch.setattr(pgmod, "PIVOT_ROUNDS", 0)
+        pg = solve_riesz(spec)
+        assert piv.pivot_rounds >= 1 and piv.iterations == 1
+        assert pg.pivot_rounds == 0 and pg.iterations > 1
+        for a, b in zip(piv.solution.components, pg.solution.components):
+            np.testing.assert_allclose(a.weights, b.weights, rtol=0,
+                                       atol=1e-12)
+        assert abs(piv.energy - pg.energy) <= 1e-14 * abs(pg.energy)
+
+    def test_dropped_node_freed_again(self, monkeypatch):
+        A, b, caps = seeded_qp()
+        moves = []
+        original = pgmod._next_pattern
+
+        def record(w, z, c, b_, caps_, free, slices):
+            out = original(w, z, c, b_, caps_, free, slices)
+            if out is not None:
+                moves.append((free, *out))
+            return out
+
+        monkeypatch.setattr(pgmod, "_next_pattern", record)
+        args = (A, b, [slice(0, len(b))], [1.0], caps, DEFAULT_TOLERANCES)
+        res = pgmod.minimize_quadratic(*args)
+        assert res.converged and res.exact_finish and res.iterations == 1
+        dropped = np.zeros(len(b), dtype=bool)
+        freed_again = np.zeros(len(b), dtype=bool)
+        for free, new, fixed in moves:
+            freed_again |= new & ~free & dropped
+            dropped |= free & ~new & (fixed == 0.0)
+        assert freed_again.any()
+        monkeypatch.setattr(pgmod, "PIVOT_ROUNDS", 0)
+        pg = pgmod.minimize_quadratic(*args)
+        assert pg.converged and pg.iterations > 1
+        np.testing.assert_allclose(res.w, pg.w, rtol=0, atol=1e-12)
+        assert abs(res.objective - pg.objective) <= \
+            1e-14 * abs(pg.objective)
+
+    def test_revisited_pattern_falls_back(self, monkeypatch, finish_attempts):
+        # every solve points back to its own pattern, so each finish ends
+        # after one solve and PG alone converges
+        spec, _ = fielded_capped_spec(2.0)
+        ref = solve_riesz(spec)
+        monkeypatch.setattr(
+            pgmod, "_next_pattern", lambda w, z, c, b, caps, free, slices:
+            (free, np.where(free, 0.0, np.clip(w, 0.0, caps))))
+        finish_attempts.clear()
+        res = solve_riesz(spec)
+        assert finish_attempts and all(w is not None for w in finish_attempts)
+        assert res.converged and not res.exact_finish
+        assert res.pivot_rounds == 0 and res.iterations > 1
+        assert abs(res.energy - ref.energy) <= 1e-10 * abs(ref.energy)
 
     def test_plate_without_free_node_falls_back(self):
         # the minimizer (0.5, 0.5, 0) has every node at zero or at its cap
