@@ -53,8 +53,6 @@ REFINE_STEPS = 10
 REFINE_REL = 1e-13
 # pattern moves one exact finish takes at most before PG carries on
 PIVOT_ROUNDS = 30
-# potential violation of c_j, relative to max(1, |c_j|), that frees a node
-DUAL_REL = 1e-10
 
 
 def project_capped_simplex(w, caps, total):
@@ -217,7 +215,7 @@ def _free_block_factor(A, F):
         return None
 
 
-def _exact_finish(A, b, slices, totals, free, fixed, caps=np.inf):
+def _exact_finish(A, b, slices, totals, free, fixed, caps):
     """Minimizer of w'Aw + 2b'w with the pattern (free, fixed) held: the
     nodes outside ``free`` keep their ``fixed`` weights, and the free nodes
     of plate j carry its remaining mass at a constant potential c_j.
@@ -274,14 +272,14 @@ def _exact_finish(A, b, slices, totals, free, fixed, caps=np.inf):
     return w, z, c, matvecs
 
 
-def _next_pattern(w, z, c, b, caps, free, slices):
+def _next_pattern(w, z, c, b, caps, free, slices, bound):
     """Pattern (free, fixed) the pivoting finish solves after the solution
     (w, z = A w, c) of a pattern with free set ``free``, or None when no
     node moves.  Free nodes below 0 go to zero and those above their cap
     to the cap.  Only when there are none are zero and at-cap nodes freed
-    whose potential z + b lies below, resp. above, c_j by more than DUAL_REL
-    max(1, |c_j|); frozen nodes (cap 0) never are.  Moving both kinds at
-    once oscillates."""
+    whose potential z + b lies below, resp. above, c_j by more than
+    ``bound`` max(1, |c_j|), the KKT residual the finish must reach; frozen
+    nodes (cap 0) never are.  Moving both kinds at once oscillates."""
     out = free & ((w < 0.0) | (w > caps))
     if out.any():
         free = free & ~out
@@ -289,7 +287,7 @@ def _next_pattern(w, z, c, b, caps, free, slices):
         cn = np.repeat(c, [sl.stop - sl.start for sl in slices])
         gap = (z + b - cn) / np.maximum(1.0, np.abs(cn))
         held = ~free & (caps > 0.0)
-        move = held & np.where(w > 0.0, gap > DUAL_REL, gap < -DUAL_REL)
+        move = held & np.where(w > 0.0, gap > bound, gap < -bound)
         if not move.any():
             return None
         free = free | move
@@ -371,9 +369,8 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
             matvecs += used
             if wf is None:
                 return False
-            pattern = _next_pattern(wf, zf, cf, b, caps, pattern[0], slices)
-        if not np.all((wf >= 0.0) & (wf <= caps)):
-            return False
+            pattern = _next_pattern(wf, zf, cf, b, caps, pattern[0], slices,
+                                    finish_kkt)
         qf = float(wf @ zf + 2.0 * (b @ wf))
         cf, kf = block_constants_and_kkt(zf + b, wf, caps, slices, totals)
         if not (kf <= finish_kkt and qf <= q):   # false on nan, too

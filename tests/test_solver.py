@@ -502,8 +502,8 @@ class TestExactFinish:
         moves = []
         original = pgmod._next_pattern
 
-        def record(w, z, c, b_, caps_, free, slices):
-            out = original(w, z, c, b_, caps_, free, slices)
+        def record(w, z, c, b_, caps_, free, slices, bound):
+            out = original(w, z, c, b_, caps_, free, slices, bound)
             if out is not None:
                 moves.append((free, *out))
             return out
@@ -531,7 +531,7 @@ class TestExactFinish:
         spec, _ = fielded_capped_spec(2.0)
         ref = solve_riesz(spec)
         monkeypatch.setattr(
-            pgmod, "_next_pattern", lambda w, z, c, b, caps, free, slices:
+            pgmod, "_next_pattern", lambda w, z, c, b, caps, free, slices, bound:
             (free, np.where(free, 0.0, np.clip(w, 0.0, caps))))
         finish_attempts.clear()
         res = solve_riesz(spec)
@@ -551,7 +551,7 @@ class TestExactFinish:
         free, fixed = pgmod._pattern(res.w, caps, [slice(0, 3)], [1.0])
         assert not free.any()
         assert pgmod._exact_finish(A, b, [slice(0, 3)], [1.0], free,
-                                   fixed)[0] is None
+                                   fixed, caps)[0] is None
 
     def test_indefinite_block_falls_back(self, finish_attempts):
         # the free block has no Cholesky factor (eigenvalues 3 and -1), yet
