@@ -223,11 +223,11 @@ def _exact_finish(A, b, slices, totals, free, fixed, caps):
     Solves the bordered system [A_FF E; E' 0] by iterative refinement: each
     correction comes from the float32 factor of A_FF (its Schur complement
     on the plates' multipliers is p x p), each residual from one float64
-    matvec with A.  Returns (w, A w, c, matvecs), with w None when some
-    plate has no free node or the factor does not exist.  When the first
-    correction, the plain float32 solve, puts a free node outside
-    [0, caps], refinement stops there and A w is None: that solve already
-    shows the bounds the pattern breaks.
+    matvec with A, except the first when ``fixed`` is zero.  Returns (w,
+    A w, c, matvecs), with w None when some plate has no free node or the
+    factor does not exist.  When the first correction, the plain float32
+    solve, puts a free node outside [0, caps], refinement stops there and
+    A w is None: that solve already shows the bounds the pattern breaks.
     """
     p = len(slices)
     sizes = [sl.stop - sl.start for sl in slices]
@@ -248,8 +248,8 @@ def _exact_finish(A, b, slices, totals, free, fixed, caps):
 
     w = fixed.copy()
     c = np.zeros(p)
-    z = A @ w
-    matvecs = 1
+    matvecs = int(fixed.any())
+    z = A @ w if matvecs else np.zeros(len(w))
     last = np.inf
     for step in range(REFINE_STEPS):
         r = c[plate] - z[F] - b[F]

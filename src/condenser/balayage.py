@@ -36,7 +36,7 @@ from scipy.optimize import nnls
 from . import kernel as kernelmod
 from .errors import UnsupportedKernel
 from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
-from .model import DiscreteMeasure, NodeSet
+from .model import DiscreteMeasure, NodeSet, row_blocks
 
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
@@ -61,9 +61,10 @@ class BalayageResult:
 class GreenContext:
     """Balayage machinery for a domain D given a discretized complement.
 
-    Holds the exterior kernel matrix and its Cholesky factor, and exposes the
-    Green kernel (Riesz kernel minus the swept point-mass potential) as
-    matrices and potentials.
+    Holds one m x m array: the Cholesky factor of the exterior kernel
+    matrix K_EE in its lower triangle and K_EE in its strict upper one, with
+    K_EE's diagonal kept apart.  Exposes the Green kernel (Riesz kernel minus
+    the swept point-mass potential) as matrices and potentials.
     """
 
     def __init__(self, exterior: NodeSet, kernel: KernelSpec):
@@ -71,11 +72,29 @@ class GreenContext:
             raise ValueError("exterior node set must be nonempty")
         self.exterior = exterior
         self.riesz = kernel
-        self._kee = assemble_matrix(exterior, kernel).entries
-        self._chol = cho_factor(self._kee, lower=True)
+        # K_EE is exactly symmetric, so its transpose is an F-ordered view
+        # of the same matrix, which LAPACK factors in place: the factor
+        # fills the lower triangle and leaves K_EE in the strict upper one
+        kee = assemble_matrix(exterior, kernel).entries
+        self._kee_diag = kee.diagonal().copy()
+        self._chol = cho_factor(kee.T, lower=True, overwrite_a=True,
+                                check_finite=False)
         # exterior nodes carried by the last clipped sweep: the pivoting
         # start of later clipped columns
         self._support = None
+
+    def _kee_rows(self, idx: np.ndarray) -> np.ndarray:
+        """Rows ``idx`` (an index array) of K_EE, C-ordered.  Left of the
+        diagonal, row i is column i of the factor array's strict upper
+        triangle, a contiguous read; right of it, row i of that triangle, a
+        strided one."""
+        store = self._chol[0]
+        rows = np.empty((len(idx), len(store)))
+        for row, i in zip(rows, idx.tolist()):
+            row[:i] = store[:i, i]
+            row[i + 1:] = store[i, i + 1:]
+        rows[np.arange(len(idx)), idx] = self._kee_diag[idx]
+        return rows
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -151,7 +170,7 @@ class GreenContext:
                 dropped = np.zeros(b.shape, dtype=bool)
                 grad = -b
                 if idx.size:
-                    rows = self._kee[idx]
+                    rows = self._kee_rows(idx)
                     fac = cho_factor(rows[:, idx], lower=True,
                                      overwrite_a=True, check_finite=False)
                     sol = cho_solve(fac, b[idx], check_finite=False)
@@ -190,13 +209,19 @@ class GreenContext:
     # -- Green kernel ------------------------------------------------------
     def green_matrix(self, nodes: NodeSet):
         """Green kernel matrix on interior nodes: the Schur-style form
-        K_DD - sym(Theta' K_ED), symmetrized with the asymmetry recorded."""
-        kdd = assemble_matrix(nodes, self.riesz).entries
-        B, theta, clipped = self.sweep_columns(nodes)
+        K_DD - sym(Theta' K_ED), symmetrized with the asymmetry recorded.
+        The sweep is freed before K_DD is assembled, and G is built in
+        K_DD's buffer by row blocks."""
+        B, theta, _ = self.sweep_columns(nodes)
         cross = theta.T @ B
-        asym = float(np.abs(cross - cross.T).max())
-        scale = max(float(np.abs(kdd).max()), 1e-300)
-        G = kdd - 0.5 * (cross + cross.T)
+        del B, theta
+        G = assemble_matrix(nodes, self.riesz).entries
+        scale = max(float(G.max()), -float(G.min()), 1e-300)
+        asym = 0.0
+        for rows in row_blocks(nodes.positions, nodes.positions):
+            block, mirror = cross[rows], cross[:, rows].T
+            asym = max(asym, float(np.abs(block - mirror).max()))
+            G[rows] -= 0.5 * (block + mirror)
         return G, asym / scale
 
     def green_potential(self, mu: DiscreteMeasure, points) -> np.ndarray:
@@ -214,7 +239,11 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
     theta = np.maximum(theta, 0.0)
     swept = DiscreteMeasure(ctx.exterior, theta)
 
-    pot_sw = ctx._kee @ theta                  # kappa(., mu') on exterior nodes
+    # kappa(., mu') on the exterior nodes, from the stored K_EE
+    ext = ctx.exterior.positions
+    index = np.arange(len(ext))
+    pot_sw = np.concatenate([ctx._kee_rows(index[rows]) @ theta
+                             for rows in row_blocks(ext, ext)])
     scale = max(float(np.abs(pot_mu).max()), 1e-300)
     residual = float(np.abs(pot_sw - pot_mu).max()) / scale
 

@@ -161,10 +161,12 @@ def solve_riesz(spec: ProblemSpec) -> SolveResult:
     objective carries the field on every plate and is the reported energy."""
     plates = spec.condenser.plates
     K, slices = joint_kernel_matrix([p.nodes for p in plates], spec.kernel)
-    s = np.concatenate([np.full(len(p.nodes), float(p.sign)) for p in plates])
-    # fold the plate signs into K in place (exact: every factor is +-1)
-    K *= s[:, None]
-    K *= s[None, :]
+    # fold the plate signs into K in place: the positive plates come first,
+    # so only the blocks between them and the negative plate change sign
+    # (exact: negation)
+    n = slices[-1].start
+    for block in (K[:n, n:], K[n:, :n]):
+        np.negative(block, out=block)
     caps, b = _caps_and_field(spec)
     res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
                              np.concatenate(caps), spec.tolerances)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,8 +10,10 @@ from condenser import balayage as balayagemod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.errors import UnsupportedKernel
-from condenser.gauss_solver import lift_green_to_riesz, solve_green_reduced
-from condenser.kernel import equilibrium_measure, mutual_energy, potential
+from condenser.gauss_solver import (_merge_positive, lift_green_to_riesz,
+                                    solve_green_reduced)
+from condenser.kernel import (assemble_matrix, equilibrium_measure,
+                              mutual_energy, potential)
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              _concat_nodesets, ball_complement_nodes,
                              ball_volume_nodes, graded_plane_nodes,
@@ -28,6 +31,11 @@ def point_measure(points, weights, radius=0.04):
     w = np.atleast_1d(np.asarray(weights, dtype=float))
     ns = NodeSet(pts, np.ones(len(w)), np.full(len(w), radius))
     return DiscreteMeasure(ns, w)
+
+
+def exterior_matrix(ctx):
+    """K_EE of a context, assembled afresh from its exterior nodes."""
+    return assemble_matrix(ctx.exterior, ctx.riesz).entries
 
 
 def green_at(ctx, x, y):
@@ -86,7 +94,7 @@ class TestProjection:
         mu = random_ball_sources(rng, 10)
         res = balayage_project(mu, ball_ctx)
         base = res.projection_gap
-        kee = ball_ctx._kee
+        kee = exterior_matrix(ball_ctx)
         B = ball_ctx._cross_matrix(mu.nodes)
         b = B @ mu.weights
         e_mu = mutual_energy(mu, mu, K2)
@@ -232,6 +240,53 @@ class TestEnergyIdentities:
             assert g2 <= r2 + 1e-12 * r2
 
 
+def traced(call):
+    """(bytes held by the result, peak bytes) of ``call()`` under
+    tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = call()  # held while its bytes are counted
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held - before, peak - before
+
+
+class TestExteriorStorage:
+    """A context holds one m x m array, the Cholesky factor and K_EE in
+    opposite triangles, plus K_EE's diagonal; the Green matrix is built in
+    the buffer of K_DD."""
+
+    def test_context_holds_one_matrix(self, ball_ctx):
+        m = len(ball_ctx.exterior)
+        held, _ = traced(lambda: GreenContext(ball_ctx.exterior, K2))
+        assert held <= 8 * m * m + 64 * m
+
+    def test_row_reader_reads_assembled_rows(self, ball_ctx):
+        kee = exterior_matrix(ball_ctx)
+        store = ball_ctx._chol[0].copy()
+        m = len(kee)
+        scattered = np.sort(np.random.default_rng(4).choice(m, 60, False))
+        for idx in (np.array([0]), np.array([m - 1]), scattered,
+                    np.arange(m)):
+            rows = ball_ctx._kee_rows(idx)
+            assert rows.flags.c_contiguous
+            assert np.array_equal(rows, kee[idx])
+        assert np.array_equal(ball_ctx._chol[0], store)
+
+    @pytest.mark.parametrize("case, bound", [("ex2", 3.3), ("ex1", 6.0)])
+    def test_green_matrix_peak(self, request, case, bound):
+        # G built beside K_DD, with four n x n temporaries, peaked at 5.19
+        # (ex2) and 8.38 (ex1) x 8 n^2
+        spec = request.getfixturevalue(case).spec
+        nodes, _ = _merge_positive([spec.condenser.plates[i].nodes
+                                    for i in spec.i_plus])
+        ctx = request.getfixturevalue(case).green
+        _, peak = traced(lambda: ctx.green_matrix(nodes))
+        assert peak <= bound * 8 * len(nodes) ** 2
+
+
 class TestClippedSweeps:
     def test_clipped_columns_solve_the_cone_qp(self):
         # Newtonian sweeps of atoms near the sphere onto a coarse complement
@@ -251,13 +306,14 @@ class TestClippedSweeps:
         assert clipped > 0
         assert clipped == int(neg.sum())
         lower = np.tril(ctx._chol[0])
+        kee = exterior_matrix(ctx)
         for k in np.flatnonzero(neg):
             b, th = B[:, k], theta[:, k]
             # the same QP as nonnegative least squares on the Cholesky factor
             ref, _ = nnls(lower.T, solve_triangular(lower, b, lower=True))
             assert np.abs(th - ref).max() <= 1e-10 * np.abs(ref).max()
             # cone KKT: theta >= 0, gradient >= 0 on the zero set, ~0 off it
-            grad = ctx._kee @ th - b
+            grad = kee @ th - b
             scale = np.abs(b).max()
             zero = th == 0.0
             assert th.min() >= 0.0
@@ -301,7 +357,7 @@ def clipped_of(ctx, B):
 def assert_cone_solution(ctx, B, theta, ref, cols):
     """Columns ``cols`` of theta match those of ``ref`` and satisfy the
     cone KKT conditions, both within 1e-10."""
-    grad = ctx._kee @ theta[:, cols] - B[:, cols]
+    grad = exterior_matrix(ctx) @ theta[:, cols] - B[:, cols]
     for i, k in enumerate(cols):
         assert np.abs(theta[:, k] - ref[:, k]).max() <= \
             1e-10 * np.abs(ref[:, k]).max()
@@ -331,7 +387,7 @@ class TestBatchedPivoting:
                 1e-12 * np.abs(ref).max()
         assert len(clipped_cols) == clipped
         # cone KKT on every clipped column
-        grad = ctx._kee @ theta - B
+        grad = exterior_matrix(ctx) @ theta - B
         scale = np.abs(B).max(axis=0)
         for k in clipped_cols:
             zero = theta[:, k] == 0.0

@@ -1,9 +1,13 @@
 """Pivoting-work lint.
 
 A round of ``GreenContext._cone_project`` reads only the free set's rows of
-the exterior matrix, so its work scales with the free set.  Every read of
-``self._kee`` there must index rows; a bare ``self._kee`` (a product with
-the whole matrix) or an all-``:`` index fails.
+the exterior matrix K_EE, so its work scales with the free set.  K_EE shares
+one array with its Cholesky factor (``self._chol[0]``, K_EE in the strict
+upper triangle, its diagonal in ``self._kee_diag``), and ``_cone_project``
+reads its rows through ``self._kee_rows``.  The only other read of that
+storage there is the NNLS fallback's factor, ``np.tril(self._chol[0])``; any
+other form (a product with the array, a triangle or diagonal that rebuilds
+K_EE) fails.
 
 A round of the exact finish in ``_pg`` takes one factor: ``cho_factor`` is
 called only in ``_free_block_factor``, and that only in ``_exact_finish``.
@@ -20,29 +24,29 @@ PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
 
 
 def whole_matrix_reads(source: str) -> list:
-    """Line numbers of the reads of ``self._kee`` in ``source`` that are
-    not a row selection."""
+    """Line numbers of the reads of ``self._chol`` and ``self._kee_diag``
+    in ``source`` other than the fallback factor ``np.tril(self._chol[0])``."""
     parents = {}
     tree = ast.parse(source)
     for node in ast.walk(tree):
         for child in ast.iter_child_nodes(node):
             parents[child] = node
 
-    def full_slice(index):
-        parts = index.elts if isinstance(index, ast.Tuple) else [index]
-        return all(isinstance(p, ast.Slice) and not (p.lower or p.upper
-                                                     or p.step)
-                   for p in parts)
+    def fallback_factor(node):
+        sub = parents.get(node)
+        call = parents.get(sub)
+        return (node.attr == "_chol" and isinstance(sub, ast.Subscript)
+                and isinstance(sub.slice, ast.Constant)
+                and sub.slice.value == 0
+                and isinstance(call, ast.Call) and call.args == [sub]
+                and not call.keywords
+                and getattr(call.func, "attr", None) == "tril")
 
-    bad = []
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr == "_kee" and \
-                isinstance(node.value, ast.Name) and node.value.id == "self":
-            up = parents.get(node)
-            if not (isinstance(up, ast.Subscript) and up.value is node
-                    and not full_slice(up.slice)):
-                bad.append(node.lineno)
-    return bad
+    return [node.lineno for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("_chol", "_kee_diag")
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and not fallback_factor(node)]
 
 
 def method_source(cls: str, name: str) -> str:
@@ -57,16 +61,22 @@ def method_source(cls: str, name: str) -> str:
 
 def test_lint_flags_whole_matrix_products():
     assert whole_matrix_reads(
-        "grad = self._kee @ trial - B[:, active]\n") == [1]
-    assert whole_matrix_reads("g = np.dot(self._kee, t)\n") == [1]
-    assert whole_matrix_reads("g = self._kee[:, :] @ t\n") == [1]
-    assert whole_matrix_reads("rows = self._kee[idx]\n"
-                              "block = self._kee[idx][:, idx]\n") == []
+        "grad = self._chol[0] @ trial - B[:, active]\n") == [1]
+    assert whole_matrix_reads("g = np.dot(self._chol[0], t)\n") == [1]
+    assert whole_matrix_reads("g = self._chol[0][:, :] @ t\n") == [1]
+    assert whole_matrix_reads(
+        "k = np.triu(self._chol[0], 1)\n"
+        "k = k + k.T + np.diag(self._kee_diag)\n") == [1, 2]
+    assert whole_matrix_reads("lower = np.tril(self._chol[0], 1)\n") == [1]
+    assert whole_matrix_reads("rows = self._kee_rows(idx)\n"
+                              "block = rows[:, idx]\n"
+                              "lower = np.tril(self._chol[0])\n") == []
 
 
 def test_cone_project_reads_only_free_rows():
-    assert whole_matrix_reads(method_source("GreenContext",
-                                            "_cone_project")) == []
+    source = method_source("GreenContext", "_cone_project")
+    assert whole_matrix_reads(source) == []
+    assert callers(source, "_kee_rows")
 
 
 def callers(source: str, name: str) -> list:
