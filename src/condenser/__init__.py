@@ -3,8 +3,9 @@ problems, numerical balayage, and structure verification."""
 
 from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
                      EmptyPlateError, InfeasibleError, NonConvergedError,
-                     ParseError, SigmaDominationError, UnsupportedKernel,
-                     WrongScenarioError, ZeroSeparationError)
+                     NonConvexError, ParseError, SigmaDominationError,
+                     UnsupportedKernel, WrongScenarioError,
+                     ZeroSeparationError)
 from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
                     resultant)
@@ -13,7 +14,6 @@ from .kernel import (KernelMatrix, assemble_matrix, equilibrium_measure,
                      semimetric_distance)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project)
-from ._pg import project_capped_simplex
 from .gauss_solver import (ProblemSpec, SolveResult, check_sigma_domination,
                            lift_green_to_riesz, solve_green_reduced,
                            solve_riesz)

@@ -1,29 +1,19 @@
-"""QP engine for the convex quadratics used across the package: a pivoting
-exact finish, with projected gradient (PG) as its fallback.
+"""The QP engine of the package: block principal pivoting for
 
-Minimizes  q(w) = w' A w + 2 b' w  over a product of capped simplexes
-{0 <= w <= cap, sum w = total} (one block per plate).
+    min q(w) = w' A w + 2 b' w  over  {0 <= w <= cap, sum w = total}
 
-PG takes Barzilai-Borwein spectral steps in short bursts and accepts
-the best point of each burst if it lowers the objective (or meets the KKT
-bound without raising it); a burst that finds no such point backtracks to an
-exact-line-search descent step (which cannot fail off the optimum).
-Accepted iterates therefore form a non-increasing objective trace while
-keeping the spectral behavior BB needs -- per-step monotone acceptance
-measurably stalls on these kernel matrices.
-
-The minimizer is fixed by its pattern: which nodes sit at zero, which are
-strictly free, which sit at their cap.  The pattern's minimizer solves one
-linear KKT system: on the free nodes of plate j the weighted potential
-equals a constant c_j.  The exact finish solves that system with a float32
-Cholesky factor of the free block, refined to float64 accuracy by residuals
-taken with the true matrix (mixed-precision iterative refinement), and
-pivots to the next pattern until no node moves (_next_pattern; Hungerlaender
-& Rendl 2015, Kunisch & Rendl 2003).  It runs at the start point and after
-every outer iteration whose pattern differs from the last one tried.  PG
-carries on when a pattern repeats or PIVOT_ROUNDS moves do not settle it,
-and when a plate has no free node or the free block no float32 factor
-(plates that share nodes, indefinite blocks).
+per plate.  The minimizer is fixed by its pattern (which nodes sit at zero,
+which are free, which at their cap): on the free nodes of plate j the
+weighted potential equals a constant c_j, one linear KKT system
+(_solve_pattern).  Each round solves it and moves the nodes that break it
+(Hungerlaender & Rendl 2015, Kunisch & Rendl 2003): free nodes outside
+[0, cap] to the bound they cross, and only when there are none, held nodes
+whose potential breaks their plate's constant are freed.  Kim & Park's
+backup rule (BackupRule) guards against cycling.  The solve starts with
+every node of cap > 0 free and ends when no node moves.  A plate with no
+free node keeps its weights and leaves the system; no move may leave one so
+with weights off its total.  The free copies of node positions that several
+plates share stay a forest (_Forest).
 """
 
 from __future__ import annotations
@@ -31,113 +21,63 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import (LinAlgError, cho_factor, cho_solve,
+                          eigvalsh_tridiagonal, ldl, solve_banded,
+                          solve_triangular)
 
-from .errors import InfeasibleError
+from .errors import InfeasibleError, NonConvexError
 from .model import row_blocks
 from .tolerances import Tolerances
 
-# projected BB steps taken from each accepted iterate before the acceptance test
-BURST = 48
-# relative objective decrease below which a KKT-feasible iterate has converged
-OBJ_REL = 1e-10
-# accepted iterations over which the objective decrease must stay below OBJ_REL
-PATIENCE = 20
 # margin (relative to the plate total) classifying a node as strictly free
 FREE_MARGIN_REL = 1e-8
-# KKT residual the exact finish must reach (or tol.kkt, if that is smaller)
+# KKT residual the pivoting must reach (or tol.kkt, if that is smaller)
 FINISH_KKT = 1e-10
-# refinement steps of the exact finish at most; each costs one matvec
+# refinement steps of a pattern solve at most; each costs one matvec
 REFINE_STEPS = 10
 # refinement stops once a correction is this small relative to the weights
 REFINE_REL = 1e-13
-# pattern moves one exact finish takes at most before PG carries on
-PIVOT_ROUNDS = 30
-
-
-def project_capped_simplex(w, caps, total):
-    """Euclidean projection of w onto {0 <= v <= caps, sum v = total}.
-
-    Water-filling: v_i = clip(w_i - tau, 0, caps_i) with tau located exactly
-    by bisection over the sorted breakpoints of the piecewise-linear,
-    nonincreasing mass function sum_i v_i(tau).
-    """
-    w = np.asarray(w, dtype=float)
-    caps = np.broadcast_to(np.asarray(caps, dtype=float), w.shape)
-    if np.any(caps < 0):
-        raise ValueError("caps must be >= 0")
-    total = float(total)
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    cap_sum = float(caps.sum())  # inf-safe
-    if cap_sum < total:
-        raise InfeasibleError(
-            f"cap total {cap_sum:.6g} is below the prescribed mass {total:.6g}")
-    if total == 0.0:
-        return np.zeros_like(w)
-
-    finite = np.isfinite(caps)
-    lower = w[finite] - caps[finite]
-    bps = np.unique(np.concatenate([w, lower]))
-
-    def mass(tau):
-        return float(np.minimum(np.maximum(w - tau, 0.0), caps).sum())
-
-    def solve_segment(tm):
-        # regimes are constant on the open interval containing tm
-        act = w - tm > 0
-        sat = finite & (w - tm >= caps)
-        free = act & ~sat
-        nf = int(free.sum())
-        if nf == 0:
-            return None
-        return (w[free].sum() + caps[sat].sum() - total) / nf, free
-
-    if mass(bps[0]) < total:
-        # tau* below every breakpoint: all finite-cap nodes saturated
-        got = solve_segment(bps[0] - max(1.0, abs(bps[0])))
-        if got is None:
-            # no free nodes below every breakpoint: caps are all finite and
-            # saturated, which realizes the total exactly (Sigma caps = total)
-            return caps.astype(float).copy()
-        tau = got[0]
-    else:
-        lo_i, hi_i = 0, len(bps) - 1
-        while hi_i - lo_i > 1:
-            mid = (lo_i + hi_i) // 2
-            if mass(bps[mid]) >= total:
-                lo_i = mid
-            else:
-                hi_i = mid
-        got = solve_segment(0.5 * (bps[lo_i] + bps[hi_i]))
-        if got is None:
-            # mass is constant on the segment; either endpoint attains it
-            tau = bps[lo_i] if abs(mass(bps[lo_i]) - total) <= \
-                abs(mass(bps[hi_i]) - total) else bps[hi_i]
-        else:
-            tau = got[0]
-    v = np.minimum(np.maximum(w - tau, 0.0), caps)
-    # exact mass repair over the strictly free nodes kills roundoff drift
-    freev = (v > 0) & (v < caps)
-    nf = int(freev.sum())
-    if nf:
-        v[freev] += (total - v.sum()) / nf
-        np.clip(v, 0.0, caps, out=v)
-    return v
+# full exchanges a pivoting takes without lowering its violator count
+# before it moves one violator at a time
+BACKUP = 3
 
 
 @dataclass
-class PGResult:
+class QPResult:
     w: np.ndarray
     objective: float
     converged: bool
-    iterations: int
+    iterations: int                # pattern solves
     kkt_residual: float
     constants: np.ndarray          # per-plate multiplier estimates c_j
-    trace: np.ndarray              # columns: iter, objective, step, kkt_residual
-    matvecs: int = 0               # finish attempts included
-    exact_finish: bool = False     # the exact finish ended the solve
-    pivot_rounds: int = 0          # finish rounds after a pattern move
+    trace: np.ndarray              # columns: iter, objective, kkt_residual
+    matvecs: int = 0
+
+
+class BackupRule:
+    """Kim & Park's backup rule for block principal pivoting (Judice &
+    Pires 1994; Kim & Park 2011), kept for k pivotings at once."""
+
+    def __init__(self, k: int):
+        self.least = np.full(k, np.inf)      # least violator count yet
+        self.left = np.full(k, BACKUP)       # full exchanges left
+
+    def __call__(self, move: np.ndarray, cols=slice(None)) -> np.ndarray:
+        """The exchanges of one round: column i of ``move`` marks the
+        violators of pivoting cols[i].  A pivoting whose violator count
+        falls below its least yet exchanges them all and gets BACKUP full
+        exchanges back; one whose count does not fall spends one of them,
+        and with none left exchanges only its violator of largest index."""
+        count = move.sum(axis=0)
+        fell = count < self.least[cols]
+        spend = ~fell & (self.left[cols] > 0)
+        self.least[cols] = np.where(fell, count, self.least[cols])
+        self.left[cols] = np.where(fell, BACKUP, self.left[cols] - spend)
+        out = move.copy()
+        for i in np.flatnonzero(~fell & ~spend & (count > 0)):
+            out[:, i] = False
+            out[np.flatnonzero(move[:, i])[-1], i] = True
+        return out
 
 
 def node_classes(w, caps, total):
@@ -186,16 +126,73 @@ def block_constants_and_kkt(W, w, caps, slices, totals):
     return consts, viol
 
 
-def _pattern(w, caps, slices, totals):
-    """Strictly free nodes of w (see node_classes) and the weights of the
-    others: their cap if they carry weight, else 0."""
-    free = np.zeros(len(w), dtype=bool)
-    fixed = np.zeros(len(w))
+class _Forest:
+    """Copies of the node positions that several plates share.  Copies of
+    one position have equal rows of A; the pattern's KKT system stays
+    nonsingular while the free copies, each an edge between its position
+    and its plate, form a forest (mass moved around a cycle of them would
+    change no position's and no plate's total)."""
+
+    def __init__(self, positions: np.ndarray, plate: np.ndarray):
+        self.pos, self.plate = positions, plate
+        self.copies = np.flatnonzero(np.bincount(positions)[positions] > 1)
+
+    def path(self, free, i):
+        """Free copies on the forest path from the position of copy i to
+        its plate, from the position on, or None if none joins them.
+        Positions are the vertices p >= 0, plates the vertices ~j < 0."""
+        adj = {}
+        for e in self.copies[free[self.copies]].tolist():
+            p, j = int(self.pos[e]), ~int(self.plate[e])
+            adj.setdefault(p, []).append((e, j))
+            adj.setdefault(j, []).append((e, p))
+        via = {int(self.pos[i]): []}
+        queue = list(via)
+        for v in queue:                    # breadth first
+            for e, u in adj.get(v, ()):
+                if u not in via:
+                    via[u] = via[v] + [e]
+                    queue.append(u)
+        return via.get(~int(self.plate[i]))
+
+    def release(self, free, fixed, w, caps, i, direction, solved):
+        """Free held copy i, whose weight should move by ``direction``.  If
+        that closes a cycle of copies free in the solve (``solved``), mass
+        moves around it (alternating signs keep every total) until a copy
+        reaches a bound and is held there; i is freed unless it is that
+        copy.  A cycle through a copy freed since instead holds the copy
+        beside i at its weight."""
+        path = self.path(free, i)
+        if path is None:
+            free[i] = True
+            return
+        if not solved[path].all():
+            free[path[0]], free[i] = False, True
+            return
+        cycle = np.array([i] + path)
+        dirs = direction * (-1.0) ** np.arange(cycle.size)
+        room = np.where(dirs > 0, caps[cycle] - w[cycle], w[cycle])
+        k = int(np.argmin(room))
+        fixed[cycle[k]] = caps[cycle[k]] if dirs[k] > 0 else 0.0
+        free[cycle[k]] = False
+        free[i] = k > 0
+
+
+def _start_pattern(caps, slices, totals, forest):
+    """Free set and fixed weights of the start: every node of cap > 0 free.
+    Copies of shared positions are freed in index order while they close no
+    cycle; the others are held where each plate's total is spread in
+    proportion to its caps (evenly when uncapped)."""
+    free, fixed = caps > 0.0, np.zeros(len(caps))
+    if forest is None:
+        return free, fixed
+    share = np.where(np.isfinite(caps), caps, 1.0)
     for sl, total in zip(slices, totals):
-        carried, below = node_classes(w[sl], caps[sl], total)
-        free[sl] = carried & below
-        fixed[sl] = np.where(carried & ~below, caps[sl], 0.0)
-    return free, fixed
+        fixed[sl] = np.minimum(share[sl] * (total / share[sl].sum()), caps[sl])
+    free[forest.copies] = False
+    for i in forest.copies:
+        free[i] = caps[i] > 0.0 and forest.path(free, i) is None
+    return free, np.where(free, 0.0, fixed)
 
 
 def _free_block_factor(A, F):
@@ -215,236 +212,249 @@ def _free_block_factor(A, F):
         return None
 
 
-def _exact_finish(A, b, slices, totals, free, fixed, caps):
+def _bordered_solver(A, F, fp, q):
+    """Corrections from one float64 LDL' factor of the bordered matrix
+    [A_FF E; E' 0].  Its inertia is |F| positive and q negative eigenvalues
+    exactly when A is positive definite on the face's directions; otherwise
+    the QP is not convex on that face and NonConvexError is raised."""
+    n = len(F)
+    K = np.zeros((n + q, n + q))
+    for rows in row_blocks(F, F):
+        K[:n][rows, :n] = A[F[rows]].take(F, axis=1)
+    K[np.arange(n), n + fp] = K[n + fp, np.arange(n)] = 1.0
+    lu, d, perm = ldl(K, lower=True, overwrite_a=True, check_finite=False)
+    band = np.zeros((3, n + q))
+    band[0, 1:] = band[2, :-1] = np.diag(d, 1)
+    band[1] = np.diag(d)
+    eig = eigvalsh_tridiagonal(band[1], band[0, 1:])
+    inertia = (np.count_nonzero(eig > 0), np.count_nonzero(eig < 0))
+    if inertia != (n, q):
+        raise NonConvexError(f"the QP is not convex on a face of {n} free "
+                             f"nodes: bordered KKT inertia {inertia}")
+    L = lu[perm]
+
+    def solve(r, m):
+        y = solve_triangular(L, np.concatenate([r, m])[perm], lower=True,
+                             unit_diagonal=True, check_finite=False)
+        y = solve_banded((1, 1), band, y, check_finite=False)
+        x = np.empty(n + q)
+        x[perm] = solve_triangular(L, y, lower=True, trans="T",
+                                   unit_diagonal=True, check_finite=False)
+        return x[:n], -x[n:]
+    return solve
+
+
+def _free_block_solver(A, F, fp, q, copies):
+    """Solver (r, m) -> (dw, dc) of [A_FF E; E' 0] (dw; -dc) = (r; m), E the
+    incidence of the free nodes F on the q plates that have one (``fp``):
+    the float32 Cholesky factor of A_FF and the q x q Schur complement of
+    the multipliers or, when F holds two copies of a position (``copies``)
+    or A_FF has no float32 factor, _bordered_solver."""
+    factor = None if copies else _free_block_factor(A, F)
+    if factor is None:
+        return _bordered_solver(A, F, fp, q)
+    E = np.zeros((len(F), q), dtype=np.float32)
+    E[np.arange(len(F)), fp] = 1.0
+    Y = cho_solve(factor, E, overwrite_b=True, check_finite=False)
+    S = np.zeros((q, q))
+    np.add.at(S, fp, Y.astype(float))            # E' A_FF^-1 E
+
+    def solve(r, m):
+        scale = max(float(np.abs(r).max()), 1e-300)
+        u = cho_solve(factor, (r / scale).astype(np.float32),
+                      overwrite_b=True, check_finite=False) * scale
+        dc = np.linalg.solve(S, m - np.bincount(fp, u, q))
+        return u + Y @ dc, dc
+    return solve
+
+
+def _solve_pattern(A, b, slices, totals, plate, free, fixed, caps, positions,
+                   early=True):
     """Minimizer of w'Aw + 2b'w with the pattern (free, fixed) held: the
     nodes outside ``free`` keep their ``fixed`` weights, and the free nodes
     of plate j carry its remaining mass at a constant potential c_j.
 
-    Solves the bordered system [A_FF E; E' 0] by iterative refinement: each
-    correction comes from the float32 factor of A_FF (its Schur complement
-    on the plates' multipliers is p x p), each residual from one float64
-    matvec with A, except the first when ``fixed`` is zero.  Returns (w,
-    A w, c, matvecs), with w None when some plate has no free node or the
-    factor does not exist.  When the first correction, the plain float32
-    solve, puts a free node outside [0, caps], refinement stops there and
-    A w is None: that solve already shows the bounds the pattern breaks.
-    """
+    Iterative refinement: each correction from _free_block_solver, each
+    residual from one float64 matvec with A (none first when ``fixed`` is
+    zero).  A plate with no free node takes the midpoint of its largest
+    potential where it carries weight and its least below its cap, so a gap
+    flags nodes on both sides.  Returns (w, A w, c, matvecs); with
+    ``early``, a first correction that puts a free node outside [0, caps]
+    ends the solve, A w and c None.  ``positions`` (or None) is the
+    position index of every node."""
     p = len(slices)
-    sizes = [sl.stop - sl.start for sl in slices]
     F = np.flatnonzero(free)
-    plate = np.repeat(np.arange(p), sizes)[F]
-    if np.any(np.bincount(plate, minlength=p) == 0):
-        return None, None, None, 0
-    factor = _free_block_factor(A, F)
-    if factor is None:
-        return None, None, None, 0
-    E = np.zeros((len(F), p), dtype=np.float32)
-    E[np.arange(len(F)), plate] = 1.0
-    Y = cho_solve(factor, E, overwrite_b=True, check_finite=False)
-    S = np.zeros((p, p))
-    np.add.at(S, plate, Y.astype(float))         # E' A_FF^-1 E
-    mass = np.asarray(totals) - np.array(
-        [fixed[sl].sum() for sl in slices])       # mass left to the free nodes
+    live = np.flatnonzero(np.bincount(plate[F], minlength=p))
+    q = len(live)
+    fp = np.searchsorted(live, plate[F])
+    mass = (np.asarray(totals) - np.array(
+        [fixed[sl].sum() for sl in slices]))[live]   # left to the free nodes
 
-    w = fixed.copy()
-    c = np.zeros(p)
+    w, c = fixed.copy(), np.zeros(q)
     matvecs = int(fixed.any())
     z = A @ w if matvecs else np.zeros(len(w))
-    last = np.inf
-    for step in range(REFINE_STEPS):
-        r = c[plate] - z[F] - b[F]
-        scale = max(float(np.abs(r).max()), 1e-300)
-        u = cho_solve(factor, (r / scale).astype(np.float32),
-                      overwrite_b=True, check_finite=False) * scale
-        dc = np.linalg.solve(
-            S, mass - np.bincount(plate, w[F], p) - np.bincount(plate, u, p))
-        dw = u + Y @ dc
-        w[F] += dw
-        c += dc
-        if step == 0 and np.any((w < 0.0) | (w > caps)):
-            return w, None, c, matvecs
-        z = A @ w
-        matvecs += 1
-        size = float(np.abs(dw).max())
-        if size <= REFINE_REL * float(np.abs(w[F]).max()) or size > 0.5 * last:
-            break
-        last = size
-    return w, z, c, matvecs
+    if F.size:
+        copies = positions is not None and \
+            np.unique(positions[F]).size < F.size
+        solve = _free_block_solver(A, F, fp, q, copies)
+        last = np.inf
+        for step in range(REFINE_STEPS):
+            r = c[fp] - z[F] - b[F]
+            dw, dc = solve(r, mass - np.bincount(fp, w[F], q))
+            w[F] += dw
+            c += dc
+            if early and step == 0 and np.any((w < 0.0) | (w > caps)):
+                return w, None, None, matvecs
+            z = A @ w
+            matvecs += 1
+            size = float(np.abs(dw).max())
+            if size <= REFINE_REL * float(np.abs(w[F]).max()) or \
+                    size > 0.5 * last:
+                break
+            last = size
+    consts = np.zeros(p)
+    consts[live] = c
+    for j in np.setdiff1d(np.arange(p), live):
+        W, wj = z[slices[j]] + b[slices[j]], w[slices[j]]
+        carried, below = wj > 0.0, wj < caps[slices[j]]
+        hi = float(W[carried].max()) if carried.any() else 0.0
+        consts[j] = 0.5 * (hi + (float(W[below].min()) if below.any()
+                                 else hi))
+    return w, z, consts, matvecs
 
 
-def _next_pattern(w, z, c, b, caps, free, slices, bound):
-    """Pattern (free, fixed) the pivoting finish solves after the solution
-    (w, z = A w, c) of a pattern with free set ``free``, or None when no
-    node moves.  Free nodes below 0 go to zero and those above their cap
-    to the cap.  Only when there are none are zero and at-cap nodes freed
-    whose potential z + b lies below, resp. above, c_j by more than
-    ``bound`` max(1, |c_j|), the KKT residual the finish must reach; frozen
-    nodes (cap 0) never are.  Moving both kinds at once oscillates."""
+def _bound_moves(w, caps, free, slices, totals):
+    """Free nodes outside [0, caps], to go to the bound they cross.  No move
+    may leave a plate without a free node and off its total: a plate whose
+    free nodes all cross then moves only its one of largest index (if it has
+    more than one)."""
     out = free & ((w < 0.0) | (w > caps))
-    if out.any():
-        free = free & ~out
-    else:
-        cn = np.repeat(c, [sl.stop - sl.start for sl in slices])
-        gap = (z + b - cn) / np.maximum(1.0, np.abs(cn))
-        held = ~free & (caps > 0.0)
-        move = held & np.where(w > 0.0, gap > bound, gap < -bound)
-        if not move.any():
-            return None
+    for sl, total in zip(slices, totals):
+        if out[sl].any() and not (free[sl] & ~out[sl]).any() and abs(
+                np.clip(w[sl], 0.0, caps[sl]).sum() - total) > \
+                FREE_MARGIN_REL * total:
+            last, keep = np.flatnonzero(out[sl])[-1], out[sl].sum() > 1
+            out[sl] = False
+            out[sl.start + last] = keep
+    return out
+
+
+def _gap_moves(w, z, c, b, caps, free, plate, bound):
+    """Held nodes to free, and the normalized potential gaps: potential
+    z + b below c_j by more than ``bound`` max(1, |c_j|) below the cap, or
+    above it above zero (frozen nodes, cap 0, never).  Only a round with no
+    bound move takes them: moving both kinds at once oscillates."""
+    cn = c[plate]
+    gap = (z + b - cn) / np.maximum(1.0, np.abs(cn))
+    return ~free & (((w > 0.0) & (gap > bound)) |
+                    ((w < caps) & (gap < -bound))), gap
+
+
+def _relief(w, caps, free, gap, slices):
+    """Exchange for a round with no move left but a plate whose lone free
+    node lies outside its bounds: the node goes to its bound, and the plate
+    frees its held node of least gap below its cap if the node was above
+    its cap (to take mass), else of greatest gap above zero (to give it).
+    Returns the nodes sent to a bound, those freed and their directions."""
+    out, move = np.zeros((2, len(w)), dtype=bool)
+    direction = np.zeros(len(w))
+    for sl in slices:
+        lone = free[sl] & ((w[sl] < 0.0) | (w[sl] > caps[sl]))
+        up = bool((w[sl] > caps[sl]).any())
+        room = ~free[sl] & ((w[sl] < caps[sl]) if up else (w[sl] > 0.0))
+        if lone.any() and room.any():
+            out[sl] = lone
+            pick = np.where(room, gap[sl] if up else -gap[sl], np.inf)
+            move[sl.start + int(np.argmin(pick))] = True
+            direction[sl] = 1.0 if up else -1.0
+    return out, move, direction
+
+
+def _next_pattern(w, caps, free, move, direction, forest):
+    """Pattern (free, fixed) after the exchange ``move``: free nodes go to
+    their bound (``direction`` None), held ones are freed to move in
+    ``direction``, through the forest if they are shared copies."""
+    fixed = np.clip(w, 0.0, caps)
+    if direction is None:
+        free = free & ~move
+    elif forest is None:
         free = free | move
-    return free, np.where(free, 0.0, np.clip(w, 0.0, caps))
+    else:
+        solved = free.copy()
+        free = free | (move & ~np.isin(np.arange(len(w)), forest.copies))
+        for i in forest.copies[move[forest.copies]]:
+            forest.release(free, fixed, w, caps, i, direction[i], solved)
+    return free, np.where(free, 0.0, fixed)
 
 
-def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances):
-    """Projected-gradient/BB minimization of w'Aw + 2b'w over per-plate capped
-    simplexes, stopped by the ``kkt`` and ``max_iters`` entries of ``tol``
-    and by ``OBJ_REL`` over ``PATIENCE`` iterations, or ended by the exact
-    finish.  The start point is fixed by the caps and totals, so the result
-    depends on the inputs only.  Trace rows are accepted iterates; their
-    objective column is non-increasing.  An accepted finish adds one last
-    row, with step 0."""
+def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
+                       positions=None):
+    """Block principal pivoting for w'Aw + 2b'w over per-plate capped
+    simplexes, converged when no node moves within ``tol.max_iters``
+    pattern solves and the KKT residual is within ``tol.kkt``.
+    ``positions`` is the position index of every unknown (None: all
+    distinct).  Trace rows: round, objective and KKT residual of each
+    pattern solve refined past its first correction."""
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)
     totals = [float(t) for t in totals]
-
-    def project(v):
-        out = np.empty_like(v)
-        for j, sl in enumerate(slices):
-            out[sl] = project_capped_simplex(v[sl], caps[sl], totals[j])
-        return out
-
-    w0 = np.empty(N)
-    for j, sl in enumerate(slices):
-        cj = caps[sl]
-        if np.all(np.isinf(cj)):
-            w0[sl] = totals[j] / (sl.stop - sl.start)
+    for sl, total in zip(slices, totals):
+        if caps[sl].sum() < total:
+            raise InfeasibleError(f"cap total {caps[sl].sum():.6g} is below "
+                                  f"the prescribed mass {total:.6g}")
+    plate = np.repeat(np.arange(len(slices)),
+                      [sl.stop - sl.start for sl in slices])
+    forest = None
+    if positions is not None and np.bincount(positions).max() > 1:
+        forest = _Forest(np.asarray(positions), plate)
+    positions = None if forest is None else forest.pos
+    free, fixed = _start_pattern(caps, slices, totals, forest)
+    bound = min(tol.kkt, FINISH_KKT)
+    rules = (BackupRule(1), BackupRule(1))   # bound moves, gap moves
+    trace, matvecs, rounds = [], 0, 0
+    pattern = (A, b, slices, totals, plate)
+    while rounds < tol.max_iters:
+        rounds += 1
+        w, z, c, used = _solve_pattern(*pattern, free, fixed, caps, positions)
+        move = _bound_moves(w, caps, free, slices, totals)
+        if z is None and not move.any():
+            w, z, c, more = _solve_pattern(*pattern, free, fixed, caps,
+                                           positions, early=False)
+            used += more
+        matvecs += used
+        if z is not None:
+            q = float(w @ z + 2.0 * (b @ w))
+            consts, kkt = block_constants_and_kkt(z + b, w, caps, slices,
+                                                  totals)
+            trace.append((rounds, q, kkt))
+        if move.any():
+            move = rules[0](move[:, None])[:, 0]
+            free, fixed = _next_pattern(w, caps, free, move, None, forest)
+            continue
+        move, gap = _gap_moves(w, z, c, b, caps, free, plate, bound)
+        if move.any():
+            # a plate with no free node moves its violators together: one
+            # freed alone would keep its weight, fixed by the plate's mass
+            pick = rules[1](move[:, None])[:, 0]
+            alone = np.bincount(plate[free], minlength=len(slices)) == 0
+            move = pick | (move & alone[plate] & np.isin(plate, plate[pick]))
+            direction = -np.sign(gap)
         else:
-            finite = np.where(np.isfinite(cj), cj, 0.0)
-            top = finite.max() if finite.max() > 0 else 1.0
-            base = np.where(np.isfinite(cj), cj, top)
-            w0[sl] = base * (totals[j] / base.sum())
-    w = project(w0)
-
-    matvecs = 0
-
-    def q_of(v):
-        nonlocal matvecs
-        matvecs += 1
-        z = A @ v
-        return float(v @ z + 2.0 * (b @ v)), z
-
-    q, z = q_of(w)
-    g = 2.0 * (z + b)
-    diag_max = float(np.abs(np.diag(A)).max()) if N else 1.0
-    alpha = 1.0 / (2.0 * diag_max + 1e-300)
-    a_lo, a_hi = 1e-14 / diag_max, 1e14 / diag_max
-
-    consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
-    trace = [(0, q, 0.0, kkt)]
-    finish_kkt = min(tol.kkt, FINISH_KKT)
-    tried = None
-    pivot_rounds = 0
-
-    def finish():
-        """Try the pivoting exact finish from the pattern of w, unless w
-        meets the finish's KKT bound already or its pattern was the last
-        one tried; on success w is the finish's result and a trace row is
-        added."""
-        nonlocal w, z, q, g, consts, kkt, tried, matvecs, pivot_rounds
-        pattern = _pattern(w, caps, slices, totals)
-        if kkt <= finish_kkt or (tried is not None and all(
-                np.array_equal(a, t) for a, t in zip(pattern, tried))):
-            return False
-        tried = pattern
-        seen = set()
-        while pattern is not None:
-            key = pattern[0].tobytes() + pattern[1].tobytes()
-            if key in seen or len(seen) > PIVOT_ROUNDS:
-                return False
-            if seen:
-                pivot_rounds += 1
-            seen.add(key)
-            wf, zf, cf, used = _exact_finish(A, b, slices, totals,
-                                             *pattern, caps)
-            matvecs += used
-            if wf is None:
-                return False
-            pattern = _next_pattern(wf, zf, cf, b, caps, pattern[0], slices,
-                                    finish_kkt)
-        qf = float(wf @ zf + 2.0 * (b @ wf))
-        cf, kf = block_constants_and_kkt(zf + b, wf, caps, slices, totals)
-        if not (kf <= finish_kkt and qf <= q):   # false on nan, too
-            return False
-        w, z, q, g, consts, kkt = wf, zf, qf, 2.0 * (zf + b), cf, kf
-        trace.append((outer + 1, q, 0.0, kkt))
-        return True
-
-    outer = 0
-    finished = finish()
-    converged = finished or kkt < tol.kkt
-    use_bb1 = True
-    while not converged and outer < tol.max_iters:
-        outer += 1
-        # --- free BB burst from the current accepted iterate ---------------
-        bw, bz, bq = w, z, q
-        cw, cz, cq, cg = w, z, q, g
-        step_used = alpha
-        for _ in range(BURST):
-            wt = project(cw - alpha * cg)
-            qt, zt = q_of(wt)
-            s = wt - cw
-            y = 2.0 * (zt - cz)
-            cw, cz, cq = wt, zt, qt
-            cg = 2.0 * (cz + b)
-            if cq < bq:
-                bw, bz, bq = cw, cz, cq
-            _, ikkt = block_constants_and_kkt(cg / 2.0, cw, caps, slices,
-                                              totals)
-            ss = float(s @ s)
-            sy = float(s @ y)
-            yy = float(y @ y)
-            if sy > 0.0:
-                anew = ss / sy if use_bb1 else sy / yy
-                use_bb1 = not use_bb1
-                alpha = min(max(anew, a_lo), a_hi)
-            if ikkt < tol.kkt and cq <= q:
-                bw, bz, bq = cw, cz, cq
+            out, move, direction = _relief(w, caps, free, gap, slices)
+            if not move.any():
                 break
-            if cq > q + 10.0 * (abs(q) + 1.0):
-                break  # runaway burst; fall back below
-        if bw is not w:
-            w, z, q = bw, bz, bq
-            g = 2.0 * (z + b)
-        else:
-            # backtracking fallback: exact line search along the projected
-            # direction at a cautious step; guaranteed descent off the optimum,
-            # taken only if roundoff leaves the objective no higher
-            acons = 1.0 / (2.0 * diag_max)
-            d = project(w - acons * g) - w
-            matvecs += 1
-            Ad = A @ d
-            gd = float(g @ d)
-            dAd = float(d @ Ad)
-            lam = 1.0 if dAd <= 0 else min(1.0, max(0.0, -gd / (2.0 * dAd)))
-            wl, zl = w + lam * d, z + lam * Ad
-            ql = float(wl @ zl + 2.0 * (b @ wl))
-            if gd < 0.0 and lam > 0.0 and ql <= q:
-                w, z, q = wl, zl, ql
-                g = 2.0 * (z + b)
-                step_used = lam * acons
-            alpha = acons
-        consts, kkt = block_constants_and_kkt(g / 2.0, w, caps, slices, totals)
-        trace.append((outer, q, step_used, kkt))
-        finished = finish()
-        if finished:
-            converged = True
-        elif kkt < tol.kkt:
-            window = min(PATIENCE, len(trace) - 1)
-            if window == 0 or \
-                    trace[-1 - window][1] - q <= OBJ_REL * max(1.0, abs(q)):
-                converged = True
-
-    return PGResult(w=w, objective=q, converged=converged,
-                    iterations=outer + finished, kkt_residual=kkt,
-                    constants=consts, trace=np.array(trace), matvecs=matvecs,
-                    exact_finish=finished, pivot_rounds=pivot_rounds)
+            free, fixed = _next_pattern(w, caps, free, out, None, forest)
+        free, fixed = _next_pattern(w, caps, free, move, direction, forest)
+    settled = not move.any()
+    if np.any((w < 0.0) | (w > caps)):
+        # the rounds ended on weights outside their bounds
+        settled = False
+        w = np.clip(w, 0.0, caps)
+        z = A @ w
+        matvecs += 1
+        q = float(w @ z + 2.0 * (b @ w))
+        consts, kkt = block_constants_and_kkt(z + b, w, caps, slices, totals)
+    return QPResult(w=w, objective=q, converged=settled and kkt <= tol.kkt,
+                    iterations=rounds, kkt_residual=kkt, constants=consts,
+                    trace=np.array(trace).reshape(-1, 3), matvecs=matvecs)

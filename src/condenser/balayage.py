@@ -12,9 +12,9 @@ cone for all the columns that dip below zero at once
 (``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
 Park 2011).  Each round factors every distinct free pattern once, from the
 free set's rows of the exterior matrix, and takes the gradients of its
-columns from the same rows, so a round's work scales with the free set; a
-column whose pivoting cycles or runs out of rounds falls back, alone, to
-Lawson-Hanson NNLS on the Cholesky factor.
+columns from the same rows, so a round's work scales with the free set.
+Each column keeps Kim & Park's backup rule, shared with the QP engine of
+``_pg``, so its pivoting ends.
 
 Pivoting accepts any start set and stops only when the KKT conditions hold,
 so a start changes the work, not the answer.  A context keeps the union of
@@ -30,10 +30,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import nnls
+from scipy.linalg import cho_factor, cho_solve
 
 from . import kernel as kernelmod
+from ._pg import BackupRule
 from .errors import UnsupportedKernel
 from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
 from .model import DiscreteMeasure, NodeSet, row_blocks
@@ -41,9 +41,6 @@ from .model import DiscreteMeasure, NodeSet, row_blocks
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
 _NEG_REL_TOL = 1e-12
-
-# pivoting rounds a clipped column may take before its NNLS fallback
-PIVOT_ROUNDS = 60
 
 
 @dataclass
@@ -137,27 +134,22 @@ class GreenContext:
 
     def _cone_project(self, B: np.ndarray, start: np.ndarray) -> np.ndarray:
         """min theta' K theta - 2 b' theta over theta >= 0 for every column b
-        of B by block principal pivoting (Judice & Pires 1994).  A column
-        starts from the positive entries of its column of ``start`` (a
-        trial solution or a boolean free set), solves on its free set,
-        drops negative entries and frees nodes whose gradient is negative,
-        until the KKT conditions hold.  The columns pivot together: each
-        round groups them by free set and reads each set's rows K[idx]
-        once, which give both the factor K[idx, idx] and the gradient
-        K[:, idx] theta[idx] - b (K is symmetric); an empty free set skips
-        both, so its gradient is -b.  A column that cycles or runs out of
-        rounds gets Lawson-Hanson NNLS on the Cholesky factor, which solves
-        the same QP."""
+        of B by block principal pivoting (Judice & Pires 1994), each column
+        under its own backup rule (``_pg.BackupRule``).  A column starts
+        from the positive entries of its column of ``start`` (a trial
+        solution or a boolean free set), solves on its free set, drops
+        negative entries and frees nodes whose gradient is negative, until
+        the KKT conditions hold.  Each round groups the columns by free set
+        and reads each set's rows K[idx] once, for both the factor
+        K[idx, idx] and the gradient K[:, idx] theta[idx] - b (K is
+        symmetric); an empty free set has gradient -b."""
         m, k = B.shape
         scale = np.abs(B).max(axis=0) + 1e-300
         masks = (start > 0.0).T.copy()         # row j: free set of column j
-        seen = [set() for _ in range(k)]
+        rule = BackupRule(k)
         theta = np.zeros((m, k))
         active = list(range(k))
-        stuck = []
-        for _ in range(PIVOT_ROUNDS):
-            if not active:
-                break
+        while active:
             groups: dict = {}
             for j in active:
                 groups.setdefault(masks[j].tobytes(), []).append(j)
@@ -179,25 +171,13 @@ class GreenContext:
                     dropped[idx] = sol < 0.0
                     grad = rows.T @ pos - b
                 viol = ~free[:, None] & (grad < -1e-10 * scale[cols])
-                done = ~(dropped.any(axis=0) | viol.any(axis=0))
-                new = (free[:, None] & ~dropped) | viol
+                move = rule(dropped | viol, cols)
                 for i, j in enumerate(cols):
-                    if done[i]:
-                        theta[:, j] = trial[:, i]
-                        continue
-                    key = new[:, i].tobytes()
-                    if key in seen[j]:
-                        stuck.append(j)
-                    else:
-                        seen[j].add(key)
-                        masks[j] = new[:, i]
+                    if move[:, i].any():
+                        masks[j] = free ^ move[:, i]
                         active.append(j)
-        stuck.extend(active)
-        if stuck:
-            lower = np.tril(self._chol[0])
-            y = solve_triangular(lower, B[:, stuck], lower=True)
-            for i, j in enumerate(stuck):
-                theta[:, j] = nnls(lower.T, y[:, i])[0]
+                    else:
+                        theta[:, j] = trial[:, i]
         return theta
 
     def _potential_and_sweep(self, mu: DiscreteMeasure):

@@ -3,9 +3,10 @@ built-in example's config for ``example``), merges the global flags, has
 ``scenarios`` build its problem, runs it and prints the report and CSVs.
 
 Exit codes: 0 success, else the ``exit_code`` of the ``CondenserError``
-raised (2 parse, 3 infeasible, 4 non-converged, 5 other) or 5 for any other
-exception.  On any failure no output is written and a single
-machine-readable line ``ERROR <code> <message>`` goes to stderr.
+raised (2 parse, 3 infeasible, 4 non-converged, 5 other, a QP that is not
+convex among them) or 5 for any other exception.  On any failure no output
+is written and a single machine-readable line ``ERROR <code> <message>``
+goes to stderr.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .verify import (kkt_report, scalar_zone_checks, support_report,
                      equivalence_check, unsolvability_sweep, loglog_slope,
                      zone_checks_apply)
 
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 
 def load_config(path: str) -> dict:
@@ -126,7 +127,7 @@ def _solve_files(rep: ReportBuilder, spec: ProblemSpec, atoms: SolveResult,
     return {"report.txt": rep.text(),
             "atoms.csv": _atoms_csv(atoms.solution.components,
                                     spec.constraint),
-            "trace.csv": _csv(["iter", "objective", "step", "kkt_residual"],
+            "trace.csv": _csv(["iter", "objective", "kkt_residual"],
                               ([int(row[0]), *map(float, row[1:])]
                                for row in trace.trace))}
 
@@ -142,10 +143,8 @@ def _solver_section(rep: ReportBuilder, result: SolveResult,
                     prefix: str = "solver"):
     rep.section(prefix)
     for name in ("energy", "converged", "iterations", "matvecs",
-                 "pivot_rounds", "kkt_residual", "constants"):
+                 "shared_nodes", "kkt_residual", "constants"):
         rep.add(f"{prefix}.{name}", getattr(result, name))
-    rep.add(f"{prefix}.finish",
-            "exact" if result.exact_finish else "projected_gradient")
     for i, comp in enumerate(result.solution.components):
         rep.add(f"{prefix}.plate{i}.mass", comp.total_mass)
     if result.lift_mass_defect is not None:
@@ -322,7 +321,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol-kkt", type=float, default=None)
     parser.add_argument("--truncation", type=float, default=None)
     parser.add_argument("--resolution", type=float, default=None)
-    parser.add_argument("--max-iters", type=int, default=None)
+    parser.add_argument("--max-iters", type=int, default=None,
+                        help="pivot-round budget of each QP solve")
     parser.add_argument("--out-dir", type=str, default="out")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("solve", "solve-green", "balayage", "capacity", "verify",

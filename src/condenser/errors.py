@@ -72,3 +72,10 @@ class NonConvergedError(CondenserError):
 
     code = "NonConverged"
     exit_code = 4
+
+
+class NonConvexError(CondenserError):
+    """A QP is not convex on a face the pivoting visits (the inertia of its
+    bordered KKT matrix)."""
+
+    code = "NonConvex"

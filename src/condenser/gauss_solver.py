@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import PGResult, minimize_quadratic
+from ._pg import QPResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import (KernelSpec, gauss_functional, _require_distinct,
@@ -111,9 +111,8 @@ class SolveResult:
     iterations: int
     lift_mass_defect: Optional[float] = None
     balayage_residual: Optional[float] = None
-    exact_finish: bool = False     # the QP's exact finish ended the solve
     matvecs: int = 0               # products with the QP's matrix
-    pivot_rounds: int = 0          # exact-finish rounds after a pattern move
+    shared_nodes: int = 0          # node positions several plates hold
 
 
 def _block_slices(sizes: Sequence[int]) -> list:
@@ -143,16 +142,16 @@ def _caps_and_field(spec: ProblemSpec):
     return caps, [np.where(np.isposinf(f), 0.0, f) for f in spec.field]
 
 
-def _solve_result(res: PGResult, solution: VectorMeasure,
-                  constants: np.ndarray) -> SolveResult:
-    """SolveResult of a solution built from the solver output ``res``; its
-    energy is the minimized objective."""
+def _solve_result(res: QPResult, solution: VectorMeasure,
+                  constants: np.ndarray, positions: np.ndarray) -> SolveResult:
+    """SolveResult of a solution built from the solver output ``res`` on
+    unknowns at ``positions`` (indices); its energy is the objective."""
     return SolveResult(solution=solution, energy=res.objective,
                        constants=constants, trace=res.trace,
                        converged=res.converged, kkt_residual=res.kkt_residual,
-                       iterations=res.iterations,
-                       exact_finish=res.exact_finish, matvecs=res.matvecs,
-                       pivot_rounds=res.pivot_rounds)
+                       iterations=res.iterations, matvecs=res.matvecs,
+                       shared_nodes=int(np.count_nonzero(
+                           np.bincount(positions) > 1)))
 
 
 def solve_riesz(spec: ProblemSpec) -> SolveResult:
@@ -168,11 +167,14 @@ def solve_riesz(spec: ProblemSpec) -> SolveResult:
     for block in (K[:n, n:], K[n:, :n]):
         np.negative(block, out=block)
     caps, b = _caps_and_field(spec)
+    _, positions = merge_by_position(np.vstack([p.nodes.positions
+                                                for p in plates]))
     res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
-                             np.concatenate(caps), spec.tolerances)
+                             np.concatenate(caps), spec.tolerances,
+                             positions=positions)
     solution = VectorMeasure.from_weights(spec.condenser,
                                           [res.w[sl] for sl in slices])
-    return _solve_result(res, solution, res.constants[:-1])
+    return _solve_result(res, solution, res.constants[:-1], positions)
 
 
 def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
@@ -191,11 +193,11 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,
                              spec.totals[:spec.p_index],
                              np.concatenate(caps[:spec.p_index]),
-                             spec.tolerances)
+                             spec.tolerances, positions=idx)
     comps = [DiscreteMeasure(p.nodes, res.w[sl])
              for p, sl in zip(plates, slices)]
     solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
-    return _solve_result(res, solution, res.constants)
+    return _solve_result(res, solution, res.constants, idx)
 
 
 def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:

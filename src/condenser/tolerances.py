@@ -16,7 +16,7 @@ class Tolerances:
     # absolute tolerance for potential-level checks (zone/support/balayage match),
     # normalized by the relevant potential scale; discretization-limited
     potential: float = 1e-3
-    # iteration budget for projected-gradient solves
+    # pivot-round budget of each QP solve: the pattern solves it may take
     max_iters: int = 50_000
 
 

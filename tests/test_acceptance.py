@@ -265,8 +265,8 @@ def test_criterion_11_scalar_zone_checks(ex1, ex1_riesz):
 
 
 def test_criterion_12_nodes_at_cap(ex2, ex2_riesz):
-    # ex2's cap binds on most positive nodes; the exact finish, pivoting
-    # from the start point, ends the solve
+    # ex2's cap binds on most positive nodes; pivoting from the all-free
+    # start reaches that pattern in a few pattern solves
     spec, res = ex2.spec, ex2_riesz
     w, cap = res.solution.components[0].weights, spec.constraint[0]
     carried, below = node_classes(w, cap, spec.totals[0])
@@ -277,9 +277,8 @@ def test_criterion_12_nodes_at_cap(ex2, ex2_riesz):
     cap_upper = max(0.0, float((W[at_cap] - c).max())) / max(1.0, abs(c))
     ok = at_cap.sum() >= len(w) // 2 and res.kkt_residual <= 1e-10 and \
         cap_upper <= 1e-10 and rep.upper_violation.max() <= 1e-10 and \
-        res.iterations == 1 and res.exact_finish
+        res.converged and res.iterations <= 5
     report(12, "nodes at their cap on example two", ok,
            f"{at_cap.sum()} of {len(w)} nodes at cap, KKT residual "
            f"{res.kkt_residual:.1e} (tol 1e-10), upper violation on them "
-           f"{cap_upper:.1e}, {res.iterations} iteration(s), finish "
-           f"{'exact' if res.exact_finish else 'projected_gradient'}")
+           f"{cap_upper:.1e}, {res.iterations} pattern solve(s)")

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import nnls
 
+from condenser import _pg as pgmod
 from condenser import balayage as balayagemod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
@@ -395,27 +396,38 @@ class TestBatchedPivoting:
             assert grad[zero, k].min() >= -1e-10 * scale[k]
             assert np.abs(grad[~zero, k]).max() <= 1e-10 * scale[k]
 
-    def test_round_limit_falls_back_to_nnls(self, toy_sweep, monkeypatch):
+    def test_backup_rule_matches_nnls(self, toy_sweep, monkeypatch):
+        # Kim & Park's backup rule forced from round one: every clipped
+        # column exchanges one node per round, and still ends at the
+        # nonnegative least-squares solution on the Cholesky factor (ten of
+        # the toy's clipped columns keep the test short)
         ctx, src = toy_sweep
+        src = NodeSet(src.positions[:10], src.quad_weights[:10],
+                      src.cell_radii[:10])
+        reads = []
+        rows = GreenContext._kee_rows
+        monkeypatch.setattr(GreenContext, "_kee_rows",
+                            lambda self, idx: reads.append(1) or
+                            rows(self, idx))
         B, pivoted, clipped = GreenContext(ctx.exterior, K2).sweep_columns(src)
-        calls = []
+        block_reads = len(reads)
+        original = pgmod.BackupRule.__init__
 
-        def counted_nnls(A, y):
-            calls.append(1)
-            return nnls(A, y)
+        def forced(self, k):
+            original(self, k)
+            self.least[:] = 0
+            self.left[:] = 0
 
-        monkeypatch.setattr(balayagemod, "PIVOT_ROUNDS", 1)
-        monkeypatch.setattr(balayagemod, "nnls", counted_nnls)
+        monkeypatch.setattr(pgmod.BackupRule, "__init__", forced)
         _, theta, again = ctx.sweep_columns(src)
-        assert again == clipped
-        # the seed column does not settle in its one round, so it ends in
-        # the fallback; the others start from its settled set, and one
-        # round settles exactly those whose own set it is.  On the toy no
-        # other column settles on the seed's set, so every column falls back
-        cols = clipped_of(ctx, B)
-        sets = [(pivoted[:, k] > 0.0).tobytes() for k in cols]
-        assert len(calls) == 1 + sum(s != sets[0] for s in sets[1:])
-        assert len(calls) == clipped == 33
+        assert again == clipped == 10
+        assert len(reads) - block_reads > block_reads
+        lower = np.tril(ctx._chol[0])
+        y = solve_triangular(lower, B, lower=True)
+        for k in clipped_of(ctx, B):
+            ref = nnls(lower.T, y[:, k])[0]
+            assert np.abs(theta[:, k] - ref).max() <= \
+                1e-10 * np.abs(ref).max()
         assert np.abs(theta - pivoted).max() <= \
             1e-10 * np.abs(pivoted).max()
 
@@ -461,7 +473,7 @@ class TestStartRule:
     @pytest.mark.parametrize("carried", ["all", "one"])
     def test_wrong_carried_support_still_solves(self, toy_sweep, carried):
         # the reference sweep's columns are the NNLS solutions within 1e-10
-        # (test_round_limit_falls_back_to_nnls)
+        # (test_backup_rule_matches_nnls)
         ctx, src = toy_sweep
         _, ref, _ = GreenContext(ctx.exterior, K2).sweep_columns(src)
         support = np.full(len(ctx.exterior), carried == "all")

@@ -123,17 +123,18 @@ class TestSolveCommand:
         rc = main(["--out-dir", out, "solve", cfg])
         assert rc == 0
         rep = read_report(out)
-        assert rep["schema_version"] == "5"
+        assert rep["schema_version"] == "6"
         assert rep["solver.converged"] == "True"
         assert int(rep["solver.matvecs"]) >= 1
-        assert int(rep["solver.pivot_rounds"]) >= 0
+        assert rep["solver.shared_nodes"] == "0"
+        assert "solver.finish" not in rep and "solver.pivot_rounds" not in rep
         assert float(rep["solver.energy"]) > 0
         with open(os.path.join(out, "atoms.csv")) as fh:
             header = fh.readline().strip()
         assert header == "plate,x1,x2,x3,weight,cap"
         with open(os.path.join(out, "trace.csv")) as fh:
             header = fh.readline().strip()
-        assert header == "iter,objective,step,kkt_residual"
+        assert header == "iter,objective,kkt_residual"
 
     def test_report_numerics_finite_or_inf_token(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -141,23 +142,21 @@ class TestSolveCommand:
         assert main(["--out-dir", out, "solve", cfg]) == 0
         assert_numerics_finite_or_inf(read_report(out))
 
-    def test_report_names_the_finish(self, tmp_path):
-        # the exact finish ends the toy solves; two positive plates on the
-        # same nodes make the free block singular, so PG ends that solve
-        out = str(tmp_path / "exact")
-        path = write_config(tmp_path, TOY_BALL)
-        assert main(["--out-dir", out, "solve-green", path]) == 0
-        rep = read_report(out)
-        assert rep["green.finish"] == rep["lifted.finish"] == "exact"
+    def test_report_counts_shared_nodes(self, tmp_path):
+        # two positive plates on the same nodes share every one of them;
+        # pivoting alone ends their solves, and the lift repeats the count
         shared = dict(TOY_BALL, totals=[0.5, 0.5, 1.0],
                       plates=[BALL_CONFIG["plates"][0]] + BALL_CONFIG["plates"],
                       constraint=[{"mode": "unbounded"}] * 3)
-        for cfg, finish in ((TOY_BALL, "exact"),
-                            (shared, "projected_gradient")):
-            out = str(tmp_path / finish)
-            path = write_config(tmp_path, cfg)
-            assert main(["--out-dir", out, "solve", path]) == 0
-            assert read_report(out)["solver.finish"] == finish
+        path = write_config(tmp_path, shared)
+        for command, sections in (("solve", ("solver",)),
+                                  ("solve-green", ("green", "lifted"))):
+            out = str(tmp_path / command)
+            assert main(["--out-dir", out, command, path]) == 0
+            rep = read_report(out)
+            for name in sections:
+                assert rep[f"{name}.shared_nodes"] == str(TOY_BALL_NODES)
+                assert float(rep[f"{name}.kkt_residual"]) <= 1e-10
 
     def test_determinism_byte_identical(self, tmp_path):
         cfg = write_config(tmp_path, BALL_CONFIG)
@@ -547,8 +546,7 @@ class TestErrorPaths:
     def test_nonconverged_exit_4(self, tmp_path):
         cfg = dict(BALL_CONFIG)
         cfg["constraint"] = [{"mode": "unbounded"}, {"mode": "unbounded"}]
-        # a KKT bound below double roundoff, which neither PG nor the exact
-        # finish can meet
+        # a KKT bound below double roundoff, which the pivoting cannot meet
         cfg["tolerances"] = {"max_iters": 1, "kkt": 1e-20}
         path = write_config(tmp_path, cfg)
         out = str(tmp_path / "o")

@@ -4,20 +4,25 @@ A round of ``GreenContext._cone_project`` reads only the free set's rows of
 the exterior matrix K_EE, so its work scales with the free set.  K_EE shares
 one array with its Cholesky factor (``self._chol[0]``, K_EE in the strict
 upper triangle, its diagonal in ``self._kee_diag``), and ``_cone_project``
-reads its rows through ``self._kee_rows``.  The only other read of that
-storage there is the NNLS fallback's factor, ``np.tril(self._chol[0])``; any
-other form (a product with the array, a triangle or diagonal that rebuilds
-K_EE) fails.
+reads its rows through ``self._kee_rows`` and nothing else of that storage:
+any other form (a product with the array, a triangle or diagonal that
+rebuilds K_EE, a triangle as a factor) fails.
 
-A round of the exact finish in ``_pg`` takes one factor: ``cho_factor`` is
-called only in ``_free_block_factor``, and that only in ``_exact_finish``.
-The free block is gathered by rows and ``take``, never through ``np.ix_``
-(an index-array copy several times slower)."""
+A round of the pivoting in ``_pg`` takes one factor: ``cho_factor`` is
+called only in ``_free_block_factor`` and ``ldl`` only in
+``_bordered_solver``, both only in ``_free_block_solver``, which only
+``_solve_pattern`` calls.  The free block is gathered by rows and ``take``,
+never through ``np.ix_`` (an index-array copy several times slower).
+
+One QP engine: no module of the package imports ``scipy.optimize``, and
+``_pg`` defines none of the names of the projected-gradient engine it
+replaced."""
 
 import ast
 import pathlib
 
 import condenser
+from test_layering_lint import public_names
 
 BALAYAGE = pathlib.Path(condenser.__file__).parent / "balayage.py"
 PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
@@ -25,28 +30,11 @@ PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
 
 def whole_matrix_reads(source: str) -> list:
     """Line numbers of the reads of ``self._chol`` and ``self._kee_diag``
-    in ``source`` other than the fallback factor ``np.tril(self._chol[0])``."""
-    parents = {}
-    tree = ast.parse(source)
-    for node in ast.walk(tree):
-        for child in ast.iter_child_nodes(node):
-            parents[child] = node
-
-    def fallback_factor(node):
-        sub = parents.get(node)
-        call = parents.get(sub)
-        return (node.attr == "_chol" and isinstance(sub, ast.Subscript)
-                and isinstance(sub.slice, ast.Constant)
-                and sub.slice.value == 0
-                and isinstance(call, ast.Call) and call.args == [sub]
-                and not call.keywords
-                and getattr(call.func, "attr", None) == "tril")
-
-    return [node.lineno for node in ast.walk(tree)
+    in ``source``."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.Attribute)
             and node.attr in ("_chol", "_kee_diag")
-            and isinstance(node.value, ast.Name) and node.value.id == "self"
-            and not fallback_factor(node)]
+            and isinstance(node.value, ast.Name) and node.value.id == "self"]
 
 
 def method_source(cls: str, name: str) -> str:
@@ -68,9 +56,9 @@ def test_lint_flags_whole_matrix_products():
         "k = np.triu(self._chol[0], 1)\n"
         "k = k + k.T + np.diag(self._kee_diag)\n") == [1, 2]
     assert whole_matrix_reads("lower = np.tril(self._chol[0], 1)\n") == [1]
+    assert whole_matrix_reads("lower = np.tril(self._chol[0])\n") == [1]
     assert whole_matrix_reads("rows = self._kee_rows(idx)\n"
-                              "block = rows[:, idx]\n"
-                              "lower = np.tril(self._chol[0])\n") == []
+                              "block = rows[:, idx]\n") == []
 
 
 def test_cone_project_reads_only_free_rows():
@@ -115,4 +103,34 @@ def test_pg_gathers_without_ix():
 def test_pg_factors_once_per_round():
     source = PG.read_text()
     assert callers(source, "cho_factor") == ["_free_block_factor"]
-    assert callers(source, "_free_block_factor") == ["_exact_finish"]
+    assert callers(source, "ldl") == ["_bordered_solver"]
+    assert callers(source, "_free_block_factor") == ["_free_block_solver"]
+    assert callers(source, "_bordered_solver") == ["_free_block_solver"]
+    assert callers(source, "_free_block_solver") == ["_solve_pattern"]
+
+
+def scipy_optimize_imports(source: str) -> list:
+    """Line numbers of the imports of ``scipy.optimize`` or of names from
+    it, at module level or inside a function."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if (isinstance(node, ast.Import) and any(
+                a.name.startswith("scipy.optimize") for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and (
+                (node.module or "").startswith("scipy.optimize") or (
+                    node.module == "scipy" and "optimize" in
+                    {a.name for a in node.names})))]
+
+
+def test_lint_sees_scipy_optimize_imports():
+    source = ("import scipy.optimize\nfrom scipy.optimize import nnls\n"
+              "from scipy import optimize\nfrom scipy import linalg\n"
+              "def f():\n    from scipy.optimize import nnls\n")
+    assert scipy_optimize_imports(source) == [1, 2, 3, 6]
+
+
+def test_one_qp_engine():
+    package = PG.parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if scipy_optimize_imports(path.read_text())] == []
+    assert public_names(PG.read_text()) & {
+        "BURST", "OBJ_REL", "PATIENCE", "project_capped_simplex"} == set()

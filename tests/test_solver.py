@@ -6,10 +6,10 @@ import pytest
 
 from condenser.balayage import GreenContext
 from condenser.errors import (AlignmentError, DuplicateNodeError,
-                              InfeasibleError, SigmaDominationError)
+                              InfeasibleError, NonConvexError,
+                              SigmaDominationError)
 from condenser import _pg as pgmod
 from condenser import model as modelmod
-from condenser._pg import project_capped_simplex
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz,
@@ -34,9 +34,9 @@ K15 = KernelSpec(3, 1.5)
 
 def shared_node_spec():
     """Two positive plates on the same toy-ball nodes against the ball's
-    complement.  Their rows of the joint kernel matrix coincide, so the free
-    block is singular, the exact finish never applies and projected gradient
-    alone ends the solve."""
+    complement.  Their rows of the joint kernel matrix coincide, so a free
+    block with both copies of a node is singular: the pivoting keeps the
+    free copies a forest and solves the bordered system."""
     ball = {"geometry": "ball", "sign": 1, "radius": 1.0}
     return build_scenario({
         "kernel": {"n": 3, "alpha": 1.5}, "resolution": 0.5,
@@ -81,33 +81,45 @@ def small_condenser(seed=0, n_pos=30, n_neg=40):
                       Plate(sign=-1, nodes=neg)))
 
 
-def assert_variational_inequality(res, spec, caps0, rng):
+def assert_variational_inequality(res, spec, rng):
     """At the minimizer, sum_i <W^i, mu^i - lambda^i> >= 0 for feasible mu
-    (unit masses, plate 0 capped by caps0, plate 1 uncapped)."""
+    (the totals and caps of ``spec``)."""
     W = weighted_potentials(res.solution, spec)
-    n1 = len(spec.condenser.plates[1].nodes)
     scale = max(1.0, float(np.abs(res.constants).max()))
     for _ in range(25):
-        mu0 = project_capped_simplex(rng.random(len(caps0)) * caps0,
-                                     caps0, 1.0)
-        mup = project_capped_simplex(rng.random(n1), np.full(n1, np.inf), 1.0)
-        val = float(W[0] @ (mu0 - res.solution.components[0].weights)) + \
-            float(W[1] @ (mup - res.solution.components[1].weights))
+        val = 0.0
+        for Wi, comp, cap, total in zip(W, res.solution.components,
+                                        spec.constraint, spec.totals):
+            start = rng.random(len(cap)) * np.where(np.isfinite(cap), cap, 1.0)
+            val += float(Wi @ (brute_force_projection(start, cap, total) -
+                               comp.weights))
         assert val >= -1e-6 * scale
 
 
+def engine_projection(w, caps, total):
+    """Euclidean projection of w onto {0 <= v <= caps, sum v = total} by
+    the pivoting engine: the QP with A = I and b = -w."""
+    w = np.asarray(w, dtype=float)
+    return pgmod.minimize_quadratic(np.eye(len(w)), -w, [slice(0, len(w))],
+                                    [total], np.broadcast_to(caps, w.shape),
+                                    DEFAULT_TOLERANCES).w
+
+
 class TestCappedSimplexProjection:
+    """The pivoting engine on the projection QP, against the brute-force
+    oracle."""
+
     def test_fixed_point(self):
         w = np.array([0.2, 0.3, 0.5])
         caps = np.array([1.0, 1.0, 1.0])
-        assert np.allclose(project_capped_simplex(w, caps, 1.0), w, atol=1e-14)
+        assert np.allclose(engine_projection(w, caps, 1.0), w, atol=1e-14)
 
     def test_uniform_from_zero(self):
-        got = project_capped_simplex(np.zeros(5), np.full(5, np.inf), 2.0)
+        got = engine_projection(np.zeros(5), np.full(5, np.inf), 2.0)
         assert np.allclose(got, 0.4)
 
     def test_two_variable_derived(self):
-        got = project_capped_simplex(np.array([3.0, 0.0]),
+        got = engine_projection(np.array([3.0, 0.0]),
                                      np.array([1.0, np.inf]), 2.0)
         oracle = brute_force_projection(np.array([3.0, 0.0]),
                                         np.array([1.0, np.inf]), 2.0)
@@ -126,7 +138,7 @@ class TestCappedSimplexProjection:
         total = rng.uniform(0.1, 0.9) * (top + np.isinf(caps).sum())
         if caps.sum() < total:
             total = 0.5 * finite.sum()
-        got = project_capped_simplex(w, caps, total)
+        got = engine_projection(w, caps, total)
         oracle = brute_force_projection(w, caps, total)
         assert np.abs(got - oracle).max() < 1e-8
         # exact feasibility
@@ -141,7 +153,7 @@ class TestCappedSimplexProjection:
         w = rng.normal(size=m)
         caps = rng.uniform(0.2, 1.0, size=m)
         total = 0.7 * caps.sum()
-        v = project_capped_simplex(w, caps, total)
+        v = engine_projection(w, caps, total)
         base = np.linalg.norm(w - v)
         for _ in range(50):
             u = rng.uniform(0, 1, m) * caps
@@ -150,12 +162,12 @@ class TestCappedSimplexProjection:
 
     def test_caps_exactly_realize_total(self):
         caps = np.array([0.25, 0.5, 0.25])
-        got = project_capped_simplex(np.array([5.0, -1.0, 2.0]), caps, 1.0)
+        got = engine_projection(np.array([5.0, -1.0, 2.0]), caps, 1.0)
         assert np.allclose(got, caps, atol=1e-14)
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
-            project_capped_simplex(np.zeros(3), np.full(3, 0.1), 1.0)
+            engine_projection(np.zeros(3), np.full(3, 0.1), 1.0)
 
 
 class TestSolveRiesz:
@@ -213,7 +225,8 @@ class TestSolveRiesz:
 
     def test_matches_fixed_step_reference(self):
         # independent reference: plain projected gradient, fixed 1/L step,
-        # mass stacked on the first node initially
+        # mass stacked on the first node initially, projected by the
+        # brute-force oracle (it meets the energy to 3e-16 by step 250)
         cond = small_condenser(seed=3)
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
@@ -226,16 +239,16 @@ class TestSolveRiesz:
         w = np.zeros(A.shape[0])
         w[slices[0].start] = 1.0
         w[slices[1].start] = 1.0
-        for _ in range(30_000):
+        for _ in range(500):
             g = 2.0 * (A @ w)
             w = w - g / L
             for sl in slices:
-                w[sl] = project_capped_simplex(w[sl], np.full(sl.stop - sl.start,
-                                                              np.inf), 1.0)
+                w[sl] = brute_force_projection(
+                    w[sl], np.full(sl.stop - sl.start, np.inf), 1.0)
         ref_energy = float(w @ A @ w)
         assert abs(res.energy - ref_energy) / abs(ref_energy) < 1e-4
 
-    def test_feasible_and_monotone_trace(self):
+    def test_feasible_and_trace_ends_at_the_solution(self):
         cond = small_condenser(seed=4)
         rng = np.random.default_rng(0)
         caps0 = rng.uniform(0.05, 0.2, len(cond.plates[0].nodes))
@@ -244,16 +257,19 @@ class TestSolveRiesz:
                              (caps0, None), K2)
         for spec in (capped, shared_node_spec()):
             res = solve_riesz(spec)
-            assert res.converged
+            assert res.converged and res.kkt_residual <= 1e-10
             for i, total in enumerate(spec.totals):
                 w = res.solution.components[i].weights
                 assert abs(w.sum() - total) <= 1e-10 * max(1.0, total)
-                assert np.all((w >= 0) & (w <= spec.constraint[i] + 1e-12))
-            obj = res.trace[:, 1]
-            assert np.all(np.diff(obj) <=
-                          1e-12 * np.maximum(np.abs(obj[:-1]), 1.0))
-        # the shared-node trace is a long PG run, not a finish's few rows
-        assert not res.exact_finish and len(res.trace) > 20
+                assert np.all((w >= 0) & (w <= spec.constraint[i]))
+            # one row per refined pattern solve, the last one the solution
+            assert res.trace.shape[1] == 3
+            assert np.all(np.diff(res.trace[:, 0]) > 0)
+            assert res.trace[-1].tolist() == [res.iterations, res.energy,
+                                              res.kkt_residual]
+        # the shared-node solve pivots to its pattern in a few rounds
+        assert res.shared_nodes == len(spec.condenser.plates[0].nodes)
+        assert res.iterations <= 10
 
     def test_variational_inequality(self):
         cond = small_condenser(seed=5)
@@ -262,7 +278,7 @@ class TestSolveRiesz:
         caps0 *= 2.0 / caps0.sum()
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (caps0, None), K2)
-        assert_variational_inequality(solve_riesz(spec), spec, caps0, rng)
+        assert_variational_inequality(solve_riesz(spec), spec, rng)
 
     def test_infeasible_cap_total(self):
         cond = small_condenser(seed=7)
@@ -303,8 +319,7 @@ class TestSolveRiesz:
             solve_riesz(spec)
 
     def test_max_iters_flagged_not_raised(self):
-        # a KKT bound below double roundoff, which neither PG nor the exact
-        # finish can meet
+        # a KKT bound below double roundoff, which the pivoting cannot meet
         cond = small_condenser(seed=9)
         tol = replace(DEFAULT_TOLERANCES, max_iters=2, kkt=1e-20)
         spec = ProblemSpec(cond, (1.0, 1.0), None,
@@ -390,41 +405,88 @@ def seeded_qp(seed=21, n=8):
 
 @pytest.fixture
 def finish_attempts(monkeypatch):
-    """Weights returned by every exact-finish attempt (None: no factor)."""
+    """Weights of every pattern solve, as it returns them."""
     attempts = []
-    original = pgmod._exact_finish
+    original = pgmod._solve_pattern
 
-    def record(*args):
-        out = original(*args)
-        attempts.append(out[0])
+    def record(*args, **kwargs):
+        out = original(*args, **kwargs)
+        attempts.append(out[0].copy())
         return out
 
-    monkeypatch.setattr(pgmod, "_exact_finish", record)
+    monkeypatch.setattr(pgmod, "_solve_pattern", record)
     return attempts
 
 
-class TestBacktrackingFallback:
-    def test_failed_bursts_fall_back_to_descent(self, monkeypatch,
-                                                finish_attempts):
-        # one BB step per burst, so a step that raises the objective fails
-        # its burst; two plates on the same nodes make every free block
-        # singular, so no exact finish ends the solve
-        monkeypatch.setattr(pgmod, "BURST", 1)
+def single_exchanges(monkeypatch):
+    """Force Kim & Park's backup rule from round one: every pivoting
+    exchanges one violator per round."""
+    original = pgmod.BackupRule.__init__
+
+    def forced(self, k):
+        original(self, k)
+        self.least[:] = 0
+        self.left[:] = 0
+
+    monkeypatch.setattr(pgmod.BackupRule, "__init__", forced)
+
+
+class TestSharedCopies:
+    def test_identical_plates_reach_the_equilibrium(self):
+        # two plates on the same nodes, each copy's position passed: the
+        # free copies stay a forest, and the plates' sum is the unit
+        # equilibrium measure of the nodes
         nodes = ball_volume_nodes((0, 0, 0), 1.0, 0.5)
         K = assemble_matrix(nodes, K15).entries
         m = len(nodes)
         res = pgmod.minimize_quadratic(
             np.block([[K, K], [K, K]]), None, [slice(0, m), slice(m, 2 * m)],
-            [0.5, 0.5], np.full(2 * m, np.inf), DEFAULT_TOLERANCES)
-        assert res.converged and not res.exact_finish
-        assert finish_attempts and all(w is None for w in finish_attempts)
-        # an outer iteration takes one matvec in its burst and one more
-        # when it falls back; the start point takes one
-        assert res.matvecs - 1 - res.iterations > 0
-        assert np.all(np.diff(res.trace[:, 1]) <= 0.0)
-        # the plates' sum is the unit equilibrium measure of the nodes
+            [0.5, 0.5], np.full(2 * m, np.inf), DEFAULT_TOLERANCES,
+            positions=np.tile(np.arange(m), 2))
+        assert res.converged and res.kkt_residual <= 1e-10
         _, cap = equilibrium_measure(nodes, K15, 1.0)
-        assert abs(res.objective - 1.0 / cap) <= 1e-8 / cap
+        assert abs(res.objective - 1.0 / cap) <= 1e-12 / cap
+
+    def test_partial_overlap_converges_by_pivoting(self):
+        # two balls of radius 0.5 centred at x = -0.2 and 0.2 against the
+        # unit ball's complement; the reference energies are those of
+        # projected gradient, the engine this pivoting replaced
+        sc = build_scenario({
+            "kernel": {"n": 3, "alpha": 1.5}, "resolution": 0.2,
+            "truncation": 3.0, "totals": [0.5, 0.5, 1.0],
+            "plates": [{"geometry": "ball", "sign": 1, "radius": 0.5,
+                        "center": [x, 0, 0]} for x in (-0.2, 0.2)] +
+                      [{"geometry": "ball_complement", "sign": -1,
+                        "radius": 1.0}],
+            "constraint": [{"mode": "unbounded"}] * 3})
+        spec = sc.spec
+        assert [len(p.nodes) for p in spec.condenser.plates[:2]] == [81, 81]
+        riesz = solve_riesz(spec)
+        green = solve_green_reduced(spec, sc.green)
+        for res, ref in ((riesz, 2.1436314587959022),
+                         (green, 2.1433763081622996)):
+            assert res.converged and res.iterations <= 30
+            assert res.kkt_residual <= 1e-10 and res.shared_nodes == 39
+            assert abs(res.energy - ref) <= 1e-12 * ref
+            for comp, total in zip(res.solution.components, spec.totals):
+                assert abs(comp.weights.sum() - total) <= 1e-12
+        assert_variational_inequality(riesz, spec, np.random.default_rng(3))
+
+    def test_fields_on_shared_copies(self):
+        # different fields on the two plates make the split of each shared
+        # node matter: a cycle of free copies is broken where mass moved
+        # around it first reaches a bound
+        spec = shared_node_spec()
+        rng = np.random.default_rng(4)
+        n0 = len(spec.condenser.plates[0].nodes)
+        field = (rng.uniform(0, 0.3, n0), rng.uniform(0, 0.3, n0),
+                 np.zeros(len(spec.condenser.plates[2].nodes)))
+        for caps in (spec.constraint, (np.full(n0, 0.04),) * 2 + (None,)):
+            fielded = ProblemSpec(spec.condenser, spec.totals, field, caps,
+                                  spec.kernel)
+            res = solve_riesz(fielded)
+            assert res.converged and res.kkt_residual <= 1e-10
+            assert kkt_report(res, fielded).max_violation <= 1e-10
 
 
 class TestJointAssembly:
@@ -457,114 +519,118 @@ class TestExactFinish:
     def test_zero_free_and_capped_nodes(self):
         spec, caps0 = fielded_capped_spec(2.0)
         res = solve_riesz(spec)
-        assert res.converged and res.exact_finish
+        assert res.converged
         assert res.kkt_residual <= 1e-10
         w = res.solution.components[0].weights
         margin = pgmod.FREE_MARGIN_REL
         zero, capped = w <= margin, w >= caps0 - margin
         assert zero.any() and capped.any() and (~zero & ~capped).any()
-        assert_variational_inequality(res, spec, caps0,
-                                      np.random.default_rng(2))
+        assert_variational_inequality(res, spec, np.random.default_rng(2))
 
     def test_rejected_start_then_finish(self, finish_attempts):
         # the all-free start pattern puts more than their cap on some nodes;
-        # pivoting from that solve, not PG, ends the solve at the start point
+        # pivoting from that solve ends the solve in a few pattern solves
         spec, caps0 = fielded_capped_spec(1.3)
         res = solve_riesz(spec)
         first = finish_attempts[0][:len(caps0)]
         assert np.any(first > caps0)
-        assert res.converged and res.exact_finish
-        assert res.iterations == 1
-        assert res.pivot_rounds == len(finish_attempts) - 1 >= 1
-        assert res.kkt_residual <= 1e-10
-        obj = res.trace[:, 1]
-        assert len(obj) == 2 and obj[1] <= obj[0]
+        assert res.converged and res.kkt_residual <= 1e-10
+        assert res.iterations == len(finish_attempts) >= 2
+        # the start's solve stops at its first correction: no trace row
+        assert res.trace[-1, 0] == res.iterations
+        assert len(res.trace) < res.iterations
 
     @pytest.mark.parametrize("name", ["capped-1.3", "capped-2.0", "ballinball"])
-    def test_pivoting_matches_pg(self, monkeypatch, name):
+    def test_single_exchanges_match_block_pivoting(self, monkeypatch, name):
         spec = {"capped-1.3": lambda: fielded_capped_spec(1.3)[0],
                 "capped-2.0": lambda: fielded_capped_spec(2.0)[0],
                 "ballinball": lambda: ball_in_ball(
                     alpha=2.0, resolution=0.3, truncation=3.0).spec}[name]()
-        piv = solve_riesz(spec)
-        # no pattern moves: a finish that needs one hands over to PG
-        monkeypatch.setattr(pgmod, "PIVOT_ROUNDS", 0)
-        pg = solve_riesz(spec)
-        assert piv.pivot_rounds >= 1 and piv.iterations == 1
-        assert pg.pivot_rounds == 0 and pg.iterations > 1
-        for a, b in zip(piv.solution.components, pg.solution.components):
+        block = solve_riesz(spec)
+        single_exchanges(monkeypatch)
+        single = solve_riesz(spec)
+        assert block.converged and single.converged
+        assert single.iterations > block.iterations
+        for a, b in zip(block.solution.components,
+                        single.solution.components):
             np.testing.assert_allclose(a.weights, b.weights, rtol=0,
                                        atol=1e-12)
-        assert abs(piv.energy - pg.energy) <= 1e-14 * abs(pg.energy)
+        assert abs(block.energy - single.energy) <= 1e-14 * abs(single.energy)
 
     def test_dropped_node_freed_again(self, monkeypatch):
         A, b, caps = seeded_qp()
         moves = []
         original = pgmod._next_pattern
 
-        def record(w, z, c, b_, caps_, free, slices, bound):
-            out = original(w, z, c, b_, caps_, free, slices, bound)
-            if out is not None:
-                moves.append((free, *out))
+        def record(w, caps_, free, move, direction, forest):
+            out = original(w, caps_, free, move, direction, forest)
+            moves.append((free, *out))
             return out
 
         monkeypatch.setattr(pgmod, "_next_pattern", record)
         args = (A, b, [slice(0, len(b))], [1.0], caps, DEFAULT_TOLERANCES)
         res = pgmod.minimize_quadratic(*args)
-        assert res.converged and res.exact_finish and res.iterations == 1
+        assert res.converged and res.kkt_residual <= 1e-10
         dropped = np.zeros(len(b), dtype=bool)
         freed_again = np.zeros(len(b), dtype=bool)
         for free, new, fixed in moves:
             freed_again |= new & ~free & dropped
             dropped |= free & ~new & (fixed == 0.0)
         assert freed_again.any()
-        monkeypatch.setattr(pgmod, "PIVOT_ROUNDS", 0)
-        pg = pgmod.minimize_quadratic(*args)
-        assert pg.converged and pg.iterations > 1
-        np.testing.assert_allclose(res.w, pg.w, rtol=0, atol=1e-12)
-        assert abs(res.objective - pg.objective) <= \
-            1e-14 * abs(pg.objective)
+        single_exchanges(monkeypatch)
+        single = pgmod.minimize_quadratic(*args)
+        np.testing.assert_allclose(res.w, single.w, rtol=0, atol=1e-12)
+        assert abs(res.objective - single.objective) <= \
+            1e-14 * abs(single.objective)
 
-    def test_revisited_pattern_falls_back(self, monkeypatch, finish_attempts):
-        # every solve points back to its own pattern, so each finish ends
-        # after one solve and PG alone converges
+    def test_revisited_pattern_runs_out_of_rounds(self, monkeypatch):
+        # every round points back to its own pattern, so the pivoting takes
+        # its whole round budget and does not converge
         spec, _ = fielded_capped_spec(2.0)
-        ref = solve_riesz(spec)
-        monkeypatch.setattr(
-            pgmod, "_next_pattern", lambda w, z, c, b, caps, free, slices, bound:
-            (free, np.where(free, 0.0, np.clip(w, 0.0, caps))))
-        finish_attempts.clear()
-        res = solve_riesz(spec)
-        assert finish_attempts and all(w is not None for w in finish_attempts)
-        assert res.converged and not res.exact_finish
-        assert res.pivot_rounds == 0 and res.iterations > 1
-        assert abs(res.energy - ref.energy) <= 1e-10 * abs(ref.energy)
+        monkeypatch.setattr(pgmod, "_next_pattern",
+                            lambda w, caps, free, move, direction, forest:
+                            (free, np.where(free, 0.0, np.clip(w, 0.0, caps))))
+        res = solve_riesz(replace(spec, tolerances=replace(
+            DEFAULT_TOLERANCES, max_iters=7)))
+        assert not res.converged and res.iterations == 7
+        for comp, cap in zip(res.solution.components, spec.constraint):
+            assert np.all((comp.weights >= 0.0) & (comp.weights <= cap))
 
-    def test_plate_without_free_node_falls_back(self):
-        # the minimizer (0.5, 0.5, 0) has every node at zero or at its cap
+    def test_plate_without_free_node_keeps_its_weights(self):
+        # the minimizer (0.5, 0.5, 0) has every node at zero or at its cap;
+        # its constant is the midpoint of the potentials (-0.5 at the caps,
+        # 1 at zero)
         A, b = np.eye(3), np.array([-1.0, -1.0, 1.0])
         caps = np.full(3, 0.5)
         res = pgmod.minimize_quadratic(A, b, [slice(0, 3)], [1.0], caps,
                                        DEFAULT_TOLERANCES)
-        assert res.converged and not res.exact_finish
-        assert np.allclose(res.w, [0.5, 0.5, 0.0], atol=1e-12)
-        free, fixed = pgmod._pattern(res.w, caps, [slice(0, 3)], [1.0])
-        assert not free.any()
-        assert pgmod._exact_finish(A, b, [slice(0, 3)], [1.0], free,
-                                   fixed, caps)[0] is None
+        assert res.converged and res.kkt_residual == 0.0
+        assert res.w.tolist() == [0.5, 0.5, 0.0]
+        assert res.constants.tolist() == [0.25]
 
     def test_indefinite_block_falls_back(self, finish_attempts):
         # the free block has no Cholesky factor (eigenvalues 3 and -1), yet
         # the QP is convex on the simplex, where q = 6 t^2 - 0.2 t + const
-        # along w = (0.5 + t, 0.5 - t)
+        # along w = (0.5 + t, 0.5 - t): the bordered LDL' solve takes it
         A = np.array([[1.0, -2.0], [-2.0, 1.0]])
         b = np.array([-0.1, 0.0])
         res = pgmod.minimize_quadratic(A, b, [slice(0, 2)], [1.0],
                                        np.full(2, np.inf), DEFAULT_TOLERANCES)
-        assert finish_attempts == [None]
-        assert res.converged and not res.exact_finish
+        assert len(finish_attempts) == 1
+        assert res.converged and res.kkt_residual <= 1e-10
         t = 0.1 / 6.0
-        assert np.allclose(res.w, [0.5 + t, 0.5 - t], atol=1e-10)
+        assert np.allclose(res.w, [0.5 + t, 0.5 - t], atol=1e-14)
+
+    def test_nonconvex_face_raises(self):
+        # q = -2 t^2 - 0.2 t + const along w = (0.5 + t, 0.5 - t): the
+        # bordered solve alone would return its stationary maximum
+        # (0.45, 0.55) as converged
+        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        b = np.array([-0.1, 0.0])
+        with pytest.raises(NonConvexError) as info:
+            pgmod.minimize_quadratic(A, b, [slice(0, 2)], [1.0],
+                                     np.full(2, np.inf), DEFAULT_TOLERANCES)
+        assert info.value.exit_code == 5
 
 
 @pytest.fixture(scope="module")
