@@ -5,15 +5,19 @@
 per plate.  The minimizer is fixed by its pattern (which nodes sit at zero,
 which are free, which at their cap): on the free nodes of plate j the
 weighted potential equals a constant c_j, one linear KKT system
-(_solve_pattern).  Each round solves it and moves the nodes that break it
-(Hungerlaender & Rendl 2015, Kunisch & Rendl 2003): free nodes outside
-[0, cap] to the bound they cross, and only when there are none, held nodes
-whose potential breaks their plate's constant are freed.  Kim & Park's
-backup rule (BackupRule) guards against cycling.  The solve starts with
-every node of cap > 0 free and ends when no node moves.  A plate with no
-free node keeps its weights and leaves the system; no move may leave one so
-with weights off its total.  The free copies of node positions that several
-plates share stay a forest (_Forest).
+(_solve_pattern).  Each round solves it, factoring its free block once,
+and moves the nodes that break it (Hungerlaender & Rendl 2015, Kunisch &
+Rendl 2003): free nodes outside [0, cap] to the bound they cross, and only
+when there are none, held nodes whose potential breaks their plate's
+constant are freed.  Kim & Park's backup rule (BackupRule) guards against
+cycling.  The solve starts with every node of cap > 0 free and ends when no
+node moves.  A plate with no free node keeps its weights and leaves the
+system; no move may leave one so with weights off its total.  The free
+copies of node positions that several plates share stay a forest (_Forest).
+
+``balayage.GreenContext._cone_project`` keeps its own pivoting: it solves
+many right-hand sides at once, with no plate sums and no caps, so one engine
+for both would branch on its caller.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .tolerances import Tolerances
 
 # margin (relative to the plate total) classifying a node as strictly free
 FREE_MARGIN_REL = 1e-8
-# KKT residual the pivoting must reach (or tol.kkt, if that is smaller)
+# KKT residual the pivotings here (or tol.kkt, if less) and in balayage reach
 FINISH_KKT = 1e-10
 # refinement steps of a pattern solve at most; each costs one matvec
 REFINE_STEPS = 10
@@ -51,7 +55,7 @@ class QPResult:
     kkt_residual: float
     constants: np.ndarray          # per-plate multiplier estimates c_j
     trace: np.ndarray              # columns: iter, objective, kkt_residual
-    matvecs: int = 0
+    matvecs: int
 
 
 class BackupRule:
@@ -268,20 +272,18 @@ def _free_block_solver(A, F, fp, q, copies):
     return solve
 
 
-def _solve_pattern(A, b, slices, totals, plate, free, fixed, caps, positions,
-                   early=True):
+def _solve_pattern(A, b, slices, totals, plate, free, fixed, caps, positions):
     """Minimizer of w'Aw + 2b'w with the pattern (free, fixed) held: the
     nodes outside ``free`` keep their ``fixed`` weights, and the free nodes
     of plate j carry its remaining mass at a constant potential c_j.
 
-    Iterative refinement: each correction from _free_block_solver, each
+    Iterative refinement: each correction from one _free_block_solver, each
     residual from one float64 matvec with A (none first when ``fixed`` is
-    zero).  A plate with no free node takes the midpoint of its largest
-    potential where it carries weight and its least below its cap, so a gap
-    flags nodes on both sides.  Returns (w, A w, c, matvecs); with
-    ``early``, a first correction that puts a free node outside [0, caps]
-    ends the solve, A w and c None.  ``positions`` (or None) is the
-    position index of every node."""
+    zero).  A plate with no free node takes its constant from
+    block_constants_and_kkt.  Returns (w, A w, c, matvecs, moves), ``moves``
+    the _bound_moves of w; a first correction with a bound move ends the
+    solve, A w and c None.  ``positions`` (or None) is the position index
+    of every node."""
     p = len(slices)
     F = np.flatnonzero(free)
     live = np.flatnonzero(np.bincount(plate[F], minlength=p))
@@ -303,8 +305,10 @@ def _solve_pattern(A, b, slices, totals, plate, free, fixed, caps, positions,
             dw, dc = solve(r, mass - np.bincount(fp, w[F], q))
             w[F] += dw
             c += dc
-            if early and step == 0 and np.any((w < 0.0) | (w > caps)):
-                return w, None, None, matvecs
+            if step == 0:
+                move = _bound_moves(w, caps, free, slices, totals)
+                if move.any():
+                    return w, None, None, matvecs, move
             z = A @ w
             matvecs += 1
             size = float(np.abs(dw).max())
@@ -312,15 +316,9 @@ def _solve_pattern(A, b, slices, totals, plate, free, fixed, caps, positions,
                     size > 0.5 * last:
                 break
             last = size
-    consts = np.zeros(p)
+    consts = block_constants_and_kkt(z + b, w, caps, slices, totals)[0]
     consts[live] = c
-    for j in np.setdiff1d(np.arange(p), live):
-        W, wj = z[slices[j]] + b[slices[j]], w[slices[j]]
-        carried, below = wj > 0.0, wj < caps[slices[j]]
-        hi = float(W[carried].max()) if carried.any() else 0.0
-        consts[j] = 0.5 * (hi + (float(W[below].min()) if below.any()
-                                 else hi))
-    return w, z, consts, matvecs
+    return w, z, consts, matvecs, _bound_moves(w, caps, free, slices, totals)
 
 
 def _bound_moves(w, caps, free, slices, totals):
@@ -416,12 +414,8 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
     pattern = (A, b, slices, totals, plate)
     while rounds < tol.max_iters:
         rounds += 1
-        w, z, c, used = _solve_pattern(*pattern, free, fixed, caps, positions)
-        move = _bound_moves(w, caps, free, slices, totals)
-        if z is None and not move.any():
-            w, z, c, more = _solve_pattern(*pattern, free, fixed, caps,
-                                           positions, early=False)
-            used += more
+        w, z, c, used, move = _solve_pattern(*pattern, free, fixed, caps,
+                                             positions)
         matvecs += used
         if z is not None:
             q = float(w @ z + 2.0 * (b @ w))

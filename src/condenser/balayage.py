@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from . import kernel as kernelmod
-from ._pg import BackupRule
+from ._pg import FINISH_KKT, BackupRule
 from .errors import UnsupportedKernel
 from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
 from .model import DiscreteMeasure, NodeSet, row_blocks
@@ -170,7 +170,7 @@ class GreenContext:
                     trial[idx] = pos
                     dropped[idx] = sol < 0.0
                     grad = rows.T @ pos - b
-                viol = ~free[:, None] & (grad < -1e-10 * scale[cols])
+                viol = ~free[:, None] & (grad < -FINISH_KKT * scale[cols])
                 move = rule(dropped | viol, cols)
                 for i, j in enumerate(cols):
                     if move[:, i].any():

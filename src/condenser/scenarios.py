@@ -83,19 +83,16 @@ def _positive_size(cfg: dict, key: str, default: float) -> float:
 
 
 def _tolerances_from(cfg: dict) -> Tolerances:
-    """The default tolerance block with the config's overrides: ``kkt`` and
-    ``potential`` finite numbers > 0, ``max_iters`` an int >= 1."""
+    """The default tolerance block with the config's overrides, each read
+    as the type of its default; Tolerances checks their values."""
     overrides = _optional_mapping(cfg, "tolerances")
     _only_keys(overrides, Tolerances.__dataclass_fields__)
-    iters = _read_value(int, overrides.get(
-        "max_iters", DEFAULT_TOLERANCES.max_iters), "max_iters")
-    if iters < 1:
-        raise ParseError(f"tolerance max_iters must be >= 1, got {iters}")
-    return Tolerances(
-        kkt=_positive_size(overrides, "kkt", DEFAULT_TOLERANCES.kkt),
-        potential=_positive_size(overrides, "potential",
-                                 DEFAULT_TOLERANCES.potential),
-        max_iters=iters)
+    try:
+        return Tolerances(**{key: _read_value(
+            type(getattr(DEFAULT_TOLERANCES, key)), val, key)
+            for key, val in overrides.items()})
+    except ValueError as exc:
+        raise ParseError(f"invalid tolerances: {exc}") from None
 
 
 def _kernel_from(cfg: dict) -> KernelSpec:

@@ -6,6 +6,7 @@ it was compared against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -18,6 +19,12 @@ class Tolerances:
     potential: float = 1e-3
     # pivot-round budget of each QP solve: the pattern solves it may take
     max_iters: int = 50_000
+
+    def __post_init__(self):
+        if not all(math.isfinite(x) and x > 0.0
+                   for x in (self.kkt, self.potential)) or self.max_iters < 1:
+            raise ValueError(f"kkt and potential must be finite numbers > 0 "
+                             f"and max_iters >= 1, got {self}")
 
 
 DEFAULT_TOLERANCES = Tolerances()

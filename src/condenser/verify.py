@@ -135,9 +135,13 @@ class ZoneReport:
 
 def zone_checks_apply(spec: ProblemSpec) -> bool:
     """Whether the scalar zone checks apply: one positive plate, unit
-    masses and a field that is identically zero."""
-    return len(spec.condenser.plates) == 2 and spec.totals[0] == 1.0 \
-        and not any(np.any(f) for f in spec.field)
+    masses, a field that is identically zero and a ball_complement or
+    half_space negative plate (the domains _domain_probes can sample)."""
+    plates = spec.condenser.plates
+    return len(plates) == 2 and spec.totals[0] == 1.0 \
+        and not any(np.any(f) for f in spec.field) \
+        and getattr(plates[1].spec, "tag", None) in ("ball_complement",
+                                                     "half_space")
 
 
 def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
@@ -151,7 +155,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     """
     if not zone_checks_apply(spec):
         raise WrongScenarioError(
-            "zone checks need one positive plate, unit masses and no field")
+            "zone checks need one positive plate, unit masses, no field and "
+            "a ball_complement or half_space negative plate")
     tol = spec.tolerances
     sol = result.solution
     if all(c.total_mass == 0.0 for c in sol.components):
@@ -237,23 +242,20 @@ def _exclude_near_atoms(pts, all_pos, all_rad):
 
 
 def _domain_probes(plate_p, n, rng, all_pos, all_rad):
-    """Random probes inside D (the complement of the negative plate)."""
+    """Random probes inside D, the complement of the negative plate (a
+    ball_complement or a half_space, as zone_checks_apply requires)."""
     spec = plate_p.spec
-    tag = None if spec is None else spec.tag
-    if tag == "ball_complement":
+    if spec.tag == "ball_complement":
         u = rng.random(4 * n)
         dirs = rng.normal(size=(4 * n, 3))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
         pts = np.asarray(spec.center) + \
             dirs * (0.95 * spec.radius * u[:, None] ** (1.0 / 3.0))
-    elif tag == "half_space":
+    else:
         span = max(1.0, float(np.abs(all_pos).max()) / 4.0)
         pts = rng.uniform(-span, span, size=(4 * n, 3))
         pts[:, spec.axis] = spec.center[spec.axis] - \
             spec.side * (0.05 + rng.random(4 * n) * span)
-    else:
-        raise WrongScenarioError(
-            f"no probe generator for domain geometry {tag!r}")
     keep = _exclude_near_atoms(pts, all_pos, all_rad)
     return pts[keep][:n], int(np.sum(~keep))
 
@@ -301,8 +303,7 @@ def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
     layers = plate.nodes.layer_index
     uniq = np.unique(layers)
     masses = np.array([comp.weights[layers == L].sum() for L in uniq])
-    peaks = np.array([comp.weights[layers == L].max() if np.any(layers == L)
-                      else 0.0 for L in uniq])
+    peaks = np.array([comp.weights[layers == L].max() for L in uniq])
     empty = [int(L) for L, pk in zip(uniq, peaks) if pk <= floor]
     return SupportReport(alpha=spec.kernel.alpha, boundary_fraction=None,
                          layer_masses=masses, empty_layers=empty, floor=floor,

@@ -10,10 +10,11 @@ import yaml
 import condenser.cli
 import condenser.verify
 from condenser.cli import main
+from condenser.errors import WrongScenarioError
 from condenser.kernel import equilibrium_measure
 from condenser.model import (NodeSet, ball_complement_nodes,
                              ball_volume_nodes, sphere_layer)
-from condenser.gauss_solver import swept_positive_caps
+from condenser.gauss_solver import solve_riesz, swept_positive_caps
 from condenser.scenarios import build_scenario
 
 BALL_CONFIG = {
@@ -457,6 +458,8 @@ class TestErrorPaths:
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"max_iters": 0})),
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"max_iters": True})),
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"kkt": -1})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"kkt": math.nan})),
+        ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"potential": 0.0})),
         ("--tol-kkt -1 solve", TOY_DISK_HALF_SPACE),
         ("--max-iters 0 solve", TOY_DISK_HALF_SPACE),
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"patience": 20})),
@@ -508,7 +511,8 @@ class TestErrorPaths:
             "backing-truncation-0.3", "backing-truncation-0.4",
             "complement-truncation-near-radius", "tol-kkt-string",
             "tol-potential-string", "tol-kkt-bool", "tol-max-iters-zero",
-            "tol-max-iters-bool", "tol-kkt-negative", "tol-kkt-flag-negative",
+            "tol-max-iters-bool", "tol-kkt-negative", "tol-kkt-nan",
+            "tol-potential-zero", "tol-kkt-flag-negative",
             "max-iters-flag-zero", "tol-removed-key",
             "tol-not-a-mapping-with-flag", "resolution-flag-on-sweep",
             "truncation-flag-on-capacity", "field-non-numeric",
@@ -727,6 +731,31 @@ class TestVerifyCommand:
         assert rep["zone.check.identity"] == "False"
         assert rep["zone.pass"] == "False"
         assert_numerics_finite_or_inf(rep)
+
+    @pytest.mark.parametrize("negative", ["ball", "disk"])
+    def test_compact_negative_plate_skips_zone_checks(self, tmp_path,
+                                                      negative):
+        # the zone checks draw probes in D only when the negative plate is
+        # a ball complement or a half-space; other plates verify without
+        cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+               "plates": [{"geometry": "ball", "sign": 1, "radius": 0.5},
+                          {"geometry": negative, "sign": -1, "radius": 0.5,
+                           "center": [2.0, 0, 0]}],
+               "totals": [1.0, 1.0],
+               "constraint": [{"mode": "unbounded"}, {"mode": "unbounded"}]}
+        out = str(tmp_path / "out")
+        assert main(["--out-dir", out, "verify",
+                     write_config(tmp_path, cfg)]) == 0
+        with open(os.path.join(out, "report.txt")) as fh:
+            sections = {ln for ln in fh.read().splitlines()
+                        if ln.startswith("[")}
+        assert {"[kkt]", "[support]", "[equivalence]"} <= sections
+        assert "[zone]" not in sections
+        assert_numerics_finite_or_inf(read_report(out))
+        sc = build_scenario(cfg)
+        with pytest.raises(WrongScenarioError):
+            condenser.verify.scalar_zone_checks(solve_riesz(sc.spec), sc.spec,
+                                                sc.green)
 
 
 class TestSolveGreen:

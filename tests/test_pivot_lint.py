@@ -11,8 +11,10 @@ rebuilds K_EE, a triangle as a factor) fails.
 A round of the pivoting in ``_pg`` takes one factor: ``cho_factor`` is
 called only in ``_free_block_factor`` and ``ldl`` only in
 ``_bordered_solver``, both only in ``_free_block_solver``, which only
-``_solve_pattern`` calls.  The free block is gathered by rows and ``take``,
-never through ``np.ix_`` (an index-array copy several times slower).
+``_solve_pattern`` calls, and ``_solve_pattern`` is called once, in
+``minimize_quadratic``'s round.  The free block is gathered by rows and
+``take``, never through ``np.ix_`` (an index-array copy several times
+slower).
 
 One QP engine: no module of the package imports ``scipy.optimize``, and
 ``_pg`` defines none of the names of the projected-gradient engine it
@@ -107,6 +109,7 @@ def test_pg_factors_once_per_round():
     assert callers(source, "_free_block_factor") == ["_free_block_solver"]
     assert callers(source, "_bordered_solver") == ["_free_block_solver"]
     assert callers(source, "_free_block_solver") == ["_solve_pattern"]
+    assert callers(source, "_solve_pattern") == ["minimize_quadratic"]
 
 
 def scipy_optimize_imports(source: str) -> list:

@@ -15,6 +15,7 @@ from condenser.model import PLATE_KEYS, PlateSpec, disk_nodes
 from condenser.scenarios import (_PLATE_KEY_TYPES, EXAMPLES, build_balayage,
                                  build_capacity, build_scenario, build_sweep,
                                  example_two, ex2_config, sweep_plane_context)
+from condenser.tolerances import Tolerances
 
 # small sizes per built-in example: --resolution and --truncation
 TOY_FLAGS = {"ex1": ["--resolution", "0.5", "--truncation", "3"],
@@ -109,3 +110,13 @@ def test_builders_refuse_top_level_keys_they_do_not_read(build, cfg, key):
     # error, never dropped
     with pytest.raises(ParseError, match=f"'{key}'"):
         build(dict(cfg, **{key: {}}))
+
+
+@pytest.mark.parametrize("bad", [{"max_iters": 0}, {"kkt": float("nan")},
+                                 {"potential": 0.0}],
+                         ids=["max-iters-zero", "kkt-nan", "potential-zero"])
+def test_tolerances_refuse_bad_values(bad):
+    # the block checks itself, so a caller that builds it directly gets
+    # the same refusal as a config
+    with pytest.raises(ValueError):
+        Tolerances(**bad)

@@ -583,6 +583,33 @@ class TestExactFinish:
         assert abs(res.objective - single.objective) <= \
             1e-14 * abs(single.objective)
 
+    @pytest.mark.parametrize("qp", ["seeded", "two-variable",
+                                    "caps-realize-total"])
+    def test_one_factor_per_pattern_solve(self, monkeypatch, qp):
+        # a first correction that strands a plate's last free node outside
+        # its bounds moves nothing, so the solve refines on that factor
+        A, b, caps, total, expected = {
+            "seeded": lambda: (*seeded_qp(), 1.0, None),
+            "two-variable": lambda: (np.eye(2), -np.array([3.0, 0.0]),
+                                     np.array([1.0, np.inf]), 2.0, [1.0, 1.0]),
+            "caps-realize-total": lambda: (
+                np.eye(3), -np.array([5.0, -1.0, 2.0]),
+                np.array([0.25, 0.5, 0.25]), 1.0, [0.25, 0.5, 0.25])}[qp]()
+        calls = []
+        original = pgmod._free_block_solver
+
+        def count(*solver_args):
+            calls.append(solver_args)
+            return original(*solver_args)
+
+        monkeypatch.setattr(pgmod, "_free_block_solver", count)
+        res = pgmod.minimize_quadratic(A, b, [slice(0, len(b))], [total],
+                                       caps, DEFAULT_TOLERANCES)
+        assert res.converged and res.kkt_residual <= 1e-10
+        assert len(calls) == res.iterations
+        if expected is not None:
+            np.testing.assert_allclose(res.w, expected, rtol=0, atol=1e-14)
+
     def test_revisited_pattern_runs_out_of_rounds(self, monkeypatch):
         # every round points back to its own pattern, so the pivoting takes
         # its whole round budget and does not converge
