@@ -545,12 +545,12 @@ class PlateSpec:
         if self.count is not None and self.count < 1:
             raise ValueError(f"count must be >= 1, got {self.count}")
 
-    def boundary_zone(self, nodes: NodeSet) -> Optional[np.ndarray]:
+    def boundary_zone(self, nodes: NodeSet) -> np.ndarray:
         """Mask of the nodes closer to the plate's boundary surface than
         their cell radius: the sphere of a ball or ball complement, the
-        bounding plane of a half-space; None for a disk."""
+        bounding plane of a half-space; all of a disk (no interior in R^3)."""
         if self.tag == "disk":
-            return None
+            return np.ones(len(nodes), dtype=bool)
         offset = nodes.positions - np.asarray(self.center)
         if self.tag == "half_space":
             dist = np.abs(offset[:, self.axis])

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 class Tolerances:
     # absolute tolerance for variational/KKT residuals, normalized by max(|c_j|, 1)
     kkt: float = 1e-6
-    # absolute tolerance for potential-level checks (zone/support/balayage match),
-    # normalized by the relevant potential scale; discretization-limited
+    # absolute tolerance of kkt_report's zero-potential law and scalar_zone_checks,
+    # normalized by the potential scale; discretization-limited
     potential: float = 1e-3
     # pivot-round budget of each QP solve: the pattern solves it may take
     max_iters: int = 50_000

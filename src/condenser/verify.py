@@ -58,12 +58,8 @@ class KKTReport:
 
     @property
     def max_violation(self) -> float:
-        vals = [self.plate_p_stationarity]
-        if self.lower_violation.size:
-            vals.append(float(self.lower_violation.max()))
-        if self.upper_violation.size:
-            vals.append(float(self.upper_violation.max()))
-        return max(vals)
+        return float(max(self.plate_p_stationarity, self.lower_violation.max(),
+                         self.upper_violation.max()))
 
 
 def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
@@ -71,12 +67,13 @@ def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
 
     Positive plates: W >= c_j below the cap, W <= c_j on carried nodes.
     Negative plate: the same stationarity around its own constant, plus the
-    potential level |W| itself, which in the continuum vanishes nearly
-    everywhere on the negative plate.  The level check is
-    discretization-limited, so it carries the potential tolerance while the
-    stationarity residuals carry the KKT tolerance.  The level is read at
-    every carried node and at ``ZERO_SAMPLE`` zero-weight nodes, drawn the
-    same way on every call.
+    zero-potential law: the level |W|, which in the continuum vanishes
+    nearly everywhere on a domain complement (and not on a bounded plate).
+    The level is discretization-limited, so it carries the potential
+    tolerance while the stationarity residuals carry the KKT tolerance.  It
+    is read off the boundary zone at every carried node and at
+    ``ZERO_SAMPLE`` zero-weight nodes, drawn the same way on every call;
+    off a domain complement all of them are excluded and the level is 0.
     """
     tol = spec.tolerances
     sol = result.solution
@@ -88,21 +85,16 @@ def kkt_report(result: SolveResult, spec: ProblemSpec) -> KKTReport:
              for j in range(p + 1)]
     consts, lower, upper = (np.array(col[:p]) for col in zip(*stats))
     plate_p_stat = max(stats[p][1:])
-    # zero-potential law on the negative plate, outside the boundary zone
+    # zero-potential law: off the boundary zone of a domain complement only
     plate = spec.condenser.plates[p]
     pick, _ = node_classes(sol.components[p].weights, spec.constraint[p],
                            spec.totals[p])
     zeros = np.flatnonzero(~pick)
-    if zeros.size:
-        rng = np.random.default_rng(0)
-        take = rng.choice(zeros, size=min(ZERO_SAMPLE, zeros.size),
-                          replace=False)
-        pick[take] = True
-    excluded = 0
-    zone = None if plate.spec is None else plate.spec.boundary_zone(plate.nodes)
-    if zone is not None:
-        excluded = int(np.sum(pick & zone))
-        pick = pick & ~zone
+    pick[np.random.default_rng(0).choice(
+        zeros, size=min(ZERO_SAMPLE, zeros.size), replace=False)] = True
+    excl = _boundary_zone(plate) | (not _domain_complement(plate))
+    excluded = int(np.sum(pick & excl))
+    pick &= ~excl
     norm = max(1.0, float(np.abs(consts).max()))
     plate_p_level = float(np.abs(W[p][pick]).max()) / norm \
         if np.any(pick) else 0.0
@@ -133,15 +125,29 @@ class ZoneReport:
         return all(self.checks.values())
 
 
+def _domain_complement(plate) -> bool:
+    """Whether the plate is the complement of a domain D: an unbounded
+    geometry, the kind that reads a truncation (``model.PLATE_KEYS``)."""
+    return getattr(plate.spec, "truncation", None) is not None
+
+
+def _boundary_zone(plate) -> np.ndarray:
+    """Mask of the plate's nodes within one cell of its boundary; every
+    node of a bare node cloud, a finite point set being its own boundary."""
+    if plate.spec is None:
+        return np.ones(len(plate.nodes), dtype=bool)
+    return plate.spec.boundary_zone(plate.nodes)
+
+
 def zone_checks_apply(spec: ProblemSpec) -> bool:
     """Whether the scalar zone checks apply: one positive plate, unit
-    masses, a field that is identically zero and a ball_complement or
-    half_space negative plate (the domains _domain_probes can sample)."""
+    masses, a field that is identically zero and a negative plate that is
+    a domain complement (a ball complement or a half-space), D sampled by
+    _domain_probes."""
     plates = spec.condenser.plates
     return len(plates) == 2 and spec.totals[0] == 1.0 \
         and not any(np.any(f) for f in spec.field) \
-        and getattr(plates[1].spec, "tag", None) in ("ball_complement",
-                                                     "half_space")
+        and _domain_complement(plates[1])
 
 
 def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
@@ -168,8 +174,6 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
                           checks={"identity": False, "level": False,
                                   "bound": False, "support": False})
     lam = resultant(sol)
-    plate1 = spec.condenser.plates[0]
-    plate_p = spec.condenser.plates[1]
     caps = spec.constraint[0]
     w1 = sol.components[0].weights
     # without a field, W^1 = kappa(., lambda) and W^p = -kappa(., lambda)
@@ -186,8 +190,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     rng = np.random.default_rng(seed)
     all_pos = np.vstack([p.nodes.positions for p in spec.condenser.plates])
     all_rad = np.concatenate([p.nodes.cell_radii for p in spec.condenser.plates])
-    interior, excluded_i = _domain_probes(plate_p, ZONE_PROBES, rng, all_pos,
-                                          all_rad)
+    interior, excluded_i = _domain_probes(spec.condenser.plates[1],
+                                          ZONE_PROBES, rng, all_pos, all_rad)
     # (i) Riesz potential of lambda vs Green potential of lambda+ inside D
     if interior.shape[0]:
         pot_in = potential(lam, interior, spec.kernel)
@@ -208,7 +212,7 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
     off_margin = math.inf
     off_used = 0
     if spec.kernel.alpha < 2.0:
-        floor = SUPP_FLOOR_REL * spec.totals[0] / len(plate1.nodes)
+        floor = SUPP_FLOOR_REL * spec.totals[0] / len(w1)
         carried_cap = caps > floor
         supp_failures = int(np.sum(carried_cap & (w1 <= floor)))
         off_nodes = np.flatnonzero(~carried_cap)
@@ -283,28 +287,24 @@ class SupportReport:
 
 
 def support_report(result: SolveResult, spec: ProblemSpec) -> SupportReport:
-    """Support layout of the negative component: boundary concentration for
-    alpha = 2, presence in every radial layer for alpha < 2."""
+    """Support layout of the negative component: for alpha = 2 its mass
+    share in the boundary zone (all of a disk or bare node cloud), for
+    alpha < 2 its presence in every radial layer."""
     p = spec.p_index
     comp = result.solution.components[p]
     plate = spec.condenser.plates[p]
     total = comp.total_mass
-    floor = SUPP_FLOOR_REL * spec.totals[p] / max(len(comp.nodes), 1)
+    floor = SUPP_FLOOR_REL * spec.totals[p] / len(comp.weights)
     if spec.kernel.alpha == 2.0:
-        zone = None if plate.spec is None else \
-            plate.spec.boundary_zone(plate.nodes)
-        if zone is None:
-            frac = 1.0 if len(plate.nodes) == 1 else 0.0
-        else:
-            frac = float(comp.weights[zone].sum()) / total if total > 0 else 0.0
+        frac = float(comp.weights[_boundary_zone(plate)].sum()) / total \
+            if total > 0 else 0.0
         return SupportReport(alpha=2.0, boundary_fraction=frac,
                              layer_masses=None, empty_layers=None,
                              floor=floor, passed=frac >= 0.99)
     layers = plate.nodes.layer_index
     uniq = np.unique(layers)
     masses = np.array([comp.weights[layers == L].sum() for L in uniq])
-    peaks = np.array([comp.weights[layers == L].max() for L in uniq])
-    empty = [int(L) for L, pk in zip(uniq, peaks) if pk <= floor]
+    empty = [int(L) for L in uniq if comp.weights[layers == L].max() <= floor]
     return SupportReport(alpha=spec.kernel.alpha, boundary_fraction=None,
                          layer_masses=masses, empty_layers=empty, floor=floor,
                          passed=len(empty) == 0)

@@ -736,7 +736,8 @@ class TestVerifyCommand:
     def test_compact_negative_plate_skips_zone_checks(self, tmp_path,
                                                       negative):
         # the zone checks draw probes in D only when the negative plate is
-        # a ball complement or a half-space; other plates verify without
+        # a ball complement or a half-space; other plates verify without,
+        # and the zero-potential law excludes every node it would read
         cfg = {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
                "plates": [{"geometry": "ball", "sign": 1, "radius": 0.5},
                           {"geometry": negative, "sign": -1, "radius": 0.5,
@@ -751,7 +752,15 @@ class TestVerifyCommand:
                         if ln.startswith("[")}
         assert {"[kkt]", "[support]", "[equivalence]"} <= sections
         assert "[zone]" not in sections
-        assert_numerics_finite_or_inf(read_report(out))
+        rep = read_report(out)
+        assert_numerics_finite_or_inf(rep)
+        assert rep["kkt.pass"] == "True"
+        assert float(rep["kkt.plate_p_level"]) == 0.0
+        assert int(rep["kkt.plate_p_excluded"]) > 0
+        if negative == "disk":
+            # a disk has no interior: all its mass is on its boundary
+            assert float(rep["support.boundary_fraction"]) == 1.0
+            assert rep["support.pass"] == "True"
         sc = build_scenario(cfg)
         with pytest.raises(WrongScenarioError):
             condenser.verify.scalar_zone_checks(solve_riesz(sc.spec), sc.spec,

@@ -164,7 +164,7 @@ class TestBuildCondenser:
                         np.ones(3), [2.0, 1.1, 0.5])
         assert ball.boundary_zone(nodes).tolist() == [False, True, True]
         assert plane.boundary_zone(nodes).tolist() == [True, False, False]
-        assert disk.boundary_zone(nodes) is None
+        assert disk.boundary_zone(nodes).tolist() == [True, True, True]
 
     @pytest.mark.parametrize("backing", [False, True])
     def test_half_space_plane_passes_through_center(self, backing):

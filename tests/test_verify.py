@@ -221,9 +221,14 @@ class TestProbeExclusion:
 
 
 class TestSupportReport:
-    def test_single_node_negative_plate(self):
+    @pytest.mark.parametrize("neg_pts", [
+        [[2, 0, 0]], [[2, 0, 0], [2, 0.5, 0], [2, 0, 0.5]]],
+        ids=["one_node", "three_nodes"])
+    def test_bare_cloud_negative_plate(self, neg_pts):
+        # a plate without a PlateSpec is a finite point set, its own boundary
         pos = NodeSet([[0, 0, 0]], [1.0], [0.05])
-        neg = NodeSet([[2, 0, 0]], [1.0], [0.05])
+        m = len(neg_pts)
+        neg = NodeSet(neg_pts, np.ones(m), np.full(m, 0.05))
         cond = Condenser((Plate(sign=+1, nodes=pos),
                           Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,
