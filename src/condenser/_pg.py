@@ -14,6 +14,8 @@ cycling.  The solve starts with every node of cap > 0 free and ends when no
 node moves.  A plate with no free node keeps its weights and leaves the
 system; no move may leave one so with weights off its total.  The free
 copies of node positions that several plates share stay a forest (_Forest).
+The engine reads A only through products and free-block gathers, so it
+holds A as one packed triangle (PackedMatrix).
 
 ``balayage.GreenContext._cone_project`` keeps its own pivoting: it solves
 many right-hand sides at once, with no plate sums and no caps, so one engine
@@ -28,6 +30,7 @@ import numpy as np
 from scipy.linalg import (LinAlgError, cho_factor, cho_solve,
                           eigvalsh_tridiagonal, ldl, solve_banded,
                           solve_triangular)
+from scipy.linalg.blas import dspmv
 
 from .errors import InfeasibleError, NonConvexError
 from .model import row_blocks
@@ -44,6 +47,54 @@ REFINE_REL = 1e-13
 # full exchanges a pivoting takes without lowering its violator count
 # before it moves one violator at a time
 BACKUP = 3
+
+
+def _row_start(i):
+    """Offset of row i in a packed lower triangle."""
+    return i * (i + 1) // 2
+
+
+class PackedMatrix:
+    """Symmetric n x n matrix held as its lower triangle, row by row: row i
+    holds A[i, :i+1] from offset i(i+1)/2 on, n(n+1)/2 float64 entries in
+    all (BLAS's column-major upper packed form, so ``@`` is one dspmv)."""
+
+    def __init__(self, n: int):
+        self.shape = (n, n)
+        self.ap = np.empty(_row_start(n))
+
+    @classmethod
+    def pack(cls, A) -> "PackedMatrix":
+        """The lower triangle of a dense square array, by row blocks."""
+        A = np.asarray(A, dtype=float)
+        out = cls(A.shape[0])
+        for rows in row_blocks(A, A):
+            out.put_rows(rows.start, A[rows, :rows.stop])
+        return out
+
+    def put_rows(self, a: int, block: np.ndarray) -> None:
+        """Rows a to a + len(block) of the lower triangle, from ``block``:
+        those rows of A, from column 0 to at least their last diagonal
+        entry; entries right of the diagonal are not read."""
+        b = a + len(block)
+        lower = np.tri(b - a, block.shape[1], a, dtype=bool)
+        self.ap[_row_start(a):_row_start(b)] = block[lower]
+
+    def row(self, i: int) -> np.ndarray:
+        """A[i, :i+1], a view of the packed entries."""
+        return self.ap[_row_start(i):_row_start(i + 1)]
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        return dspmv(self.shape[0], 1.0, self.ap, x)
+
+    def gather_lower(self, F: np.ndarray, out: np.ndarray) -> None:
+        """Write the lower triangle of A[F][:, F], F increasing, into the
+        lower triangle of ``out`` (cast to its dtype), one packed row of F
+        at a time; the rest of ``out`` is left as it is."""
+        whole = len(F) == self.shape[0]
+        for r, i in enumerate(F.tolist()):
+            row = self.row(i)
+            out[r, :r + 1] = row if whole else row.take(F[:r + 1])
 
 
 @dataclass
@@ -201,17 +252,15 @@ def _start_pattern(caps, slices, totals, forest):
 
 def _free_block_factor(A, F):
     """float32 Cholesky factor of A[F][:, F], or None if that block is not
-    positive definite in float32.  Small row blocks of the block fill the
-    C-ordered transpose of a Fortran-ordered array, which LAPACK factors in
-    place, so no float64 copy of the block is made.  Only one triangle is
-    read: for a slightly asymmetric A the refinement's residuals, taken with
-    A itself, make up the difference."""
-    M = np.empty((len(F), len(F)), dtype=np.float32, order="F")
-    whole = len(F) == A.shape[0]
-    for rows in row_blocks(F, F):
-        M.T[rows] = A[rows] if whole else A[F[rows]].take(F, axis=1)
+    positive definite in float32.  The block's lower triangle fills a
+    C-ordered array, whose Fortran-ordered transpose LAPACK factors in
+    place from its upper triangle, so no float64 copy of the block is
+    made."""
+    M = np.empty((len(F), len(F)), dtype=np.float32)
+    A.gather_lower(F, M)
     try:
-        return cho_factor(M, lower=True, overwrite_a=True, check_finite=False)
+        return cho_factor(M.T, lower=False, overwrite_a=True,
+                          check_finite=False)
     except LinAlgError:
         return None
 
@@ -223,8 +272,7 @@ def _bordered_solver(A, F, fp, q):
     the QP is not convex on that face and NonConvexError is raised."""
     n = len(F)
     K = np.zeros((n + q, n + q))
-    for rows in row_blocks(F, F):
-        K[:n][rows, :n] = A[F[rows]].take(F, axis=1)
+    A.gather_lower(F, K)
     K[np.arange(n), n + fp] = K[n + fp, np.arange(n)] = 1.0
     lu, d, perm = ldl(K, lower=True, overwrite_a=True, check_finite=False)
     band = np.zeros((3, n + q))
@@ -391,8 +439,11 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
     simplexes, converged when no node moves within ``tol.max_iters``
     pattern solves and the KKT residual is within ``tol.kkt``.
     ``positions`` is the position index of every unknown (None: all
-    distinct).  Trace rows: round, objective and KKT residual of each
-    pattern solve refined past its first correction."""
+    distinct).  A is a PackedMatrix; a dense symmetric array is packed
+    once, from its lower triangle.  Trace rows: round, objective and KKT
+    residual of each pattern solve refined past its first correction."""
+    if not isinstance(A, PackedMatrix):
+        A = PackedMatrix.pack(A)
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)

@@ -31,6 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dsymv
 
 from . import kernel as kernelmod
 from ._pg import FINISH_KKT, BackupRule
@@ -92,6 +93,14 @@ class GreenContext:
             row[i + 1:] = store[i, i + 1:]
         rows[np.arange(len(idx)), idx] = self._kee_diag[idx]
         return rows
+
+    def _kee_product(self, x: np.ndarray) -> np.ndarray:
+        """K_EE x: one symmetric product with the factor array's upper
+        triangle, K_EE off the diagonal and the factor on it, then the
+        diagonal corrected to K_EE's."""
+        store = self._chol[0]
+        return dsymv(1.0, store, x, lower=0) + \
+            (self._kee_diag - store.diagonal()) * x
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -219,11 +228,7 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
     theta = np.maximum(theta, 0.0)
     swept = DiscreteMeasure(ctx.exterior, theta)
 
-    # kappa(., mu') on the exterior nodes, from the stored K_EE
-    ext = ctx.exterior.positions
-    index = np.arange(len(ext))
-    pot_sw = np.concatenate([ctx._kee_rows(index[rows]) @ theta
-                             for rows in row_blocks(ext, ext)])
+    pot_sw = ctx._kee_product(theta)            # kappa(., mu') on D^c nodes
     scale = max(float(np.abs(pot_mu).max()), 1e-300)
     residual = float(np.abs(pot_sw - pot_mu).max()) / scale
 

@@ -10,11 +10,11 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import QPResult, minimize_quadratic
+from ._pg import PackedMatrix, QPResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
-from .kernel import (KernelSpec, gauss_functional, _require_distinct,
-                     _symmetric_matrix)
+from .kernel import (KernelSpec, gauss_functional, _packed_matrix,
+                     _require_distinct)
 from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
                     merge_by_position)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -122,14 +122,15 @@ def _block_slices(sizes: Sequence[int]) -> list:
 
 
 def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
-    """Dense kernel matrix over the concatenated node sets; a node shared
-    by two sets (equally signed plates) takes the later set's cell radius,
-    and duplicates inside one set are rejected."""
+    """Kernel matrix over the concatenated node sets, as one packed lower
+    triangle (``_pg.PackedMatrix``); a node shared by two sets (equally
+    signed plates) takes the later set's cell radius, and duplicates inside
+    one set are rejected."""
     for i, ns in enumerate(nodesets):
         _require_distinct(ns.positions, f"plate node set {i}")
-    K = _symmetric_matrix(np.vstack([ns.positions for ns in nodesets]),
-                          np.concatenate([ns.cell_radii for ns in nodesets]),
-                          kernel)
+    K = _packed_matrix(np.vstack([ns.positions for ns in nodesets]),
+                       np.concatenate([ns.cell_radii for ns in nodesets]),
+                       kernel)
     return K, _block_slices([len(ns) for ns in nodesets])
 
 
@@ -161,11 +162,12 @@ def solve_riesz(spec: ProblemSpec) -> SolveResult:
     plates = spec.condenser.plates
     K, slices = joint_kernel_matrix([p.nodes for p in plates], spec.kernel)
     # fold the plate signs into K in place: the positive plates come first,
-    # so only the blocks between them and the negative plate change sign
+    # so only the negative plate's rows left of column n change sign
     # (exact: negation)
     n = slices[-1].start
-    for block in (K[:n, n:], K[n:, :n]):
-        np.negative(block, out=block)
+    for i in range(n, K.shape[0]):
+        cross = K.row(i)[:n]
+        np.negative(cross, out=cross)
     caps, b = _caps_and_field(spec)
     _, positions = merge_by_position(np.vstack([p.nodes.positions
                                                 for p in plates]))
@@ -188,6 +190,7 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
         # plates that share nodes read the merged matrix through idx; others
         # take G as it is, without an n^2 copy
         G = G[np.ix_(idx, idx)]
+    G = PackedMatrix.pack(G)       # the dense G is freed before the QP
     slices = _block_slices([len(ns) for ns in nodesets])
     caps, b = _caps_and_field(spec)
     res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from ._pg import minimize_quadratic
+from ._pg import PackedMatrix, minimize_quadratic
 from .errors import AlignmentError, DuplicateNodeError, NonConvergedError
 from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
                     VectorMeasure, merge_by_position, resultant, row_blocks)
@@ -35,7 +35,8 @@ class KernelMatrix:
 def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
                  rho_q: np.ndarray) -> np.ndarray:
     """Kernel values between two point arrays.  Exactly coinciding pairs get
-    the self-energy value of the second array's cell radius ``rho_q``."""
+    the self-energy value of the cell radius ``rho_q`` broadcast against
+    the block: the second array's radii, or, as a column, the first's."""
     K = cdist(P, Q, "sqeuclidean")
     hits = K == 0.0
     with np.errstate(divide="ignore"):
@@ -52,28 +53,38 @@ def _require_distinct(positions: np.ndarray, what: str) -> None:
         raise DuplicateNodeError(f"coinciding nodes in {what}")
 
 
-def _symmetric_matrix(P: np.ndarray, rho: np.ndarray,
-                      kernel: KernelSpec) -> np.ndarray:
-    """Kernel matrix of P against itself, cell radii ``rho``: each row block
-    is read from the diagonal onwards and mirrored below it, so a coinciding
-    pair gets the later point's self-energy on both sides."""
-    K = np.empty((len(P), len(P)))
+def _lower_row_blocks(P: np.ndarray, rho: np.ndarray, kernel: KernelSpec):
+    """The kernel matrix of P against itself, cell radii ``rho``, as row
+    blocks (a, K[a:b, :b]) over ``row_blocks``: each row is read from the
+    diagonal leftwards, so a coinciding pair gets the later point's (the
+    row's) self-energy.  Right of the diagonal a block holds the row's
+    self-energy at a coinciding pair, so readers take its lower triangle."""
     for rows in row_blocks(P, P):
-        a, b = rows.start, min(rows.stop, len(P))
-        blk = _riesz_block(P[a:b], P[a:], kernel, rho_q=rho[a:])
-        lower = np.tril_indices(b - a, -1)
-        blk[lower] = blk.T[lower]
-        K[a:b, a:] = blk
-        K[b:, a:b] = blk[:, b - a:].T
+        yield rows.start, _riesz_block(P[rows], P[:rows.stop], kernel,
+                                       rho_q=rho[rows, None])
+
+
+def _packed_matrix(P: np.ndarray, rho: np.ndarray,
+                   kernel: KernelSpec) -> PackedMatrix:
+    """Kernel matrix of P against itself as one packed lower triangle."""
+    K = PackedMatrix(len(P))
+    for a, blk in _lower_row_blocks(P, rho, kernel):
+        K.put_rows(a, blk)
     return K
 
 
 def assemble_matrix(nodes: NodeSet, kernel: KernelSpec) -> KernelMatrix:
     """Dense kernel matrix on pairwise-distinct nodes: off-diagonal entries
-    |x-y|^(alpha-n), diagonal per the self-energy rule."""
+    |x-y|^(alpha-n), diagonal per the self-energy rule.  Each lower row
+    block is written whole (distinct nodes make its diagonal square exactly
+    symmetric) and, left of that square, transposed above it."""
     _require_distinct(nodes.positions, "matrix assembly")
-    return KernelMatrix(_symmetric_matrix(nodes.positions, nodes.cell_radii,
-                                          kernel))
+    P = nodes.positions
+    K = np.empty((len(P), len(P)))
+    for a, blk in _lower_row_blocks(P, nodes.cell_radii, kernel):
+        K[a:a + len(blk), :a + len(blk)] = blk
+        K[:a, a:a + len(blk)] = blk[:, :a].T
+    return KernelMatrix(K)
 
 
 def _atoms_of(mu) -> tuple:
@@ -175,7 +186,10 @@ def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
     """
     if total <= 0:
         raise ValueError("total mass must be > 0")
-    A = matrix if matrix is not None else assemble_matrix(nodes, kernel).entries
+    A = matrix
+    if A is None:
+        _require_distinct(nodes.positions, "matrix assembly")
+        A = _packed_matrix(nodes.positions, nodes.cell_radii, kernel)
     m = A.shape[0]
     res = minimize_quadratic(A, None, [slice(0, m)], [total],
                              np.full(m, np.inf), tolerances)

@@ -1,9 +1,10 @@
 """Pairwise-work lint: one way to read pairs of points.  Only
 ``kernel._riesz_block`` computes pairwise distances, with ``cdist``
 (neighbour queries go through k-d trees), and only ``kernel`` and the
-sweep's cross matrix ``GreenContext._cross_matrix`` call it; every blocked
-reader takes its row blocks from ``row_blocks(P, Q)``, and ``model``
-defines one block size for them."""
+sweep's cross matrix ``GreenContext._cross_matrix`` call it: inside
+``kernel``, only the one row-block writer of symmetric matrices and
+``potential``.  Every blocked reader takes its row blocks from
+``row_blocks(P, Q)``, and ``model`` defines one block size for them."""
 
 import ast
 import pathlib
@@ -62,6 +63,12 @@ def test_kernel_blocks_are_read_in_kernel_and_the_cross_matrix_only():
     outside = {owner for owner in package_calls("_riesz_block")
                if owner[0] != "kernel"}
     assert outside == {("balayage", "_cross_matrix")}
+
+
+def test_kernel_reads_blocks_in_its_writer_and_potential_only():
+    inside = {owner for module, owner in package_calls("_riesz_block")
+              if module == "kernel"}
+    assert inside == {"_lower_row_blocks", "potential"}
 
 
 def test_row_blocks_takes_exactly_two_point_arrays():

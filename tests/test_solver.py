@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +10,7 @@ from condenser.errors import (AlignmentError, DuplicateNodeError,
                               InfeasibleError, NonConvexError,
                               SigmaDominationError)
 from condenser import _pg as pgmod
+from condenser import kernel as kernelmod
 from condenser import model as modelmod
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     joint_kernel_matrix, lift_green_to_riesz,
@@ -22,7 +24,7 @@ from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              ball_complement_nodes, ball_volume_nodes,
                              sphere_surface_nodes, trim_across_plates,
                              trim_cell_radii)
-from condenser.scenarios import ball_in_ball, build_scenario
+from condenser.scenarios import ball_in_ball, build_scenario, example_one
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
 
@@ -30,6 +32,13 @@ from _probes import green_field
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
+
+
+def unpacked(P):
+    """Dense symmetric array of a PackedMatrix."""
+    D = np.zeros(P.shape)
+    D[np.tril_indices(P.shape[0])] = P.ap
+    return D + np.tril(D, -1).T
 
 
 def shared_node_spec():
@@ -234,7 +243,7 @@ class TestSolveRiesz:
         K, slices = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
         s = np.concatenate([np.full(len(p.nodes), float(p.sign))
                             for p in cond.plates])
-        A = K * np.outer(s, s)
+        A = unpacked(K) * np.outer(s, s)
         L = 2.0 * np.linalg.eigvalsh(A)[-1]
         w = np.zeros(A.shape[0])
         w[slices[0].start] = 1.0
@@ -490,29 +499,72 @@ class TestSharedCopies:
 
 
 class TestJointAssembly:
-    @pytest.mark.parametrize("entries", [None, 1000])
-    def test_row_blocks_bit_identical(self, monkeypatch, entries):
-        # plates 0 and 1 share their first node; the reference writes every
-        # plate-pair block whole and mirrors it below the diagonal
-        if entries is not None:
-            monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
+    @staticmethod
+    def three_sets():
+        # plates 0 and 1 share their first node
         rng = np.random.default_rng(7)
         a = rng.normal(size=(90, 3))
         b = np.vstack([a[:1], rng.normal(size=(70, 3)) + [1.5, 0, 0]])
         c = rng.normal(size=(110, 3)) + [5.0, 0, 0]
-        sets = [NodeSet(p, np.ones(len(p)), rng.uniform(0.01, 0.03, len(p)))
+        return [NodeSet(p, np.ones(len(p)), rng.uniform(0.01, 0.03, len(p)))
                 for p in (a, b, c)]
+
+    @pytest.mark.parametrize("entries", [None, 1000])
+    def test_row_blocks_bit_identical(self, monkeypatch, entries):
+        # the reference writes every plate-pair block whole and mirrors it
+        # below the diagonal; the packed matrix is its lower triangle
+        if entries is not None:
+            monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
+        sets = self.three_sets()
         K, slices = joint_kernel_matrix(sets, K15)
-        ref = np.empty_like(K)
+        N = sum(len(ns) for ns in sets)
+        assert K.shape == (N, N) and K.ap.shape == (N * (N + 1) // 2,)
+        ref = np.empty((N, N))
         for i, si in enumerate(sets):
             for j, sj in enumerate(sets[i:], start=i):
                 blk = _riesz_block(si.positions, sj.positions, K15,
                                    rho_q=sj.cell_radii)
                 ref[slices[i], slices[j]] = blk
                 ref[slices[j], slices[i]] = blk.T
-        assert np.array_equal(K, ref)
+        assert np.array_equal(K.ap, ref[np.tril_indices(N)])
         shared = K15.self_energy(sets[1].cell_radii[0])
-        assert K[0, slices[1].start] == K[slices[1].start, 0] == shared
+        assert K.row(slices[1].start)[0] == shared
+
+    def test_dense_writer_matches_the_packed_one(self, monkeypatch):
+        # both writers read the same lower row blocks; the dense one also
+        # holds the mirror above the diagonal
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        ns = self.three_sets()[2]
+        K = assemble_matrix(ns, K15).entries
+        P = kernelmod._packed_matrix(ns.positions, ns.cell_radii, K15)
+        assert np.array_equal(K, unpacked(P))
+
+    def test_product_and_gathers_match_the_dense_matrix(self, monkeypatch):
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        K, _ = joint_kernel_matrix(self.three_sets(), K15)
+        D = unpacked(K)
+        x = np.random.default_rng(3).normal(size=K.shape[0])
+        assert np.abs(K @ x - D @ x).max() <= 1e-14 * np.abs(D @ x).max()
+        assert np.array_equal(pgmod.PackedMatrix.pack(D).ap, K.ap)
+        for F in (np.arange(K.shape[0]), np.flatnonzero(x > 0.3)):
+            out = np.zeros((len(F), len(F)))
+            K.gather_lower(F, out)
+            assert np.array_equal(out, np.tril(D[np.ix_(F, F)]))
+
+
+def test_riesz_solve_peaks_near_one_dense_copy():
+    # 825 joint nodes: the packed matrix and the float32 free block hold
+    # 4 N^2 bytes each, so the traced peak is about one dense copy
+    sc = example_one(resolution=0.5, truncation=3.0)
+    N = sum(len(p.nodes) for p in sc.spec.condenser.plates)
+    assert N == 825
+    tracemalloc.start()
+    try:
+        assert solve_riesz(sc.spec).converged
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * 8.0 * N * N
 
 
 class TestExactFinish:

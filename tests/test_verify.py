@@ -306,7 +306,7 @@ def kernel_entries(monkeypatch):
 def test_set_up_and_solve_read_each_symmetric_matrix_by_half(
         kernel_entries):
     # 27 + 798 nodes: whole, K_EE and the joint matrix hold 0.64 M and
-    # 0.68 M entries; each read from its upper triangle takes about half
+    # 0.68 M entries; each read by its lower row blocks takes about half
     sc = example_one(resolution=0.5, alpha=1.5, truncation=3.0)
     solve_riesz(sc.spec)
     assert kernel_entries["entries"] <= 0.80e6
