@@ -57,8 +57,9 @@ def _lower_row_blocks(P: np.ndarray, rho: np.ndarray, kernel: KernelSpec):
     """The kernel matrix of P against itself, cell radii ``rho``, as row
     blocks (a, K[a:b, :b]) over ``row_blocks``: each row is read from the
     diagonal leftwards, so a coinciding pair gets the later point's (the
-    row's) self-energy.  Right of the diagonal a block holds the row's
-    self-energy at a coinciding pair, so readers take its lower triangle."""
+    row's) self-energy.  A pair right of the diagonal would get the earlier
+    point's, so where points may coincide only the lower triangle is
+    read."""
     for rows in row_blocks(P, P):
         yield rows.start, _riesz_block(P[rows], P[:rows.stop], kernel,
                                        rho_q=rho[rows, None])
