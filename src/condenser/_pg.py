@@ -28,9 +28,9 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import (LinAlgError, cho_factor, cho_solve,
-                          eigvalsh_tridiagonal, ldl, solve_banded,
-                          solve_triangular)
+                          eigvalsh_tridiagonal)
 from scipy.linalg.blas import dspmv
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
 
 from .errors import InfeasibleError, NonConvexError
 from .model import row_blocks
@@ -63,15 +63,6 @@ class PackedMatrix:
         self.shape = (n, n)
         self.ap = np.empty(_row_start(n))
 
-    @classmethod
-    def pack(cls, A) -> "PackedMatrix":
-        """The lower triangle of a dense square array, by row blocks."""
-        A = np.asarray(A, dtype=float)
-        out = cls(A.shape[0])
-        for rows in row_blocks(A, A):
-            out.put_rows(rows.start, A[rows, :rows.stop])
-        return out
-
     def put_rows(self, a: int, block: np.ndarray) -> None:
         """Rows a to a + len(block) of the lower triangle, from ``block``:
         those rows of A, from column 0 to at least their last diagonal
@@ -86,6 +77,16 @@ class PackedMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return dspmv(self.shape[0], 1.0, self.ap, x)
+
+    def take(self, idx: np.ndarray) -> "PackedMatrix":
+        """The packed matrix of the entries A[idx[r], idx[c]], by row
+        blocks; ``idx`` may repeat and need not increase."""
+        out = PackedMatrix(len(idx))
+        for rows in row_blocks(idx, idx):
+            i, j = idx[rows, None], idx[None, :rows.stop]
+            lo, hi = np.minimum(i, j), np.maximum(i, j)
+            out.put_rows(rows.start, self.ap.take(_row_start(hi) + lo))
+        return out
 
     def gather_lower(self, F: np.ndarray, out: np.ndarray) -> None:
         """Write the lower triangle of A[F][:, F], F increasing, into the
@@ -266,32 +267,31 @@ def _free_block_factor(A, F):
 
 
 def _bordered_solver(A, F, fp, q):
-    """Corrections from one float64 LDL' factor of the bordered matrix
-    [A_FF E; E' 0].  Its inertia is |F| positive and q negative eigenvalues
-    exactly when A is positive definite on the face's directions; otherwise
-    the QP is not convex on that face and NonConvexError is raised."""
+    """Corrections from one float64 LDL' factor (dsytrf, in place as in
+    _free_block_factor) of the bordered matrix [A_FF E; E' 0].  Its inertia
+    is |F| positive and q negative eigenvalues exactly when A is positive
+    definite on the face's directions; otherwise the QP is not convex on
+    that face and NonConvexError is raised."""
     n = len(F)
     K = np.zeros((n + q, n + q))
     A.gather_lower(F, K)
-    K[np.arange(n), n + fp] = K[n + fp, np.arange(n)] = 1.0
-    lu, d, perm = ldl(K, lower=True, overwrite_a=True, check_finite=False)
-    band = np.zeros((3, n + q))
-    band[0, 1:] = band[2, :-1] = np.diag(d, 1)
-    band[1] = np.diag(d)
-    eig = eigvalsh_tridiagonal(band[1], band[0, 1:])
+    K[n + fp, np.arange(n)] = 1.0
+    ldu, ipiv, _ = dsytrf(K.T, lwork=int(dsytrf_lwork(n + q)[0]),
+                          overwrite_a=True)
+    # D's 2 x 2 blocks (entry above the diagonal) start where ipiv < 0,
+    # read from the top: two blocks in a row may share their ipiv
+    off, k = np.zeros(n + q - 1), 0
+    while k < n + q - 1:
+        off[k] = ldu[k, k + 1] if ipiv[k] < 0 else 0.0
+        k += 1 + int(ipiv[k] < 0)
+    eig = eigvalsh_tridiagonal(ldu.diagonal(), off)
     inertia = (np.count_nonzero(eig > 0), np.count_nonzero(eig < 0))
     if inertia != (n, q):
         raise NonConvexError(f"the QP is not convex on a face of {n} free "
                              f"nodes: bordered KKT inertia {inertia}")
-    L = lu[perm]
 
     def solve(r, m):
-        y = solve_triangular(L, np.concatenate([r, m])[perm], lower=True,
-                             unit_diagonal=True, check_finite=False)
-        y = solve_banded((1, 1), band, y, check_finite=False)
-        x = np.empty(n + q)
-        x[perm] = solve_triangular(L, y, lower=True, trans="T",
-                                   unit_diagonal=True, check_finite=False)
+        x = dsytrs(ldu, ipiv, np.concatenate([r, m]))[0]
         return x[:n], -x[n:]
     return solve
 
@@ -439,11 +439,8 @@ def minimize_quadratic(A, b, slices, totals, caps, tol: Tolerances,
     simplexes, converged when no node moves within ``tol.max_iters``
     pattern solves and the KKT residual is within ``tol.kkt``.
     ``positions`` is the position index of every unknown (None: all
-    distinct).  A is a PackedMatrix; a dense symmetric array is packed
-    once, from its lower triangle.  Trace rows: round, objective and KKT
+    distinct).  A is a PackedMatrix.  Trace rows: round, objective and KKT
     residual of each pattern solve refined past its first correction."""
-    if not isinstance(A, PackedMatrix):
-        A = PackedMatrix.pack(A)
     N = A.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
     caps = np.asarray(caps, dtype=float)

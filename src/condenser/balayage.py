@@ -34,10 +34,10 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import dsymv
 
 from . import kernel as kernelmod
-from ._pg import FINISH_KKT, BackupRule
+from ._pg import FINISH_KKT, BackupRule, PackedMatrix
 from .errors import UnsupportedKernel
 from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
-from .model import DiscreteMeasure, NodeSet, row_blocks
+from .model import DiscreteMeasure, NodeSet
 
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
@@ -197,20 +197,24 @@ class GreenContext:
 
     # -- Green kernel ------------------------------------------------------
     def green_matrix(self, nodes: NodeSet):
-        """Green kernel matrix on interior nodes: the Schur-style form
-        K_DD - sym(Theta' K_ED), symmetrized with the asymmetry recorded.
-        The sweep is freed before K_DD is assembled, and G is built in
-        K_DD's buffer by row blocks."""
+        """Green kernel matrix on interior nodes as one PackedMatrix, K_DD -
+        sym(Theta' K_ED), and the asymmetry of Theta' K_ED relative to K_DD's
+        largest entry.  The sweep is freed first; then each lower row block
+        of K_DD is corrected and written once."""
+        kernelmod._require_distinct(nodes.positions, "matrix assembly")
         B, theta, _ = self.sweep_columns(nodes)
         cross = theta.T @ B
         del B, theta
-        G = assemble_matrix(nodes, self.riesz).entries
-        scale = max(float(G.max()), -float(G.min()), 1e-300)
-        asym = 0.0
-        for rows in row_blocks(nodes.positions, nodes.positions):
-            block, mirror = cross[rows], cross[:, rows].T
+        G = PackedMatrix(len(nodes))
+        scale, asym = 1e-300, 0.0
+        for a, blk in kernelmod._lower_row_blocks(
+                nodes.positions, nodes.cell_radii, self.riesz):
+            rows = slice(a, a + len(blk))
+            block, mirror = cross[rows, :rows.stop], cross[:rows.stop, rows].T
+            scale = max(scale, float(np.abs(blk).max()))
             asym = max(asym, float(np.abs(block - mirror).max()))
-            G[rows] -= 0.5 * (block + mirror)
+            blk -= 0.5 * (block + mirror)
+            G.put_rows(a, blk)
         return G, asym / scale
 
     def green_potential(self, mu: DiscreteMeasure, points) -> np.ndarray:

@@ -10,7 +10,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._pg import PackedMatrix, QPResult, minimize_quadratic
+from ._pg import QPResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
 from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import (KernelSpec, gauss_functional, _packed_matrix,
@@ -188,9 +188,8 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     G, _ = green.green_matrix(merged)
     if not np.array_equal(idx, np.arange(len(idx))):
         # plates that share nodes read the merged matrix through idx; others
-        # take G as it is, without an n^2 copy
-        G = G[np.ix_(idx, idx)]
-    G = PackedMatrix.pack(G)       # the dense G is freed before the QP
+        # take G as it is, without a copy
+        G = G.take(idx)
     slices = _block_slices([len(ns) for ns in nodesets])
     caps, b = _caps_and_field(spec)
     res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,

@@ -177,10 +177,10 @@ def semimetric_distance(mu: VectorMeasure, nu: VectorMeasure,
 
 def equilibrium_measure(nodes: NodeSet, kernel: KernelSpec, total: float = 1.0,
                         tolerances: Tolerances = DEFAULT_TOLERANCES,
-                        matrix: Optional[np.ndarray] = None):
+                        matrix: Optional[PackedMatrix] = None):
     """Minimizer of kappa(mu, mu) over nonnegative weights of fixed total mass,
     and the capacity total^2 / kappa(lambda, lambda).  ``matrix`` replaces
-    the Riesz kernel matrix of the nodes (a Green matrix, say).
+    the Riesz kernel matrix of the nodes (a packed Green matrix, say).
 
     The minimizing potential is constant on the carried nodes up to the
     solver's KKT tolerance.

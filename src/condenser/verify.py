@@ -356,7 +356,7 @@ def unsolvability_sweep(stages: Sequence[tuple], green: GreenContext, *,
             gk = green.green_matrix(nodes)[0]
             lam, _ = equilibrium_measure(nodes, green.riesz, 1.0,
                                          tolerances=tolerances, matrix=gk)
-            energy = float(lam.weights @ gk @ lam.weights)
+            energy = float(lam.weights @ (gk @ lam.weights))
             rows.append({"stage": int(ell), "energy": energy,
                          "green_capacity": 1.0 / energy})
             continue

@@ -1,13 +1,13 @@
 """Probes that only the tests read: random mass transfers at a minimizer, the
-grounded-energy identities of one sweep, swept mass against truncation, and
-the Case II field of a measure."""
+grounded-energy identities of one sweep, swept mass against truncation, the
+Case II field of a measure, and dense arrays to and from packed matrices."""
 
 import math
 from typing import Callable, Sequence
 
 import numpy as np
 
-from condenser._pg import node_classes
+from condenser._pg import PackedMatrix, node_classes
 from condenser.balayage import GreenContext, balayage_project
 from condenser.gauss_solver import ProblemSpec, SolveResult
 from condenser.kernel import _riesz_block, mutual_energy
@@ -15,6 +15,21 @@ from condenser.model import Condenser, DiscreteMeasure
 from condenser.verify import weighted_potentials
 
 TRANSFER_FRACTION = 1e-3  # mass of one mass-transfer trial / the plate's mass
+
+
+def packed(A) -> PackedMatrix:
+    """PackedMatrix of the lower triangle of a dense square array."""
+    A = np.asarray(A, dtype=float)
+    out = PackedMatrix(A.shape[0])
+    out.ap[:] = A[np.tril_indices(A.shape[0])]
+    return out
+
+
+def unpacked(P: PackedMatrix) -> np.ndarray:
+    """Dense symmetric array of a PackedMatrix."""
+    D = np.zeros(P.shape)
+    D[np.tril_indices(P.shape[0])] = P.ap
+    return D + np.tril(D, -1).T
 
 
 def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,

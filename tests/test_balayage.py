@@ -8,6 +8,7 @@ from scipy.optimize import nnls
 
 from condenser import _pg as pgmod
 from condenser import balayage as balayagemod
+from condenser import model as modelmod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.errors import UnsupportedKernel
@@ -21,7 +22,8 @@ from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              sphere_surface_nodes, trim_cell_radii)
 from condenser.scenarios import ball_in_ball
 
-from _probes import green_energy_identity_check, mass_conservation_probe
+from _probes import (green_energy_identity_check, mass_conservation_probe,
+                     unpacked)
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
@@ -195,8 +197,9 @@ class TestGreenKernel:
         mu = random_ball_sources(rng, 30)
         G, asym = ball_ctx.green_matrix(mu.nodes)
         assert asym < 1e-10
-        assert np.allclose(G, G.T)
-        assert np.linalg.eigvalsh(G)[0] > 0
+        D = unpacked(G)
+        assert np.allclose(D, D.T)
+        assert np.linalg.eigvalsh(D)[0] > 0
 
     def test_green_matrix_drives_equilibrium_and_energy(self, newton):
         # the Green matrix feeds the generic equilibrium solve, and the
@@ -208,7 +211,7 @@ class TestGreenKernel:
         direct, _ = ctx.green_matrix(mu.nodes)
         lam, cap = equilibrium_measure(mu.nodes, newton, 1.0, matrix=direct)
         assert cap > 0
-        assert float(lam.weights @ direct @ lam.weights) == \
+        assert float(lam.weights @ (direct @ lam.weights)) == \
             pytest.approx(1.0 / cap, rel=1e-10)
         # the energy sweeps the whole measure; under cone clipping it
         # differs from the per-atom matrix at the residual level only
@@ -256,8 +259,9 @@ def traced(call):
 
 class TestExteriorStorage:
     """A context holds one m x m array, the Cholesky factor and K_EE in
-    opposite triangles, plus K_EE's diagonal; the Green matrix is built in
-    the buffer of K_DD."""
+    opposite triangles, plus K_EE's diagonal; the Green matrix is written
+    as one packed triangle, a lower row block of K_DD at a time, with no
+    dense K_DD."""
 
     def test_context_holds_one_matrix(self, ball_ctx):
         m = len(ball_ctx.exterior)
@@ -275,6 +279,25 @@ class TestExteriorStorage:
             assert rows.flags.c_contiguous
             assert np.array_equal(rows, kee[idx])
         assert np.array_equal(ball_ctx._chol[0], store)
+
+    def test_packed_green_matrix_matches_the_dense_reference(self,
+                                                             monkeypatch):
+        # the reference subtracts sym(Theta' B) from the whole K_DD; two
+        # fresh contexts sweep from the same start, and the sources near
+        # the sphere clip
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        ext = trim_cell_radii(ball_complement_nodes((0, 0, 0), 1.0, 3.0,
+                                                    0.35))
+        nodes = random_ball_sources(np.random.default_rng(9), 60,
+                                    rmax=0.95).nodes
+        G, asym = GreenContext(ext, K2).green_matrix(nodes)
+        B, theta, clipped = GreenContext(ext, K2).sweep_columns(nodes)
+        assert clipped > 0
+        cross = theta.T @ B
+        K = assemble_matrix(nodes, K2).entries
+        ref = K - 0.5 * (cross + cross.T)
+        assert np.array_equal(G.ap, ref[np.tril_indices(len(nodes))])
+        assert asym == np.abs(cross - cross.T).max() / np.abs(K).max()
 
     @pytest.mark.parametrize("case, bound", [("ex2", 3.3), ("ex1", 6.0)])
     def test_green_matrix_peak(self, request, case, bound):

@@ -9,12 +9,18 @@ any other form (a product with the array, a triangle or diagonal that
 rebuilds K_EE, a triangle as a factor) fails.
 
 A round of the pivoting in ``_pg`` takes one factor: ``cho_factor`` is
-called only in ``_free_block_factor`` and ``ldl`` only in
+called only in ``_free_block_factor`` and ``dsytrf`` only in
 ``_bordered_solver``, both only in ``_free_block_solver``, which only
 ``_solve_pattern`` calls, and ``_solve_pattern`` is called once, in
 ``minimize_quadratic``'s round.  The free block is gathered by rows and
-``take``, never through ``np.ix_`` (an index-array copy several times
-slower).
+``take``, and no module of the package uses ``np.ix_`` (an index-array
+copy several times slower).
+
+Every QP matrix arrives packed: a ``PackedMatrix`` is made and written only
+by the kernel's packed writer, ``GreenContext.green_matrix`` (both from
+kernel row blocks) and ``PackedMatrix.take`` (from packed entries), so no
+module converts a dense array into one.  The one dense kernel matrix left
+is the exterior store, assembled in ``GreenContext.__init__``.
 
 One QP engine: no module of the package imports ``scipy.optimize``, and
 ``_pg`` defines none of the names of the projected-gradient engine it
@@ -25,6 +31,7 @@ import pathlib
 
 import condenser
 from test_layering_lint import public_names
+from test_pairwise_lint import calls_by_function, package_calls
 
 BALAYAGE = pathlib.Path(condenser.__file__).parent / "balayage.py"
 PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
@@ -102,10 +109,47 @@ def test_pg_gathers_without_ix():
     assert attribute_uses(PG.read_text(), "ix_") == []
 
 
+def test_no_module_gathers_through_ix():
+    assert [path.name for path in sorted(PG.parent.glob("*.py"))
+            if attribute_uses(path.read_text(), "ix_")] == []
+
+
+PACKED_WRITERS = {("kernel", "_packed_matrix"), ("balayage", "green_matrix"),
+                  ("_pg", "take")}
+
+
+def packed_stores(source: str) -> list:
+    """Line numbers of the stores into ``<x>.ap``, whole or by subscript."""
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Attribute, ast.Subscript))
+            and isinstance(node.ctx, ast.Store) and "ap" in (
+                getattr(node, "attr", None),
+                getattr(getattr(node, "value", None), "attr", None))]
+
+
+def test_lint_sees_a_dense_conversion():
+    source = ("def pack(A):\n    out = PackedMatrix(len(A))\n"
+              "    out.put_rows(0, A)\n    return out\n"
+              "P.ap[:] = A[np.tril_indices(n)]\nP.ap = a\nx = P.ap[0]\n")
+    for name in ("PackedMatrix", "put_rows"):
+        assert [owner for owner, _ in calls_by_function(source, name)
+                ] == ["pack"]
+    assert packed_stores(source) == [5, 6]
+
+
+def test_every_qp_matrix_arrives_packed():
+    for name in ("PackedMatrix", "put_rows"):
+        assert set(package_calls(name)) == PACKED_WRITERS
+    assert package_calls("pack") == {}
+    assert [path.name for path in sorted(PG.parent.glob("*.py"))
+            if packed_stores(path.read_text())] == ["_pg.py"]
+    assert set(package_calls("assemble_matrix")) == {("balayage", "__init__")}
+
+
 def test_pg_factors_once_per_round():
     source = PG.read_text()
     assert callers(source, "cho_factor") == ["_free_block_factor"]
-    assert callers(source, "ldl") == ["_bordered_solver"]
+    assert callers(source, "dsytrf") == ["_bordered_solver"]
     assert callers(source, "_free_block_factor") == ["_free_block_solver"]
     assert callers(source, "_bordered_solver") == ["_free_block_solver"]
     assert callers(source, "_free_block_solver") == ["_solve_pattern"]

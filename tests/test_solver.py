@@ -28,17 +28,10 @@ from condenser.scenarios import ball_in_ball, build_scenario, example_one
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
 
-from _probes import green_field
+from _probes import green_field, packed, unpacked
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
-
-
-def unpacked(P):
-    """Dense symmetric array of a PackedMatrix."""
-    D = np.zeros(P.shape)
-    D[np.tril_indices(P.shape[0])] = P.ap
-    return D + np.tril(D, -1).T
 
 
 def shared_node_spec():
@@ -109,7 +102,8 @@ def engine_projection(w, caps, total):
     """Euclidean projection of w onto {0 <= v <= caps, sum v = total} by
     the pivoting engine: the QP with A = I and b = -w."""
     w = np.asarray(w, dtype=float)
-    return pgmod.minimize_quadratic(np.eye(len(w)), -w, [slice(0, len(w))],
+    return pgmod.minimize_quadratic(packed(np.eye(len(w))), -w,
+                                    [slice(0, len(w))],
                                     [total], np.broadcast_to(caps, w.shape),
                                     DEFAULT_TOLERANCES).w
 
@@ -408,7 +402,7 @@ def seeded_qp(seed=21, n=8):
     pivoting frees one of them again."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(n, n))
-    return (X @ X.T / n + 0.1 * np.eye(n), rng.normal(size=n),
+    return (packed(X @ X.T / n + 0.1 * np.eye(n)), rng.normal(size=n),
             rng.uniform(0.2, 0.5, n))
 
 
@@ -449,8 +443,9 @@ class TestSharedCopies:
         K = assemble_matrix(nodes, K15).entries
         m = len(nodes)
         res = pgmod.minimize_quadratic(
-            np.block([[K, K], [K, K]]), None, [slice(0, m), slice(m, 2 * m)],
-            [0.5, 0.5], np.full(2 * m, np.inf), DEFAULT_TOLERANCES,
+            packed(np.block([[K, K], [K, K]])), None,
+            [slice(0, m), slice(m, 2 * m)], [0.5, 0.5],
+            np.full(2 * m, np.inf), DEFAULT_TOLERANCES,
             positions=np.tile(np.arange(m), 2))
         assert res.converged and res.kkt_residual <= 1e-10
         _, cap = equilibrium_measure(nodes, K15, 1.0)
@@ -545,11 +540,19 @@ class TestJointAssembly:
         D = unpacked(K)
         x = np.random.default_rng(3).normal(size=K.shape[0])
         assert np.abs(K @ x - D @ x).max() <= 1e-14 * np.abs(D @ x).max()
-        assert np.array_equal(pgmod.PackedMatrix.pack(D).ap, K.ap)
+        assert np.array_equal(packed(D).ap, K.ap)
         for F in (np.arange(K.shape[0]), np.flatnonzero(x > 0.3)):
             out = np.zeros((len(F), len(F)))
             K.gather_lower(F, out)
             assert np.array_equal(out, np.tril(D[np.ix_(F, F)]))
+
+    def test_take_matches_the_dense_gather(self, monkeypatch):
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        K, _ = joint_kernel_matrix(self.three_sets(), K15)
+        idx = np.random.default_rng(5).integers(0, K.shape[0], 300)
+        assert np.unique(idx).size < idx.size and np.any(np.diff(idx) < 0)
+        ref = unpacked(K)[np.ix_(idx, idx)]
+        assert np.array_equal(K.take(idx).ap, ref[np.tril_indices(idx.size)])
 
 
 def test_riesz_solve_peaks_near_one_dense_copy():
@@ -642,10 +645,11 @@ class TestExactFinish:
         # its bounds moves nothing, so the solve refines on that factor
         A, b, caps, total, expected = {
             "seeded": lambda: (*seeded_qp(), 1.0, None),
-            "two-variable": lambda: (np.eye(2), -np.array([3.0, 0.0]),
+            "two-variable": lambda: (packed(np.eye(2)),
+                                     -np.array([3.0, 0.0]),
                                      np.array([1.0, np.inf]), 2.0, [1.0, 1.0]),
             "caps-realize-total": lambda: (
-                np.eye(3), -np.array([5.0, -1.0, 2.0]),
+                packed(np.eye(3)), -np.array([5.0, -1.0, 2.0]),
                 np.array([0.25, 0.5, 0.25]), 1.0, [0.25, 0.5, 0.25])}[qp]()
         calls = []
         original = pgmod._free_block_solver
@@ -679,7 +683,7 @@ class TestExactFinish:
         # the minimizer (0.5, 0.5, 0) has every node at zero or at its cap;
         # its constant is the midpoint of the potentials (-0.5 at the caps,
         # 1 at zero)
-        A, b = np.eye(3), np.array([-1.0, -1.0, 1.0])
+        A, b = packed(np.eye(3)), np.array([-1.0, -1.0, 1.0])
         caps = np.full(3, 0.5)
         res = pgmod.minimize_quadratic(A, b, [slice(0, 3)], [1.0], caps,
                                        DEFAULT_TOLERANCES)
@@ -691,7 +695,7 @@ class TestExactFinish:
         # the free block has no Cholesky factor (eigenvalues 3 and -1), yet
         # the QP is convex on the simplex, where q = 6 t^2 - 0.2 t + const
         # along w = (0.5 + t, 0.5 - t): the bordered LDL' solve takes it
-        A = np.array([[1.0, -2.0], [-2.0, 1.0]])
+        A = packed([[1.0, -2.0], [-2.0, 1.0]])
         b = np.array([-0.1, 0.0])
         res = pgmod.minimize_quadratic(A, b, [slice(0, 2)], [1.0],
                                        np.full(2, np.inf), DEFAULT_TOLERANCES)
@@ -704,12 +708,47 @@ class TestExactFinish:
         # q = -2 t^2 - 0.2 t + const along w = (0.5 + t, 0.5 - t): the
         # bordered solve alone would return its stationary maximum
         # (0.45, 0.55) as converged
-        A = np.array([[1.0, 2.0], [2.0, 1.0]])
+        A = packed([[1.0, 2.0], [2.0, 1.0]])
         b = np.array([-0.1, 0.0])
         with pytest.raises(NonConvexError) as info:
             pgmod.minimize_quadratic(A, b, [slice(0, 2)], [1.0],
                                      np.full(2, np.inf), DEFAULT_TOLERANCES)
         assert info.value.exit_code == 5
+
+
+class TestBorderedSolver:
+    @staticmethod
+    def random_spd(n=10):
+        X = np.random.default_rng(12).normal(size=(n, n))
+        return X @ X.T / n + 0.1 * np.eye(n)
+
+    @pytest.mark.parametrize("copies", [False, True])
+    def test_matches_the_dense_solve(self, copies):
+        # with copies, node 9 repeats node 3 on the other plate: A_FF is
+        # singular, the bordered matrix is not
+        D = self.random_spd()
+        if copies:
+            D[9] = D[3]
+            D[:, 9] = D[:, 3]
+        F, fp = np.array([0, 2, 3, 5, 6, 9]), np.array([0, 0, 0, 1, 1, 1])
+        n, q = len(F), 2
+        M = np.zeros((n + q, n + q))
+        M[:n, :n] = D[np.ix_(F, F)]
+        M[np.arange(n), n + fp] = M[n + fp, np.arange(n)] = 1.0
+        assert (np.linalg.matrix_rank(M[:n, :n]) < n) == copies
+        rng = np.random.default_rng(13)
+        r, m = rng.normal(size=n), rng.normal(size=q)
+        dw, dc = pgmod._bordered_solver(packed(D), F, fp, q)(r, m)
+        x = np.linalg.solve(M, np.concatenate([r, m]))
+        np.testing.assert_allclose(np.concatenate([dw, -dc]), x, rtol=0,
+                                   atol=1e-12 * np.abs(x).max())
+
+    def test_indefinite_face_raises(self):
+        D = self.random_spd()
+        D[2, 2] = -5.0
+        with pytest.raises(NonConvexError):
+            pgmod._bordered_solver(packed(D), np.array([1, 2, 4]),
+                                   np.zeros(3, dtype=int), 1)
 
 
 @pytest.fixture(scope="module")
@@ -755,10 +794,10 @@ class TestSolveGreen:
         G, _ = ctx.green_matrix(ball)
         for _ in range(4):
             w = rng.random(len(ball))
-            lhs = float(w @ G @ w) + 2.0 * float(fvals @ w)
+            lhs = float(w @ (G @ w)) + 2.0 * float(fvals @ w)
             # || R mu + zeta ||_g^2 - || zeta ||_g^2 via the Green matrix
             combo = w + zw
-            rhs = float(combo @ G @ combo) - float(zw @ G @ zw)
+            rhs = float(combo @ (G @ combo)) - float(zw @ (G @ zw))
             scale = max(abs(lhs), abs(rhs), 1.0)
             assert abs(lhs - rhs) / scale < 1e-10
 
