@@ -15,7 +15,10 @@ node moves.  A plate with no free node keeps its weights and leaves the
 system; no move may leave one so with weights off its total.  The free
 copies of node positions that several plates share stay a forest (_Forest).
 The engine reads A only through products and free-block gathers, so it
-holds A as one packed triangle (PackedMatrix).
+holds A as one packed triangle (PackedMatrix), and the float32 Cholesky
+factor of each round's free block as one triangle too, in LAPACK's
+rectangular full packed form (Gustavson, Wasniewski, Dongarra & Langou
+2010): n(n+1)/2 entries, factored and solved by level-3 BLAS.
 
 ``balayage.GreenContext._cone_project`` keeps its own pivoting: it solves
 many right-hand sides at once, with no plate sums and no caps, so one engine
@@ -27,10 +30,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (LinAlgError, cho_factor, cho_solve,
-                          eigvalsh_tridiagonal)
+from scipy.linalg import eigvalsh_tridiagonal
 from scipy.linalg.blas import dspmv
-from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs
+from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs, spftrf, spftrs
 
 from .errors import InfeasibleError, NonConvexError
 from .model import row_blocks
@@ -88,14 +90,36 @@ class PackedMatrix:
             out.put_rows(rows.start, self.ap.take(_row_start(hi) + lo))
         return out
 
-    def gather_lower(self, F: np.ndarray, out: np.ndarray) -> None:
-        """Write the lower triangle of A[F][:, F], F increasing, into the
-        lower triangle of ``out`` (cast to its dtype), one packed row of F
-        at a time; the rest of ``out`` is left as it is."""
+    def rows_of(self, F: np.ndarray):
+        """(r, A[F[r], F[:r+1]]) for each r, F increasing: the packed row
+        as it lies when F is every index, else its entries at F."""
         whole = len(F) == self.shape[0]
         for r, i in enumerate(F.tolist()):
             row = self.row(i)
-            out[r, :r + 1] = row if whole else row.take(F[:r + 1])
+            yield r, row if whole else row.take(F[:r + 1])
+
+    def gather_lower(self, F: np.ndarray, out: np.ndarray) -> None:
+        """Write the lower triangle of A[F][:, F], F increasing, into the
+        lower triangle of ``out`` (cast to its dtype); the rest of ``out``
+        is left as it is."""
+        for r, row in self.rows_of(F):
+            out[r, :r + 1] = row
+
+    def gather_rfp(self, F: np.ndarray) -> np.ndarray:
+        """A[F][:, F], F increasing, as one float32 array of n(n+1)/2
+        entries in LAPACK's rectangular full packed form (TRANSR 'N',
+        UPLO 'U').  Seen as a C-ordered (n - h) x (n + 1 - n % 2) array T,
+        h = n // 2, packed row r >= h goes to T[r - h, :r+1] and packed row
+        r < h to T[:r+1, h + 1 + r]."""
+        n, h = len(F), len(F) // 2
+        arf = np.empty(_row_start(n), dtype=np.float32)
+        T = arf.reshape(n - h, -1)
+        for r, row in self.rows_of(F):
+            if r >= h:
+                T[r - h, :r + 1] = row
+            else:
+                T[:r + 1, h + 1 + r] = row
+        return arf
 
 
 @dataclass
@@ -252,26 +276,22 @@ def _start_pattern(caps, slices, totals, forest):
 
 
 def _free_block_factor(A, F):
-    """float32 Cholesky factor of A[F][:, F], or None if that block is not
-    positive definite in float32.  The block's lower triangle fills a
-    C-ordered array, whose Fortran-ordered transpose LAPACK factors in
-    place from its upper triangle, so no float64 copy of the block is
-    made."""
-    M = np.empty((len(F), len(F)), dtype=np.float32)
-    A.gather_lower(F, M)
-    try:
-        return cho_factor(M.T, lower=False, overwrite_a=True,
-                          check_finite=False)
-    except LinAlgError:
-        return None
+    """float32 Cholesky factor of A[F][:, F] in rectangular full packed
+    form (LAPACK spftrf on A.gather_rfp, in place), or None if that block
+    is not positive definite in float32.  It holds n(n+1)/2 entries, and
+    no float64 copy of the block is made."""
+    arf = A.gather_rfp(F)
+    factor, info = spftrf(len(F), arf, overwrite_a=1)
+    return factor if info == 0 else None
 
 
 def _bordered_solver(A, F, fp, q):
-    """Corrections from one float64 LDL' factor (dsytrf, in place as in
-    _free_block_factor) of the bordered matrix [A_FF E; E' 0].  Its inertia
-    is |F| positive and q negative eigenvalues exactly when A is positive
-    definite on the face's directions; otherwise the QP is not convex on
-    that face and NonConvexError is raised."""
+    """Corrections from one float64 LDL' factor (dsytrf) of the bordered
+    matrix [A_FF E; E' 0], taken in place: its lower triangle fills a
+    C-ordered square, whose Fortran-ordered transpose LAPACK reads as an
+    upper triangle.  Its inertia is |F| positive and q negative eigenvalues
+    exactly when A is positive definite on the face's directions; otherwise
+    the QP is not convex on that face and NonConvexError is raised."""
     n = len(F)
     K = np.zeros((n + q, n + q))
     A.gather_lower(F, K)
@@ -299,22 +319,23 @@ def _bordered_solver(A, F, fp, q):
 def _free_block_solver(A, F, fp, q, copies):
     """Solver (r, m) -> (dw, dc) of [A_FF E; E' 0] (dw; -dc) = (r; m), E the
     incidence of the free nodes F on the q plates that have one (``fp``):
-    the float32 Cholesky factor of A_FF and the q x q Schur complement of
-    the multipliers or, when F holds two copies of a position (``copies``)
-    or A_FF has no float32 factor, _bordered_solver."""
+    the float32 RFP Cholesky factor of A_FF (spftrs solves) and the q x q
+    Schur complement of the multipliers or, when F holds two copies of a
+    position (``copies``) or A_FF has no float32 factor, _bordered_solver."""
+    n = len(F)
     factor = None if copies else _free_block_factor(A, F)
     if factor is None:
         return _bordered_solver(A, F, fp, q)
-    E = np.zeros((len(F), q), dtype=np.float32)
-    E[np.arange(len(F)), fp] = 1.0
-    Y = cho_solve(factor, E, overwrite_b=True, check_finite=False)
+    E = np.zeros((n, q), dtype=np.float32, order="F")
+    E[np.arange(n), fp] = 1.0
+    Y = spftrs(n, factor, E, overwrite_b=1)[0]
     S = np.zeros((q, q))
     np.add.at(S, fp, Y.astype(float))            # E' A_FF^-1 E
 
     def solve(r, m):
         scale = max(float(np.abs(r).max()), 1e-300)
-        u = cho_solve(factor, (r / scale).astype(np.float32),
-                      overwrite_b=True, check_finite=False) * scale
+        u = spftrs(n, factor, (r / scale).astype(np.float32),
+                   overwrite_b=1)[0] * scale
         dc = np.linalg.solve(S, m - np.bincount(fp, u, q))
         return u + Y @ dc, dc
     return solve

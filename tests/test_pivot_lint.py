@@ -8,13 +8,16 @@ reads its rows through ``self._kee_rows`` and nothing else of that storage:
 any other form (a product with the array, a triangle or diagonal that
 rebuilds K_EE, a triangle as a factor) fails.
 
-A round of the pivoting in ``_pg`` takes one factor: ``cho_factor`` is
-called only in ``_free_block_factor`` and ``dsytrf`` only in
-``_bordered_solver``, both only in ``_free_block_solver``, which only
-``_solve_pattern`` calls, and ``_solve_pattern`` is called once, in
-``minimize_quadratic``'s round.  The free block is gathered by rows and
-``take``, and no module of the package uses ``np.ix_`` (an index-array
-copy several times slower).
+A round of the pivoting in ``_pg`` takes one factor: ``spftrf`` (the
+float32 factor, in rectangular full packed form) is called only in
+``_free_block_factor`` and ``dsytrf`` only in ``_bordered_solver``, both
+only in ``_free_block_solver``, which only ``_solve_pattern`` calls, and
+``_solve_pattern`` is called once, in ``minimize_quadratic``'s round.
+``spftrs`` solves only in ``_free_block_solver``, and ``_pg`` imports none
+of ``cho_factor``, ``cho_solve`` and ``LinAlgError``, so no square float32
+factor comes back.  The free block is gathered by rows and ``take``, and
+no module of the package uses ``np.ix_`` (an index-array copy several
+times slower).
 
 Every QP matrix arrives packed: a ``PackedMatrix`` is made and written only
 by the kernel's packed writer, ``GreenContext.green_matrix`` (both from
@@ -146,9 +149,25 @@ def test_every_qp_matrix_arrives_packed():
     assert set(package_calls("assemble_matrix")) == {("balayage", "__init__")}
 
 
+def imported_names(source: str) -> set:
+    """Names imported by ``from ... import`` anywhere in ``source``."""
+    return {a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for a in node.names}
+
+
+def test_lint_sees_imported_names():
+    source = ("from scipy.linalg import (LinAlgError,\n    cho_factor)\n"
+              "import numpy\ndef f():\n    from x import cho_solve\n")
+    assert imported_names(source) == {"LinAlgError", "cho_factor",
+                                      "cho_solve"}
+
+
 def test_pg_factors_once_per_round():
     source = PG.read_text()
-    assert callers(source, "cho_factor") == ["_free_block_factor"]
+    assert callers(source, "spftrf") == ["_free_block_factor"]
+    assert callers(source, "spftrs") == ["_free_block_solver"] * 2
+    assert imported_names(source) & {
+        "cho_factor", "cho_solve", "LinAlgError"} == set()
     assert callers(source, "dsytrf") == ["_bordered_solver"]
     assert callers(source, "_free_block_factor") == ["_free_block_solver"]
     assert callers(source, "_bordered_solver") == ["_free_block_solver"]

@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import stpttf
 
 from condenser.balayage import GreenContext
 from condenser.errors import (AlignmentError, DuplicateNodeError,
@@ -556,8 +557,8 @@ class TestJointAssembly:
 
 
 def test_riesz_solve_peaks_near_one_dense_copy():
-    # 825 joint nodes: the packed matrix and the float32 free block hold
-    # 4 N^2 bytes each, so the traced peak is about one dense copy
+    # 825 joint nodes: packed float64 4N^2 plus RFP float32 2N^2 bytes, so
+    # the traced peak is about three quarters of one dense copy
     sc = example_one(resolution=0.5, truncation=3.0)
     N = sum(len(p.nodes) for p in sc.spec.condenser.plates)
     assert N == 825
@@ -567,7 +568,7 @@ def test_riesz_solve_peaks_near_one_dense_copy():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.1 * 8.0 * N * N
+    assert peak <= 0.9 * 8.0 * N * N
 
 
 class TestExactFinish:
@@ -749,6 +750,68 @@ class TestBorderedSolver:
         with pytest.raises(NonConvexError):
             pgmod._bordered_solver(packed(D), np.array([1, 2, 4]),
                                    np.zeros(3, dtype=int), 1)
+
+
+class TestFreeBlockFactor:
+    @staticmethod
+    def random_symmetric(n, seed=14):
+        X = np.random.default_rng(seed).normal(size=(n, n))
+        return X @ X.T / n + np.eye(n)
+
+    @pytest.mark.parametrize("n", range(1, 12))
+    def test_rfp_writer_matches_stpttf(self, n):
+        # F whole reads each packed row as it lies; a strict subset reads
+        # A.take(F)'s rows, and both land where LAPACK's stpttf puts them
+        A = packed(self.random_symmetric(n + 3))
+        whole = packed(self.random_symmetric(n))
+        F = np.sort(np.random.default_rng(n).choice(n + 3, n, replace=False))
+        for P, idx in ((whole, np.arange(n)), (A, F)):
+            ref, info = stpttf(n, P.take(idx).ap.astype(np.float32),
+                               transr="N", uplo="U")
+            assert info == 0
+            assert P.gather_rfp(idx).tobytes() == ref.tobytes()
+
+    def test_first_correction_matches_the_dense_solve(self, monkeypatch):
+        # the RFP factor alone: a call of the bordered solver would fail
+        monkeypatch.setattr(pgmod, "_bordered_solver", None)
+        D = self.random_symmetric(12)
+        F, fp = np.array([0, 1, 3, 4, 6, 8, 9, 11]), np.repeat([0, 1], 4)
+        n, q = len(F), 2
+        M = np.zeros((n + q, n + q))
+        M[:n, :n] = D[np.ix_(F, F)]
+        M[np.arange(n), n + fp] = M[n + fp, np.arange(n)] = 1.0
+        rng = np.random.default_rng(15)
+        r, m = rng.normal(size=n), rng.normal(size=q)
+        dw, dc = pgmod._free_block_solver(packed(D), F, fp, q, False)(r, m)
+        x = np.linalg.solve(M, np.concatenate([r, m]))
+        bound = 10.0 * np.linalg.cond(M) * np.finfo(np.float32).eps
+        np.testing.assert_allclose(np.concatenate([dw, -dc]), x, rtol=0,
+                                   atol=bound * np.abs(x).max())
+
+    @pytest.mark.parametrize("off", [2.0, 1.0 - 1e-9])
+    def test_block_without_float32_factor_goes_bordered(self, monkeypatch,
+                                                        off):
+        # spftrf reports a failed factor through info, not an exception:
+        # an indefinite block, and one positive definite in float64 whose
+        # off-diagonal entries round to 1 in float32, have no factor
+        D = np.array([[1.0, off], [off, 1.0]])
+        assert (np.linalg.eigvalsh(D).min() > 0.0) == (off < 1.0)
+        F, fp = np.arange(2), np.arange(2)
+        assert pgmod._free_block_factor(packed(D), F) is None
+        calls = []
+        original = pgmod._bordered_solver
+
+        def count(*solver_args):
+            calls.append(solver_args)
+            return original(*solver_args)
+
+        monkeypatch.setattr(pgmod, "_bordered_solver", count)
+        r, m = np.array([0.3, -0.2]), np.array([0.6, 0.4])
+        dw, dc = pgmod._free_block_solver(packed(D), F, fp, 2, False)(r, m)
+        assert len(calls) == 1
+        # E is the identity here: dw = m and D dw - dc = r
+        np.testing.assert_allclose(dw, m, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(dc, D @ m - r, rtol=0, atol=1e-15)
 
 
 @pytest.fixture(scope="module")
