@@ -9,9 +9,8 @@ from .errors import (AlignmentError, CondenserError, DuplicateNodeError,
 from .model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet, Plate,
                     PlateSpec, SignedMeasure, VectorMeasure, build_condenser,
                     resultant)
-from .kernel import (KernelMatrix, assemble_matrix, equilibrium_measure,
-                     gauss_functional, mutual_energy, potential,
-                     semimetric_distance)
+from .kernel import (equilibrium_measure, gauss_functional, mutual_energy,
+                     potential, semimetric_distance)
 from .balayage import (BalayageResult, GreenContext, balayage_oracle_halfspace,
                        balayage_project)
 from .gauss_solver import (ProblemSpec, SolveResult, check_sigma_domination,

@@ -6,13 +6,14 @@ nonnegative measures theta on the exterior node set: a convex QP in the
 energy inner product.  The potential-match identity then holds on the
 exterior nodes up to the recorded residual instead of being imposed.
 
-Every sweep takes one path: an unconstrained Cholesky solve against the
-exterior kernel matrix, then block principal pivoting on the nonnegative
-cone for all the columns that dip below zero at once
+Every sweep takes one path: an unconstrained solve with the Cholesky
+factor of the exterior kernel matrix K_EE, then block principal pivoting on
+the nonnegative cone for all the columns that dip below zero at once
 (``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
-Park 2011).  Each round factors every distinct free pattern once, from the
-free set's rows of the exterior matrix, and takes the gradients of its
-columns from the same rows, so a round's work scales with the free set.
+Park 2011).  K_EE and its factor are each held as one triangle.  Each round
+factors every distinct free pattern once, from the free set's rows of K_EE
+(``PackedMatrix.rows``), and takes the gradients of its columns from the
+same rows, so a round's work scales with the free set.
 Each column keeps Kim & Park's backup rule, shared with the QP engine of
 ``_pg``, so its pivoting ends.
 
@@ -30,13 +31,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dsymv
+from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg.lapack import dpftrf, dpftrs, dtpttf
 
 from . import kernel as kernelmod
 from ._pg import FINISH_KKT, BackupRule, PackedMatrix
 from .errors import UnsupportedKernel
-from .kernel import KernelSpec, assemble_matrix, mutual_energy, potential
+from .kernel import KernelSpec, mutual_energy, potential
 from .model import DiscreteMeasure, NodeSet
 
 # unconstrained sweep columns more negative than this (relative to the column
@@ -59,10 +60,11 @@ class BalayageResult:
 class GreenContext:
     """Balayage machinery for a domain D given a discretized complement.
 
-    Holds one m x m array: the Cholesky factor of the exterior kernel
-    matrix K_EE in its lower triangle and K_EE in its strict upper one, with
-    K_EE's diagonal kept apart.  Exposes the Green kernel (Riesz kernel minus
-    the swept point-mass potential) as matrices and potentials.
+    Holds the exterior kernel matrix K_EE as one packed triangle
+    (``PackedMatrix``) and its float64 Cholesky factor as one triangle in
+    LAPACK's rectangular full packed form, m(m+1)/2 entries each.  Exposes
+    the Green kernel (Riesz kernel minus the swept point-mass potential) as
+    matrices and potentials.
     """
 
     def __init__(self, exterior: NodeSet, kernel: KernelSpec):
@@ -70,37 +72,20 @@ class GreenContext:
             raise ValueError("exterior node set must be nonempty")
         self.exterior = exterior
         self.riesz = kernel
-        # K_EE is exactly symmetric, so its transpose is an F-ordered view
-        # of the same matrix, which LAPACK factors in place: the factor
-        # fills the lower triangle and leaves K_EE in the strict upper one
-        kee = assemble_matrix(exterior, kernel).entries
-        self._kee_diag = kee.diagonal().copy()
-        self._chol = cho_factor(kee.T, lower=True, overwrite_a=True,
-                                check_finite=False)
+        kernelmod._require_distinct(exterior.positions, "matrix assembly")
+        m = len(exterior)
+        self._kee = kernelmod._packed_matrix(exterior.positions,
+                                             exterior.cell_radii, kernel)
+        # the packed rows are BLAS's upper packed columns, which dtpttf
+        # copies into the RFP layout dpftrf factors in place
+        self._factor, info = dpftrf(m, dtpttf(m, self._kee.ap)[0],
+                                    overwrite_a=1)
+        if info:
+            raise LinAlgError(f"{info}-th leading minor of the exterior "
+                              f"kernel matrix is not positive definite")
         # exterior nodes carried by the last clipped sweep: the pivoting
         # start of later clipped columns
         self._support = None
-
-    def _kee_rows(self, idx: np.ndarray) -> np.ndarray:
-        """Rows ``idx`` (an index array) of K_EE, C-ordered.  Left of the
-        diagonal, row i is column i of the factor array's strict upper
-        triangle, a contiguous read; right of it, row i of that triangle, a
-        strided one."""
-        store = self._chol[0]
-        rows = np.empty((len(idx), len(store)))
-        for row, i in zip(rows, idx.tolist()):
-            row[:i] = store[:i, i]
-            row[i + 1:] = store[i, i + 1:]
-        rows[np.arange(len(idx)), idx] = self._kee_diag[idx]
-        return rows
-
-    def _kee_product(self, x: np.ndarray) -> np.ndarray:
-        """K_EE x: one symmetric product with the factor array's upper
-        triangle, K_EE off the diagonal and the factor on it, then the
-        diagonal corrected to K_EE's."""
-        store = self._chol[0]
-        return dsymv(1.0, store, x, lower=0) + \
-            (self._kee_diag - store.diagonal()) * x
 
     # -- sweeping ----------------------------------------------------------
     def _cross_matrix(self, nodes: NodeSet) -> np.ndarray:
@@ -117,9 +102,7 @@ class GreenContext:
         its unconstrained positive set and the others start from its
         settled set.  The union of their settled sets becomes the carried
         support.  Returns theta and the clipped-column count."""
-        # factors and right-hand sides are built here from finite kernel
-        # values, so the solves skip scipy's finiteness rescan
-        theta = cho_solve(self._chol, B, check_finite=False)
+        theta = dpftrs(len(B), self._factor, B)[0]
         col_max = np.maximum(theta.max(axis=0), 1e-300)
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
         if not bad.size:
@@ -171,7 +154,7 @@ class GreenContext:
                 dropped = np.zeros(b.shape, dtype=bool)
                 grad = -b
                 if idx.size:
-                    rows = self._kee_rows(idx)
+                    rows = self._kee.rows(idx)
                     fac = cho_factor(rows[:, idx], lower=True,
                                      overwrite_a=True, check_finite=False)
                     sol = cho_solve(fac, b[idx], check_finite=False)
@@ -232,7 +215,7 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
     theta = np.maximum(theta, 0.0)
     swept = DiscreteMeasure(ctx.exterior, theta)
 
-    pot_sw = ctx._kee_product(theta)            # kappa(., mu') on D^c nodes
+    pot_sw = ctx._kee @ theta                  # kappa(., mu') on D^c nodes
     scale = max(float(np.abs(pot_mu).max()), 1e-300)
     residual = float(np.abs(pot_sw - pot_mu).max()) / scale
 

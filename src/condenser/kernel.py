@@ -7,7 +7,6 @@ its own nodes are read once, by ``_node_potentials``."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -18,18 +17,6 @@ from .errors import AlignmentError, DuplicateNodeError, NonConvergedError
 from .model import (DiscreteMeasure, KernelSpec, NodeSet, SignedMeasure,
                     VectorMeasure, merge_by_position, resultant, row_blocks)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
-
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Dense symmetric kernel matrix over a node set, diagonal set by the
-    kernel's self-energy rule."""
-
-    entries: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.entries.shape[0]
 
 
 def _riesz_block(P: np.ndarray, Q: np.ndarray, kernel: KernelSpec,
@@ -72,20 +59,6 @@ def _packed_matrix(P: np.ndarray, rho: np.ndarray,
     for a, blk in _lower_row_blocks(P, rho, kernel):
         K.put_rows(a, blk)
     return K
-
-
-def assemble_matrix(nodes: NodeSet, kernel: KernelSpec) -> KernelMatrix:
-    """Dense kernel matrix on pairwise-distinct nodes: off-diagonal entries
-    |x-y|^(alpha-n), diagonal per the self-energy rule.  Each lower row
-    block is written whole (distinct nodes make its diagonal square exactly
-    symmetric) and, left of that square, transposed above it."""
-    _require_distinct(nodes.positions, "matrix assembly")
-    P = nodes.positions
-    K = np.empty((len(P), len(P)))
-    for a, blk in _lower_row_blocks(P, nodes.cell_radii, kernel):
-        K[a:a + len(blk), :a + len(blk)] = blk
-        K[:a, a:a + len(blk)] = blk[:, :a].T
-    return KernelMatrix(K)
 
 
 def _atoms_of(mu) -> tuple:

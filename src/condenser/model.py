@@ -529,8 +529,12 @@ class PlateSpec:
             raise ValueError(f"sign must be +1 or -1, got {self.sign}")
         if len(self.center) != 3:
             raise ValueError(f"center must have 3 coordinates, got {self.center}")
-        if "radius" in keys and not self.radius > 0:
-            raise ValueError(f"{self.tag} radius must be > 0, got {self.radius}")
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center coordinates must be finite, got "
+                             f"{self.center}")
+        if "radius" in keys and not 0 < self.radius < math.inf:
+            raise ValueError(f"{self.tag} radius must be a finite number > 0, "
+                             f"got {self.radius}")
         if self.axis not in (0, 1, 2):
             raise ValueError(f"axis must be 0, 1 or 2, got {self.axis}")
         if self.side not in (+1, -1):

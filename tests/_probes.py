@@ -1,6 +1,7 @@
 """Probes that only the tests read: random mass transfers at a minimizer, the
 grounded-energy identities of one sweep, swept mass against truncation, the
-Case II field of a measure, and dense arrays to and from packed matrices."""
+Case II field of a measure, dense arrays to and from packed matrices, and
+the dense kernel matrix of a node set."""
 
 import math
 from typing import Callable, Sequence
@@ -10,7 +11,7 @@ import numpy as np
 from condenser._pg import PackedMatrix, node_classes
 from condenser.balayage import GreenContext, balayage_project
 from condenser.gauss_solver import ProblemSpec, SolveResult
-from condenser.kernel import _riesz_block, mutual_energy
+from condenser.kernel import _packed_matrix, _riesz_block, mutual_energy
 from condenser.model import Condenser, DiscreteMeasure
 from condenser.verify import weighted_potentials
 
@@ -30,6 +31,12 @@ def unpacked(P: PackedMatrix) -> np.ndarray:
     D = np.zeros(P.shape)
     D[np.tril_indices(P.shape[0])] = P.ap
     return D + np.tril(D, -1).T
+
+
+def kernel_matrix(nodes, kernel) -> np.ndarray:
+    """Dense symmetric kernel matrix of a node set: the package's packed
+    writer's triangle, unpacked.  The one dense reference of the tests."""
+    return unpacked(_packed_matrix(nodes.positions, nodes.cell_radii, kernel))
 
 
 def mass_transfer_probe(result: SolveResult, spec: ProblemSpec, count: int = 50,

@@ -13,8 +13,7 @@ from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     solve_riesz, swept_positive_caps)
-from condenser.kernel import (_riesz_block, assemble_matrix, mutual_energy,
-                              semimetric_distance)
+from condenser.kernel import _riesz_block, mutual_energy, semimetric_distance
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, graded_plane_nodes,
                              resultant)
@@ -23,7 +22,8 @@ from condenser.verify import (equivalence_check, kkt_report, loglog_slope,
                               scalar_zone_checks, support_report,
                               unsolvability_sweep, weighted_potentials)
 
-from _probes import green_energy_identity_check, mass_transfer_probe
+from _probes import (green_energy_identity_check, kernel_matrix,
+                     mass_transfer_probe)
 
 K2 = KernelSpec(3, 2.0)
 
@@ -64,8 +64,8 @@ def test_criterion_01_energy_principle():
         alpha = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
         count = int(rng.integers(2, 51))
         ns = jittered_cloud(rng, count, n)
-        km = assemble_matrix(ns, KernelSpec(n, alpha))
-        worst = min(worst, float(np.linalg.eigvalsh(km.entries)[0]))
+        km = kernel_matrix(ns, KernelSpec(n, alpha))
+        worst = min(worst, float(np.linalg.eigvalsh(km)[0]))
     elapsed = time.perf_counter() - start
     report(1, "energy principle surrogate", worst > 0 and elapsed < 10.0,
            f"min eigenvalue {worst:.3e} over 200 matrices in {elapsed:.1f}s")

@@ -3,7 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import LinAlgError, cho_factor, solve_triangular
+from scipy.linalg.lapack import dpftrs, dtfttr
 from scipy.optimize import nnls
 
 from condenser import _pg as pgmod
@@ -14,16 +15,15 @@ from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
 from condenser.errors import UnsupportedKernel
 from condenser.gauss_solver import (_merge_positive, lift_green_to_riesz,
                                     solve_green_reduced)
-from condenser.kernel import (assemble_matrix, equilibrium_measure,
-                              mutual_energy, potential)
+from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              _concat_nodesets, ball_complement_nodes,
                              ball_volume_nodes, graded_plane_nodes,
                              sphere_surface_nodes, trim_cell_radii)
 from condenser.scenarios import ball_in_ball
 
-from _probes import (green_energy_identity_check, mass_conservation_probe,
-                     unpacked)
+from _probes import (green_energy_identity_check, kernel_matrix,
+                     mass_conservation_probe, unpacked)
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
@@ -38,7 +38,17 @@ def point_measure(points, weights, radius=0.04):
 
 def exterior_matrix(ctx):
     """K_EE of a context, assembled afresh from its exterior nodes."""
-    return assemble_matrix(ctx.exterior, ctx.riesz).entries
+    return kernel_matrix(ctx.exterior, ctx.riesz)
+
+
+def unconstrained_sweep(ctx, B):
+    """K_EE^-1 B by the context's own factor."""
+    return dpftrs(len(B), ctx._factor, B)[0]
+
+
+def factor_lower(ctx):
+    """L of K_EE = LL': the context's RFP factor U = L', unpacked."""
+    return np.triu(dtfttr(len(ctx.exterior), ctx._factor)[0]).T
 
 
 def green_at(ctx, x, y):
@@ -258,10 +268,9 @@ def traced(call):
 
 
 class TestExteriorStorage:
-    """A context holds one m x m array, the Cholesky factor and K_EE in
-    opposite triangles, plus K_EE's diagonal; the Green matrix is written
-    as one packed triangle, a lower row block of K_DD at a time, with no
-    dense K_DD."""
+    """A context holds K_EE as one packed triangle and its Cholesky factor
+    as one RFP triangle; the Green matrix is written as one packed
+    triangle, a lower row block of K_DD at a time, with no dense K_DD."""
 
     def test_context_holds_one_matrix(self, ball_ctx):
         m = len(ball_ctx.exterior)
@@ -270,15 +279,23 @@ class TestExteriorStorage:
 
     def test_row_reader_reads_assembled_rows(self, ball_ctx):
         kee = exterior_matrix(ball_ctx)
-        store = ball_ctx._chol[0].copy()
+        store = ball_ctx._kee.ap.copy()
         m = len(kee)
         scattered = np.sort(np.random.default_rng(4).choice(m, 60, False))
         for idx in (np.array([0]), np.array([m - 1]), scattered,
                     np.arange(m)):
-            rows = ball_ctx._kee_rows(idx)
+            rows = ball_ctx._kee.rows(idx)
             assert rows.flags.c_contiguous
             assert np.array_equal(rows, kee[idx])
-        assert np.array_equal(ball_ctx._chol[0], store)
+        assert np.array_equal(ball_ctx._kee.ap, store)
+
+    def test_indefinite_exterior_is_refused(self):
+        # two nodes 0.1 apart with cell radii 1.0: at alpha = 2 the diagonal
+        # is 1.5 and the off-diagonal 10, so K_EE has no Cholesky factor
+        ext = NodeSet([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], np.ones(2),
+                      np.ones(2))
+        with pytest.raises(LinAlgError):
+            GreenContext(ext, K2)
 
     def test_packed_green_matrix_matches_the_dense_reference(self,
                                                              monkeypatch):
@@ -294,7 +311,7 @@ class TestExteriorStorage:
         B, theta, clipped = GreenContext(ext, K2).sweep_columns(nodes)
         assert clipped > 0
         cross = theta.T @ B
-        K = assemble_matrix(nodes, K2).entries
+        K = kernel_matrix(nodes, K2)
         ref = K - 0.5 * (cross + cross.T)
         assert np.array_equal(G.ap, ref[np.tril_indices(len(nodes))])
         assert asym == np.abs(cross - cross.T).max() / np.abs(K).max()
@@ -324,12 +341,12 @@ class TestClippedSweeps:
         src = NodeSet(dirs * rng.uniform(0.8, 0.95, (6, 1)), np.ones(6),
                       np.full(6, 0.04))
         B, theta, clipped = ctx.sweep_columns(src)
-        unconstrained = cho_solve(ctx._chol, B)
+        unconstrained = unconstrained_sweep(ctx, B)
         neg = unconstrained.min(axis=0) < \
             -1e-12 * np.maximum(unconstrained.max(axis=0), 1e-300)
         assert clipped > 0
         assert clipped == int(neg.sum())
-        lower = np.tril(ctx._chol[0])
+        lower = factor_lower(ctx)
         kee = exterior_matrix(ctx)
         for k in np.flatnonzero(neg):
             b, th = B[:, k], theta[:, k]
@@ -373,7 +390,7 @@ def toy_sweep(toy_nodes):
 
 def clipped_of(ctx, B):
     """Indices of the columns of B whose unconstrained sweep clips."""
-    unconstrained = cho_solve(ctx._chol, B)
+    unconstrained = unconstrained_sweep(ctx, B)
     return np.flatnonzero(unconstrained.min(axis=0) < -1e-12 * np.maximum(
         unconstrained.max(axis=0), 1e-300))
 
@@ -428,8 +445,8 @@ class TestBatchedPivoting:
         src = NodeSet(src.positions[:10], src.quad_weights[:10],
                       src.cell_radii[:10])
         reads = []
-        rows = GreenContext._kee_rows
-        monkeypatch.setattr(GreenContext, "_kee_rows",
+        rows = pgmod.PackedMatrix.rows
+        monkeypatch.setattr(pgmod.PackedMatrix, "rows",
                             lambda self, idx: reads.append(1) or
                             rows(self, idx))
         B, pivoted, clipped = GreenContext(ctx.exterior, K2).sweep_columns(src)
@@ -445,7 +462,7 @@ class TestBatchedPivoting:
         _, theta, again = ctx.sweep_columns(src)
         assert again == clipped == 10
         assert len(reads) - block_reads > block_reads
-        lower = np.tril(ctx._chol[0])
+        lower = factor_lower(ctx)
         y = solve_triangular(lower, B, lower=True)
         for k in clipped_of(ctx, B):
             ref = nnls(lower.T, y[:, k])[0]
@@ -464,7 +481,7 @@ class TestBatchedPivoting:
                                       src.cell_radii[idx]))
         B = np.column_stack([B, -B[:, 0]])
         theta = ctx._cone_project(B, -np.ones_like(B))
-        lower = np.tril(ctx._chol[0])
+        lower = factor_lower(ctx)
         y = solve_triangular(lower, B, lower=True)
         for j in range(B.shape[1]):
             ref = nnls(lower.T, y[:, j])[0]

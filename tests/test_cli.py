@@ -488,6 +488,10 @@ class TestErrorPaths:
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, stack_count=2.5)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, stack_count=-1)),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, radius=True)),
+        ("solve", with_plate_keys(TOY_BALL, 0, radius=math.inf)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0, radius=math.inf)),
+        ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0,
+                                  center=[1.0, math.nan, 0.0])),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 0,
                                   center=[1.0, False, 0.0])),
         ("solve", with_plate_keys(TOY_DISK_HALF_SPACE, 1, side=-1.6)),
@@ -521,7 +525,8 @@ class TestErrorPaths:
             "source-cell-radius-negative", "source-position-non-numeric",
             "disk-axis-float", "disk-count-float", "stack-count-float",
             "stack-count-negative",
-            "radius-bool", "center-bool", "side-float", "kernel-n-float",
+            "radius-bool", "plate-radius-inf-ball", "plate-radius-inf-disk",
+            "plate-center-nan", "center-bool", "side-float", "kernel-n-float",
             "sign-float", "kernel-alpha-bool", "capacity-unknown-key",
             "capacity-axis-float"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):

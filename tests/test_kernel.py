@@ -4,15 +4,15 @@ import numpy as np
 import pytest
 
 from condenser import model as modelmod
+from condenser.balayage import GreenContext
 from condenser.errors import DuplicateNodeError
-from condenser.kernel import (_riesz_block, assemble_matrix,
-                              equilibrium_measure, gauss_functional,
-                              mutual_energy, potential)
+from condenser.kernel import (_riesz_block, equilibrium_measure,
+                              gauss_functional, mutual_energy, potential)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, VectorMeasure, ball_volume_nodes,
                              resultant, sphere_surface_nodes)
 
-from _probes import green_field
+from _probes import green_field, kernel_matrix
 
 K2 = KernelSpec(3, 2.0)
 
@@ -50,11 +50,11 @@ class TestRieszEval:
 class TestAssemble:
     def test_two_node_derived(self):
         ns = NodeSet([[0, 0, 0], [1, 0, 0]], [1, 1], [0.1, 0.2])
-        km = assemble_matrix(ns, K2)
-        assert km.entries[0, 1] == pytest.approx(1.0)
-        assert km.entries[1, 0] == pytest.approx(1.0)
-        assert km.entries[0, 0] == pytest.approx(3 / (2 * 0.1))
-        assert km.entries[1, 1] == pytest.approx(3 / (2 * 0.2))
+        km = kernel_matrix(ns, K2)
+        assert km[0, 1] == pytest.approx(1.0)
+        assert km[1, 0] == pytest.approx(1.0)
+        assert km[0, 0] == pytest.approx(3 / (2 * 0.1))
+        assert km[1, 1] == pytest.approx(3 / (2 * 0.2))
 
     def test_cell_ball_mean_against_monte_carlo(self):
         # the diagonal rule is the analytic mean of the kernel over a ball of
@@ -83,10 +83,18 @@ class TestAssemble:
         assert abs(val - exact) / exact < 1e-9
 
     def test_symmetry(self):
+        # the pairs right of the diagonal, which the packed triangle does
+        # not hold, read exactly the values of their mirrors
         rng = np.random.default_rng(5)
         ns = jittered_cloud(rng, 40, 3)
-        km = assemble_matrix(ns, KernelSpec(3, 1.5))
-        assert np.array_equal(km.entries, km.entries.T)
+        kern = KernelSpec(3, 1.5)
+        P = ns.positions
+        upper = _riesz_block(P[:20], P[20:], kern, rho_q=ns.cell_radii[20:])
+        lower = _riesz_block(P[20:], P[:20], kern, rho_q=ns.cell_radii[:20])
+        assert np.array_equal(upper, lower.T)
+        km = kernel_matrix(ns, kern)
+        assert np.array_equal(km[:20, 20:], upper)
+        assert np.array_equal(km, km.T)
 
     @pytest.mark.parametrize("entries", [None, 1000])
     def test_row_blocks_bit_identical(self, monkeypatch, entries):
@@ -98,12 +106,12 @@ class TestAssemble:
         ns = jittered_cloud(rng, 150, 3)
         ref = _riesz_block(ns.positions, ns.positions, K2,
                            rho_q=ns.cell_radii)
-        assert np.array_equal(assemble_matrix(ns, K2).entries, ref)
+        assert np.array_equal(kernel_matrix(ns, K2), ref)
 
     def test_duplicate_nodes_rejected(self):
         ns = NodeSet([[0, 0, 0], [0, 0, 0]], [1, 1], [0.1, 0.1])
         with pytest.raises(DuplicateNodeError):
-            assemble_matrix(ns, K2)
+            GreenContext(ns, K2)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_positive_definite_on_random_subsets(self, seed):
@@ -112,8 +120,8 @@ class TestAssemble:
         alpha = float(rng.choice([0.5, 1.0, 1.5, 2.0]))
         count = int(rng.integers(5, 51))
         ns = jittered_cloud(rng, count, n)
-        km = assemble_matrix(ns, KernelSpec(n, alpha))
-        assert np.linalg.eigvalsh(km.entries)[0] > 0
+        km = kernel_matrix(ns, KernelSpec(n, alpha))
+        assert np.linalg.eigvalsh(km)[0] > 0
 
 
 class TestPotential:

@@ -6,7 +6,7 @@ import pytest
 
 from condenser import model as modelmod
 from condenser.errors import EmptyPlateError, ZeroSeparationError
-from condenser.kernel import assemble_matrix, semimetric_distance
+from condenser.kernel import semimetric_distance
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
                              _concat_nodesets, _nearest_neighbor_distances,

@@ -1,12 +1,13 @@
 """Pivoting-work lint.
 
 A round of ``GreenContext._cone_project`` reads only the free set's rows of
-the exterior matrix K_EE, so its work scales with the free set.  K_EE shares
-one array with its Cholesky factor (``self._chol[0]``, K_EE in the strict
-upper triangle, its diagonal in ``self._kee_diag``), and ``_cone_project``
-reads its rows through ``self._kee_rows`` and nothing else of that storage:
-any other form (a product with the array, a triangle or diagonal that
-rebuilds K_EE, a triangle as a factor) fails.
+the exterior matrix K_EE, so its work scales with the free set.  K_EE is
+one packed triangle (``self._kee``) and its Cholesky factor one RFP
+triangle (``self._factor``), factored by ``dpftrf`` in
+``GreenContext.__init__`` only.  ``_cone_project`` reads K_EE's rows
+through ``self._kee.rows`` and nothing else of either store: any other
+form (a product with K_EE, its packed entries, a solve with the factor)
+fails.
 
 A round of the pivoting in ``_pg`` takes one factor: ``spftrf`` (the
 float32 factor, in rectangular full packed form) is called only in
@@ -22,8 +23,8 @@ times slower).
 Every QP matrix arrives packed: a ``PackedMatrix`` is made and written only
 by the kernel's packed writer, ``GreenContext.green_matrix`` (both from
 kernel row blocks) and ``PackedMatrix.take`` (from packed entries), so no
-module converts a dense array into one.  The one dense kernel matrix left
-is the exterior store, assembled in ``GreenContext.__init__``.
+module converts a dense array into one.  No module defines or calls a
+dense kernel-matrix writer (``assemble_matrix``, ``KernelMatrix``).
 
 One QP engine: no module of the package imports ``scipy.optimize``, and
 ``_pg`` defines none of the names of the projected-gradient engine it
@@ -41,12 +42,18 @@ PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
 
 
 def whole_matrix_reads(source: str) -> list:
-    """Line numbers of the reads of ``self._chol`` and ``self._kee_diag``
-    in ``source``."""
-    return [node.lineno for node in ast.walk(ast.parse(source))
+    """Line numbers of the reads of ``self._kee`` and ``self._factor`` in
+    ``source``, other than calls of ``self._kee.rows``."""
+    tree = ast.parse(source)
+    row_reads = {id(node.func.value) for node in ast.walk(tree)
+                 if isinstance(node, ast.Call)
+                 and isinstance(node.func, ast.Attribute)
+                 and node.func.attr == "rows"}
+    return [node.lineno for node in ast.walk(tree)
             if isinstance(node, ast.Attribute)
-            and node.attr in ("_chol", "_kee_diag")
-            and isinstance(node.value, ast.Name) and node.value.id == "self"]
+            and node.attr in ("_kee", "_factor")
+            and isinstance(node.value, ast.Name) and node.value.id == "self"
+            and not (node.attr == "_kee" and id(node) in row_reads)]
 
 
 def method_source(cls: str, name: str) -> str:
@@ -61,22 +68,23 @@ def method_source(cls: str, name: str) -> str:
 
 def test_lint_flags_whole_matrix_products():
     assert whole_matrix_reads(
-        "grad = self._chol[0] @ trial - B[:, active]\n") == [1]
-    assert whole_matrix_reads("g = np.dot(self._chol[0], t)\n") == [1]
-    assert whole_matrix_reads("g = self._chol[0][:, :] @ t\n") == [1]
+        "grad = self._kee @ trial - B[:, active]\n") == [1]
+    assert whole_matrix_reads("g = dspmv(m, 1.0, self._kee.ap, t)\n") == [1]
+    assert whole_matrix_reads("g = unpacked(self._kee)[:, idx]\n") == [1]
     assert whole_matrix_reads(
-        "k = np.triu(self._chol[0], 1)\n"
-        "k = k + k.T + np.diag(self._kee_diag)\n") == [1, 2]
-    assert whole_matrix_reads("lower = np.tril(self._chol[0], 1)\n") == [1]
-    assert whole_matrix_reads("lower = np.tril(self._chol[0])\n") == [1]
-    assert whole_matrix_reads("rows = self._kee_rows(idx)\n"
+        "sub = self._kee.take(idx)\n"
+        "row = self._kee.row(i)\n") == [1, 2]
+    assert whole_matrix_reads(
+        "x = dpftrs(m, self._factor, b)[0]\n") == [1]
+    assert whole_matrix_reads("rows = self._factor.rows(idx)\n") == [1]
+    assert whole_matrix_reads("rows = self._kee.rows(idx)\n"
                               "block = rows[:, idx]\n") == []
 
 
 def test_cone_project_reads_only_free_rows():
     source = method_source("GreenContext", "_cone_project")
     assert whole_matrix_reads(source) == []
-    assert callers(source, "_kee_rows")
+    assert callers(source, "rows")
 
 
 def callers(source: str, name: str) -> list:
@@ -146,7 +154,15 @@ def test_every_qp_matrix_arrives_packed():
     assert package_calls("pack") == {}
     assert [path.name for path in sorted(PG.parent.glob("*.py"))
             if packed_stores(path.read_text())] == ["_pg.py"]
-    assert set(package_calls("assemble_matrix")) == {("balayage", "__init__")}
+    for name in ("assemble_matrix", "KernelMatrix"):
+        assert package_calls(name) == {}
+        assert [path.name for path in sorted(PG.parent.glob("*.py"))
+                if name in public_names(path.read_text())] == []
+
+
+def test_exterior_factor_only_in_the_context():
+    assert set(package_calls("dpftrf")) == {("balayage", "__init__")}
+    assert len(package_calls("dpftrf")[("balayage", "__init__")]) == 1
 
 
 def imported_names(source: str) -> set:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg.lapack import stpttf
+from scipy.linalg.lapack import dtfttr, stpttf
 
 from condenser.balayage import GreenContext
 from condenser.errors import (AlignmentError, DuplicateNodeError,
@@ -17,8 +17,8 @@ from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
                                     joint_kernel_matrix, lift_green_to_riesz,
                                     solve_green_reduced, solve_riesz,
                                     swept_positive_caps)
-from condenser.kernel import (_riesz_block, assemble_matrix,
-                              equilibrium_measure, gauss_functional,
+from condenser.kernel import (_riesz_block, equilibrium_measure,
+                              gauss_functional,
                               mutual_energy, potential, semimetric_distance)
 from condenser.model import (Condenser, DiscreteMeasure, KernelSpec, NodeSet,
                              Plate, PlateSpec, VectorMeasure,
@@ -29,7 +29,7 @@ from condenser.scenarios import ball_in_ball, build_scenario, example_one
 from condenser.tolerances import DEFAULT_TOLERANCES
 from condenser.verify import kkt_report, weighted_potentials
 
-from _probes import green_field, packed, unpacked
+from _probes import green_field, kernel_matrix, packed, unpacked
 
 K2 = KernelSpec(3, 2.0)
 K15 = KernelSpec(3, 1.5)
@@ -441,7 +441,7 @@ class TestSharedCopies:
         # free copies stay a forest, and the plates' sum is the unit
         # equilibrium measure of the nodes
         nodes = ball_volume_nodes((0, 0, 0), 1.0, 0.5)
-        K = assemble_matrix(nodes, K15).entries
+        K = kernel_matrix(nodes, K15)
         m = len(nodes)
         res = pgmod.minimize_quadratic(
             packed(np.block([[K, K], [K, K]])), None,
@@ -526,14 +526,17 @@ class TestJointAssembly:
         shared = K15.self_energy(sets[1].cell_radii[0])
         assert K.row(slices[1].start)[0] == shared
 
-    def test_dense_writer_matches_the_packed_one(self, monkeypatch):
-        # both writers read the same lower row blocks; the dense one also
-        # holds the mirror above the diagonal
+    def test_exterior_store_is_the_packed_writers_matrix(self, monkeypatch):
+        # a context holds the packed writer's K_EE and, in RFP form, the
+        # upper factor U of K_EE = U'U
         monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
         ns = self.three_sets()[2]
-        K = assemble_matrix(ns, K15).entries
         P = kernelmod._packed_matrix(ns.positions, ns.cell_radii, K15)
-        assert np.array_equal(K, unpacked(P))
+        ctx = GreenContext(ns, K15)
+        assert np.array_equal(ctx._kee.ap, P.ap)
+        U = np.triu(dtfttr(len(ns), ctx._factor)[0])
+        D = unpacked(P)
+        assert np.abs(U.T @ U - D).max() <= 1e-14 * np.abs(D).max()
 
     def test_product_and_gathers_match_the_dense_matrix(self, monkeypatch):
         monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
