@@ -181,22 +181,22 @@ class GreenContext:
     # -- Green kernel ------------------------------------------------------
     def green_matrix(self, nodes: NodeSet):
         """Green kernel matrix on interior nodes as one PackedMatrix, K_DD -
-        sym(Theta' K_ED), and the asymmetry of Theta' K_ED relative to K_DD's
-        largest entry.  The sweep is freed first; then each lower row block
-        of K_DD is corrected and written once."""
+        sym(Theta' K_ED), and its asymmetry relative to K_DD's largest
+        entry.  Each lower row block of K_DD is corrected by
+        ``_subtract_swept`` and written once.  The asymmetry is read from
+        each corrected block's diagonal square against its transpose (K_DD's
+        own squares are exactly symmetric) and, when a column clipped, from
+        every mirrored pair of Theta' K_ED."""
         kernelmod._require_distinct(nodes.positions, "matrix assembly")
-        B, theta, _ = self.sweep_columns(nodes)
-        cross = theta.T @ B
-        del B, theta
+        B, theta, clipped = self.sweep_columns(nodes)
         G = PackedMatrix(len(nodes))
         scale, asym = 1e-300, 0.0
         for a, blk in kernelmod._lower_row_blocks(
                 nodes.positions, nodes.cell_radii, self.riesz):
-            rows = slice(a, a + len(blk))
-            block, mirror = cross[rows, :rows.stop], cross[:rows.stop, rows].T
             scale = max(scale, float(np.abs(blk).max()))
-            asym = max(asym, float(np.abs(block - mirror).max()))
-            blk -= 0.5 * (block + mirror)
+            mirrored = _subtract_swept(blk, a, B, theta, clipped)
+            asym = max(asym, mirrored,
+                       float(np.abs(blk[:, a:] - blk[:, a:].T).max()))
             G.put_rows(a, blk)
         return G, asym / scale
 
@@ -205,6 +205,26 @@ class GreenContext:
         swept = DiscreteMeasure(self.exterior, np.maximum(theta, 0.0))
         return potential(mu, points, self.riesz) - \
             potential(swept, points, self.riesz)
+
+
+def _subtract_swept(blk: np.ndarray, a: int, B: np.ndarray,
+                    theta: np.ndarray, clipped: int) -> float:
+    """Subtract from ``blk``, rows a to b of a matrix up to column b, the
+    same rows of sym(Theta' B).  Unclipped, Theta' B = B' K_EE^-1 B is
+    symmetric and its rows are the whole correction.  When a column
+    clipped, they are averaged with their mirror, the same rows of
+    B' Theta.  Returns the largest asymmetry of the mirrored pairs, 0 when
+    none is formed."""
+    rows = slice(a, a + len(blk))
+    block = theta[:, rows].T @ B[:, :rows.stop]
+    asym = 0.0
+    if clipped:
+        mirror = B[:, rows].T @ theta[:, :rows.stop]
+        asym = float(np.abs(block - mirror).max())
+        block += mirror
+        block *= 0.5
+    blk -= block
+    return asym
 
 
 def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:

@@ -270,7 +270,9 @@ def traced(call):
 class TestExteriorStorage:
     """A context holds K_EE as one packed triangle and its Cholesky factor
     as one RFP triangle; the Green matrix is written as one packed
-    triangle, a lower row block of K_DD at a time, with no dense K_DD."""
+    triangle, a lower row block of K_DD at a time, corrected by the same
+    rows of Theta' B up to the diagonal (and, when a column clipped, their
+    mirror), with no dense K_DD and no n x n Theta' B."""
 
     def test_context_holds_one_matrix(self, ball_ctx):
         m = len(ball_ctx.exterior)
@@ -299,33 +301,91 @@ class TestExteriorStorage:
 
     def test_packed_green_matrix_matches_the_dense_reference(self,
                                                              monkeypatch):
-        # the reference subtracts sym(Theta' B) from the whole K_DD; two
-        # fresh contexts sweep from the same start, and the sources near
-        # the sphere clip
+        # every source clips on the coarse ball complement
         monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
         ext = trim_cell_radii(ball_complement_nodes((0, 0, 0), 1.0, 3.0,
                                                     0.35))
         nodes = random_ball_sources(np.random.default_rng(9), 60,
                                     rmax=0.95).nodes
-        G, asym = GreenContext(ext, K2).green_matrix(nodes)
-        B, theta, clipped = GreenContext(ext, K2).sweep_columns(nodes)
-        assert clipped > 0
-        cross = theta.T @ B
-        K = kernel_matrix(nodes, K2)
-        ref = K - 0.5 * (cross + cross.T)
-        assert np.array_equal(G.ap, ref[np.tril_indices(len(nodes))])
-        assert asym == np.abs(cross - cross.T).max() / np.abs(K).max()
+        clipped, _ = green_matches_references(ext, nodes)
+        assert clipped == len(nodes)
 
-    @pytest.mark.parametrize("case, bound", [("ex2", 3.3), ("ex1", 6.0)])
+    def test_packed_green_matrix_with_some_columns_clipped(self, monkeypatch,
+                                                           plane_ctx):
+        # sources close to the plane clip, the others do not
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        nodes = plane_sources(np.random.default_rng(9), 60, 0.02, 1.0)
+        clipped, _ = green_matches_references(plane_ctx.exterior, nodes)
+        assert 0 < clipped < len(nodes)
+
+    def test_packed_green_matrix_with_no_column_clipped(self, monkeypatch,
+                                                        plane_ctx):
+        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
+        nodes = plane_sources(np.random.default_rng(9), 60, 0.2, 1.0)
+        clipped, asym = green_matches_references(plane_ctx.exterior, nodes)
+        assert clipped == 0
+        assert asym < 1e-14
+
+    @pytest.mark.parametrize("case, bound", [("ex2", 2.1), ("ex1", 5.6)])
     def test_green_matrix_peak(self, request, case, bound):
-        # G built beside K_DD, with four n x n temporaries, peaked at 5.19
-        # (ex2) and 8.38 (ex1) x 8 n^2
+        # the sweep's B and Theta and at most two row blocks beside G;
+        # 1.98 (ex2) and 5.33 (ex1) x 8 n^2, where the dense n x n
+        # Theta' B read 2.19 and 5.38
         spec = request.getfixturevalue(case).spec
         nodes, _ = _merge_positive([spec.condenser.plates[i].nodes
                                     for i in spec.i_plus])
         ctx = request.getfixturevalue(case).green
         _, peak = traced(lambda: ctx.green_matrix(nodes))
         assert peak <= bound * 8 * len(nodes) ** 2
+
+
+def plane_sources(rng, count, near, far, radius=0.04):
+    """Nodes at heights near to far above the plane x1 = 0, over a square
+    of side 1."""
+    pts = np.column_stack([rng.uniform(near, far, count),
+                           rng.uniform(-0.5, 0.5, (count, 2))])
+    return NodeSet(pts, np.ones(count), np.full(count, radius))
+
+
+def blocked_green(K, B, theta, clipped, nodes):
+    """K - sym(Theta' B) as its packed lower triangle, and its asymmetry
+    relative to max |K|, from the products of each row block of
+    ``row_blocks``: Theta[:, rows]' B[:, :b] and, when a column clipped,
+    its mirror B[:, rows]' Theta[:, :b], read against it and averaged with
+    it.  The asymmetry is the largest of the mirrored pairs and of each
+    corrected block's diagonal square against its transpose."""
+    G, asym = K.copy(), 0.0
+    for rows in modelmod.row_blocks(nodes.positions, nodes.positions):
+        block = theta[:, rows].T @ B[:, :rows.stop]
+        if clipped:
+            mirror = B[:, rows].T @ theta[:, :rows.stop]
+            asym = max(asym, np.abs(block - mirror).max())
+            block = 0.5 * (block + mirror)
+        G[rows, :rows.stop] -= block
+        square = G[rows, rows]
+        asym = max(asym, np.abs(square - square.T).max())
+    return G[np.tril_indices(len(nodes))], asym / np.abs(K).max()
+
+
+def green_matches_references(ext, nodes):
+    """Check the Green matrix of ``nodes`` over exterior ``ext`` bit for bit
+    against ``blocked_green`` and within 1e-14 max |K_DD| of K_DD -
+    sym(Theta' B) from one product; returns the clipped-column count and
+    the asymmetry.  Two fresh contexts sweep from the same start."""
+    G, asym = GreenContext(ext, K2).green_matrix(nodes)
+    B, theta, clipped = GreenContext(ext, K2).sweep_columns(nodes)
+    K = kernel_matrix(nodes, K2)
+    ref, ref_asym = blocked_green(K, B, theta, clipped, nodes)
+    assert np.array_equal(G.ap, ref)
+    assert asym == ref_asym
+    cross = theta.T @ B
+    dense = K - 0.5 * (cross + cross.T)
+    assert np.abs(unpacked(G) - dense).max() <= 1e-14 * np.abs(K).max()
+    if clipped:
+        # every pair is mirrored: the one product's asymmetry, up to rounding
+        assert asym == pytest.approx(
+            np.abs(cross - cross.T).max() / np.abs(K).max(), rel=1e-10)
+    return clipped, asym
 
 
 class TestClippedSweeps:

@@ -20,6 +20,11 @@ factor comes back.  The free block is gathered by rows and ``take``, and
 no module of the package uses ``np.ix_`` (an index-array copy several
 times slower).
 
+The Green matrix is written from row-block products: no ``@`` in
+``GreenContext.green_matrix`` or in ``_subtract_swept``, its per-block
+correction, has two whole-array operands (unsubscripted names or their
+attributes), so no dense n x n product such as ``theta.T @ B`` comes back.
+
 Every QP matrix arrives packed: a ``PackedMatrix`` is made and written only
 by the kernel's packed writer, ``GreenContext.green_matrix`` (both from
 kernel row blocks) and ``PackedMatrix.take`` (from packed entries), so no
@@ -56,13 +61,18 @@ def whole_matrix_reads(source: str) -> list:
             and not (node.attr == "_kee" and id(node) in row_reads)]
 
 
-def method_source(cls: str, name: str) -> str:
+def method_source(cls, name: str) -> str:
+    """Source of method ``name`` of class ``cls`` in balayage, or of the
+    module-level function ``name`` when ``cls`` is None."""
     source = BALAYAGE.read_text()
-    for node in ast.parse(source).body:
-        if isinstance(node, ast.ClassDef) and node.name == cls:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == name:
-                    return ast.get_source_segment(source, item)
+    body = ast.parse(source).body
+    if cls is not None:
+        body = [item for node in body
+                if isinstance(node, ast.ClassDef) and node.name == cls
+                for item in node.body]
+    for item in body:
+        if isinstance(item, ast.FunctionDef) and item.name == name:
+            return ast.get_source_segment(source, item)
     raise LookupError(f"{cls}.{name} not found")
 
 
@@ -79,6 +89,36 @@ def test_lint_flags_whole_matrix_products():
     assert whole_matrix_reads("rows = self._factor.rows(idx)\n") == [1]
     assert whole_matrix_reads("rows = self._kee.rows(idx)\n"
                               "block = rows[:, idx]\n") == []
+
+
+def whole_array_products(source: str) -> list:
+    """Line numbers of the ``@`` products in ``source`` whose operands are
+    both whole arrays: names or attributes of names, unsubscripted."""
+    def whole(node):
+        while isinstance(node, ast.Attribute):
+            node = node.value
+        return isinstance(node, ast.Name)
+    return [node.lineno for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.MatMult)
+            and whole(node.left) and whole(node.right)]
+
+
+def test_lint_flags_whole_array_products():
+    assert whole_array_products("cross = theta.T @ B\n") == [1]
+    assert whole_array_products("c = self.theta.T @ self.B\n") == [1]
+    assert whole_array_products(
+        "block = theta[:, rows].T @ B[:, :rows.stop]\n"
+        "mirror = B[:, rows].T @ theta[:, :rows.stop]\n") == []
+
+
+def test_green_matrix_forms_no_whole_product():
+    writer = method_source("GreenContext", "green_matrix")
+    correction = method_source(None, "_subtract_swept")
+    assert callers(writer, "_subtract_swept")
+    assert "@" in correction
+    for source in (writer, correction):
+        assert whole_array_products(source) == []
 
 
 def test_cone_project_reads_only_free_rows():
