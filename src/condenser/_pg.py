@@ -22,8 +22,8 @@ rectangular full packed form (Gustavson, Wasniewski, Dongarra & Langou
 
 ``balayage.GreenContext._cone_project`` keeps its own pivoting: it solves
 many right-hand sides at once, with no plate sums and no caps, so one engine
-for both would branch on its caller.  Its exterior matrix K_EE is a
-PackedMatrix too, whose free-set rows it reads whole (PackedMatrix.rows).
+for both would branch on its caller.  It holds no exterior matrix K_EE:
+it reads each free set's columns from the kernel.
 """
 
 from __future__ import annotations
@@ -77,18 +77,6 @@ class PackedMatrix:
     def row(self, i: int) -> np.ndarray:
         """A[i, :i+1], a view of the packed entries."""
         return self.ap[_row_start(i):_row_start(i + 1)]
-
-    def rows(self, idx: np.ndarray) -> np.ndarray:
-        """A[idx], C-ordered: row i is its packed row followed by column i
-        of the rows below it, one gather from the entries shifted by i (its
-        offsets are in range, so ``take`` skips the range check)."""
-        n = self.shape[0]
-        below = _row_start(np.arange(1, n))
-        out = np.empty((len(idx), n))
-        for row, i in zip(out, idx.tolist()):
-            row[:i + 1] = self.row(i)
-            self.ap[i:].take(below[i:], out=row[i + 1:], mode="clip")
-        return out
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return dspmv(self.shape[0], 1.0, self.ap, x)

@@ -10,10 +10,11 @@ Every sweep takes one path: an unconstrained solve with the Cholesky
 factor of the exterior kernel matrix K_EE, then block principal pivoting on
 the nonnegative cone for all the columns that dip below zero at once
 (``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
-Park 2011).  K_EE and its factor are each held as one triangle.  Each round
-factors every distinct free pattern once, from the free set's rows of K_EE
-(``PackedMatrix.rows``), and takes the gradients of its columns from the
-same rows, so a round's work scales with the free set.
+Park 2011).  A context holds only the factor, as one triangle.  Each round
+factors every distinct free pattern once, from the free set's columns of
+K_EE, read from the kernel like any source's (``_cross_matrix``), and takes
+the gradients of its columns from the same columns, so a round's work
+scales with the free set.
 Each column keeps Kim & Park's backup rule, shared with the QP engine of
 ``_pg``, so its pivoting ends.
 
@@ -60,11 +61,11 @@ class BalayageResult:
 class GreenContext:
     """Balayage machinery for a domain D given a discretized complement.
 
-    Holds the exterior kernel matrix K_EE as one packed triangle
-    (``PackedMatrix``) and its float64 Cholesky factor as one triangle in
-    LAPACK's rectangular full packed form, m(m+1)/2 entries each.  Exposes
-    the Green kernel (Riesz kernel minus the swept point-mass potential) as
-    matrices and potentials.
+    Holds the float64 Cholesky factor of the exterior kernel matrix K_EE
+    as one triangle in LAPACK's rectangular full packed form, m(m+1)/2
+    entries, and not K_EE itself: its entries are read from the kernel when
+    needed.  Exposes the Green kernel (Riesz kernel minus the swept
+    point-mass potential) as matrices and potentials.
     """
 
     def __init__(self, exterior: NodeSet, kernel: KernelSpec):
@@ -74,12 +75,12 @@ class GreenContext:
         self.riesz = kernel
         kernelmod._require_distinct(exterior.positions, "matrix assembly")
         m = len(exterior)
-        self._kee = kernelmod._packed_matrix(exterior.positions,
-                                             exterior.cell_radii, kernel)
-        # the packed rows are BLAS's upper packed columns, which dtpttf
-        # copies into the RFP layout dpftrf factors in place
-        self._factor, info = dpftrf(m, dtpttf(m, self._kee.ap)[0],
-                                    overwrite_a=1)
+        # the packed rows of K_EE are BLAS's upper packed columns, which
+        # dtpttf copies into the RFP layout dpftrf factors in place; K_EE
+        # itself is not kept
+        kee = kernelmod._packed_matrix(exterior.positions,
+                                       exterior.cell_radii, kernel)
+        self._factor, info = dpftrf(m, dtpttf(m, kee.ap)[0], overwrite_a=1)
         if info:
             raise LinAlgError(f"{info}-th leading minor of the exterior "
                               f"kernel matrix is not positive definite")
@@ -132,10 +133,12 @@ class GreenContext:
         solution or a boolean free set), solves on its free set, drops
         negative entries and frees nodes whose gradient is negative, until
         the KKT conditions hold.  Each round groups the columns by free set
-        and reads each set's rows K[idx] once, for both the factor
-        K[idx, idx] and the gradient K[:, idx] theta[idx] - b (K is
-        symmetric); an empty free set has gradient -b."""
+        and reads each set's columns K[:, idx] once, as sources at the
+        exterior nodes idx (``_cross_matrix``), for both the factor
+        K[idx, idx] and the gradient K[:, idx] theta[idx] - b; an empty
+        free set has gradient -b."""
         m, k = B.shape
+        ext = self.exterior
         scale = np.abs(B).max(axis=0) + 1e-300
         masks = (start > 0.0).T.copy()         # row j: free set of column j
         rule = BackupRule(k)
@@ -154,14 +157,16 @@ class GreenContext:
                 dropped = np.zeros(b.shape, dtype=bool)
                 grad = -b
                 if idx.size:
-                    rows = self._kee.rows(idx)
-                    fac = cho_factor(rows[:, idx], lower=True,
-                                     overwrite_a=True, check_finite=False)
+                    K = self._cross_matrix(NodeSet(
+                        ext.positions[idx], ext.quad_weights[idx],
+                        ext.cell_radii[idx]))
+                    fac = cho_factor(K[idx], lower=True, overwrite_a=True,
+                                     check_finite=False)
                     sol = cho_solve(fac, b[idx], check_finite=False)
                     pos = np.maximum(sol, 0.0)
                     trial[idx] = pos
                     dropped[idx] = sol < 0.0
-                    grad = rows.T @ pos - b
+                    grad = K @ pos - b
                 viol = ~free[:, None] & (grad < -FINISH_KKT * scale[cols])
                 move = rule(dropped | viol, cols)
                 for i, j in enumerate(cols):
@@ -235,7 +240,7 @@ def balayage_project(mu: DiscreteMeasure, ctx: GreenContext) -> BalayageResult:
     theta = np.maximum(theta, 0.0)
     swept = DiscreteMeasure(ctx.exterior, theta)
 
-    pot_sw = ctx._kee @ theta                  # kappa(., mu') on D^c nodes
+    pot_sw = potential(swept, ctx.exterior.positions, ctx.riesz)  # mu' on D^c
     scale = max(float(np.abs(pot_mu).max()), 1e-300)
     residual = float(np.abs(pot_sw - pot_mu).max()) / scale
 

@@ -62,12 +62,13 @@ def _packed_matrix(P: np.ndarray, rho: np.ndarray,
 
 
 def _atoms_of(mu) -> tuple:
-    """(positions, weights, cell_radii) of a measure; a vector measure gives
-    the atoms of its resultant."""
+    """(positions, weights, cell_radii) of a measure's nonzero atoms; a
+    vector measure gives the atoms of its resultant."""
     if isinstance(mu, VectorMeasure):
         mu = resultant(mu)
     if isinstance(mu, DiscreteMeasure):
-        return mu.nodes.positions, mu.weights, mu.nodes.cell_radii
+        nz = mu.weights != 0.0
+        return mu.nodes.positions[nz], mu.weights[nz], mu.nodes.cell_radii[nz]
     if isinstance(mu, SignedMeasure):
         return mu.positions, mu.weights, mu.cell_radii
     raise TypeError(f"unsupported measure type {type(mu).__name__}")

@@ -303,9 +303,11 @@ def build_sweep(cfg: dict):
     if mode not in ("uncapped", "capped"):
         raise ParseError(f"sweep mode {mode!r} is not uncapped or capped")
     stages = cfg.get("stages", [1, 2, 3, 4, 5, 6])
-    if not (isinstance(stages, list) and stages and all(
-            type(s) is int and s >= 1 for s in stages)):
-        raise ParseError("sweep stages must be a non-empty list of ints >= 1")
+    if not (isinstance(stages, list) and len(stages) >= 2 and all(
+            type(s) is int and s >= 1 for s in stages) and all(
+            a < b for a, b in zip(stages, stages[1:]))):
+        raise ParseError("sweep stages must be a list of at least two "
+                         "strictly increasing ints >= 1")
     green = sweep_plane_context(
         flat_radius=_positive_size(cfg, "flat_radius", 8.0),
         cell=_positive_size(cfg, "cell", 0.33),

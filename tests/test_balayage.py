@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -144,6 +145,18 @@ class TestProjection:
         scale = res.projection_gap ** 2 + mutual_energy(mu, mu, K2)
         assert abs(res.orthogonality) < 1e-9 * scale
 
+    def test_potential_residual_matches_the_dense_reference(self, ball_ctx):
+        # kappa(., mu') is read from the kernel at the swept measure's
+        # carried atoms; the dense K_EE theta gives the same residual (the
+        # sweep clips at alpha = 2, so the residual is far from zero)
+        mu = random_ball_sources(np.random.default_rng(6), 10)
+        res = balayage_project(mu, ball_ctx)
+        pot_mu = potential(mu, ball_ctx.exterior.positions, K2)
+        pot_sw = exterior_matrix(ball_ctx) @ res.swept.weights
+        ref = np.abs(pot_sw - pot_mu).max() / np.abs(pot_mu).max()
+        assert res.clipped_nodes > 0 and ref > 1e-6
+        assert abs(res.potential_residual - ref) <= 1e-14
+
 
 class TestOracle:
     def test_total_mass_within_tolerance(self):
@@ -268,28 +281,33 @@ def traced(call):
 
 
 class TestExteriorStorage:
-    """A context holds K_EE as one packed triangle and its Cholesky factor
-    as one RFP triangle; the Green matrix is written as one packed
-    triangle, a lower row block of K_DD at a time, corrected by the same
-    rows of Theta' B up to the diagonal (and, when a column clipped, their
-    mirror), with no dense K_DD and no n x n Theta' B."""
+    """A context holds only the Cholesky factor of K_EE, as one RFP
+    triangle, and reads K_EE's columns from the kernel; the Green matrix is
+    written as one packed triangle, a lower row block of K_DD at a time,
+    corrected by the same rows of Theta' B up to the diagonal (and, when a
+    column clipped, their mirror), with no dense K_DD and no n x n
+    Theta' B."""
 
     def test_context_holds_one_matrix(self, ball_ctx):
         m = len(ball_ctx.exterior)
         held, _ = traced(lambda: GreenContext(ball_ctx.exterior, K2))
-        assert held <= 8 * m * m + 64 * m
+        assert held <= 4 * m * m + 64 * m
 
-    def test_row_reader_reads_assembled_rows(self, ball_ctx):
+    def test_column_reader_reads_assembled_columns(self, ball_ctx):
+        # the cone projection reads K_EE[:, idx] as sources at the exterior
+        # nodes idx; a node's own entry takes its own self-energy
         kee = exterior_matrix(ball_ctx)
-        store = ball_ctx._kee.ap.copy()
+        ext = ball_ctx.exterior
+        factor = ball_ctx._factor.copy()
         m = len(kee)
         scattered = np.sort(np.random.default_rng(4).choice(m, 60, False))
         for idx in (np.array([0]), np.array([m - 1]), scattered,
                     np.arange(m)):
-            rows = ball_ctx._kee.rows(idx)
-            assert rows.flags.c_contiguous
-            assert np.array_equal(rows, kee[idx])
-        assert np.array_equal(ball_ctx._kee.ap, store)
+            cols = ball_ctx._cross_matrix(NodeSet(
+                ext.positions[idx], ext.quad_weights[idx],
+                ext.cell_radii[idx]))
+            assert np.array_equal(cols, kee[:, idx])
+        assert np.array_equal(ball_ctx._factor, factor)
 
     def test_indefinite_exterior_is_refused(self):
         # two nodes 0.1 apart with cell radii 1.0: at alpha = 2 the diagonal
@@ -505,10 +523,15 @@ class TestBatchedPivoting:
         src = NodeSet(src.positions[:10], src.quad_weights[:10],
                       src.cell_radii[:10])
         reads = []
-        rows = pgmod.PackedMatrix.rows
-        monkeypatch.setattr(pgmod.PackedMatrix, "rows",
-                            lambda self, idx: reads.append(1) or
-                            rows(self, idx))
+        cross = GreenContext._cross_matrix
+
+        def counting(self, nodes):
+            # count only the cone's column reads, not the sweep's B
+            if sys._getframe(1).f_code.co_name == "_cone_project":
+                reads.append(len(nodes))
+            return cross(self, nodes)
+
+        monkeypatch.setattr(GreenContext, "_cross_matrix", counting)
         B, pivoted, clipped = GreenContext(ctx.exterior, K2).sweep_columns(src)
         block_reads = len(reads)
         original = pgmod.BackupRule.__init__

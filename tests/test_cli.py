@@ -361,6 +361,10 @@ class TestErrorPaths:
         ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[])),
         ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[0, 1])),
         ("sweep", dict(SWEEP_SIZES, mode="foo", stages=[1, 2])),
+        # the trend's log-log slope needs two distinct stages, in order
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[1])),
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[2, 2])),
+        ("sweep", dict(SWEEP_SIZES, mode="uncapped", stages=[2, 1])),
         # every config number is read by one rule: a boolean or a numeric
         # string is refused, not read as 1 or parsed
         ("solve", dict(TOY_BALL, constraint=[
@@ -386,7 +390,8 @@ class TestErrorPaths:
             "totals-per-plate",
             "explicit-cap-length", "source-weight", "source-dimension",
             "capacity-total", "sweep-no-stages", "sweep-stage-zero",
-            "sweep-mode", "q-bool", "q-numeric-string",
+            "sweep-mode", "sweep-one-stage", "sweep-repeated-stage",
+            "sweep-decreasing-stages", "q-bool", "q-numeric-string",
             "totals-numeric-strings", "explicit-cap-bool", "field-value-bool",
             "plate-radius-numeric-string", "source-weight-bool",
             "source-position-numeric-string", "sweep-misspelled-stages",
@@ -465,7 +470,7 @@ class TestErrorPaths:
         ("solve", dict(TOY_DISK_HALF_SPACE, tolerances={"patience": 20})),
         ("--tol-kkt 1e-6 solve", dict(TOY_DISK_HALF_SPACE, tolerances=[1, 2])),
         # a size flag whose key the subcommand does not read
-        ("--resolution 0.3 sweep", dict(SWEEP_SIZES, stages=[1])),
+        ("--resolution 0.3 sweep", dict(SWEEP_SIZES, stages=[1, 2])),
         ("--truncation 4 capacity", {
             "kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
             "conductor": {"geometry": "sphere", "radius": 1.0}}),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from condenser import kernel as kernelmod
 from condenser import model as modelmod
 from condenser.balayage import GreenContext
 from condenser.errors import DuplicateNodeError
@@ -134,6 +135,29 @@ class TestPotential:
         ns = NodeSet([[0, 0, 0]], [1.0], [0.1])
         mu = DiscreteMeasure(ns, np.array([0.0]))
         assert np.all(potential(mu, [[1, 0, 0], [0, 2, 0]], K2) == 0.0)
+
+    def test_zero_atoms_are_not_read(self, monkeypatch):
+        # the potential of a measure with zero weights is that of its
+        # carried atoms alone, and reads only them (queries at every node,
+        # carried or not)
+        rng = np.random.default_rng(7)
+        ns = jittered_cloud(rng, 200, 3)
+        w = np.where(rng.uniform(size=200) < 0.3,
+                     rng.uniform(0.5, 2.0, 200), 0.0)
+        keep = w > 0.0
+        alone = DiscreteMeasure(NodeSet(ns.positions[keep],
+                                        ns.quad_weights[keep],
+                                        ns.cell_radii[keep]), w[keep])
+        ref = potential(alone, ns.positions, K2)
+        reads = []
+        block = kernelmod._riesz_block
+        monkeypatch.setattr(kernelmod, "_riesz_block", lambda *a, **k:
+                            reads.append(block(*a, **k)) or reads[-1])
+        got = potential(DiscreteMeasure(ns, w), ns.positions, K2)
+        assert np.abs(got - ref).max() <= 1e-15 * np.abs(ref).max()
+        assert 0 < keep.sum() < 200
+        assert sum(r.size for r in reads) == 200 * keep.sum()
+        assert all(r.shape[1] == keep.sum() for r in reads)
 
     def test_query_on_atom_uses_self_energy(self):
         ns = NodeSet([[0, 0, 0]], [1.0], [0.2])

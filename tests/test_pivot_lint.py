@@ -1,13 +1,14 @@
 """Pivoting-work lint.
 
-A round of ``GreenContext._cone_project`` reads only the free set's rows of
-the exterior matrix K_EE, so its work scales with the free set.  K_EE is
-one packed triangle (``self._kee``) and its Cholesky factor one RFP
-triangle (``self._factor``), factored by ``dpftrf`` in
-``GreenContext.__init__`` only.  ``_cone_project`` reads K_EE's rows
-through ``self._kee.rows`` and nothing else of either store: any other
-form (a product with K_EE, its packed entries, a solve with the factor)
-fails.
+A round of ``GreenContext._cone_project`` reads only the free set's
+columns of the exterior matrix K_EE, so its work scales with the free set.
+A context keeps no K_EE, only its Cholesky factor, one RFP triangle
+(``self._factor``), factored by ``dpftrf`` in ``GreenContext.__init__``
+only and read only there and in ``_sweep``.  ``_cone_project`` reads K_EE
+only through the context's source reader ``self._cross_matrix``: any other
+read (the factor, a kernel reader called directly) fails.  No module
+defines or reads a stored K_EE (``_kee``) or a row reader ``rows``, and
+``PackedMatrix`` defines no ``rows`` method.
 
 A round of the pivoting in ``_pg`` takes one factor: ``spftrf`` (the
 float32 factor, in rectangular full packed form) is called only in
@@ -46,19 +47,23 @@ BALAYAGE = pathlib.Path(condenser.__file__).parent / "balayage.py"
 PG = pathlib.Path(condenser.__file__).parent / "_pg.py"
 
 
-def whole_matrix_reads(source: str) -> list:
-    """Line numbers of the reads of ``self._kee`` and ``self._factor`` in
-    ``source``, other than calls of ``self._kee.rows``."""
-    tree = ast.parse(source)
-    row_reads = {id(node.func.value) for node in ast.walk(tree)
-                 if isinstance(node, ast.Call)
-                 and isinstance(node.func, ast.Attribute)
-                 and node.func.attr == "rows"}
-    return [node.lineno for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute)
-            and node.attr in ("_kee", "_factor")
-            and isinstance(node.value, ast.Name) and node.value.id == "self"
-            and not (node.attr == "_kee" and id(node) in row_reads)]
+# the kernel's readers of kernel entries
+KERNEL_READERS = ("_riesz_block", "_lower_row_blocks", "_packed_matrix",
+                  "potential")
+
+
+def exterior_reads(source: str) -> list:
+    """Line numbers of the reads of K_EE in ``source`` other than calls of
+    ``self._cross_matrix``: uses of ``self._factor`` or ``self._kee`` and
+    calls of the kernel's readers, bare or as attributes."""
+    return sorted(
+        {node.lineno for node in ast.walk(ast.parse(source))
+         if (isinstance(node, ast.Attribute)
+             and node.attr in ("_kee", "_factor")
+             and isinstance(node.value, ast.Name) and node.value.id == "self")
+         or (isinstance(node, ast.Call) and (
+             getattr(node.func, "id", None) in KERNEL_READERS
+             or getattr(node.func, "attr", None) in KERNEL_READERS))})
 
 
 def method_source(cls, name: str) -> str:
@@ -77,18 +82,18 @@ def method_source(cls, name: str) -> str:
 
 
 def test_lint_flags_whole_matrix_products():
-    assert whole_matrix_reads(
+    assert exterior_reads(
         "grad = self._kee @ trial - B[:, active]\n") == [1]
-    assert whole_matrix_reads("g = dspmv(m, 1.0, self._kee.ap, t)\n") == [1]
-    assert whole_matrix_reads("g = unpacked(self._kee)[:, idx]\n") == [1]
-    assert whole_matrix_reads(
-        "sub = self._kee.take(idx)\n"
-        "row = self._kee.row(i)\n") == [1, 2]
-    assert whole_matrix_reads(
-        "x = dpftrs(m, self._factor, b)[0]\n") == [1]
-    assert whole_matrix_reads("rows = self._factor.rows(idx)\n") == [1]
-    assert whole_matrix_reads("rows = self._kee.rows(idx)\n"
-                              "block = rows[:, idx]\n") == []
+    assert exterior_reads("rows = self._kee.rows(idx)\n") == [1]
+    assert exterior_reads("x = dpftrs(m, self._factor, b)[0]\n") == [1]
+    assert exterior_reads(
+        "K = kernelmod._packed_matrix(p, r, k)\n"
+        "K = _riesz_block(p, p[idx], k, rho_q=r[idx])\n"
+        "g = potential(mu, ext.positions, self.riesz)\n"
+        "for a, blk in kernelmod._lower_row_blocks(p, r, k):\n"
+        "    pass\n") == [1, 2, 3, 4]
+    assert exterior_reads("K = self._cross_matrix(nodes)\n"
+                          "fac = cho_factor(K[idx])\n") == []
 
 
 def whole_array_products(source: str) -> list:
@@ -121,10 +126,58 @@ def test_green_matrix_forms_no_whole_product():
         assert whole_array_products(source) == []
 
 
-def test_cone_project_reads_only_free_rows():
+def test_cone_project_reads_only_free_columns():
     source = method_source("GreenContext", "_cone_project")
-    assert whole_matrix_reads(source) == []
-    assert callers(source, "rows")
+    assert exterior_reads(source) == []
+    assert callers(source, "_cross_matrix") == ["_cone_project"]
+
+
+def attribute_owners(source: str, attr: str) -> list:
+    """Function around each use of ``<x>.<attr>`` in ``source``, in source
+    order: a method's or a top-level function's name, None elsewhere."""
+    out = []
+    for top in ast.parse(source).body:
+        items = top.body if isinstance(top, ast.ClassDef) else [top]
+        for item in items:
+            name = item.name if isinstance(item, ast.FunctionDef) else None
+            out += [(node.lineno, name) for node in ast.walk(item)
+                    if isinstance(node, ast.Attribute) and node.attr == attr]
+    return [name for _, name in sorted(out)]
+
+
+def class_methods(source: str, cls: str) -> list:
+    """Names of the methods class ``cls`` of ``source`` defines."""
+    return [item.name for node in ast.parse(source).body
+            if isinstance(node, ast.ClassDef) and node.name == cls
+            for item in node.body if isinstance(item, ast.FunctionDef)]
+
+
+def test_lint_sees_methods_and_attribute_owners():
+    source = ("class P:\n    def rows(self, idx):\n        return self._kee\n"
+              "    def __init__(self):\n        self._kee = 1\n"
+              "def f(ctx):\n    return ctx._kee.rows(0)\n"
+              "_kee = P()._kee\n")
+    assert class_methods(source, "P") == ["rows", "__init__"]
+    assert class_methods(source, "Q") == []
+    assert attribute_owners(source, "_kee") == ["rows", "__init__", "f",
+                                                None]
+    assert attribute_uses(source, "rows") == [7]
+
+
+def test_exterior_factor_read_only_to_factor_and_sweep():
+    assert attribute_owners(BALAYAGE.read_text(), "_factor") == [
+        "__init__", "_sweep"]
+    assert [path.name for path in sorted(PG.parent.glob("*.py"))
+            if attribute_uses(path.read_text(), "_factor")] == [
+        "balayage.py"]
+
+
+def test_no_stored_exterior_matrix_or_row_reader():
+    for path in sorted(PG.parent.glob("*.py")):
+        source = path.read_text()
+        assert attribute_uses(source, "_kee") == [], path.name
+        assert attribute_uses(source, "rows") == [], path.name
+    assert "rows" not in class_methods(PG.read_text(), "PackedMatrix")
 
 
 def callers(source: str, name: str) -> list:

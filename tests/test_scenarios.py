@@ -102,8 +102,8 @@ def test_sweep_plane_core_counts_by_disk_layer():
                                  "weights": [1.0]}}, "tolerances"),
     (build_capacity, {"kernel": {"n": 3, "alpha": 2.0},
                       "conductor": {"geometry": "sphere"}}, "truncation"),
-    (build_sweep, {"stages": [1]}, "resolution"),
-    (build_sweep, {"stages": [1]}, "kernel"),
+    (build_sweep, {"stages": [1, 2]}, "resolution"),
+    (build_sweep, {"stages": [1, 2]}, "kernel"),
 ])
 def test_builders_refuse_top_level_keys_they_do_not_read(build, cfg, key):
     # each builder reads its own key set; any other key is named in the

@@ -331,8 +331,11 @@ class TestNodeReads:
         equivalence_check(riesz, lift, spec, green_result=gres)
         # 825 joint nodes: one full read is 825^2 = 0.68 M entries; reading
         # the Riesz solution again in the zone and equivalence checks and
-        # the lifted one again for the distance made 3.55 M
-        assert kernel_entries["entries"] <= 1.51e6
+        # the lifted one again for the distance made 3.55 M.  The bound
+        # holds the solution reads (1.51 M) plus the lift's balayage
+        # residual, kappa(., mu') on the 798 exterior nodes from the swept
+        # measure's carried atoms, all 798 here: 798^2 = 0.64 M
+        assert kernel_entries["entries"] <= 2.15e6
 
     def test_a_replaced_solution_is_read_afresh(self, kernel_entries):
         spec = small_spec(seed=4)
