@@ -36,7 +36,6 @@ from scipy.linalg.blas import dspmv
 from scipy.linalg.lapack import dsytrf, dsytrf_lwork, dsytrs, spftrf, spftrs
 
 from .errors import InfeasibleError, NonConvexError
-from .model import row_blocks
 from .tolerances import Tolerances
 
 # margin (relative to the plate total) classifying a node as strictly free
@@ -80,16 +79,6 @@ class PackedMatrix:
 
     def __matmul__(self, x: np.ndarray) -> np.ndarray:
         return dspmv(self.shape[0], 1.0, self.ap, x)
-
-    def take(self, idx: np.ndarray) -> "PackedMatrix":
-        """The packed matrix of the entries A[idx[r], idx[c]], by row
-        blocks; ``idx`` may repeat and need not increase."""
-        out = PackedMatrix(len(idx))
-        for rows in row_blocks(idx, idx):
-            i, j = idx[rows, None], idx[None, :rows.stop]
-            lo, hi = np.minimum(i, j), np.maximum(i, j)
-            out.put_rows(rows.start, self.ap.take(_row_start(hi) + lo))
-        return out
 
     def rows_of(self, F: np.ndarray):
         """(r, A[F[r], F[:r+1]]) for each r, F increasing: the packed row

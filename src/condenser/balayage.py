@@ -191,8 +191,8 @@ class GreenContext:
         ``_subtract_swept`` and written once.  The asymmetry is read from
         each corrected block's diagonal square against its transpose (K_DD's
         own squares are exactly symmetric) and, when a column clipped, from
-        every mirrored pair of Theta' K_ED."""
-        kernelmod._require_distinct(nodes.positions, "matrix assembly")
+        every mirrored pair of Theta' K_ED.  A node several plates share
+        comes once per plate, each copy with its own row and column."""
         B, theta, clipped = self.sweep_columns(nodes)
         G = PackedMatrix(len(nodes))
         scale, asym = 1e-300, 0.0

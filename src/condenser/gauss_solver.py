@@ -12,9 +12,9 @@ import numpy as np
 
 from ._pg import QPResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
-from .errors import AlignmentError, InfeasibleError, SigmaDominationError
-from .kernel import (KernelSpec, gauss_functional, _packed_matrix,
-                     _require_distinct)
+from .errors import (AlignmentError, DuplicateNodeError, InfeasibleError,
+                     SigmaDominationError)
+from .kernel import KernelSpec, gauss_functional, _packed_matrix
 from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
                     merge_by_position)
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
@@ -121,17 +121,29 @@ def _block_slices(sizes: Sequence[int]) -> list:
     return [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
 
 
+def _joint_nodes(nodesets: Sequence[NodeSet]) -> tuple:
+    """The node sets concatenated, the slice of each set and the position
+    index of every node; a node shared by two sets (equally signed plates)
+    is one cell, and duplicates inside one set are rejected."""
+    joint = NodeSet(np.vstack([ns.positions for ns in nodesets]),
+                    np.concatenate([ns.quad_weights for ns in nodesets]),
+                    np.concatenate([ns.cell_radii for ns in nodesets]))
+    _, positions = merge_by_position(joint.positions)
+    slices = _block_slices([len(ns) for ns in nodesets])
+    for i, sl in enumerate(slices):
+        if np.unique(positions[sl]).size != sl.stop - sl.start:
+            raise DuplicateNodeError(
+                f"coinciding nodes in plate node set {i}")
+    return joint, slices, positions
+
+
 def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
     """Kernel matrix over the concatenated node sets, as one packed lower
-    triangle (``_pg.PackedMatrix``); a node shared by two sets (equally
-    signed plates) takes the later set's cell radius, and duplicates inside
-    one set are rejected."""
-    for i, ns in enumerate(nodesets):
-        _require_distinct(ns.positions, f"plate node set {i}")
-    K = _packed_matrix(np.vstack([ns.positions for ns in nodesets]),
-                       np.concatenate([ns.cell_radii for ns in nodesets]),
-                       kernel)
-    return K, _block_slices([len(ns) for ns in nodesets])
+    triangle (``_pg.PackedMatrix``), the slice of each set and the position
+    index of every node (``_joint_nodes``)."""
+    joint, slices, positions = _joint_nodes(nodesets)
+    K = _packed_matrix(joint.positions, joint.cell_radii, kernel)
+    return K, slices, positions
 
 
 def _caps_and_field(spec: ProblemSpec):
@@ -160,7 +172,8 @@ def solve_riesz(spec: ProblemSpec) -> SolveResult:
     prescribed per-plate masses (full Riesz formulation on R^n); the
     objective carries the field on every plate and is the reported energy."""
     plates = spec.condenser.plates
-    K, slices = joint_kernel_matrix([p.nodes for p in plates], spec.kernel)
+    K, slices, positions = joint_kernel_matrix([p.nodes for p in plates],
+                                               spec.kernel)
     # fold the plate signs into K in place: the positive plates come first,
     # so only the negative plate's rows left of column n change sign
     # (exact: negation)
@@ -169,8 +182,6 @@ def solve_riesz(spec: ProblemSpec) -> SolveResult:
         cross = K.row(i)[:n]
         np.negative(cross, out=cross)
     caps, b = _caps_and_field(spec)
-    _, positions = merge_by_position(np.vstack([p.nodes.positions
-                                                for p in plates]))
     res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
                              np.concatenate(caps), spec.tolerances,
                              positions=positions)
@@ -183,43 +194,26 @@ def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     """Minimize the reduced Green-kernel functional over the positive plates
     only; same convergence contract as the full solve."""
     plates = [spec.condenser.plates[i] for i in spec.i_plus]
-    nodesets = [p.nodes for p in plates]
-    merged, idx = _merge_positive(nodesets)
-    G, _ = green.green_matrix(merged)
-    if not np.array_equal(idx, np.arange(len(idx))):
-        # plates that share nodes read the merged matrix through idx; others
-        # take G as it is, without a copy
-        G = G.take(idx)
-    slices = _block_slices([len(ns) for ns in nodesets])
+    joint, slices, positions = _joint_nodes([p.nodes for p in plates])
+    G, _ = green.green_matrix(joint)
     caps, b = _caps_and_field(spec)
     res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,
                              spec.totals[:spec.p_index],
                              np.concatenate(caps[:spec.p_index]),
-                             spec.tolerances, positions=idx)
+                             spec.tolerances, positions=positions)
     comps = [DiscreteMeasure(p.nodes, res.w[sl])
              for p, sl in zip(plates, slices)]
     solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
-    return _solve_result(res, solution, res.constants, idx)
-
-
-def _merge_positive(nodesets: Sequence[NodeSet]) -> tuple:
-    """Union of positive-plate nodes with exact duplicates merged, and the
-    merged index of every plate node, plates concatenated in order."""
-    pos = np.vstack([ns.positions for ns in nodesets])
-    first, inverse = merge_by_position(pos)
-    merged = NodeSet(pos[first],
-                     np.concatenate([ns.quad_weights for ns in nodesets])[first],
-                     np.concatenate([ns.cell_radii for ns in nodesets])[first])
-    return merged, inverse
+    return _solve_result(res, solution, res.constants, positions)
 
 
 def _sweep_positive(nodesets: Sequence[NodeSet], weights: Sequence[np.ndarray],
                     green: GreenContext):
     """Balayage onto the context's exterior of the total of the per-plate
-    positive ``weights``, nodes shared by several plates merged."""
-    merged, idx = _merge_positive(nodesets)
-    total = np.bincount(idx, np.concatenate(weights), len(merged))
-    return balayage_project(DiscreteMeasure(merged, total), green)
+    positive ``weights``, read on the plates' concatenated nodes."""
+    joint = _joint_nodes(nodesets)[0]
+    return balayage_project(DiscreteMeasure(joint, np.concatenate(weights)),
+                            green)
 
 
 def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,

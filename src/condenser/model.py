@@ -90,6 +90,10 @@ class NodeSet:
         m = self.positions.shape[0]
         if self.quad_weights.shape != (m,) or self.cell_radii.shape != (m,):
             raise ValueError("weights/radii must match node count")
+        if not all(np.all(np.isfinite(a)) for a in
+                   (self.positions, self.quad_weights, self.cell_radii)):
+            raise ValueError("positions, quad_weights and cell_radii must be "
+                             "finite")
         if m and (np.any(self.quad_weights <= 0) or np.any(self.cell_radii <= 0)):
             raise ValueError("quad_weights and cell_radii must be > 0")
         if layer_index is None:
@@ -122,8 +126,10 @@ class Plate:
 
 @dataclass(frozen=True)
 class Condenser:
-    """Ordered plates with prescribed signs; oppositely signed node sets are
-    pointwise disjoint (closures may touch)."""
+    """Ordered plates with prescribed signs.  A node position held by
+    several plates is one cell: its plates have the same sign and give it
+    the same cell radius.  So oppositely signed node sets are pointwise
+    disjoint (closures may touch)."""
 
     plates: tuple
 
@@ -134,14 +140,16 @@ class Condenser:
         dims = {p.nodes.dim for p in self.plates}
         if len(dims) != 1:
             raise ValueError("plates live in different dimensions")
-        pos_idx = [i for i, p in enumerate(self.plates) if p.sign > 0]
-        neg_idx = [i for i, p in enumerate(self.plates) if p.sign < 0]
-        if pos_idx and neg_idx:
-            pos = np.vstack([self.plates[i].nodes.positions for i in pos_idx])
-            neg = np.vstack([self.plates[i].nodes.positions for i in neg_idx])
-            if cKDTree(neg).query(pos)[0].min() <= 0.0:
-                raise ZeroSeparationError(
-                    "a positive node coincides with a negative node")
+        sign = np.repeat(self.signs, [len(p.nodes) for p in self.plates])
+        radii = np.concatenate([p.nodes.cell_radii for p in self.plates])
+        first, inverse = merge_by_position(
+            np.vstack([p.nodes.positions for p in self.plates]))
+        if np.any(sign != sign[first][inverse]):
+            raise ZeroSeparationError(
+                "a positive node coincides with a negative node")
+        if np.any(radii != radii[first][inverse]):
+            raise ValueError("equally signed plates give a shared node "
+                             "different cell radii")
 
     @property
     def signs(self) -> tuple:
@@ -182,8 +190,9 @@ def trim_cell_radii(nodes: NodeSet) -> NodeSet:
 
 def trim_across_plates(plates: Sequence[Plate]) -> list:
     """Trim the cells of all plates in one trim of their concatenated nodes,
-    so joint kernel matrices stay positive definite; coincident nodes
-    (shared by equally signed plates) are the same cell."""
+    so joint kernel matrices stay positive definite; a node shared by
+    equally signed plates is one cell, and each copy is trimmed to the same
+    neighbour distance."""
     trimmed = trim_cell_radii(_concat_nodesets([p.nodes for p in plates]))
     ends = np.cumsum([len(p.nodes) for p in plates])[:-1]
     return [replace(p, nodes=NodeSet(p.nodes.positions, p.nodes.quad_weights,
@@ -285,9 +294,8 @@ class SignedMeasure:
 
 def resultant(mu: VectorMeasure) -> SignedMeasure:
     """Signed scalar measure sum_i s_i mu^i of the nonzero atoms, merged by
-    exact position (shared nodes of equally signed plates); a merged atom of
-    zero total weight is dropped, and a merged atom keeps the cell radius of
-    its first nonzero atom."""
+    exact position (shared nodes of equally signed plates, one cell with one
+    radius); a merged atom of zero total weight is dropped."""
     comps = mu.components
     weights = np.concatenate([s * c.weights for s, c in zip(mu.signs, comps)])
     nz = weights != 0.0

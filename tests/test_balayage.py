@@ -14,8 +14,7 @@ from condenser import model as modelmod
 from condenser.balayage import (GreenContext, balayage_oracle_halfspace,
                                 balayage_project)
 from condenser.errors import UnsupportedKernel
-from condenser.gauss_solver import (_merge_positive, lift_green_to_riesz,
-                                    solve_green_reduced)
+from condenser.gauss_solver import lift_green_to_riesz, solve_green_reduced
 from condenser.kernel import equilibrium_measure, mutual_energy, potential
 from condenser.model import (DiscreteMeasure, KernelSpec, NodeSet,
                              _concat_nodesets, ball_complement_nodes,
@@ -349,9 +348,7 @@ class TestExteriorStorage:
         # the sweep's B and Theta and at most two row blocks beside G;
         # 1.98 (ex2) and 5.33 (ex1) x 8 n^2, where the dense n x n
         # Theta' B read 2.19 and 5.38
-        spec = request.getfixturevalue(case).spec
-        nodes, _ = _merge_positive([spec.condenser.plates[i].nodes
-                                    for i in spec.i_plus])
+        nodes = request.getfixturevalue(case).spec.condenser.plates[0].nodes
         ctx = request.getfixturevalue(case).green
         _, peak = traced(lambda: ctx.green_matrix(nodes))
         assert peak <= bound * 8 * len(nodes) ** 2

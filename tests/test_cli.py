@@ -88,9 +88,14 @@ def sigma_config(sigma):
         {"mode": "explicit", "weights": [float(x) for x in sigma]}])
 
 
+# a config that write_config leaves unwritten: its path names no file
+NO_FILE = object()
+
+
 def write_config(tmp_path, cfg, name="config.yaml"):
     path = tmp_path / name
-    path.write_text(yaml.safe_dump(cfg))
+    if cfg is not NO_FILE:
+        path.write_text(yaml.safe_dump(cfg))
     return str(path)
 
 
@@ -510,6 +515,25 @@ class TestErrorPaths:
         ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
                       "conductor": {"geometry": "disk", "radius": 1.0,
                                     "axis": 1.9}}),
+        # the config file and its layout
+        ("solve", NO_FILE),
+        ("solve", [TOY_BALL]),
+        ("solve", dict(TOY_BALL, plates=3)),
+        ("solve", dict(TOY_BALL, totals=1.0)),
+        ("solve", dict(TOY_BALL, plates=[3, TOY_BALL["plates"][1]])),
+        ("solve", dict(TOY_BALL, constraint=[{"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, constraint=[
+            "unbounded", {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "cubic"}, {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, field={"case": "linear"})),
+        ("balayage", dict(BALAYAGE_CONFIG, plates=[
+            dict(BALAYAGE_CONFIG["plates"][0], sign=1)])),
+        ("balayage", dict(BALAYAGE_CONFIG, source={
+            "positions": [[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]],
+            "weights": [1.0]})),
+        ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
+                      "conductor": {"geometry": "cube", "radius": 1.0}}),
     ], ids=["plate-axis", "plate-center-2d", "plate-side", "ball-axis",
             "disk-side", "half-space-radius", "level-key", "backing-key",
             "explicit-cloud",
@@ -533,7 +557,13 @@ class TestErrorPaths:
             "radius-bool", "plate-radius-inf-ball", "plate-radius-inf-disk",
             "plate-center-nan", "center-bool", "side-float", "kernel-n-float",
             "sign-float", "kernel-alpha-bool", "capacity-unknown-key",
-            "capacity-axis-float"])
+            "capacity-axis-float", "config-file-missing",
+            "config-root-not-a-mapping", "plates-not-a-list",
+            "totals-not-a-list", "plate-not-a-mapping",
+            "constraint-count", "constraint-not-a-mapping",
+            "constraint-mode-unknown", "field-case-unknown",
+            "balayage-positive-plate", "source-misaligned",
+            "capacity-cube"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
         # a command may carry global flags before the subcommand
         path = write_config(tmp_path, cfg)

@@ -402,6 +402,12 @@ class TestEquilibrium:
         assert lam.weights[0] == pytest.approx(1.0)
         assert cap == pytest.approx(1.0 / s)
 
+    @pytest.mark.parametrize("total", [0.0, -1.0])
+    def test_nonpositive_total_refused(self, total):
+        ns = NodeSet([[0, 0, 0]], [1.0], [0.25])
+        with pytest.raises(ValueError, match="total mass"):
+            equilibrium_measure(ns, K2, total)
+
     def test_two_symmetric_nodes(self):
         ns = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.1))
         lam, _ = equilibrium_measure(ns, K2, 2.0)

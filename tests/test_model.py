@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from condenser import model as modelmod
-from condenser.errors import EmptyPlateError, ZeroSeparationError
+from condenser.errors import (AlignmentError, EmptyPlateError,
+                              ZeroSeparationError)
 from condenser.kernel import semimetric_distance
 from condenser.model import (NEIGHBOR_TRIM, Condenser, DiscreteMeasure,
                              KernelSpec, NodeSet, Plate, PlateSpec, VectorMeasure,
@@ -69,6 +70,21 @@ class TestBuildCondenser:
         with pytest.raises(ZeroSeparationError):
             Condenser((cloud_plate(+1, [[0, 0, 0], [1, 0, 0]]),
                        cloud_plate(-1, [[1, 0, 0], [2, 0, 0]])))
+
+    def test_signed_zeros_coincide_across_signs(self):
+        # positions compare by value, so -0.0 and 0.0 are one point
+        with pytest.raises(ZeroSeparationError):
+            Condenser((cloud_plate(+1, [[0.0, 1.0, 0.0]]),
+                       cloud_plate(-1, [[-0.0, 1.0, 0.0], [2.0, 0.0, 0.0]])))
+
+    def test_shared_node_of_different_radii_rejected(self):
+        # a node shared by equally signed plates is one cell, of one radius
+        with pytest.raises(ValueError, match="different cell radii"):
+            Condenser((cloud_plate(+1, [[0, 0, 0], [1, 0, 0]], radius=0.05),
+                       cloud_plate(+1, [[1, 0, 0], [2, 0, 0]], radius=0.02)))
+        Condenser((cloud_plate(+1, [[0, 0, 0], [1, 0, 0]], radius=0.05),
+                   cloud_plate(+1, [[1, 0, 0], [2, 0, 0]], radius=0.05),
+                   cloud_plate(+1, [[3, 0, 0]], radius=0.02)))
 
     def test_volume_first_order_convergence(self):
         exact = 4.0 / 3.0 * math.pi
@@ -239,6 +255,17 @@ class TestNodeValidation:
         with pytest.raises(ValueError):
             NodeSet([[0.0, 0.0, 0.0]], [1.0], [-0.1])
 
+    @pytest.mark.parametrize("field", ["positions", "quad_weights",
+                                       "cell_radii"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_node_set_refuses_non_finite_values(self, field, bad):
+        arrays = {"positions": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]],
+                  "quad_weights": [1.0, 1.0], "cell_radii": [0.1, 0.1]}
+        arrays[field] = np.array(arrays[field])
+        arrays[field].flat[-1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            NodeSet(**arrays)
+
     def test_measure_weights_nonnegative(self):
         ns = NodeSet([[0, 0, 0]], [1.0], [0.1])
         with pytest.raises(ValueError):
@@ -322,6 +349,17 @@ class TestSemimetric:
         assert not np.array_equal(mu.components[0].weights,
                                   nu.components[0].weights)
         assert semimetric_distance(mu, nu, K2) == 0.0
+
+    def test_measures_on_different_condensers_refused(self):
+        cond = two_plus_one_condenser()
+        moved = Condenser(cond.plates[:2] +
+                          (cloud_plate(-1, [[5, 0, 0], [5, 1, 0], [5, 0, 1]]),))
+        weights = [np.ones(3)] * 3
+        mu = VectorMeasure.from_weights(cond, weights)
+        for other in (moved, Condenser(cond.plates[1:])):
+            nu = VectorMeasure.from_weights(other, weights[:len(other.plates)])
+            with pytest.raises(AlignmentError):
+                semimetric_distance(mu, nu, K2)
 
     def test_two_atom_hand_formula(self):
         # d(mu, nu)^2 = k11 + k22 - 2 k12 for unit atoms on disjoint plates

@@ -4,7 +4,13 @@
 sweep's cross matrix ``GreenContext._cross_matrix`` call it: inside
 ``kernel``, only the one row-block writer of symmetric matrices and
 ``potential``.  Every blocked reader takes its row blocks from
-``row_blocks(P, Q)``, and ``model`` defines one block size for them."""
+``row_blocks(P, Q)``, and ``model`` defines one block size for them.
+
+One way to merge by position: only ``model.merge_by_position`` calls
+``np.unique`` along an axis, and it is called only where a shared node is
+met: the condenser's coincidence check, the nearest-neighbour trim, the
+resultant, the distinct-node check of a matrix assembly and the solves'
+joint node list ``gauss_solver._joint_nodes``."""
 
 import ast
 import pathlib
@@ -86,3 +92,25 @@ def test_model_defines_one_block_size():
     names = [t.id for node in model_tree().body if isinstance(node, ast.Assign)
              for t in node.targets if isinstance(t, ast.Name)]
     assert [n for n in names if n.endswith("_ENTRIES")] == ["BLOCK_ENTRIES"]
+
+
+def axis_unique_calls(source: str) -> list:
+    """Enclosing functions of the ``unique`` calls given an ``axis``."""
+    return [owner for owner, call in calls_by_function(source, "unique")
+            if any(k.arg == "axis" for k in call.keywords)]
+
+
+def test_lint_sees_an_axis_unique():
+    src = ("def f(a):\n    return np.unique(a, axis=0)\n"
+           "def g(a):\n    return np.unique(a)\n")
+    assert axis_unique_calls(src) == ["f"]
+
+
+def test_one_merge_by_position():
+    assert [(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
+            for owner in axis_unique_calls(path.read_text())
+            ] == [("model", "merge_by_position")]
+    assert set(package_calls("merge_by_position")) == {
+        ("model", "__post_init__"), ("model", "_nearest_neighbor_distances"),
+        ("model", "resultant"), ("kernel", "_require_distinct"),
+        ("gauss_solver", "_joint_nodes")}

@@ -17,9 +17,8 @@ only in ``_free_block_solver``, which only ``_solve_pattern`` calls, and
 ``_solve_pattern`` is called once, in ``minimize_quadratic``'s round.
 ``spftrs`` solves only in ``_free_block_solver``, and ``_pg`` imports none
 of ``cho_factor``, ``cho_solve`` and ``LinAlgError``, so no square float32
-factor comes back.  The free block is gathered by rows and ``take``, and
-no module of the package uses ``np.ix_`` (an index-array copy several
-times slower).
+factor comes back.  The free block is gathered by rows, and no module of
+the package uses ``np.ix_`` (an index-array copy several times slower).
 
 The Green matrix is written from row-block products: no ``@`` in
 ``GreenContext.green_matrix`` or in ``_subtract_swept``, its per-block
@@ -27,10 +26,10 @@ correction, has two whole-array operands (unsubscripted names or their
 attributes), so no dense n x n product such as ``theta.T @ B`` comes back.
 
 Every QP matrix arrives packed: a ``PackedMatrix`` is made and written only
-by the kernel's packed writer, ``GreenContext.green_matrix`` (both from
-kernel row blocks) and ``PackedMatrix.take`` (from packed entries), so no
-module converts a dense array into one.  No module defines or calls a
-dense kernel-matrix writer (``assemble_matrix``, ``KernelMatrix``).
+by the kernel's packed writer and ``GreenContext.green_matrix``, both from
+kernel row blocks, so no module converts a dense array into one.  No
+module defines or calls a dense kernel-matrix writer (``assemble_matrix``,
+``KernelMatrix``).
 
 One QP engine: no module of the package imports ``scipy.optimize``, and
 ``_pg`` defines none of the names of the projected-gradient engine it
@@ -218,8 +217,7 @@ def test_no_module_gathers_through_ix():
             if attribute_uses(path.read_text(), "ix_")] == []
 
 
-PACKED_WRITERS = {("kernel", "_packed_matrix"), ("balayage", "green_matrix"),
-                  ("_pg", "take")}
+PACKED_WRITERS = {("kernel", "_packed_matrix"), ("balayage", "green_matrix")}
 
 
 def packed_stores(source: str) -> list:

@@ -49,6 +49,19 @@ def shared_node_spec():
         "constraint": [{"mode": "unbounded"}] * 3}).spec
 
 
+def swapped(spec):
+    """``spec`` with its first two plates, and their totals, fields and
+    caps, in swapped order."""
+    order = (1, 0) + tuple(range(2, len(spec.totals)))
+
+    def pick(values):
+        return tuple(values[i] for i in order)
+
+    return ProblemSpec(Condenser(pick(spec.condenser.plates)),
+                       pick(spec.totals), pick(spec.field),
+                       pick(spec.constraint), spec.kernel, spec.tolerances)
+
+
 def brute_force_projection(w, caps, total, grid=4_000_001):
     """Independent oracle: scan the water level tau on a refined grid around
     the breakpoints, then polish by bisection on the monotone mass curve."""
@@ -235,7 +248,7 @@ class TestSolveRiesz:
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
-        K, slices = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
+        K, slices, _ = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
         s = np.concatenate([np.full(len(p.nodes), float(p.sign))
                             for p in cond.plates])
         A = unpacked(K) * np.outer(s, s)
@@ -312,15 +325,18 @@ class TestSolveRiesz:
                           Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (0.5, 0.5, 1.0), None,
                            (None, None, None), K2)
+        ctx = GreenContext(neg, K2)
         assert solve_riesz(spec).converged
+        assert solve_green_reduced(spec, ctx).converged
         repeated = NodeSet(shared.positions[[0, 1, 1]], np.ones(3),
                            np.full(3, 0.05))
         cond = Condenser((Plate(sign=+1, nodes=repeated),
                           Plate(sign=-1, nodes=neg)))
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
-        with pytest.raises(DuplicateNodeError):
-            solve_riesz(spec)
+        for solve in (solve_riesz, lambda s: solve_green_reduced(s, ctx)):
+            with pytest.raises(DuplicateNodeError):
+                solve(spec)
 
     def test_max_iters_flagged_not_raised(self):
         # a KKT bound below double roundoff, which the pivoting cannot meet
@@ -380,6 +396,16 @@ class TestProblemSpec:
         for field in ((np.zeros(n0 + 1), np.zeros(n1)), (np.zeros(n0),)):
             with pytest.raises(AlignmentError):
                 ProblemSpec(cond, (1.0, 1.0), field, (None, None), K2)
+
+    @pytest.mark.parametrize("order, totals, message", [
+        ((1, 0), (1.0, 1.0), "plate order"),
+        ((0, 1), (1.0, 1.5), "negative-plate mass"),
+    ], ids=["negative-plate-first", "unbalanced-negative-mass"])
+    def test_rejects_plate_order_and_mass(self, order, totals, message):
+        cond = small_condenser(seed=3)
+        cond = Condenser(tuple(cond.plates[i] for i in order))
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(cond, totals, None, (None, None), K2)
 
     def test_infeasible_once_infinite_field_nodes_freeze(self):
         # the caps total 1.7 > 1, but the nodes of finite field hold < 1
@@ -464,18 +490,21 @@ class TestSharedCopies:
                       [{"geometry": "ball_complement", "sign": -1,
                         "radius": 1.0}],
             "constraint": [{"mode": "unbounded"}] * 3})
-        spec = sc.spec
-        assert [len(p.nodes) for p in spec.condenser.plates[:2]] == [81, 81]
-        riesz = solve_riesz(spec)
-        green = solve_green_reduced(spec, sc.green)
-        for res, ref in ((riesz, 2.1436314587959022),
-                         (green, 2.1433763081622996)):
-            assert res.converged and res.iterations <= 30
-            assert res.kkt_residual <= 1e-10 and res.shared_nodes == 39
-            assert abs(res.energy - ref) <= 1e-12 * ref
-            for comp, total in zip(res.solution.components, spec.totals):
-                assert abs(comp.weights.sum() - total) <= 1e-12
-        assert_variational_inequality(riesz, spec, np.random.default_rng(3))
+        assert [len(p.nodes) for p in sc.spec.condenser.plates[:2]] == [81, 81]
+        # either plate order meets the references: a shared node is one
+        # cell, whichever plate comes first
+        for spec in (sc.spec, swapped(sc.spec)):
+            riesz = solve_riesz(spec)
+            green = solve_green_reduced(spec, sc.green)
+            for res, ref in ((riesz, 2.1436314587959022),
+                             (green, 2.1433763081622996)):
+                assert res.converged and res.iterations <= 30
+                assert res.kkt_residual <= 1e-10 and res.shared_nodes == 39
+                assert abs(res.energy - ref) <= 1e-12 * ref
+                for comp, total in zip(res.solution.components, spec.totals):
+                    assert abs(comp.weights.sum() - total) <= 1e-12
+            assert_variational_inequality(riesz, spec,
+                                          np.random.default_rng(3))
 
     def test_fields_on_shared_copies(self):
         # different fields on the two plates make the split of each shared
@@ -512,7 +541,7 @@ class TestJointAssembly:
         if entries is not None:
             monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
         sets = self.three_sets()
-        K, slices = joint_kernel_matrix(sets, K15)
+        K, slices, _ = joint_kernel_matrix(sets, K15)
         N = sum(len(ns) for ns in sets)
         assert K.shape == (N, N) and K.ap.shape == (N * (N + 1) // 2,)
         ref = np.empty((N, N))
@@ -539,7 +568,7 @@ class TestJointAssembly:
 
     def test_product_and_gathers_match_the_dense_matrix(self, monkeypatch):
         monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
-        K, _ = joint_kernel_matrix(self.three_sets(), K15)
+        K, *_ = joint_kernel_matrix(self.three_sets(), K15)
         D = unpacked(K)
         x = np.random.default_rng(3).normal(size=K.shape[0])
         assert np.abs(K @ x - D @ x).max() <= 1e-14 * np.abs(D @ x).max()
@@ -548,14 +577,6 @@ class TestJointAssembly:
             out = np.zeros((len(F), len(F)))
             K.gather_lower(F, out)
             assert np.array_equal(out, np.tril(D[np.ix_(F, F)]))
-
-    def test_take_matches_the_dense_gather(self, monkeypatch):
-        monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
-        K, _ = joint_kernel_matrix(self.three_sets(), K15)
-        idx = np.random.default_rng(5).integers(0, K.shape[0], 300)
-        assert np.unique(idx).size < idx.size and np.any(np.diff(idx) < 0)
-        ref = unpacked(K)[np.ix_(idx, idx)]
-        assert np.array_equal(K.take(idx).ap, ref[np.tril_indices(idx.size)])
 
 
 def test_riesz_solve_peaks_near_one_dense_copy():
@@ -763,15 +784,16 @@ class TestFreeBlockFactor:
     @pytest.mark.parametrize("n", range(1, 12))
     def test_rfp_writer_matches_stpttf(self, n):
         # F whole reads each packed row as it lies; a strict subset reads
-        # A.take(F)'s rows, and both land where LAPACK's stpttf puts them
-        A = packed(self.random_symmetric(n + 3))
-        whole = packed(self.random_symmetric(n))
+        # the rows of A[F][:, F], and both land where LAPACK's stpttf puts
+        # them
+        whole = self.random_symmetric(n)
+        D = self.random_symmetric(n + 3)
         F = np.sort(np.random.default_rng(n).choice(n + 3, n, replace=False))
-        for P, idx in ((whole, np.arange(n)), (A, F)):
-            ref, info = stpttf(n, P.take(idx).ap.astype(np.float32),
+        for A, idx, sub in ((whole, np.arange(n), whole), (D, F, D[F][:, F])):
+            ref, info = stpttf(n, packed(sub).ap.astype(np.float32),
                                transr="N", uplo="U")
             assert info == 0
-            assert P.gather_rfp(idx).tobytes() == ref.tobytes()
+            assert packed(A).gather_rfp(idx).tobytes() == ref.tobytes()
 
     def test_first_correction_matches_the_dense_solve(self, monkeypatch):
         # the RFP factor alone: a call of the bordered solver would fail
@@ -867,17 +889,23 @@ class TestSolveGreen:
             assert abs(lhs - rhs) / scale < 1e-10
 
     def test_plates_sharing_nodes(self):
-        # two positive plates on the same nodes read the merged Green matrix
-        # through the plate index; the optimum is the Green equilibrium
-        # energy of their total mass
-        spec = shared_node_spec()
+        # two positive plates on the same nodes, unequal masses, in either
+        # order: the Green matrix has a row and column per copy, and the
+        # optimum is the Green equilibrium energy of their total mass
+        shared = shared_node_spec()
+        spec = ProblemSpec(shared.condenser, (0.3, 0.7, 1.0), None,
+                           (None,) * 3, shared.kernel)
         nodes = spec.condenser.plates[0].nodes
         ctx = GreenContext(spec.condenser.plates[2].nodes, spec.kernel)
-        res = solve_green_reduced(spec, ctx)
-        assert res.converged
+        energies = []
+        for ordered in (spec, swapped(spec)):
+            res = solve_green_reduced(ordered, ctx)
+            assert res.converged and res.shared_nodes == len(nodes)
+            energies.append(res.energy)
+        assert abs(energies[1] - energies[0]) <= 1e-12 * energies[0]
         G, _ = ctx.green_matrix(nodes)
         _, cap = equilibrium_measure(nodes, spec.kernel, 1.0, matrix=G)
-        assert res.energy == pytest.approx(1.0 / cap, rel=1e-8)
+        assert energies[0] == pytest.approx(1.0 / cap, rel=1e-8)
 
     def test_riesz_green_chain_inequality(self, small_green_setup):
         cond, ctx = small_green_setup
@@ -890,6 +918,15 @@ class TestSolveGreen:
         gap = abs(lift.energy - green.energy) / max(abs(green.energy), 1.0)
         assert gap <= max(1e-4, 3.0 * lift.balayage_residual) + \
             lift.lift_mass_defect
+
+    def test_lift_needs_the_negative_plates_context(self,
+                                                    small_green_setup):
+        cond, ctx = small_green_setup
+        spec = ProblemSpec(cond, (1.0, 1.0), None, (None, None), K15)
+        green = solve_green_reduced(spec, ctx)
+        other = GreenContext(sphere_surface_nodes((0, 0, 0), 2.0, 60), K15)
+        with pytest.raises(AlignmentError):
+            lift_green_to_riesz(green, spec, other)
 
     def test_lift_of_zero_positive_mass(self, small_green_setup):
         cond, ctx = small_green_setup
