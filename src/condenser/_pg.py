@@ -23,7 +23,8 @@ rectangular full packed form (Gustavson, Wasniewski, Dongarra & Langou
 ``balayage.GreenContext._cone_project`` keeps its own pivoting: it solves
 many right-hand sides at once, with no plate sums and no caps, so one engine
 for both would branch on its caller.  It holds no exterior matrix K_EE:
-it reads each free set's columns from the kernel.
+it reads each free set's square from the kernel, and the held rows of its
+columns by row blocks.
 """
 
 from __future__ import annotations

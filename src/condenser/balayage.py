@@ -11,10 +11,10 @@ factor of the exterior kernel matrix K_EE, then block principal pivoting on
 the nonnegative cone for all the columns that dip below zero at once
 (``GreenContext._cone_project``, the multiple-right-hand-side form of Kim &
 Park 2011).  A context holds only the factor, as one triangle.  Each round
-factors every distinct free pattern once, from the free set's columns of
-K_EE, read from the kernel like any source's (``_cross_matrix``), and takes
-the gradients of its columns from the same columns, so a round's work
-scales with the free set.
+factors every distinct free pattern once, from the free set's square of
+K_EE read from the kernel (``_exterior_block``), and reads the gradient of
+its columns on the held nodes only, by row blocks, so no read spans every
+exterior node.
 Each column keeps Kim & Park's backup rule, shared with the QP engine of
 ``_pg``, so its pivoting ends.
 
@@ -39,7 +39,7 @@ from . import kernel as kernelmod
 from ._pg import FINISH_KKT, BackupRule, PackedMatrix
 from .errors import UnsupportedKernel
 from .kernel import KernelSpec, mutual_energy, potential
-from .model import DiscreteMeasure, NodeSet
+from .model import DiscreteMeasure, NodeSet, row_blocks
 
 # unconstrained sweep columns more negative than this (relative to the column
 # maximum) are re-solved with nonnegativity enforced
@@ -95,6 +95,15 @@ class GreenContext:
         return kernelmod._riesz_block(self.exterior.positions, nodes.positions,
                                       self.riesz, rho_q=nodes.cell_radii)
 
+    def _exterior_block(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """K_EE[rows, cols] from the kernel: the exterior nodes ``cols`` as
+        sources at the exterior nodes ``rows``, each node's own entry its
+        self-energy."""
+        ext = self.exterior
+        return kernelmod._riesz_block(ext.positions[rows],
+                                      ext.positions[cols], self.riesz,
+                                      rho_q=ext.cell_radii[cols])
+
     def _sweep(self, B: np.ndarray):
         """Cone projections of the columns of B (exterior potentials): one
         unconstrained Cholesky solve, then ``_cone_project`` of the columns
@@ -133,12 +142,12 @@ class GreenContext:
         solution or a boolean free set), solves on its free set, drops
         negative entries and frees nodes whose gradient is negative, until
         the KKT conditions hold.  Each round groups the columns by free set
-        and reads each set's columns K[:, idx] once, as sources at the
-        exterior nodes idx (``_cross_matrix``), for both the factor
-        K[idx, idx] and the gradient K[:, idx] theta[idx] - b; an empty
-        free set has gradient -b."""
+        F and reads the square K[F, F] once (``_exterior_block``), factored
+        in place, and the gradient K[H, F] theta[F] - b on the held nodes H
+        only, by the row blocks of ``row_blocks``: a free node's gradient
+        is never tested.  An empty free set has gradient -b."""
         m, k = B.shape
-        ext = self.exterior
+        pts = self.exterior.positions
         scale = np.abs(B).max(axis=0) + 1e-300
         masks = (start > 0.0).T.copy()         # row j: free set of column j
         rule = BackupRule(k)
@@ -152,23 +161,28 @@ class GreenContext:
             for cols in groups.values():
                 free = masks[cols[0]]
                 idx = np.flatnonzero(free)
+                held = np.flatnonzero(~free)
                 b = B[:, cols]
                 trial = np.zeros_like(b)
-                dropped = np.zeros(b.shape, dtype=bool)
-                grad = -b
+                # free entries below zero and held nodes whose gradient is
+                # negative: the KKT conditions each column breaks
+                breaks = np.zeros(b.shape, dtype=bool)
+                grad = -b[held]
                 if idx.size:
-                    K = self._cross_matrix(NodeSet(
-                        ext.positions[idx], ext.quad_weights[idx],
-                        ext.cell_radii[idx]))
-                    fac = cho_factor(K[idx], lower=True, overwrite_a=True,
+                    # K[F, F] is exactly symmetric: its transpose is the
+                    # Fortran-ordered view LAPACK factors without a copy
+                    K = self._exterior_block(idx, idx)
+                    fac = cho_factor(K.T, lower=True, overwrite_a=True,
                                      check_finite=False)
                     sol = cho_solve(fac, b[idx], check_finite=False)
                     pos = np.maximum(sol, 0.0)
                     trial[idx] = pos
-                    dropped[idx] = sol < 0.0
-                    grad = K @ pos - b
-                viol = ~free[:, None] & (grad < -FINISH_KKT * scale[cols])
-                move = rule(dropped | viol, cols)
+                    breaks[idx] = sol < 0.0
+                    for rows in row_blocks(pts[held], pts[idx]):
+                        grad[rows] += self._exterior_block(held[rows],
+                                                           idx) @ pos
+                breaks[held] = grad < -FINISH_KKT * scale[cols]
+                move = rule(breaks, cols)
                 for i, j in enumerate(cols):
                     if move[:, i].any():
                         masks[j] = free ^ move[:, i]

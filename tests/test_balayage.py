@@ -1,5 +1,4 @@
 import math
-import sys
 import tracemalloc
 
 import numpy as np
@@ -293,8 +292,10 @@ class TestExteriorStorage:
         assert held <= 4 * m * m + 64 * m
 
     def test_column_reader_reads_assembled_columns(self, ball_ctx):
-        # the cone projection reads K_EE[:, idx] as sources at the exterior
-        # nodes idx; a node's own entry takes its own self-energy
+        # exterior nodes idx read as sources give K_EE[:, idx], and the
+        # cone projection's blocks K_EE[rows, idx] (its squares and held
+        # row blocks) are the same entries; a node's own entry takes its
+        # own self-energy
         kee = exterior_matrix(ball_ctx)
         ext = ball_ctx.exterior
         factor = ball_ctx._factor.copy()
@@ -306,6 +307,11 @@ class TestExteriorStorage:
                 ext.positions[idx], ext.quad_weights[idx],
                 ext.cell_radii[idx]))
             assert np.array_equal(cols, kee[:, idx])
+            assert np.array_equal(ball_ctx._exterior_block(idx, idx),
+                                  kee[np.ix_(idx, idx)])
+            held = np.flatnonzero(~np.isin(np.arange(m), idx))[:40]
+            assert np.array_equal(ball_ctx._exterior_block(held, idx),
+                                  kee[np.ix_(held, idx)])
         assert np.array_equal(ball_ctx._factor, factor)
 
     def test_indefinite_exterior_is_refused(self):
@@ -343,15 +349,37 @@ class TestExteriorStorage:
         assert clipped == 0
         assert asym < 1e-14
 
-    @pytest.mark.parametrize("case, bound", [("ex2", 2.1), ("ex1", 5.6)])
-    def test_green_matrix_peak(self, request, case, bound):
-        # the sweep's B and Theta and at most two row blocks beside G;
-        # 1.98 (ex2) and 5.33 (ex1) x 8 n^2, where the dense n x n
-        # Theta' B read 2.19 and 5.38
-        nodes = request.getfixturevalue(case).spec.condenser.plates[0].nodes
-        ctx = request.getfixturevalue(case).green
-        _, peak = traced(lambda: ctx.green_matrix(nodes))
-        assert peak <= bound * 8 * len(nodes) ** 2
+    @pytest.mark.parametrize("case, bound", [("ex2", 2.1), ("ex1", 5.6),
+                                             ("ballinball", 9.0)])
+    def test_green_matrix_peak(self, request, monkeypatch, case, bound):
+        # unclipped: the sweep's B and Theta and at most two row blocks
+        # beside G; 1.98 (ex2) and 5.33 (ex1) x 8 n^2, where the dense
+        # n x n Theta' B read 2.19 and 5.38.  Clipped (ballinball, every
+        # column, m = 1062, n = 123, largest free set F = 456): the m x n
+        # arrays of the sweep and the cone, a kernel row block and the
+        # square K[F, F], 8.13 x 8 m n + 8 F^2, where reading K_EE[:, F]
+        # whole and copying K[F, F] twice read 10.64
+        built = request.getfixturevalue(case)
+        nodes = built.spec.condenser.plates[0].nodes
+        free = []
+
+        def counted_cho_factor(a, **kw):
+            free.append(len(a))
+            return cho_factor(a, **kw)
+
+        monkeypatch.setattr(balayagemod, "cho_factor", counted_cho_factor)
+        _, peak = traced(lambda: built.green.green_matrix(nodes))
+        n, m = len(nodes), len(built.green.exterior)
+        clipped = case == "ballinball"
+        assert bool(free) == clipped
+        assert peak <= (8 * (bound * m * n + max(free) ** 2) if clipped
+                        else bound * 8 * n ** 2)
+
+
+@pytest.fixture
+def ballinball():
+    """A fresh toy ball in ball, whose sweep columns all clip."""
+    return ball_in_ball(alpha=2.0, resolution=0.2, truncation=3.0)
 
 
 def plane_sources(rng, count, near, far, radius=0.04):
@@ -520,15 +548,16 @@ class TestBatchedPivoting:
         src = NodeSet(src.positions[:10], src.quad_weights[:10],
                       src.cell_radii[:10])
         reads = []
-        cross = GreenContext._cross_matrix
+        block = GreenContext._exterior_block
 
-        def counting(self, nodes):
-            # count only the cone's column reads, not the sweep's B
-            if sys._getframe(1).f_code.co_name == "_cone_project":
-                reads.append(len(nodes))
-            return cross(self, nodes)
+        def counting(self, rows, cols):
+            # count the free-set squares the cone factors, one per free set
+            # and round, not its held-row gradient blocks
+            if rows is cols:
+                reads.append(len(cols))
+            return block(self, rows, cols)
 
-        monkeypatch.setattr(GreenContext, "_cross_matrix", counting)
+        monkeypatch.setattr(GreenContext, "_exterior_block", counting)
         B, pivoted, clipped = GreenContext(ctx.exterior, K2).sweep_columns(src)
         block_reads = len(reads)
         original = pgmod.BackupRule.__init__

@@ -1,9 +1,10 @@
 """Pairwise-work lint: one way to read pairs of points.  Only
 ``kernel._riesz_block`` computes pairwise distances, with ``cdist``
 (neighbour queries go through k-d trees), and only ``kernel`` and the
-sweep's cross matrix ``GreenContext._cross_matrix`` call it: inside
-``kernel``, only the one row-block writer of symmetric matrices and
-``potential``.  Every blocked reader takes its row blocks from
+context's two readers call it: the sweep's cross matrix
+``GreenContext._cross_matrix`` and the cone projection's exterior blocks
+``GreenContext._exterior_block``.  Inside ``kernel``, only the one
+row-block writer of symmetric matrices and ``potential`` call it.  Every blocked reader takes its row blocks from
 ``row_blocks(P, Q)``, and ``model`` defines one block size for them.
 
 One way to merge by position: only ``model.merge_by_position`` calls
@@ -65,10 +66,11 @@ def test_only_the_kernel_block_calls_cdist():
     assert set(package_calls("cdist")) == {("kernel", "_riesz_block")}
 
 
-def test_kernel_blocks_are_read_in_kernel_and_the_cross_matrix_only():
-    outside = {owner for owner in package_calls("_riesz_block")
-               if owner[0] != "kernel"}
-    assert outside == {("balayage", "_cross_matrix")}
+def test_kernel_blocks_are_read_in_kernel_and_the_context_readers_only():
+    outside = {owner: len(calls) for owner, calls in
+               package_calls("_riesz_block").items() if owner[0] != "kernel"}
+    assert outside == {("balayage", "_cross_matrix"): 1,
+                       ("balayage", "_exterior_block"): 1}
 
 
 def test_kernel_reads_blocks_in_its_writer_and_potential_only():

@@ -1,12 +1,16 @@
 """Pivoting-work lint.
 
 A round of ``GreenContext._cone_project`` reads only the free set's
-columns of the exterior matrix K_EE, so its work scales with the free set.
-A context keeps no K_EE, only its Cholesky factor, one RFP triangle
-(``self._factor``), factored by ``dpftrf`` in ``GreenContext.__init__``
-only and read only there and in ``_sweep``.  ``_cone_project`` reads K_EE
-only through the context's source reader ``self._cross_matrix``: any other
-read (the factor, a kernel reader called directly) fails.  No module
+columns of the exterior matrix K_EE, and no read spans every exterior row:
+the free set's square K[F, F], ``self._exterior_block(idx, idx)``, and the
+held rows' gradient through blocks ``self._exterior_block(held[rows],
+idx)``, one per ``rows`` of a ``row_blocks`` loop.  A context keeps no
+K_EE, only its Cholesky factor, one RFP triangle (``self._factor``),
+factored by ``dpftrf`` in ``GreenContext.__init__`` only and read only
+there and in ``_sweep``.  ``_cone_project`` reads K_EE only through those
+two block reads: any other read (the factor, the sweep's whole-exterior
+source reader ``self._cross_matrix``, a kernel reader called directly)
+fails, and only ``_cone_project`` reads ``_exterior_block``.  No module
 defines or reads a stored K_EE (``_kee``) or a row reader ``rows``, and
 ``PackedMatrix`` defines no ``rows`` method.
 
@@ -53,16 +57,55 @@ KERNEL_READERS = ("_riesz_block", "_lower_row_blocks", "_packed_matrix",
 
 def exterior_reads(source: str) -> list:
     """Line numbers of the reads of K_EE in ``source`` other than calls of
-    ``self._cross_matrix``: uses of ``self._factor`` or ``self._kee`` and
-    calls of the kernel's readers, bare or as attributes."""
+    ``self._exterior_block``: uses of ``self._factor`` or ``self._kee``,
+    calls of the whole-exterior reader ``_cross_matrix`` and calls of the
+    kernel's readers, bare or as attributes."""
+    readers = KERNEL_READERS + ("_cross_matrix",)
     return sorted(
         {node.lineno for node in ast.walk(ast.parse(source))
          if (isinstance(node, ast.Attribute)
              and node.attr in ("_kee", "_factor")
              and isinstance(node.value, ast.Name) and node.value.id == "self")
          or (isinstance(node, ast.Call) and (
-             getattr(node.func, "id", None) in KERNEL_READERS
-             or getattr(node.func, "attr", None) in KERNEL_READERS))})
+             getattr(node.func, "id", None) in readers
+             or getattr(node.func, "attr", None) in readers))})
+
+
+def exterior_block_reads(source: str) -> list:
+    """Shape of each ``_exterior_block`` call in ``source``, in source
+    order: "square" for ``(idx, idx)``, the same name twice; "row block"
+    for ``(held[rows], idx)``, two names with ``rows`` the target of an
+    enclosing ``for`` over a ``row_blocks`` call; "other" for any other
+    read, such as one of every held row at once."""
+    def block_loops(node, targets, out):
+        for child in ast.iter_child_nodes(node):
+            inner = targets
+            if isinstance(child, ast.For) and isinstance(
+                    child.target, ast.Name) and isinstance(
+                    child.iter, ast.Call) and "row_blocks" in (
+                    getattr(child.iter.func, "id", None),
+                    getattr(child.iter.func, "attr", None)):
+                inner = targets | {child.target.id}
+            if isinstance(child, ast.Call) and getattr(
+                    child.func, "attr", None) == "_exterior_block":
+                out.append((child.lineno, child.col_offset,
+                            shape(child.args, targets)))
+            block_loops(child, inner, out)
+        return out
+
+    def shape(args, targets):
+        names = [isinstance(a, ast.Name) for a in args]
+        if len(args) == 2 and all(names) and args[0].id == args[1].id:
+            return "square"
+        if len(args) == 2 and names[1] and isinstance(
+                args[0], ast.Subscript) and isinstance(
+                args[0].value, ast.Name) and isinstance(
+                args[0].slice, ast.Name) and args[0].slice.id in targets:
+            return "row block"
+        return "other"
+
+    return [kind for *_, kind in sorted(
+        block_loops(ast.parse(source), frozenset(), []))]
 
 
 def method_source(cls, name: str) -> str:
@@ -92,7 +135,26 @@ def test_lint_flags_whole_matrix_products():
         "for a, blk in kernelmod._lower_row_blocks(p, r, k):\n"
         "    pass\n") == [1, 2, 3, 4]
     assert exterior_reads("K = self._cross_matrix(nodes)\n"
-                          "fac = cho_factor(K[idx])\n") == []
+                          "fac = cho_factor(K[idx])\n") == [1]
+    assert exterior_reads("K = self._exterior_block(idx, idx)\n"
+                          "fac = cho_factor(K.T, lower=True)\n") == []
+
+
+def test_lint_sees_exterior_block_shapes():
+    assert exterior_block_reads(
+        "K = self._exterior_block(idx, idx)\n"
+        "for rows in row_blocks(p[held], p[idx]):\n"
+        "    g[rows] += self._exterior_block(held[rows], idx) @ pos\n"
+        ) == ["square", "row block"]
+    # every held row at once, every exterior row, a square of two sets and
+    # a block outside a row_blocks loop are other reads
+    assert exterior_block_reads(
+        "g = self._exterior_block(held, idx) @ pos\n"
+        "K = self._exterior_block(np.arange(m), idx)\n"
+        "K = self._exterior_block(idx, jdx)\n"
+        "for rows in blocks(p, q):\n"
+        "    g = self._exterior_block(held[rows], idx)\n"
+        ) == ["other"] * 4
 
 
 def whole_array_products(source: str) -> list:
@@ -128,7 +190,11 @@ def test_green_matrix_forms_no_whole_product():
 def test_cone_project_reads_only_free_columns():
     source = method_source("GreenContext", "_cone_project")
     assert exterior_reads(source) == []
-    assert callers(source, "_cross_matrix") == ["_cone_project"]
+    assert exterior_block_reads(source) == ["square", "row block"]
+    assert attribute_owners(BALAYAGE.read_text(), "_exterior_block") == [
+        "_cone_project"] * 2
+    assert attribute_owners(BALAYAGE.read_text(), "_cross_matrix") == [
+        "sweep_columns"]
 
 
 def attribute_owners(source: str, attr: str) -> list:
