@@ -14,7 +14,7 @@ Park 2011).  A context holds only the factor, as one triangle.  Each round
 factors every distinct free pattern once, from the free set's square of
 K_EE read from the kernel (``_exterior_block``), and reads the gradient of
 its columns on the held nodes only, by row blocks, so no read spans every
-exterior node.
+exterior node.  Settled columns are written into the sweep's Theta.
 Each column keeps Kim & Park's backup rule, shared with the QP engine of
 ``_pg``, so its pivoting ends.
 
@@ -117,14 +117,12 @@ class GreenContext:
         bad = np.flatnonzero(theta.min(axis=0) < -_NEG_REL_TOL * col_max)
         if not bad.size:
             return theta, 0
-        start = theta[:, bad]
-        if self._support is not None:
-            start = np.broadcast_to(self._support[:, None], start.shape)
-        elif bad.size > 1:
-            seed = self._cone_project(B[:, bad[:1]], start[:, :1])
-            start = np.broadcast_to(seed, start.shape)
-        theta[:, bad] = self._cone_project(B[:, bad], start)
-        self._support = (theta[:, bad] > 0.0).any(axis=1)
+        start = self._support
+        if start is None:
+            start = theta[:, bad[0]] > 0.0
+            if bad.size > 1:
+                start = self._cone_project(B, theta, bad[:1], start)
+        self._support = self._cone_project(B, theta, bad, start)
         return theta, int(bad.size)
 
     def sweep_columns(self, nodes: NodeSet):
@@ -134,62 +132,66 @@ class GreenContext:
         theta, clipped = self._sweep(B)
         return B, theta, clipped
 
-    def _cone_project(self, B: np.ndarray, start: np.ndarray) -> np.ndarray:
-        """min theta' K theta - 2 b' theta over theta >= 0 for every column b
-        of B by block principal pivoting (Judice & Pires 1994), each column
-        under its own backup rule (``_pg.BackupRule``).  A column starts
-        from the positive entries of its column of ``start`` (a trial
-        solution or a boolean free set), solves on its free set, drops
-        negative entries and frees nodes whose gradient is negative, until
-        the KKT conditions hold.  Each round groups the columns by free set
-        F and reads the square K[F, F] once (``_exterior_block``), factored
-        in place, and the gradient K[H, F] theta[F] - b on the held nodes H
-        only, by the row blocks of ``row_blocks``: a free node's gradient
-        is never tested.  An empty free set has gradient -b."""
-        m, k = B.shape
+    def _cone_project(self, B: np.ndarray, theta: np.ndarray,
+                      cols: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """min t' K t - 2 b' t over t >= 0 for the columns ``cols`` of B,
+        written into the same columns of ``theta``, by block principal
+        pivoting (Judice & Pires 1994), each column under its own backup
+        rule (``_pg.BackupRule``).  Every column starts from the boolean
+        free set ``start``, solves on its free set, drops negative entries
+        and frees nodes whose gradient is negative, until the KKT
+        conditions hold.  Each round groups the columns by free set F and
+        reads the square K[F, F] once (``_exterior_block``), factored in
+        place, B at F and at the held nodes H, and the gradient
+        K[H, F] t[F] - b on H only, by the row blocks of ``row_blocks``: a
+        free node's gradient is never tested.  An empty free set has
+        gradient -b.  Returns the union of the settled positive sets."""
+        m, k = len(B), len(cols)
         pts = self.exterior.positions
-        scale = np.abs(B).max(axis=0) + 1e-300
-        masks = (start > 0.0).T.copy()         # row j: free set of column j
+        scale = np.maximum(B.max(axis=0), -B.min(axis=0)) + 1e-300
+        masks = np.broadcast_to(start, (k, m)).copy()  # row i: free set
         rule = BackupRule(k)
-        theta = np.zeros((m, k))
+        settled = np.zeros(m, dtype=bool)
         active = list(range(k))
         while active:
             groups: dict = {}
-            for j in active:
-                groups.setdefault(masks[j].tobytes(), []).append(j)
+            for i in active:
+                groups.setdefault(masks[i].tobytes(), []).append(i)
             active = []
-            for cols in groups.values():
-                free = masks[cols[0]]
+            for group in groups.values():
+                free = masks[group[0]]
                 idx = np.flatnonzero(free)
                 held = np.flatnonzero(~free)
-                b = B[:, cols]
-                trial = np.zeros_like(b)
+                js = cols[group]
                 # free entries below zero and held nodes whose gradient is
                 # negative: the KKT conditions each column breaks
-                breaks = np.zeros(b.shape, dtype=bool)
-                grad = -b[held]
+                breaks = np.zeros((m, len(group)), dtype=bool)
+                resid = B[held[:, None], js]   # minus the held gradient
+                pos = np.zeros((0, len(group)))
                 if idx.size:
                     # K[F, F] is exactly symmetric: its transpose is the
                     # Fortran-ordered view LAPACK factors without a copy
                     K = self._exterior_block(idx, idx)
                     fac = cho_factor(K.T, lower=True, overwrite_a=True,
                                      check_finite=False)
-                    sol = cho_solve(fac, b[idx], check_finite=False)
-                    pos = np.maximum(sol, 0.0)
-                    trial[idx] = pos
-                    breaks[idx] = sol < 0.0
+                    pos = cho_solve(fac, B[idx[:, None], js],
+                                    check_finite=False)
+                    breaks[idx] = pos < 0.0
+                    np.maximum(pos, 0.0, out=pos)
                     for rows in row_blocks(pts[held], pts[idx]):
-                        grad[rows] += self._exterior_block(held[rows],
-                                                           idx) @ pos
-                breaks[held] = grad < -FINISH_KKT * scale[cols]
-                move = rule(breaks, cols)
-                for i, j in enumerate(cols):
+                        resid[rows] -= self._exterior_block(held[rows],
+                                                            idx) @ pos
+                breaks[held] = resid > FINISH_KKT * scale[js]
+                move = rule(breaks, group)
+                for i, c in enumerate(group):
                     if move[:, i].any():
-                        masks[j] = free ^ move[:, i]
-                        active.append(j)
+                        masks[c] = free ^ move[:, i]
+                        active.append(c)
                     else:
-                        theta[:, j] = trial[:, i]
-        return theta
+                        theta[:, cols[c]] = 0.0
+                        theta[idx, cols[c]] = pos[:, i]
+                        settled[idx] |= pos[:, i] > 0.0
+        return settled
 
     def _potential_and_sweep(self, mu: DiscreteMeasure):
         """kappa(., mu) on the exterior nodes and the swept weights of mu."""

@@ -12,11 +12,9 @@ import numpy as np
 
 from ._pg import QPResult, minimize_quadratic
 from .balayage import GreenContext, balayage_project
-from .errors import (AlignmentError, DuplicateNodeError, InfeasibleError,
-                     SigmaDominationError)
+from .errors import AlignmentError, InfeasibleError, SigmaDominationError
 from .kernel import KernelSpec, gauss_functional, _packed_matrix
-from .model import (Condenser, DiscreteMeasure, NodeSet, VectorMeasure,
-                    merge_by_position)
+from .model import Condenser, DiscreteMeasure, VectorMeasure
 from .tolerances import DEFAULT_TOLERANCES, Tolerances
 
 
@@ -77,10 +75,6 @@ class ProblemSpec:
                     f"{self.totals[i]:.6g}")
 
     @property
-    def i_plus(self) -> tuple:
-        return tuple(range(len(self.condenser.plates) - 1))
-
-    @property
     def p_index(self) -> int:
         return len(self.condenser.plates) - 1
 
@@ -115,35 +109,11 @@ class SolveResult:
     shared_nodes: int = 0          # node positions several plates hold
 
 
-def _block_slices(sizes: Sequence[int]) -> list:
-    """Slices of consecutive blocks of the given sizes."""
-    ends = np.cumsum(sizes, dtype=int)
-    return [slice(int(e - n), int(e)) for n, e in zip(sizes, ends)]
-
-
-def _joint_nodes(nodesets: Sequence[NodeSet]) -> tuple:
-    """The node sets concatenated, the slice of each set and the position
-    index of every node; a node shared by two sets (equally signed plates)
-    is one cell, and duplicates inside one set are rejected."""
-    joint = NodeSet(np.vstack([ns.positions for ns in nodesets]),
-                    np.concatenate([ns.quad_weights for ns in nodesets]),
-                    np.concatenate([ns.cell_radii for ns in nodesets]))
-    _, positions = merge_by_position(joint.positions)
-    slices = _block_slices([len(ns) for ns in nodesets])
-    for i, sl in enumerate(slices):
-        if np.unique(positions[sl]).size != sl.stop - sl.start:
-            raise DuplicateNodeError(
-                f"coinciding nodes in plate node set {i}")
-    return joint, slices, positions
-
-
-def joint_kernel_matrix(nodesets: Sequence[NodeSet], kernel: KernelSpec):
-    """Kernel matrix over the concatenated node sets, as one packed lower
-    triangle (``_pg.PackedMatrix``), the slice of each set and the position
-    index of every node (``_joint_nodes``)."""
-    joint, slices, positions = _joint_nodes(nodesets)
-    K = _packed_matrix(joint.positions, joint.cell_radii, kernel)
-    return K, slices, positions
+def joint_kernel_matrix(condenser: Condenser, kernel: KernelSpec):
+    """Kernel matrix over the condenser's concatenated nodes, as one packed
+    lower triangle (``_pg.PackedMatrix``)."""
+    nodes = condenser.nodes
+    return _packed_matrix(nodes.positions, nodes.cell_radii, kernel)
 
 
 def _caps_and_field(spec: ProblemSpec):
@@ -156,64 +126,65 @@ def _caps_and_field(spec: ProblemSpec):
 
 
 def _solve_result(res: QPResult, solution: VectorMeasure,
-                  constants: np.ndarray, positions: np.ndarray) -> SolveResult:
-    """SolveResult of a solution built from the solver output ``res`` on
-    unknowns at ``positions`` (indices); its energy is the objective."""
+                  constants: np.ndarray, spec: ProblemSpec) -> SolveResult:
+    """SolveResult of a solution built from the solver output ``res``; its
+    energy is the objective.  Only equally signed plates share nodes."""
     return SolveResult(solution=solution, energy=res.objective,
                        constants=constants, trace=res.trace,
                        converged=res.converged, kkt_residual=res.kkt_residual,
                        iterations=res.iterations, matvecs=res.matvecs,
-                       shared_nodes=int(np.count_nonzero(
-                           np.bincount(positions) > 1)))
+                       shared_nodes=int(np.count_nonzero(np.bincount(
+                           spec.condenser.positions) > 1)))
 
 
 def solve_riesz(spec: ProblemSpec) -> SolveResult:
     """Minimize the Gauss functional over capped vector measures with the
     prescribed per-plate masses (full Riesz formulation on R^n); the
     objective carries the field on every plate and is the reported energy."""
-    plates = spec.condenser.plates
-    K, slices, positions = joint_kernel_matrix([p.nodes for p in plates],
-                                               spec.kernel)
+    cond = spec.condenser
+    K = joint_kernel_matrix(cond, spec.kernel)
     # fold the plate signs into K in place: the positive plates come first,
     # so only the negative plate's rows left of column n change sign
     # (exact: negation)
-    n = slices[-1].start
+    n = cond.slices[-1].start
     for i in range(n, K.shape[0]):
         cross = K.row(i)[:n]
         np.negative(cross, out=cross)
     caps, b = _caps_and_field(spec)
-    res = minimize_quadratic(K, np.concatenate(b), slices, spec.totals,
+    res = minimize_quadratic(K, np.concatenate(b), cond.slices, spec.totals,
                              np.concatenate(caps), spec.tolerances,
-                             positions=positions)
-    solution = VectorMeasure.from_weights(spec.condenser,
-                                          [res.w[sl] for sl in slices])
-    return _solve_result(res, solution, res.constants[:-1], positions)
+                             positions=cond.positions)
+    solution = VectorMeasure.from_weights(
+        cond, [res.w[sl] for sl in cond.slices])
+    return _solve_result(res, solution, res.constants[:-1], spec)
 
 
 def solve_green_reduced(spec: ProblemSpec, green: GreenContext) -> SolveResult:
     """Minimize the reduced Green-kernel functional over the positive plates
-    only; same convergence contract as the full solve."""
-    plates = [spec.condenser.plates[i] for i in spec.i_plus]
-    joint, slices, positions = _joint_nodes([p.nodes for p in plates])
-    G, _ = green.green_matrix(joint)
+    only, on their rows of the condenser's joint node list (its first n,
+    the positive plates coming first); same convergence contract as the
+    full solve."""
+    cond, p = spec.condenser, spec.p_index
+    n = cond.slices[p].start
+    G, _ = green.green_matrix(cond.nodes[:n])
     caps, b = _caps_and_field(spec)
-    res = minimize_quadratic(G, np.concatenate(b[:spec.p_index]), slices,
-                             spec.totals[:spec.p_index],
-                             np.concatenate(caps[:spec.p_index]),
-                             spec.tolerances, positions=positions)
-    comps = [DiscreteMeasure(p.nodes, res.w[sl])
-             for p, sl in zip(plates, slices)]
-    solution = VectorMeasure(tuple(comps), tuple(1 for _ in plates))
-    return _solve_result(res, solution, res.constants, positions)
+    res = minimize_quadratic(G, np.concatenate(b[:p]), cond.slices[:p],
+                             spec.totals[:p], np.concatenate(caps[:p]),
+                             spec.tolerances, positions=cond.positions[:n])
+    comps = [DiscreteMeasure(plate.nodes, res.w[sl])
+             for plate, sl in zip(cond.plates[:p], cond.slices)]
+    solution = VectorMeasure(tuple(comps), (1,) * p)
+    return _solve_result(res, solution, res.constants, spec)
 
 
-def _sweep_positive(nodesets: Sequence[NodeSet], weights: Sequence[np.ndarray],
+def _sweep_positive(spec: ProblemSpec, weights: Sequence[np.ndarray],
                     green: GreenContext):
     """Balayage onto the context's exterior of the total of the per-plate
-    positive ``weights``, read on the plates' concatenated nodes."""
-    joint = _joint_nodes(nodesets)[0]
-    return balayage_project(DiscreteMeasure(joint, np.concatenate(weights)),
-                            green)
+    positive ``weights``, read on the positive plates' rows of the
+    condenser's joint node list."""
+    n = spec.condenser.slices[spec.p_index].start
+    return balayage_project(DiscreteMeasure(spec.condenser.nodes[:n],
+                                            np.concatenate(weights)), green)
 
 
 def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
@@ -230,8 +201,7 @@ def lift_green_to_riesz(green_result: SolveResult, spec: ProblemSpec,
         raise AlignmentError(
             "green context exterior must be the negative plate's node set")
     comps = list(green_result.solution.components)
-    bres = _sweep_positive([c.nodes for c in comps],
-                           [c.weights for c in comps], green)
+    bres = _sweep_positive(spec, [c.weights for c in comps], green)
     comps_full = comps + [DiscreteMeasure(plate_p.nodes, bres.swept.weights)]
     solution = VectorMeasure(tuple(comps_full), spec.condenser.signs)
     energy = gauss_functional(solution, spec.field, spec.kernel)
@@ -250,8 +220,7 @@ def swept_positive_caps(spec: ProblemSpec, green: GreenContext) -> np.ndarray:
     if any(np.any(np.isinf(cap)) for cap in caps):
         raise SigmaDominationError(
             "sigma^p cannot dominate the sweep of an uncapped positive plate")
-    nodesets = [spec.condenser.plates[i].nodes for i in spec.i_plus]
-    return _sweep_positive(nodesets, caps, green).swept.weights
+    return _sweep_positive(spec, caps, green).swept.weights
 
 
 def check_sigma_domination(spec: ProblemSpec, green: GreenContext) -> None:

@@ -8,13 +8,14 @@ allowed to shrink with resolution).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import AlignmentError, EmptyPlateError, ZeroSeparationError
+from .errors import (AlignmentError, DuplicateNodeError, EmptyPlateError,
+                     ZeroSeparationError)
 
 # the PlateSpec fields each geometry reads besides tag, sign and backing; a
 # geometry reading ``truncation`` is unbounded, laid out up to that radius
@@ -103,6 +104,11 @@ class NodeSet:
     def __len__(self) -> int:
         return self.positions.shape[0]
 
+    def __getitem__(self, rows: slice) -> "NodeSet":
+        """The nodes of a row slice, as views."""
+        return NodeSet(self.positions[rows], self.quad_weights[rows],
+                       self.cell_radii[rows], self.layer_index[rows])
+
     @property
     def dim(self) -> int:
         return self.positions.shape[1]
@@ -129,9 +135,15 @@ class Condenser:
     """Ordered plates with prescribed signs.  A node position held by
     several plates is one cell: its plates have the same sign and give it
     the same cell radius.  So oppositely signed node sets are pointwise
-    disjoint (closures may touch)."""
+    disjoint (closures may touch), and no plate repeats a position.
+    ``nodes`` concatenates the plates' nodes, ``slices`` are each plate's
+    rows and ``positions`` every row's position index, numbered by first
+    occurrence, so leading plates have the prefix of the index."""
 
     plates: tuple
+    nodes: NodeSet = field(init=False, repr=False, compare=False)
+    slices: tuple = field(init=False, repr=False, compare=False)
+    positions: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "plates", tuple(self.plates))
@@ -140,16 +152,24 @@ class Condenser:
         dims = {p.nodes.dim for p in self.plates}
         if len(dims) != 1:
             raise ValueError("plates live in different dimensions")
-        sign = np.repeat(self.signs, [len(p.nodes) for p in self.plates])
-        radii = np.concatenate([p.nodes.cell_radii for p in self.plates])
-        first, inverse = merge_by_position(
-            np.vstack([p.nodes.positions for p in self.plates]))
+        sizes = [len(p.nodes) for p in self.plates]
+        nodes = _concat_nodesets([p.nodes for p in self.plates])
+        ends = np.cumsum(sizes)
+        slices = tuple(slice(int(e - n), int(e)) for n, e in zip(sizes, ends))
+        first, inverse = merge_by_position(nodes.positions)
+        sign = np.repeat(self.signs, sizes)
         if np.any(sign != sign[first][inverse]):
             raise ZeroSeparationError(
                 "a positive node coincides with a negative node")
-        if np.any(radii != radii[first][inverse]):
+        if np.any(nodes.cell_radii != nodes.cell_radii[first][inverse]):
             raise ValueError("equally signed plates give a shared node "
                              "different cell radii")
+        for i, sl in enumerate(slices):
+            if np.unique(inverse[sl]).size != sl.stop - sl.start:
+                raise DuplicateNodeError(f"coinciding nodes in plate {i}")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "slices", slices)
+        object.__setattr__(self, "positions", inverse)
 
     @property
     def signs(self) -> tuple:

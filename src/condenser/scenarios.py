@@ -98,6 +98,7 @@ def _tolerances_from(cfg: dict) -> Tolerances:
 def _kernel_from(cfg: dict) -> KernelSpec:
     kc = _require(cfg, "kernel", dict)
     try:
+        _only_keys(kc, ("n", "alpha"))
         kernel = KernelSpec(_read_value(int, kc.get("n", 3), "n"),
                             _read_value(float, _require(kc, "alpha"), "alpha"))
     except (ValueError, ParseError) as exc:
@@ -139,6 +140,11 @@ def _plate_specs_from(cfg: dict, truncation: float, alpha: float):
     return specs
 
 
+# the keys a constraint entry of each mode takes besides ``mode``
+_CONSTRAINT_KEYS = {"unbounded": (), "explicit": ("weights",),
+                    "scaled_capacitary": ("q",), "stacked_disks": ()}
+
+
 def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                      tol: Tolerances) -> tuple:
     entries = _require(cfg, "constraint", list)
@@ -149,6 +155,12 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
         if not isinstance(ent, dict):
             raise ParseError(f"constraint {i} must be a mapping")
         mode = _require(ent, "mode", str)
+        if mode not in _CONSTRAINT_KEYS:
+            raise ParseError(f"unknown constraint mode {mode!r}")
+        try:
+            _only_keys(ent, ("mode",) + _CONSTRAINT_KEYS[mode])
+        except ParseError as exc:
+            raise ParseError(f"constraint {i}: {exc}") from None
         if mode == "unbounded":
             caps.append(None)
         elif mode == "explicit":
@@ -159,7 +171,7 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
             lam, _ = equilibrium_measure(plate.nodes, kernel, 1.0,
                                          tolerances=tol)
             caps.append(q * lam.weights)
-        elif mode == "stacked_disks":
+        else:  # stacked_disks
             if plate.spec.tag != "disk":
                 raise ParseError(f"constraint {i}: stacked_disks needs a disk "
                                  f"plate, not {plate.spec.tag!r}")
@@ -175,8 +187,6 @@ def _constraint_from(cfg: dict, condenser: Condenser, kernel: KernelSpec,
                                              tolerances=tol)
                 cap[sel] = lam.weights / (k * k)
             caps.append(cap)
-        else:
-            raise ParseError(f"unknown constraint mode {mode!r}")
     return tuple(caps)
 
 
@@ -185,6 +195,7 @@ def _field_from(cfg: dict, condenser: Condenser):
     ``node_values`` entries are numbers or "inf" (a frozen node), and the
     negative plate's are zero; ``ProblemSpec`` checks the rest."""
     fc = _optional_mapping(cfg, "field")
+    _only_keys(fc, ("case", "values"))
     case = fc.get("case", "zero")
     if case == "zero":
         return None
@@ -246,6 +257,7 @@ def build_balayage(cfg: dict):
     if len(condenser.plates) != 1 or condenser.plates[0].sign != -1:
         raise ParseError("balayage config needs exactly one negative plate")
     src = _require(cfg, "source", dict)
+    _only_keys(src, ("positions", "weights", "cell_radius"))
     pos = [_read_value(tuple, x, "source position")
            for x in _require(src, "positions", list)]
     wts = np.array(_read_value(tuple, _require(src, "weights"),

@@ -188,8 +188,8 @@ def scalar_zone_checks(result: SolveResult, spec: ProblemSpec,
 
     # probe points inside D and across the truncated space
     rng = np.random.default_rng(seed)
-    all_pos = np.vstack([p.nodes.positions for p in spec.condenser.plates])
-    all_rad = np.concatenate([p.nodes.cell_radii for p in spec.condenser.plates])
+    all_nodes = spec.condenser.nodes
+    all_pos, all_rad = all_nodes.positions, all_nodes.cell_radii
     interior, excluded_i = _domain_probes(spec.condenser.plates[1],
                                           ZONE_PROBES, rng, all_pos, all_rad)
     # (i) Riesz potential of lambda vs Green potential of lambda+ inside D

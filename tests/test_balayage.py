@@ -350,15 +350,16 @@ class TestExteriorStorage:
         assert asym < 1e-14
 
     @pytest.mark.parametrize("case, bound", [("ex2", 2.1), ("ex1", 5.6),
-                                             ("ballinball", 9.0)])
+                                             ("ballinball", 4.5)])
     def test_green_matrix_peak(self, request, monkeypatch, case, bound):
         # unclipped: the sweep's B and Theta and at most two row blocks
         # beside G; 1.98 (ex2) and 5.33 (ex1) x 8 n^2, where the dense
         # n x n Theta' B read 2.19 and 5.38.  Clipped (ballinball, every
-        # column, m = 1062, n = 123, largest free set F = 456): the m x n
-        # arrays of the sweep and the cone, a kernel row block and the
-        # square K[F, F], 8.13 x 8 m n + 8 F^2, where reading K_EE[:, F]
-        # whole and copying K[F, F] twice read 10.64
+        # column, m = 1062, n = 123, largest free set F = 456): the sweep's
+        # B and Theta, the cone's reads of B at a group's free and held
+        # rows, a kernel row block and the square K[F, F], 3.83 x 8 m n +
+        # 8 F^2, where copying the clipped columns of B and Theta for the
+        # cone read 8.13
         built = request.getfixturevalue(case)
         nodes = built.spec.condenser.plates[0].nodes
         free = []
@@ -581,22 +582,28 @@ class TestBatchedPivoting:
             1e-10 * np.abs(pivoted).max()
 
     def test_empty_start_matches_nnls(self, toy_sweep):
-        # every column starts from an empty free set; the last one's b is
-        # nonpositive, so its empty set is already optimal
+        # the projected columns start from an empty free set and are
+        # written in place; the last one's b is nonpositive, so its empty
+        # set is already optimal, and column 1 is left as it was
         ctx, src = toy_sweep
         idx = [0, 10, 20]
         B = ctx._cross_matrix(NodeSet(src.positions[idx],
                                       src.quad_weights[idx],
                                       src.cell_radii[idx]))
         B = np.column_stack([B, -B[:, 0]])
-        theta = ctx._cone_project(B, -np.ones_like(B))
+        theta = np.full(B.shape, -1.0)
+        cols = np.array([0, 2, 3])
+        settled = ctx._cone_project(B, theta, cols,
+                                    np.zeros(len(B), dtype=bool))
+        assert np.all(theta[:, 1] == -1.0)
         lower = factor_lower(ctx)
         y = solve_triangular(lower, B, lower=True)
-        for j in range(B.shape[1]):
+        for j in cols:
             ref = nnls(lower.T, y[:, j])[0]
             assert np.abs(theta[:, j] - ref).max() <= \
                 1e-10 * max(np.abs(ref).max(), 1.0)
         assert not theta[:, -1].any()
+        assert np.array_equal(settled, (theta[:, cols] > 0.0).any(axis=1))
 
 
 class TestStartRule:

@@ -534,6 +534,19 @@ class TestErrorPaths:
             "weights": [1.0]})),
         ("capacity", {"kernel": {"n": 3, "alpha": 2.0}, "resolution": 0.3,
                       "conductor": {"geometry": "cube", "radius": 1.0}}),
+        # a misspelt key of a nested mapping is refused, not ignored
+        ("balayage", dict(BALAYAGE_CONFIG, kernel={
+            "n": 3, "alpha": 2.0, "alhpa": 1.0})),
+        ("balayage", dict(BALAYAGE_CONFIG, source=dict(
+            BALAYAGE_CONFIG["source"], cell_radus=0.3))),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "scaled_capacitary", "q": 1.5},
+            {"mode": "unbounded", "q": 3.0}])),
+        ("solve", dict(TOY_BALL, constraint=[
+            {"mode": "scaled_capacitary", "q": 1.5, "weights": [1.0]},
+            {"mode": "unbounded"}])),
+        ("solve", dict(TOY_BALL, field={"case": "zero",
+                                        "cas": "node_values"})),
     ], ids=["plate-axis", "plate-center-2d", "plate-side", "ball-axis",
             "disk-side", "half-space-radius", "level-key", "backing-key",
             "explicit-cloud",
@@ -563,7 +576,9 @@ class TestErrorPaths:
             "constraint-count", "constraint-not-a-mapping",
             "constraint-mode-unknown", "field-case-unknown",
             "balayage-positive-plate", "source-misaligned",
-            "capacity-cube"])
+            "capacity-cube", "kernel-unknown-key", "source-unknown-key",
+            "constraint-unknown-key", "constraint-key-of-another-mode",
+            "field-unknown-key"])
     def test_bad_value_exit_2(self, tmp_path, capsys, command, cfg):
         # a command may carry global flags before the subcommand
         path = write_config(tmp_path, cfg)

@@ -10,8 +10,9 @@ row-block writer of symmetric matrices and ``potential`` call it.  Every blocked
 One way to merge by position: only ``model.merge_by_position`` calls
 ``np.unique`` along an axis, and it is called only where a shared node is
 met: the condenser's coincidence check, the nearest-neighbour trim, the
-resultant, the distinct-node check of a matrix assembly and the solves'
-joint node list ``gauss_solver._joint_nodes``."""
+resultant and the distinct-node check of a matrix assembly.  The solves
+read the condenser's joint node list and position index, so no solver
+merges."""
 
 import ast
 import pathlib
@@ -112,7 +113,8 @@ def test_one_merge_by_position():
     assert [(path.stem, owner) for path in sorted(PACKAGE.glob("*.py"))
             for owner in axis_unique_calls(path.read_text())
             ] == [("model", "merge_by_position")]
-    assert set(package_calls("merge_by_position")) == {
+    calls = package_calls("merge_by_position")
+    assert set(calls) == {
         ("model", "__post_init__"), ("model", "_nearest_neighbor_distances"),
-        ("model", "resultant"), ("kernel", "_require_distinct"),
-        ("gauss_solver", "_joint_nodes")}
+        ("model", "resultant"), ("kernel", "_require_distinct")}
+    assert all(len(found) == 1 for found in calls.values())

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from condenser.errors import (AlignmentError, DuplicateNodeError,
                               InfeasibleError, NonConvexError,
                               SigmaDominationError)
 from condenser import _pg as pgmod
+from condenser import gauss_solver as solvermod
 from condenser import kernel as kernelmod
 from condenser import model as modelmod
 from condenser.gauss_solver import (ProblemSpec, check_sigma_domination,
@@ -47,6 +49,19 @@ def shared_node_spec():
         "plates": [ball, ball, {"geometry": "ball_complement", "sign": -1,
                                 "radius": 1.0}],
         "constraint": [{"mode": "unbounded"}] * 3}).spec
+
+
+def partial_overlap_scenario():
+    """Two balls of radius 0.5 centred at x = -0.2 and 0.2, sharing 39
+    nodes, against the unit ball's complement."""
+    return build_scenario({
+        "kernel": {"n": 3, "alpha": 1.5}, "resolution": 0.2,
+        "truncation": 3.0, "totals": [0.5, 0.5, 1.0],
+        "plates": [{"geometry": "ball", "sign": 1, "radius": 0.5,
+                    "center": [x, 0, 0]} for x in (-0.2, 0.2)] +
+                  [{"geometry": "ball_complement", "sign": -1,
+                    "radius": 1.0}],
+        "constraint": [{"mode": "unbounded"}] * 3})
 
 
 def swapped(spec):
@@ -248,7 +263,7 @@ class TestSolveRiesz:
         spec = ProblemSpec(cond, (1.0, 1.0), None,
                            (None, None), K2)
         res = solve_riesz(spec)
-        K, slices, _ = joint_kernel_matrix([p.nodes for p in cond.plates], K2)
+        K, slices = joint_kernel_matrix(cond, K2), cond.slices
         s = np.concatenate([np.full(len(p.nodes), float(p.sign))
                             for p in cond.plates])
         A = unpacked(K) * np.outer(s, s)
@@ -317,7 +332,8 @@ class TestSolveRiesz:
 
     def test_repeated_node_in_one_plate_rejected(self):
         # a node shared by two equally signed plates is one cell; a node
-        # repeated inside one plate would make the joint matrix singular
+        # repeated inside one plate would make the joint matrix singular,
+        # so the condenser refuses it before any solve
         shared = NodeSet([[0, 0, 0], [1, 0, 0]], np.ones(2), np.full(2, 0.05))
         neg = NodeSet([[4, 0, 0], [4, 1, 0]], np.ones(2), np.full(2, 0.05))
         cond = Condenser((Plate(sign=+1, nodes=shared),
@@ -330,13 +346,10 @@ class TestSolveRiesz:
         assert solve_green_reduced(spec, ctx).converged
         repeated = NodeSet(shared.positions[[0, 1, 1]], np.ones(3),
                            np.full(3, 0.05))
-        cond = Condenser((Plate(sign=+1, nodes=repeated),
-                          Plate(sign=-1, nodes=neg)))
-        spec = ProblemSpec(cond, (1.0, 1.0), None,
-                           (None, None), K2)
-        for solve in (solve_riesz, lambda s: solve_green_reduced(s, ctx)):
-            with pytest.raises(DuplicateNodeError):
-                solve(spec)
+        for plates, bad in (((repeated,), 0), ((shared, repeated), 1)):
+            with pytest.raises(DuplicateNodeError, match=f"plate {bad}"):
+                Condenser(tuple(Plate(sign=+1, nodes=ns) for ns in plates)
+                          + (Plate(sign=-1, nodes=neg),))
 
     def test_max_iters_flagged_not_raised(self):
         # a KKT bound below double roundoff, which the pivoting cannot meet
@@ -479,17 +492,9 @@ class TestSharedCopies:
         assert abs(res.objective - 1.0 / cap) <= 1e-12 / cap
 
     def test_partial_overlap_converges_by_pivoting(self):
-        # two balls of radius 0.5 centred at x = -0.2 and 0.2 against the
-        # unit ball's complement; the reference energies are those of
-        # projected gradient, the engine this pivoting replaced
-        sc = build_scenario({
-            "kernel": {"n": 3, "alpha": 1.5}, "resolution": 0.2,
-            "truncation": 3.0, "totals": [0.5, 0.5, 1.0],
-            "plates": [{"geometry": "ball", "sign": 1, "radius": 0.5,
-                        "center": [x, 0, 0]} for x in (-0.2, 0.2)] +
-                      [{"geometry": "ball_complement", "sign": -1,
-                        "radius": 1.0}],
-            "constraint": [{"mode": "unbounded"}] * 3})
+        # the reference energies are those of projected gradient, the
+        # engine this pivoting replaced
+        sc = partial_overlap_scenario()
         assert [len(p.nodes) for p in sc.spec.condenser.plates[:2]] == [81, 81]
         # either plate order meets the references: a shared node is one
         # cell, whichever plate comes first
@@ -505,6 +510,33 @@ class TestSharedCopies:
                     assert abs(comp.weights.sum() - total) <= 1e-12
             assert_variational_inequality(riesz, spec,
                                           np.random.default_rng(3))
+
+    def test_solves_read_the_condenser_position_index(self, monkeypatch):
+        # the positive plates' rows of the condenser's index are the index
+        # a merge of their nodes alone gives, and neither solve nor the
+        # lift merges by position again
+        sc = partial_overlap_scenario()
+        cond = sc.spec.condenser
+        n = cond.slices[-1].start
+        _, alone = modelmod.merge_by_position(np.vstack(
+            [p.nodes.positions for p in cond.plates[:-1]]))
+        assert np.array_equal(cond.positions[:n], alone)
+        assert np.count_nonzero(np.bincount(alone) > 1) == 39
+        assert not hasattr(solvermod, "merge_by_position")
+        callers = []
+        merge = modelmod.merge_by_position
+
+        def recording(positions):
+            callers.append(sys._getframe(1).f_globals["__name__"])
+            return merge(positions)
+
+        for module in (modelmod, kernelmod):
+            monkeypatch.setattr(module, "merge_by_position", recording)
+        green = solve_green_reduced(sc.spec, sc.green)
+        lift_green_to_riesz(green, sc.spec, sc.green)
+        solve_riesz(sc.spec)
+        # the lift's energy reads the resultant, which merges its atoms
+        assert callers and "condenser.gauss_solver" not in callers
 
     def test_fields_on_shared_copies(self):
         # different fields on the two plates make the split of each shared
@@ -526,13 +558,21 @@ class TestSharedCopies:
 class TestJointAssembly:
     @staticmethod
     def three_sets():
-        # plates 0 and 1 share their first node
+        # plates 0 and 1 share their first node, one cell with one radius
         rng = np.random.default_rng(7)
         a = rng.normal(size=(90, 3))
         b = np.vstack([a[:1], rng.normal(size=(70, 3)) + [1.5, 0, 0]])
         c = rng.normal(size=(110, 3)) + [5.0, 0, 0]
-        return [NodeSet(p, np.ones(len(p)), rng.uniform(0.01, 0.03, len(p)))
-                for p in (a, b, c)]
+        radii = [rng.uniform(0.01, 0.03, len(p)) for p in (a, b, c)]
+        radii[1][0] = radii[0][0]
+        return [NodeSet(p, np.ones(len(p)), r)
+                for p, r in zip((a, b, c), radii)]
+
+    @classmethod
+    def three_plates(cls):
+        """A condenser of +1 plates on ``three_sets``."""
+        return Condenser(tuple(Plate(sign=+1, nodes=ns)
+                               for ns in cls.three_sets()))
 
     @pytest.mark.parametrize("entries", [None, 1000])
     def test_row_blocks_bit_identical(self, monkeypatch, entries):
@@ -540,8 +580,9 @@ class TestJointAssembly:
         # below the diagonal; the packed matrix is its lower triangle
         if entries is not None:
             monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", entries)
-        sets = self.three_sets()
-        K, slices, _ = joint_kernel_matrix(sets, K15)
+        cond = self.three_plates()
+        sets = [p.nodes for p in cond.plates]
+        K, slices = joint_kernel_matrix(cond, K15), cond.slices
         N = sum(len(ns) for ns in sets)
         assert K.shape == (N, N) and K.ap.shape == (N * (N + 1) // 2,)
         ref = np.empty((N, N))
@@ -568,7 +609,7 @@ class TestJointAssembly:
 
     def test_product_and_gathers_match_the_dense_matrix(self, monkeypatch):
         monkeypatch.setattr(modelmod, "BLOCK_ENTRIES", 1000)
-        K, *_ = joint_kernel_matrix(self.three_sets(), K15)
+        K = joint_kernel_matrix(self.three_plates(), K15)
         D = unpacked(K)
         x = np.random.default_rng(3).normal(size=K.shape[0])
         assert np.abs(K @ x - D @ x).max() <= 1e-14 * np.abs(D @ x).max()
